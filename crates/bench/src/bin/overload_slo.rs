@@ -132,7 +132,7 @@ fn main() {
             QosClass::Background => SubmitOptions::from(qos).deadline(bg_deadline),
         };
         let t_submit = clock::now();
-        match server.try_submit_with(opts, move |_| spin_work(work_ticks)) {
+        match server.with(opts).try_submit(move |_| spin_work(work_ticks)) {
             Ok(h) => pending.push((qos, t_submit, h)),
             Err(e) => {
                 assert!(e.is_backpressure(), "overload refusals are typed: {e:?}");

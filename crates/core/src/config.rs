@@ -159,6 +159,17 @@ impl RuntimeConfig {
         }
     }
 
+    /// Panics unless a team of `self.threads` workers can exist — the
+    /// one statement of the team-size limits every team constructor (and
+    /// the task server's `resume_with`) checks.
+    pub fn assert_team_size(&self) {
+        assert!(self.threads >= 1, "a team needs at least one worker");
+        assert!(
+            self.threads <= (1 << 24),
+            "worker ids must fit the 24-bit message-cell field"
+        );
+    }
+
     // ---- builder-style overrides ----
 
     /// Sets the team size (and refits the default topology).

@@ -21,7 +21,7 @@
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use xgomp_profiling::{
@@ -29,7 +29,7 @@ use xgomp_profiling::{
     WorkerStats,
 };
 use xgomp_topology::{CostModel, Placement};
-use xgomp_xqueue::{Backoff, EventRing, Parker};
+use xgomp_xqueue::{EventRing, IdleGate, Parker};
 
 use crate::alloc::TaskAllocator;
 use crate::barrier::TeamBarrier;
@@ -76,11 +76,17 @@ pub trait IngressSource: Send + Sync {
     }
 }
 
-/// Optional per-region extensions (persistent-executor hook set).
+/// The persistent-executor hook set of one region
+/// ([`PersistentTeam::run_serving`]); every hook is optional and
+/// `default()` is a plain region.
 #[derive(Default)]
-pub(crate) struct TeamExtras {
+pub struct ServingHooks {
+    /// External work feed polled by idle workers.
     pub source: Option<Arc<dyn IngressSource>>,
+    /// Online task-size sampling (needs one lane per worker).
     pub sampler: Option<Arc<LiveTaskSampler>>,
+    /// Hot-swappable DLB configuration; `None` uses a per-region cell
+    /// seeded from [`RuntimeConfig::dlb`].
     pub tuning: Option<Arc<DlbTuning>>,
     /// Cross-generation loop-subsystem counters (`parallel_for` folds
     /// its per-loop totals in here when present).
@@ -93,10 +99,6 @@ pub(crate) struct TeamExtras {
     /// selection state (trial windows, converged picks) survives
     /// pause/resume; `None` makes `Auto` fall back to a fixed member.
     pub auto_select: Option<Arc<AutoSelector>>,
-    /// Catch task-body panics instead of poisoning the team: the payload
-    /// is carried to the parent's next `taskwait`, which re-raises it
-    /// (per-job isolation in `xgomp-service`).
-    pub isolate_panics: bool,
     /// Flight-recorder tracer shared across generations (a task server
     /// owns one for its whole life so the ring windows survive
     /// pause/resume reshaping); `None` falls back to
@@ -131,17 +133,19 @@ pub(crate) struct TeamShared {
     pub source: Option<Arc<dyn IngressSource>>,
     /// Online task-size sampling (always-on when present).
     pub sampler: Option<Arc<LiveTaskSampler>>,
-    /// Cross-generation loop counters (see [`TeamExtras::loop_stats`]).
+    /// Cross-generation loop counters (see [`ServingHooks::loop_stats`]).
     pub loop_stats: Option<Arc<LoopTelemetry>>,
     /// Inter-socket loop balancer (coarse level of two-level loop
     /// balancing); probed by loop-drain tasks and the DLB idle hook.
     pub balancer: Arc<LoopBalancer>,
-    /// `Schedule::Auto` selector (see [`TeamExtras::auto_select`]).
+    /// `Schedule::Auto` selector (see [`ServingHooks::auto_select`]).
     pub auto_select: Option<Arc<AutoSelector>>,
     /// The region's implicit task, published by the master so idle
     /// workers can parent injected tasks to it; null outside a region.
     pub root: AtomicPtr<Task>,
-    /// See [`TeamExtras::isolate_panics`].
+    /// Catch task-body panics instead of poisoning the team: the payload
+    /// is carried to the parent's next `taskwait`, which re-raises it
+    /// (per-job isolation in `xgomp-service`).
     pub isolate_panics: bool,
     /// NUMA-aware idle parker (zone wake sets follow the placement).
     /// Always present; whether workers actually park is `park_idle`.
@@ -156,7 +160,7 @@ pub(crate) struct TeamShared {
 
 /// Builds the shared state for one region of `cfg` with the given
 /// extension hooks (used by both execution engines).
-fn build_team(cfg: &RuntimeConfig, extras: TeamExtras) -> TeamShared {
+fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) -> TeamShared {
     let n = cfg.threads;
     let placement = Arc::new(Placement::new(cfg.topology.clone(), n, cfg.affinity));
     let stats: Arc<Vec<WorkerStats>> = Arc::new((0..n).map(|_| WorkerStats::default()).collect());
@@ -167,16 +171,16 @@ fn build_team(cfg: &RuntimeConfig, extras: TeamExtras) -> TeamShared {
     // the scheduler) so the loop balancer can ride its
     // `rebalance_interval` knob — hot-swappable exactly like the task
     // DLB knobs.
-    let tuning = extras
+    let tuning = hooks
         .tuning
         .or_else(|| cfg.dlb.map(|d| Arc::new(DlbTuning::new(d))));
-    let balancer = extras
+    let balancer = hooks
         .balancer
         .unwrap_or_else(|| Arc::new(LoopBalancer::new()));
     if let Some(t) = &tuning {
         balancer.bind_tuning(t);
     }
-    let tracer = extras
+    let tracer = hooks
         .tracer
         .or_else(|| (cfg.trace != TraceLevel::Off).then(|| Arc::new(Tracer::new(cfg.trace))))
         .map(|t| {
@@ -202,13 +206,13 @@ fn build_team(cfg: &RuntimeConfig, extras: TeamExtras) -> TeamShared {
         logs: PerWorker::new(n, |w| PerfLog::new(w, cfg.profiling)),
         profiling: cfg.profiling,
         poisoned: AtomicBool::new(false),
-        source: extras.source,
-        sampler: extras.sampler,
-        loop_stats: extras.loop_stats,
+        source: hooks.source,
+        sampler: hooks.sampler,
+        loop_stats: hooks.loop_stats,
         balancer,
-        auto_select: extras.auto_select,
+        auto_select: hooks.auto_select,
         root: AtomicPtr::new(std::ptr::null_mut()),
-        isolate_panics: extras.isolate_panics,
+        isolate_panics,
         parker,
         park_idle: cfg.park_idle,
         tracer,
@@ -421,17 +425,10 @@ fn run_body_isolated(ctx: &TaskCtx<'_>, task: NonNull<Task>, body: crate::task::
 /// makes the sleep race-free: the re-check below covers exactly the
 /// conditions those wakers signal.
 pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
-    let mut backoff = Backoff::new();
+    let mut gate = IdleGate::default();
     // One merged span per idle period: closed as STALL when work shows
     // up, as BARRIER when the region ends (keeps logs bounded).
     let mut idle_t0: Option<u64> = None;
-    // Set by a stay-awake park cancellation: skip the next park attempt
-    // so the iteration after a cancel re-probes immediately (the hint
-    // may be work we can take right now) but, if that probe comes up
-    // empty, lands in the snooze below instead of hard-spinning the
-    // announce/cancel counters while e.g. another worker holds the
-    // drain claim the hint points at.
-    let mut skip_park = false;
     // Flight-recorder baseline for this worker's own victim-side DLB
     // counters (single-writer, so deltas are exact): a grown
     // `nreq_has_steal` means a steal request we served moved tasks, a
@@ -480,8 +477,7 @@ pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
             }
             team.sched.pre_execute(w);
             execute(team, w, t);
-            backoff.reset();
-            skip_park = false;
+            gate.reset();
             continue;
         }
         team.sched.on_idle(w);
@@ -499,8 +495,7 @@ pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
                     if let Some(t0) = idle_t0.take() {
                         team.log_span(w, EventKind::Stall, t0);
                     }
-                    backoff.reset();
-                    skip_park = false;
+                    gate.reset();
                     continue;
                 }
             }
@@ -519,42 +514,32 @@ pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
             team.parker.unpark_all();
             break;
         }
-        if team.park_idle
-            && backoff.is_completed()
-            && !std::mem::take(&mut skip_park)
-            && team.parker.prepare_park(w)
-        {
-            // Announced. Re-check everything a waker could have
-            // signalled between our last probes and the announcement.
+        // Announced (when the gate parks at all): re-check everything a
+        // waker could have signalled between our last probes and the
+        // announcement. The release probe participates in the gather, so
+        // run it even though we polled just above: a releaser may have
+        // scanned the park set before our announcement.
+        let mut released = false;
+        let slept = gate.idle(&team.parker, w, team.park_idle, || {
             let stay_awake = team.poisoned.load(Ordering::Acquire)
                 || team.sched.has_work_hint(w)
                 || team.source.as_ref().is_some_and(|s| s.has_pending());
-            // The release probe participates in the gather, so run it
-            // even though we polled just above: a releaser may have
-            // scanned the park set before our announcement.
-            let released = !stay_awake && team.barrier.try_release(w);
-            if stay_awake || released {
-                team.parker.cancel_park(w);
-                if released {
-                    if let Some(t0) = idle_t0.take() {
-                        team.log_span(w, EventKind::Barrier, t0);
-                    }
-                    team.parker.unpark_all();
-                    break;
-                }
-                // Stay-awake cancel: re-probe immediately, but throttle
-                // the next park attempt (see `skip_park`).
-                skip_park = true;
-            } else {
+            released = !stay_awake && team.barrier.try_release(w);
+            if !(stay_awake || released) {
                 team.trace_emit(w, TraceLevel::Lifecycle, EventKind::Park, 0, 0, 0);
-                team.parker.park(w);
-                team.trace_emit(w, TraceLevel::Lifecycle, EventKind::Wake, 0, 0, 0);
-                // Woken for a reason: probe aggressively again.
-                backoff.reset();
             }
-            continue;
+            stay_awake || released
+        });
+        if released {
+            if let Some(t0) = idle_t0.take() {
+                team.log_span(w, EventKind::Barrier, t0);
+            }
+            team.parker.unpark_all();
+            break;
         }
-        backoff.snooze();
+        if slept {
+            team.trace_emit(w, TraceLevel::Lifecycle, EventKind::Wake, 0, 0, 0);
+        }
     }
 }
 
@@ -611,11 +596,7 @@ pub struct Runtime {
 impl Runtime {
     /// Builds a runtime from `cfg` (validated).
     pub fn new(cfg: RuntimeConfig) -> Self {
-        assert!(cfg.threads >= 1, "a team needs at least one worker");
-        assert!(
-            cfg.threads <= (1 << 24),
-            "worker ids must fit the 24-bit message-cell field"
-        );
+        cfg.assert_team_size();
         Runtime { cfg }
     }
 
@@ -628,7 +609,7 @@ impl Runtime {
     /// single task; the region returns when every transitively spawned
     /// task has completed (detected by the configured barrier).
     pub fn parallel<R>(&self, f: impl FnOnce(&TaskCtx<'_>) -> R) -> RegionOutput<R> {
-        let team = build_team(&self.cfg, TeamExtras::default());
+        let team = build_team(&self.cfg, ServingHooks::default(), false);
         let n = team.n;
 
         let started = Instant::now();
@@ -685,10 +666,12 @@ impl StartGate {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, st: MutexGuard<'a, GateState>) -> MutexGuard<'a, GateState> {
+        self.cv.wait(st).unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -706,10 +689,7 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
                 if st.generation > last_gen {
                     break;
                 }
-                st = gate
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                st = gate.wait(st);
             }
             last_gen = st.generation;
             Arc::clone(st.team.as_ref().expect("open generation has a team"))
@@ -744,7 +724,7 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
 /// exactly as in [`Runtime::parallel`].
 ///
 /// This is the execution engine behind `xgomp-service`'s persistent task
-/// server; [`run_with`](Self::run_with) additionally wires in the
+/// server; [`run_serving`](Self::run_serving) additionally wires in the
 /// ingress/sampling/tuning hook set.
 pub struct PersistentTeam {
     cfg: RuntimeConfig,
@@ -755,11 +735,7 @@ pub struct PersistentTeam {
 impl PersistentTeam {
     /// Builds the team and parks `cfg.threads - 1` workers on the gate.
     pub fn new(cfg: RuntimeConfig) -> Self {
-        assert!(cfg.threads >= 1, "a team needs at least one worker");
-        assert!(
-            cfg.threads <= (1 << 24),
-            "worker ids must fit the 24-bit message-cell field"
-        );
+        cfg.assert_team_size();
         let gate = Arc::new(StartGate::new());
         let workers = (1..cfg.threads)
             .map(|w| {
@@ -797,11 +773,7 @@ impl PersistentTeam {
     /// server's config swap; it costs thread spawn/join once per resize,
     /// never per generation.
     pub fn reconfigure(&mut self, cfg: RuntimeConfig) {
-        assert!(cfg.threads >= 1, "a team needs at least one worker");
-        assert!(
-            cfg.threads <= (1 << 24),
-            "worker ids must fit the 24-bit message-cell field"
-        );
+        cfg.assert_team_size();
         if cfg.threads == self.cfg.threads {
             self.cfg = cfg;
             return;
@@ -821,31 +793,25 @@ impl PersistentTeam {
     /// join-propagation of the scoped engine); the team itself survives
     /// and can run further generations.
     pub fn run<R>(&mut self, f: impl FnOnce(&TaskCtx<'_>) -> R) -> RegionOutput<R> {
-        self.run_with(TeamExtras::default(), f)
+        self.run_with(ServingHooks::default(), false, f)
     }
 
-    /// Runs one region with an ingress source polled by idle workers and
-    /// optional live sampling / DLB tuning hooks. Task-body panics are
-    /// isolated (see [`TeamExtras::isolate_panics`]): they re-raise at
-    /// the parent's next `taskwait` instead of poisoning the team.
+    /// Runs one region with the persistent-executor [`ServingHooks`]: an
+    /// ingress source polled by idle workers and optional live sampling
+    /// / DLB tuning / telemetry hooks. Task-body panics are isolated:
+    /// they re-raise at the parent's next `taskwait` instead of
+    /// poisoning the team.
     ///
     /// # Panics
     ///
-    /// Panics when `sampler` has fewer lanes than the team has workers —
-    /// aliased lanes would break its single-writer counters.
-    #[allow(clippy::too_many_arguments)]
+    /// Panics when `hooks.sampler` has fewer lanes than the team has
+    /// workers — aliased lanes would break its single-writer counters.
     pub fn run_serving<R>(
         &mut self,
-        source: Arc<dyn IngressSource>,
-        sampler: Option<Arc<LiveTaskSampler>>,
-        tuning: Option<Arc<DlbTuning>>,
-        loop_stats: Option<Arc<LoopTelemetry>>,
-        balancer: Option<Arc<LoopBalancer>>,
-        auto_select: Option<Arc<AutoSelector>>,
-        tracer: Option<Arc<Tracer>>,
+        hooks: ServingHooks,
         f: impl FnOnce(&TaskCtx<'_>) -> R,
     ) -> RegionOutput<R> {
-        if let Some(s) = &sampler {
+        if let Some(s) = &hooks.sampler {
             assert!(
                 s.n_lanes() >= self.cfg.threads,
                 "LiveTaskSampler has {} lanes for a team of {} workers \
@@ -854,24 +820,13 @@ impl PersistentTeam {
                 self.cfg.threads
             );
         }
-        self.run_with(
-            TeamExtras {
-                source: Some(source),
-                sampler,
-                tuning,
-                loop_stats,
-                balancer,
-                auto_select,
-                isolate_panics: true,
-                tracer,
-            },
-            f,
-        )
+        self.run_with(hooks, true, f)
     }
 
     fn run_with<R>(
         &mut self,
-        extras: TeamExtras,
+        hooks: ServingHooks,
+        isolate_panics: bool,
         f: impl FnOnce(&TaskCtx<'_>) -> R,
     ) -> RegionOutput<R> {
         let n_aux = self.workers.len();
@@ -881,15 +836,11 @@ impl PersistentTeam {
             // retire before opening a new generation.
             let mut st = self.gate.lock();
             while st.generation > 0 && st.retired < n_aux {
-                st = self
-                    .gate
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                st = self.gate.wait(st);
             }
         }
 
-        let team = Arc::new(build_team(&self.cfg, extras));
+        let team = Arc::new(build_team(&self.cfg, hooks, isolate_panics));
         {
             let mut st = self.gate.lock();
             st.team = Some(team.clone());
@@ -905,11 +856,7 @@ impl PersistentTeam {
         {
             let mut st = self.gate.lock();
             while st.retired < n_aux {
-                st = self
-                    .gate
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                st = self.gate.wait(st);
             }
             st.team = None;
         }
@@ -1316,22 +1263,18 @@ mod tests {
         let sampler = Arc::new(xgomp_profiling::LiveTaskSampler::new(4));
         let mut team = PersistentTeam::new(RuntimeConfig::xgomptb(4));
         let h2 = hits.clone();
-        let out = team.run_serving(
-            source,
-            Some(sampler.clone()),
-            None,
-            None,
-            None,
-            None,
-            None,
-            move |ctx| {
-                // The master helps until every injected job has executed.
-                while h2.load(Ordering::Relaxed) < JOBS {
-                    ctx.run_pending(32);
-                    std::hint::spin_loop();
-                }
-            },
-        );
+        let hooks = ServingHooks {
+            source: Some(source),
+            sampler: Some(sampler.clone()),
+            ..ServingHooks::default()
+        };
+        let out = team.run_serving(hooks, move |ctx| {
+            // The master helps until every injected job has executed.
+            while h2.load(Ordering::Relaxed) < JOBS {
+                ctx.run_pending(32);
+                std::hint::spin_loop();
+            }
+        });
         assert_eq!(hits.load(Ordering::Relaxed), JOBS);
         assert_eq!(out.stats.total().tasks_executed as usize, JOBS);
         assert_eq!(sampler.tasks_observed() as usize, JOBS);

@@ -11,10 +11,11 @@
 //! shed == submitted` holds exactly no matter how racy the callers are.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use xgomp_core::CancelToken;
+use crate::{locked, wait, wait_timeout};
+use xgomp_core::{CancelReason, CancelToken};
 
 /// Job phases (`JobState::phase`). `QUEUED → RUNNING` is claimed by the
 /// job wrapper when the body starts; `QUEUED → SHED_*` by whichever of
@@ -119,6 +120,15 @@ impl From<JobPanic> for JobError {
     }
 }
 
+impl From<CancelReason> for JobError {
+    fn from(reason: CancelReason) -> Self {
+        match reason {
+            CancelReason::Cancelled => JobError::Cancelled,
+            CancelReason::DeadlineExceeded => JobError::DeadlineExceeded,
+        }
+    }
+}
+
 /// Typed timeout of a bounded join ([`JobHandle::join_timeout`] /
 /// [`JobHandle::join_within_timeout`]): the job is still pending and the
 /// handle comes back inside the error, so the caller can keep waiting,
@@ -190,20 +200,6 @@ pub(crate) struct JobState<R> {
 }
 
 impl<R> JobState<R> {
-    pub(crate) fn new(id: u64, submitted: u64, token: CancelToken) -> Self {
-        JobState {
-            done: AtomicBool::new(false),
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-            phase: AtomicU32::new(PHASE_QUEUED),
-            token,
-            id,
-            submitted,
-            started: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
-        }
-    }
-
     /// Whether the outcome has been published (lock-free probe).
     pub(crate) fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
@@ -211,7 +207,7 @@ impl<R> JobState<R> {
 
     /// Publishes the job's outcome and wakes joiners. Called exactly once.
     pub(crate) fn complete(&self, result: Result<R, JobError>) {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = locked(&self.slot);
         debug_assert!(slot.is_none(), "job completed twice");
         *slot = Some(result);
         self.done.store(true, Ordering::Release);
@@ -286,13 +282,21 @@ impl<R> std::fmt::Debug for JobHandle<R> {
 
 impl<R> JobHandle<R> {
     pub(crate) fn new(id: u64, submitted: u64, token: CancelToken) -> (Self, Arc<JobState<R>>) {
-        let state = Arc::new(JobState::new(id, submitted, token));
-        (
-            JobHandle {
-                state: state.clone(),
-            },
-            state,
-        )
+        let state = Arc::new(JobState {
+            done: AtomicBool::new(false),
+            slot: Mutex::new(None),
+            cv: Condvar::new(),
+            phase: AtomicU32::new(PHASE_QUEUED),
+            token,
+            id,
+            submitted,
+            started: AtomicU64::new(0),
+            finished: AtomicU64::new(0),
+        });
+        let handle = JobHandle {
+            state: state.clone(),
+        };
+        (handle, state)
     }
 
     /// Whether the job has completed (lock-free probe).
@@ -350,18 +354,14 @@ impl<R> JobHandle<R> {
         Ok(self.take())
     }
 
-    /// Cooperative join **for use inside a job**: helps execute pending
-    /// tasks on the calling worker while waiting.
-    ///
-    /// A plain [`join`](Self::join) from within a job can deadlock the
-    /// team: the blocked worker is the only thread allowed to pop (or
-    /// migrate) the tasks queued in its own lattice row, so a dependency
-    /// that landed there can never run. `join_within` keeps the worker
-    /// at a scheduling point instead of parking it, so those tasks —
-    /// including the joined job itself — keep flowing.
-    pub fn join_within(self, ctx: &xgomp_core::TaskCtx<'_>) -> Result<R, JobError> {
+    /// Helps execute pending tasks on `ctx`'s worker until the job is
+    /// done (`true`) or `deadline` has passed (`false`).
+    fn help_until(&self, ctx: &xgomp_core::TaskCtx<'_>, deadline: Option<Instant>) -> bool {
         let mut spins = 0u32;
         while !self.is_done() {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
+            }
             // `help_pending`, not `run_pending`: when every worker is
             // inside a `join_within`, the awaited jobs can still be
             // sitting in the ingress with no idle worker left to drain
@@ -377,6 +377,39 @@ impl<R> JobHandle<R> {
                 spins = 0;
             }
         }
+        true
+    }
+
+    /// Parks on the completion condvar until the job is done (`true`)
+    /// or `deadline` has passed (`false`).
+    fn wait_until(&self, deadline: Option<Instant>) -> bool {
+        let mut slot = locked(&self.state.slot);
+        while slot.is_none() {
+            slot = match deadline {
+                None => wait(&self.state.cv, slot),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return false;
+                    }
+                    wait_timeout(&self.state.cv, slot, d - now)
+                }
+            };
+        }
+        true
+    }
+
+    /// Cooperative join **for use inside a job**: helps execute pending
+    /// tasks on the calling worker while waiting.
+    ///
+    /// A plain [`join`](Self::join) from within a job can deadlock the
+    /// team: the blocked worker is the only thread allowed to pop (or
+    /// migrate) the tasks queued in its own lattice row, so a dependency
+    /// that landed there can never run. `join_within` keeps the worker
+    /// at a scheduling point instead of parking it, so those tasks —
+    /// including the joined job itself — keep flowing.
+    pub fn join_within(self, ctx: &xgomp_core::TaskCtx<'_>) -> Result<R, JobError> {
+        self.help_until(ctx, None);
         self.take()
     }
 
@@ -388,24 +421,11 @@ impl<R> JobHandle<R> {
         ctx: &xgomp_core::TaskCtx<'_>,
         timeout: Duration,
     ) -> Result<Result<R, JobError>, JoinTimeout<R>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut spins = 0u32;
-        while !self.is_done() {
-            if std::time::Instant::now() >= deadline {
-                return Err(JoinTimeout { handle: self });
-            }
-            if ctx.help_pending(16) == 0 {
-                if spins < 64 {
-                    std::hint::spin_loop();
-                    spins += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            } else {
-                spins = 0;
-            }
+        if self.help_until(ctx, Some(Instant::now() + timeout)) {
+            Ok(self.take())
+        } else {
+            Err(JoinTimeout { handle: self })
         }
-        Ok(self.take())
     }
 
     /// Blocks until the job completes and returns its result (or the
@@ -415,20 +435,7 @@ impl<R> JobHandle<R> {
     /// job, use [`join_within`](Self::join_within) — parking a worker on
     /// another job's completion can deadlock the scheduler (see there).
     pub fn join(self) -> Result<R, JobError> {
-        {
-            let mut slot = self
-                .state
-                .slot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            while slot.is_none() {
-                slot = self
-                    .state
-                    .cv
-                    .wait(slot)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        self.wait_until(None);
         self.take()
     }
 
@@ -436,35 +443,15 @@ impl<R> JobHandle<R> {
     /// (handle inside) comes back on timeout so the caller can keep
     /// waiting, cancel, or walk away.
     pub fn join_timeout(self, timeout: Duration) -> Result<Result<R, JobError>, JoinTimeout<R>> {
-        {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut slot = self
-                .state
-                .slot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            while slot.is_none() {
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    drop(slot);
-                    return Err(JoinTimeout { handle: self });
-                }
-                let (guard, _) = self
-                    .state
-                    .cv
-                    .wait_timeout(slot, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                slot = guard;
-            }
+        if self.wait_until(Some(Instant::now() + timeout)) {
+            Ok(self.take())
+        } else {
+            Err(JoinTimeout { handle: self })
         }
-        Ok(self.take())
     }
 
     fn take(self) -> Result<R, JobError> {
-        self.state
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        locked(&self.state.slot)
             .take()
             .expect("completed job has a result")
     }

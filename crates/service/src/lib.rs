@@ -20,8 +20,8 @@
 //!        │        │                    lanes of lock-less B-queues —
 //!        │ doorbell: wake one          registered submitters own a
 //!        ▼ parked worker, zone-local   reserved SPSC lane, claim-free)
-//!  idle workers + master drain their zone's shard in batches and
-//!  spawn each job into the XQueue lattice  ──▶  normal DLB scheduling
+//!  idle workers + master drain their zone's shard, one job per poll,
+//!  and spawn it into the XQueue lattice  ──▶  normal DLB scheduling
 //!        │
 //!        ▼
 //!  job body runs (unwind-caught) ──▶ JobHandle completes
@@ -145,6 +145,23 @@
 //! server.shutdown();
 //! ```
 //!
+//! ## Where things live
+//!
+//! `server.rs` keeps [`TaskServer`], `start` and `shutdown`; each
+//! decision of the serving layer is written once, in the submodule of
+//! `server/` that owns it:
+//!
+//! * `admission` — the in-flight bound, QoS quotas, [`SubmitError`], the
+//!   blocked-submit capacity handshake;
+//! * `submitter` — the one submission pipeline (admit → wrap → place),
+//!   the [`Submission`] view and [`SubmitterHandle`];
+//! * `placement` — route → ring push / spill-on-pause / doorbell, and
+//!   the drain side the workers poll;
+//! * `deadline` — the pending-deadline set and the serve loop's sweep;
+//! * `lifecycle` — states, pause/resume/config swap, master + serve loops;
+//! * `stats` — counters, the one metric table, Prometheus rendering
+//!   (`collector`: the streaming trace drain).
+//!
 //! ## Blocking inside jobs
 //!
 //! Workers are cooperative: a job that *parks* its worker on another
@@ -169,7 +186,7 @@ pub use controller::AdaptiveController;
 pub use handle::{JobError, JobHandle, JobPanic, JobReport, JoinTimeout};
 pub use ingress::{IngressShard, ShardedIngress};
 pub use server::{
-    Lifecycle, LifecycleError, QosClassStats, ServerReport, ServerStats, SubmitError,
+    Lifecycle, LifecycleError, QosClassStats, ServerReport, ServerStats, Submission, SubmitError,
     SubmitterHandle, TaskServer, STABLE_METRIC_FAMILIES,
 };
 
@@ -196,7 +213,38 @@ pub use xgomp_core::{TraceEvent, TraceLevel, TraceSnapshot};
 // (`TaskServer::trace_stream_stats`).
 pub use xgomp_core::{TraceStreamConfig, TraceStreamStats};
 
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
+
 use xgomp_core::{DlbConfig, DlbStrategy, RuntimeConfig};
+
+/// Locks `m`, tolerating poison. Every mutex in this crate guards state
+/// that is valid at each step of every update (queues, option slots,
+/// control words) and no job body ever runs under one, so a panic that
+/// poisoned the lock left nothing torn — recover the guard instead of
+/// cascading the panic into submitters and `Drop`.
+pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] with the same poison tolerance as [`locked`].
+pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait_timeout`] with the same poison tolerance as
+/// [`locked`]; every caller re-checks its own condition and deadline, so
+/// the timed-out flag is dropped.
+pub(crate) fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    let (guard, _timed_out) = cv
+        .wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner);
+    guard
+}
 
 /// Quality-of-service class of a submitted job, set via
 /// [`SubmitOptions::qos`]. Classes shape **admission** (per-class quotas
@@ -236,11 +284,7 @@ impl QosClass {
 
     /// Dense index (0..3) for per-class counter arrays.
     pub fn index(self) -> usize {
-        match self {
-            QosClass::LatencySensitive => 0,
-            QosClass::Normal => 1,
-            QosClass::Background => 2,
-        }
+        self as usize
     }
 
     /// Stable label value used in metric exposition.
@@ -253,9 +297,10 @@ impl QosClass {
     }
 }
 
-/// Per-submission options: QoS class and an optional deadline. Passed to
-/// [`TaskServer::submit_with`] and friends; the plain `submit` flavors
-/// are shorthand for `SubmitOptions::default()` (Normal class, no
+/// Per-submission options: QoS class and an optional deadline. Carried
+/// by a [`Submission`] view — `server.with(opts).submit(..)`,
+/// `handle.with(opts).try_submit(..)`; the plain `submit` flavors are
+/// shorthand for `SubmitOptions::default()` (Normal class, no
 /// deadline).
 ///
 /// ```
@@ -342,8 +387,6 @@ pub struct ServerConfig {
     pub lanes_per_shard: usize,
     /// Slots per lane (rounded up to a power of two by the B-queue).
     pub lane_capacity: usize,
-    /// Max jobs a drainer moves into the scheduler per poll.
-    pub drain_batch: usize,
     /// Completed tasks per adaptation window of the Table-IV controller;
     /// `0` disables online adaptation.
     pub adapt_every: u64,
@@ -400,7 +443,6 @@ impl ServerConfig {
             max_in_flight: 1_024,
             lanes_per_shard: 8,
             lane_capacity: 128,
-            drain_batch: 32,
             adapt_every: 512,
             log_retunes: false,
             trace_dump: std::env::var_os("XGOMP_TRACE_PATH").map(std::path::PathBuf::from),
@@ -447,12 +489,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-poll drain batch (≥ 1).
-    pub fn drain_batch(mut self, n: usize) -> Self {
-        self.drain_batch = n.max(1);
-        self
-    }
-
     /// Sets the adaptation window (`0` disables the controller).
     pub fn adapt_every(mut self, n: u64) -> Self {
         self.adapt_every = n;
@@ -488,26 +524,19 @@ impl ServerConfig {
 
     /// Enables the continuous trace pipeline: rolling JSONL segments
     /// under `dir`, rotated past `rotate_bytes`, keeping the newest
-    /// `keep` segments (see [`trace_stream`](Self::trace_stream)). Use
-    /// [`trace_stream_config`](Self::trace_stream_config) for full
-    /// control (age rotation, etc.).
+    /// `keep` segments (see [`trace_stream`](Self::trace_stream); set
+    /// the field directly for full control — age rotation, etc.).
     pub fn trace_stream(
-        self,
+        mut self,
         dir: impl Into<std::path::PathBuf>,
         rotate_bytes: u64,
         keep: usize,
     ) -> Self {
-        self.trace_stream_config(
+        self.trace_stream = Some(
             TraceStreamConfig::new(dir.into())
                 .rotate_bytes(rotate_bytes)
                 .keep(keep),
-        )
-    }
-
-    /// Enables the continuous trace pipeline with an explicit stream
-    /// configuration.
-    pub fn trace_stream_config(mut self, cfg: TraceStreamConfig) -> Self {
-        self.trace_stream = Some(cfg);
+        );
         self
     }
 

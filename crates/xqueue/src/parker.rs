@@ -28,6 +28,10 @@
 //! 3. [`cancel_park`](Parker::cancel_park)s, or commits with
 //!    [`park`](Parker::park), which sleeps until notified.
 //!
+//! [`park_unless`](Parker::park_unless) runs the three steps around a
+//! caller-supplied re-check; the scheduling loops go through it (via
+//! [`IdleGate`]) instead of spelling the sequence out.
+//!
 //! Wakers store their payload (a queued task, a flag), issue a `SeqCst`
 //! fence, and then examine parking words. The paired fences close the
 //! sleep/wake race: either the waker observes the announcement and
@@ -37,6 +41,8 @@
 
 use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
+
+use crate::Backoff;
 
 /// Worker is running (or spinning); not observable by wakers.
 const IDLE: u32 = 0;
@@ -193,6 +199,28 @@ impl Parker {
         self.n_parked.fetch_sub(1, Ordering::Relaxed);
     }
 
+    /// The whole announce → re-check → commit sequence for worker `w`,
+    /// written once: `stay_awake` is the caller's re-check of every
+    /// condition a waker could have signalled. It runs *after* the
+    /// announcement's fence, which is what makes a `false` answer safe
+    /// to sleep on — a waker that stored its payload before our
+    /// announcement is seen here, one that stores it after sees the
+    /// announcement and notifies. Returns whether the park was committed
+    /// (`w` slept and has been woken); `false` means a pending
+    /// notification or the re-check kept it awake.
+    #[inline]
+    pub fn park_unless(&self, w: usize, stay_awake: impl FnOnce() -> bool) -> bool {
+        if !self.prepare_park(w) {
+            return false;
+        }
+        if stay_awake() {
+            self.cancel_park(w);
+            return false;
+        }
+        self.park(w);
+        true
+    }
+
     // ---- waker side ---------------------------------------------------
 
     /// Claims and wakes worker `w` if it is announced/asleep. Returns
@@ -309,6 +337,54 @@ impl Parker {
     /// Cumulative delivered wake-ups.
     pub fn wakes(&self) -> u64 {
         self.wakes.load(Ordering::Relaxed)
+    }
+}
+
+/// The idle arm shared by every scheduling loop: spin/yield through a
+/// [`Backoff`], and once it saturates park through
+/// [`Parker::park_unless`] — the loops supply only their stay-awake
+/// predicate.
+#[derive(Debug, Default)]
+pub struct IdleGate {
+    backoff: Backoff,
+    /// Set when a park attempt ended awake: skip the next attempt so
+    /// the iteration after a cancel re-probes immediately (the hint may
+    /// be work we can take right now) but, if that probe comes up
+    /// empty, lands in the snooze instead of hard-spinning the
+    /// announce/cancel counters while e.g. another worker holds the
+    /// drain claim the hint points at.
+    skip_park: bool,
+}
+
+impl IdleGate {
+    /// The loop found work: probe aggressively again.
+    #[inline]
+    pub fn reset(&mut self) {
+        self.backoff.reset();
+        self.skip_park = false;
+    }
+
+    /// One idle step of worker `w`: snooze, or — with `may_park` and a
+    /// saturated backoff — attempt a park. Returns whether `w` slept.
+    #[inline]
+    pub fn idle(
+        &mut self,
+        parker: &Parker,
+        w: usize,
+        may_park: bool,
+        stay_awake: impl FnOnce() -> bool,
+    ) -> bool {
+        if !(may_park && self.backoff.is_completed()) || std::mem::take(&mut self.skip_park) {
+            self.backoff.snooze();
+            return false;
+        }
+        let slept = parker.park_unless(w, stay_awake);
+        if slept {
+            // Woken for a reason: probe aggressively again.
+            self.backoff.reset();
+        }
+        self.skip_park = !slept;
+        slept
     }
 }
 
@@ -540,6 +616,23 @@ mod tests {
         assert!(p.prepare_park(0));
         p.cancel_park(0);
         assert_eq!(p.currently_parked(), 0);
+    }
+
+    /// A waker's payload lands between the announcement and the
+    /// re-check: `park_unless` must withdraw, never commit the park.
+    #[test]
+    fn park_unless_cancels_when_predicate_flips_after_announce() {
+        let p = Parker::new(&[0]);
+        let payload = AtomicUsize::new(0);
+        let slept = p.park_unless(0, || {
+            assert_eq!(p.currently_parked(), 1, "re-check follows the announce");
+            assert_eq!(payload.load(Ordering::SeqCst), 0, "false before it");
+            payload.store(1, Ordering::SeqCst); // the flip, inside the window
+            payload.load(Ordering::SeqCst) != 0
+        });
+        assert!(!slept, "withdrawn, not slept");
+        assert_eq!(p.parks(), 0, "no park was committed");
+        assert_eq!(p.currently_parked(), 0, "announcement withdrawn");
     }
 
     #[test]

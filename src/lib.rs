@@ -46,8 +46,8 @@ pub use xgomp_core::{
 };
 pub use xgomp_service::{
     CancelReason, CancelToken, JobError, JobHandle, JobPanic, JobReport, JoinTimeout, QosClass,
-    QosClassStats, ServerConfig, ServerStats, SubmitError, SubmitOptions, SubmitterHandle,
-    TaskServer, STABLE_METRIC_FAMILIES,
+    QosClassStats, ServerConfig, ServerStats, Submission, SubmitError, SubmitOptions,
+    SubmitterHandle, TaskServer, STABLE_METRIC_FAMILIES,
 };
 
 /// The BOTS benchmark suite (`xgomp-bots`).

@@ -66,17 +66,20 @@ fn background_flood_leaves_latency_sensitive_capacity() {
     for _ in 0..2 {
         handles.push(
             server
-                .try_submit_with(SubmitOptions::from(QosClass::Background), blocked(&gate))
+                .with(SubmitOptions::from(QosClass::Background))
+                .try_submit(blocked(&gate))
                 .expect("background quota not yet full"),
         );
     }
     let err = server
-        .try_submit_with(SubmitOptions::from(QosClass::Background), blocked(&gate))
+        .with(SubmitOptions::from(QosClass::Background))
+        .try_submit(blocked(&gate))
         .unwrap_err();
     assert!(err.is_backpressure(), "background flood sheds: {err:?}");
     // Normal shares the non-reserved pool, which the flood just filled.
     let err = server
-        .try_submit_with(SubmitOptions::from(QosClass::Normal), blocked(&gate))
+        .with(SubmitOptions::from(QosClass::Normal))
+        .try_submit(blocked(&gate))
         .unwrap_err();
     assert!(err.is_backpressure(), "{err:?}");
 
@@ -84,18 +87,14 @@ fn background_flood_leaves_latency_sensitive_capacity() {
     for _ in 0..2 {
         handles.push(
             server
-                .try_submit_with(
-                    SubmitOptions::from(QosClass::LatencySensitive),
-                    blocked(&gate),
-                )
+                .with(SubmitOptions::from(QosClass::LatencySensitive))
+                .try_submit(blocked(&gate))
                 .expect("ls_reserve carve-out must admit"),
         );
     }
     let err = server
-        .try_submit_with(
-            SubmitOptions::from(QosClass::LatencySensitive),
-            blocked(&gate),
-        )
+        .with(SubmitOptions::from(QosClass::LatencySensitive))
+        .try_submit(blocked(&gate))
         .unwrap_err();
     assert!(err.is_backpressure(), "{err:?}");
 
@@ -210,12 +209,12 @@ fn queued_deadline_expires_across_a_paused_generation() {
     server.pause().unwrap();
     // Queued into the paused generation; nothing can start it.
     let h = server
-        .submit_with(
+        .with(
             SubmitOptions::new()
                 .qos(QosClass::Background)
                 .deadline(Duration::from_millis(5)),
-            |_| 42u32,
         )
+        .submit(|_| 42u32)
         .unwrap();
     std::thread::sleep(Duration::from_millis(20));
     // The deadline passed while paused (no sweep runs); resuming must
@@ -227,10 +226,8 @@ fn queued_deadline_expires_across_a_paused_generation() {
 
     // A deadline roomy enough never fires.
     let ok = server
-        .submit_with(
-            SubmitOptions::new().deadline(Duration::from_secs(600)),
-            |_| 7u32,
-        )
+        .with(SubmitOptions::new().deadline(Duration::from_secs(600)))
+        .submit(|_| 7u32)
         .unwrap();
     assert_eq!(ok.join().unwrap(), 7);
 
@@ -247,17 +244,15 @@ fn queued_deadline_expires_across_a_paused_generation() {
 fn running_job_past_deadline_cancels_at_a_checkpoint() {
     let server = two_zone_server(2, 0);
     let h = server
-        .submit_with(
-            SubmitOptions::new().deadline(Duration::from_millis(10)),
-            |ctx| -> u32 {
-                // A cooperative body: polls the checkpoint until the
-                // serve loop's sweep fires the token.
-                loop {
-                    ctx.check_cancel();
-                    std::hint::spin_loop();
-                }
-            },
-        )
+        .with(SubmitOptions::new().deadline(Duration::from_millis(10)))
+        .submit(|ctx| -> u32 {
+            // A cooperative body: polls the checkpoint until the
+            // serve loop's sweep fires the token.
+            loop {
+                ctx.check_cancel();
+                std::hint::spin_loop();
+            }
+        })
         .unwrap();
     let err = h.join().unwrap_err();
     assert!(err.is_deadline_exceeded(), "{err:?}");
@@ -428,7 +423,7 @@ proptest! {
                 opts = opts.deadline(Duration::from_secs(600));
             }
             let spin = 1 + (r >> 16) % 500;
-            match server.try_submit_with(opts, move |_| {
+            match server.with(opts).try_submit(move |_| {
                 for _ in 0..spin {
                     std::hint::spin_loop();
                 }

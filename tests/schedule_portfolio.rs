@@ -511,7 +511,7 @@ fn portfolio_member_table_is_concrete() {
 // Auto through the server
 // ---------------------------------------------------------------------
 
-/// `Schedule::Auto` through `submit_for_with(site)`: instances of one
+/// `Schedule::Auto` through `with(site).submit_for(..)`: instances of one
 /// `LoopId` share selector state across submissions, iterations stay
 /// exactly-once, the site becomes observable via `auto_site_status`,
 /// and the selection breakdown reaches the Prometheus exposition.
@@ -529,14 +529,10 @@ fn auto_loops_through_the_server_conserve_and_export_metrics() {
     for _ in 0..INSTANCES {
         let e = executed.clone();
         let report = server
-            .submit_for_with(
-                SubmitOptions::new().site(site),
-                0..N,
-                LoopSchedule::Auto,
-                move |_, _| {
-                    e.fetch_add(1, Ordering::Relaxed);
-                },
-            )
+            .with(SubmitOptions::new().site(site))
+            .submit_for(0..N, LoopSchedule::Auto, move |_, _| {
+                e.fetch_add(1, Ordering::Relaxed);
+            })
             .unwrap()
             .join()
             .unwrap();
@@ -611,14 +607,10 @@ fn auto_server_sites_eventually_converge_and_hold() {
     for i in 0..(CONVERGE_RUNS + 8) {
         let w = work.clone();
         server
-            .submit_for_with(
-                SubmitOptions::new().site(site),
-                0..N,
-                LoopSchedule::Auto,
-                move |_, _| {
-                    w.fetch_add(1, Ordering::Relaxed);
-                },
-            )
+            .with(SubmitOptions::new().site(site))
+            .submit_for(0..N, LoopSchedule::Auto, move |_, _| {
+                w.fetch_add(1, Ordering::Relaxed);
+            })
             .unwrap()
             .join()
             .unwrap();
