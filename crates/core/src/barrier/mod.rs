@@ -11,7 +11,7 @@
 //! | [`AtomicCountBarrier`] | shared atomic counter, acq-rel RMW | shared release flag | XGOMP (lock removed, counter kept atomic) |
 //! | [`TreeBarrier`] | per-worker lock-less counters | hybrid: lock-free tree gather + lock-less tree release | XGOMPTB (§III-B) |
 //!
-//! Workers sit in the scheduling loop and call [`TeamBarrier::try_release`]
+//! Workers sit in the scheduling loop and call `TeamBarrier::try_release`
 //! whenever they find no work; the barrier answers `true` once the region
 //! has quiesced (all tasks executed *and* the master has arrived).
 

@@ -138,7 +138,7 @@ impl std::fmt::Debug for CancelToken {
 /// The unwind payload raised at a cancellation checkpoint. Panic
 /// isolation (`isolate_panics` teams — the task server always) catches
 /// it like any panic; the service layer downcasts it to complete the
-/// job's handle with a typed error instead of a [`JobPanic`]
+/// job's handle with a typed error instead of a `JobPanic`
 /// (crate `xgomp-service`) message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CancelUnwind(pub CancelReason);

@@ -38,8 +38,8 @@
 //!
 //! ## Crate map
 //!
-//! * [`task`]-level machinery: `task`, `alloc` (malloc vs multi-level);
-//! * scheduling: [`sched`] (GOMP / LOMP / XQueue backends);
+//! * task-level machinery: `task`, `alloc` (malloc vs multi-level);
+//! * scheduling: `sched` (GOMP / LOMP / XQueue backends);
 //! * termination: [`barrier`] (centralized / atomic-count / tree);
 //! * load balancing: [`dlb`] (messaging protocol, NA-RP, NA-WS);
 //! * data parallelism: [`loops`] (`parallel_for`, NUMA-aware
@@ -68,8 +68,6 @@ pub use cancel::{raise_cancel, CancelReason, CancelToken, CancelUnwind};
 pub use config::RuntimeConfig;
 pub use ctx::{Scope, TaskCtx};
 pub use dlb::{DlbConfig, DlbStrategy, DlbTuning, DEFAULT_REBALANCE_INTERVAL};
-#[doc(hidden)]
-pub use loops::force_small_panes_for_tests;
 pub use loops::{
     auto_portfolio_member, AutoPick, AutoSelector, AutoSiteStatus, ChunkPolicy, IterSpace,
     LoopBalancer, LoopError, LoopId, LoopReport, LoopSchedule, LoopSpace, SpaceKind,

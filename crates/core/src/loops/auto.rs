@@ -1,37 +1,5 @@
-//! The LB4OMP self-scheduling **portfolio**: chunk-size policies with
-//! closed-form series (TSS, Factoring, Weighted Factoring, AWF) plus the
-//! online per-loop-site selector behind [`LoopSchedule::Auto`].
-//!
-//! The policies are a pure *chunk-size layer* over the existing
-//! one-CAS-per-chunk pane-set claim path: [`ChunkPolicy`] only decides
-//! *how many units* the next claim asks for, so every portfolio member
-//! inherits u64 waves, 2D/triangular spaces, cancellation checkpoints
-//! and seqlock-guarded migration from the shared drain loop unchanged.
-//!
-//! ## Chunk series
-//!
-//! With `N` total scheduling units and `P` workers, scheduling step `s`
-//! (a loop-global counter advanced once per successful claim):
-//!
-//! * **TSS(f, l)** — trapezoid self-scheduling: `n = ⌈2N/(f+l)⌉` chunks,
-//!   decrement `d = (f−l)/(n−1)`; chunk `s` has `max(f − s·d, l)` units.
-//!   The linear decrement series of Tzen & Ni, clamped at `l`.
-//! * **Factoring** — batched halving: batch `b = ⌊s/P⌋`, every chunk of
-//!   a batch has `⌈N / (P·2^(b+1))⌉` units. Each batch of `P` chunks
-//!   hands out half the remainder, so the series halves once per round
-//!   (the exact-halving FAC2 variant of Hummel/Schonberg/Flynn).
-//! * **Weighted Factoring** — the factoring series scaled per claiming
-//!   *zone* by a weight from the balancer's claim-rate EWMAs (a zone
-//!   draining `w×` the mean rate asks for `w×` the batch chunk).
-//! * **AWF** — adaptive weighted factoring: the same shape, but the
-//!   weights come from *measured per-chunk execution rates* (units per
-//!   tick, folded per zone by the drain loop's existing chunk timing),
-//!   so the weights track the machine actually observed, not the claim
-//!   proxy.
-//!
-//! All sizes floor at 1 and cap at `u32::MAX` (the pane-claim width).
-//!
-//! ## `Schedule::Auto`
+//! `Schedule::Auto`: the online per-loop-site selector behind
+//! [`LoopSchedule::Auto`] and the portfolio it chooses from.
 //!
 //! [`AutoSelector`] is the server-owned per-loop-site selector: keyed by
 //! a caller-supplied [`LoopId`] (or the space's shape when none is
@@ -45,12 +13,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use xgomp_profiling::LOOP_SCHEDULES;
 
 use super::{IterSpace, LoopSchedule};
-use crate::util::CachePadded;
+use crate::util::locked;
 
 /// Caller-supplied identity of one *loop site* — the "same loop, seen
 /// again and again" key [`LoopSchedule::Auto`] selection state hangs
@@ -121,172 +89,6 @@ pub(crate) fn space_site_key(space: &IterSpace) -> u64 {
         IterSpace::Triangular { n, tile } => mix(3).wrapping_add(mix(n) ^ mix(u64::from(tile))),
     }
 }
-
-// ---------------------------------------------------------------------
-// Chunk policies
-// ---------------------------------------------------------------------
-
-/// Which closed-form series a [`ChunkPolicy`] follows.
-#[derive(Debug)]
-enum PolicyKind {
-    /// Precomputed trapezoid: `first`, per-step decrement, floor.
-    Tss { first: u64, dec: u64, last: u64 },
-    /// Batched halving (weight 1).
-    Factoring,
-    /// Batched halving, weight from the balancer's claim-rate EWMAs.
-    WeightedFactoring,
-    /// Batched halving, weight from measured per-zone execution rates.
-    Awf,
-}
-
-/// Measured execution volume of one zone pool under AWF: units run and
-/// ticks spent, folded once per chunk by the drain loop.
-#[derive(Debug, Default)]
-struct PoolRate {
-    units: AtomicU64,
-    ticks: AtomicU64,
-}
-
-/// Per-loop state of one portfolio schedule: the loop-global scheduling
-/// step plus (for AWF) per-zone measured rates. Created by `run_loop`
-/// for TSS/Factoring/WF/AWF loops; the golden-sequence tests drive it
-/// directly, single-threaded, and pin the exact series.
-#[derive(Debug)]
-pub struct ChunkPolicy {
-    kind: PolicyKind,
-    /// Scheduling step: advanced once per successful chunk claim (not
-    /// per size query, so a dry-pool probe never skips a series entry).
-    step: AtomicU64,
-    total: u64,
-    workers: u64,
-    /// Per-pool AWF rate accumulators (empty for the other kinds).
-    rates: Box<[CachePadded<PoolRate>]>,
-}
-
-impl ChunkPolicy {
-    /// Builds the policy for `schedule` over `total` scheduling units on
-    /// `workers` workers across `pools` zone pools; `None` for the
-    /// non-portfolio schedules.
-    pub fn for_schedule(
-        schedule: LoopSchedule,
-        total: u64,
-        workers: u32,
-        pools: usize,
-    ) -> Option<Self> {
-        let kind = match schedule {
-            LoopSchedule::Tss { first, last } => {
-                // Tzen–Ni trapezoid: clamp the endpoints into sanity
-                // (1 ≤ l ≤ f), then n = ⌈2N/(f+l)⌉ chunks and an
-                // integer decrement d = (f−l)/(n−1).
-                let f = u64::from(first.max(1));
-                let l = u64::from(last.max(1)).min(f);
-                let n = (2 * total).div_ceil(f + l).max(1);
-                let dec = if n > 1 { (f - l) / (n - 1) } else { 0 };
-                PolicyKind::Tss {
-                    first: f,
-                    dec,
-                    last: l,
-                }
-            }
-            LoopSchedule::Factoring => PolicyKind::Factoring,
-            LoopSchedule::WeightedFactoring => PolicyKind::WeightedFactoring,
-            LoopSchedule::Awf => PolicyKind::Awf,
-            _ => return None,
-        };
-        let n_rates = if matches!(kind, PolicyKind::Awf) {
-            pools
-        } else {
-            0
-        };
-        Some(ChunkPolicy {
-            kind,
-            step: AtomicU64::new(0),
-            total: total.max(1),
-            workers: u64::from(workers.max(1)),
-            rates: (0..n_rates)
-                .map(|_| CachePadded(PoolRate::default()))
-                .collect(),
-        })
-    }
-
-    /// The size the series assigns to scheduling step `s` under `weight`
-    /// (1.0 = unweighted), floored at 1 and capped at the u32 pane-claim
-    /// width.
-    fn size_at(&self, s: u64, weight: f64) -> u32 {
-        let base = match self.kind {
-            PolicyKind::Tss { first, dec, last } => {
-                first.saturating_sub(s.saturating_mul(dec)).max(last)
-            }
-            PolicyKind::Factoring | PolicyKind::WeightedFactoring | PolicyKind::Awf => {
-                let batch = s / self.workers;
-                // ⌈N / (P·2^(b+1))⌉ — half the remainder per batch of P.
-                // u128 divisor: deep batches must floor to 1, not wrap.
-                let div = u128::from(self.workers) << (batch + 1).min(64);
-                (u128::from(self.total).div_ceil(div)).max(1) as u64
-            }
-        };
-        let weighted = if (weight - 1.0).abs() <= f64::EPSILON {
-            base
-        } else {
-            (base as f64 * weight).round() as u64
-        };
-        weighted.clamp(1, u64::from(u32::MAX)) as u32
-    }
-
-    /// Peeks the current step's chunk size without consuming it (the
-    /// drain loop advances only on a successful claim).
-    pub fn peek(&self, weight: f64) -> u32 {
-        self.size_at(self.step.load(Ordering::Relaxed), weight)
-    }
-
-    /// Consumes one scheduling step (call once per successful claim).
-    pub fn advance(&self) {
-        self.step.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `peek` + `advance` — the single-threaded driver the golden
-    /// chunk-sequence tests use.
-    pub fn next(&self, weight: f64) -> u32 {
-        let s = self.step.fetch_add(1, Ordering::Relaxed);
-        self.size_at(s, weight)
-    }
-
-    /// Folds one executed chunk (`units` over `ticks`) into pool `pool`'s
-    /// AWF rate. No-op for the other kinds.
-    pub fn record_pool(&self, pool: usize, units: u64, ticks: u64) {
-        if let Some(r) = self.rates.get(pool) {
-            r.0.units.fetch_add(units, Ordering::Relaxed);
-            r.0.ticks.fetch_add(ticks.max(1), Ordering::Relaxed);
-        }
-    }
-
-    /// Pool `pool`'s AWF weight: its measured execution rate relative to
-    /// the mean across measured pools, clamped to `[¼, 4]`; `1.0` before
-    /// any measurement (the seed batch runs unweighted).
-    pub fn pool_weight(&self, pool: usize) -> f64 {
-        let rate = |r: &CachePadded<PoolRate>| -> Option<f64> {
-            let u = r.0.units.load(Ordering::Relaxed);
-            let t = r.0.ticks.load(Ordering::Relaxed);
-            (u > 0 && t > 0).then(|| u as f64 / t as f64)
-        };
-        let Some(mine) = self.rates.get(pool).and_then(rate) else {
-            return 1.0;
-        };
-        let (sum, n) = self
-            .rates
-            .iter()
-            .filter_map(rate)
-            .fold((0.0, 0u32), |(s, n), r| (s + r, n + 1));
-        if n == 0 {
-            return 1.0;
-        }
-        (mine / (sum / f64::from(n))).clamp(0.25, 4.0)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Auto selection
-// ---------------------------------------------------------------------
 
 /// One pick handed out by [`AutoSelector::pick`]: the concrete schedule
 /// to run plus the attribution token the caller hands back to
@@ -362,9 +164,11 @@ pub struct AutoSiteStatus {
 }
 
 /// The server-owned online schedule selector behind
-/// [`LoopSchedule::Auto`] (see the [module docs](self) for the policy).
-/// One instance rides across generations; `parallel_for` consults it
-/// through the team when a loop is submitted as `Auto`.
+/// [`LoopSchedule::Auto`]: keyed by a [`LoopId`] or the space's shape, it
+/// trials the portfolio, scores by makespan and converges with
+/// two-window hysteresis. One instance rides across generations;
+/// `parallel_for` consults it through the team when a loop is submitted
+/// as `Auto`.
 #[derive(Debug, Default)]
 pub struct AutoSelector {
     sites: Mutex<HashMap<u64, SiteState>>,
@@ -388,16 +192,11 @@ impl AutoSelector {
     /// exploration at every site (the converged answer was measured
     /// under the old tuning).
     pub fn watch_swaps(&self, epoch: Arc<AtomicU64>) {
-        *self
-            .swap_epoch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(epoch);
+        *locked(&self.swap_epoch) = Some(epoch);
     }
 
     fn current_epoch(&self) -> u64 {
-        self.swap_epoch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        locked(&self.swap_epoch)
             .as_ref()
             .map_or(0, |e| e.load(Ordering::Acquire))
     }
@@ -407,7 +206,7 @@ impl AutoSelector {
     /// returned pick's makespan back via [`report`](Self::report).
     pub fn pick(&self, key: u64, units: u64, workers: u32) -> AutoPick {
         let epoch = self.current_epoch();
-        let mut sites = self.sites.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut sites = locked(&self.sites);
         if self.epoch_seen.swap(epoch, Ordering::AcqRel) != epoch {
             // Tuning swapped: every converged answer is stale.
             for s in sites.values_mut() {
@@ -415,10 +214,7 @@ impl AutoSelector {
             }
         }
         let st = sites.entry(key).or_insert_with(SiteState::fresh);
-        let member = match st.phase {
-            Phase::Explore { member } => member,
-            Phase::Converged { member } => member,
-        };
+        let (Phase::Explore { member } | Phase::Converged { member }) = st.phase;
         let schedule = auto_portfolio_member(member, units, workers);
         self.selected[schedule.index().min(LOOP_SCHEDULES - 1)].fetch_add(1, Ordering::Relaxed);
         AutoPick {
@@ -434,7 +230,7 @@ impl AutoSelector {
     /// site's current focus is dropped rather than mis-scored).
     pub fn report(&self, key: u64, pick: AutoPick, makespan_ticks: u64) {
         let m = pick.token as usize;
-        let mut sites = self.sites.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut sites = locked(&self.sites);
         let Some(st) = sites.get_mut(&key) else {
             return;
         };
@@ -498,7 +294,7 @@ impl AutoSelector {
 
     /// Site `key`'s current selection state, `None` if never picked.
     pub fn site_status(&self, key: u64) -> Option<AutoSiteStatus> {
-        let sites = self.sites.lock().unwrap_or_else(PoisonError::into_inner);
+        let sites = locked(&self.sites);
         sites.get(&key).map(|st| AutoSiteStatus {
             converged: match st.phase {
                 Phase::Converged { member } => Some(member),

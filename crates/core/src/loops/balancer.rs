@@ -1,8 +1,8 @@
 //! The inter-socket loop rebalancer — the **coarse** level of two-level
 //! dynamic loop balancing.
 //!
-//! PR 4's per-zone range pools balance *within* one loop reactively: a
-//! worker whose zone pool runs dry steal-splits a remote pool. That fine
+//! The per-zone pools balance *within* one loop reactively: a worker
+//! whose zone pools run dry steal-splits a remote zone's. That fine
 //! level leaves two gaps, both closed here in the spirit of the
 //! two-level DLB literature (Mohammed et al.) with LB4OMP-style measured
 //! cost driving the coarse decisions:
@@ -10,11 +10,11 @@
 //! 1. **Proactivity** — a zone about to starve waits passively until it
 //!    is dry, then pays a cold cross-zone steal on the critical path.
 //!    The balancer watches per-zone *drain rates* (claims-per-tick EWMAs
-//!    sampled from each [`RangePool`](xgomp_xqueue::RangePool)) and
-//!    migrates a back-half range from the slowest-to-finish zone into a
-//!    starved zone's *inbox pool* **before** it runs dry.
+//!    sampled from each zone's [`PaneSet`]s) and migrates a back-half
+//!    range from the slowest-to-finish zone into a starved zone's *inbox
+//!    pool* **before** it runs dry.
 //! 2. **Concurrent loops** — every live `parallel_for` registers its
-//!    [`LoopCore`] here, so one probe arbitrates iteration space across
+//!    `LoopCore` here, so one probe arbitrates iteration space across
 //!    *all* loops sharing the team, not just the loop the probing worker
 //!    happens to drain.
 //!
@@ -33,20 +33,22 @@
 //! A migration is two linearizable steps (back-half steal from the rich
 //! pool, deposit into the starved inbox) with a window where the range is
 //! in *neither* pool. Loop-drain tasks must not conclude "the iteration
-//! space is fully claimed" during that window, so each [`LoopCore`]
-//! carries a seqlock-style epoch: odd while a migration is in flight,
-//! bumped again when it lands. The drain exit path re-validates its
-//! all-pools-empty scan against an even, unchanged epoch — exactly a
-//! seqlock read — making lost-iteration exits impossible.
+//! space is fully claimed" during that window, so every migration runs
+//! inside `LoopCore::migrating`, which holds the loop's seqlock epoch odd
+//! until the range has landed; the drain exit path (`fully_claimed`)
+//! only trusts an all-pools-empty scan made under an even, unchanged
+//! epoch — exactly a seqlock read — making lost-iteration exits
+//! impossible.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use xgomp_profiling::{clock, WorkerStats};
 use xgomp_xqueue::PaneSet;
 
-use super::LoopCore;
+use super::pools::LoopCore;
 use crate::dlb::{DlbTuning, DEFAULT_REBALANCE_INTERVAL};
+use crate::util::locked;
 
 /// The rich zone's estimated time-to-drain must exceed the starved
 /// zone's by this factor before a migration fires (hysteresis against
@@ -58,14 +60,14 @@ const STARVE_RATIO: f64 = 2.0;
 const MIN_MIGRATE: u64 = 16;
 
 /// Per-team (or, under a task server, per-*server*) inter-socket loop
-/// rebalancer; see the [module docs](self).
+/// rebalancer — the coarse, proactive level of two-level loop balancing.
 ///
 /// The balancer is passive state plus a probe: it owns no thread.
 /// Whichever worker's gate check finds the interval elapsed runs the
 /// probe inline (single-prober lock, so pool rate sampling stays
 /// single-writer), and its per-worker stats block absorbs the rebalance
 /// counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LoopBalancer {
     /// Live pool-backed loops (registered by `parallel_for`, removed on
     /// completion — panics included, via drop guard).
@@ -73,8 +75,6 @@ pub struct LoopBalancer {
     /// Live tuning cell; when bound, `rebalance_interval` is read from
     /// it so controller retunes and `swap_tuning` apply immediately.
     tuning: OnceLock<Arc<DlbTuning>>,
-    /// Probe cadence in ticks when no tuning cell is bound.
-    fixed_interval: AtomicU64,
     /// Tick of the next allowed probe.
     next_probe: AtomicU64,
     /// Single-prober gate (also the single-sampler guarantee for the
@@ -85,9 +85,20 @@ pub struct LoopBalancer {
     iterations_migrated: AtomicU64,
 }
 
-impl Default for LoopBalancer {
-    fn default() -> Self {
-        Self::new()
+/// A live loop's entry in the balancer's registry: dropping it removes
+/// the loop — on completion or when the loop frame unwinds, so a
+/// panicking body cannot leave its pools registered.
+pub(crate) struct Registration<'a> {
+    balancer: &'a LoopBalancer,
+    core: &'a Arc<LoopCore>,
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        let mut loops = locked(&self.balancer.loops);
+        if let Some(i) = loops.iter().position(|c| Arc::ptr_eq(c, self.core)) {
+            loops.swap_remove(i);
+        }
     }
 }
 
@@ -96,16 +107,7 @@ impl LoopBalancer {
     /// ([`DEFAULT_REBALANCE_INTERVAL`] ticks until a tuning cell is
     /// bound). `Default` is this constructor.
     pub fn new() -> Self {
-        LoopBalancer {
-            loops: Mutex::new(Vec::new()),
-            tuning: OnceLock::new(),
-            fixed_interval: AtomicU64::new(DEFAULT_REBALANCE_INTERVAL),
-            next_probe: AtomicU64::new(0),
-            probing: AtomicBool::new(false),
-            probes: AtomicU64::new(0),
-            rebalances: AtomicU64::new(0),
-            iterations_migrated: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Binds the live [`DlbTuning`] cell the probe cadence is read from
@@ -120,25 +122,18 @@ impl LoopBalancer {
     pub fn interval_ticks(&self) -> u64 {
         match self.tuning.get() {
             Some(t) => t.rebalance_interval(),
-            None => self.fixed_interval.load(Ordering::Relaxed),
+            None => DEFAULT_REBALANCE_INTERVAL,
         }
     }
 
-    /// Registers a live loop's pool set for rebalancing.
-    pub(crate) fn register(&self, core: &Arc<LoopCore>) {
-        self.lock_loops().push(core.clone());
-    }
-
-    /// Removes a completed (or unwound) loop.
-    pub(crate) fn deregister(&self, core: &Arc<LoopCore>) {
-        let mut loops = self.lock_loops();
-        if let Some(i) = loops.iter().position(|c| Arc::ptr_eq(c, core)) {
-            loops.swap_remove(i);
+    /// Registers a live loop's pool set for rebalancing until the
+    /// returned guard drops.
+    pub(crate) fn register<'a>(&'a self, core: &'a Arc<LoopCore>) -> Registration<'a> {
+        locked(&self.loops).push(core.clone());
+        Registration {
+            balancer: self,
+            core,
         }
-    }
-
-    fn lock_loops(&self) -> std::sync::MutexGuard<'_, Vec<Arc<LoopCore>>> {
-        self.loops.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The probe gate: cheap when the interval has not elapsed (one
@@ -178,7 +173,7 @@ impl LoopBalancer {
     /// most-starved zone's inbox).
     fn probe(&self, now: u64, stats: Option<&WorkerStats>) -> bool {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        let loops = self.lock_loops();
+        let loops = locked(&self.loops);
         let mut any = false;
         for core in loops.iter() {
             if let Some(landed) = Self::rebalance_loop(core, now, stats) {
@@ -202,10 +197,6 @@ impl LoopBalancer {
     /// the reactive dry case (`ETA = 0`) and fires *before* dryness once
     /// the rate samples make a small finite ETA visible.
     fn rebalance_loop(core: &LoopCore, now: u64, stats: Option<&WorkerStats>) -> Option<u64> {
-        let n = core.pools.len();
-        if n < 2 {
-            return None;
-        }
         let mut poor: Option<(usize, f64)> = None;
         let mut rich: Option<(usize, f64)> = None;
         for (i, p) in core.pools.iter().enumerate() {
@@ -229,17 +220,8 @@ impl LoopBalancer {
         if poor == rich || rich_eta <= STARVE_RATIO * poor_eta {
             return None;
         }
-        // Seqlock bracket: drain tasks must not mistake the in-flight
-        // window (range in neither pool) for a completed iteration space.
-        core.epoch.fetch_add(1, Ordering::SeqCst);
-        let landed = Self::migrate(
-            core,
-            &core.pools[rich].0.main,
-            &core.pools[poor].0.inbox,
-            stats,
-        );
-        core.epoch.fetch_add(1, Ordering::SeqCst);
-        landed
+        let (src, dst) = (&core.pools[rich].0.main, &core.pools[poor].0.inbox);
+        core.migrating(|| Self::migrate(core, src, dst, stats))
     }
 
     /// Moves the back half of `src` into `dst`. A pane-set back-steal
@@ -308,7 +290,7 @@ impl LoopBalancer {
 
     /// Currently registered (live) loops.
     pub fn live_loops(&self) -> usize {
-        self.lock_loops().len()
+        locked(&self.loops).len()
     }
 
     /// Probes run so far.

@@ -69,7 +69,8 @@ impl SpaceKind {
     }
 }
 
-/// A logical iteration space (see the [module docs](self)).
+/// A logical iteration space: *what* a loop iterates, lowered to a
+/// dense range of flat scheduling units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IterSpace {
     /// `start .. start + len` of u64 indices.
@@ -169,8 +170,9 @@ impl IterSpace {
         }
     }
 
-    /// Logical element count — what [`LoopReport::iterations`]
-    /// (`super::LoopReport`) conserves against.
+    /// Logical element count — what
+    /// [`LoopReport::iterations`](super::LoopReport::iterations) conserves
+    /// against.
     pub fn len(&self) -> u64 {
         match *self {
             IterSpace::Range1D { len, .. } => len,
@@ -185,8 +187,9 @@ impl IterSpace {
     }
 
     /// Validates the space against the waving layer's bounds: unit and
-    /// element counts must fit ([`MAX_SHARE_UNITS`]
-    /// (xgomp_xqueue::MAX_SHARE_UNITS) units, u64 elements). The single
+    /// element counts must fit
+    /// ([`MAX_SHARE_UNITS`](xgomp_xqueue::MAX_SHARE_UNITS) units, u64
+    /// elements). The single
     /// definition of the rule — `try_parallel_for` and the service
     /// layer's `submit_for` admission both call this.
     pub fn validate(&self) -> Result<(), LoopError> {

@@ -39,7 +39,7 @@ use crate::dlb::DlbTuning;
 use crate::loops::{AutoSelector, LoopBalancer};
 use crate::sched::Scheduler;
 use crate::task::Task;
-use crate::util::PerWorker;
+use crate::util::{locked, PerWorker};
 
 /// Stack size for worker threads. The scheduling loops *help*: an
 /// executing task that waits (taskwait, overflow → execute-immediately)
@@ -667,7 +667,7 @@ impl StartGate {
     }
 
     fn lock(&self) -> MutexGuard<'_, GateState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        locked(&self.state)
     }
 
     fn wait<'a>(&self, st: MutexGuard<'a, GateState>) -> MutexGuard<'a, GateState> {
@@ -716,7 +716,7 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
 /// A team of workers that stays alive across parallel regions.
 ///
 /// Construction spawns `threads - 1` OS threads which immediately park on
-/// a [start gate](StartGate). Each [`run`](Self::run) call stamps a new
+/// a start gate. Each [`run`](Self::run) call stamps a new
 /// *generation*: fresh barrier/scheduler/allocator state is published
 /// through the gate, the parked workers pick it up, run the region's
 /// scheduling loop to quiescence, and park again — no thread is ever

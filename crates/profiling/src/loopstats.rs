@@ -57,8 +57,7 @@ struct SpaceKindCounters {
     iters: AtomicU64,
 }
 
-/// Persistent per-schedule and per-space-kind loop counters (see the
-/// [module docs](self)). All iteration counts are u64 end-to-end — a
+/// Persistent per-schedule and per-space-kind loop counters. All iteration counts are u64 end-to-end — a
 /// completed >u32::MAX-iteration waved loop folds in without truncation.
 #[derive(Debug, Default)]
 pub struct LoopTelemetry {

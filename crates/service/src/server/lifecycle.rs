@@ -40,7 +40,8 @@ pub(super) const CLOSING: u32 = 3;
 const RUN_BATCH: usize = 128;
 
 /// Point-in-time lifecycle of a [`TaskServer`] (see the
-/// [module docs](super) for the state machine).
+/// [crate docs](crate#lifecycle-generations-pauseresume-config-swap) for
+/// the state machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lifecycle {
     /// A generation is open and executing jobs.

@@ -268,10 +268,7 @@ impl Submission<'_> {
         }
         let site = self.opts.loop_site;
         self.try_place(body, |body| {
-            move |ctx: &TaskCtx<'_>| match site {
-                Some(id) => ctx.parallel_for_at(id, space, schedule, body),
-                None => ctx.parallel_for(space, schedule, body),
-            }
+            move |ctx: &TaskCtx<'_>| ctx.parallel_for_at(site, space, schedule, body)
         })
     }
 

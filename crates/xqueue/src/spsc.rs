@@ -1,4 +1,4 @@
-//! Safe owned-handle wrapper over [`BQueue`](crate::BQueue).
+//! Safe owned-handle wrapper over [`BQueue`].
 //!
 //! [`channel`] splits one B-queue into a [`Sender`] and a [`Receiver`]
 //! whose ownership *is* the SPSC role contract: each handle is `Send` but

@@ -30,8 +30,6 @@
 
 #![warn(missing_docs)]
 
-#[doc(hidden)]
-pub use xgomp_core::force_small_panes_for_tests;
 pub use xgomp_core::{
     auto_portfolio_member, chrome_json_from_dir, chrome_json_from_jsonl, clock, guidelines,
     render_task_counts, render_timeline, state_summary, Affinity, AllocKind, AutoPick,

@@ -576,6 +576,62 @@ fn auto_without_a_site_keys_by_space_shape() {
     server.shutdown();
 }
 
+/// `Auto` learns only from loops that ran their space: an empty instance
+/// (≈1 tick) is never picked or scored, and a cancelled instance's
+/// truncated makespan is never reported — so interleaving both leaves
+/// the site's trial window exactly where the full instances put it.
+#[test]
+fn auto_ignores_empty_and_cancelled_instances() {
+    const FULL: u32 = 3;
+    let server = TaskServer::start(ServerConfig::new(2));
+    let site = LoopId(0xE0);
+    let submit = |len: u64, body: fn(u64, &xgomp::TaskCtx<'_>)| {
+        server
+            .with(SubmitOptions::new().site(site))
+            .submit_for(0..len, LoopSchedule::Auto, body)
+            .unwrap()
+    };
+    let empty = || {
+        let report = submit(0, |_, _| panic!("empty space")).join().unwrap();
+        assert_eq!(report.iterations, 0);
+    };
+    empty();
+    assert!(
+        server.auto_site_status(site).is_none(),
+        "an empty instance never reaches the selector"
+    );
+    for _ in 0..FULL {
+        assert_eq!(submit(10_000, |_, _| {}).join().unwrap().iterations, 10_000);
+        empty();
+    }
+    // A cancelled instance: every worker is stuck inside an iteration
+    // until the token fires, so the loop cannot finish its space.
+    static ENTERED: AtomicUsize = AtomicUsize::new(0);
+    let h = submit(1_000_000, |_, ctx| {
+        ENTERED.fetch_add(1, Ordering::Release);
+        while !ctx.is_cancelled() {
+            std::hint::spin_loop();
+        }
+    });
+    while ENTERED.load(Ordering::Acquire) == 0 {
+        std::thread::yield_now();
+    }
+    h.cancel();
+    assert!(h.join().is_err(), "cancelled mid-loop");
+    empty();
+
+    let status = server.auto_site_status(site).unwrap();
+    assert_eq!(status.window_runs, FULL, "only full instances score");
+    assert_eq!(status.sweeps, 0);
+    assert_eq!(status.converged, None);
+    assert_eq!(
+        server.auto_selected_counts().iter().sum::<u64>(),
+        u64::from(FULL) + 1,
+        "picks: the full instances and the cancelled one"
+    );
+    server.shutdown();
+}
+
 /// Auto far from any server: the plain-`Runtime` fallback is a fixed
 /// concrete schedule, so the loop conserves and reports normally.
 #[test]
