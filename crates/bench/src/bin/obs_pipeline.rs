@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use xgomp_bench::harness::fmt_count;
-use xgomp_core::{chrome_json_from_dir, LoopSchedule, RuntimeConfig, TraceLevel};
+use xgomp_core::{chrome_json_from_dir, final_summary, LoopSchedule, RuntimeConfig, TraceLevel};
 use xgomp_service::{ServerConfig, TaskServer};
 
 struct Opts {
@@ -82,18 +82,6 @@ fn spin(n: u64) -> u64 {
     std::hint::black_box(x)
 }
 
-/// First `"key":<number>` occurrence in a JSONL line.
-fn json_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat).map(|i| i + pat.len()).unwrap_or(0);
-    line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
-}
-
 fn main() {
     let opts = parse_opts();
     let _ = std::fs::remove_dir_all(&opts.dir);
@@ -143,28 +131,16 @@ fn main() {
 
     // Contract re-check from the files (same checks as the
     // trace_overhead stream leg).
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(&opts.dir)
-        .expect("stream dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .collect();
-    segments.sort();
-    let newest = std::fs::read_to_string(segments.last().expect("segments exist")).expect("read");
-    let summary = newest
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("{\"drain\""))
-        .expect("final drain summary");
-    let drained = json_u64(summary, "drained");
-    let dropped = json_u64(summary, "dropped");
-    let rotations = json_u64(summary, "rotations");
-    let emitted_sum: u64 = summary
-        .match_indices("\"emitted\":")
-        .map(|(i, _)| json_u64(&summary[i..], "emitted"))
-        .sum();
-    assert_eq!(dropped, 0, "collector must keep up under load");
+    let summary = final_summary(&opts.dir).expect("final drain summary");
+    let (drained, rotations) = (summary.drained, summary.rotations);
+    assert_eq!(summary.dropped, 0, "collector must keep up under load");
     assert!(rotations >= 3, "expected ≥ 3 rotations, saw {rotations}");
-    assert_eq!(drained + dropped, emitted_sum, "on-disk conservation");
+    assert_eq!(
+        drained + summary.dropped,
+        summary.emitted(),
+        "on-disk conservation"
+    );
+    let segments = std::fs::read_dir(&opts.dir).expect("stream dir").count();
     let chrome = chrome_json_from_dir(&opts.dir).expect("trace2chrome");
     assert!(chrome.starts_with('{'));
 
@@ -173,7 +149,7 @@ fn main() {
          ({rotations} rotations), 0 dropped; live-counter floor {}; chrome conversion {} bytes",
         fmt_count(stats.completed),
         fmt_count(drained),
-        segments.len(),
+        segments,
         fmt_count(stream.drained),
         fmt_count(chrome.len() as u64),
     );

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use xgomp_bench::harness::fmt_count;
 use xgomp_bench::Table;
-use xgomp_core::{chrome_json_from_dir, LoopSchedule, RuntimeConfig, TraceLevel};
+use xgomp_core::{chrome_json_from_dir, final_summary, LoopSchedule, RuntimeConfig, TraceLevel};
 use xgomp_service::{ServerConfig, TaskServer, STABLE_METRIC_FAMILIES};
 
 struct Opts {
@@ -198,19 +198,6 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     body.to_string()
 }
 
-/// First `"key":<number>` occurrence in a JSONL line (the stream's drain
-/// summaries put the cumulative totals before the per-worker rows).
-fn json_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat).map(|i| i + pat.len()).unwrap_or(0);
-    line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
-}
-
 /// The streaming-drain leg: the same workload at `Lifecycle`, with the
 /// continuous pipeline on — collector tailing the rings into small
 /// rolling segments (forcing rotations) and the `/metrics` listener
@@ -293,27 +280,12 @@ fn run_stream_leg(
     let live = server.trace_stream_stats().expect("stream configured");
     server.shutdown();
 
-    // The files carry the contract. Final summary = the *last* drain
-    // line of the newest segment (cumulative totals + per-worker rows).
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("stream dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .collect();
-    segments.sort();
-    let newest = std::fs::read_to_string(segments.last().expect("segments exist")).expect("read");
-    let summary = newest
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("{\"drain\""))
-        .expect("final drain summary");
-    let drained = json_u64(summary, "drained");
-    let dropped = json_u64(summary, "dropped");
-    let rotations = json_u64(summary, "rotations");
-    let emitted_sum: u64 = summary
-        .match_indices("\"emitted\":")
-        .map(|(i, _)| json_u64(&summary[i..], "emitted"))
-        .sum();
+    // The files carry the contract: the stream's final summary
+    // (cumulative totals + per-worker rows).
+    let summary = final_summary(&dir).expect("final drain summary");
+    let (drained, dropped, rotations) = (summary.drained, summary.dropped, summary.rotations);
+    let emitted_sum = summary.emitted();
+    let segments = std::fs::read_dir(&dir).expect("stream dir").count();
     assert_eq!(
         dropped, 0,
         "collector must keep up with the rings at Lifecycle load"
@@ -338,7 +310,7 @@ fn run_stream_leg(
         "stream: {} records drained across {} segments ({rotations} rotations), 0 dropped; \
          chrome conversion {} bytes",
         fmt_count(drained),
-        segments.len(),
+        segments,
         fmt_count(chrome.len() as u64)
     );
     if artifacts.is_none() {

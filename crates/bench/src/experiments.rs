@@ -441,7 +441,8 @@ pub fn task_sizes(ctx: &ExpCtx) -> Table {
             app.name().into(),
             h.count.to_string(),
             h.mean().to_string(),
-            format!("10^{}", h.modal_decade().ilog10()),
+            h.modal_decade_index()
+                .map_or("-".into(), |i| format!("10^{i}")),
             h.min_ticks.to_string(),
             h.max_ticks.to_string(),
         ]);

@@ -78,11 +78,11 @@ pub use team::{IngressSource, PersistentTeam, RegionOutput, Runtime, ServingHook
 
 // Re-exports so downstream crates need only depend on xgomp-core.
 pub use xgomp_profiling::{
-    chrome_json_from_dir, chrome_json_from_jsonl, clock, render_task_counts, render_timeline,
-    state_summary, EventKind, LiveTaskSampler, LoopTelemetry, LoopTelemetrySnapshot, PerfLog,
-    ProfileDump, PromText, StatsSnapshot, TaskSizeHistogram, TeamStats, TraceEvent, TraceLevel,
-    TraceSnapshot, TraceStream, TraceStreamConfig, TraceStreamStats, Tracer, LOOP_SCHEDULES,
-    LOOP_SCHEDULE_NAMES,
+    chrome_json_from_dir, chrome_json_from_jsonl, clock, final_summary, render_task_counts,
+    render_timeline, state_summary, DrainSummary, EventKind, LiveTaskSampler, LoopTelemetry,
+    LoopTelemetrySnapshot, PerfLog, ProfileDump, PromText, StatsSnapshot, StreamLine,
+    TaskSizeHistogram, TeamStats, TraceEvent, TraceLevel, TraceSnapshot, TraceStream,
+    TraceStreamConfig, TraceStreamStats, Tracer, LOOP_SCHEDULES, LOOP_SCHEDULE_NAMES,
 };
 pub use xgomp_topology::{Affinity, CostModel, Locality, MachineTopology, Placement};
 pub use xgomp_xqueue::{Parker, ParkerCell};

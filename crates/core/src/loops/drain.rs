@@ -129,17 +129,18 @@ impl LoopShared<'_> {
         // and — when a live sampler is wired (task server) — the
         // Table-IV adaptive controller, so loop-heavy workloads retune
         // the DLB engine from their real chunk grain, not just from
-        // whole drain-task sizes. Decided once per drain task.
-        let sampler = ctx.team.sampler.as_deref();
-        let timed = chunker.timed() || sampler.is_some();
+        // whole drain-task sizes. Decided (and this worker's sampler
+        // lane resolved) once per drain task, not per chunk.
+        let lane = ctx.team.sampler.as_ref().map(|l| &*l[ctx.worker_id()]);
+        let timed = chunker.timed() || lane.is_some();
         let run_chunk = |lo: u64, hi: u64, acc: &mut LoopReport| {
             let t0 = if timed { clock::now() } else { 0 };
             acc.iterations += (self.runner)(lo, hi, ctx);
             if timed {
                 let dt = clock::now().saturating_sub(t0);
                 chunker.record(my, hi - lo, dt);
-                if let Some(s) = sampler {
-                    s.record(ctx.worker_id(), dt);
+                if let Some(lane) = lane {
+                    lane.record(dt);
                 }
             }
             acc.chunks += 1;

@@ -35,7 +35,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xgomp_profiling::decade_index;
+use xgomp_profiling::{decade_index, modal_index};
 
 use super::pools::{Layout, LoopCore};
 use super::{LoopSchedule, AUTO_FALLBACK};
@@ -167,21 +167,12 @@ impl AdaptiveCost {
     }
 
     /// Modal per-iteration cost estimate: the geometric midpoint
-    /// (≈ 3·10^i) of the decade holding the most iterations. `None`
-    /// before the first sample. Allocation-free: this runs on the chunk
-    /// claim path.
+    /// (≈ 3·10^i) of the decade holding the most iterations
+    /// ([`modal_index`]). `None` before the first sample.
+    /// Allocation-free: this runs on the chunk claim path.
     pub(super) fn estimate(&self) -> Option<u64> {
-        let (mut best_i, mut best_c) = (0usize, 0u64);
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > best_c {
-                (best_i, best_c) = (i, c);
-            }
-        }
-        if best_c == 0 {
-            return None;
-        }
-        Some(3 * 10u64.pow(best_i as u32))
+        let counts = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        modal_index(&counts).map(|i| 3 * 10u64.pow(i as u32))
     }
 }
 

@@ -25,8 +25,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use xgomp_profiling::{
-    clock, EventKind, LiveTaskSampler, LoopTelemetry, PerfLog, TeamStats, TraceLevel, Tracer,
-    WorkerStats,
+    clock, EventKind, LiveTaskSampler, LoopTelemetry, PerfLog, TaskLane, TeamStats, TraceLevel,
+    Tracer, WorkerStats,
 };
 use xgomp_topology::{CostModel, Placement};
 use xgomp_xqueue::{EventRing, IdleGate, Parker};
@@ -83,7 +83,8 @@ pub trait IngressSource: Send + Sync {
 pub struct ServingHooks {
     /// External work feed polled by idle workers.
     pub source: Option<Arc<dyn IngressSource>>,
-    /// Online task-size sampling (needs one lane per worker).
+    /// Online task-size sampling (each worker records into its own lane
+    /// of the sampler, materialized on demand).
     pub sampler: Option<Arc<LiveTaskSampler>>,
     /// Hot-swappable DLB configuration; `None` uses a per-region cell
     /// seeded from [`RuntimeConfig::dlb`].
@@ -131,8 +132,10 @@ pub(crate) struct TeamShared {
     pub poisoned: AtomicBool,
     /// External work feed polled by idle workers (persistent executor).
     pub source: Option<Arc<dyn IngressSource>>,
-    /// Online task-size sampling (always-on when present).
-    pub sampler: Option<Arc<LiveTaskSampler>>,
+    /// Online task-size sampling (always-on when present): each worker's
+    /// [`LiveTaskSampler`] lane, cached at generation start — like the
+    /// trace rings — so the record path touches no shared state.
+    pub sampler: Option<Box<[Arc<TaskLane>]>>,
     /// Cross-generation loop counters (see [`ServingHooks::loop_stats`]).
     pub loop_stats: Option<Arc<LoopTelemetry>>,
     /// Inter-socket loop balancer (coarse level of two-level loop
@@ -207,7 +210,7 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
         profiling: cfg.profiling,
         poisoned: AtomicBool::new(false),
         source: hooks.source,
-        sampler: hooks.sampler,
+        sampler: hooks.sampler.map(|s| (0..n).map(|w| s.lane(w)).collect()),
         loop_stats: hooks.loop_stats,
         balancer,
         auto_select: hooks.auto_select,
@@ -362,8 +365,8 @@ pub(crate) fn execute(team: &TeamShared, w: usize, task: NonNull<Task>) {
     drop(guard);
     if timed {
         let t1 = clock::now();
-        if let Some(sampler) = &team.sampler {
-            sampler.record(w, t1.saturating_sub(t0));
+        if let Some(lanes) = &team.sampler {
+            lanes[w].record(t1.saturating_sub(t0));
         }
         if team.profiling {
             // SAFETY: worker-ownership contract; leaf access.
@@ -801,25 +804,11 @@ impl PersistentTeam {
     /// / DLB tuning / telemetry hooks. Task-body panics are isolated:
     /// they re-raise at the parent's next `taskwait` instead of
     /// poisoning the team.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `hooks.sampler` has fewer lanes than the team has
-    /// workers — aliased lanes would break its single-writer counters.
     pub fn run_serving<R>(
         &mut self,
         hooks: ServingHooks,
         f: impl FnOnce(&TaskCtx<'_>) -> R,
     ) -> RegionOutput<R> {
-        if let Some(s) = &hooks.sampler {
-            assert!(
-                s.n_lanes() >= self.cfg.threads,
-                "LiveTaskSampler has {} lanes for a team of {} workers \
-                 (lanes would alias, racing their single-writer counters)",
-                s.n_lanes(),
-                self.cfg.threads
-            );
-        }
         self.run_with(hooks, true, f)
     }
 
@@ -1260,7 +1249,7 @@ mod tests {
             remaining: AtomicUsize::new(JOBS),
             hits: hits.clone(),
         });
-        let sampler = Arc::new(xgomp_profiling::LiveTaskSampler::new(4));
+        let sampler = Arc::<LiveTaskSampler>::default();
         let mut team = PersistentTeam::new(RuntimeConfig::xgomptb(4));
         let h2 = hits.clone();
         let hooks = ServingHooks {

@@ -78,6 +78,61 @@ pub enum EventKind {
     DrainCycle = 20,
 }
 
+/// One row of [`KINDS`]: everything any reader needs to know about a
+/// kind beyond its discriminant.
+struct KindRow {
+    kind: EventKind,
+    label: &'static str,
+    /// Payload `c` carries a paired start timestamp: the record closes
+    /// the span `[c, ts]`.
+    c_is_span_start: bool,
+    /// ASCII Gantt glyph — the §V kinds only (the timeline renderers
+    /// draw the paper's five-way breakdown, nothing else).
+    glyph: Option<char>,
+}
+
+const fn row(
+    kind: EventKind,
+    label: &'static str,
+    c_is_span_start: bool,
+    glyph: Option<char>,
+) -> KindRow {
+    KindRow {
+        kind,
+        label,
+        c_is_span_start,
+        glyph,
+    }
+}
+
+/// **The** kind table, indexed by discriminant (row `i` describes the
+/// kind whose value is `i` — tested): decoding a ring record's `u8`,
+/// labelling, span pairing and glyphs all read it, so a new kind is one
+/// enum variant plus one row.
+const KINDS: [KindRow; 21] = [
+    row(EventKind::Task, "TASK", true, Some('T')),
+    row(EventKind::TaskCreate, "GOMP_TASK", false, Some('C')),
+    row(EventKind::TaskWait, "TASKWAIT", false, Some('w')),
+    row(EventKind::Barrier, "BARRIER", false, Some('B')),
+    row(EventKind::Stall, "STALL", false, Some('.')),
+    row(EventKind::Park, "PARK", false, None),
+    row(EventKind::Wake, "WAKE", false, None),
+    row(EventKind::Steal, "STEAL", false, None),
+    row(EventKind::Migrate, "MIGRATE", false, None),
+    row(EventKind::Rebalance, "REBALANCE", false, None),
+    row(EventKind::ChunkClaim, "CHUNK_CLAIM", false, None),
+    row(EventKind::RangeSteal, "RANGE_STEAL", false, None),
+    row(EventKind::JobStart, "JOB_START", true, None),
+    row(EventKind::JobEnd, "JOB_END", true, None),
+    row(EventKind::GenOpen, "GEN_OPEN", false, None),
+    row(EventKind::GenClose, "GEN_CLOSE", false, None),
+    row(EventKind::Retune, "RETUNE", false, None),
+    row(EventKind::Cancel, "CANCEL", false, None),
+    row(EventKind::Shed, "SHED", false, None),
+    row(EventKind::DeadlineMiss, "DEADLINE_MISS", false, None),
+    row(EventKind::DrainCycle, "DRAIN_CYCLE", false, None),
+];
+
 impl EventKind {
     /// The §V kinds, in rendering order (matches Fig. 3's legend
     /// order). Deliberately *not* extended by the flight-recorder
@@ -91,89 +146,26 @@ impl EventKind {
         EventKind::Stall,
     ];
 
-    /// Every kind, §V five first, then the flight-recorder kinds in
-    /// discriminant order.
-    pub const FULL_SET: [EventKind; 21] = [
-        EventKind::Task,
-        EventKind::TaskCreate,
-        EventKind::TaskWait,
-        EventKind::Barrier,
-        EventKind::Stall,
-        EventKind::Park,
-        EventKind::Wake,
-        EventKind::Steal,
-        EventKind::Migrate,
-        EventKind::Rebalance,
-        EventKind::ChunkClaim,
-        EventKind::RangeSteal,
-        EventKind::JobStart,
-        EventKind::JobEnd,
-        EventKind::GenOpen,
-        EventKind::GenClose,
-        EventKind::Retune,
-        EventKind::Cancel,
-        EventKind::Shed,
-        EventKind::DeadlineMiss,
-        EventKind::DrainCycle,
-    ];
-
     /// Decodes a stable discriminant (ring records store the `u8`).
     pub fn from_u8(v: u8) -> Option<EventKind> {
-        EventKind::FULL_SET.get(v as usize).copied()
+        KINDS.get(v as usize).map(|r| r.kind)
     }
 
     /// Short label used in summaries.
     pub fn label(self) -> &'static str {
-        match self {
-            EventKind::Task => "TASK",
-            EventKind::TaskCreate => "GOMP_TASK",
-            EventKind::TaskWait => "TASKWAIT",
-            EventKind::Barrier => "BARRIER",
-            EventKind::Stall => "STALL",
-            EventKind::Park => "PARK",
-            EventKind::Wake => "WAKE",
-            EventKind::Steal => "STEAL",
-            EventKind::Migrate => "MIGRATE",
-            EventKind::Rebalance => "REBALANCE",
-            EventKind::ChunkClaim => "CHUNK_CLAIM",
-            EventKind::RangeSteal => "RANGE_STEAL",
-            EventKind::JobStart => "JOB_START",
-            EventKind::JobEnd => "JOB_END",
-            EventKind::GenOpen => "GEN_OPEN",
-            EventKind::GenClose => "GEN_CLOSE",
-            EventKind::Retune => "RETUNE",
-            EventKind::Cancel => "CANCEL",
-            EventKind::Shed => "SHED",
-            EventKind::DeadlineMiss => "DEADLINE_MISS",
-            EventKind::DrainCycle => "DRAIN_CYCLE",
-        }
+        KINDS[self as usize].label
     }
 
-    /// One-character glyph for the ASCII Gantt renderer.
-    pub fn glyph(self) -> char {
-        match self {
-            EventKind::Task => 'T',
-            EventKind::TaskCreate => 'C',
-            EventKind::TaskWait => 'w',
-            EventKind::Barrier => 'B',
-            EventKind::Stall => '.',
-            EventKind::Park => 'p',
-            EventKind::Wake => '!',
-            EventKind::Steal => 's',
-            EventKind::Migrate => 'm',
-            EventKind::Rebalance => 'R',
-            EventKind::ChunkClaim => 'c',
-            EventKind::RangeSteal => 'r',
-            EventKind::JobStart => '[',
-            EventKind::JobEnd => ']',
-            EventKind::GenOpen => '<',
-            EventKind::GenClose => '>',
-            EventKind::Retune => '~',
-            EventKind::Cancel => 'x',
-            EventKind::Shed => '/',
-            EventKind::DeadlineMiss => 'd',
-            EventKind::DrainCycle => 'D',
-        }
+    /// Whether payload `c` carries a paired start timestamp (the record
+    /// closes a span `[c, ts]`).
+    pub(crate) fn c_is_span_start(self) -> bool {
+        KINDS[self as usize].c_is_span_start
+    }
+
+    /// One-character glyph for the ASCII Gantt renderer; `None` for the
+    /// flight-recorder kinds, which the Gantt never draws.
+    pub fn glyph(self) -> Option<char> {
+        KINDS[self as usize].glyph
     }
 }
 
@@ -229,33 +221,8 @@ impl PerfLog {
         self.worker
     }
 
-    /// Whether recording is active.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Marks the start of an event; returns the timestamp to hand back to
-    /// [`push`](Self::push). Zero-cost when disabled.
-    #[inline]
-    pub fn start(&self) -> u64 {
-        if self.enabled {
-            clock::now()
-        } else {
-            0
-        }
-    }
-
-    /// Records an event of `kind` that began at `start` and ends now.
-    #[inline]
-    pub fn push(&mut self, kind: EventKind, start: u64) {
-        if self.enabled {
-            let end = clock::now();
-            self.events.push(EventRecord { kind, start, end });
-        }
-    }
-
-    /// Records a fully specified interval (used by tests and replay).
+    /// Records the interval `[start, end)` of `kind` (the caller
+    /// brackets the event with [`clock::now`]). A no-op when disabled.
     #[inline]
     pub fn push_span(&mut self, kind: EventKind, start: u64, end: u64) {
         if self.enabled {
@@ -281,11 +248,6 @@ impl PerfLog {
             }
         }
         t
-    }
-
-    /// Drops all recorded events, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 }
 
@@ -347,20 +309,19 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = PerfLog::new(0, false);
-        let t = log.start();
-        assert_eq!(t, 0);
-        log.push(EventKind::Task, t);
+        log.push_span(EventKind::Task, 10, 20);
         assert!(log.events().is_empty());
+        assert_eq!(log.totals(), [0; 5]);
     }
 
     #[test]
     fn enabled_log_records_ordered_intervals() {
         let mut log = PerfLog::new(3, true);
-        let t = log.start();
+        let t = clock::now();
         std::hint::spin_loop();
-        log.push(EventKind::TaskCreate, t);
-        let t2 = log.start();
-        log.push(EventKind::Task, t2);
+        log.push_span(EventKind::TaskCreate, t, clock::now());
+        let t2 = clock::now();
+        log.push_span(EventKind::Task, t2, clock::now());
         assert_eq!(log.events().len(), 2);
         assert!(log.events()[0].end <= log.events()[1].start + 1_000_000);
         assert_eq!(log.worker(), 3);
@@ -382,23 +343,37 @@ mod tests {
 
     #[test]
     fn full_kind_set_round_trips_through_serde_with_stable_discriminants() {
-        // The §V five are frozen…
+        // The table is discriminant-indexed, exhaustive and
+        // duplicate-free: row `i` describes the kind whose value is `i`.
+        for (i, r) in KINDS.iter().enumerate() {
+            assert_eq!(r.kind as usize, i, "row {i} is {}", r.label);
+            assert_eq!(EventKind::from_u8(i as u8), Some(r.kind));
+            let json = serde_json::to_string(&r.kind).unwrap();
+            let back: EventKind = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, r.kind, "serde round trip for {}", r.label);
+            let same_label = KINDS.iter().filter(|o| o.label == r.label).count();
+            assert_eq!(same_label, 1, "label {} is unique", r.label);
+        }
+        assert_eq!(EventKind::from_u8(KINDS.len() as u8), None);
+        assert_eq!(EventKind::from_u8(21), None);
+        // The §V five are frozen at 0–4 with their glyphs; no other kind
+        // has one.
+        let glyphs: Vec<Option<char>> = KINDS.iter().map(|r| r.glyph).collect();
+        assert_eq!(glyphs[..5], ['T', 'C', 'w', 'B', '.'].map(Some));
+        assert!(glyphs[5..].iter().all(Option::is_none));
         for (i, k) in EventKind::ALL.iter().enumerate() {
             assert_eq!(*k as usize, i, "§V discriminants must not move");
         }
-        // …and every kind (including the flight-recorder additions)
-        // survives a serde round trip and decodes from its discriminant.
-        for k in EventKind::FULL_SET {
-            let json = serde_json::to_string(&k).unwrap();
-            let back: EventKind = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, k, "serde round trip for {}", k.label());
-            assert_eq!(EventKind::from_u8(k as u8), Some(k));
-        }
-        // FULL_SET is index == discriminant, exhaustive and duplicate-free.
-        for (i, k) in EventKind::FULL_SET.iter().enumerate() {
-            assert_eq!(*k as usize, i);
-        }
-        assert_eq!(EventKind::from_u8(EventKind::FULL_SET.len() as u8), None);
+        // Exactly the span-closing kinds carry a start stamp in `c`.
+        let spans: Vec<EventKind> = KINDS
+            .iter()
+            .filter(|r| r.c_is_span_start)
+            .map(|r| r.kind)
+            .collect();
+        assert_eq!(
+            spans,
+            [EventKind::Task, EventKind::JobStart, EventKind::JobEnd]
+        );
         // The pre-cancellation kinds are frozen at their PR 6 values…
         assert_eq!(EventKind::JobStart as u8, 12);
         assert_eq!(EventKind::JobEnd as u8, 13);

@@ -22,7 +22,8 @@ pub struct TaskSizeHistogram {
     pub count: u64,
     /// Sum of durations (for the mean).
     pub total_ticks: u64,
-    /// Smallest observed task.
+    /// Smallest observed task (meaningful once `count > 0`; an empty
+    /// histogram has no minimum yet and reports 0).
     pub min_ticks: u64,
     /// Largest observed task.
     pub max_ticks: u64,
@@ -40,13 +41,36 @@ pub fn decade_index(ticks: u64) -> usize {
     }
 }
 
+/// The modal-decade rule, written once: index of the decade bucket
+/// holding the most samples, or `None` when every bucket is empty. Ties
+/// are broken toward the decade containing the distribution's *median*
+/// sample (the percentile tie-break of the modal-decade classifier): of
+/// the tied maxima, the one closest to the median decade wins; an exact
+/// distance tie goes to the smaller decade (finer-grained tuning is the
+/// safer default). Allocation-free — the loop chunker calls this on the
+/// claim path.
+pub fn modal_index(buckets: &[u64; 9]) -> Option<usize> {
+    let max = *buckets.iter().max()?;
+    if max == 0 {
+        return None;
+    }
+    // Median decade: smallest index whose cumulative count reaches half
+    // the samples.
+    let half = buckets.iter().sum::<u64>().div_ceil(2);
+    let mut cum = 0u64;
+    let median = buckets.iter().position(|&c| {
+        cum += c;
+        cum >= half
+    })?;
+    (0..buckets.len())
+        .filter(|&i| buckets[i] == max)
+        .min_by_key(|&i| (i.abs_diff(median), i))
+}
+
 impl TaskSizeHistogram {
     /// Builds the histogram from every `TASK` event in the team's logs.
     pub fn from_logs(logs: &[PerfLog]) -> Self {
-        let mut h = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
+        let mut h = TaskSizeHistogram::default();
         for log in logs {
             for e in log.events() {
                 if e.kind == EventKind::Task {
@@ -54,20 +78,23 @@ impl TaskSizeHistogram {
                 }
             }
         }
-        if h.count == 0 {
-            h.min_ticks = 0;
-        }
         h
     }
 
     /// Records one task of `ticks` duration.
     #[inline]
     pub fn record(&mut self, ticks: u64) {
+        // `count == 0` means "no minimum yet", which is what makes
+        // `Default` a correct empty histogram.
+        self.min_ticks = if self.count == 0 {
+            ticks
+        } else {
+            self.min_ticks.min(ticks)
+        };
+        self.max_ticks = self.max_ticks.max(ticks);
         self.buckets[decade_index(ticks)] += 1;
         self.count += 1;
         self.total_ticks += ticks;
-        self.min_ticks = self.min_ticks.min(ticks);
-        self.max_ticks = self.max_ticks.max(ticks);
     }
 
     /// Mean task size in ticks (0 when empty).
@@ -75,22 +102,9 @@ impl TaskSizeHistogram {
         self.total_ticks.checked_div(self.count).unwrap_or(0)
     }
 
-    /// The decade holding the most tasks — the paper's "highest
-    /// proportion around 10^k cycles". Returns the lower bound of the
-    /// decade (e.g. 1000 for 10³–10⁴).
-    pub fn modal_decade(&self) -> u64 {
-        let (i, _) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .unwrap();
-        10u64.pow(i as u32)
-    }
-
     /// The window between an `earlier` cumulative snapshot and this one:
     /// bucket counts, task count and tick totals are differenced
-    /// (saturating — a rebound sampler yields an empty window instead of
+    /// (saturating — swapped arguments yield an empty window instead of
     /// nonsense). `min_ticks`/`max_ticks` are not diffable and are
     /// reported as the cumulative values.
     pub fn window_since(&self, earlier: &TaskSizeHistogram) -> TaskSizeHistogram {
@@ -111,35 +125,12 @@ impl TaskSizeHistogram {
         w
     }
 
-    /// Index of the decade holding the most tasks, or `None` when the
-    /// histogram is empty. Ties are broken toward the decade containing
-    /// the distribution's *median* sample (the percentile tie-break of
-    /// the modal-decade classifier): of the tied maxima, the one closest
-    /// to the median decade wins; an exact distance tie goes to the
-    /// smaller decade (finer-grained tuning is the safer default).
+    /// Index of the decade holding the most tasks — the paper's "highest
+    /// proportion around 10^k cycles" — or `None` when the histogram is
+    /// empty ([`modal_index`] over the buckets: argmax, median
+    /// tie-break).
     pub fn modal_decade_index(&self) -> Option<usize> {
-        if self.count == 0 {
-            return None;
-        }
-        let max = *self.buckets.iter().max().unwrap();
-        // Median decade: smallest index whose cumulative count reaches
-        // half the samples.
-        let half = self.count.div_ceil(2);
-        let mut cum = 0u64;
-        let mut median = 0usize;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= half {
-                median = i;
-                break;
-            }
-        }
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c == max)
-            .min_by_key(|&(i, _)| (i.abs_diff(median), i))
-            .map(|(i, _)| i)
+        modal_index(&self.buckets)
     }
 
     /// A representative per-task cycle count for guideline
@@ -185,15 +176,19 @@ impl TaskSizeHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &TaskSizeHistogram) {
+        if other.count > 0 {
+            self.min_ticks = if self.count == 0 {
+                other.min_ticks
+            } else {
+                self.min_ticks.min(other.min_ticks)
+            };
+            self.max_ticks = self.max_ticks.max(other.max_ticks);
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.count += other.count;
         self.total_ticks += other.total_ticks;
-        if other.count > 0 {
-            self.min_ticks = self.min_ticks.min(other.min_ticks);
-            self.max_ticks = self.max_ticks.max(other.max_ticks);
-        }
     }
 }
 
@@ -203,10 +198,7 @@ mod tests {
 
     #[test]
     fn buckets_by_decade() {
-        let mut h = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
+        let mut h = TaskSizeHistogram::default();
         for t in [3u64, 12, 99, 100, 5_000, 123_456] {
             h.record(t);
         }
@@ -222,15 +214,12 @@ mod tests {
 
     #[test]
     fn modal_decade_and_mean() {
-        let mut h = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
+        let mut h = TaskSizeHistogram::default();
         for _ in 0..10 {
             h.record(2_000); // decade 10^3
         }
         h.record(50);
-        assert_eq!(h.modal_decade(), 1_000);
+        assert_eq!(h.modal_decade_index(), Some(3));
         assert_eq!(h.mean(), (10 * 2_000 + 50) / 11);
     }
 
@@ -248,28 +237,26 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
+        let mut a = TaskSizeHistogram::default();
         a.record(10);
-        let mut b = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
+        let mut b = TaskSizeHistogram::default();
         b.record(100_000);
         a.merge(&b);
         assert_eq!(a.count, 2);
         assert_eq!(a.min_ticks, 10);
         assert_eq!(a.max_ticks, 100_000);
+        // Merging into (or from) an empty histogram keeps the true
+        // minimum: `Default` has no minimum yet, not a minimum of 0.
+        let mut fresh = TaskSizeHistogram::default();
+        fresh.merge(&a);
+        assert_eq!(fresh, a);
+        fresh.merge(&TaskSizeHistogram::default());
+        assert_eq!(fresh.min_ticks, 10);
     }
 
     #[test]
     fn render_is_humane() {
-        let mut h = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
+        let mut h = TaskSizeHistogram::default();
         for _ in 0..5 {
             h.record(500);
         }
@@ -280,10 +267,7 @@ mod tests {
 
     #[test]
     fn window_since_diffs_buckets_and_totals() {
-        let mut early = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
+        let mut early = TaskSizeHistogram::default();
         early.record(50);
         early.record(5_000);
         let mut late = early.clone();
@@ -296,7 +280,7 @@ mod tests {
         assert_eq!(w.buckets[2], 1); // 700
         assert_eq!(w.buckets[3], 0, "pre-window 5000 excluded");
         assert_eq!(w.total_ticks, 50 + 50 + 700);
-        // Rebound sampler (counts went backwards) yields an empty window.
+        // Swapped arguments (counts go backwards) yield an empty window.
         assert_eq!(early.window_since(&late).count, 0);
     }
 
@@ -323,10 +307,7 @@ mod tests {
         // 1000 tasks of ~50 cycles + 100 tasks of ~5M cycles: the mean
         // (~455k) says "huge tasks", the modal decade says what most
         // tasks are — tiny — and clamps the representative into it.
-        let mut h = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
+        let mut h = TaskSizeHistogram::default();
         for _ in 0..1_000 {
             h.record(50);
         }

@@ -20,29 +20,50 @@
 //!   a store per event as in the paper.
 //! * **`xomp_perflog_dump`**: JSON dump of logs + counters to a path from
 //!   the `XOMP_PERFLOG_PATH` environment variable or an explicit path.
+//!
+//! ## Where things live
+//!
+//! Each file owns one decision; everything public is re-exported from
+//! the crate root.
+//!
+//! | file | owns |
+//! |------|------|
+//! | `clock.rs` | the timestamp source and its tick ↔ time calibration |
+//! | `events.rs` | [`EventKind`] and its one per-kind table; the §V [`PerfLog`] / [`ProfileDump`] |
+//! | `counters.rs`, `loopstats.rs` | the §V per-worker counters; the loop-subsystem counters |
+//! | `histogram.rs` | [`TaskSizeHistogram`], decade bucketing and the modal-decade rule ([`modal_index`]) |
+//! | `live.rs` | [`LiveTaskSampler`]: grow-on-demand single-writer lanes, merged on read |
+//! | `timeline.rs` | the Fig. 3 ASCII renderers |
+//! | `trace.rs` | [`TraceLevel`], the [`Tracer`] (ring owner + level gate) and the [`RingReader`] — the one ring-read/decode path |
+//! | `chrome.rs` | [`TraceSnapshot`] and its Chrome-trace / Perfetto export |
+//! | `prom.rs` | [`PromText`], the Prometheus text-exposition builder |
+//! | `stream.rs` | the rolling on-disk stream: [`StreamLine`] (the one line format), [`TraceStream`], [`final_summary`], `trace2chrome` |
 
 #![warn(missing_docs)]
 
+mod chrome;
 pub mod clock;
 mod counters;
 mod events;
 mod histogram;
 mod live;
 mod loopstats;
+mod prom;
 pub mod stream;
 mod timeline;
 pub mod trace;
 
 pub use counters::{StatsSnapshot, TeamStats, WorkerStats};
 pub use events::{EventKind, EventRecord, PerfLog, ProfileDump};
-pub use histogram::{decade_index, TaskSizeHistogram};
-pub use live::LiveTaskSampler;
+pub use histogram::{decade_index, modal_index, TaskSizeHistogram};
+pub use live::{LiveTaskSampler, TaskLane};
 pub use loopstats::{
     LoopTelemetry, LoopTelemetrySnapshot, ScheduleSnapshot, SpaceKindSnapshot, LOOP_SCHEDULES,
     LOOP_SCHEDULE_NAMES, LOOP_SPACE_KINDS, LOOP_SPACE_KIND_NAMES,
 };
 pub use stream::{
-    chrome_json_from_dir, chrome_json_from_jsonl, TraceStream, TraceStreamConfig, TraceStreamStats,
+    chrome_json_from_dir, chrome_json_from_jsonl, final_summary, DrainSummary, SegmentHeader,
+    StreamLine, TraceStream, TraceStreamConfig, TraceStreamStats, WorkerDrain,
 };
 pub use timeline::{render_task_counts, render_timeline, state_summary, StateSummaryRow};
-pub use trace::{PromText, TraceEvent, TraceLevel, TraceSnapshot, Tracer};
+pub use trace::{PromText, RingReader, TraceEvent, TraceLevel, TraceSnapshot, Tracer};

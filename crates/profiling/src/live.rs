@@ -8,16 +8,24 @@
 //! adaptive controller) reads a merged [`TaskSizeHistogram`] snapshot at
 //! any time. This is the measurement feeding the online Table-IV
 //! retuning in `xgomp-service`.
+//!
+//! Like the [`Tracer`](crate::Tracer) beside it, a sampler outlives any
+//! one team generation: lanes materialize on first request and are never
+//! retired, so a server owns one sampler from start to shutdown and a
+//! team resize simply grows the lane list.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::histogram::{decade_index, TaskSizeHistogram};
 
-/// Pads each worker's lane to its own pair of cache lines so recording
-/// never false-shares across workers.
+/// One worker's write lane, padded to its own pair of cache lines so
+/// recording never false-shares across workers. A worker obtains its
+/// lane once per generation ([`LiveTaskSampler::lane`]) and records with
+/// no shared state.
 #[repr(align(128))]
-#[derive(Debug)]
-struct Lane {
+#[derive(Debug, Default)]
+pub struct TaskLane {
     buckets: [AtomicU64; 9],
     count: AtomicU64,
     total_ticks: AtomicU64,
@@ -25,14 +33,38 @@ struct Lane {
     max_ticks: AtomicU64,
 }
 
-impl Lane {
-    fn new() -> Self {
-        Lane {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            total_ticks: AtomicU64::new(0),
-            min_ticks: AtomicU64::new(u64::MAX),
-            max_ticks: AtomicU64::new(0),
+impl TaskLane {
+    /// Records one task of `ticks` duration. Single-writer: at most one
+    /// thread records into a lane at a time (one lane per worker), which
+    /// is what lets every update be a load+store instead of an RMW.
+    #[inline]
+    pub fn record(&self, ticks: u64) {
+        let b = &self.buckets[decade_index(ticks)];
+        b.store(b.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        // `count == 0` means "no minimum yet" (same rule as
+        // `TaskSizeHistogram`); the minimum is stored before the count
+        // that makes it meaningful.
+        let n = self.count.load(Ordering::Relaxed);
+        if n == 0 || ticks < self.min_ticks.load(Ordering::Relaxed) {
+            self.min_ticks.store(ticks, Ordering::Relaxed);
+        }
+        if ticks > self.max_ticks.load(Ordering::Relaxed) {
+            self.max_ticks.store(ticks, Ordering::Relaxed);
+        }
+        self.total_ticks.store(
+            self.total_ticks.load(Ordering::Relaxed) + ticks,
+            Ordering::Relaxed,
+        );
+        self.count.store(n + 1, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> TaskSizeHistogram {
+        TaskSizeHistogram {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            total_ticks: self.total_ticks.load(Ordering::Relaxed),
+            min_ticks: self.min_ticks.load(Ordering::Relaxed),
+            max_ticks: self.max_ticks.load(Ordering::Relaxed),
         }
     }
 }
@@ -42,73 +74,37 @@ impl Lane {
 ///
 /// Writers use `Relaxed` ordering throughout — the reader only needs a
 /// statistically faithful snapshot, not a linearizable one, exactly like
-/// the paper's §V counters.
-#[derive(Debug)]
+/// the paper's §V counters. A `default()` sampler has no lanes yet.
+#[derive(Debug, Default)]
 pub struct LiveTaskSampler {
-    lanes: Box<[Lane]>,
+    lanes: Mutex<Vec<Arc<TaskLane>>>,
 }
 
 impl LiveTaskSampler {
-    /// A sampler with one lane per worker.
-    pub fn new(n_workers: usize) -> Self {
-        LiveTaskSampler {
-            lanes: (0..n_workers.max(1)).map(|_| Lane::new()).collect(),
+    /// Worker `w`'s lane, created on first request. Workers call this
+    /// once per generation and cache the `Arc`; the lane — and
+    /// everything recorded into it — persists across generations.
+    pub fn lane(&self, worker: usize) -> Arc<TaskLane> {
+        let mut lanes = self.lanes.lock().unwrap();
+        while lanes.len() <= worker {
+            lanes.push(Arc::default());
         }
-    }
-
-    /// Number of write lanes (the team size it was built for).
-    pub fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Records one task of `ticks` duration executed by `worker`.
-    #[inline]
-    pub fn record(&self, worker: usize, ticks: u64) {
-        let lane = &self.lanes[worker % self.lanes.len()];
-        // Single-writer per lane: load+store beats RMW on the hot path.
-        let b = &lane.buckets[decade_index(ticks)];
-        b.store(b.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        lane.count
-            .store(lane.count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        lane.total_ticks.store(
-            lane.total_ticks.load(Ordering::Relaxed) + ticks,
-            Ordering::Relaxed,
-        );
-        if ticks < lane.min_ticks.load(Ordering::Relaxed) {
-            lane.min_ticks.store(ticks, Ordering::Relaxed);
-        }
-        if ticks > lane.max_ticks.load(Ordering::Relaxed) {
-            lane.max_ticks.store(ticks, Ordering::Relaxed);
-        }
+        lanes[worker].clone()
     }
 
     /// Tasks observed so far (merged over lanes; monotonic).
     pub fn tasks_observed(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.count.load(Ordering::Relaxed))
-            .sum()
+        let lanes = self.lanes.lock().unwrap();
+        lanes.iter().map(|l| l.count.load(Ordering::Relaxed)).sum()
     }
 
     /// Merged snapshot as a plain [`TaskSizeHistogram`]. Cumulative since
     /// construction; windowed views are obtained by differencing two
     /// snapshots' monotonic `buckets`/`count`/`total_ticks`.
     pub fn snapshot(&self) -> TaskSizeHistogram {
-        let mut h = TaskSizeHistogram {
-            min_ticks: u64::MAX,
-            ..Default::default()
-        };
-        for lane in self.lanes.iter() {
-            for (dst, src) in h.buckets.iter_mut().zip(&lane.buckets) {
-                *dst += src.load(Ordering::Relaxed);
-            }
-            h.count += lane.count.load(Ordering::Relaxed);
-            h.total_ticks += lane.total_ticks.load(Ordering::Relaxed);
-            h.min_ticks = h.min_ticks.min(lane.min_ticks.load(Ordering::Relaxed));
-            h.max_ticks = h.max_ticks.max(lane.max_ticks.load(Ordering::Relaxed));
-        }
-        if h.count == 0 {
-            h.min_ticks = 0;
+        let mut h = TaskSizeHistogram::default();
+        for lane in self.lanes.lock().unwrap().iter() {
+            h.merge(&lane.snapshot());
         }
         h
     }
@@ -120,11 +116,11 @@ mod tests {
 
     #[test]
     fn records_merge_across_lanes() {
-        let s = LiveTaskSampler::new(3);
-        s.record(0, 5);
-        s.record(1, 500);
-        s.record(2, 50_000);
-        s.record(2, 50_000);
+        let s = LiveTaskSampler::default();
+        s.lane(0).record(5);
+        s.lane(1).record(500);
+        s.lane(2).record(50_000);
+        s.lane(2).record(50_000);
         let h = s.snapshot();
         assert_eq!(h.count, 4);
         assert_eq!(h.buckets[0], 1);
@@ -138,7 +134,10 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_sane() {
-        let s = LiveTaskSampler::new(2);
+        let s = LiveTaskSampler::default();
+        assert_eq!(s.snapshot(), TaskSizeHistogram::default());
+        // Materialized-but-silent lanes are as empty as no lanes.
+        s.lane(1);
         let h = s.snapshot();
         assert_eq!(h.count, 0);
         assert_eq!(h.min_ticks, 0);
@@ -146,15 +145,33 @@ mod tests {
     }
 
     #[test]
+    fn lanes_grow_and_keep_everything_recorded() {
+        // A team resize is "ask for a higher lane": nothing recorded on
+        // the old lanes is retired, and the merged minimum is the true
+        // one — not the 0 an empty lane (or histogram) starts from.
+        let s = LiveTaskSampler::default();
+        let lane0 = s.lane(0);
+        lane0.record(700);
+        let before = s.snapshot();
+        assert_eq!((before.count, before.min_ticks), (1, 700));
+        s.lane(3).record(9_000);
+        assert!(Arc::ptr_eq(&lane0, &s.lane(0)), "lanes are stable");
+        let h = s.snapshot();
+        assert_eq!(h.count, 2, "both lanes' records survive the growth");
+        assert_eq!(h.min_ticks, 700);
+        assert_eq!(h.max_ticks, 9_000);
+        assert!(h.count >= before.count, "snapshots are monotone");
+    }
+
+    #[test]
     fn concurrent_recording_is_conserved() {
-        use std::sync::Arc;
-        let s = Arc::new(LiveTaskSampler::new(4));
+        let s = Arc::new(LiveTaskSampler::default());
         let handles: Vec<_> = (0..4)
             .map(|w| {
-                let s = s.clone();
+                let lane = s.lane(w);
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
-                        s.record(w, i % 1_000);
+                        lane.record(i % 1_000);
                     }
                 })
             })

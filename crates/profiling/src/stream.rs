@@ -3,58 +3,154 @@
 //!
 //! [`Tracer::snapshot`](crate::Tracer::snapshot) is point-in-time — it
 //! answers "what just happened" at a panic or an explicit call. This
-//! module streams instead: a [`TraceStream`] owns one private
-//! [`RingCursor`] per worker ring and, on every
+//! module streams instead: a [`TraceStream`] owns its own
+//! [`RingReader`] and, on every
 //! [`drain_cycle`](TraceStream::drain_cycle), tails whatever the rings
 //! accumulated since the last cycle into an append-only **JSONL
 //! segment** on disk, rotating by size or age
 //! (`trace-<epoch>-<seq>.jsonl`) and pruning rolled segments beyond a
-//! retention cap. Because the stream's cursors are independent of the
-//! tracer's snapshot cursors, both readers coexist: each sees every
-//! retained record, and neither consumes the other's view.
+//! retention cap.
+//!
+//! ## Line format
+//!
+//! Each line of a segment is one JSON object, and the three shapes it
+//! can take are the three variants of [`StreamLine`] — the only place
+//! the on-disk format is spelled, for the writer and every re-reader
+//! alike ([`StreamLine::parse`], [`final_summary`]):
+//!
+//! * [`StreamLine::Segment`] — first line of every segment: which
+//!   segment this is, plus the tick calibration;
+//! * [`StreamLine::Event`] — one per drained record, plus one synthetic
+//!   [`EventKind::DrainCycle`] marker per non-empty cycle on the
+//!   collector's pseudo-track (the collector thread never emits into a
+//!   worker's SPSC ring);
+//! * [`StreamLine::Drain`] — the cumulative accounting summary below.
 //!
 //! ## Conservation across rotations
 //!
 //! The flight-recorder identity `drained + dropped == emitted` is
-//! carried *into the files*: every drain cycle appends a `drain`
-//! summary line with the cumulative per-worker cursor accounting
-//! (`position == drained + dropped`) next to the ring's `emitted`
-//! counter, and [`finish`](TraceStream::finish) writes one final
-//! summary after the writers quiesce — so the last summary of the last
-//! segment states the identity exactly, no matter how many times the
-//! stream rotated underneath it.
+//! carried *into the files*: every non-empty drain cycle appends a
+//! [`DrainSummary`] with the reader's cumulative per-worker cursor
+//! accounting (`position == drained + dropped`) next to the ring's
+//! `emitted` counter, and [`finish`](TraceStream::finish) writes one
+//! final summary after the writers quiesce — so the last summary of the
+//! last segment states the identity exactly, no matter how many times
+//! the stream rotated underneath it.
 //!
-//! ## Line format
-//!
-//! Each line of a segment is one JSON object:
-//!
-//! * `{"segment":{"epoch":…,"seq":…,"cycles_per_ns":…}}` — first line
-//!   of every segment;
-//! * a serialized [`TraceEvent`] — one per drained record, plus one
-//!   synthetic [`EventKind::DrainCycle`] marker per non-empty cycle on
-//!   the collector's pseudo-track (the collector thread never emits
-//!   into a worker's SPSC ring);
-//! * `{"drain":{…,"workers":[…]}}` — the cumulative accounting
-//!   summary described above.
-//!
-//! [`chrome_json_from_jsonl`] (and the directory-walking
-//! [`chrome_json_from_dir`]) convert any concatenation of segments —
-//! in rotation order — back into one Perfetto-loadable Chrome-trace
-//! JSON document: the `trace2chrome` path.
+//! `trace2chrome` — [`chrome_json_from_jsonl`] and the directory-walking
+//! [`chrome_json_from_dir`], re-exported here from the Chrome export —
+//! converts any concatenation of segments, in rotation order, back into
+//! one Perfetto-loadable Chrome-trace JSON document.
 
-use std::fmt::Write as _;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-use serde::Value;
-use xgomp_xqueue::{EventRing, RingCursor};
+use serde::{DeError, Deserialize, Serialize, Value};
 
+pub use crate::chrome::{chrome_json_from_dir, chrome_json_from_jsonl};
 use crate::clock;
 use crate::events::EventKind;
-use crate::trace::{TraceEvent, TraceSnapshot, Tracer};
+use crate::trace::{RingReader, TraceEvent, Tracer};
+
+/// First line of every segment.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SegmentHeader {
+    /// Unix-seconds stamp naming the stream's segment family.
+    pub epoch: u64,
+    /// Rotation sequence number of this segment.
+    pub seq: u64,
+    /// Tick-to-nanosecond calibration of the event timestamps.
+    pub cycles_per_ns: f64,
+}
+
+/// One worker ring's row of a [`DrainSummary`]: the stream reader's
+/// cursor next to the ring's own counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WorkerDrain {
+    /// The worker whose ring this row accounts.
+    pub worker: u64,
+    /// Next record the stream will read (`drained + dropped`).
+    pub position: u64,
+    /// Records of this ring the stream surfaced.
+    pub drained: u64,
+    /// Records of this ring the stream lost to overwrite.
+    pub dropped: u64,
+    /// Records the ring's writer had emitted at summary time.
+    pub emitted: u64,
+}
+
+/// The stream's cumulative conservation summary.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DrainSummary {
+    /// Drain cycles run so far (empty ones included).
+    pub cycle: u64,
+    /// Segment rotations performed so far.
+    pub rotations: u64,
+    /// Records written to disk across all segments.
+    pub drained: u64,
+    /// Records the stream's reader lost to ring overwrite.
+    pub dropped: u64,
+    /// One row per worker ring.
+    pub workers: Vec<WorkerDrain>,
+}
+
+impl DrainSummary {
+    /// Records emitted over all rings at summary time — what
+    /// `drained + dropped` equals once the writers have quiesced.
+    pub fn emitted(&self) -> u64 {
+        self.workers.iter().map(|w| w.emitted).sum()
+    }
+}
+
+/// One line of a segment (see the [module docs](self#line-format)).
+/// On disk a header is `{"segment":{…}}`, a summary is `{"drain":{…}}`
+/// and an event is the bare [`TraceEvent`] object.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamLine {
+    /// Segment header.
+    Segment(SegmentHeader),
+    /// A drained (or synthetic `DrainCycle`) record.
+    Event(TraceEvent),
+    /// Cumulative conservation summary.
+    Drain(DrainSummary),
+}
+
+impl Serialize for StreamLine {
+    fn to_value(&self) -> Value {
+        let keyed = |key: &str, v: Value| Value::Map(vec![(key.to_string(), v)]);
+        match self {
+            StreamLine::Segment(h) => keyed("segment", h.to_value()),
+            StreamLine::Event(e) => e.to_value(),
+            StreamLine::Drain(d) => keyed("drain", d.to_value()),
+        }
+    }
+}
+
+impl Deserialize for StreamLine {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if let Ok(h) = serde::field(v, "segment") {
+            SegmentHeader::from_value(h).map(StreamLine::Segment)
+        } else if let Ok(d) = serde::field(v, "drain") {
+            DrainSummary::from_value(d).map(StreamLine::Drain)
+        } else {
+            TraceEvent::from_value(v).map(StreamLine::Event)
+        }
+    }
+}
+
+impl StreamLine {
+    /// Parses one segment line.
+    pub fn parse(line: &str) -> Result<StreamLine, serde_json::Error> {
+        serde_json::from_str(line)
+    }
+
+    /// The line as written to disk (no trailing newline).
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("stream lines serialize")
+    }
+}
 
 /// Shape of the rolling stream: where segments live, when they rotate,
 /// how many survive.
@@ -113,14 +209,15 @@ pub struct TraceStreamStats {
     /// Records the stream's cursors lost to ring overwrite — `0` means
     /// the collector kept up with every writer.
     pub dropped: u64,
-    /// Segment rotations performed.
+    /// Segment rotations performed (segments opened, minus one).
     pub rotations: u64,
-    /// Segments opened (`rotations + 1`).
-    pub segments: u64,
 }
 
-/// The rolling sink (see the [module docs](self)).
-pub struct TraceStream {
+/// The live segment file and everything that decides when it rolls.
+/// Kept apart from the [`RingReader`] so lines are written — and
+/// size-rotated — from inside the reader's sink, as they are decoded.
+#[derive(Debug)]
+struct SegmentWriter {
     cfg: TraceStreamConfig,
     /// Unix-seconds stamp naming this stream's segment family.
     epoch: u64,
@@ -129,174 +226,56 @@ pub struct TraceStream {
     bytes: u64,
     segment_events: u64,
     opened_at: Instant,
-    cursors: Vec<RingCursor>,
-    stats: TraceStreamStats,
 }
 
-impl std::fmt::Debug for TraceStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceStream")
-            .field("dir", &self.cfg.dir)
-            .field("segment", &self.segment_path())
-            .field("stats", &self.stats)
-            .finish()
-    }
+/// The rolling sink (see the [module docs](self)).
+#[derive(Debug)]
+pub struct TraceStream {
+    reader: RingReader,
+    out: SegmentWriter,
+    cycles: u64,
+    drained: u64,
 }
 
-fn open_segment_file(path: &Path) -> io::Result<BufWriter<File>> {
-    Ok(BufWriter::new(File::create(path)?))
-}
-
-impl TraceStream {
-    /// Opens the stream: creates `cfg.dir` and segment 0 with its
-    /// header line.
-    pub fn create(cfg: TraceStreamConfig) -> io::Result<Self> {
-        fs::create_dir_all(&cfg.dir)?;
-        let epoch = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let mut stream = TraceStream {
-            file: open_segment_file(&segment_path_of(&cfg.dir, epoch, 0))?,
-            cfg,
-            epoch,
-            seq: 0,
-            bytes: 0,
-            segment_events: 0,
-            opened_at: Instant::now(),
-            cursors: Vec::new(),
-            stats: TraceStreamStats::default(),
-        };
-        stream.stats.segments = 1;
-        stream.write_header()?;
-        Ok(stream)
-    }
-
-    /// Path of the live segment.
-    pub fn segment_path(&self) -> PathBuf {
-        segment_path_of(&self.cfg.dir, self.epoch, self.seq)
-    }
-
-    /// Cumulative stream counters.
-    pub fn stats(&self) -> TraceStreamStats {
-        self.stats
-    }
-
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
+impl SegmentWriter {
+    fn write(&mut self, line: &StreamLine) -> io::Result<()> {
+        let line = line.to_json();
         writeln!(self.file, "{line}")?;
         self.bytes += line.len() as u64 + 1;
         Ok(())
     }
 
     fn write_header(&mut self) -> io::Result<()> {
-        let line = format!(
-            "{{\"segment\":{{\"epoch\":{},\"seq\":{},\"cycles_per_ns\":{:.6}}}}}",
-            self.epoch,
-            self.seq,
-            clock::cycles_per_ns()
-        );
-        self.write_line(&line)
+        self.write(&StreamLine::Segment(SegmentHeader {
+            epoch: self.epoch,
+            seq: self.seq,
+            cycles_per_ns: clock::cycles_per_ns(),
+        }))
     }
 
-    /// Appends the cumulative conservation summary: stream totals plus
-    /// one per-worker row of `position == drained + dropped` next to
-    /// the ring's `emitted` counter.
-    fn write_summary(&mut self, rings: &[Arc<EventRing>]) -> io::Result<()> {
-        let mut line = format!(
-            "{{\"drain\":{{\"cycle\":{},\"rotations\":{},\"drained\":{},\"dropped\":{},\"workers\":[",
-            self.stats.cycles, self.stats.rotations, self.stats.drained, self.stats.dropped
-        );
-        for (w, cur) in self.cursors.iter().enumerate() {
-            if w > 0 {
-                line.push(',');
-            }
-            let emitted = rings.get(w).map(|r| r.emitted()).unwrap_or(0);
-            let _ = write!(
-                line,
-                "{{\"worker\":{w},\"position\":{},\"drained\":{},\"dropped\":{},\"emitted\":{emitted}}}",
-                cur.position(),
-                cur.drained(),
-                cur.dropped(),
-            );
+    /// Appends one drained record. Size rotation applies here, *between
+    /// records*: one burst cycle draining far more than `rotate_bytes`
+    /// (a ring holds up to its capacity between cycles) still produces
+    /// bounded segments.
+    fn write_event(&mut self, event: TraceEvent) -> io::Result<()> {
+        self.write(&StreamLine::Event(event))?;
+        self.segment_events += 1;
+        if self.bytes >= self.cfg.rotate_bytes {
+            self.rotate()?;
         }
-        line.push_str("]}}");
-        self.write_line(&line)
+        Ok(())
     }
 
-    /// One collector cycle: tails every ring through the stream's own
-    /// cursors, appends the new records (plus the synthetic
-    /// [`EventKind::DrainCycle`] marker and the conservation summary
-    /// when anything arrived), and rotates/prunes as configured. Size
-    /// rotation applies *mid-cycle* — one burst cycle draining far more
-    /// than `rotate_bytes` (a ring holds up to its capacity between
-    /// cycles) still produces bounded segments — while age rotation is
-    /// checked once per cycle. Returns the records written this cycle.
-    pub fn drain_cycle(&mut self, tracer: &Tracer) -> io::Result<u64> {
-        let rings = tracer.ring_handles();
-        while self.cursors.len() < rings.len() {
-            self.cursors.push(RingCursor::new());
-        }
-        let mut cycle_drained = 0u64;
-        for (w, ring) in rings.iter().enumerate() {
-            // Buffer this ring's records (bounded by its capacity),
-            // then write — rotation between lines needs `&mut self`,
-            // which the drain closure cannot share with the cursor.
-            let mut lines: Vec<String> = Vec::new();
-            ring.drain(&mut self.cursors[w], &mut |raw| {
-                let Some(kind) = EventKind::from_u8(raw.kind) else {
-                    return;
-                };
-                let ev = TraceEvent {
-                    worker: w as u32,
-                    ts: raw.ts,
-                    kind,
-                    a: raw.a,
-                    b: raw.b,
-                    c: raw.c,
-                };
-                lines.push(serde_json::to_string(&ev).expect("trace event serializes"));
-            });
-            for line in lines {
-                self.write_line(&line)?;
-                self.segment_events += 1;
-                cycle_drained += 1;
-                if self.bytes >= self.cfg.rotate_bytes {
-                    self.rotate()?;
-                }
-            }
-        }
-        self.stats.cycles += 1;
-        self.stats.dropped = self.cursors.iter().map(|c| c.dropped()).sum();
-        if cycle_drained > 0 {
-            self.stats.drained += cycle_drained;
-            // The cycle marker rides the collector's pseudo-track (one
-            // past the worker rings) — never a worker's SPSC ring.
-            let marker = TraceEvent {
-                worker: rings.len() as u32,
-                ts: clock::now(),
-                kind: EventKind::DrainCycle,
-                a: self.stats.rotations.min(u32::MAX as u64) as u32,
-                b: cycle_drained,
-                c: self.stats.dropped,
-            };
-            let line = serde_json::to_string(&marker).expect("trace event serializes");
-            self.write_line(&line)?;
-            self.write_summary(&rings)?;
-        }
-        self.maybe_rotate()?;
-        Ok(cycle_drained)
-    }
-
+    /// Age (or size) rotation, checked once per cycle.
     fn maybe_rotate(&mut self) -> io::Result<()> {
+        let due = self.bytes >= self.cfg.rotate_bytes
+            || self.opened_at.elapsed() >= self.cfg.rotate_after;
         // Never roll a segment that carries no events yet: an idle
         // stream must not churn header-only files through retention.
-        if self.segment_events == 0 {
-            return Ok(());
+        if due && self.segment_events > 0 {
+            self.rotate()?;
         }
-        if self.bytes < self.cfg.rotate_bytes && self.opened_at.elapsed() < self.cfg.rotate_after {
-            return Ok(());
-        }
-        self.rotate()
+        Ok(())
     }
 
     /// Unconditionally rolls to the next segment: flush, bump the
@@ -305,9 +284,8 @@ impl TraceStream {
     fn rotate(&mut self) -> io::Result<()> {
         self.file.flush()?;
         self.seq += 1;
-        self.stats.rotations += 1;
-        self.stats.segments += 1;
-        self.file = open_segment_file(&self.segment_path())?;
+        let path = segment_path_of(&self.cfg.dir, self.epoch, self.seq);
+        self.file = BufWriter::new(File::create(path)?);
         self.bytes = 0;
         self.segment_events = 0;
         self.opened_at = Instant::now();
@@ -320,30 +298,114 @@ impl TraceStream {
     /// retention cap (best-effort; other epochs in the directory are
     /// left alone).
     fn apply_retention(&self) {
-        let Ok(rd) = fs::read_dir(&self.cfg.dir) else {
+        let Ok(mut segs) = segment_paths(&self.cfg.dir, &format!("trace-{}-", self.epoch)) else {
             return;
         };
-        let prefix = format!("trace-{}-", self.epoch);
-        let mut segs: Vec<PathBuf> = rd
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".jsonl"))
-            })
-            .collect();
-        // Zero-padded sequence numbers make name order rotation order.
-        segs.sort();
         while segs.len() > self.cfg.keep.max(1) {
             let _ = fs::remove_file(segs.remove(0));
         }
+    }
+}
+
+impl TraceStream {
+    /// Opens the stream: creates `cfg.dir` and segment 0 with its
+    /// header line.
+    pub fn create(cfg: TraceStreamConfig) -> io::Result<Self> {
+        fs::create_dir_all(&cfg.dir)?;
+        let epoch = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0);
+        let mut out = SegmentWriter {
+            file: BufWriter::new(File::create(segment_path_of(&cfg.dir, epoch, 0))?),
+            cfg,
+            epoch,
+            seq: 0,
+            bytes: 0,
+            segment_events: 0,
+            opened_at: Instant::now(),
+        };
+        out.write_header()?;
+        Ok(TraceStream {
+            reader: RingReader::default(),
+            out,
+            cycles: 0,
+            drained: 0,
+        })
+    }
+
+    /// Cumulative stream counters.
+    pub fn stats(&self) -> TraceStreamStats {
+        TraceStreamStats {
+            cycles: self.cycles,
+            drained: self.drained,
+            dropped: self.reader.dropped(),
+            rotations: self.out.seq,
+        }
+    }
+
+    /// Appends the cumulative conservation summary: stream totals plus
+    /// one per-worker row of `position == drained + dropped` next to
+    /// the ring's `emitted` counter.
+    fn write_summary(&mut self, tracer: &Tracer) -> io::Result<()> {
+        let stats = self.stats();
+        let rings = tracer.rings();
+        let row = |(w, cur): (usize, &xgomp_xqueue::RingCursor)| WorkerDrain {
+            worker: w as u64,
+            position: cur.position(),
+            drained: cur.drained(),
+            dropped: cur.dropped(),
+            emitted: rings.get(w).map_or(0, |r| r.emitted()),
+        };
+        let summary = DrainSummary {
+            cycle: stats.cycles,
+            rotations: stats.rotations,
+            drained: stats.drained,
+            dropped: stats.dropped,
+            workers: self.reader.cursors().iter().enumerate().map(row).collect(),
+        };
+        self.out.write(&StreamLine::Drain(summary))
+    }
+
+    /// One collector cycle: tails every ring through the stream's own
+    /// reader, appending each record as it is decoded (plus the
+    /// synthetic [`EventKind::DrainCycle`] marker and the conservation
+    /// summary when anything arrived), and rotates/prunes as configured
+    /// — by size between records, by age once per cycle. Returns the
+    /// records written this cycle.
+    pub fn drain_cycle(&mut self, tracer: &Tracer) -> io::Result<u64> {
+        let out = &mut self.out;
+        let mut io = Ok(());
+        let cycle_drained = self.reader.drain(tracer, |event| {
+            if io.is_ok() {
+                io = out.write_event(event);
+            }
+        });
+        io?;
+        self.cycles += 1;
+        if cycle_drained > 0 {
+            self.drained += cycle_drained;
+            // The cycle marker rides the collector's pseudo-track (one
+            // past the worker rings) — never a worker's SPSC ring.
+            let marker = TraceEvent {
+                worker: self.reader.cursors().len() as u32,
+                ts: clock::now(),
+                kind: EventKind::DrainCycle,
+                a: self.out.seq.min(u32::MAX as u64) as u32,
+                b: cycle_drained,
+                c: self.reader.dropped(),
+            };
+            self.out.write(&StreamLine::Event(marker))?;
+            self.write_summary(tracer)?;
+        }
+        self.out.maybe_rotate()?;
+        Ok(cycle_drained)
     }
 
     /// Flushes buffered lines to the OS (pause-coordination point: a
     /// paused server's stream is complete on disk after this).
     pub fn flush(&mut self) -> io::Result<()> {
-        self.file.flush()
+        self.out.file.flush()
     }
 
     /// Final cycle: drains whatever remains, writes one last
@@ -351,10 +413,9 @@ impl TraceStream {
     /// and flushes. Returns the final counters.
     pub fn finish(mut self, tracer: &Tracer) -> io::Result<TraceStreamStats> {
         self.drain_cycle(tracer)?;
-        let rings = tracer.ring_handles();
-        self.write_summary(&rings)?;
-        self.file.flush()?;
-        Ok(self.stats)
+        self.write_summary(tracer)?;
+        self.out.file.flush()?;
+        Ok(self.stats())
     }
 }
 
@@ -362,90 +423,41 @@ fn segment_path_of(dir: &Path, epoch: u64, seq: u64) -> PathBuf {
     dir.join(format!("trace-{epoch}-{seq:06}.jsonl"))
 }
 
-fn num_u64(v: &Value) -> u64 {
-    match v {
-        Value::UInt(n) => *n,
-        Value::Int(n) => (*n).max(0) as u64,
-        Value::Float(f) => *f as u64,
-        _ => 0,
-    }
-}
-
-fn num_f64(v: &Value) -> f64 {
-    match v {
-        Value::UInt(n) => *n as f64,
-        Value::Int(n) => *n as f64,
-        Value::Float(f) => *f,
-        _ => 0.0,
-    }
-}
-
-/// `trace2chrome`: converts concatenated stream segments (JSONL text,
-/// in rotation order) into one Chrome-trace / Perfetto JSON document.
-///
-/// Segment headers contribute the tick calibration, `drain` summaries
-/// contribute the drop accounting (cumulative — the largest value
-/// wins), and every event line becomes a trace event; the result is
-/// rendered through [`TraceSnapshot::to_chrome_json`], so rolled
-/// segments concatenate into a single loadable stream.
-pub fn chrome_json_from_jsonl(text: &str) -> Result<String, serde_json::Error> {
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut dropped = 0u64;
-    let mut cycles_per_ns = 0.0f64;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v: Value = serde_json::from_str(line)?;
-        if let Ok(seg) = serde::field(&v, "segment") {
-            if cycles_per_ns == 0.0 {
-                if let Ok(f) = serde::field(seg, "cycles_per_ns") {
-                    cycles_per_ns = num_f64(f);
-                }
-            }
-        } else if let Ok(sum) = serde::field(&v, "drain") {
-            if let Ok(d) = serde::field(sum, "dropped") {
-                dropped = dropped.max(num_u64(d));
-            }
-        } else {
-            events.push(<TraceEvent as serde::Deserialize>::from_value(&v)?);
-        }
-    }
-    if cycles_per_ns == 0.0 {
-        cycles_per_ns = clock::cycles_per_ns();
-    }
-    events.sort_by_key(|e| e.ts);
-    let snapshot = TraceSnapshot {
-        events,
-        dropped,
-        cycles_per_ns,
-    };
-    Ok(snapshot.to_chrome_json())
-}
-
-/// Reads every `trace-*.jsonl` segment under `dir` in rotation order,
-/// concatenates them, and converts the result with
-/// [`chrome_json_from_jsonl`].
-pub fn chrome_json_from_dir(dir: &Path) -> io::Result<String> {
+/// The `<prefix>*.jsonl` segments under `dir`, in rotation order
+/// (zero-padded sequence numbers make name order rotation order).
+pub(crate) fn segment_paths(dir: &Path, prefix: &str) -> io::Result<Vec<PathBuf>> {
     let mut segs: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("trace-") && n.ends_with(".jsonl"))
+                .is_some_and(|n| n.starts_with(prefix) && n.ends_with(".jsonl"))
         })
         .collect();
     segs.sort();
-    let mut text = String::new();
-    for seg in &segs {
-        text.push_str(&fs::read_to_string(seg)?);
-        if !text.ends_with('\n') {
-            text.push('\n');
+    Ok(segs)
+}
+
+/// The stream's final word: the last [`DrainSummary`] of the newest
+/// segment under `dir` that carries one. After
+/// [`finish`](TraceStream::finish) this states the exact conservation
+/// identity of the whole run.
+pub fn final_summary(dir: &Path) -> io::Result<DrainSummary> {
+    for seg in segment_paths(dir, "trace-")?.iter().rev() {
+        let text = fs::read_to_string(seg)?;
+        let last = text.lines().rev().find_map(|l| match StreamLine::parse(l) {
+            Ok(StreamLine::Drain(d)) => Some(d),
+            _ => None,
+        });
+        if let Some(summary) = last {
+            return Ok(summary);
         }
     }
-    chrome_json_from_jsonl(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    Err(io::Error::new(
+        io::ErrorKind::NotFound,
+        format!("no drain summary in any segment under {}", dir.display()),
+    ))
 }
 
 #[cfg(test)]
@@ -454,11 +466,7 @@ mod tests {
     use crate::trace::TraceLevel;
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "xgomp-stream-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let dir = std::env::temp_dir().join(format!("xgomp-stream-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -467,8 +475,7 @@ mod tests {
     fn rolling_stream_rotates_prunes_and_conserves() {
         let dir = scratch("rotate");
         let tracer = Tracer::with_capacity(TraceLevel::Full, 256);
-        let r0 = tracer.ring(0);
-        let r1 = tracer.ring(1);
+        let (r0, r1) = (tracer.ring(0), tracer.ring(1));
         let cfg = TraceStreamConfig::new(&dir).rotate_bytes(1024).keep(3);
         let mut stream = TraceStream::create(cfg).unwrap();
 
@@ -488,47 +495,44 @@ mod tests {
         assert_eq!(stats.drained, 40 * 40, "every record reaches the stream");
 
         // Retention: at most `keep` segments remain, newest last.
-        let mut names: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        assert!(names.len() <= 3, "retention cap violated: {names:?}");
-        assert!(names
-            .last()
-            .unwrap()
-            .ends_with(&format!("{:06}.jsonl", stats.rotations)));
+        let segs = segment_paths(&dir, "trace-").unwrap();
+        assert!(segs.len() <= 3, "retention cap violated: {segs:?}");
+        let newest = segs.last().unwrap().to_str().unwrap();
+        assert!(newest.ends_with(&format!("{:06}.jsonl", stats.rotations)));
 
         // The retained concatenation converts to parseable Chrome JSON
         // with the synthetic DrainCycle markers on the pseudo-track.
         let chrome = chrome_json_from_dir(&dir).unwrap();
-        let v: Value = serde_json::from_str(&chrome).unwrap();
-        drop(v);
+        serde_json::from_str::<Value>(&chrome).unwrap();
         assert!(chrome.contains("\"name\":\"DRAIN_CYCLE\""));
 
         // The final summary of the last segment carries the exact
         // conservation identity per worker.
-        let last = fs::read_to_string(dir.join(names.last().unwrap())).unwrap();
-        let summary = last
-            .lines()
-            .rev()
-            .find(|l| l.starts_with("{\"drain\""))
-            .expect("final summary present");
-        let v: Value = serde_json::from_str(summary).unwrap();
-        let d = serde::field(&v, "drain").unwrap();
-        let workers = match serde::field(d, "workers").unwrap() {
-            Value::Seq(w) => w.clone(),
-            other => panic!("workers must be a list, got {other:?}"),
-        };
-        assert_eq!(workers.len(), 2);
-        for w in &workers {
-            let position = num_u64(serde::field(w, "position").unwrap());
-            let drained = num_u64(serde::field(w, "drained").unwrap());
-            let dropped = num_u64(serde::field(w, "dropped").unwrap());
-            let emitted = num_u64(serde::field(w, "emitted").unwrap());
-            assert_eq!(position, drained + dropped);
-            assert_eq!(position, emitted, "quiesced stream reaches the head");
+        let summary = final_summary(&dir).unwrap();
+        assert_eq!(summary.rotations, stats.rotations);
+        assert_eq!(summary.workers.len(), 2);
+        for w in &summary.workers {
+            assert_eq!(w.position, w.drained + w.dropped);
+            assert_eq!(w.position, w.emitted, "quiesced stream reaches the head");
         }
+        assert_eq!(summary.drained + summary.dropped, summary.emitted());
+        assert_eq!(summary.drained, stats.drained);
+
+        // Everything the writer put on disk — all three line kinds —
+        // round-trips through the one typed format.
+        let mut kinds = [0usize; 3];
+        for seg in &segs {
+            for line in fs::read_to_string(seg).unwrap().lines() {
+                let parsed = StreamLine::parse(line).unwrap();
+                assert_eq!(StreamLine::parse(&parsed.to_json()).unwrap(), parsed);
+                kinds[match parsed {
+                    StreamLine::Segment(_) => 0,
+                    StreamLine::Event(_) => 1,
+                    StreamLine::Drain(_) => 2,
+                }] += 1;
+            }
+        }
+        assert!(kinds.iter().all(|&n| n > 0), "saw {kinds:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -544,9 +548,30 @@ mod tests {
             ring.emit(i, EventKind::Steal as u8, 0, i, 0);
         }
         stream.drain_cycle(&tracer).unwrap();
+        // Drops are a per-reader fact. A snapshot reader lapped on the
+        // same ring accounts its own gap; the tracer must not fold both
+        // readers' gaps into one counter that overtakes `emitted`.
+        // Any interleaving of the two readers keeps both identities.
+        let mut snapped = tracer.snapshot().events.len() as u64;
+        assert_eq!(snapped + tracer.dropped(), 100, "snapshot reader conserves");
+        for round in 0..6u64 {
+            for i in 0..(7 + 9 * round) {
+                ring.emit(1_000 * round + i, EventKind::Steal as u8, 0, i, 0);
+            }
+            if round % 2 == 0 {
+                stream.drain_cycle(&tracer).unwrap();
+            }
+            if round % 3 != 1 {
+                snapped += tracer.snapshot().events.len() as u64;
+            }
+            assert!(tracer.dropped() <= tracer.emitted());
+        }
+        snapped += tracer.snapshot().events.len() as u64;
+        assert_eq!(snapped + tracer.dropped(), tracer.emitted());
         let stats = stream.finish(&tracer).unwrap();
-        assert_eq!(stats.drained + stats.dropped, 100);
+        assert_eq!(stats.drained + stats.dropped, tracer.emitted());
         assert!(stats.dropped > 0);
+        assert_eq!(final_summary(&dir).unwrap().emitted(), tracer.emitted());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -83,7 +83,7 @@ pub fn render_timeline(logs: &[PerfLog], width: usize) -> String {
             if best_ticks == 0 {
                 out.push(' ');
             } else {
-                out.push(EventKind::ALL[best_kind].glyph());
+                out.push(EventKind::ALL[best_kind].glyph().unwrap_or('?'));
             }
         }
         out.push_str("|\n");

@@ -1,5 +1,5 @@
-//! Flight-recorder tracing: per-worker event rings, Chrome-trace /
-//! Perfetto export, and Prometheus text-exposition helpers.
+//! Flight-recorder tracing: the per-worker event rings, their level
+//! gate, and the one reader every consumer drains them through.
 //!
 //! The §V [`PerfLog`](crate::PerfLog) answers "where did the cycles
 //! go" per worker, in aggregate. This module answers *when*: every
@@ -9,11 +9,13 @@
 //! balancer migrations, job lifecycle spans). A [`Tracer`] owns the
 //! rings across team generations, gates every site behind a
 //! [`TraceLevel`] held in one atomic byte — `Off` costs a single
-//! relaxed load and branch per site — and drains them into a
-//! [`TraceSnapshot`] whose [`to_chrome_json`](TraceSnapshot::to_chrome_json)
-//! export opens directly in `chrome://tracing` or
-//! [Perfetto](https://ui.perfetto.dev): one track per worker, async
-//! spans per job.
+//! relaxed load and branch per site. Every consumer reads the rings
+//! through a [`RingReader`]: [`Tracer::snapshot`] is the tracer's own
+//! reader with a `Vec` sink, yielding a [`TraceSnapshot`] whose
+//! [`to_chrome_json`](TraceSnapshot::to_chrome_json) export opens
+//! directly in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)
+//! (one track per worker, async spans per job); the rolling on-disk
+//! [`stream`](crate::stream) is another reader with a line sink.
 //!
 //! The rings are *flight recorders*: emission never blocks on a slow
 //! (or absent) reader, the newest ~capacity records are always
@@ -21,15 +23,16 @@
 //! shows the milliseconds leading up to the panic, which is exactly
 //! the window that matters.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 use xgomp_xqueue::{EventRing, RingCursor};
 
+pub use crate::chrome::TraceSnapshot;
 use crate::clock;
 use crate::events::EventKind;
+pub use crate::prom::PromText;
 
 /// How much the runtime records, per instrumentation site.
 ///
@@ -83,23 +86,20 @@ impl TraceLevel {
     }
 }
 
-struct RingState {
-    ring: Arc<EventRing>,
-    cursor: RingCursor,
-}
-
 /// Owner of the per-worker flight-recorder rings.
 ///
 /// A `Tracer` outlives any one team generation: the task server keeps
 /// one for its whole life, so rings (and their retained windows)
 /// survive `pause()`/`resume_with()` reshaping — a resize simply grows
 /// the ring list. Workers cache their ring `Arc` at generation start
-/// and emit with zero shared state; draining
-/// ([`snapshot`](Self::snapshot)) happens under one mutex, off every hot path.
+/// and emit with zero shared state; draining happens through
+/// [`RingReader`]s, off every hot path.
 pub struct Tracer {
     level: AtomicU8,
     ring_capacity: usize,
-    rings: Mutex<Vec<RingState>>,
+    rings: Mutex<Vec<Arc<EventRing>>>,
+    /// The reader behind [`snapshot`](Self::snapshot).
+    reader: Mutex<RingReader>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -124,6 +124,7 @@ impl Tracer {
             level: AtomicU8::new(level as u8),
             ring_capacity,
             rings: Mutex::new(Vec::new()),
+            reader: Mutex::default(),
         }
     }
 
@@ -156,33 +157,16 @@ impl Tracer {
     pub fn ring(&self, worker: usize) -> Arc<EventRing> {
         let mut rings = self.rings.lock().unwrap();
         while rings.len() <= worker {
-            rings.push(RingState {
-                ring: Arc::new(EventRing::with_capacity(self.ring_capacity)),
-                cursor: RingCursor::new(),
-            });
+            rings.push(Arc::new(EventRing::with_capacity(self.ring_capacity)));
         }
-        rings[worker].ring.clone()
+        rings[worker].clone()
     }
 
-    /// Number of rings materialized so far.
-    pub fn n_rings(&self) -> usize {
-        self.rings.lock().unwrap().len()
-    }
-
-    /// Clones of every materialized ring `Arc`, in worker order. An
-    /// external reader (the streaming drain collector) keeps its *own*
-    /// [`RingCursor`] per ring and drains
-    /// through these handles without holding the tracer's lock during
-    /// I/O — independent cursors each see the retained window, so the
-    /// stream and [`snapshot`](Self::snapshot) never steal each other's
-    /// events.
-    pub fn ring_handles(&self) -> Vec<Arc<EventRing>> {
-        self.rings
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|r| r.ring.clone())
-            .collect()
+    /// Clones of every materialized ring `Arc`, in worker order, so a
+    /// reader never holds the tracer's lock while it drains (or does
+    /// I/O).
+    pub(crate) fn rings(&self) -> Vec<Arc<EventRing>> {
+        self.rings.lock().unwrap().clone()
     }
 
     /// Emits one record into `worker`'s ring from *outside* that
@@ -199,56 +183,94 @@ impl Tracer {
 
     /// Total records emitted across all rings.
     pub fn emitted(&self) -> u64 {
-        self.rings
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|r| r.ring.emitted())
-            .sum()
+        let rings = self.rings.lock().unwrap();
+        rings.iter().map(|r| r.emitted()).sum()
     }
 
-    /// Total records lost to flight-recorder overwrite, as accounted
-    /// by drains so far.
+    /// Records the tracer's own [`snapshot`](Self::snapshot) reader lost
+    /// to flight-recorder overwrite so far. Drops are a per-reader
+    /// fact: another [`RingReader`] over the same rings (the streaming
+    /// collector) accounts its own, so this never exceeds
+    /// [`emitted`](Self::emitted).
     pub fn dropped(&self) -> u64 {
-        self.rings
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|r| r.ring.dropped())
-            .sum()
+        self.reader.lock().unwrap().dropped()
     }
 
-    /// Drains every ring (advancing the tracer's cursors) into a
+    /// Drains every ring through the tracer's own reader into a
     /// time-sorted snapshot. Two consecutive snapshots partition the
     /// event stream: each record lands in exactly one snapshot (or in
     /// the drop count, if the recorder lapped the reader).
     pub fn snapshot(&self) -> TraceSnapshot {
         let mut events = Vec::new();
-        let mut dropped = 0;
-        {
-            let mut rings = self.rings.lock().unwrap();
-            for (w, state) in rings.iter_mut().enumerate() {
-                state.ring.drain(&mut state.cursor, &mut |raw| {
-                    if let Some(kind) = EventKind::from_u8(raw.kind) {
-                        events.push(TraceEvent {
-                            worker: w as u32,
-                            ts: raw.ts,
-                            kind,
-                            a: raw.a,
-                            b: raw.b,
-                            c: raw.c,
-                        });
-                    }
-                });
-                dropped += state.cursor.dropped();
-            }
-        }
+        let dropped = {
+            let mut reader = self.reader.lock().unwrap();
+            reader.drain(self, |e| events.push(e));
+            reader.dropped()
+        };
         events.sort_by_key(|e| e.ts);
         TraceSnapshot {
             events,
             dropped,
             cycles_per_ns: clock::cycles_per_ns(),
         }
+    }
+}
+
+/// One reader's position in every ring of a [`Tracer`]: a private
+/// [`RingCursor`] per worker ring, plus the one place a raw ring record
+/// is decoded into a [`TraceEvent`].
+///
+/// Readers are independent. Each sees every record its rings still
+/// retain, exactly once, and none consumes another's view — which is
+/// why [`Tracer::snapshot`] and the rolling [`stream`](crate::stream)
+/// coexist — and each accounts its *own* drops: per cursor,
+/// `drained + dropped == position`, and `position` reaches the ring's
+/// `emitted` count once the writer quiesces. A `default()` reader starts
+/// at the oldest retained record of every ring.
+#[derive(Debug, Default)]
+pub struct RingReader {
+    cursors: Vec<RingCursor>,
+}
+
+impl RingReader {
+    /// Drains every ring `tracer` has materialized — rings that appeared
+    /// since the last call get a fresh cursor — handing each decoded
+    /// record to `sink` in per-ring emission order. Records of a kind
+    /// this build does not know are skipped. Returns the records handed
+    /// to `sink`.
+    pub fn drain(&mut self, tracer: &Tracer, mut sink: impl FnMut(TraceEvent)) -> u64 {
+        let rings = tracer.rings();
+        while self.cursors.len() < rings.len() {
+            self.cursors.push(RingCursor::new());
+        }
+        let mut delivered = 0;
+        for (w, (ring, cursor)) in rings.iter().zip(&mut self.cursors).enumerate() {
+            ring.drain(cursor, &mut |raw| {
+                if let Some(kind) = EventKind::from_u8(raw.kind) {
+                    delivered += 1;
+                    sink(TraceEvent {
+                        worker: w as u32,
+                        ts: raw.ts,
+                        kind,
+                        a: raw.a,
+                        b: raw.b,
+                        c: raw.c,
+                    });
+                }
+            });
+        }
+        delivered
+    }
+
+    /// The per-worker cursors (`position`/`drained`/`dropped` of ring
+    /// `w` at index `w`), for readers that publish their accounting.
+    pub fn cursors(&self) -> &[RingCursor] {
+        &self.cursors
+    }
+
+    /// Records this reader lost to ring overwrite, over all rings.
+    pub fn dropped(&self) -> u64 {
+        self.cursors.iter().map(|c| c.dropped()).sum()
     }
 }
 
@@ -269,309 +291,11 @@ pub struct TraceEvent {
     pub c: u64,
 }
 
-impl TraceEvent {
-    /// Whether payload `c` carries a paired start timestamp (the event
-    /// closes a span `[c, ts]`).
-    fn c_is_timestamp(&self) -> bool {
-        matches!(
-            self.kind,
-            EventKind::Task | EventKind::JobStart | EventKind::JobEnd
-        )
-    }
-}
-
-/// A drained, time-sorted view of every ring.
-#[derive(Debug)]
-pub struct TraceSnapshot {
-    /// All drained records, ascending timestamp.
-    pub events: Vec<TraceEvent>,
-    /// Cumulative records lost to flight-recorder overwrite.
-    pub dropped: u64,
-    /// Tick-to-nanosecond calibration at snapshot time.
-    pub cycles_per_ns: f64,
-}
-
-impl TraceSnapshot {
-    /// Highest worker index present, plus one.
-    pub fn n_workers(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| e.worker as usize + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Events of one kind.
-    pub fn count(&self, kind: EventKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
-    }
-
-    /// Renders the snapshot as Chrome-trace ("Trace Event Format")
-    /// JSON, loadable in `chrome://tracing` and Perfetto.
-    ///
-    /// * one thread track per worker (`pid` 1, `tid` = worker);
-    /// * consecutive Park→Wake pairs become `"parked"` duration
-    ///   events; unpaired ends render as instants;
-    /// * `Task` and `JobEnd` records (which carry their start in `c`)
-    ///   become complete (`ph:"X"`) spans on the worker's track;
-    /// * `JobStart`/`JobEnd` additionally open/close an async span
-    ///   (`ph:"b"`/`"e"`) per job id, beginning at *submission* time —
-    ///   the async track therefore shows queue wait + run per job;
-    /// * everything else renders as an instant (`ph:"i"`).
-    pub fn to_chrome_json(&self) -> String {
-        // Timebase: earliest timestamp mentioned anywhere (including
-        // span starts carried in `c`), so every "ts" is a non-negative
-        // microsecond offset.
-        let base = self
-            .events
-            .iter()
-            .flat_map(|e| {
-                let c = e.c_is_timestamp().then_some(e.c);
-                std::iter::once(e.ts).chain(c)
-            })
-            .min()
-            .unwrap_or(0);
-        let per_us = self.cycles_per_ns * 1_000.0;
-        let us = |ticks: u64| ticks.saturating_sub(base) as f64 / per_us;
-
-        let mut out = String::with_capacity(64 * self.events.len() + 256);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{");
-        let _ = write!(
-            out,
-            "\"dropped_events\":{},\"cycles_per_ns\":{:.4}",
-            self.dropped, self.cycles_per_ns
-        );
-        out.push_str("},\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, ev: String| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(&ev);
-        };
-
-        // Track naming metadata.
-        push(
-            &mut out,
-            "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"xgomp\"}}"
-                .to_string(),
-        );
-        for w in 0..self.n_workers() {
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":1,\"tid\":{w},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"worker {w}\"}}}}"
-                ),
-            );
-        }
-
-        let mut pending_park: Vec<Option<u64>> = vec![None; self.n_workers()];
-        for e in &self.events {
-            let w = e.worker;
-            let name = e.kind.label();
-            match e.kind {
-                EventKind::Park => {
-                    // Held until the matching wake (events are sorted,
-                    // and one worker's park/wake strictly alternate).
-                    pending_park[w as usize] = Some(e.ts);
-                }
-                EventKind::Wake => match pending_park[w as usize].take() {
-                    Some(p0) => push(
-                        &mut out,
-                        format!(
-                            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{w},\"name\":\"parked\",\
-                             \"cat\":\"idle\",\"ts\":{:.3},\"dur\":{:.3}}}",
-                            us(p0),
-                            us(e.ts) - us(p0)
-                        ),
-                    ),
-                    None => push(
-                        &mut out,
-                        format!(
-                            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{w},\
-                             \"name\":\"{name}\",\"ts\":{:.3}}}",
-                            us(e.ts)
-                        ),
-                    ),
-                },
-                EventKind::Task => push(
-                    &mut out,
-                    format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{w},\"name\":\"task\",\
-                         \"cat\":\"task\",\"ts\":{:.3},\"dur\":{:.3}}}",
-                        us(e.c),
-                        us(e.ts) - us(e.c)
-                    ),
-                ),
-                EventKind::JobStart => push(
-                    &mut out,
-                    format!(
-                        "{{\"ph\":\"b\",\"cat\":\"job\",\"id\":{},\"pid\":1,\"tid\":{w},\
-                         \"name\":\"job {}\",\"ts\":{:.3}}}",
-                        e.b,
-                        e.b,
-                        us(e.c)
-                    ),
-                ),
-                EventKind::JobEnd => {
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{w},\"name\":\"job {}\",\
-                             \"cat\":\"job\",\"ts\":{:.3},\"dur\":{:.3},\
-                             \"args\":{{\"panicked\":{}}}}}",
-                            e.b,
-                            us(e.c),
-                            us(e.ts) - us(e.c),
-                            e.a
-                        ),
-                    );
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"ph\":\"e\",\"cat\":\"job\",\"id\":{},\"pid\":1,\"tid\":{w},\
-                             \"name\":\"job {}\",\"ts\":{:.3}}}",
-                            e.b,
-                            e.b,
-                            us(e.ts)
-                        ),
-                    );
-                }
-                _ => push(
-                    &mut out,
-                    format!(
-                        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{w},\
-                         \"name\":\"{name}\",\"ts\":{:.3},\
-                         \"args\":{{\"a\":{},\"b\":{},\"c\":{}}}}}",
-                        us(e.ts),
-                        e.a,
-                        e.b,
-                        e.c
-                    ),
-                ),
-            }
-        }
-        // Workers still parked at snapshot time: render as instants.
-        for (w, p) in pending_park.iter().enumerate() {
-            if let Some(p0) = p {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{w},\
-                         \"name\":\"PARK\",\"ts\":{:.3}}}",
-                        us(*p0)
-                    ),
-                );
-            }
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Writes the Chrome-trace JSON to `path`.
-    pub fn dump_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, self.to_chrome_json())
-    }
-}
-
-/// Incremental builder of a Prometheus text-format exposition
-/// (`# HELP` / `# TYPE` headers plus sample lines). Purely textual —
-/// callers bring their own counter values, so the exposition works on
-/// any snapshot without a live registry.
-#[derive(Debug, Default)]
-pub struct PromText {
-    out: String,
-}
-
-impl PromText {
-    /// An empty exposition.
-    pub fn new() -> Self {
-        PromText::default()
-    }
-
-    fn header(&mut self, name: &str, help: &str, typ: &str) {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {typ}");
-    }
-
-    /// One unlabeled counter metric (header + sample).
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "counter");
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
-    /// One unlabeled gauge metric (header + sample).
-    pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "gauge");
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
-    /// One metric with a labeled sample per entry. `label` is the
-    /// label key; entries are `(label value, sample)`.
-    pub fn counter_vec(&mut self, name: &str, help: &str, label: &str, entries: &[(&str, u64)]) {
-        self.header(name, help, "counter");
-        for (lv, v) in entries {
-            let _ = writeln!(self.out, "{name}{{{label}=\"{lv}\"}} {v}");
-        }
-    }
-
-    /// One fixed-bucket histogram series under a single label pair.
-    /// `buckets` are the upper bounds (in ascending order) matching
-    /// `counts`, which hold *cumulative* observation counts per bucket
-    /// (`counts[i]` = observations ≤ `buckets[i]`); a `+Inf` bucket,
-    /// `_sum` and `_count` lines complete the series. Emit the
-    /// `# HELP`/`# TYPE` header once via
-    /// [`histogram_header`](Self::histogram_header) before the first labeled series.
-    #[allow(clippy::too_many_arguments)]
-    pub fn histogram_series(
-        &mut self,
-        name: &str,
-        label: &str,
-        label_value: &str,
-        buckets: &[f64],
-        counts: &[u64],
-        sum: f64,
-        count: u64,
-    ) {
-        debug_assert_eq!(buckets.len(), counts.len());
-        for (le, c) in buckets.iter().zip(counts) {
-            let _ = writeln!(
-                self.out,
-                "{name}_bucket{{{label}=\"{label_value}\",le=\"{le}\"}} {c}"
-            );
-        }
-        let _ = writeln!(
-            self.out,
-            "{name}_bucket{{{label}=\"{label_value}\",le=\"+Inf\"}} {count}"
-        );
-        let _ = writeln!(self.out, "{name}_sum{{{label}=\"{label_value}\"}} {sum}");
-        let _ = writeln!(
-            self.out,
-            "{name}_count{{{label}=\"{label_value}\"}} {count}"
-        );
-    }
-
-    /// The `# HELP`/`# TYPE histogram` header for a histogram metric
-    /// (once per metric name, before its labeled series).
-    pub fn histogram_header(&mut self, name: &str, help: &str) {
-        self.header(name, help, "histogram");
-    }
-
-    /// The accumulated exposition text.
-    pub fn finish(self) -> String {
-        self.out
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! Everything reachable as `trace::…` is tested here — the
+    //! re-exported [`TraceSnapshot`] export and [`PromText`] included,
+    //! which pins those public paths across the file split.
     use super::*;
 
     #[test]
@@ -613,6 +337,25 @@ mod tests {
         let s2 = t.snapshot();
         assert_eq!(s2.events.len(), 1, "second snapshot sees only new events");
         assert_eq!(s2.events[0].kind, EventKind::Wake);
+
+        // A second reader over the same rings (what the rolling stream
+        // is) partitions the same records on its own: late to the party,
+        // it still sees all three retained records, each exactly once,
+        // and takes nothing away from the snapshot reader.
+        let mut stream = RingReader::default();
+        let mut seen = Vec::new();
+        assert_eq!(stream.drain(&t, |e| seen.push((e.worker, e.ts))), 3);
+        assert_eq!(seen, [(0, 10), (0, 20), (1, 5)], "per-ring emission order");
+        r1.emit(30, EventKind::Steal as u8, 0, 1, 0);
+        t.ring(2).emit(40, EventKind::Park as u8, 0, 0, 0); // a ring neither has met
+        seen.clear();
+        assert_eq!(stream.drain(&t, |e| seen.push((e.worker, e.ts))), 2);
+        assert_eq!(seen, [(1, 30), (2, 40)]);
+        let s3 = t.snapshot();
+        assert_eq!(s3.events.len(), 2, "the stream consumed nothing of ours");
+        assert_eq!(stream.drain(&t, |_| {}), 0);
+        assert_eq!((stream.dropped(), t.dropped()), (0, 0));
+        assert_eq!(stream.cursors().len(), 3);
     }
 
     #[test]

@@ -107,17 +107,6 @@ impl AdaptiveController {
         self
     }
 
-    /// Rebinds the controller to a new sampler (the server replaces its
-    /// sampler when a config swap changes the worker count — lanes are
-    /// per worker). Resets the window baseline and any pending candidate:
-    /// the new sampler's counters restart from zero, and a swap that
-    /// resized the team is a configuration change like any other.
-    pub fn rebind_sampler(&mut self, sampler: Arc<LiveTaskSampler>) {
-        self.last = sampler.snapshot();
-        self.sampler = sampler;
-        self.pending = None;
-    }
-
     /// Sets how many consecutive windows must agree on a *changed*
     /// recommendation before it is published (≥ 1; 1 disables the
     /// hysteresis and restores retune-on-first-window behavior).
@@ -221,9 +210,9 @@ mod tests {
     use super::*;
     use xgomp_core::DlbStrategy;
 
-    fn controller(window: u64, workers: usize) -> (AdaptiveController, Arc<LiveTaskSampler>) {
+    fn controller(window: u64) -> (AdaptiveController, Arc<LiveTaskSampler>) {
         let tuning = Arc::new(DlbTuning::new(DlbConfig::new(DlbStrategy::WorkSteal)));
-        let sampler = Arc::new(LiveTaskSampler::new(workers));
+        let sampler = Arc::<LiveTaskSampler>::default();
         (
             AdaptiveController::new(tuning, sampler.clone(), window, false),
             sampler,
@@ -231,17 +220,18 @@ mod tests {
     }
 
     fn feed(sampler: &LiveTaskSampler, lane: usize, n: u64, cycles: u64) {
+        let lane = sampler.lane(lane);
         for _ in 0..n {
-            sampler.record(lane, cycles);
+            lane.record(cycles);
         }
     }
 
     #[test]
     fn no_retune_before_a_full_window() {
-        let (mut c, sampler) = controller(100, 1);
+        let (mut c, sampler) = controller(100);
         feed(&sampler, 0, 99, 50);
         assert!(c.tick().is_none());
-        sampler.record(0, 50);
+        feed(&sampler, 0, 1, 50);
         // First full window: Table IV row 1 differs from the seed config,
         // but hysteresis holds it back as a candidate…
         assert!(c.tick().is_none(), "first window only nominates");
@@ -254,7 +244,7 @@ mod tests {
 
     #[test]
     fn distribution_shift_switches_strategy_after_confirmation() {
-        let (mut c, sampler) = controller(64, 2);
+        let (mut c, sampler) = controller(64);
         feed(&sampler, 0, 128, 200);
         assert!(c.tick().is_none(), "fine-task tune pending");
         feed(&sampler, 0, 64, 200);
@@ -278,7 +268,7 @@ mod tests {
         let tuning = Arc::new(DlbTuning::new(
             DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(0),
         ));
-        let sampler = Arc::new(LiveTaskSampler::new(1));
+        let sampler = Arc::<LiveTaskSampler>::default();
         let mut c =
             AdaptiveController::new(tuning.clone(), sampler.clone(), 64, false).confirm_windows(1);
         feed(&sampler, 0, 64, 200_000);
@@ -290,7 +280,7 @@ mod tests {
 
     #[test]
     fn confirm_windows_one_restores_immediate_retunes() {
-        let (c, sampler) = controller(64, 1);
+        let (c, sampler) = controller(64);
         let mut c = c.confirm_windows(1);
         feed(&sampler, 0, 64, 200_000);
         assert!(c.tick().is_some(), "no hysteresis: first window tunes");
@@ -302,7 +292,7 @@ mod tests {
         // NA-WS row, NA-RP row, NA-WS row, … With two-window hysteresis
         // the candidate never survives two windows, so after the initial
         // settle no retune happens at all.
-        let (c, sampler) = controller(32, 1);
+        let (c, sampler) = controller(32);
         let mut c = c.confirm_windows(2);
         // Settle on the fine-grained class first (two agreeing windows).
         feed(&sampler, 0, 64, 5_000);
@@ -326,7 +316,7 @@ mod tests {
 
     #[test]
     fn sustained_shift_still_converges() {
-        let (c, sampler) = controller(32, 1);
+        let (c, sampler) = controller(32);
         let mut c = c.confirm_windows(3);
         for _ in 0..3 {
             feed(&sampler, 0, 32, 500);
@@ -347,7 +337,7 @@ mod tests {
 
     #[test]
     fn stable_distribution_does_not_flap() {
-        let (mut c, sampler) = controller(32, 1);
+        let (mut c, sampler) = controller(32);
         for round in 0..8 {
             feed(&sampler, 0, 32, 5_000);
             let tick = c.tick();
@@ -369,7 +359,7 @@ mod tests {
     fn external_swap_resets_pending_candidate() {
         let tuning = Arc::new(DlbTuning::new(DlbConfig::new(DlbStrategy::WorkSteal)));
         let epoch = Arc::new(AtomicU64::new(0));
-        let sampler = Arc::new(LiveTaskSampler::new(1));
+        let sampler = Arc::<LiveTaskSampler>::default();
         let mut c = AdaptiveController::new(tuning.clone(), sampler.clone(), 32, false)
             .confirm_windows(2)
             .watch_swaps(epoch.clone());
@@ -407,19 +397,23 @@ mod tests {
         assert_eq!(cfg.strategy, DlbStrategy::RedirectPush);
     }
 
+    /// A team resize (`resume_with`) reaches the controller as a swap
+    /// epoch bump — the sampler is the server's for life, its counts
+    /// never restart and new workers just record on new lanes.
     #[test]
     fn rebind_resets_baseline_and_candidate() {
-        let (mut c, sampler) = controller(32, 1);
+        let epoch = Arc::new(AtomicU64::new(0));
+        let (c, sampler) = controller(32);
+        let mut c = c.watch_swaps(epoch.clone());
         feed(&sampler, 0, 32, 300_000);
         assert!(c.tick().is_none(), "nomination pending");
-        // Team resized: new sampler, counters restart from zero. The
-        // controller must not see counts "go backwards" (a stuck window)
-        // nor keep the stale candidate.
-        let fresh = Arc::new(LiveTaskSampler::new(4));
-        c.rebind_sampler(fresh.clone());
-        feed(&fresh, 1, 32, 300_000);
-        assert!(c.tick().is_none(), "post-rebind window 1 nominates anew");
-        feed(&fresh, 2, 32, 300_000);
+        // Team resized 1 → 4 workers: the stale candidate must go, and
+        // the window restarts at the boundary.
+        epoch.fetch_add(1, Ordering::Release);
+        assert!(c.tick().is_none(), "the boundary tick only re-baselines");
+        feed(&sampler, 1, 32, 300_000);
+        assert!(c.tick().is_none(), "post-resize window 1 nominates anew");
+        feed(&sampler, 3, 32, 300_000);
         assert_eq!(
             c.tick().expect("window 2 confirms").strategy,
             DlbStrategy::RedirectPush
@@ -439,7 +433,7 @@ mod tests {
             // observable as a strategy change.
             recommend_dlb(200_000),
         ));
-        let sampler = Arc::new(LiveTaskSampler::new(2));
+        let sampler = Arc::<LiveTaskSampler>::default();
         let mut c =
             AdaptiveController::new(tuning.clone(), sampler.clone(), 512, false).confirm_windows(2);
         for _ in 0..2 {
@@ -461,7 +455,7 @@ mod tests {
 
     #[test]
     fn disabled_controller_never_ticks() {
-        let (mut c, sampler) = controller(0, 1);
+        let (mut c, sampler) = controller(0);
         feed(&sampler, 0, 1_000, 10);
         assert!(c.tick().is_none());
     }

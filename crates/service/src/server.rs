@@ -69,7 +69,7 @@ use crate::metrics::{MetricsHooks, MetricsListener};
 use crate::ServerConfig;
 use xgomp_core::{
     AutoSelector, DlbConfig, DlbStrategy, DlbTuning, LiveTaskSampler, LoopBalancer, LoopTelemetry,
-    ParkerCell, RegionOutput, TaskSizeHistogram, TraceStream, Tracer,
+    ParkerCell, RegionOutput, TraceStream, Tracer,
 };
 
 mod admission;
@@ -157,12 +157,10 @@ struct ServerShared {
     /// swapped by the adaptive controller, `swap_tuning` and
     /// `resume_with`.
     tuning: Arc<DlbTuning>,
-    /// Live task-size sampler of the current generation (replaced when a
-    /// config swap resizes the team — lanes are per worker).
-    sampler: Mutex<Arc<LiveTaskSampler>>,
-    /// Histograms of retired samplers, so `task_histogram` spans every
-    /// generation.
-    retired_hist: Mutex<TaskSizeHistogram>,
+    /// Live task-size sampler, server-owned like the tracer below: every
+    /// generation's workers record into the same lanes (a resize grows
+    /// the lane list), so its histogram spans the server's life.
+    sampler: Arc<LiveTaskSampler>,
     /// Bumped on every external `DlbTuning` swap; the controller resets
     /// its hysteresis when it observes a change.
     swap_epoch: Arc<AtomicU64>,
@@ -284,7 +282,6 @@ impl TaskServer {
             .dlb
             .unwrap_or_else(|| DlbConfig::new(DlbStrategy::WorkSteal));
         let tuning = Arc::new(DlbTuning::new(initial_dlb));
-        let sampler = Arc::new(LiveTaskSampler::new(rt.threads));
         let loop_balancer = Arc::new(LoopBalancer::new());
         loop_balancer.bind_tuning(&tuning);
         // `Schedule::Auto` selector: watches the swap epoch so a tuning
@@ -318,8 +315,7 @@ impl TaskServer {
             ctl: Mutex::new(ControlPlane::default()),
             ctl_cv: Condvar::new(),
             tuning,
-            sampler: Mutex::new(sampler.clone()),
-            retired_hist: Mutex::new(TaskSizeHistogram::default()),
+            sampler: Arc::default(),
             swap_epoch,
             loop_stats: Arc::new(LoopTelemetry::new()),
             loop_balancer,
@@ -379,14 +375,7 @@ impl TaskServer {
             std::thread::Builder::new()
                 .name("xgomp-service-master".into())
                 .spawn(move || {
-                    lifecycle::master_loop(
-                        shared,
-                        sampler,
-                        rt,
-                        shard_of_worker,
-                        adapt_every,
-                        log_retunes,
-                    )
+                    lifecycle::master_loop(shared, rt, shard_of_worker, adapt_every, log_retunes)
                 })
                 .expect("spawn service master")
         };
@@ -437,10 +426,10 @@ impl TaskServer {
         let joined = master.join();
         // After the join every ring is quiet: stop the collector first —
         // its final drain + summary states the conservation identity
-        // exactly — then take the shutdown snapshot (the dump's cursors
-        // are independent of the stream's, so both see the retained
-        // window), and tear the scrape endpoint down last so a scraper
-        // can watch the server all the way through `closing`.
+        // exactly — then take the shutdown snapshot (a different reader:
+        // it still sees the whole retained window), and tear the scrape
+        // endpoint down last so a scraper can watch the server all the
+        // way through `closing`.
         if let Some(c) = self.collector.take() {
             c.stop();
         }

@@ -11,8 +11,8 @@ use super::{ServerShared, TaskServer};
 use crate::controller::AdaptiveController;
 use crate::{locked, wait};
 use xgomp_core::{
-    DlbConfig, EventKind, IngressSource, LiveTaskSampler, PersistentTeam, RegionOutput,
-    RuntimeConfig, ServingHooks, TaskCtx, TraceLevel,
+    DlbConfig, EventKind, IngressSource, PersistentTeam, RegionOutput, RuntimeConfig, ServingHooks,
+    TaskCtx, TraceLevel,
 };
 use xgomp_topology::Placement;
 use xgomp_xqueue::IdleGate;
@@ -244,7 +244,6 @@ pub(super) fn generation_layout(rt: &RuntimeConfig, n_shards: usize) -> (Vec<usi
 /// final shutdown drain) between regions.
 pub(super) fn master_loop(
     shared: Arc<ServerShared>,
-    mut sampler: Arc<LiveTaskSampler>,
     mut rt: RuntimeConfig,
     first_layout: Vec<usize>,
     adapt_every: u64,
@@ -254,9 +253,9 @@ pub(super) fn master_loop(
     // The controller persists across generations (window continuity and
     // hysteresis are workload properties, not generation properties);
     // config swaps reset it through the swap epoch.
-    let tuning = shared.tuning.clone();
+    let (tuning, sampler) = (shared.tuning.clone(), shared.sampler.clone());
     let controller = Mutex::new(
-        AdaptiveController::new(tuning, sampler.clone(), adapt_every, log_retunes)
+        AdaptiveController::new(tuning, sampler, adapt_every, log_retunes)
             .watch_swaps(shared.swap_epoch.clone()),
     );
     let mut layout = Some(first_layout);
@@ -297,7 +296,7 @@ pub(super) fn master_loop(
         });
         let hooks = ServingHooks {
             source: Some(source.clone() as Arc<dyn IngressSource>),
-            sampler: Some(sampler.clone()),
+            sampler: Some(shared.sampler.clone()),
             tuning: Some(shared.tuning.clone()),
             loop_stats: Some(shared.loop_stats.clone()),
             balancer: Some(shared.loop_balancer.clone()),
@@ -347,14 +346,7 @@ pub(super) fn master_loop(
             break;
         };
         if let Some(new_rt) = cfg {
-            apply_config(
-                &shared,
-                &mut team,
-                &mut rt,
-                &mut sampler,
-                &controller,
-                new_rt,
-            );
+            apply_config(&shared, &mut team, &mut rt, new_rt);
         }
     }
     regions
@@ -365,30 +357,16 @@ fn apply_config(
     shared: &ServerShared,
     team: &mut PersistentTeam,
     rt: &mut RuntimeConfig,
-    sampler: &mut Arc<LiveTaskSampler>,
-    controller: &Mutex<AdaptiveController>,
     new_rt: RuntimeConfig,
 ) {
-    let resized = new_rt.threads != rt.threads;
     team.reconfigure(new_rt.clone());
-    if resized {
-        // Sampler lanes are per worker: retire the old histogram into the
-        // cumulative store and rebind the controller to a fresh sampler.
-        let fresh = Arc::new(LiveTaskSampler::new(new_rt.threads));
-        {
-            let mut current = locked(&shared.sampler);
-            locked(&shared.retired_hist).merge(&current.snapshot());
-            *current = fresh.clone();
-        }
-        locked(controller).rebind_sampler(fresh.clone());
-        *sampler = fresh;
-    }
     if let Some(dlb) = new_rt.dlb {
         shared.tuning.store(dlb);
     }
     // A config swap is a hysteresis boundary even when the DLB seed is
     // unchanged: recommendations confirmed against the old shape must
-    // not publish against the new one.
+    // not publish against the new one. (A resize needs nothing more —
+    // the sampler and tracer just grow lanes/rings for new workers.)
     shared.swap_epoch.fetch_add(1, Ordering::Release);
     *rt = new_rt;
 }

@@ -422,6 +422,8 @@ static FAMILIES: [Family; 38] = [
     Family {
         name: "xgomp_trace_events_dropped_total",
         help: "Flight-recorder events overwritten before a drain read them",
+        // The snapshot reader's own drops (the streaming collector's
+        // are `xgomp_trace_dropped_total`): per reader, so ≤ emitted.
         read: Read::LiveCounter(|s| s.tracer.dropped()),
     },
     Family {
@@ -724,13 +726,9 @@ impl TaskServer {
     }
 
     /// Merged live task-size histogram since the server started,
-    /// spanning every generation (including retired samplers from
-    /// team-resizing config swaps).
+    /// spanning every generation (team-resizing config swaps included).
     pub fn task_histogram(&self) -> TaskSizeHistogram {
-        let mut hist = locked(&self.shared.retired_hist).clone();
-        let current = locked(&self.shared.sampler).clone();
-        hist.merge(&current.snapshot());
-        hist
+        self.shared.sampler.snapshot()
     }
 
     // ---- flight recorder / metrics exposition -------------------------

@@ -31,16 +31,18 @@
 //! exactly slot `h₂ mod capacity`, i.e. record `h₂ − capacity`. One
 //! slot is therefore always conservatively unreadable: a full ring
 //! yields `capacity − 1` records. Torn or lapped records are counted
-//! into the drop
-//! total, never surfaced, so every emitted record is either drained or
-//! dropped: `drained + dropped == emitted` is the conservation identity
-//! the test suite asserts.
+//! into the reading cursor's drop total, never surfaced, so for every
+//! reader each emitted record is either drained or dropped:
+//! `drained + dropped == emitted` is the per-cursor conservation
+//! identity the test suite asserts. Drops are a fact about a *reader*
+//! (how far it fell behind), so the ring keeps no aggregate of them.
 //!
-//! Like [`BQueue`](crate::BQueue), the SPSC discipline is structural:
-//! the runtime gives each worker its own ring, and drains happen under
-//! the tracer's single drain cursor. Violating the single-writer rule
-//! cannot corrupt memory (every access is atomic) — it can only
-//! interleave garbage records.
+//! Like [`BQueue`](crate::BQueue), the single-writer discipline is
+//! structural: the runtime gives each worker its own ring. Readers are
+//! unconstrained — each brings its own [`RingCursor`] and sees every
+//! retained record without consuming another reader's view. Violating
+//! the single-writer rule cannot corrupt memory (every access is
+//! atomic) — it can only interleave garbage records.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -76,9 +78,8 @@ struct Slot {
 /// A reader's position in one [`EventRing`], with its drop accounting.
 ///
 /// The cursor lives outside the ring so the ring itself stays
-/// writer-only state (plus the aggregate drop counter): one long-lived
-/// cursor per ring gives incremental drains; a fresh cursor re-reads
-/// whatever the ring still retains.
+/// writer-only state: one long-lived cursor per ring gives incremental
+/// drains; a fresh cursor re-reads whatever the ring still retains.
 #[derive(Debug, Default, Clone)]
 pub struct RingCursor {
     /// Index of the next record to read.
@@ -120,8 +121,6 @@ pub struct EventRing {
     /// Total records ever emitted; `head % capacity` is the slot the
     /// *next* emit writes. Published with Release once per emit.
     head: AtomicU64,
-    /// Aggregate drop count folded in by readers (all cursors).
-    dropped: AtomicU64,
     mask: u64,
 }
 
@@ -140,7 +139,6 @@ impl EventRing {
                 })
                 .collect(),
             head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             mask: (cap - 1) as u64,
         }
     }
@@ -158,11 +156,6 @@ impl EventRing {
     /// Total records ever emitted into this ring.
     pub fn emitted(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
-    }
-
-    /// Total records readers have accounted as overwritten.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Emits one record: four relaxed slot stores and a single Release
@@ -188,8 +181,7 @@ impl EventRing {
     /// advancing the cursor past everything emitted up to the drain's
     /// start; returns the number of records surfaced. Records the
     /// writer lapped (or tore mid-read) are skipped and added to the
-    /// cursor's — and the ring's — drop counts, preserving
-    /// `drained + dropped == emitted`.
+    /// cursor's drop count, preserving `drained + dropped == emitted`.
     pub fn drain(&self, cursor: &mut RingCursor, f: &mut dyn FnMut(RawEvent)) -> u64 {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
@@ -233,9 +225,6 @@ impl EventRing {
         }
         cursor.next = head;
         cursor.dropped += dropped;
-        if dropped > 0 {
-            self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
         drained
     }
 }
@@ -251,7 +240,6 @@ impl std::fmt::Debug for EventRing {
         f.debug_struct("EventRing")
             .field("capacity", &self.capacity())
             .field("emitted", &self.emitted())
-            .field("dropped", &self.dropped())
             .finish()
     }
 }
@@ -308,7 +296,8 @@ mod tests {
         // The retained window is exactly the newest records, in order.
         let expect: Vec<u64> = (N - drained..N).collect();
         assert_eq!(got, expect);
-        assert_eq!(ring.dropped(), cur.dropped());
+        assert_eq!(cur.position(), N, "the cursor caught up with the head");
+        assert_eq!(cur.drained(), drained);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xgomp::service::{Lifecycle, ServerConfig, TaskServer};
-use xgomp::{DlbConfig, DlbStrategy, MachineTopology, RuntimeConfig};
+use xgomp::{clock, DlbConfig, DlbStrategy, MachineTopology, RuntimeConfig};
 
 /// A server whose parking behavior is pinned on regardless of the
 /// `XGOMP_WAIT_POLICY` CI leg — these tests assert on park counters.
@@ -20,6 +20,16 @@ fn parking_server(threads: usize) -> TaskServer {
                 .park_idle(true),
         ),
     )
+}
+
+/// Busy-waits ≥ 1 µs and hands `v` back: a job body long enough that its
+/// sampled duration cannot round to zero ticks.
+fn after_1us(v: u64) -> u64 {
+    let t0 = clock::now();
+    while clock::now().saturating_sub(t0) < clock::ns_to_ticks(1_000) {
+        std::hint::spin_loop();
+    }
+    v
 }
 
 fn wait_parked(server: &TaskServer, n: usize, what: &str) {
@@ -130,9 +140,9 @@ fn pause_swap_resume_conserves_across_generations() {
     let g1: Vec<_> = (0..100u64)
         .map(|i| {
             if i % 2 == 0 {
-                server.submit(move |_| i).unwrap()
+                server.submit(move |_| after_1us(i)).unwrap()
             } else {
-                pinned.submit(move |_| i).unwrap()
+                pinned.submit(move |_| after_1us(i)).unwrap()
             }
         })
         .collect();
@@ -151,15 +161,17 @@ fn pause_swap_resume_conserves_across_generations() {
         parks_paused,
         "paused team must be asleep, not yield-looping"
     );
+    let hist_g1 = server.task_histogram();
+    assert_eq!(hist_g1.count, 100, "every generation-1 job was sampled");
 
     // Queue while paused, through the *retained* pinned lane and the
     // anonymous path. Nothing may execute yet.
     let queued: Vec<_> = (0..60u64)
         .map(|i| {
             if i % 2 == 0 {
-                server.submit(move |_| 1_000 + i).unwrap()
+                server.submit(move |_| after_1us(1_000 + i)).unwrap()
             } else {
-                pinned.submit(move |_| 1_000 + i).unwrap()
+                pinned.submit(move |_| after_1us(1_000 + i)).unwrap()
             }
         })
         .collect();
@@ -192,15 +204,39 @@ fn pause_swap_resume_conserves_across_generations() {
     let g2: Vec<_> = (0..50u64)
         .map(|i| {
             if i % 2 == 0 {
-                server.submit(move |_| 2_000 + i).unwrap()
+                server.submit(move |_| after_1us(2_000 + i)).unwrap()
             } else {
-                pinned.submit(move |_| 2_000 + i).unwrap()
+                pinned.submit(move |_| after_1us(2_000 + i)).unwrap()
             }
         })
         .collect();
     for (i, h) in g2.into_iter().enumerate() {
         assert_eq!(h.join().unwrap(), 2_000 + i as u64);
     }
+
+    // One sampler serves the server's whole life: the 8 → 3 resize
+    // retired nothing, so the histogram is monotone across it, covers
+    // both generations' jobs, and keeps a true (nonzero) minimum. A
+    // worker records just *after* it completes the handle, hence the
+    // short wait for the last sample.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let hist = loop {
+        let h = server.task_histogram();
+        assert!(h.count >= hist_g1.count && h.count <= 210);
+        if h.count == 210 {
+            break h;
+        }
+        assert!(Instant::now() < deadline, "sampled {}/210 jobs", h.count);
+        std::thread::yield_now();
+    };
+    assert!(hist.min_ticks <= hist_g1.min_ticks && hist.max_ticks >= hist_g1.max_ticks);
+    assert!(
+        0 < hist.min_ticks && hist.min_ticks <= hist.mean() && hist.mean() <= hist.max_ticks,
+        "min {} <= mean {} <= max {}",
+        hist.min_ticks,
+        hist.mean(),
+        hist.max_ticks
+    );
 
     drop(pinned);
     let report = server.shutdown();

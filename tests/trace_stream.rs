@@ -9,7 +9,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use xgomp::service::{ServerConfig, TaskServer, STABLE_METRIC_FAMILIES};
-use xgomp::{chrome_json_from_dir, LoopSchedule, RuntimeConfig, TraceLevel};
+use xgomp::{
+    chrome_json_from_dir, final_summary, EventKind, LoopSchedule, RuntimeConfig, StreamLine,
+    TraceLevel,
+};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xgomp-stream-it-{tag}-{}", std::process::id()));
@@ -31,29 +34,19 @@ fn read_segments(dir: &Path) -> Vec<String> {
         .collect()
 }
 
-/// First `"key":<number>` occurrence in a JSONL line.
-fn json_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat).map(|i| i + pat.len()).unwrap_or(0);
-    line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
-}
-
-/// The final cumulative drain summary of the stream (last `drain` line
-/// of the newest segment).
-fn final_summary(segments: &[String]) -> String {
-    segments
-        .last()
-        .expect("at least one segment")
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("{\"drain\""))
-        .expect("final drain summary present")
-        .to_string()
+/// Every line of every segment, through the stream's one typed format
+/// — asserting on the way that what the writer put on disk re-serialises
+/// to something that parses back to the same line.
+fn parse_segments(segments: &[String]) -> Vec<StreamLine> {
+    let lines = segments.iter().flat_map(|s| s.lines());
+    lines
+        .map(|l| {
+            let parsed = StreamLine::parse(l).expect("segment line parses");
+            let again = StreamLine::parse(&parsed.to_json()).expect("round trip parses");
+            assert_eq!(again, parsed, "line round-trips: {l}");
+            parsed
+        })
+        .collect()
 }
 
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -115,50 +108,41 @@ fn rolling_drain_conserves_across_rotations_and_reshape() {
 
     let segments = read_segments(&dir);
     assert!(segments.len() > 3, "tiny segments must have rotated");
-    let summary = final_summary(&segments);
-    let rotations = json_u64(&summary, "rotations");
-    let drained = json_u64(&summary, "drained");
-    let dropped = json_u64(&summary, "dropped");
+    let summary = final_summary(&dir).expect("final drain summary");
+    let rotations = summary.rotations;
     assert!(rotations >= 3, "expected ≥ 3 rotations, saw {rotations}");
 
     // Per-worker conservation: `position == drained + dropped` for every
     // cursor, and — the writers being quiesced by shutdown — position
     // reaches the ring's emitted count exactly.
-    let workers_at = summary.find("\"workers\":[").expect("workers rows");
-    let rows: Vec<&str> = summary[workers_at..]
-        .split("{\"worker\":")
-        .skip(1)
-        .collect();
-    assert!(rows.len() >= 3, "reshaped server has ≥ 3 worker rings");
-    let mut emitted_sum = 0u64;
-    for row in &rows {
-        let position = json_u64(row, "position");
-        let w_drained = json_u64(row, "drained");
-        let w_dropped = json_u64(row, "dropped");
-        let emitted = json_u64(row, "emitted");
-        assert_eq!(position, w_drained + w_dropped, "cursor identity");
-        assert_eq!(position, emitted, "quiesced stream reaches every head");
-        emitted_sum += emitted;
+    assert!(
+        summary.workers.len() >= 3,
+        "reshaped server has ≥ 3 worker rings"
+    );
+    for w in &summary.workers {
+        assert_eq!(w.position, w.drained + w.dropped, "cursor identity");
+        assert_eq!(w.position, w.emitted, "quiesced stream reaches every head");
     }
     assert_eq!(
-        drained + dropped,
-        emitted_sum,
+        summary.drained + summary.dropped,
+        summary.emitted(),
         "global conservation across all rolled segments"
     );
 
-    // Cross-check the totals against the raw lines: every non-summary,
-    // non-header, non-synthetic line is one drained record.
-    let event_lines: u64 = segments
-        .iter()
-        .flat_map(|s| s.lines())
-        .filter(|l| {
-            !l.starts_with("{\"segment\"")
-                && !l.starts_with("{\"drain\"")
-                && !l.is_empty()
-                && !l.contains("\"kind\":\"DrainCycle\"")
-        })
-        .count() as u64;
-    assert_eq!(event_lines, drained, "one line per drained record");
+    // Cross-check the totals against the raw lines: all three line kinds
+    // are on disk, the on-disk final summary is the last drain line, and
+    // every non-synthetic event line is one drained record.
+    let lines = parse_segments(&segments);
+    assert!(matches!(lines[0], StreamLine::Segment(h) if h.seq == 0));
+    let last_drain = lines.iter().rev().find_map(|l| match l {
+        StreamLine::Drain(d) => Some(d),
+        _ => None,
+    });
+    assert_eq!(last_drain, Some(&summary));
+    let is_record =
+        |l: &&StreamLine| matches!(l, StreamLine::Event(e) if e.kind != EventKind::DrainCycle);
+    let event_lines = lines.iter().filter(is_record).count() as u64;
+    assert_eq!(event_lines, summary.drained, "one line per drained record");
 
     // And the concatenation converts to valid Chrome-trace JSON.
     let chrome = chrome_json_from_dir(&dir).expect("trace2chrome");
@@ -192,12 +176,10 @@ fn pause_flush_barrier_completes_the_on_disk_stream() {
 
     // Without resuming or shutting down: the paused stream already
     // carries every pre-pause record.
-    let segments = read_segments(&dir);
-    let starts: usize = segments
-        .iter()
-        .flat_map(|s| s.lines())
-        .filter(|l| l.contains("\"kind\":\"JobStart\""))
-        .count();
+    let is_start =
+        |l: &&StreamLine| matches!(l, StreamLine::Event(e) if e.kind == EventKind::JobStart);
+    let lines = parse_segments(&read_segments(&dir));
+    let starts = lines.iter().filter(is_start).count();
     assert_eq!(starts, jobs, "every pre-pause JobStart is on disk");
     server.resume().expect("resume");
     server.shutdown();
