@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::task::{Task, TaskBody};
-use crate::util::PerWorker;
+use crate::util::{CachePadded, PerWorker};
 
 /// Allocation policy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -38,8 +38,14 @@ pub(crate) struct TaskAllocator {
     kind: AllocKind,
     local: PerWorker<Vec<NonNull<Task>>>,
     global: Mutex<Vec<NonNull<Task>>>,
-    allocated: AtomicU64,
-    freed: AtomicU64,
+    // Every worker bumps these once per task, and the allocator sits
+    // inline in `TeamShared` beside fields every worker reads per task
+    // (scheduler, barrier, poison flag): unpadded, whichever of those
+    // happens to share the counters' cache line misses on every read —
+    // a ±50 % swing on fine-grained workloads decided by where the
+    // team's allocation lands.
+    allocated: CachePadded<AtomicU64>,
+    freed: CachePadded<AtomicU64>,
 }
 
 // SAFETY: pooled pointers are owned records, movable across threads.
@@ -52,8 +58,8 @@ impl TaskAllocator {
             kind,
             local: PerWorker::new(n_workers, |_| Vec::new()),
             global: Mutex::new(Vec::new()),
-            allocated: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
+            allocated: CachePadded(AtomicU64::new(0)),
+            freed: CachePadded(AtomicU64::new(0)),
         }
     }
 
@@ -69,7 +75,7 @@ impl TaskAllocator {
         parent: Option<NonNull<Task>>,
         priority: i32,
     ) -> NonNull<Task> {
-        self.allocated.fetch_add(1, Ordering::Relaxed);
+        self.allocated.0.fetch_add(1, Ordering::Relaxed);
         match self.kind {
             AllocKind::Malloc => {
                 let boxed = Box::new(Task::new(body, parent, w as u32, priority));
@@ -121,7 +127,7 @@ impl TaskAllocator {
     /// `ptr` must be a record from [`alloc`](Self::alloc) whose last
     /// reference was released; caller must own worker slot `w`.
     pub unsafe fn free(&self, w: usize, ptr: NonNull<Task>) {
-        self.freed.fetch_add(1, Ordering::Relaxed);
+        self.freed.0.fetch_add(1, Ordering::Relaxed);
         match self.kind {
             AllocKind::Malloc => {
                 // SAFETY: exclusive dead record from Box::into_raw.
@@ -158,8 +164,9 @@ impl TaskAllocator {
     /// region has been torn down (leak check used by tests).
     pub fn outstanding(&self) -> u64 {
         self.allocated
+            .0
             .load(Ordering::Relaxed)
-            .saturating_sub(self.freed.load(Ordering::Relaxed))
+            .saturating_sub(self.freed.0.load(Ordering::Relaxed))
     }
 
     /// Which policy this allocator implements.

@@ -10,8 +10,8 @@
 //!
 //! `scope` guarantees — even on unwinding — that every task spawned
 //! within it completes before the scope returns, which is what makes
-//! borrowing from the enclosing frame sound (the same reasoning as
-//! `std::thread::scope`).
+//! borrowing from the enclosing frame sound (the reasoning of the
+//! standard library's scoped threads, applied to tasks on hot workers).
 
 use std::marker::PhantomData;
 use std::ptr::NonNull;

@@ -74,7 +74,7 @@ pub use loops::{
     AUTO_CONFIRM_WINDOWS, AUTO_FALLBACK, AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER, DEFAULT_TILE,
 };
 pub use sched::SchedulerKind;
-pub use team::{IngressSource, PersistentTeam, RegionOutput, Runtime, ServingHooks};
+pub use team::{IngressSource, RegionOutput, Runtime, ServingHooks};
 
 // Re-exports so downstream crates need only depend on xgomp-core.
 pub use xgomp_profiling::{

@@ -1,24 +1,26 @@
 //! Team construction and the worker scheduling loop: the runtime's
 //! equivalent of `gomp_team_start` / `gomp_thread_start` (§III-A).
 //!
-//! Two execution engines share the same region machinery:
+//! There is one execution engine. A [`Runtime`] owns a set of hot worker
+//! threads, started lazily by its first region and parked on a
+//! generation-stamped [start gate](StartGate) between regions (libgomp's
+//! pooled threads). Every region is one *generation*: it builds fresh
+//! team state (scheduler, barrier, allocator, message cells, profiler —
+//! the paper's per-region measurement methodology), publishes it through
+//! the gate, runs the region closure on the caller as the *implicit
+//! task* (the BOTS `parallel` + `single` idiom), and lets every worker
+//! run the scheduling loop until the team barrier detects quiescence;
+//! then the workers park again.
 //!
-//! * [`Runtime::parallel`] opens a *one-shot* parallel region with
-//!   scoped threads (the paper's per-region measurement methodology): it
-//!   builds the team (scheduler, barrier, allocator, message cells,
-//!   profiler), runs the region closure on the master as the *implicit
-//!   task* (the BOTS `parallel` + `single` idiom), and lets every worker
-//!   run the scheduling loop until the team barrier detects quiescence.
-//! * [`PersistentTeam`] keeps its worker threads alive across regions:
-//!   workers park on a generation-stamped [start gate](StartGate) between
-//!   regions instead of being respawned, which is what a long-lived task
-//!   server needs. Each `run` call opens one *generation* — a region with
-//!   fresh barrier/scheduler state — and optionally wires in an
-//!   [`IngressSource`] that idle workers poll for externally submitted
-//!   work, plus a [`LiveTaskSampler`](xgomp_profiling::LiveTaskSampler) /
+//! * [`Runtime::parallel`] is the plain region.
+//! * [`Runtime::serve`] is the same region with the [`ServingHooks`] a
+//!   long-lived task server needs: an [`IngressSource`] that idle workers
+//!   poll for externally submitted work, plus a
+//!   [`LiveTaskSampler`](xgomp_profiling::LiveTaskSampler) /
 //!   [`DlbTuning`] pair for online Table-IV adaptation (`xgomp-service`
 //!   builds on exactly this hook set).
 
+use std::any::Any;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -77,8 +79,8 @@ pub trait IngressSource: Send + Sync {
 }
 
 /// The persistent-executor hook set of one region
-/// ([`PersistentTeam::run_serving`]); every hook is optional and
-/// `default()` is a plain region.
+/// ([`Runtime::serve`]); every hook is optional and `default()` is a
+/// plain region.
 #[derive(Default)]
 pub struct ServingHooks {
     /// External work feed polled by idle workers.
@@ -130,6 +132,9 @@ pub(crate) struct TeamShared {
     /// Set when any task body panicked; workers drain out instead of
     /// spinning on a barrier that can no longer release.
     pub poisoned: AtomicBool,
+    /// Payload of the first task panic a non-master worker caught; the
+    /// region re-raises it on the caller once the workers have retired.
+    pub panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// External work feed polled by idle workers (persistent executor).
     pub source: Option<Arc<dyn IngressSource>>,
     /// Online task-size sampling (always-on when present): each worker's
@@ -162,7 +167,7 @@ pub(crate) struct TeamShared {
 }
 
 /// Builds the shared state for one region of `cfg` with the given
-/// extension hooks (used by both execution engines).
+/// extension hooks.
 fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) -> TeamShared {
     let n = cfg.threads;
     let placement = Arc::new(Placement::new(cfg.topology.clone(), n, cfg.affinity));
@@ -209,6 +214,7 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
         logs: PerWorker::new(n, |w| PerfLog::new(w, cfg.profiling)),
         profiling: cfg.profiling,
         poisoned: AtomicBool::new(false),
+        panic: Mutex::new(None),
         source: hooks.source,
         sampler: hooks.sampler.map(|s| (0..n).map(|w| s.lane(w)).collect()),
         loop_stats: hooks.loop_stats,
@@ -589,18 +595,30 @@ fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> R) -> R {
     result
 }
 
-/// A configured runtime; cheap to construct, owns no threads. Each
-/// [`parallel`](Runtime::parallel) call creates a fresh team (matching
-/// the paper's per-region measurement methodology).
+/// A configured runtime: the execution engine. Cheap to construct —
+/// [`new`](Self::new) spawns no thread; the first region starts
+/// `threads − 1` hot worker threads, which park on a start gate between
+/// regions and are joined when the runtime drops. Every region builds
+/// fresh *team state* on those hot *threads*, so each [`RegionOutput`]
+/// field is per region (the paper's per-region measurement methodology).
+///
+/// Regions may overlap on one runtime — from several threads, or nested
+/// from inside a task: a region *checks* the worker set *out*, and a
+/// caller that finds it gone runs on a set of its own.
 pub struct Runtime {
     cfg: RuntimeConfig,
+    /// The hot worker set, while no region has it checked out.
+    hot: Mutex<Option<Workers>>,
 }
 
 impl Runtime {
     /// Builds a runtime from `cfg` (validated).
     pub fn new(cfg: RuntimeConfig) -> Self {
         cfg.assert_team_size();
-        Runtime { cfg }
+        Runtime {
+            cfg,
+            hot: Mutex::new(None),
+        }
     }
 
     /// The configuration this runtime was built with.
@@ -608,42 +626,105 @@ impl Runtime {
         &self.cfg
     }
 
-    /// Opens a parallel region: `f` runs on the master as the implicit
-    /// single task; the region returns when every transitively spawned
-    /// task has completed (detected by the configured barrier).
+    /// Replaces the configuration between regions (`&mut self` proves
+    /// none is open). Scheduler, barrier, DLB and allocator settings take
+    /// effect at the next region, which builds fresh team state anyway;
+    /// a changed worker count makes that region's check-out join the
+    /// parked threads and spawn a new set — once per resize, never per
+    /// region.
+    pub fn reconfigure(&mut self, cfg: RuntimeConfig) {
+        cfg.assert_team_size();
+        self.cfg = cfg;
+    }
+
+    /// Opens a parallel region: `f` runs on the caller (worker 0, the
+    /// master) as the implicit single task; the region returns when
+    /// every transitively spawned task has completed (detected by the
+    /// configured barrier).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a task body that panicked inside the
+    /// region, with the task's own payload; the runtime stays usable.
     pub fn parallel<R>(&self, f: impl FnOnce(&TaskCtx<'_>) -> R) -> RegionOutput<R> {
-        let team = build_team(&self.cfg, ServingHooks::default(), false);
-        let n = team.n;
+        self.region(ServingHooks::default(), false, f)
+    }
 
+    /// Opens a region with the persistent-executor [`ServingHooks`]: an
+    /// ingress source polled by idle workers and optional live sampling
+    /// / DLB tuning / telemetry hooks. Task-body panics are isolated:
+    /// they re-raise at the parent's next `taskwait` instead of
+    /// poisoning the team.
+    pub fn serve<R>(
+        &self,
+        hooks: ServingHooks,
+        f: impl FnOnce(&TaskCtx<'_>) -> R,
+    ) -> RegionOutput<R> {
+        self.region(hooks, true, f)
+    }
+
+    fn region<R>(
+        &self,
+        hooks: ServingHooks,
+        isolate_panics: bool,
+        f: impl FnOnce(&TaskCtx<'_>) -> R,
+    ) -> RegionOutput<R> {
+        let n_aux = self.cfg.threads - 1;
+        // Check the hot workers out; an empty slot (first region, or an
+        // overlapping region holds them) or a resized team spawns a set.
+        let workers = locked(&self.hot)
+            .take()
+            .filter(|w| w.threads.len() == n_aux)
+            .unwrap_or_else(|| Workers::spawn(n_aux));
+
+        let team = Arc::new(build_team(&self.cfg, hooks, isolate_panics));
         let started = Instant::now();
-        let mut result: Option<R> = None;
-        std::thread::scope(|s| {
-            for w in 1..n {
-                let team = &team;
-                std::thread::Builder::new()
-                    .name(format!("xgomp-region-{w}"))
-                    .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(s, move || {
-                        team.barrier.arrive(w);
-                        worker_loop(team, w);
-                    })
-                    .expect("spawn region worker");
-            }
-            result = Some(master_main(&team, f));
-        });
-        let wall = started.elapsed();
+        {
+            let mut st = workers.gate.lock();
+            st.team = Some(team.clone());
+            st.retired = 0;
+            st.generation += 1;
+            workers.gate.cv.notify_all();
+        }
 
-        finish_region(team, result.expect("master ran"), wall)
+        // A master that unwinds from here drops `workers`, which joins
+        // them (the team is poisoned, so they drain out) instead of
+        // returning threads of unknown state to the slot.
+        let result = master_main(&team, f);
+
+        {
+            let mut st = workers.gate.lock();
+            while st.retired < n_aux {
+                st = workers.gate.wait(st);
+            }
+            st.team = None;
+        }
+        let wall = started.elapsed();
+        // An overlapping region may have put its set back first; the
+        // displaced one is joined here, outside the slot's lock.
+        let displaced = locked(&self.hot).replace(workers);
+        drop(displaced);
+
+        let team = Arc::into_inner(team).expect("workers retired their team handles");
+        if team.poisoned.load(Ordering::Acquire) {
+            let payload = locked(&team.panic).take();
+            match payload {
+                Some(payload) => std::panic::resume_unwind(payload),
+                None => panic!("a task body panicked inside the region"),
+            }
+        }
+        finish_region(team, result, wall)
     }
 }
 
-/// The generation-stamped gate persistent workers park on between
-/// regions.
+/// The generation-stamped gate hot workers park on between regions.
+#[derive(Default)]
 struct StartGate {
     state: Mutex<GateState>,
     cv: Condvar,
 }
 
+#[derive(Default)]
 struct GateState {
     /// Bumped once per opened region; workers run exactly the generations
     /// they observe.
@@ -657,18 +738,6 @@ struct GateState {
 }
 
 impl StartGate {
-    fn new() -> Self {
-        StartGate {
-            state: Mutex::new(GateState {
-                generation: 0,
-                team: None,
-                retired: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
     fn lock(&self) -> MutexGuard<'_, GateState> {
         locked(&self.state)
     }
@@ -678,7 +747,7 @@ impl StartGate {
     }
 }
 
-/// The park loop persistent workers run for their whole life: wait for a
+/// The park loop hot workers run for their whole life: wait for a
 /// generation to open, run its region, retire, repeat.
 fn parked_worker(gate: Arc<StartGate>, w: usize) {
     let mut last_gen = 0u64;
@@ -697,17 +766,16 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
             last_gen = st.generation;
             Arc::clone(st.team.as_ref().expect("open generation has a team"))
         };
-        // A panicking task body must not kill the persistent worker: the
+        // A panicking task body must not kill the hot worker: the
         // completion guard has already poisoned the team (ending the
         // region for everyone); catching here keeps the thread parkable
-        // for the next generation.
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // for the next generation and the payload for the region caller.
+        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             team.barrier.arrive(w);
             worker_loop(&team, w);
-        }))
-        .is_err();
-        if unwound {
+        })) {
             team.poison();
+            locked(&team.panic).get_or_insert(payload);
         }
         drop(team);
         let mut st = gate.lock();
@@ -716,157 +784,38 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
     }
 }
 
-/// A team of workers that stays alive across parallel regions.
-///
-/// Construction spawns `threads - 1` OS threads which immediately park on
-/// a start gate. Each [`run`](Self::run) call stamps a new
-/// *generation*: fresh barrier/scheduler/allocator state is published
-/// through the gate, the parked workers pick it up, run the region's
-/// scheduling loop to quiescence, and park again — no thread is ever
-/// respawned. The calling thread acts as worker 0 (the region master),
-/// exactly as in [`Runtime::parallel`].
-///
-/// This is the execution engine behind `xgomp-service`'s persistent task
-/// server; [`run_serving`](Self::run_serving) additionally wires in the
-/// ingress/sampling/tuning hook set.
-pub struct PersistentTeam {
-    cfg: RuntimeConfig,
+/// One set of hot worker threads (workers `1..=n_aux` of a team) parked
+/// on a start gate of their own. Dropping the set releases and joins it.
+struct Workers {
     gate: Arc<StartGate>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl PersistentTeam {
-    /// Builds the team and parks `cfg.threads - 1` workers on the gate.
-    pub fn new(cfg: RuntimeConfig) -> Self {
-        cfg.assert_team_size();
-        let gate = Arc::new(StartGate::new());
-        let workers = (1..cfg.threads)
+impl Workers {
+    fn spawn(n_aux: usize) -> Self {
+        let gate = Arc::<StartGate>::default();
+        let threads = (1..=n_aux)
             .map(|w| {
                 let gate = gate.clone();
                 std::thread::Builder::new()
                     .name(format!("xgomp-worker-{w}"))
                     .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || parked_worker(gate, w))
-                    .expect("spawn persistent worker")
+                    .expect("spawn worker thread")
             })
             .collect();
-        PersistentTeam { cfg, gate, workers }
-    }
-
-    /// The configuration this team was built with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
-    }
-
-    /// The team size (workers, master included).
-    pub fn threads(&self) -> usize {
-        self.cfg.threads
-    }
-
-    /// Replaces the team's configuration between generations (the next
-    /// [`run`](Self::run) builds its region from `cfg`).
-    ///
-    /// When the worker count is unchanged the parked threads are reused
-    /// as-is — scheduler, barrier, DLB and allocator settings all take
-    /// effect at the next generation, since each generation builds fresh
-    /// region state anyway. A changed worker count rebuilds the thread
-    /// set: the old workers (idle on the start gate — `&mut self` proves
-    /// no generation is open) are released and joined, and a new set is
-    /// spawned parked. This is the growth/shrink path of a persistent
-    /// server's config swap; it costs thread spawn/join once per resize,
-    /// never per generation.
-    pub fn reconfigure(&mut self, cfg: RuntimeConfig) {
-        cfg.assert_team_size();
-        if cfg.threads == self.cfg.threads {
-            self.cfg = cfg;
-            return;
-        }
-        // Different shape: spawn the new team first, then drop (join) the
-        // old one. The old workers are parked on their gate, so the join
-        // is immediate.
-        *self = PersistentTeam::new(cfg);
-    }
-
-    /// Runs one region on the persistent workers (see
-    /// [`Runtime::parallel`] for region semantics).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a task body panicked inside the region (mirroring the
-    /// join-propagation of the scoped engine); the team itself survives
-    /// and can run further generations.
-    pub fn run<R>(&mut self, f: impl FnOnce(&TaskCtx<'_>) -> R) -> RegionOutput<R> {
-        self.run_with(ServingHooks::default(), false, f)
-    }
-
-    /// Runs one region with the persistent-executor [`ServingHooks`]: an
-    /// ingress source polled by idle workers and optional live sampling
-    /// / DLB tuning / telemetry hooks. Task-body panics are isolated:
-    /// they re-raise at the parent's next `taskwait` instead of
-    /// poisoning the team.
-    pub fn run_serving<R>(
-        &mut self,
-        hooks: ServingHooks,
-        f: impl FnOnce(&TaskCtx<'_>) -> R,
-    ) -> RegionOutput<R> {
-        self.run_with(hooks, true, f)
-    }
-
-    fn run_with<R>(
-        &mut self,
-        hooks: ServingHooks,
-        isolate_panics: bool,
-        f: impl FnOnce(&TaskCtx<'_>) -> R,
-    ) -> RegionOutput<R> {
-        let n_aux = self.workers.len();
-        {
-            // A master that unwound out of a previous `run` may have left
-            // that generation's workers mid-drain; wait for them to
-            // retire before opening a new generation.
-            let mut st = self.gate.lock();
-            while st.generation > 0 && st.retired < n_aux {
-                st = self.gate.wait(st);
-            }
-        }
-
-        let team = Arc::new(build_team(&self.cfg, hooks, isolate_panics));
-        {
-            let mut st = self.gate.lock();
-            st.team = Some(team.clone());
-            st.retired = 0;
-            st.generation += 1;
-            self.gate.cv.notify_all();
-        }
-
-        let started = Instant::now();
-        let result = master_main(&team, f);
-
-        // Join phase: wait for every worker to retire this generation.
-        {
-            let mut st = self.gate.lock();
-            while st.retired < n_aux {
-                st = self.gate.wait(st);
-            }
-            st.team = None;
-        }
-        let wall = started.elapsed();
-
-        let team = Arc::into_inner(team).expect("workers retired their team handles");
-        if team.poisoned.load(Ordering::Acquire) {
-            panic!("a task body panicked inside the persistent region");
-        }
-        finish_region(team, result, wall)
+        Workers { gate, threads }
     }
 }
 
-impl Drop for PersistentTeam {
+impl Drop for Workers {
     fn drop(&mut self) {
         {
             let mut st = self.gate.lock();
             st.shutdown = true;
             self.gate.cv.notify_all();
         }
-        for h in self.workers.drain(..) {
+        for h in self.threads.drain(..) {
             // A worker that unwound due to a bug would surface here; the
             // park loop itself never panics.
             let _ = h.join();
@@ -903,7 +852,10 @@ pub struct RegionOutput<R> {
     pub stats: TeamStats,
     /// Per-worker event logs (empty unless profiling was enabled).
     pub logs: Vec<PerfLog>,
-    /// Wall-clock duration of the region (team start to last join).
+    /// Wall-clock duration of the region: generation opened on the
+    /// start gate to last worker retired. It contains no thread creation
+    /// — the workers are hot — which is what the scheduler comparisons of
+    /// Figs. 4–7 (`crates/bench`) want.
     pub wall: Duration,
 }
 
@@ -1082,31 +1034,15 @@ mod tests {
     #[test]
     fn parked_workers_wake_for_late_work_and_release() {
         // The master stays busy (no spawns) long enough for every other
-        // worker to exhaust its backoff and park; the late spawns must
-        // wake them, and region teardown must release the sleepers.
+        // worker to exhaust its backoff and park inside the region; the
+        // late spawns must wake them, and region teardown must release
+        // the sleepers — onto the start gate, where the next round's
+        // generation finds them.
         let rt = Runtime::new(RuntimeConfig::xgomptb(4));
-        let out = rt.parallel(|ctx| {
-            std::thread::sleep(Duration::from_millis(100));
-            let mut acc = vec![0u64; 64];
-            ctx.scope(|s| {
-                for (i, slot) in acc.iter_mut().enumerate() {
-                    s.spawn(move |_| *slot = i as u64 + 1);
-                }
-            });
-            acc.iter().sum::<u64>()
-        });
-        assert_eq!(out.result, (1..=64u64).sum());
-        out.stats.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn persistent_team_parks_between_and_inside_generations() {
-        let mut team = PersistentTeam::new(RuntimeConfig::xgomptb(4));
         for round in 0..3u64 {
-            let out = team.run(move |ctx| {
-                // Idle phase: aux workers park mid-region.
+            let out = rt.parallel(|ctx| {
                 std::thread::sleep(Duration::from_millis(60));
-                let mut acc = vec![0u64; 32];
+                let mut acc = vec![0u64; 64];
                 ctx.scope(|s| {
                     for (i, slot) in acc.iter_mut().enumerate() {
                         s.spawn(move |_| *slot = round * 100 + i as u64);
@@ -1114,8 +1050,8 @@ mod tests {
                 });
                 acc.iter().sum::<u64>()
             });
-            let expect: u64 = (0..32u64).map(|i| round * 100 + i).sum();
-            assert_eq!(out.result, expect);
+            assert_eq!(out.result, (0..64u64).map(|i| round * 100 + i).sum());
+            out.stats.check_invariants().unwrap();
         }
     }
 
@@ -1135,36 +1071,12 @@ mod tests {
     }
 
     #[test]
-    fn persistent_team_reuses_workers_across_generations() {
-        use std::sync::atomic::AtomicUsize;
-
-        let mut team = PersistentTeam::new(RuntimeConfig::xgomptb(4));
-        for round in 0..16u64 {
-            let hits = Arc::new(AtomicUsize::new(0));
-            let h2 = hits.clone();
-            let out = team.run(move |ctx| {
-                ctx.scope(|s| {
-                    for _ in 0..64 {
-                        let h = h2.clone();
-                        s.spawn(move |_| {
-                            h.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-                round * 2
-            });
-            assert_eq!(out.result, round * 2);
-            assert_eq!(hits.load(Ordering::Relaxed), 64);
-            assert_eq!(out.stats.total().tasks_executed, 64);
-            out.stats.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn persistent_team_reconfigures_between_generations() {
-        let mut team = PersistentTeam::new(RuntimeConfig::xgomptb(2));
-        let run_sum = |team: &mut PersistentTeam, n: usize| {
-            let out = team.run(move |ctx| {
+    fn reconfigure_resizes_and_swaps_between_regions() {
+        let mut rt = Runtime::new(RuntimeConfig::xgomptb(2));
+        let run_sum = |rt: &Runtime| {
+            let n = rt.config().threads;
+            let out = rt.parallel(move |ctx| {
+                assert_eq!(ctx.n_workers(), n);
                 let mut acc = vec![0u64; n * 8];
                 ctx.scope(|s| {
                     for (i, slot) in acc.iter_mut().enumerate() {
@@ -1173,34 +1085,54 @@ mod tests {
                 });
                 acc.iter().sum::<u64>()
             });
+            out.stats.check_invariants().unwrap();
             out.result
         };
-        assert_eq!(run_sum(&mut team, 2), (0..16u64).sum());
+        assert_eq!(run_sum(&rt), (0..16u64).sum());
         // Grow: 2 → 4 workers, and swap the barrier kind with it.
-        team.reconfigure(RuntimeConfig::xgomp(4));
-        assert_eq!(team.threads(), 4);
-        assert_eq!(run_sum(&mut team, 4), (0..32u64).sum());
-        // Shrink back, same-size swap keeps the threads.
-        team.reconfigure(RuntimeConfig::xgomptb(4).queue_capacity(16));
-        assert_eq!(team.config().queue_capacity, 16);
-        assert_eq!(run_sum(&mut team, 4), (0..32u64).sum());
-        team.reconfigure(RuntimeConfig::xgomptb(1));
-        assert_eq!(run_sum(&mut team, 1), (0..8u64).sum());
+        rt.reconfigure(RuntimeConfig::xgomp(4));
+        assert_eq!(run_sum(&rt), (0..32u64).sum());
+        // Same-size swap keeps the threads, then shrink to a lone master.
+        rt.reconfigure(RuntimeConfig::xgomptb(4).queue_capacity(16));
+        assert_eq!(rt.config().queue_capacity, 16);
+        assert_eq!(run_sum(&rt), (0..32u64).sum());
+        rt.reconfigure(RuntimeConfig::xgomptb(1));
+        assert_eq!(run_sum(&rt), (0..8u64).sum());
+    }
+
+    fn panic_message(region: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(region))
+            .expect_err("task panic must propagate out of the region");
+        let literal = payload.downcast_ref::<&str>().map(|s| s.to_string());
+        literal
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("panic! payloads are strings")
     }
 
     #[test]
-    fn persistent_team_survives_a_panicked_generation() {
-        let mut team = PersistentTeam::new(RuntimeConfig::xgomptb(2));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            team.run(|ctx| {
-                ctx.spawn(|_| panic!("poisoned generation"));
+    fn off_master_task_panic_payload_reaches_the_caller() {
+        let rt = Runtime::new(RuntimeConfig::xgomptb(2));
+        let msg = panic_message(|| {
+            rt.parallel(|ctx| {
+                // Static balancing: only worker 1 can pop its own row.
+                ctx.scope(|s| s.spawn_on(1, |c| panic!("boom on worker {}", c.worker_id())));
+            });
+        });
+        assert_eq!(msg, "boom on worker 1");
+    }
+
+    #[test]
+    fn runtime_survives_a_panicked_region() {
+        let rt = Runtime::new(RuntimeConfig::xgomptb(2));
+        let msg = panic_message(|| {
+            rt.parallel(|ctx| {
+                ctx.spawn(|_| panic!("poisoned region"));
                 ctx.taskwait();
-            })
-        }))
-        .is_err();
-        assert!(unwound, "task panic must propagate out of run()");
-        // The workers parked again; the next generation runs normally.
-        let out = team.run(|ctx| {
+            });
+        });
+        assert_eq!(msg, "poisoned region");
+        // The next region runs normally.
+        let out = rt.parallel(|ctx| {
             let mut acc = vec![0u64; 32];
             ctx.scope(|s| {
                 for (i, slot) in acc.iter_mut().enumerate() {
@@ -1210,6 +1142,7 @@ mod tests {
             acc.iter().sum::<u64>()
         });
         assert_eq!(out.result, (0..32u64).sum());
+        out.stats.check_invariants().unwrap();
     }
 
     #[test]
@@ -1250,14 +1183,14 @@ mod tests {
             hits: hits.clone(),
         });
         let sampler = Arc::<LiveTaskSampler>::default();
-        let mut team = PersistentTeam::new(RuntimeConfig::xgomptb(4));
+        let rt = Runtime::new(RuntimeConfig::xgomptb(4));
         let h2 = hits.clone();
         let hooks = ServingHooks {
             source: Some(source),
             sampler: Some(sampler.clone()),
             ..ServingHooks::default()
         };
-        let out = team.run_serving(hooks, move |ctx| {
+        let out = rt.serve(hooks, move |ctx| {
             // The master helps until every injected job has executed.
             while h2.load(Ordering::Relaxed) < JOBS {
                 ctx.run_pending(32);
@@ -1267,5 +1200,6 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), JOBS);
         assert_eq!(out.stats.total().tasks_executed as usize, JOBS);
         assert_eq!(sampler.tasks_observed() as usize, JOBS);
+        out.stats.check_invariants().unwrap();
     }
 }

@@ -1,12 +1,12 @@
 //! # xgomp-service
 //!
-//! A **persistent task-server runtime** on top of `xgomp-core`: one team
-//! of workers stays alive across jobs (no per-region thread spawning),
-//! external threads submit work through NUMA-sharded lock-less ingress
-//! queues, results come back through futures-style [`JobHandle`]s, and
-//! an online controller re-applies the paper's Table-IV tuning
-//! guidelines to the live task-size distribution — hot-swapping the DLB
-//! configuration while the workers keep running.
+//! A **persistent task-server runtime** on top of `xgomp-core`: serving
+//! is one long region on a `Runtime`'s hot workers, so one team stays
+//! alive across jobs; external threads submit work through NUMA-sharded
+//! lock-less ingress queues, results come back through futures-style
+//! [`JobHandle`]s, and an online controller re-applies the paper's
+//! Table-IV tuning guidelines to the live task-size distribution —
+//! hot-swapping the DLB configuration while the workers keep running.
 //!
 //! ## Architecture
 //!

@@ -18,8 +18,8 @@
 //!
 //! ## Generations
 //!
-//! The server serves *generations*: one parallel region of the
-//! [`PersistentTeam`] per generation. [`TaskServer::pause`] completes
+//! The server serves *generations*: one [`Runtime::serve`](xgomp_core::Runtime::serve) region on
+//! the runtime's hot workers per generation. [`TaskServer::pause`] completes
 //! every job admitted before it — in-team and still-ring-queued alike —
 //! to a quiescent barrier and retires the generation: every worker
 //! parks (aux workers on the team's start gate, the master on the
@@ -185,7 +185,7 @@ struct ServerShared {
     auto_select: Arc<AutoSelector>,
     /// The flight recorder: one lock-free event ring per worker, shared
     /// with every generation's team (the same `Arc` is handed to
-    /// `run_serving`, so `ctx.trace_emit` in job bodies and the server's
+    /// `Runtime::serve`, so `ctx.trace_emit` in job bodies and the server's
     /// own snapshot/dump paths see one recorder). Always present; the
     /// level gates every emission — `Off` costs one relaxed load per
     /// site — and is live-flippable via [`TaskServer::set_trace_level`].

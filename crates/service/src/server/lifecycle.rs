@@ -1,5 +1,5 @@
 //! Lifecycle: the serve states, `pause`/`resume`/config swap, the master
-//! thread (one `run_serving` region per generation) and the serve loop
+//! thread (one `Runtime::serve` region per generation) and the serve loop
 //! worker 0 runs inside each generation.
 
 use std::sync::atomic::Ordering;
@@ -11,7 +11,7 @@ use super::{ServerShared, TaskServer};
 use crate::controller::AdaptiveController;
 use crate::{locked, wait};
 use xgomp_core::{
-    DlbConfig, EventKind, IngressSource, PersistentTeam, RegionOutput, RuntimeConfig, ServingHooks,
+    DlbConfig, EventKind, IngressSource, RegionOutput, Runtime, RuntimeConfig, ServingHooks,
     TaskCtx, TraceLevel,
 };
 use xgomp_topology::Placement;
@@ -239,17 +239,17 @@ pub(super) fn generation_layout(rt: &RuntimeConfig, n_shards: usize) -> (Vec<usi
     (shard_of_worker, zone_of_shard)
 }
 
-/// The master thread: one `run_serving` region per generation, with the
+/// The master thread: one `Runtime::serve` region per generation, with the
 /// control handshake (pause quiescence, resume commands, config swaps,
 /// final shutdown drain) between regions.
 pub(super) fn master_loop(
     shared: Arc<ServerShared>,
-    mut rt: RuntimeConfig,
+    rt: RuntimeConfig,
     first_layout: Vec<usize>,
     adapt_every: u64,
     log_retunes: bool,
 ) -> Vec<RegionOutput<()>> {
-    let mut team = PersistentTeam::new(rt.clone());
+    let mut team = Runtime::new(rt);
     // The controller persists across generations (window continuity and
     // hysteresis are workload properties, not generation properties);
     // config swaps reset it through the swap epoch.
@@ -264,13 +264,14 @@ pub(super) fn master_loop(
     loop {
         // Install this generation's ingress maps.
         let shard_of_worker = layout.take().unwrap_or_else(|| {
-            let (workers, zones) = generation_layout(&rt, shared.ingress.n_shards());
+            let (workers, zones) = generation_layout(team.config(), shared.ingress.n_shards());
             for (cell, z) in shared.zone_of_shard.iter().zip(zones) {
                 cell.store(z, Ordering::Relaxed);
             }
             workers
         });
-        shared.current_threads.store(rt.threads, Ordering::Relaxed);
+        let threads = team.config().threads;
+        shared.current_threads.store(threads, Ordering::Relaxed);
         // SeqCst: resume() waiters poll this counter to learn their
         // generation opened (see `resume_inner`).
         let gen = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
@@ -308,8 +309,8 @@ pub(super) fn master_loop(
         // regions, on the master thread.
         shared
             .tracer
-            .emit_meta(0, EventKind::GenOpen, 0, gen, rt.threads as u64);
-        regions.push(team.run_serving(hooks, |ctx| serve_loop(ctx, &shared, &controller, &source)));
+            .emit_meta(0, EventKind::GenOpen, 0, gen, threads as u64);
+        regions.push(team.serve(hooks, |ctx| serve_loop(ctx, &shared, &controller, &source)));
         shared.tracer.emit_meta(0, EventKind::GenClose, 0, gen, 0);
 
         // Generation over. If a pause requested it, publish quiescence.
@@ -346,29 +347,23 @@ pub(super) fn master_loop(
             break;
         };
         if let Some(new_rt) = cfg {
-            apply_config(&shared, &mut team, &mut rt, new_rt);
+            apply_config(&shared, &mut team, new_rt);
         }
     }
     regions
 }
 
 /// Applies a `resume_with` configuration at the generation boundary.
-fn apply_config(
-    shared: &ServerShared,
-    team: &mut PersistentTeam,
-    rt: &mut RuntimeConfig,
-    new_rt: RuntimeConfig,
-) {
-    team.reconfigure(new_rt.clone());
+fn apply_config(shared: &ServerShared, team: &mut Runtime, new_rt: RuntimeConfig) {
     if let Some(dlb) = new_rt.dlb {
         shared.tuning.store(dlb);
     }
+    team.reconfigure(new_rt);
     // A config swap is a hysteresis boundary even when the DLB seed is
     // unchanged: recommendations confirmed against the old shape must
     // not publish against the new one. (A resize needs nothing more —
     // the sampler and tracer just grow lanes/rings for new workers.)
     shared.swap_epoch.fetch_add(1, Ordering::Release);
-    *rt = new_rt;
 }
 
 /// One generation's serve loop, run by worker 0 as the region closure:

@@ -1,9 +1,13 @@
 //! End-to-end semantic tests of the public tasking API: scope borrowing,
 //! taskwait, priorities, profiling plumbing, topology/locality behavior,
-//! and DLB statistics causality.
+//! DLB statistics causality, and the team engine's lifecycle (hot
+//! threads with per-region stats, overlapping regions, join on drop).
 
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 use xgomp::topology::MachineTopology;
 use xgomp::{Affinity, CostModel, DlbConfig, DlbStrategy, EventKind, Runtime, RuntimeConfig};
@@ -199,18 +203,119 @@ fn cost_model_slows_remote_execution_measurably() {
 
 #[test]
 fn region_reuse_produces_fresh_teams() {
+    // Hot threads, fresh stats: every region runs on the same three OS
+    // threads (the caller + two parked workers) yet reports counters of
+    // its own.
     let rt = Runtime::new(RuntimeConfig::xgomptb(3));
+    let mut team_threads: Option<HashSet<(usize, ThreadId)>> = None;
     for i in 0..20 {
         let out = rt.parallel(|ctx| {
-            let mut acc = vec![0u64; 32];
+            let mut acc = vec![(0u64, None); 32];
             ctx.scope(|s| {
                 for (j, a) in acc.iter_mut().enumerate() {
-                    s.spawn(move |_| *a = (i * j) as u64);
+                    s.spawn(move |c| {
+                        *a = (
+                            (i * j) as u64,
+                            Some((c.worker_id(), std::thread::current().id())),
+                        )
+                    });
                 }
             });
-            acc.iter().sum::<u64>()
+            acc
         });
-        assert_eq!(out.result, (0..32).map(|j| (i * j) as u64).sum::<u64>());
-        assert_eq!(out.stats.total().tasks_created, 32);
+        let sum: u64 = out.result.iter().map(|(v, _)| v).sum();
+        assert_eq!(sum, (0..32).map(|j| (i * j) as u64).sum::<u64>());
+        let total = out.stats.total();
+        assert_eq!(total.tasks_created, 32);
+        assert_eq!(total.tasks_executed, 32);
+        out.stats.check_invariants().unwrap();
+        // Static balancing: each worker runs its own share, so the set
+        // names every worker exactly once.
+        let ran_on: HashSet<_> = out.result.iter().filter_map(|(_, t)| *t).collect();
+        assert_eq!(ran_on.len(), 3, "one OS thread per worker: {ran_on:?}");
+        assert_eq!(*team_threads.get_or_insert(ran_on.clone()), ran_on);
     }
+}
+
+fn sum_region(rt: &Runtime, k: u64) -> u64 {
+    let out = rt.parallel(|ctx| {
+        let mut acc = vec![0u64; 48];
+        ctx.scope(|s| {
+            for (j, a) in acc.iter_mut().enumerate() {
+                s.spawn(move |_| *a = k * j as u64);
+            }
+        });
+        acc.iter().sum::<u64>()
+    });
+    assert_eq!(out.stats.total().tasks_executed, 48);
+    out.stats.check_invariants().unwrap();
+    out.result
+}
+
+#[test]
+fn concurrent_and_nested_regions_share_one_runtime() {
+    let rt = Runtime::new(RuntimeConfig::xgomptb(3));
+    let expect = |k: u64| (0..48u64).map(|j| k * j).sum::<u64>();
+    // Two callers at once: whoever finds the hot workers checked out
+    // runs on a set of its own.
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let rt = &rt;
+            s.spawn(move || {
+                for i in 0..50 {
+                    assert_eq!(sum_region(rt, t * 50 + i), expect(t * 50 + i));
+                }
+            });
+        }
+    });
+    // A task that opens a region on its own runtime.
+    let out = rt.parallel(|ctx| {
+        let mut inner = [0u64; 3];
+        ctx.scope(|s| {
+            for (w, slot) in inner.iter_mut().enumerate() {
+                let rt = &rt;
+                s.spawn_on(w, move |_| *slot = sum_region(rt, w as u64 + 7));
+            }
+        });
+        inner
+    });
+    assert_eq!(out.result, [expect(7), expect(8), expect(9)]);
+    out.stats.check_invariants().unwrap();
+}
+
+#[test]
+fn dropping_a_runtime_joins_its_workers() {
+    static EXITED: AtomicUsize = AtomicUsize::new(0);
+    struct CountExit;
+    impl Drop for CountExit {
+        fn drop(&mut self) {
+            EXITED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    thread_local! {
+        static SENTINEL: RefCell<Option<CountExit>> = const { RefCell::new(None) };
+    }
+
+    const N: usize = 4;
+    let rt = Runtime::new(RuntimeConfig::xgomptb(N));
+    rt.parallel(|ctx| {
+        ctx.scope(|s| {
+            for w in 0..N {
+                s.spawn_on(w, |_| {
+                    SENTINEL.with(|c| {
+                        c.borrow_mut().get_or_insert(CountExit);
+                    })
+                });
+            }
+        });
+    });
+    assert_eq!(
+        EXITED.load(Ordering::SeqCst),
+        0,
+        "workers outlive the region"
+    );
+    drop(rt);
+    // Every worker but the caller (this thread, still alive) has run its
+    // thread-local destructors, i.e. was joined.
+    assert_eq!(EXITED.load(Ordering::SeqCst), N - 1);
 }
