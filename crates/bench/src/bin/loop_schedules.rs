@@ -151,9 +151,12 @@ fn main() {
         ),
     ];
 
+    // `dynamic1` — batch size 1, the finest grain there is — runs on the
+    // uniform profile only: what it tracks per commit is the claim path's
+    // cost per iteration, and skew would only blur that.
     let mut headers = vec!["kernel", "profile"];
     headers.extend_from_slice(&SCHEDULE_COLS);
-    headers.extend_from_slice(&["best/static", "chunks", "local", "steals"]);
+    headers.extend_from_slice(&["dynamic1", "best/static", "chunks", "local", "steals"]);
     let mut t = Table::new(
         format!(
             "parallel_for schedule comparison ({threads} workers, 2 sockets, NA-WS; \
@@ -182,10 +185,18 @@ fn main() {
         if matches!(profile, CostProfile::Skewed) && best_dyn >= t_static {
             skewed_ok = false;
         }
+        let dynamic1 = if matches!(profile, CostProfile::Uniform) {
+            let (secs, report) = run_one(&cfg, kernel.as_ref(), LoopSchedule::Dynamic(1), ctx.reps);
+            assert_eq!(report.chunks, kernel.len(), "b1 chunks are iterations");
+            fmt_secs(secs)
+        } else {
+            "-".to_string()
+        };
         let r = best_report.unwrap();
         let mut row = vec![kernel.name().to_string(), profile.name().to_string()];
         row.extend(times.iter().map(|&s| fmt_secs(s)));
         row.extend([
+            dynamic1,
             format!("{speedup:.2}x"),
             r.chunks.to_string(),
             r.claimed_local.to_string(),
@@ -324,7 +335,7 @@ fn main() {
     // ---- giant waved 1-D completion ------------------------------------
     //
     // A range past u32::MAX lowers onto panes and waves through the
-    // one-CAS-per-chunk pools; completion must conserve exactly in u64.
+    // same claim path; completion must conserve exactly in u64.
     let giant = u32::MAX as u64 + 5;
     let rt = Runtime::new(cfg.clone());
     let t0 = Instant::now();

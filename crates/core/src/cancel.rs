@@ -4,13 +4,13 @@
 //! Cancellation is *cooperative*: nothing preempts a running body.
 //! A token is installed on the job's root task (and inherited by every
 //! task it spawns); workers poll it at the runtime's natural scheduling
-//! points — loop drain tasks before every chunk claim, `taskwait` after
-//! its quiescence wait, static loop blocks every few hundred
-//! iterations. A fired token makes loop-drain tasks abandon their
-//! remaining `RangePool` ranges (conserved into `cancelled_iters`) and
-//! makes the next checkpoint unwind with a [`CancelUnwind`] payload,
-//! which panic isolation turns into a typed job error instead of a
-//! worker death.
+//! points — loop drain tasks before every chunk (the state; the deadline
+//! once per timing window), `taskwait` after its quiescence wait, static
+//! loop blocks every few hundred iterations. A fired token makes
+//! loop-drain tasks abandon their reserve and the remaining pool ranges
+//! (conserved into `cancelled_iters`) and makes the next checkpoint
+//! unwind with a [`CancelUnwind`] payload, which panic isolation turns
+//! into a typed job error instead of a worker death.
 //!
 //! Tokens fire for two reasons ([`CancelReason`]): an explicit
 //! `JobHandle::cancel`, or a deadline tick carried by the token itself —
@@ -45,8 +45,9 @@ struct TokenInner {
 }
 
 /// A shared cancellation flag for one job, cloned into every task the
-/// job spawns. Checking is one relaxed load on the fast path (plus one
-/// clock read when a deadline is set).
+/// job spawns. [`is_fired`](Self::is_fired) is one load;
+/// [`poll`](Self::poll) adds a clock read for the deadline compare, and
+/// [`poll_at`](Self::poll_at) takes the reading from the caller.
 #[derive(Clone)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -99,11 +100,21 @@ impl CancelToken {
     /// deadline fires even if nobody ever calls [`expire`](Self::expire).
     #[inline]
     pub fn poll(&self) -> Option<CancelReason> {
+        self.poll_at(clock::now())
+    }
+
+    /// [`poll`](Self::poll) against a clock reading the caller already
+    /// holds: the deadline fires iff `now` has reached it. The loop
+    /// drain path reads the clock once per timing window and checks the
+    /// deadline with that reading; between windows it only loads the
+    /// state ([`is_fired`](Self::is_fired)).
+    #[inline]
+    pub fn poll_at(&self, now: u64) -> Option<CancelReason> {
         match self.inner.state.load(Ordering::Acquire) {
             CANCELLED => Some(CancelReason::Cancelled),
             DEADLINE => Some(CancelReason::DeadlineExceeded),
             _ => {
-                if self.inner.deadline != u64::MAX && clock::now() >= self.inner.deadline {
+                if self.inner.deadline != u64::MAX && now >= self.inner.deadline {
                     self.expire();
                     Some(CancelReason::DeadlineExceeded)
                 } else {
@@ -183,6 +194,31 @@ mod tests {
         assert_eq!(far.poll(), None);
         assert_eq!(far.deadline_tick(), Some(u64::MAX - 1));
         assert_eq!(CancelToken::new().deadline_tick(), None);
+    }
+
+    #[test]
+    fn poll_at_fires_iff_now_reached_the_deadline() {
+        let t = CancelToken::with_deadline_tick(1_000);
+        assert_eq!(t.poll_at(999), None);
+        assert!(!t.is_fired(), "an early reading promotes nothing");
+        assert_eq!(t.poll_at(1_000), Some(CancelReason::DeadlineExceeded));
+        assert!(t.is_fired(), "the promotion is in the state");
+        // Promoted once: a later, *earlier* reading cannot un-fire it,
+        // and an explicit cancel cannot re-label it.
+        assert_eq!(t.poll_at(0), Some(CancelReason::DeadlineExceeded));
+        t.cancel();
+        assert_eq!(t.poll_at(0), Some(CancelReason::DeadlineExceeded));
+        // Agreement with `expire`: the sweep and the checkpoint write the
+        // same state, and whichever reason landed first is what every
+        // reading returns.
+        let swept = CancelToken::with_deadline_tick(1_000);
+        swept.expire();
+        assert_eq!(swept.poll_at(0), t.poll_at(0));
+        let cancelled = CancelToken::with_deadline_tick(1_000);
+        cancelled.cancel();
+        assert_eq!(cancelled.poll_at(5_000), Some(CancelReason::Cancelled));
+        // No deadline: no reading fires it.
+        assert_eq!(CancelToken::new().poll_at(u64::MAX), None);
     }
 
     #[test]

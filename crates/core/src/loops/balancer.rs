@@ -25,8 +25,9 @@
 //! (clock ticks; `0` = off) is re-read on every gate check, so the
 //! Table-IV controller and `TaskServer::swap_tuning` re-tune the cadence
 //! live, mid-loop. The gate itself is called from loop-drain tasks at
-//! chunk boundaries and from the DLB engine's idle hook — one clock read
-//! plus one relaxed load when the interval has not elapsed.
+//! timing-window boundaries (with the window's own clock reading) and
+//! from the DLB engine's idle hook — relaxed loads only when the interval
+//! has not elapsed.
 //!
 //! ## Migration safety
 //!
@@ -144,12 +145,15 @@ impl LoopBalancer {
     /// `stats`, when given, is the calling worker's own stats block (the
     /// per-worker single-writer contract is the caller's).
     pub fn maybe_probe(&self, stats: Option<&WorkerStats>) -> bool {
+        self.maybe_probe_at(clock::now(), stats)
+    }
+
+    /// [`maybe_probe`](Self::maybe_probe) against a clock reading the
+    /// caller already holds — the loop drain path's one read per timing
+    /// window — so the gate itself is relaxed loads only.
+    pub(crate) fn maybe_probe_at(&self, now: u64, stats: Option<&WorkerStats>) -> bool {
         let interval = self.interval_ticks();
-        if interval == 0 {
-            return false;
-        }
-        let now = clock::now();
-        if now < self.next_probe.load(Ordering::Relaxed) {
+        if interval == 0 || now < self.next_probe.load(Ordering::Relaxed) {
             return false;
         }
         if self.probing.swap(true, Ordering::Acquire) {

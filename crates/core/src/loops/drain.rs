@@ -2,6 +2,11 @@
 //! source — the zone pools (claim local, steal-split remote, abandon on
 //! cancellation) or, for `Static`, its seat's private block — and the
 //! one place its ledger is merged into the loop total.
+//!
+//! The pooled path costs at most one claim per chunk; sub-µs fixed
+//! chunks amortize one claim over a reservation that decays to one
+//! chunk at the tail, and one clock read over a timing window of 2^k
+//! chunks.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -46,9 +51,27 @@ pub(super) struct LoopShared<'b> {
     pub(super) total: Mutex<LoopReport>,
 }
 
-/// The cancellation checkpoint: whether the job's token has fired.
-fn fired(token: &Option<CancelToken>) -> bool {
-    token.as_ref().is_some_and(|t| t.poll().is_some())
+/// A timing window aims to last at least this many clock ticks (~1 µs
+/// on a GHz-class TSC): chunks that long are timed one by one, shorter
+/// ones share one clock read between 2^k of them …
+const WINDOW_TICKS: u64 = 1 << 11;
+/// … up to this many, which bounds how many chunks an expired deadline
+/// can go unnoticed for when chunk cost jumps.
+const MAX_WINDOW_CHUNKS: u64 = 8;
+
+/// One drain task's open timing window (see `drive`'s `boundary`).
+struct Window {
+    /// Clock reading at the boundary that opened it.
+    stamp: u64,
+    /// Chunks and units run since `stamp`.
+    chunks: u64,
+    units: u64,
+    /// Chunks after which it closes.
+    len: u64,
+    /// Mean ticks per chunk of the last closed window — what the window
+    /// length and the reserve depth are derived from; `u64::MAX` until
+    /// one has closed.
+    chunk_ticks: u64,
 }
 
 impl LoopShared<'_> {
@@ -97,7 +120,7 @@ impl LoopShared<'_> {
         // rest of the block is abandoned, its element count conserved in
         // O(1) below. With no token the whole block is one runner call.
         let stride = token.as_ref().map_or(u64::MAX, |_| STATIC_CANCEL_STRIDE);
-        while next < hi && !fired(&token) {
+        while next < hi && token.as_ref().is_none_or(|t| t.poll().is_none()) {
             let end = next + stride.min(hi - next);
             acc.iterations += (self.runner)(next, end, ctx);
             next = end;
@@ -113,111 +136,136 @@ impl LoopShared<'_> {
         }
     }
 
-    /// The dynamic-family drain loop one worker runs: claim zone-local
-    /// (main, then inbox), steal-split remote (nearest-first) when dry,
-    /// share stolen tails through the local pool — and, at every chunk
-    /// boundary, give the inter-socket balancer its probe chance and the
-    /// job's cancellation token a checkpoint.
+    /// The dynamic-family drain loop one worker runs. Every chunk —
+    /// wherever its units came from — is cut at the one dispense site at
+    /// the bottom of the loop, from a worker-private **reserve**
+    /// `[lo, hi)`: refilled zone-local first (main, then inbox) by one
+    /// claim of [`Chunker::reservation`] units, else by a remote
+    /// steal-split (nearest-first), whose tail it shares through the
+    /// local pool.
     fn drive(&self, ctx: &TaskCtx<'_>, core: &LoopCore, chunker: &Chunker, acc: &mut LoopReport) {
         let my = self.layout.pool_of(ctx.numa_zone());
         let mine = &core.pools[my].0;
         let n_pools = core.pools.len();
+        let runner = self.runner;
+        let token = ctx.cancel_token();
+        // A window boundary. Its clock read — the only one on the path —
+        // closes the window behind it: the chunks' mean duration feeds
+        // the chunker's cost model (adaptive, AWF) and — when a live
+        // sampler is wired (task server) — the Table-IV adaptive
+        // controller, one sample of mass per chunk. The same reading
+        // stamps the window ahead, promotes an expired deadline into the
+        // token's state (where the per-chunk checkpoint sees it) and is
+        // the inter-socket balancer's probe gate. With no chunks behind
+        // it, it only re-stamps: called on both sides of any time spent
+        // off the dispense path, so idle time is never billed to a chunk.
         let balancer = &ctx.team.balancer;
         let my_stats = &ctx.team.stats[ctx.worker_id()];
-        let token = ctx.cancel_token();
-        // Chunk durations feed the chunker's cost model (adaptive, AWF)
-        // and — when a live sampler is wired (task server) — the
-        // Table-IV adaptive controller, so loop-heavy workloads retune
-        // the DLB engine from their real chunk grain, not just from
-        // whole drain-task sizes. Decided (and this worker's sampler
-        // lane resolved) once per drain task, not per chunk.
         let lane = ctx.team.sampler.as_ref().map(|l| &*l[ctx.worker_id()]);
-        let timed = chunker.timed() || lane.is_some();
-        let run_chunk = |lo: u64, hi: u64, acc: &mut LoopReport| {
-            let t0 = if timed { clock::now() } else { 0 };
-            acc.iterations += (self.runner)(lo, hi, ctx);
-            if timed {
-                let dt = clock::now().saturating_sub(t0);
-                chunker.record(my, hi - lo, dt);
+        let boundary = |win: &mut Window| {
+            let now = clock::now();
+            let ticks = now.saturating_sub(win.stamp);
+            if let Some(chunk_ticks) = ticks.checked_div(win.chunks) {
+                chunker.record(my, win.units, ticks);
                 if let Some(lane) = lane {
-                    lane.record(dt);
+                    lane.record_n(chunk_ticks, win.chunks);
                 }
+                win.chunk_ticks = chunk_ticks;
+                win.len = (WINDOW_TICKS / chunk_ticks.max(1))
+                    .clamp(1, MAX_WINDOW_CHUNKS)
+                    .next_power_of_two();
+                (win.chunks, win.units) = (0, 0);
             }
-            acc.chunks += 1;
-        };
-        let mut backoff = Backoff::new();
-        loop {
-            // Cancellation checkpoint, once per chunk claim: a fired
-            // token turns this drain task into an abandoner — it empties
-            // the remaining pools *without executing them*, conserving
-            // every abandoned iteration into `cancelled_iters`.
-            if fired(&token) {
-                return self.abandon_pools(core, acc);
+            win.stamp = now;
+            if let Some(token) = &token {
+                token.poll_at(now);
             }
-            // Coarse level: the probe gate is one clock read when the
-            // interval has not elapsed (and a no-op when disabled).
-            if balancer.maybe_probe(Some(my_stats)) {
-                // Our probe migrated a back-half range between zones —
-                // a coarse-level decision worth a lifecycle record.
+            if balancer.maybe_probe_at(now, Some(my_stats)) {
+                // Our probe migrated a back-half range between zones — a
+                // coarse-level decision worth a lifecycle record.
                 ctx.trace_emit(TraceLevel::Lifecycle, EventKind::Rebalance, my as u32, 0, 0);
             }
-            // Zone-local first: the claim costs one CAS and keeps the
-            // iterations in the zone whose block they belong to. The
-            // inbox holds balancer migrations — zone property too.
+        };
+        let mut win = Window {
+            stamp: 0,
+            chunks: 0,
+            units: 0,
+            len: 1,
+            chunk_ticks: u64::MAX,
+        };
+        boundary(&mut win);
+        // The reserve: units out of every pool and ours alone. `local` =
+        // claimed from our own zone's pools, not stolen.
+        let (mut lo, mut hi, mut local) = (0u64, 0u64, true);
+        let mut backoff = Backoff::new();
+        loop {
+            // Cancellation checkpoint, once per chunk (one load; the
+            // deadline compare rides the window boundary): a fired token
+            // turns this drain task into an abandoner — it gives up its
+            // reserve and empties the remaining pools *without executing
+            // them*, conserving every abandoned iteration into
+            // `cancelled_iters` (O(1) prefix math per range).
+            if token.as_ref().is_some_and(CancelToken::is_fired) {
+                boundary(&mut win); // the chunks already run still count
+                acc.cancelled_iters += self.space.elems_in(lo, hi);
+                return self.abandon_pools(core, acc);
+            }
             let want = chunker.size(my, core);
-            let claimed = mine.main.claim(want).or_else(|| mine.inbox.claim(want));
-            if let Some((lo, hi)) = claimed {
-                chunker.claimed();
-                ctx.trace_emit(TraceLevel::Full, EventKind::ChunkClaim, my as u32, lo, hi);
-                run_chunk(lo, hi, acc);
-                acc.claimed_local += 1;
-                backoff.reset();
-                continue;
-            }
-            // Local pools dry: steal-split a remote zone, nearest-first
-            // rotation (the NA-RP victim order for iteration ranges). A
-            // pane-set steal prefers whole pending panes, so a waved
-            // space migrates pane tails, not scalar slivers.
-            let stolen = (1..n_pools).find_map(|d| {
-                let p = &core.pools[(my + d) % n_pools].0;
-                p.main.steal_half().or_else(|| p.inbox.steal_half())
-            });
-            if let Some((mut lo, hi)) = stolen {
-                acc.range_steals += 1;
-                ctx.trace_emit(TraceLevel::Full, EventKind::RangeSteal, my as u32, lo, hi);
-                // Drain the stolen range: keep one chunk, hand the tail
-                // to the (empty) local pool so zone peers share the
-                // spoils.
-                while lo < hi {
-                    // A stolen range can be half a pool — keep the
-                    // chunk-claim cancellation cadence inside it too.
-                    // The un-run remainder is ours alone (already out of
-                    // every pool), so its *elements* are counted here
-                    // (O(1) prefix math) and the pools are abandoned
-                    // separately.
-                    if fired(&token) {
-                        acc.cancelled_iters += self.space.elems_in(lo, hi);
-                        return self.abandon_pools(core, acc);
+            if lo == hi {
+                // Zone-local first: the claim keeps the iterations in
+                // the zone whose block they belong to. The inbox holds
+                // balancer migrations — zone property too.
+                let ask = chunker.reservation(my, core, want, win.chunk_ticks);
+                if let Some((a, b)) = mine.main.claim(ask).or_else(|| mine.inbox.claim(ask)) {
+                    (lo, hi, local) = (a, b, true);
+                } else {
+                    boundary(&mut win);
+                    // Local pools dry: steal-split a remote zone,
+                    // nearest-first rotation (the NA-RP victim order for
+                    // iteration ranges). A pane-set steal prefers whole
+                    // pending panes, so a waved space migrates pane
+                    // tails, not scalar slivers.
+                    let stolen = (1..n_pools).find_map(|d| {
+                        let p = &core.pools[(my + d) % n_pools].0;
+                        p.main.steal_half().or_else(|| p.inbox.steal_half())
+                    });
+                    if let Some((a, b)) = stolen {
+                        acc.range_steals += 1;
+                        ctx.trace_emit(TraceLevel::Full, EventKind::RangeSteal, my as u32, a, b);
+                        (lo, hi, local) = (a, b, false);
+                    } else if core.fully_claimed() {
+                        // Every pool looked empty and the
+                        // seqlock-validated scan agrees (a migration in
+                        // flight fails it — yield and retry).
+                        return;
+                    } else {
+                        backoff.snooze();
                     }
-                    let take = u64::from(chunker.size(my, core)).min(hi - lo);
-                    chunker.claimed();
-                    let (clo, chi) = (lo, lo + take);
-                    lo += take;
-                    if lo < hi && mine.main.deposit_if_empty(lo, hi) {
-                        lo = hi;
-                    }
-                    run_chunk(clo, chi, acc);
+                    boundary(&mut win);
+                    continue;
                 }
-                backoff.reset();
-                continue;
             }
-            // Every pool looked empty: done once the seqlock-validated
-            // scan agrees (a migration in flight fails it — yield and
-            // retry).
-            if core.fully_claimed() {
-                return;
+            // The dispense site. A stolen reserve can be half a pool: it
+            // keeps the chunk it is about to run and offers the rest to
+            // the (empty) local pool so zone peers share the spoils —
+            // again before every chunk for as long as the offer is
+            // refused.
+            let end = lo + u64::from(want).min(hi - lo);
+            if !local && end < hi && mine.main.deposit_if_empty(end, hi) {
+                hi = end;
             }
-            backoff.snooze();
+            chunker.claimed();
+            ctx.trace_emit(TraceLevel::Full, EventKind::ChunkClaim, my as u32, lo, end);
+            acc.iterations += runner(lo, end, ctx);
+            acc.chunks += 1;
+            acc.claimed_local += u64::from(local);
+            win.chunks += 1;
+            win.units += end - lo;
+            lo = end;
+            backoff.reset();
+            if win.chunks >= win.len {
+                boundary(&mut win);
+            }
         }
     }
 

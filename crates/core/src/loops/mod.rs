@@ -15,10 +15,12 @@
 //!   blocked across NUMA zones proportionally to each zone's worker
 //!   count; each zone's share is seeded into the `main`
 //!   [`PaneSet`](xgomp_xqueue::PaneSet) of its zone pool, which waves
-//!   it through ≤u32 panes drained by one packed atomic word — claims
-//!   and steals cost one CAS per *chunk*, never per iteration, plus one
-//!   CAS per pane refill. Each zone also carries an initially empty
-//!   `inbox` pane set, the landing pad for balancer migrations.
+//!   it through ≤u32 panes drained by one packed atomic word — at most
+//!   one claim per *chunk*, never per iteration (sub-µs fixed chunks
+//!   amortize one claim over a reservation that decays to one chunk at
+//!   the tail), plus one CAS per pane refill. Each zone also carries an
+//!   initially empty `inbox` pane set, the landing pad for balancer
+//!   migrations.
 //! * One *loop-drain task* per worker is spawned with zone-affine
 //!   placement ([`Scope::spawn_on`](crate::Scope::spawn_on) → the
 //!   scheduler's targeted push). Drain tasks are ordinary tasks: the DLB
@@ -26,14 +28,16 @@
 //!   counts them, and parked workers are woken for them through the
 //!   ordinary `xqueue::parker` push-wake path — loop quiescence needs no
 //!   second mechanism.
-//! * **Fine level (reactive, intra-loop):** a drain task claims chunks
-//!   from **its executor's own zone pools first** (main, then inbox);
-//!   only when both are dry does it *steal-split* a remote zone's pools
-//!   (taking the upper half, exactly like stealing the cold end of a
-//!   deque), visiting remote pools in nearest-first rotation — the NA-RP
+//! * **Fine level (reactive, intra-loop):** a drain task cuts every
+//!   chunk from a worker-private *reserve*, refilled from **its
+//!   executor's own zone pools first** (main, then inbox); only when
+//!   both are dry does it *steal-split* a remote zone's pools (taking
+//!   the upper half, exactly like stealing the cold end of a deque),
+//!   visiting remote pools in nearest-first rotation — the NA-RP
 //!   zone-local-first victim order applied to iteration ranges. A stolen
-//!   range's tail is re-deposited into the thief's own zone pool when
-//!   that pool is empty, so one steal feeds a whole zone.
+//!   range is a reserve too: it keeps the chunk it is about to run and
+//!   re-deposits the rest into the thief's own zone pool when that pool
+//!   is empty, so one steal feeds a whole zone.
 //! * **Coarse level (proactive, cross-loop):** every pool-backed loop
 //!   registers with the team's [`LoopBalancer`], which watches per-zone
 //!   claim-rate EWMAs across *all* live loops and migrates back-half
@@ -53,7 +57,7 @@
 //! | Schedule | Chunking | Use |
 //! |----------|----------|-----|
 //! | [`Static`](LoopSchedule::Static) | one NUMA-blocked contiguous block per worker, no pools | uniform iteration cost |
-//! | [`Dynamic(c)`](LoopSchedule::Dynamic) | fixed chunks of `c` from the zone pools | known-irregular cost, small loops |
+//! | [`Dynamic(c)`](LoopSchedule::Dynamic) | fixed chunks of `c` from the zone pools; at most one claim per chunk — sub-µs chunks amortize one claim over a reservation that decays to one chunk at the tail | known-irregular cost, small loops |
 //! | [`Guided(m)`](LoopSchedule::Guided) | `remaining / (2 · zone workers)`, floored at `m` | irregular cost, decreasing tail |
 //! | [`Adaptive`](LoopSchedule::Adaptive) | chunk ≈ `TARGET_TICKS` ÷ live per-iteration cost estimate (decade histogram, LB4OMP-style), scaled down per zone by its relative drain rate | unknown or shifting cost |
 //! | [`Tss { first, last }`](LoopSchedule::Tss) | trapezoid: linear decrement from `first` to `last` over `⌈2N/(first+last)⌉` chunks | mildly decreasing cost, low scheduling overhead |
@@ -76,7 +80,8 @@
 //! * `auto.rs` — [`AutoSelector`], [`LoopId`], the `Auto` portfolio.
 //! * `pools.rs` — zone `Layout`, `ZonePool`, `LoopCore` and the
 //!   migration seqlock (`fully_claimed` / `migrating`).
-//! * `drain.rs` — the drain task: pooled `drive` or static block,
+//! * `drain.rs` — the drain task: pooled `drive` (one reserve, one
+//!   dispense site, one clock read per timing window) or static block,
 //!   abandon-on-cancel, and the one ledger merge.
 //! * `balancer.rs` — coarse migration policy; `space.rs` — iteration
 //!   spaces; this file — the `TaskCtx` fronts and `run_loop`.

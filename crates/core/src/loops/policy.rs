@@ -3,11 +3,13 @@
 //! [`LoopSchedule`] *once* into a per-loop [`Chunker`]; the drain loop
 //! only asks it for sizes and feeds it claims and chunk durations.
 //!
-//! Sizing is a pure layer over the one-CAS-per-chunk pane-set claim
-//! path: a chunker only decides *how many units* the next claim asks
-//! for, so every schedule inherits u64 waves, 2D/triangular spaces,
-//! cancellation checkpoints and seqlock-guarded migration from the
-//! shared drain loop unchanged.
+//! Sizing is a pure layer over the pane-set claim path — at most one
+//! claim per chunk; sub-µs fixed chunks amortize one claim over a
+//! [reservation](Chunker::reservation) that decays to one chunk at the
+//! tail. A chunker only decides *how many units* the next chunk and the
+//! next claim ask for, so every schedule inherits u64 waves,
+//! 2D/triangular spaces, cancellation checkpoints and seqlock-guarded
+//! migration from the shared drain loop unchanged.
 //!
 //! ## Chunk series
 //!
@@ -50,6 +52,13 @@ const ADAPTIVE_SEED_CHUNK: u32 = 32;
 /// Hard ceiling on an adaptive chunk (keeps a mis-estimated cheap body
 /// from swallowing a whole pool in one claim).
 const ADAPTIVE_MAX_CHUNK: u32 = 1 << 16;
+/// Predicted work, in clock ticks (~16 µs on a GHz-class TSC), that one
+/// claim may take out of its pool into a worker-private reserve: what a
+/// zone peer can be kept waiting for at a loop's tail, and two orders of
+/// magnitude above what the claim itself costs.
+const RESERVE_BUDGET_TICKS: u64 = 1 << 15;
+/// Ceiling on the chunks of one reservation, however cheap they are.
+const MAX_RESERVE_CHUNKS: u64 = 32;
 
 /// One running loop's chunk sizing, resolved from its [`LoopSchedule`]
 /// by [`resolve`](Self::resolve). `Static` has no chunker and `Auto`
@@ -91,15 +100,10 @@ impl Chunker {
     /// Next chunk size (in units) for a claim from `core`'s pool `pool`
     /// (see the schedule table in the [module docs](super)).
     pub(super) fn size(&self, pool: usize, core: &LoopCore) -> u32 {
-        // One zone worker's fair share of what its pool has left.
-        // `remaining` spans the zone's whole logical share (all pending
-        // panes), so guided decay and the adaptive tail cap follow the
-        // space, not the active pane.
-        let fair = || core.pools[pool].0.remaining() / u64::from(core.workers(pool));
         match self {
             Chunker::Fixed(c) => *c,
             Chunker::Guided { min } => {
-                (fair() / 2).clamp(u64::from(*min), u64::from(u32::MAX)) as u32
+                (core.fair_share(pool) / 2).clamp(u64::from(*min), u64::from(u32::MAX)) as u32
             }
             Chunker::Adaptive(cost) => {
                 let base = match cost.estimate() {
@@ -114,34 +118,59 @@ impl Chunker {
                 // giant waved loop keeps one continuous cost histogram
                 // and its chunks are capped by the space's true tail,
                 // never re-shrunk at each pane boundary.
-                u64::from(base).min(fair().max(1)) as u32
+                u64::from(base).min(core.fair_share(pool).max(1)) as u32
             }
             Chunker::Series(policy) => policy.peek(policy.weight(pool, core)),
         }
     }
 
+    /// Units one zone-local claim takes out of pool `pool` when the next
+    /// chunk is `want` units and recent chunks took `chunk_ticks` each
+    /// (`u64::MAX` = not yet measured): `want` itself — one claim per
+    /// chunk — unless the next size does not depend on shared state, in
+    /// which case the claim may reserve several chunks ahead and the
+    /// drain loop cuts them privately. Today that is `Fixed`; its depth
+    /// is [`RESERVE_BUDGET_TICKS`] of measured work, at most
+    /// [`MAX_RESERVE_CHUNKS`], capped at half the claimer's fair share of
+    /// what the pool has left (guided's rule), so it is one chunk for a
+    /// loop's first claim, for chunks that cost the budget or more, and
+    /// at every loop's tail. Always a multiple of `want`: only a pool's
+    /// last claim comes back ragged.
+    pub(super) fn reservation(
+        &self,
+        pool: usize,
+        core: &LoopCore,
+        want: u32,
+        chunk_ticks: u64,
+    ) -> u32 {
+        let Chunker::Fixed(c) = *self else {
+            return want;
+        };
+        let depth = (RESERVE_BUDGET_TICKS / chunk_ticks.max(1)).min(MAX_RESERVE_CHUNKS);
+        if depth <= 1 {
+            // Before the shared `remaining` read: slow chunks claim
+            // exactly as if there were no reserve.
+            return c;
+        }
+        let c = u64::from(c);
+        let tail_cap = core.fair_share(pool) / 2 / c;
+        (depth.min(tail_cap).min(u64::from(u32::MAX) / c).max(1) * c) as u32
+    }
+
     /// Consumes one scheduling step of a series (no-op otherwise).
-    /// Called once per *successful* claim, so a dry-pool probe never
-    /// skips a series entry.
+    /// Called once per chunk *cut*, so a dry-pool probe never skips a
+    /// series entry.
     pub(super) fn claimed(&self) {
         if let Chunker::Series(policy) = self {
             policy.advance();
         }
     }
 
-    /// Whether this chunker learns from chunk durations — i.e. whether
-    /// [`record`](Self::record) is worth two clock reads per chunk.
-    pub(super) fn timed(&self) -> bool {
-        match self {
-            Chunker::Adaptive(_) => true,
-            Chunker::Series(policy) => !policy.rates.is_empty(),
-            Chunker::Fixed(_) | Chunker::Guided { .. } => false,
-        }
-    }
-
-    /// Folds one executed chunk of `units` units from pool `pool` that
-    /// took `ticks` in. The cost model is per *unit* (a tile for
-    /// 2D/triangular spaces), matching the unit-typed chunk sizes.
+    /// Folds `units` executed units from pool `pool` that took `ticks`
+    /// in — one chunk, or one timing window of sub-µs chunks (both cost
+    /// models are unit-weighted sums, so a window folds like the chunks
+    /// in it). The cost model is per *unit* (a tile for 2D/triangular
+    /// spaces), matching the unit-typed chunk sizes.
     pub(super) fn record(&self, pool: usize, units: u64, ticks: u64) {
         match self {
             Chunker::Adaptive(cost) => cost.record_chunk(units, ticks),
@@ -238,8 +267,8 @@ struct PoolRate {
 #[derive(Debug)]
 pub struct ChunkPolicy {
     kind: PolicyKind,
-    /// Scheduling step: advanced once per successful chunk claim (not
-    /// per size query, so a dry-pool probe never skips a series entry).
+    /// Scheduling step: advanced once per chunk cut (not per size
+    /// query, so a dry-pool probe never skips a series entry).
     step: AtomicU64,
     total: u64,
     workers: u64,

@@ -72,8 +72,9 @@ impl Layout {
 /// One NUMA zone's iteration pools: the seeded `main` share plus the
 /// balancer-fed `inbox` (empty until a migration lands). Both are
 /// [`PaneSet`]s — u64 unit shares waved through ≤u32 panes — so a zone's
-/// share of a giant space costs the same one CAS per chunk as before,
-/// plus one CAS per pane refill.
+/// share of a giant space costs the same at most one claim per chunk
+/// (sub-µs fixed chunks amortize one claim over a reservation that
+/// decays to one chunk at the tail), plus one CAS per pane refill.
 #[derive(Debug)]
 pub(crate) struct ZonePool {
     /// The zone's seeded share of the unit space.
@@ -162,6 +163,14 @@ impl LoopCore {
     /// Workers of pool `pool`'s zone (≥ 1: the chunk-size divisor).
     pub(super) fn workers(&self, pool: usize) -> u32 {
         self.zone_workers[pool].max(1)
+    }
+
+    /// One zone worker's fair share of what pool `pool` has left (racy).
+    /// `remaining` spans the zone's whole logical share (all pending
+    /// panes), so guided decay, the adaptive tail cap and the reserve
+    /// cap follow the space, not the active pane.
+    pub(super) fn fair_share(&self, pool: usize) -> u64 {
+        self.pools[pool].0.remaining() / u64::from(self.workers(pool))
     }
 
     /// Pool `pool`'s racy claim rate per worker of its zone — the

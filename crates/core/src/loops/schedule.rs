@@ -128,15 +128,17 @@ pub struct LoopReport {
     /// cancellation token fired mid-loop).
     pub iterations: u64,
     /// Iterations abandoned *un-executed* because the job's cancellation
-    /// token fired mid-loop (drain tasks empty the remaining pools
-    /// without running them). `iterations + cancelled_iters` equals the
+    /// token fired mid-loop (drain tasks give up their reserves and
+    /// empty the remaining pools without running them).
+    /// `iterations + cancelled_iters` equals the
     /// range length exactly — the cancellation conservation identity.
     pub cancelled_iters: u64,
-    /// Chunks the iteration space was claimed in.
+    /// Chunks executed (a claim that reserves several `Dynamic(c)`
+    /// chunks ahead still counts each chunk of `c` it runs).
     pub chunks: u64,
-    /// Chunks claimed from the executing worker's own zone pools (the
-    /// zone-local-first fast path; static blocks count when they ran in
-    /// their home zone).
+    /// Chunks cut from units claimed out of the executing worker's own
+    /// zone pools (the zone-local-first fast path; static blocks count
+    /// when they ran in their home zone).
     pub claimed_local: u64,
     /// Cross-zone range steal-splits performed (the fine, reactive
     /// balancing level).

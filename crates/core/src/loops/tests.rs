@@ -603,3 +603,61 @@ fn static_blocks_drain_through_the_shared_ledger() {
         assert_report_matches_stats(&report, &out.stats.total(), &what);
     }
 }
+
+#[test]
+fn fixed_chunks_keep_an_exact_ledger_under_reserve_ahead() {
+    // One zone, so no steal can split a chunk: however many chunks one
+    // claim reserved (the no-op body puts `Dynamic(1)` at full depth),
+    // the report counts executed chunks of `c` — ragged only at the end
+    // of the pool — and every one of them as zone-local.
+    for c in [1u32, 7, 256] {
+        for len in [1, u64::from(c) - 1, 10_007, 1 << 17] {
+            for workers in [1, 2, 4] {
+                let what = format!("Dynamic({c}), len {len}, {workers} workers");
+                let rt = Runtime::new(
+                    RuntimeConfig::xgomptb(workers).topology(MachineTopology::new(1, workers, 1)),
+                );
+                let out = rt.parallel(|ctx| {
+                    let sum = AtomicU64::new(0);
+                    let report = ctx.parallel_for(0..len, LoopSchedule::Dynamic(c), |i, _| {
+                        sum.fetch_add(i + 1, Ordering::Relaxed);
+                    });
+                    (report, sum.load(Ordering::Relaxed))
+                });
+                let (report, sum) = out.result;
+                assert_eq!(sum, len * (len + 1) / 2, "{what}: exactly once");
+                assert_eq!(report.iterations, len, "{what}");
+                assert_eq!(report.chunks, len.div_ceil(u64::from(c)), "{what}");
+                assert_eq!(report.claimed_local, report.chunks, "{what}");
+                assert_eq!(report.range_steals + report.cancelled_iters, 0, "{what}");
+                out.stats.check_invariants().unwrap();
+                assert_report_matches_stats(&report, &out.stats.total(), &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn reservations_are_whole_chunks_capped_by_cost_and_by_the_tail() {
+    use super::policy::Chunker;
+    // One pool of 100 000 units shared by 4 workers.
+    let core = LoopCore::new(vec![ZonePool::new(0, 100_000, DEFAULT_PANE_UNITS)], &[4]);
+    let fixed = Chunker::Fixed(3);
+    // Unmeasured, or a chunk that costs the whole budget: one chunk.
+    assert_eq!(fixed.reservation(0, &core, 3, u64::MAX), 3);
+    assert_eq!(fixed.reservation(0, &core, 3, 1 << 15), 3);
+    // Cheaper chunks reserve deeper, up to the ceiling of 32.
+    assert_eq!(fixed.reservation(0, &core, 3, 1 << 13), 4 * 3);
+    assert_eq!(fixed.reservation(0, &core, 3, 40), 32 * 3);
+    assert_eq!(fixed.reservation(0, &core, 3, 0), 32 * 3);
+    // The tail: at most half the claimer's fair share of what is left,
+    // in whole chunks, never less than one.
+    core.pools[0].0.main.claim(100_000 - 400); // 400 left → fair 100 → 50
+    assert_eq!(fixed.reservation(0, &core, 3, 40), 16 * 3);
+    core.pools[0].0.main.claim(400 - 20); // 20 left → fair 5 → 2
+    assert_eq!(fixed.reservation(0, &core, 3, 40), 3);
+    // A chunker whose next size depends on shared state claims exactly
+    // the chunk it was asked for.
+    let guided = Chunker::Guided { min: 1 };
+    assert_eq!(guided.reservation(0, &core, 17, 40), 17);
+}

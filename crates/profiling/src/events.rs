@@ -37,8 +37,10 @@ pub enum EventKind {
     /// A loop-balancer probe migrated iteration ranges between zones
     /// (instant; payload `a` = probing worker's pool index).
     Rebalance = 9,
-    /// A loop chunk claimed from a zone pool (instant; payload
-    /// `a` = pool, `b` = range lo, `c` = range hi).
+    /// A loop chunk about to execute — one event per *executed* chunk,
+    /// whether its units were claimed from a zone pool one chunk at a
+    /// time, reserved ahead, or stolen (instant; payload `a` = the
+    /// executing worker's pool, `b`, `c` = the chunk's `lo`, `hi`).
     ChunkClaim = 10,
     /// A cross-zone loop range steal-split (instant; payload as
     /// [`ChunkClaim`](Self::ChunkClaim)).

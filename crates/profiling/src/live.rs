@@ -39,23 +39,36 @@ impl TaskLane {
     /// is what lets every update be a load+store instead of an RMW.
     #[inline]
     pub fn record(&self, ticks: u64) {
+        self.record_n(ticks, 1);
+    }
+
+    /// Records `n` tasks of `ticks` duration each — exactly `n` calls of
+    /// [`record`](Self::record) in one pass (`n == 0` records nothing).
+    /// This is how a loop's timing window of `n` sub-µs chunks keeps one
+    /// sample of mass per chunk while reading the clock once. Same
+    /// single-writer contract.
+    #[inline]
+    pub fn record_n(&self, ticks: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let b = &self.buckets[decade_index(ticks)];
-        b.store(b.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        b.store(b.load(Ordering::Relaxed) + n, Ordering::Relaxed);
         // `count == 0` means "no minimum yet" (same rule as
         // `TaskSizeHistogram`); the minimum is stored before the count
         // that makes it meaningful.
-        let n = self.count.load(Ordering::Relaxed);
-        if n == 0 || ticks < self.min_ticks.load(Ordering::Relaxed) {
+        let count = self.count.load(Ordering::Relaxed);
+        if count == 0 || ticks < self.min_ticks.load(Ordering::Relaxed) {
             self.min_ticks.store(ticks, Ordering::Relaxed);
         }
         if ticks > self.max_ticks.load(Ordering::Relaxed) {
             self.max_ticks.store(ticks, Ordering::Relaxed);
         }
         self.total_ticks.store(
-            self.total_ticks.load(Ordering::Relaxed) + ticks,
+            self.total_ticks.load(Ordering::Relaxed) + ticks * n,
             Ordering::Relaxed,
         );
-        self.count.store(n + 1, Ordering::Relaxed);
+        self.count.store(count + n, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> TaskSizeHistogram {
@@ -130,6 +143,33 @@ mod tests {
         assert_eq!(h.max_ticks, 50_000);
         assert_eq!(h.total_ticks, 5 + 500 + 100_000);
         assert_eq!(s.tasks_observed(), 4);
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        // Around earlier samples on both sides, so min/max are exercised
+        // as "kept" and as "replaced".
+        for (first, t) in [(5_000, 300), (30, 300), (300, 300)] {
+            let (weighted, single) = (LiveTaskSampler::default(), LiveTaskSampler::default());
+            weighted.lane(0).record(first);
+            weighted.lane(0).record_n(t, 8);
+            weighted.lane(0).record_n(9_999_999, 0); // no mass, no trace
+            single.lane(0).record(first);
+            for _ in 0..8 {
+                single.lane(0).record(t);
+            }
+            let h = weighted.snapshot();
+            assert_eq!(h, single.snapshot(), "count, buckets, total, min, max");
+            assert_eq!((h.count, h.buckets[2]), (9, 8 + u64::from(first == 300)));
+            assert_eq!(h.total_ticks, first + 8 * t);
+            assert_eq!((h.min_ticks, h.max_ticks), (first.min(t), first.max(t)));
+            assert_eq!(weighted.tasks_observed(), single.tasks_observed());
+        }
+        // Into an empty lane: the first weighted record sets the minimum.
+        let s = LiveTaskSampler::default();
+        s.lane(0).record_n(700, 4);
+        let h = s.snapshot();
+        assert_eq!((h.count, h.min_ticks, h.max_ticks), (4, 700, 700));
     }
 
     #[test]

@@ -11,8 +11,14 @@
 //!   covers `[S + k·P, min(S + (k+1)·P, E))` — pane position is pure
 //!   arithmetic, never shared mutable state.
 //! * `current` — the active pane's units, as u32 offsets from an atomic
-//!   `base`. All front claims flow through here, so the one-CAS-per-chunk
-//!   property and the claim-rate EWMA carry over unchanged.
+//!   `base`. All front claims flow through here, so the claim-rate EWMA
+//!   carries over unchanged and a claim stays one CAS on the range word
+//!   — but not one RMW: with the handshake below a pane-set claim is
+//!   *four* RMWs on shared lines (`claimers` +1, the range-word CAS, the
+//!   `claimed` counter, `claimers` −1; `xqueue.panes.claim_ns` in the
+//!   benchmark ledger, uncontended), each of which a second claimer
+//!   turns into a cache-line transfer. Callers amortize: at most one
+//!   claim per chunk, and one claim per *reservation* of sub-µs chunks.
 //!
 //! A claim that finds `current` dry *refills* it from the next pending
 //! pane — one `claim(1)` CAS on the pane queue — and shares smaller than

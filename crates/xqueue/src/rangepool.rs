@@ -9,15 +9,22 @@
 //! iteration-space analog of stealing the cold end of a deque.
 //!
 //! Like [`parker`](crate::parker), this module is a deliberate exception
-//! to the crate's plain-load/store discipline: pools use CAS, but only
-//! once per *chunk* (tens to tens of thousands of iterations), never per
-//! iteration, so the amortized cost is noise next to the loop body.
+//! to the crate's plain-load/store discipline: pools use CAS, but at
+//! most once per *chunk*, never per iteration. What a claim costs: two
+//! RMWs on shared lines (the range-word CAS and the
+//! [`claimed`](RangePool::claimed) counter) — ≈ 20 ns with the word to
+//! itself, but ≈ 5× that with a second claimer on it (the benchmark
+//! ledger's `xqueue.rangepool.claim_ns` vs `claim_2t_ns`), and more with
+//! every further worker of the zone. That is noise next to chunks of
+//! tens to thousands of iterations and as much as the body itself next
+//! to a sub-µs chunk, which is why the loop layer's drain path reserves
+//! several such chunks with one claim instead of claiming each.
 //!
 //! Offsets are `u32` so the whole pool state fits one atomic word — one
 //! pool is therefore bounded at `u32::MAX` (≈ 4.3 · 10⁹) scheduling
 //! units. Larger logical spaces are *waved* through panes of ≤ u32::MAX
 //! units by the [`panes`](crate::panes) layer, which chains pools
-//! without giving up the one-CAS-per-chunk property.
+//! without adding a claim per chunk.
 //!
 //! ## Rate telemetry
 //!

@@ -25,7 +25,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 use xgomp::service::{ServerConfig, TaskServer};
 use xgomp::{
-    DlbConfig, DlbStrategy, LoopSchedule, MachineTopology, QosClass, RuntimeConfig, SubmitOptions,
+    CancelToken, DlbConfig, DlbStrategy, LoopSchedule, MachineTopology, QosClass, Runtime,
+    RuntimeConfig, SubmitOptions,
 };
 
 /// A two-zone server with an aggressive rebalance cadence.
@@ -152,6 +153,100 @@ fn cancel_mid_loop_conserves_iterations_exactly() {
     assert_eq!(total.nloop_iters + total.nloop_cancelled_iters, LEN + 1_000);
     assert_eq!(total.nloop_iters, ran.load(Ordering::Relaxed) + 1_000);
     assert!(total.nloop_cancelled_iters > 0, "ranges were abandoned");
+}
+
+/// `Dynamic(1)` over no-op bodies runs at full reserve depth: each
+/// worker holds up to 32 already-claimed chunks privately. A token fired
+/// from inside iteration `k` must stop every worker at its *next* chunk
+/// — the reserve is abandoned into `cancelled_iters`, not run out — so at
+/// most one body per worker can even start with the token already fired,
+/// and conservation stays exact.
+#[test]
+fn cancel_inside_a_reserve_abandons_it_exactly() {
+    const LEN: u64 = 1 << 20;
+    const WORKERS: usize = 4;
+    let rt =
+        Runtime::new(RuntimeConfig::xgomptb(WORKERS).topology(MachineTopology::new(1, WORKERS, 1)));
+    for round in 0..200u64 {
+        let k = 2_000 + 37 * round;
+        let out = rt.parallel(move |ctx| {
+            let token = CancelToken::new();
+            ctx.set_cancel_token(token.clone());
+            let (ran, late) = (AtomicU64::new(0), AtomicU64::new(0));
+            let report = ctx.parallel_for(0..LEN, LoopSchedule::Dynamic(1), |i, _| {
+                late.fetch_add(u64::from(token.is_fired()), Ordering::Relaxed);
+                ran.fetch_add(1, Ordering::Relaxed);
+                if i == k {
+                    token.cancel();
+                }
+            });
+            ctx.clear_cancel_token();
+            (report, ran.into_inner(), late.into_inner())
+        });
+        let (report, ran, late) = out.result;
+        assert_eq!(report.iterations, ran, "round {round}");
+        assert_eq!(
+            report.iterations + report.cancelled_iters,
+            LEN,
+            "round {round}: conservation with reserves in flight"
+        );
+        assert!(report.cancelled_iters > 0, "round {round}");
+        assert_eq!(
+            report.chunks, ran,
+            "round {round}: chunks are executed chunks"
+        );
+        assert!(
+            late <= WORKERS as u64,
+            "round {round}: {late} bodies started after the token fired — a reserve was run out"
+        );
+        out.stats.check_invariants().unwrap();
+    }
+}
+
+/// The same, fired by a deadline: the drain path compares the deadline
+/// once per timing window (with the window's own clock reading) and the
+/// serve loop sweeps it too; whichever promotes the token, the per-chunk
+/// state check stops every worker inside its reserve.
+#[test]
+fn deadline_inside_a_reserve_abandons_it_exactly() {
+    const LEN: u64 = 1 << 30; // seconds of work: only the deadline ends it
+    const WORKERS: usize = 4;
+    const ROUNDS: u64 = 20;
+    let rt = RuntimeConfig::xgomptb(WORKERS).topology(MachineTopology::new(1, WORKERS, 1));
+    let server = TaskServer::start(ServerConfig::new(WORKERS).runtime(rt).adapt_every(0));
+    let ran = Arc::new(AtomicU64::new(0));
+    for round in 0..ROUNDS {
+        let late = Arc::new(AtomicU64::new(0));
+        let (r, l) = (ran.clone(), late.clone());
+        let h = server
+            .with(SubmitOptions::new().deadline(Duration::from_millis(5)))
+            .submit_for(0..LEN, LoopSchedule::Dynamic(1), move |_, ctx| {
+                let fired = ctx.cancel_token().is_some_and(|t| t.is_fired());
+                l.fetch_add(u64::from(fired), Ordering::Relaxed);
+                r.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+        let err = h.join().unwrap_err();
+        assert!(err.is_deadline_exceeded(), "round {round}: {err:?}");
+        let late = late.load(Ordering::Relaxed);
+        assert!(
+            late <= WORKERS as u64,
+            "round {round}: {late} bodies started after the deadline fired"
+        );
+    }
+    let report = server.shutdown();
+    // A job the host delayed past its deadline before it could start is
+    // shed, loop unseen; every loop that did start conserves exactly.
+    let started = report.stats.cancelled;
+    assert_eq!(started + report.stats.shed, ROUNDS);
+    let total = report.region.expect("clean serve end").stats.total();
+    assert_eq!(
+        total.nloop_iters + total.nloop_cancelled_iters,
+        started * LEN
+    );
+    assert_eq!(total.nloop_iters, ran.load(Ordering::Relaxed));
+    assert_eq!(total.nloop_chunks, total.nloop_iters);
+    assert!(total.nloop_cancelled_iters > 0);
 }
 
 #[test]

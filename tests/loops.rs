@@ -226,6 +226,73 @@ fn loop_chunk_durations_feed_the_live_sampler() {
     server.shutdown();
 }
 
+/// The sampler keeps one sample of mass per chunk at either end of the
+/// timing-window rule: sub-µs chunks share one clock read between the
+/// chunks of a window and are recorded weighted; chunks of 10 µs and
+/// more are windows of one, recorded one by one as before. (The loop job
+/// and its drain tasks are samples too, hence the small surplus.)
+#[test]
+fn sampler_mass_is_one_sample_per_chunk_at_any_grain() {
+    let server = two_zone_server(4);
+    let cases: [(&str, u64, fn()); 2] = [
+        ("sub-µs body", 100_000, || {}),
+        ("10 µs body", 600, || {
+            let t0 = std::time::Instant::now();
+            while t0.elapsed() < std::time::Duration::from_micros(10) {
+                std::hint::spin_loop();
+            }
+        }),
+    ];
+    for (what, len, body) in cases {
+        let baseline = server.task_histogram().count;
+        let report = server
+            .submit_for(0..len, LoopSchedule::Dynamic(1), move |_, _| body())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(
+            report.chunks, len,
+            "{what}: Dynamic(1) chunks are iterations"
+        );
+        let seen = server.task_histogram().count - baseline;
+        assert!(
+            (report.chunks..=report.chunks + 16).contains(&seen),
+            "{what}: sampler saw {seen} new samples for {} chunks",
+            report.chunks
+        );
+    }
+    server.shutdown();
+}
+
+/// The reserve decays with the pool: one claim takes at most half the
+/// claimer's fair share of what is left, so cheap iterations ahead of an
+/// expensive tail cannot talk a worker into reserving the whole tail
+/// (an uncapped 32-deep reserve would swallow all 16 slow iterations
+/// here), and a loop too short to measure never reserves at all.
+#[test]
+fn reserves_decay_so_no_worker_swallows_a_slow_tail() {
+    const SLOW: u64 = 16;
+    let rt = Runtime::new(RuntimeConfig::xgomptb(4).topology(MachineTopology::new(1, 4, 1)));
+    for fast in [10_000u64, 0] {
+        let slow_by_worker: [AtomicU64; 4] = Default::default();
+        let out = rt.parallel(|ctx| {
+            ctx.parallel_for(0..fast + SLOW, LoopSchedule::Dynamic(1), |i, c| {
+                if i >= fast {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    slow_by_worker[c.worker_id()].fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        });
+        assert_eq!(out.result.iterations, fast + SLOW);
+        let ran = slow_by_worker.each_ref().map(|n| n.load(Ordering::Relaxed));
+        assert_eq!(ran.iter().sum::<u64>(), SLOW);
+        assert!(
+            ran.iter().all(|&n| n <= SLOW / 2),
+            "{fast} fast iterations first: slow iterations per worker {ran:?}"
+        );
+    }
+}
+
 /// Satellite audit: per-lane ingress counters survive a `resume_with`
 /// zone re-map — a registered submitter's pushed/drained accounting is
 /// cumulative across generations, not reset by the re-map.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use xgomp::service::{ServerConfig, TaskServer};
 use xgomp::xqueue::{EventRing, RingCursor};
-use xgomp::{EventKind, RuntimeConfig, TraceLevel};
+use xgomp::{DlbConfig, DlbStrategy, EventKind, MachineTopology, RuntimeConfig, TraceLevel};
 
 fn traced_server(threads: usize, level: TraceLevel) -> TaskServer {
     let cfg = ServerConfig::new(threads);
@@ -202,6 +202,38 @@ fn full_trace_captures_loop_and_runtime_events() {
     assert!(
         snap.count(EventKind::Task) > 0,
         "Full level records task spans"
+    );
+    server.shutdown();
+
+    // One `ChunkClaim` per *executed* chunk, wherever its units came
+    // from. Two zones with all the cost in zone 1's half, so zone 0
+    // drains its own pool and must steal across (balancer off): chunks
+    // cut from the stolen ranges are on the timeline like any other.
+    // 250 chunks stay far inside the 4096-record rings.
+    let rt = RuntimeConfig::xgomptb(4)
+        .topology(MachineTopology::new(2, 2, 1))
+        .dlb(DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(0))
+        .trace(TraceLevel::Full);
+    let server = TaskServer::start(ServerConfig::new(4).runtime(rt).adapt_every(0));
+    let report = server
+        .submit_for(0..4_000, xgomp::LoopSchedule::Dynamic(16), |i, _| {
+            if i >= 2_000 {
+                for _ in 0..2_000 {
+                    std::hint::spin_loop();
+                }
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert_eq!(report.iterations, 4_000);
+    assert!(report.range_steals > 0, "zone 0 had to steal");
+    let snap = server.trace_snapshot();
+    assert_eq!(snap.dropped, 0, "the rings did not wrap");
+    assert_eq!(snap.count(EventKind::ChunkClaim) as u64, report.chunks);
+    assert_eq!(
+        snap.count(EventKind::RangeSteal) as u64,
+        report.range_steals
     );
     server.shutdown();
 }
