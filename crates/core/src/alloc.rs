@@ -12,6 +12,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
+use xgomp_profiling::WorkerStats;
 
 use crate::task::{Task, TaskBody};
 use crate::util::{CachePadded, PerWorker};
@@ -33,19 +34,21 @@ const LOCAL_CACHE_MAX: usize = 256;
 /// (LOMP's chunked buffer acquisition).
 const GLOBAL_CHUNK: usize = 32;
 
+/// One worker's allocation ledger. Single-writer (the thread owning the
+/// slot, load + store, no RMW) like the tree barrier's task cells: the
+/// per-task path shares no counter between workers.
+#[derive(Default)]
+struct Ledger {
+    allocated: AtomicU64,
+    freed: AtomicU64,
+}
+
 /// The team's task-record allocator.
 pub(crate) struct TaskAllocator {
     kind: AllocKind,
     local: PerWorker<Vec<NonNull<Task>>>,
     global: Mutex<Vec<NonNull<Task>>>,
-    // Every worker bumps these once per task, and the allocator sits
-    // inline in `TeamShared` beside fields every worker reads per task
-    // (scheduler, barrier, poison flag): unpadded, whichever of those
-    // happens to share the counters' cache line misses on every read —
-    // a ±50 % swing on fine-grained workloads decided by where the
-    // team's allocation lands.
-    allocated: CachePadded<AtomicU64>,
-    freed: CachePadded<AtomicU64>,
+    ledgers: Box<[CachePadded<Ledger>]>,
 }
 
 // SAFETY: pooled pointers are owned records, movable across threads.
@@ -58,8 +61,7 @@ impl TaskAllocator {
             kind,
             local: PerWorker::new(n_workers, |_| Vec::new()),
             global: Mutex::new(Vec::new()),
-            allocated: CachePadded(AtomicU64::new(0)),
-            freed: CachePadded(AtomicU64::new(0)),
+            ledgers: (0..n_workers).map(|_| CachePadded::default()).collect(),
         }
     }
 
@@ -75,7 +77,7 @@ impl TaskAllocator {
         parent: Option<NonNull<Task>>,
         priority: i32,
     ) -> NonNull<Task> {
-        self.allocated.0.fetch_add(1, Ordering::Relaxed);
+        WorkerStats::inc(&self.ledgers[w].0.allocated);
         match self.kind {
             AllocKind::Malloc => {
                 let boxed = Box::new(Task::new(body, parent, w as u32, priority));
@@ -127,7 +129,7 @@ impl TaskAllocator {
     /// `ptr` must be a record from [`alloc`](Self::alloc) whose last
     /// reference was released; caller must own worker slot `w`.
     pub unsafe fn free(&self, w: usize, ptr: NonNull<Task>) {
-        self.freed.0.fetch_add(1, Ordering::Relaxed);
+        WorkerStats::inc(&self.ledgers[w].0.freed);
         match self.kind {
             AllocKind::Malloc => {
                 // SAFETY: exclusive dead record from Box::into_raw.
@@ -160,19 +162,17 @@ impl TaskAllocator {
         }
     }
 
-    /// Records allocated minus records freed. Zero after a quiescent
-    /// region has been torn down (leak check used by tests).
+    /// Records allocated minus records freed, summed over the workers'
+    /// ledgers (a record may be freed on another slot than it was
+    /// allocated on). Zero after a quiescent region has been torn down
+    /// (leak check used by tests); racy while workers run.
     pub fn outstanding(&self) -> u64 {
-        self.allocated
-            .0
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.freed.0.load(Ordering::Relaxed))
-    }
-
-    /// Which policy this allocator implements.
-    #[allow(dead_code)]
-    pub fn kind(&self) -> AllocKind {
-        self.kind
+        let (mut allocated, mut freed) = (0u64, 0u64);
+        for l in self.ledgers.iter() {
+            allocated += l.0.allocated.load(Ordering::Relaxed);
+            freed += l.0.freed.load(Ordering::Relaxed);
+        }
+        allocated.saturating_sub(freed)
     }
 }
 
@@ -210,6 +210,21 @@ mod tests {
         assert_eq!(a.outstanding(), 1);
         release_and_free(&a, 0, t);
         assert_eq!(a.outstanding(), 0);
+    }
+
+    #[test]
+    fn cross_slot_frees_balance_the_ledgers() {
+        for kind in [AllocKind::Malloc, AllocKind::MultiLevel] {
+            let a = TaskAllocator::new(kind, 2);
+            let ptrs: Vec<_> = (0..5)
+                .map(|_| unsafe { a.alloc(0, None, None, 0) })
+                .collect();
+            assert_eq!(a.outstanding(), 5, "{kind:?}");
+            for p in ptrs {
+                release_and_free(&a, 1, p);
+            }
+            assert_eq!(a.outstanding(), 0, "{kind:?}: freed on another slot");
+        }
     }
 
     #[test]

@@ -172,13 +172,6 @@ impl RuntimeConfig {
 
     // ---- builder-style overrides ----
 
-    /// Sets the team size (and refits the default topology).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self.topology = MachineTopology::fit_workers(self.threads);
-        self
-    }
-
     /// Enables a DLB strategy (meaningful with the XQueue scheduler).
     pub fn dlb(mut self, cfg: DlbConfig) -> Self {
         self.dlb = Some(cfg);
@@ -297,8 +290,7 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let cfg = RuntimeConfig::xgomptb(2)
-            .threads(8)
+        let cfg = RuntimeConfig::xgomptb(8)
             .queue_capacity(64)
             .profiling(true)
             .dlb(DlbConfig::new(DlbStrategy::RedirectPush))

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use xgomp_profiling::{clock, EventKind, WorkerStats};
 use xgomp_xqueue::Backoff;
 
-use crate::cancel::{raise_cancel, CancelToken};
+use crate::cancel::{raise_cancel, CancelReason, CancelToken};
 use crate::task::{Task, TaskBody};
 use crate::team::{execute, TeamShared};
 
@@ -66,7 +66,7 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(Box::new(f), 0);
+        self.spawn_impl(Box::new(f), 0, None);
     }
 
     /// Spawns a child task with a GOMP-style priority (only the GOMP
@@ -77,20 +77,14 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(Box::new(f), priority);
+        self.spawn_impl(Box::new(f), priority, None);
     }
 
-    /// Spawns an already-boxed body without re-boxing — the hot
+    /// Spawns an already-boxed body (no re-boxing) into the *calling
+    /// worker's own* queue, bypassing the round-robin cursor — the hot
     /// submission path of `xgomp-service`, whose ingress queues carry
-    /// boxed job bodies end to end.
-    #[inline]
-    pub fn spawn_boxed(&self, body: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>) {
-        self.spawn_impl(body, 0);
-    }
-
-    /// Spawns an already-boxed body into the *calling worker's own*
-    /// queue, bypassing the round-robin cursor. This is the placement
-    /// externally injected jobs need: a cross-pushed task lands in one
+    /// boxed job bodies end to end. This is the placement externally
+    /// injected jobs need: a cross-pushed task lands in one
     /// peer's SPSC queue and is unreachable by anyone else until that
     /// peer next visits the scheduler — if the peer is stalled inside a
     /// long-running task body, the job is stranded even while other
@@ -98,7 +92,7 @@ impl<'t> TaskCtx<'t> {
     /// scheduler visit of the worker that chose to take it.
     #[inline]
     pub fn spawn_boxed_local(&self, body: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>) {
-        self.spawn_impl_placed(body, 0, Some(self.worker));
+        self.spawn_impl(body, 0, Some(self.worker));
     }
 
     /// Like [`run_pending`](Self::run_pending), but when the scheduler
@@ -110,23 +104,10 @@ impl<'t> TaskCtx<'t> {
     /// else.
     pub fn help_pending(&self, max: usize) -> usize {
         let ran = self.run_pending(max);
-        if ran > 0 {
+        if ran > 0 || self.team.poll_ingress(self.worker) == 0 {
             return ran;
         }
-        let team = self.team;
-        if let Some(src) = &team.source {
-            if let Some(root) = NonNull::new(team.root.load(Ordering::Acquire)) {
-                let root_ctx = TaskCtx {
-                    team,
-                    worker: self.worker,
-                    task: root,
-                };
-                if src.poll(&root_ctx) > 0 {
-                    return self.run_pending(max);
-                }
-            }
-        }
-        0
+        self.run_pending(max)
     }
 
     /// Whether the team has been poisoned by an un-isolated panic (the
@@ -161,12 +142,14 @@ impl<'t> TaskCtx<'t> {
     }
 
     /// Whether the current task's cancellation token (if any) has fired.
-    /// One relaxed load on the live path; long-running bodies that want
+    /// Borrows the token where it sits (no `Arc` clone): one state load,
+    /// plus — while the token is live and carries a deadline — a deadline
+    /// compare against one clock read. Long-running bodies that want
     /// tighter cancellation latency than the chunk/taskwait checkpoints
     /// give them poll this and return early.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.cancel_token().is_some_and(|t| t.poll().is_some())
+        self.poll_cancel().is_some()
     }
 
     /// Cancellation checkpoint: unwinds with a
@@ -179,11 +162,17 @@ impl<'t> TaskCtx<'t> {
         if !self.team.isolate_panics || std::thread::panicking() {
             return;
         }
-        if let Some(token) = self.cancel_token() {
-            if let Some(reason) = token.poll() {
-                raise_cancel(reason);
-            }
+        if let Some(reason) = self.poll_cancel() {
+            raise_cancel(reason);
         }
+    }
+
+    /// Polls the current task's token in place.
+    #[inline]
+    fn poll_cancel(&self) -> Option<CancelReason> {
+        // SAFETY: we are the executing worker of `self.task`, and the
+        // borrow ends inside this call — no `set_cancel` can overlap it.
+        unsafe { Task::cancel_ref(self.task) }.and_then(CancelToken::poll)
     }
 
     /// The team's NUMA-aware idle parker.
@@ -240,20 +229,12 @@ impl<'t> TaskCtx<'t> {
     /// master loop interleaves with ingress polling and controller work.
     pub fn run_pending(&self, max: usize) -> usize {
         let team = self.team;
-        let w = self.worker;
         let mut ran = 0;
-        while ran < max {
-            if team.poisoned.load(Ordering::Relaxed) {
-                break;
-            }
-            match team.sched.next_task(w) {
-                Some(t) => {
-                    team.sched.pre_execute(w);
-                    execute(team, w, t);
-                    ran += 1;
-                }
-                None => break,
-            }
+        while ran < max
+            && !team.poisoned.load(Ordering::Relaxed)
+            && team.run_next(self.worker, || {})
+        {
+            ran += 1;
         }
         ran
     }
@@ -301,12 +282,12 @@ impl<'t> TaskCtx<'t> {
             if team.poisoned.load(Ordering::Relaxed) {
                 return; // a sibling task panicked; bail out
             }
-            if let Some(t) = team.sched.next_task(w) {
+            let found = || {
                 if let Some(t0) = wait_t0.take() {
                     team.log_span(w, EventKind::TaskWait, t0);
                 }
-                team.sched.pre_execute(w);
-                execute(team, w, t);
+            };
+            if team.run_next(w, found) {
                 backoff.reset();
                 continue;
             }
@@ -339,18 +320,12 @@ impl<'t> TaskCtx<'t> {
         }
     }
 
-    /// Core spawn path (§III-A): count for the barrier *before*
-    /// publication, link the dependency atomically, allocate, then push —
-    /// falling back to immediate execution when the target queue is full.
-    pub(crate) fn spawn_impl(&self, body: TaskBody, priority: i32) {
-        self.spawn_impl_placed(body, priority, None)
-    }
-
-    /// [`spawn_impl`](Self::spawn_impl) with an optional placement
-    /// target: `Some(t)` asks the scheduler to hand the task to worker
-    /// `t` (the zone-affine placement of loop-drain tasks; schedulers
-    /// without per-worker queues ignore it).
-    pub(crate) fn spawn_impl_placed(&self, body: TaskBody, priority: i32, target: Option<usize>) {
+    /// The spawn path (§III-A): count for the barrier *before*
+    /// publication, link the dependency atomically, allocate, then
+    /// publish — falling back to immediate execution when the target
+    /// queue is full. `hint = Some(t)` asks the scheduler to hand the
+    /// task to worker `t` (see `Scheduler::spawn`).
+    fn spawn_impl(&self, body: TaskBody, priority: i32, hint: Option<usize>) {
         let team = self.team;
         let w = self.worker;
         let t0 = if team.profiling { clock::now() } else { 0 };
@@ -370,24 +345,12 @@ impl<'t> TaskCtx<'t> {
             }
         }
         WorkerStats::inc(&team.stats[w].tasks_created);
-        let pushed = match target {
-            Some(t) => team.sched.spawn_to(w, t, ptr),
-            None => team.sched.spawn(w, ptr),
-        };
-        match pushed {
-            Ok(()) => {
-                if team.profiling {
-                    team.log_span(w, EventKind::TaskCreate, t0);
-                }
-            }
-            Err(p) => {
-                // Overflow rule: execute the task immediately (§II-B).
-                WorkerStats::inc(&team.stats[w].ntasks_imm_exec);
-                if team.profiling {
-                    team.log_span(w, EventKind::TaskCreate, t0);
-                }
-                execute(team, w, p);
-            }
+        let pushed = team.sched.spawn(w, hint, ptr);
+        team.log_span(w, EventKind::TaskCreate, t0);
+        if let Err(p) = pushed {
+            // Overflow rule: execute the task immediately (§II-B).
+            WorkerStats::inc(&team.stats[w].ntasks_imm_exec);
+            execute(team, w, p);
         }
     }
 }
@@ -405,23 +368,7 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
-        let boxed: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'env> = Box::new(f);
-        // SAFETY: the scope's taskwait (WaitGuard, run even on unwind)
-        // ensures this body finishes before any `'env` borrow ends, so
-        // erasing the lifetime cannot let the body observe freed data.
-        let boxed: TaskBody = unsafe { std::mem::transmute(boxed) };
-        self.ctx.spawn_impl(boxed, 0);
-    }
-
-    /// Spawns a borrowing task with a GOMP priority.
-    pub fn spawn_with_priority<F>(&self, priority: i32, f: F)
-    where
-        F: FnOnce(&TaskCtx<'_>) + Send + 'env,
-    {
-        let boxed: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'env> = Box::new(f);
-        // SAFETY: as in `spawn`.
-        let boxed: TaskBody = unsafe { std::mem::transmute(boxed) };
-        self.ctx.spawn_impl(boxed, priority);
+        self.spawn_hinted(None, f);
     }
 
     /// Spawns a borrowing task with a *placement target*: worker
@@ -433,14 +380,54 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
+        self.spawn_hinted(Some(target), f);
+    }
+
+    /// Erases `'env` from the body and spawns it as a child of the
+    /// scope's task.
+    fn spawn_hinted<F>(&self, hint: Option<usize>, f: F)
+    where
+        F: FnOnce(&TaskCtx<'_>) + Send + 'env,
+    {
         let boxed: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'env> = Box::new(f);
-        // SAFETY: as in `spawn`.
-        let boxed: TaskBody = unsafe { std::mem::transmute(boxed) };
-        self.ctx.spawn_impl_placed(boxed, 0, Some(target));
+        // SAFETY: the body becomes a child of the task whose scope this
+        // is, and the scope's taskwait (WaitGuard, run even on unwind)
+        // ensures every child finishes before any `'env` borrow ends, so
+        // erasing the lifetime cannot let the body observe freed data.
+        let body: TaskBody = unsafe { std::mem::transmute(boxed) };
+        self.ctx.spawn_impl(body, 0, hint);
     }
 
     /// The underlying context (worker id, topology queries).
     pub fn ctx(&self) -> &TaskCtx<'ctx> {
         self.ctx
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Runtime, RuntimeConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn placed_spawns_overflow_into_immediate_execution() {
+        // Capacity-2 queues: a task placed on worker 1 that finds its
+        // queue full runs on the master instead.
+        let rt = Runtime::new(RuntimeConfig::xgomptb(2).queue_capacity(2));
+        let ran = AtomicUsize::new(0);
+        let out = rt.parallel(|ctx| {
+            ctx.scope(|s| {
+                for _ in 0..64 {
+                    s.spawn_on(1, |_| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 64);
+        let total = out.stats.total();
+        assert_eq!(total.ntasks_imm_exec + total.ntasks_static_push, 64);
+        assert_eq!(total.tasks_executed, 64);
+        out.stats.check_invariants().unwrap();
     }
 }

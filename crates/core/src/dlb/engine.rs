@@ -199,9 +199,7 @@ impl DlbEngine {
                 unsafe {
                     self.redirect.with(w, |rd| {
                         if rd.thief >= 0 {
-                            let thief = rd.thief as usize;
-                            Self::finish_redirect(rd, &self.stats[w], &self.placement, w, thief);
-                            self.cells[w].0.bump_round();
+                            self.finish_redirect(w, rd);
                         }
                     });
                 }
@@ -286,14 +284,7 @@ impl DlbEngine {
                 }
             }
         }
-        if moved > 0 {
-            WorkerStats::inc(&stats.nreq_has_steal);
-            WorkerStats::add(&stats.ntasks_stolen, moved);
-            if self.placement.is_numa_local(w, thief) {
-                WorkerStats::add(&stats.nsteal_local, moved);
-            } else {
-                WorkerStats::add(&stats.nsteal_remote, moved);
-            }
+        if self.settle(w, thief, moved) {
             // The thief may have parked since sending its request; the
             // migrated tasks sit in its row, reachable by no one else.
             self.parker.notify_push(thief);
@@ -314,7 +305,6 @@ impl DlbEngine {
             // the victim's next found-task point (see `on_found_task`).
             return None;
         }
-        let stats = &self.stats[w];
         // SAFETY: worker-ownership contract; the lattice probe inside is
         // a leaf producer-role call for w.
         unsafe {
@@ -327,42 +317,44 @@ impl DlbEngine {
                 if rd.remaining == 0 || full {
                     // `ctid_thief ← -1` (no thief); request completed.
                     if full && rd.pushed == 0 {
-                        WorkerStats::inc(&stats.nreq_target_full);
+                        WorkerStats::inc(&self.stats[w].nreq_target_full);
                     }
-                    Self::finish_redirect(rd, stats, &self.placement, w, thief);
-                    self.cells[w].0.bump_round();
+                    self.finish_redirect(w, rd);
                     return None;
                 }
                 rd.remaining -= 1;
                 rd.pushed += 1;
                 if rd.remaining == 0 {
-                    Self::finish_redirect(rd, stats, &self.placement, w, thief);
-                    self.cells[w].0.bump_round();
+                    self.finish_redirect(w, rd);
                 }
                 Some(thief)
             })
         }
     }
 
-    fn finish_redirect(
-        rd: &mut RedirectState,
-        stats: &WorkerStats,
-        placement: &Placement,
-        w: usize,
-        thief: usize,
-    ) {
-        if rd.pushed > 0 {
-            WorkerStats::inc(&stats.nreq_has_steal);
-            WorkerStats::add(&stats.ntasks_stolen, rd.pushed);
-            if placement.is_numa_local(w, thief) {
-                WorkerStats::add(&stats.nsteal_local, rd.pushed);
-            } else {
-                WorkerStats::add(&stats.nsteal_remote, rd.pushed);
-            }
+    /// Completes victim `w`'s armed request: settles what it pushed,
+    /// disarms, and bumps the round so the cell accepts new requests.
+    fn finish_redirect(&self, w: usize, rd: &mut RedirectState) {
+        self.settle(w, rd.thief as usize, rd.pushed);
+        *rd = RedirectState::default();
+        self.cells[w].0.bump_round();
+    }
+
+    /// Books one served request that moved `moved` tasks from victim `w`
+    /// to `thief` (either strategy); returns whether any moved.
+    fn settle(&self, w: usize, thief: usize, moved: u64) -> bool {
+        if moved == 0 {
+            return false;
         }
-        rd.thief = -1;
-        rd.remaining = 0;
-        rd.pushed = 0;
+        let stats = &self.stats[w];
+        WorkerStats::inc(&stats.nreq_has_steal);
+        WorkerStats::add(&stats.ntasks_stolen, moved);
+        if self.placement.is_numa_local(w, thief) {
+            WorkerStats::add(&stats.nsteal_local, moved);
+        } else {
+            WorkerStats::add(&stats.nsteal_remote, moved);
+        }
+        true
     }
 
     /// Diagnostic access to a worker's message cell.

@@ -86,10 +86,3 @@ pub use xgomp_profiling::{
 };
 pub use xgomp_topology::{Affinity, CostModel, Locality, MachineTopology, Placement};
 pub use xgomp_xqueue::{Parker, ParkerCell};
-
-#[doc(hidden)]
-pub mod internal {
-    //! Internals re-exported for the benchmark harness only (allocator
-    //! micro-ablation); not part of the stable API.
-    pub use crate::task::Task;
-}

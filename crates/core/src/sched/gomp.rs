@@ -71,7 +71,12 @@ impl GompScheduler {
 }
 
 impl Scheduler for GompScheduler {
-    fn spawn(&self, w: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+    fn spawn(
+        &self,
+        w: usize,
+        _hint: Option<usize>,
+        task: NonNull<Task>,
+    ) -> Result<(), NonNull<Task>> {
         // SAFETY: the task record is live; reading its priority is benign.
         let priority = unsafe { task.as_ref() }.priority();
         let mut q = self.queue.lock();
@@ -138,9 +143,9 @@ mod tests {
         let a = mk(0);
         let b = mk(5);
         let c = mk(0);
-        s.spawn(0, a).unwrap();
-        s.spawn(0, b).unwrap();
-        s.spawn(0, c).unwrap();
+        s.spawn(0, None, a).unwrap();
+        s.spawn(0, None, b).unwrap();
+        s.spawn(0, None, c).unwrap();
         // Highest priority first.
         assert_eq!(s.next_task(0), Some(b));
         // FIFO within equal priority.
@@ -159,7 +164,7 @@ mod tests {
         let s = GompScheduler::new(stats(1), parker(1));
         let ptrs: Vec<_> = (0..10).map(|_| mk(0)).collect();
         for &p in &ptrs {
-            s.spawn(0, p).unwrap();
+            s.spawn(0, None, p).unwrap();
         }
         let mut n = 0;
         s.drain_all(&mut |p| {
@@ -181,7 +186,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for _ in 0..5_000 {
                     let t = mk(0);
-                    s.spawn(w, t).unwrap();
+                    s.spawn(w, None, t).unwrap();
                     if let Some(p) = s.next_task(w) {
                         popped.fetch_add(1, Ordering::Relaxed);
                         unsafe { free(p) };

@@ -51,7 +51,12 @@ impl LompScheduler {
 }
 
 impl Scheduler for LompScheduler {
-    fn spawn(&self, w: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+    fn spawn(
+        &self,
+        w: usize,
+        _hint: Option<usize>,
+        task: NonNull<Task>,
+    ) -> Result<(), NonNull<Task>> {
         // SAFETY: worker-ownership contract (team loop); leaf access.
         unsafe { self.deques.with(w, |d| d.push(TaskPtr(task))) };
         WorkerStats::inc(&self.stats[w].ntasks_static_push);
@@ -141,8 +146,8 @@ mod tests {
         let s = LompScheduler::new(2, stats(2), parker(2));
         let a = mk();
         let b = mk();
-        s.spawn(0, a).unwrap();
-        s.spawn(0, b).unwrap();
+        s.spawn(0, None, a).unwrap();
+        s.spawn(0, None, b).unwrap();
         assert_eq!(s.next_task(0), Some(b), "own pops are LIFO");
         assert_eq!(s.next_task(0), Some(a));
         unsafe {
@@ -155,7 +160,7 @@ mod tests {
     fn idle_worker_steals_from_busy_one() {
         let s = LompScheduler::new(2, stats(2), parker(2));
         let a = mk();
-        s.spawn(0, a).unwrap();
+        s.spawn(0, None, a).unwrap();
         assert_eq!(s.next_task(1), Some(a), "worker 1 must steal");
         unsafe { free(a) };
     }
@@ -165,7 +170,7 @@ mod tests {
         let s = LompScheduler::new(1, stats(1), parker(1));
         assert_eq!(s.next_task(0), None);
         let a = mk();
-        s.spawn(0, a).unwrap();
+        s.spawn(0, None, a).unwrap();
         assert_eq!(s.next_task(0), Some(a));
         unsafe { free(a) };
     }
@@ -182,7 +187,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..5_000 {
                     let t = mk();
-                    s.spawn(w, t).unwrap();
+                    s.spawn(w, None, t).unwrap();
                     if i % 2 == 0 {
                         if let Some(p) = s.next_task(w) {
                             popped.fetch_add(1, Ordering::Relaxed);

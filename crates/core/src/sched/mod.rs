@@ -78,37 +78,41 @@ impl SchedulerKind {
     }
 }
 
-/// The scheduling-point interface the worker loop drives.
+/// The scheduling-point interface the team drives — one publish
+/// ([`spawn`](Self::spawn)) and one fetch
+/// ([`next_task`](Self::next_task)), each called from exactly one place
+/// (`TaskCtx`'s spawn path and `TeamShared::run_next`).
 ///
 /// All methods take the worker index; methods touching per-worker state
 /// carry the worker-ownership contract (the calling thread must be the
 /// one running worker `w`), which the team enforces structurally.
 pub(crate) trait Scheduler: Send + Sync {
-    /// Publishes a freshly spawned task. `Err(task)` hands the task back
-    /// for immediate execution (the XQueue overflow rule); unbounded
-    /// schedulers never return `Err`.
-    fn spawn(&self, w: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>>;
+    /// Publishes a freshly spawned task. `hint` is an optional
+    /// *placement target*: the caller wants that worker to execute the
+    /// task — the zone-affine initial placement of `parallel_for`'s
+    /// per-worker loop-drain tasks, or a server job kept on the worker
+    /// that drained it. Schedulers without per-worker queues ignore it.
+    /// `Err(task)` hands the task back for immediate execution (the
+    /// XQueue overflow rule, hinted or not); unbounded schedulers never
+    /// return `Err`.
+    fn spawn(
+        &self,
+        w: usize,
+        hint: Option<usize>,
+        task: NonNull<Task>,
+    ) -> Result<(), NonNull<Task>>;
 
-    /// Publishes a task with a *placement target*: the caller wants
-    /// `target` (a worker index) to execute it — the zone-affine initial
-    /// placement of `parallel_for`'s per-worker loop-drain tasks. The
-    /// default ignores the hint (schedulers without per-worker queues
-    /// cannot honor it); the overflow rule is as for
-    /// [`spawn`](Self::spawn).
-    fn spawn_to(&self, w: usize, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
-        let _ = target;
-        self.spawn(w, task)
-    }
-
-    /// Fetches the next task for worker `w`, if any.
+    /// Fetches the next task for worker `w`, if any. A scheduler with a
+    /// DLB engine fires its *victim* hook here, after a successful fetch
+    /// and before returning ("when a worker finds a task to execute, it
+    /// becomes a victim and tries to handle a request", §IV-B), so every
+    /// caller of the scheduling point serves steal requests.
     fn next_task(&self, w: usize) -> Option<NonNull<Task>>;
 
-    /// Scheduling-point hook fired after `next_task` succeeded, before
-    /// execution (the DLB *victim* hook).
-    fn pre_execute(&self, _w: usize) {}
-
-    /// Hook fired when `next_task` returned `None` (the DLB *thief*
-    /// hook).
+    /// The DLB *thief* hook, fired by the callers that may steal (the
+    /// worker loop and `taskwait`, not `run_pending`) after `next_task`
+    /// returned `None`. The one default body: only a scheduler with a
+    /// DLB engine has anything to do here.
     fn on_idle(&self, _w: usize) {}
 
     /// Racy hint that worker `w` could find a task right now — the

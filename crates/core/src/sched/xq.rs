@@ -50,71 +50,60 @@ impl XQueueScheduler {
         }
     }
 
-    /// The configured DLB strategy name, if any (reports).
-    #[allow(dead_code)]
-    pub fn dlb_name(&self) -> Option<&'static str> {
-        self.dlb.as_ref().map(|d| d.config().strategy.name())
+    /// Push → wake: the one publication every spawn goes through.
+    /// `Err` hands the task back (target queue full).
+    fn publish(&self, w: usize, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+        // SAFETY: w owns producer role w.
+        unsafe { self.lattice.push(w, target, task) }?;
+        if target != w {
+            self.parker.notify_push(target);
+        }
+        Ok(())
     }
 }
 
 impl Scheduler for XQueueScheduler {
-    fn spawn(&self, w: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
-        // NA-RP override: while a redirect is armed, new tasks flow to
-        // the thief instead of the round-robin target (Alg. 3).
-        if let Some(dlb) = &self.dlb {
-            // SAFETY: worker-ownership contract from the team loop.
-            if let Some(thief) = unsafe { dlb.redirect_target(w, &self.lattice) } {
-                // SAFETY: w owns producer role w; `redirect_target` only
-                // returns a thief whose queue had room (exact producer-
-                // side hint), and only this worker produces into it.
-                unsafe { self.lattice.push(w, thief, task) }
-                    .expect("redirect push after negative fullness hint");
-                self.parker.notify_push(thief);
-                return Ok(());
-            }
-        }
-        // Static round-robin across consumers, master queue first.
-        // SAFETY: leaf access to the worker-owned cursor.
-        let target = unsafe { self.cursors.with(w, |c| c.next()) };
-        // SAFETY: w owns producer role w.
-        match unsafe { self.lattice.push(w, target, task) } {
-            Ok(()) => {
-                WorkerStats::inc(&self.stats[w].ntasks_static_push);
-                if target != w {
-                    self.parker.notify_push(target);
+    fn spawn(
+        &self,
+        w: usize,
+        hint: Option<usize>,
+        task: NonNull<Task>,
+    ) -> Result<(), NonNull<Task>> {
+        // The consumer is chosen once. An explicit placement (loop-drain
+        // tasks, self-placed server jobs) bypasses both the NA-RP
+        // redirect and the round-robin cursor — the caller chose.
+        let target = match hint {
+            Some(target) => target % self.n,
+            None => {
+                // NA-RP override: while a redirect is armed, new tasks
+                // flow to the thief instead of the round-robin target
+                // (Alg. 3); the engine books them as stolen, not static.
+                // SAFETY: worker-ownership contract from the team loop.
+                let dlb = self.dlb.as_ref();
+                let armed = dlb.and_then(|d| unsafe { d.redirect_target(w, &self.lattice) });
+                if let Some(thief) = armed {
+                    // `redirect_target` only returns a thief whose queue
+                    // had room (exact producer-side hint), and only this
+                    // worker produces into it.
+                    self.publish(w, thief, task)
+                        .expect("redirect push after negative fullness hint");
+                    return Ok(());
                 }
-                Ok(())
+                // Static round-robin across consumers, master queue first.
+                // SAFETY: leaf access to the worker-owned cursor.
+                unsafe { self.cursors.with(w, |c| c.next()) }
             }
-            // Full: hand back for immediate execution (§II-B).
-            Err(t) => Err(t),
-        }
-    }
-
-    fn spawn_to(&self, w: usize, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
-        // Explicit placement (loop-drain tasks): bypass both the NA-RP
-        // redirect and the round-robin cursor — the caller chose the
-        // consumer. The overflow rule still applies; a full target queue
-        // hands the task back for immediate execution on the caller.
-        let target = target % self.n;
-        // SAFETY: w owns producer role w.
-        match unsafe { self.lattice.push(w, target, task) } {
-            Ok(()) => {
-                WorkerStats::inc(&self.stats[w].ntasks_static_push);
-                if target != w {
-                    self.parker.notify_push(target);
-                }
-                Ok(())
-            }
-            Err(t) => Err(t),
-        }
+        };
+        // Full: hand back for immediate execution (§II-B).
+        self.publish(w, target, task)?;
+        WorkerStats::inc(&self.stats[w].ntasks_static_push);
+        Ok(())
     }
 
     fn next_task(&self, w: usize) -> Option<NonNull<Task>> {
         // SAFETY: w owns consumer role w.
-        unsafe { self.lattice.pop(w) }
-    }
-
-    fn pre_execute(&self, w: usize) {
+        let task = unsafe { self.lattice.pop(w) }?;
+        // Found work: reset the thief timeout, then act as a victim.
         if let Some(dlb) = &self.dlb {
             // SAFETY: worker-ownership contract from the team loop.
             unsafe {
@@ -122,6 +111,7 @@ impl Scheduler for XQueueScheduler {
                 dlb.on_found_task(w, &self.lattice);
             }
         }
+        Some(task)
     }
 
     fn on_idle(&self, w: usize) {
@@ -188,7 +178,7 @@ mod tests {
         let s = build(3, 16, None);
         let ptrs: Vec<_> = (0..3).map(|_| mk(0)).collect();
         for &p in &ptrs {
-            s.spawn(0, p).unwrap();
+            s.spawn(0, None, p).unwrap();
         }
         // First push went to worker 0's master queue; the other two to
         // workers 1 and 2.
@@ -206,9 +196,9 @@ mod tests {
         let a = mk(0);
         let b = mk(0);
         let c = mk(0);
-        assert!(s.spawn(0, a).is_ok());
-        assert!(s.spawn(0, b).is_ok());
-        match s.spawn(0, c) {
+        assert!(s.spawn(0, None, a).is_ok());
+        assert!(s.spawn(0, None, b).is_ok());
+        match s.spawn(0, None, c) {
             Err(p) => assert_eq!(p, c),
             Ok(()) => panic!("capacity-2 queue accepted a third task"),
         }
@@ -230,10 +220,20 @@ mod tests {
             .t_interval(2);
         let s = build(4, 16, Some(cfg));
         assert_eq!(s.name(), "xqueue(NA-WS)");
-        assert_eq!(s.dlb_name(), Some("NA-WS"));
         // Idle hook sends requests.
         s.on_idle(1);
         assert!(s.stats[1].snapshot().nreq_sent >= 1);
+    }
+
+    /// Arms victim 0's NA-RP redirect towards thief 1: the request is
+    /// served by the found-task hook inside `next_task`, so worker 0
+    /// needs a queued task to find (self-placed: the cursor stays put).
+    fn arm_redirect(s: &XQueueScheduler) {
+        assert!(s.dlb.as_ref().unwrap().cell(0).try_send_request(1));
+        let q = mk(0);
+        s.spawn(0, Some(0), q).unwrap();
+        assert_eq!(s.next_task(0), Some(q));
+        unsafe { free(q) };
     }
 
     #[test]
@@ -242,22 +242,51 @@ mod tests {
             .n_steal(2)
             .p_local(1.0);
         let s = build(2, 16, Some(cfg));
-        // Thief 1 deposits a request directly.
-        let dlb = s.dlb.as_ref().unwrap();
-        assert!(dlb.cell(0).try_send_request(1));
-        // Victim 0 reaches a scheduling point (found-task hook).
-        s.pre_execute(0);
+        arm_redirect(&s);
         // The next two spawns from 0 land in 1's queue.
         let a = mk(0);
         let b = mk(0);
-        s.spawn(0, a).unwrap();
-        s.spawn(0, b).unwrap();
+        s.spawn(0, None, a).unwrap();
+        s.spawn(0, None, b).unwrap();
         assert_eq!(s.next_task(1), Some(a));
         assert_eq!(s.next_task(1), Some(b));
         assert_eq!(s.stats[0].snapshot().ntasks_stolen, 2);
         unsafe {
             free(a);
             free(b);
+        }
+    }
+
+    #[test]
+    fn hinted_spawn_bypasses_an_armed_redirect_and_the_cursor() {
+        let cfg = DlbConfig::new(DlbStrategy::RedirectPush)
+            .n_steal(2)
+            .p_local(1.0);
+        let s = build(3, 16, Some(cfg));
+        arm_redirect(&s);
+        // Placed: lands in worker 2's row, not the thief's.
+        let placed = mk(0);
+        s.spawn(0, Some(2), placed).unwrap();
+        assert_eq!(s.next_task(2), Some(placed));
+        assert_eq!(s.next_task(1), None);
+        assert_eq!(s.stats[0].snapshot().ntasks_stolen, 0);
+        // The quota is intact: exactly two unhinted spawns still reach
+        // the thief, and only those two are booked as stolen.
+        let (a, b, c) = (mk(0), mk(0), mk(0));
+        for p in [a, b, c] {
+            s.spawn(0, None, p).unwrap();
+        }
+        assert_eq!(s.next_task(1), Some(a));
+        assert_eq!(s.next_task(1), Some(b));
+        assert_eq!(s.next_task(1), None);
+        // So is the cursor: the first round-robin push is still the one a
+        // fresh worker 0 makes — its own master queue.
+        assert_eq!(s.next_task(0), Some(c));
+        let snap = s.stats[0].snapshot();
+        assert_eq!(snap.ntasks_stolen, 2);
+        assert_eq!(snap.ntasks_static_push, 3, "two placed + one round-robin");
+        for p in [placed, a, b, c] {
+            unsafe { free(p) };
         }
     }
 }

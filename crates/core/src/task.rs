@@ -38,9 +38,8 @@ pub(crate) type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 /// One schedulable task.
 ///
 /// Created by [`crate::ctx::TaskCtx::spawn`] and friends; users never see
-/// this type directly — it is `pub` only for the benchmark harness's
-/// allocator ablations.
-pub struct Task {
+/// this type.
+pub(crate) struct Task {
     /// The body; `None` for implicit (root) tasks and after execution.
     body: UnsafeCell<Option<TaskBody>>,
     /// Parent task; retained while this task is alive.
@@ -134,7 +133,23 @@ impl Task {
         unsafe { *(*this.as_ptr()).cancel.get() = token };
     }
 
-    /// The task's cancellation token, if one is installed.
+    /// Borrows the task's cancellation token, if one is installed — the
+    /// checkpoints' accessor: no `Arc` traffic on the job-wide token.
+    ///
+    /// # Safety
+    ///
+    /// Only the executing worker may call this (single-executor
+    /// discipline), and the borrow must end before the next
+    /// [`set_cancel`](Self::set_cancel) on this task.
+    #[inline]
+    pub(crate) unsafe fn cancel_ref<'a>(this: NonNull<Task>) -> Option<&'a CancelToken> {
+        // SAFETY: single-executor discipline; nobody writes the slot
+        // while the caller's borrow lives.
+        unsafe { (*(*this.as_ptr()).cancel.get()).as_ref() }
+    }
+
+    /// A clone of the task's cancellation token, if one is installed
+    /// (spawn-time inheritance, the public getter).
     ///
     /// # Safety
     ///
@@ -142,8 +157,8 @@ impl Task {
     /// discipline).
     #[inline]
     pub(crate) unsafe fn cancel_token(this: NonNull<Task>) -> Option<CancelToken> {
-        // SAFETY: single-executor discipline; clone leaves the slot set.
-        unsafe { (*(*this.as_ptr()).cancel.get()).clone() }
+        // SAFETY: forwarded contract; the borrow ends with the clone.
+        unsafe { Self::cancel_ref(this) }.cloned()
     }
 
     /// The worker that created this task.

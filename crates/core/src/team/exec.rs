@@ -1,0 +1,409 @@
+//! Execution: what a worker does inside a region. One task's life on a
+//! worker is [`execute`] (locality accounting, the body, then
+//! [`retire`]ment behind a drop guard); one *scheduling point* is
+//! [`TeamShared::run_next`] — the only place a task goes from a queue to
+//! a running body, shared by the worker loop, `taskwait` and
+//! `run_pending`; one *ingress transition* is
+//! [`TeamShared::poll_ingress`], shared by the worker loop and
+//! `help_pending`. Around them sit [`worker_loop`] (the idle protocol
+//! every worker runs inside the region-end barrier) and [`master_main`]
+//! (the implicit task, then the same loop).
+
+use std::ptr::NonNull;
+use std::sync::atomic::Ordering;
+
+use xgomp_profiling::{clock, EventKind, TraceLevel};
+use xgomp_xqueue::IdleGate;
+
+use super::TeamShared;
+use crate::ctx::TaskCtx;
+use crate::task::Task;
+
+/// Executes one task on worker `w`: locality accounting, NUMA cost
+/// model, the body itself, then completion (dependency updates, barrier
+/// notification, record release) — which a drop guard performs even if
+/// the body unwinds.
+pub(crate) fn execute(team: &TeamShared, w: usize, task: NonNull<Task>) {
+    // SAFETY: we hold the task's handle reference; the record is alive.
+    let creator = unsafe { task.as_ref() }.creator();
+    let locality = team.placement.locality(creator, w);
+    team.stats[w].record_execution(locality);
+    team.cost.apply(locality);
+
+    let tracing_tasks = team.trace_on(TraceLevel::Full);
+    let timed = team.profiling || team.sampler.is_some() || tracing_tasks;
+    let t0 = if timed { clock::now() } else { 0 };
+
+    struct CompletionGuard<'a> {
+        team: &'a TeamShared,
+        w: usize,
+        task: NonNull<Task>,
+    }
+    impl Drop for CompletionGuard<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.team.poison();
+            }
+            // SAFETY: the handle reference `execute` holds is the one
+            // released here; `w` is the executing worker's own slot.
+            unsafe { retire(self.team, self.w, self.task, true) };
+        }
+    }
+
+    let guard = CompletionGuard { team, w, task };
+    // SAFETY: single-executor discipline — the handle reference we hold
+    // is the only execution claim on this task.
+    if let Some(body) = unsafe { Task::take_body(task) } {
+        let ctx = TaskCtx {
+            team,
+            worker: w,
+            task,
+        };
+        if team.isolate_panics {
+            run_body_isolated(&ctx, task, body);
+        } else {
+            body(&ctx);
+        }
+    }
+    drop(guard);
+    if timed {
+        let t1 = clock::now();
+        if let Some(lanes) = &team.sampler {
+            lanes[w].record(t1.saturating_sub(t0));
+        }
+        if team.profiling {
+            // SAFETY: worker-ownership contract; leaf access.
+            unsafe { team.logs.with(w, |l| l.push_span(EventKind::Task, t0, t1)) };
+        }
+        if tracing_tasks {
+            if let Some(t) = &team.tracer {
+                // Emit with the measured end stamp (payload `c` carries
+                // the start) so the trace span matches the sampled span.
+                t.rings[w].emit(t1, EventKind::Task as u8, 0, 0, t0);
+            }
+        }
+    }
+}
+
+/// Retires a task: completes its parent's dependency and drops the
+/// reference the child held on the parent, then drops the task's own
+/// handle reference, freeing whichever record died. `ran` reports the
+/// task to the barrier as finished *between* the two — parent → barrier →
+/// self, the order the execute path has always had; a task drained
+/// unexecuted at teardown (`finish_region`) and the region's implicit
+/// task were never counted as running.
+///
+/// # Safety
+///
+/// The caller holds `task`'s handle reference (gives it up here) and
+/// owns worker slot `w`.
+pub(super) unsafe fn retire(team: &TeamShared, w: usize, task: NonNull<Task>, ran: bool) {
+    // SAFETY: record alive until our release below.
+    let t = unsafe { task.as_ref() };
+    if let Some(parent) = t.parent() {
+        // SAFETY: the child holds a reference to the parent, so the
+        // parent record is alive here.
+        let p = unsafe { parent.as_ref() };
+        p.child_completed();
+        if p.release_ref() {
+            // SAFETY: last reference gone; worker slot owned.
+            unsafe { team.alloc.free(w, parent) };
+        }
+    }
+    if ran {
+        team.barrier.task_finished(w);
+    }
+    if t.release_ref() {
+        // SAFETY: as above.
+        unsafe { team.alloc.free(w, task) };
+    }
+}
+
+/// Panic-isolating teams (the task server): a panicking body fails only
+/// its own job. The payload travels to the parent, whose next `taskwait`
+/// re-raises it; the completion guard then runs on the normal
+/// (non-unwinding) path, so the team is not poisoned.
+///
+/// Kept out of [`execute`] (`inline(never)`) so the `catch_unwind`
+/// landing-pad state doesn't enlarge the classic path's stack frame —
+/// `execute` frames nest deeply under the immediate-execution overflow
+/// rule, where every byte per frame counts.
+#[inline(never)]
+fn run_body_isolated(ctx: &TaskCtx<'_>, task: NonNull<Task>, body: crate::task::TaskBody) {
+    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(ctx))) {
+        // SAFETY: we hold a reference; the record is alive.
+        if let Some(parent) = unsafe { task.as_ref() }.parent() {
+            // SAFETY: the child retains its parent.
+            unsafe { parent.as_ref() }.record_child_panic(payload);
+        }
+    }
+}
+
+impl TeamShared {
+    /// The scheduling point: asks the scheduler for worker `w`'s next
+    /// task (which, under DLB, also serves one pending steal request —
+    /// the victim hook lives inside `Scheduler::next_task`) and runs it.
+    /// `found` fires between the two, before the body: callers close the
+    /// `Stall` / `TaskWait` span they were accumulating. Returns whether
+    /// a task ran. The idle side (`Scheduler::on_idle`, the thief hook)
+    /// stays with the callers — not every one of them may become a thief.
+    #[inline]
+    pub(crate) fn run_next(&self, w: usize, found: impl FnOnce()) -> bool {
+        let Some(task) = self.sched.next_task(w) else {
+            return false;
+        };
+        found();
+        execute(self, w, task);
+        true
+    }
+
+    /// The ingress transition (persistent executor): lets the team's
+    /// [`IngressSource`](super::IngressSource), if any, spawn externally
+    /// submitted work from worker `w`. The injected tasks become children
+    /// of the region's implicit task. Returns how many were spawned.
+    pub(crate) fn poll_ingress(&self, w: usize) -> usize {
+        let Some(src) = &self.source else { return 0 };
+        let Some(root) = NonNull::new(self.root.load(Ordering::Acquire)) else {
+            return 0;
+        };
+        src.poll(&TaskCtx {
+            team: self,
+            worker: w,
+            task: root,
+        })
+    }
+}
+
+/// The scheduling loop every worker runs inside the region-end barrier:
+/// execute whatever the scheduler yields; when idle, fire the DLB thief
+/// hook and poll the barrier.
+///
+/// ## The event-driven idle arm
+///
+/// With [`RuntimeConfig::park_idle`](crate::RuntimeConfig::park_idle) on
+/// (the default), a worker that has exhausted its spin backoff parks on
+/// the team's NUMA-aware [`Parker`](xgomp_xqueue::Parker) instead of
+/// yield-looping. Every event that could end its idleness has a waker:
+///
+/// * a producer pushing into its lattice row (or any queue it can
+///   reach) wakes it from the scheduler's `spawn`;
+/// * a DLB victim migrating tasks into its row wakes it from the engine;
+/// * an external submitter wakes it through the ingress doorbell
+///   (`xgomp-service`);
+/// * tree-barrier gather progress wakes it from the hand-off, so the
+///   quiescence protocol counts parked workers correctly;
+/// * region teardown and poison wake *everyone* — whichever worker
+///   observes release or poisons the team calls
+///   [`Parker::unpark_all`](xgomp_xqueue::Parker::unpark_all) before
+///   leaving its loop.
+///
+/// The announce → re-check → commit protocol (see `xgomp_xqueue::parker`)
+/// makes the sleep race-free: the re-check below covers exactly the
+/// conditions those wakers signal.
+pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
+    let mut gate = IdleGate::default();
+    // One merged span per idle period: closed as STALL when work shows
+    // up, as BARRIER when the region ends (keeps logs bounded).
+    let mut idle_t0: Option<u64> = None;
+    let close_idle = |idle_t0: &mut Option<u64>, kind| {
+        if let Some(t0) = idle_t0.take() {
+            team.log_span(w, kind, t0);
+        }
+    };
+    // Flight-recorder baseline for this worker's own victim-side DLB
+    // counters (single-writer, so deltas are exact): a grown
+    // `nreq_has_steal` means a steal request we served moved tasks, a
+    // grown `ntasks_stolen` counts the tasks migrated away. Sampling
+    // our own counters here avoids threading the tracer through the
+    // scheduler/engine call graph.
+    let mut steal_base: Option<(u64, u64)> = None;
+    loop {
+        if team.poisoned.load(Ordering::Acquire) {
+            team.parker.unpark_all();
+            break;
+        }
+        if team.trace_on(TraceLevel::Full) {
+            let stats = &team.stats[w];
+            let served = stats.nreq_has_steal.load(Ordering::Relaxed);
+            let stolen = stats.ntasks_stolen.load(Ordering::Relaxed);
+            if let Some((served0, stolen0)) = steal_base {
+                if served > served0 {
+                    team.trace_emit(
+                        w,
+                        TraceLevel::Full,
+                        EventKind::Steal,
+                        0,
+                        served - served0,
+                        0,
+                    );
+                }
+                if stolen > stolen0 {
+                    team.trace_emit(
+                        w,
+                        TraceLevel::Full,
+                        EventKind::Migrate,
+                        0,
+                        stolen - stolen0,
+                        0,
+                    );
+                }
+            }
+            steal_base = Some((served, stolen));
+        } else {
+            steal_base = None;
+        }
+        if team.run_next(w, || close_idle(&mut idle_t0, EventKind::Stall)) {
+            gate.reset();
+            continue;
+        }
+        team.sched.on_idle(w);
+        // Before concluding the region might be over, pull externally
+        // submitted work into the scheduler.
+        if team.poll_ingress(w) > 0 {
+            close_idle(&mut idle_t0, EventKind::Stall);
+            gate.reset();
+            continue;
+        }
+        if team.profiling && idle_t0.is_none() {
+            idle_t0 = Some(clock::now());
+        }
+        if team.barrier.try_release(w) {
+            close_idle(&mut idle_t0, EventKind::Barrier);
+            // Wake the sleepers so they observe the release too; for the
+            // tree barrier this also chases the broadcast down the tree
+            // (each releasing ancestor re-wakes everyone after
+            // propagating to its children).
+            team.parker.unpark_all();
+            break;
+        }
+        // Announced (when the gate parks at all): re-check everything a
+        // waker could have signalled between our last probes and the
+        // announcement. The release probe participates in the gather, so
+        // run it even though we polled just above: a releaser may have
+        // scanned the park set before our announcement.
+        let mut released = false;
+        let slept = gate.idle(&team.parker, w, team.park_idle, || {
+            let stay_awake = team.poisoned.load(Ordering::Acquire)
+                || team.sched.has_work_hint(w)
+                || team.source.as_ref().is_some_and(|s| s.has_pending());
+            released = !stay_awake && team.barrier.try_release(w);
+            if !(stay_awake || released) {
+                team.trace_emit(w, TraceLevel::Lifecycle, EventKind::Park, 0, 0, 0);
+            }
+            stay_awake || released
+        });
+        if released {
+            close_idle(&mut idle_t0, EventKind::Barrier);
+            team.parker.unpark_all();
+            break;
+        }
+        if slept {
+            team.trace_emit(w, TraceLevel::Lifecycle, EventKind::Wake, 0, 0, 0);
+        }
+    }
+}
+
+/// Master path: run the region closure as the implicit task, then join
+/// the barrier loop like any other worker.
+pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> R) -> R {
+    // The implicit (root) task anchoring the region's task tree,
+    // published so idle workers can parent injected tasks to it.
+    // SAFETY: master owns worker slot 0.
+    let root = unsafe { team.alloc.alloc(0, None, None, 0) };
+    team.root.store(root.as_ptr(), Ordering::Release);
+
+    struct PoisonOnUnwind<'a>(&'a TeamShared);
+    impl Drop for PoisonOnUnwind<'_> {
+        fn drop(&mut self) {
+            self.0.poison();
+        }
+    }
+
+    let result = {
+        let ctx = TaskCtx {
+            team,
+            worker: 0,
+            task: root,
+        };
+        let bomb = PoisonOnUnwind(team);
+        let r = f(&ctx);
+        std::mem::forget(bomb);
+        r
+    };
+
+    team.barrier.arrive(0);
+    worker_loop(team, 0);
+
+    // Region quiesced: retire the implicit task. The published pointer is
+    // cleared first; released workers have already left their loops.
+    team.root.store(std::ptr::null_mut(), Ordering::Release);
+    // SAFETY: region quiesced, so every child has released its reference
+    // and ours is the handle; worker slot 0 owned. The barrier never
+    // counted the implicit task.
+    unsafe { retire(team, 0, root, false) };
+    result
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{DlbConfig, DlbStrategy, Runtime, RuntimeConfig, TaskCtx};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// NA-WS on two workers with every task placed on worker 0: worker 1
+    /// runs a task only if worker 0 served its steal request, i.e. only
+    /// if the scheduling point the master sits in fires the victim hook.
+    /// `wait` is how the master works off a round of `spawned` tasks.
+    fn worker1_gets_work_while_master(wait: impl Fn(&TaskCtx<'_>, &AtomicUsize, usize)) {
+        let cfg = RuntimeConfig::xgomptb(2)
+            .dlb(
+                DlbConfig::new(DlbStrategy::WorkSteal)
+                    .n_steal(4)
+                    .t_interval(4),
+            )
+            // A parked thief sends no requests; keep worker 1 asking.
+            .park_idle(false);
+        let done = Arc::new(AtomicUsize::new(0));
+        let stolen = Arc::new(AtomicBool::new(false));
+        let out = Runtime::new(cfg).parallel(|ctx| {
+            // Rounds of backlog until worker 1 has run one of the tasks
+            // (the deadline only turns a missing hook into a failure).
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut spawned = 0;
+            while !stolen.load(Ordering::Relaxed) && Instant::now() < deadline {
+                for _ in 0..32 {
+                    let (done, stolen) = (done.clone(), stolen.clone());
+                    ctx.spawn_boxed_local(Box::new(move |c| {
+                        if c.worker_id() == 1 {
+                            stolen.store(true, Ordering::Relaxed);
+                        }
+                        done.fetch_add(1, Ordering::Release);
+                    }));
+                    spawned += 1;
+                }
+                wait(ctx, &done, spawned);
+            }
+        });
+        assert!(out.stats.workers[0].nreq_handled > 0);
+        assert!(out.stats.workers[1].tasks_executed > 0);
+        let total = out.stats.total();
+        assert_eq!(total.tasks_created, total.tasks_executed);
+        out.stats.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn taskwait_serves_steal_requests() {
+        worker1_gets_work_while_master(|ctx, _, _| ctx.taskwait());
+    }
+
+    #[test]
+    fn run_pending_serves_steal_requests() {
+        // The serve-style master: nothing but `run_pending`.
+        worker1_gets_work_while_master(|ctx, done, spawned| {
+            while done.load(Ordering::Acquire) < spawned {
+                ctx.run_pending(8);
+            }
+        });
+    }
+}

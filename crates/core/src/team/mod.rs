@@ -1,0 +1,302 @@
+//! The team: the runtime's equivalent of `gomp_team_start` /
+//! `gomp_thread_start` (§III-A), in three parts.
+//!
+//! This module owns the **team state** of one region — [`TeamShared`]
+//! (scheduler, barrier, allocator, statistics, parker, tracer: built
+//! fresh per region, the paper's per-region measurement methodology),
+//! the [`ServingHooks`] / [`IngressSource`] a long-lived task server
+//! plugs into it, `build_team` and the teardown checks of
+//! `finish_region`. [`exec`] owns what a worker *does* with that state
+//! (one task's execution and retirement, the scheduling point, the
+//! ingress transition, the worker loop, the master path); [`runtime`]
+//! owns who runs it (the [`Runtime`] engine: hot worker threads parked on
+//! a generation-stamped start gate, one region body behind
+//! [`Runtime::parallel`] and [`Runtime::serve`]).
+
+mod exec;
+mod runtime;
+
+pub(crate) use exec::execute;
+pub use runtime::{RegionOutput, Runtime};
+
+use std::any::Any;
+use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use xgomp_profiling::{
+    clock, EventKind, LiveTaskSampler, LoopTelemetry, PerfLog, TaskLane, TeamStats, TraceLevel,
+    Tracer, WorkerStats,
+};
+use xgomp_topology::{CostModel, Placement};
+use xgomp_xqueue::{EventRing, Parker};
+
+use crate::alloc::TaskAllocator;
+use crate::barrier::TeamBarrier;
+use crate::config::RuntimeConfig;
+use crate::ctx::TaskCtx;
+use crate::dlb::DlbTuning;
+use crate::loops::{AutoSelector, LoopBalancer};
+use crate::sched::Scheduler;
+use crate::task::Task;
+use crate::util::PerWorker;
+
+/// External work feed polled by idle workers (the persistent executor's
+/// job-injection hook).
+///
+/// `poll` runs on an idle worker with a context rooted at the region's
+/// implicit task; it may spawn any number of tasks through `ctx` and
+/// returns how many it spawned. Implementations must stop yielding work
+/// once their shutdown drain has completed — after the region master has
+/// arrived at the barrier *and* the team has quiesced, nothing may be
+/// injected anymore (the runtime guarantees this is unreachable as long
+/// as every accepted job is spawned before it is counted as drained).
+pub trait IngressSource: Send + Sync {
+    /// Polls for external work; returns the number of tasks spawned.
+    fn poll(&self, ctx: &TaskCtx<'_>) -> usize;
+
+    /// Racy hint that a `poll` right now could yield work — the
+    /// pre-park re-check of the event-driven idle path. The default is
+    /// deliberately conservative (`true`): a source that cannot answer
+    /// keeps its workers spinning, never parked, preserving the old
+    /// behavior. Implementations that *do* answer must wake a worker
+    /// (ring the team's doorbell) after every enqueue, or a sleeping
+    /// team will miss the work their `false` allowed it to sleep
+    /// through.
+    fn has_pending(&self) -> bool {
+        true
+    }
+}
+
+/// The persistent-executor hook set of one region
+/// ([`Runtime::serve`]); every hook is optional and `default()` is a
+/// plain region.
+#[derive(Default)]
+pub struct ServingHooks {
+    /// External work feed polled by idle workers.
+    pub source: Option<Arc<dyn IngressSource>>,
+    /// Online task-size sampling (each worker records into its own lane
+    /// of the sampler, materialized on demand).
+    pub sampler: Option<Arc<LiveTaskSampler>>,
+    /// Hot-swappable DLB configuration; `None` uses a per-region cell
+    /// seeded from [`RuntimeConfig::dlb`].
+    pub tuning: Option<Arc<DlbTuning>>,
+    /// Cross-generation loop-subsystem counters (`parallel_for` folds
+    /// its per-loop totals in here when present).
+    pub loop_stats: Option<Arc<LoopTelemetry>>,
+    /// Inter-socket loop balancer shared across generations (a task
+    /// server owns one for its whole life so live loops keep their
+    /// registry across pause/resume); `None` builds a per-region one.
+    pub balancer: Option<Arc<LoopBalancer>>,
+    /// `Schedule::Auto` per-loop-site selector, server-owned so
+    /// selection state (trial windows, converged picks) survives
+    /// pause/resume; `None` makes `Auto` fall back to a fixed member.
+    pub auto_select: Option<Arc<AutoSelector>>,
+    /// Flight-recorder tracer shared across generations (a task server
+    /// owns one for its whole life so the ring windows survive
+    /// pause/resume reshaping); `None` falls back to
+    /// [`RuntimeConfig::trace`] (which builds a per-team tracer when the
+    /// level is not `Off`).
+    pub tracer: Option<Arc<Tracer>>,
+}
+
+/// The team-generation view of the flight recorder: the shared
+/// [`Tracer`] plus each worker's ring `Arc`, materialized once at
+/// generation start so the emit path never touches the tracer's mutex.
+pub(crate) struct TeamTracer {
+    pub tracer: Arc<Tracer>,
+    pub rings: Box<[Arc<EventRing>]>,
+}
+
+/// Everything a team of workers shares for one parallel region.
+pub(crate) struct TeamShared {
+    pub n: usize,
+    pub sched: Box<dyn Scheduler>,
+    pub barrier: Box<dyn TeamBarrier>,
+    pub alloc: TaskAllocator,
+    pub stats: Arc<Vec<WorkerStats>>,
+    pub placement: Arc<Placement>,
+    pub cost: CostModel,
+    pub logs: PerWorker<PerfLog>,
+    pub profiling: bool,
+    /// Set when any task body panicked; workers drain out instead of
+    /// spinning on a barrier that can no longer release.
+    pub poisoned: AtomicBool,
+    /// Payload of the first task panic a non-master worker caught; the
+    /// region re-raises it on the caller once the workers have retired.
+    pub panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// External work feed polled by idle workers (persistent executor).
+    pub source: Option<Arc<dyn IngressSource>>,
+    /// Online task-size sampling (always-on when present): each worker's
+    /// [`LiveTaskSampler`] lane, cached at generation start — like the
+    /// trace rings — so the record path touches no shared state.
+    pub sampler: Option<Box<[Arc<TaskLane>]>>,
+    /// Cross-generation loop counters (see [`ServingHooks::loop_stats`]).
+    pub loop_stats: Option<Arc<LoopTelemetry>>,
+    /// Inter-socket loop balancer (coarse level of two-level loop
+    /// balancing); probed by loop-drain tasks and the DLB idle hook.
+    pub balancer: Arc<LoopBalancer>,
+    /// `Schedule::Auto` selector (see [`ServingHooks::auto_select`]).
+    pub auto_select: Option<Arc<AutoSelector>>,
+    /// The region's implicit task, published by the master so idle
+    /// workers can parent injected tasks to it; null outside a region.
+    pub root: AtomicPtr<Task>,
+    /// Catch task-body panics instead of poisoning the team: the payload
+    /// is carried to the parent's next `taskwait`, which re-raises it
+    /// (per-job isolation in `xgomp-service`).
+    pub isolate_panics: bool,
+    /// NUMA-aware idle parker (zone wake sets follow the placement).
+    /// Always present; whether workers actually park is `park_idle`.
+    pub parker: Arc<Parker>,
+    /// Event-driven idling on/off (`RuntimeConfig::park_idle`).
+    pub park_idle: bool,
+    /// Flight recorder (`None` when tracing is off *by construction*;
+    /// a live level flip to `Off` keeps the rings but mutes every
+    /// site behind one relaxed load).
+    pub tracer: Option<TeamTracer>,
+}
+
+/// Builds the shared state for one region of `cfg` with the given
+/// extension hooks.
+fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) -> TeamShared {
+    let n = cfg.threads;
+    let placement = Arc::new(Placement::new(cfg.topology.clone(), n, cfg.affinity));
+    let stats: Arc<Vec<WorkerStats>> = Arc::new((0..n).map(|_| WorkerStats::default()).collect());
+    let parker = Arc::new(Parker::new(
+        &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
+    ));
+    // The tuning cell is hoisted here (instead of being created inside
+    // the scheduler) so the loop balancer can ride its
+    // `rebalance_interval` knob — hot-swappable exactly like the task
+    // DLB knobs.
+    let tuning = hooks
+        .tuning
+        .or_else(|| cfg.dlb.map(|d| Arc::new(DlbTuning::new(d))));
+    let balancer = hooks
+        .balancer
+        .unwrap_or_else(|| Arc::new(LoopBalancer::new()));
+    if let Some(t) = &tuning {
+        balancer.bind_tuning(t);
+    }
+    let tracer = hooks
+        .tracer
+        .or_else(|| (cfg.trace != TraceLevel::Off).then(|| Arc::new(Tracer::new(cfg.trace))))
+        .map(|t| {
+            let rings = (0..n).map(|w| t.ring(w)).collect();
+            TeamTracer { tracer: t, rings }
+        });
+    TeamShared {
+        n,
+        sched: cfg.scheduler.build(
+            n,
+            cfg.queue_capacity,
+            stats.clone(),
+            placement.clone(),
+            tuning,
+            parker.clone(),
+            balancer.clone(),
+        ),
+        barrier: cfg.barrier.build(n, parker.clone()),
+        alloc: TaskAllocator::new(cfg.allocator, n),
+        stats,
+        placement,
+        cost: cfg.cost_model,
+        logs: PerWorker::new(n, |w| PerfLog::new(w, cfg.profiling)),
+        profiling: cfg.profiling,
+        poisoned: AtomicBool::new(false),
+        panic: Mutex::new(None),
+        source: hooks.source,
+        sampler: hooks.sampler.map(|s| (0..n).map(|w| s.lane(w)).collect()),
+        loop_stats: hooks.loop_stats,
+        balancer,
+        auto_select: hooks.auto_select,
+        root: AtomicPtr::new(std::ptr::null_mut()),
+        isolate_panics,
+        parker,
+        park_idle: cfg.park_idle,
+        tracer,
+    }
+}
+
+/// Teardown checks + telemetry collection for a quiesced region.
+fn finish_region<R>(team: TeamShared, result: R, wall: Duration) -> RegionOutput<R> {
+    // Teardown sanity: a correct barrier leaves nothing queued.
+    let mut leaked = 0usize;
+    team.sched.drain_all(&mut |ptr| {
+        leaked += 1;
+        // SAFETY: drain handed us the only handle; single-threaded
+        // teardown, so slot 0 is ours.
+        unsafe { exec::retire(&team, 0, ptr, false) };
+    });
+    assert_eq!(
+        leaked,
+        0,
+        "scheduler `{}` retained {leaked} task(s) after `{}` released",
+        team.sched.name(),
+        team.barrier.name()
+    );
+    debug_assert_eq!(
+        team.alloc.outstanding(),
+        0,
+        "task records leaked by the region"
+    );
+
+    let TeamShared { stats, logs, .. } = team;
+    RegionOutput {
+        result,
+        stats: TeamStats::collect(&stats),
+        logs: logs.into_values(),
+        wall,
+    }
+}
+
+impl TeamShared {
+    /// Records a profiling span ending now (no-op when profiling is off).
+    #[inline]
+    pub(crate) fn log_span(&self, w: usize, kind: EventKind, t0: u64) {
+        if self.profiling {
+            // SAFETY: worker-ownership contract; leaf access.
+            unsafe { self.logs.with(w, |l| l.push_span(kind, t0, clock::now())) };
+        }
+    }
+
+    /// Marks the team poisoned and wakes every parked worker so the
+    /// abort is observed — a sleeping worker cannot poll the flag.
+    pub(crate) fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        self.parker.unpark_all();
+    }
+
+    /// The Off-cost trace gate: `false` unless a tracer is attached
+    /// *and* its live level admits `min` (one relaxed load + branch).
+    #[inline]
+    pub(crate) fn trace_on(&self, min: TraceLevel) -> bool {
+        match &self.tracer {
+            Some(t) => t.tracer.enabled(min),
+            None => false,
+        }
+    }
+
+    /// Emits one flight-recorder record from worker `w` when the live
+    /// level admits `min`. The emit itself is four relaxed stores plus
+    /// one release publish into `w`'s own SPSC ring — no RMW, no lock.
+    #[inline]
+    pub(crate) fn trace_emit(
+        &self,
+        w: usize,
+        min: TraceLevel,
+        kind: EventKind,
+        a: u32,
+        b: u64,
+        c: u64,
+    ) {
+        if let Some(t) = &self.tracer {
+            if t.tracer.enabled(min) {
+                t.rings[w].emit(clock::now(), kind as u8, a, b, c);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests;

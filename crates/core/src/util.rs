@@ -47,12 +47,6 @@ impl<T> PerWorker<T> {
         }
     }
 
-    /// Number of slots.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Runs `f` with exclusive access to worker `w`'s slot.
     ///
     /// # Safety

@@ -32,7 +32,8 @@
 //! on one lane while others sat empty.
 //!
 //! Jobs are boxed `FnOnce(&TaskCtx)` bodies; a drained body is handed to
-//! `TaskCtx::spawn_boxed` by whichever idle worker claimed the drain.
+//! `TaskCtx::spawn_boxed_local` by whichever idle worker claimed the
+//! drain, so it lands in that worker's own queue.
 //!
 //! ## Generations
 //!
