@@ -8,14 +8,13 @@
 //! are reproduced here and can be combined with any scheduler for
 //! ablation studies.
 
+use std::cell::{Cell, RefCell};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use xgomp_profiling::WorkerStats;
 
-use crate::task::{Task, TaskBody};
-use crate::util::{CachePadded, PerWorker};
+use crate::task::{Task, TaskBody, TaskPtr};
 
 /// Allocation policy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -34,90 +33,94 @@ const LOCAL_CACHE_MAX: usize = 256;
 /// (LOMP's chunked buffer acquisition).
 const GLOBAL_CHUNK: usize = 32;
 
-/// One worker's allocation ledger. Single-writer (the thread owning the
-/// slot, load + store, no RMW) like the tree barrier's task cells: the
-/// per-task path shares no counter between workers.
-#[derive(Default)]
-struct Ledger {
+/// The team-wide part of the task-record allocator: the policy, the
+/// global pool, and the ledger totals retired seats fold into.
+pub(crate) struct TaskAllocator {
+    kind: AllocKind,
+    global: Mutex<Vec<TaskPtr>>,
     allocated: AtomicU64,
     freed: AtomicU64,
 }
 
-/// The team's task-record allocator.
-pub(crate) struct TaskAllocator {
-    kind: AllocKind,
-    local: PerWorker<Vec<NonNull<Task>>>,
-    global: Mutex<Vec<NonNull<Task>>>,
-    ledgers: Box<[CachePadded<Ledger>]>,
+/// One worker's side of the allocator, owned by that worker (a field of
+/// its `Worker`): the local free list and the allocation ledger. Plain
+/// cells — nothing here is ever seen by another thread, so the per-task
+/// path shares no counter between workers.
+pub(crate) struct AllocSeat<'a> {
+    shared: &'a TaskAllocator,
+    /// Stamped into every record as its creator (locality accounting).
+    worker: u32,
+    local: RefCell<Vec<TaskPtr>>,
+    allocated: Cell<u64>,
+    freed: Cell<u64>,
 }
 
-// SAFETY: pooled pointers are owned records, movable across threads.
-unsafe impl Send for TaskAllocator {}
-unsafe impl Sync for TaskAllocator {}
-
 impl TaskAllocator {
-    pub fn new(kind: AllocKind, n_workers: usize) -> Self {
+    pub fn new(kind: AllocKind) -> Self {
         TaskAllocator {
             kind,
-            local: PerWorker::new(n_workers, |_| Vec::new()),
             global: Mutex::new(Vec::new()),
-            ledgers: (0..n_workers).map(|_| CachePadded::default()).collect(),
+            allocated: AtomicU64::new(0),
+            freed: AtomicU64::new(0),
         }
     }
 
-    /// Allocates and initializes a task record on behalf of worker `w`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must be the thread owning worker slot `w`.
-    pub unsafe fn alloc(
+    /// A fresh seat allocating on behalf of worker `w`. Seats hold no
+    /// claim on each other: any number may exist, each with its own
+    /// free list.
+    pub fn seat(&self, w: usize) -> AllocSeat<'_> {
+        AllocSeat {
+            shared: self,
+            worker: w as u32,
+            local: RefCell::new(Vec::new()),
+            allocated: Cell::new(0),
+            freed: Cell::new(0),
+        }
+    }
+
+    /// Records allocated minus records freed, over every *retired* seat
+    /// (a record may be freed on another seat than it was allocated on).
+    /// Zero after a quiescent region has been torn down (the leak check).
+    pub fn outstanding(&self) -> u64 {
+        let allocated = self.allocated.load(Ordering::Relaxed);
+        allocated.saturating_sub(self.freed.load(Ordering::Relaxed))
+    }
+}
+
+impl AllocSeat<'_> {
+    /// Allocates and initializes a task record.
+    pub fn alloc(
         &self,
-        w: usize,
         body: Option<TaskBody>,
         parent: Option<NonNull<Task>>,
         priority: i32,
     ) -> NonNull<Task> {
-        WorkerStats::inc(&self.ledgers[w].0.allocated);
-        match self.kind {
-            AllocKind::Malloc => {
-                let boxed = Box::new(Task::new(body, parent, w as u32, priority));
+        self.allocated.set(self.allocated.get() + 1);
+        let recycled = match self.shared.kind {
+            AllocKind::Malloc => None,
+            // Level 1: worker-local free list.
+            AllocKind::MultiLevel => {
+                let mut local = self.local.borrow_mut();
+                local.pop().or_else(|| {
+                    // Level 2: locked global pool, grabbed in chunks.
+                    let mut pool = self.shared.global.lock();
+                    let start = pool.len() - pool.len().min(GLOBAL_CHUNK);
+                    local.extend(pool.drain(start..));
+                    local.pop()
+                })
+            }
+        };
+        match recycled {
+            Some(TaskPtr(ptr)) => {
+                // SAFETY: records in pools are dead (refs == 0).
+                unsafe { Task::reinit(ptr, body, parent, self.worker, priority) };
+                ptr
+            }
+            // Level 3 (and the malloc policy): the system allocator.
+            None => {
+                let boxed = Box::new(Task::new(body, parent, self.worker, priority));
                 // Box never returns null.
                 NonNull::new(Box::into_raw(boxed)).unwrap()
-            }
-            AllocKind::MultiLevel => {
-                // Level 1: worker-local free list.
-                // SAFETY: worker-ownership contract forwarded from caller;
-                // leaf access (no reentrancy).
-                let recycled = unsafe { self.local.with(w, |list| list.pop()) };
-                let slot = recycled.or_else(|| {
-                    // Level 2: locked global pool, grabbed in chunks.
-                    let mut pool = self.global.lock();
-                    let take = pool.len().min(GLOBAL_CHUNK);
-                    if take == 0 {
-                        return None;
-                    }
-                    let start = pool.len() - take;
-                    let mut chunk: Vec<NonNull<Task>> = pool.drain(start..).collect();
-                    drop(pool);
-                    let first = chunk.pop();
-                    if !chunk.is_empty() {
-                        // SAFETY: as above.
-                        unsafe { self.local.with(w, |list| list.extend(chunk)) };
-                    }
-                    first
-                });
-                match slot {
-                    Some(ptr) => {
-                        // SAFETY: records in pools are dead (refs == 0).
-                        unsafe { Task::reinit(ptr, body, parent, w as u32, priority) };
-                        ptr
-                    }
-                    // Level 3: the system allocator.
-                    None => {
-                        let boxed = Box::new(Task::new(body, parent, w as u32, priority));
-                        NonNull::new(Box::into_raw(boxed)).unwrap()
-                    }
-                }
             }
         }
     }
@@ -126,11 +129,11 @@ impl TaskAllocator {
     ///
     /// # Safety
     ///
-    /// `ptr` must be a record from [`alloc`](Self::alloc) whose last
-    /// reference was released; caller must own worker slot `w`.
-    pub unsafe fn free(&self, w: usize, ptr: NonNull<Task>) {
-        WorkerStats::inc(&self.ledgers[w].0.freed);
-        match self.kind {
+    /// `ptr` must be a record from an [`alloc`](Self::alloc) of this
+    /// allocator whose last reference was released.
+    pub unsafe fn free(&self, ptr: NonNull<Task>) {
+        self.freed.set(self.freed.get() + 1);
+        match self.shared.kind {
             AllocKind::Malloc => {
                 // SAFETY: exclusive dead record from Box::into_raw.
                 drop(unsafe { Box::from_raw(ptr.as_ptr()) });
@@ -143,50 +146,39 @@ impl TaskAllocator {
                     Task::reinit(ptr, None, None, 0, 0);
                     (*ptr.as_ptr()).release_ref();
                 }
-                // SAFETY: worker-ownership contract; leaf access.
-                let spill = unsafe {
-                    self.local.with(w, |list| {
-                        list.push(ptr);
-                        if list.len() > LOCAL_CACHE_MAX {
-                            let keep = LOCAL_CACHE_MAX / 2;
-                            Some(list.split_off(keep))
-                        } else {
-                            None
-                        }
-                    })
-                };
-                if let Some(extra) = spill {
-                    self.global.lock().extend(extra);
+                let mut list = self.local.borrow_mut();
+                list.push(TaskPtr(ptr));
+                if list.len() > LOCAL_CACHE_MAX {
+                    let extra = list.split_off(LOCAL_CACHE_MAX / 2);
+                    drop(list);
+                    self.shared.global.lock().extend(extra);
                 }
             }
         }
     }
+}
 
-    /// Records allocated minus records freed, summed over the workers'
-    /// ledgers (a record may be freed on another slot than it was
-    /// allocated on). Zero after a quiescent region has been torn down
-    /// (leak check used by tests); racy while workers run.
-    pub fn outstanding(&self) -> u64 {
-        let (mut allocated, mut freed) = (0u64, 0u64);
-        for l in self.ledgers.iter() {
-            allocated += l.0.allocated.load(Ordering::Relaxed);
-            freed += l.0.freed.load(Ordering::Relaxed);
+impl Drop for AllocSeat<'_> {
+    /// Retirement: folds the ledger into the team totals and hands the
+    /// free list to the global pool, which frees it with the allocator.
+    fn drop(&mut self) {
+        let shared = self.shared;
+        shared
+            .allocated
+            .fetch_add(self.allocated.get(), Ordering::Relaxed);
+        shared.freed.fetch_add(self.freed.get(), Ordering::Relaxed);
+        let local = std::mem::take(self.local.get_mut());
+        if !local.is_empty() {
+            shared.global.lock().extend(local);
         }
-        allocated.saturating_sub(freed)
     }
 }
 
 impl Drop for TaskAllocator {
     fn drop(&mut self) {
         // Free pooled (dead) records. `&mut self` gives exclusivity.
-        for list in self.local.iter_mut() {
-            for ptr in list.drain(..) {
-                // SAFETY: pooled records are dead and exclusively owned.
-                drop(unsafe { Box::from_raw(ptr.as_ptr()) });
-            }
-        }
-        for ptr in self.global.get_mut().drain(..) {
-            // SAFETY: as above.
+        for TaskPtr(ptr) in self.global.get_mut().drain(..) {
+            // SAFETY: pooled records are dead and exclusively owned.
             drop(unsafe { Box::from_raw(ptr.as_ptr()) });
         }
     }
@@ -196,62 +188,65 @@ impl Drop for TaskAllocator {
 mod tests {
     use super::*;
 
-    fn release_and_free(a: &TaskAllocator, w: usize, ptr: NonNull<Task>) {
+    fn release_and_free(seat: &AllocSeat<'_>, ptr: NonNull<Task>) {
         unsafe {
             assert!(ptr.as_ref().release_ref());
-            a.free(w, ptr);
+            seat.free(ptr);
         }
     }
 
     #[test]
     fn malloc_policy_roundtrip() {
-        let a = TaskAllocator::new(AllocKind::Malloc, 2);
-        let t = unsafe { a.alloc(0, None, None, 0) };
-        assert_eq!(a.outstanding(), 1);
-        release_and_free(&a, 0, t);
+        let a = TaskAllocator::new(AllocKind::Malloc);
+        let t = a.seat(0).alloc(None, None, 0);
+        assert_eq!(a.outstanding(), 1, "the retired seat folded its ledger");
+        release_and_free(&a.seat(0), t);
         assert_eq!(a.outstanding(), 0);
     }
 
     #[test]
     fn cross_slot_frees_balance_the_ledgers() {
         for kind in [AllocKind::Malloc, AllocKind::MultiLevel] {
-            let a = TaskAllocator::new(kind, 2);
-            let ptrs: Vec<_> = (0..5)
-                .map(|_| unsafe { a.alloc(0, None, None, 0) })
-                .collect();
+            let a = TaskAllocator::new(kind);
+            let (s0, s1) = (a.seat(0), a.seat(1));
+            let ptrs: Vec<_> = (0..5).map(|_| s0.alloc(None, None, 0)).collect();
+            drop(s0);
             assert_eq!(a.outstanding(), 5, "{kind:?}");
             for p in ptrs {
-                release_and_free(&a, 1, p);
+                release_and_free(&s1, p);
             }
-            assert_eq!(a.outstanding(), 0, "{kind:?}: freed on another slot");
+            drop(s1);
+            assert_eq!(a.outstanding(), 0, "{kind:?}: freed on another seat");
         }
     }
 
     #[test]
     fn multilevel_recycles_locally() {
-        let a = TaskAllocator::new(AllocKind::MultiLevel, 2);
-        let t1 = unsafe { a.alloc(0, None, None, 0) };
+        let a = TaskAllocator::new(AllocKind::MultiLevel);
+        let s0 = a.seat(0);
+        let t1 = s0.alloc(None, None, 0);
         let addr1 = t1.as_ptr() as usize;
-        release_and_free(&a, 0, t1);
-        let t2 = unsafe { a.alloc(0, None, None, 7) };
+        release_and_free(&s0, t1);
+        let t2 = s0.alloc(None, None, 7);
         assert_eq!(
             t2.as_ptr() as usize,
             addr1,
             "local free list should recycle the record"
         );
-        release_and_free(&a, 0, t2);
+        release_and_free(&s0, t2);
     }
 
     #[test]
     fn multilevel_peer_acquisition_via_global_pool() {
-        let a = TaskAllocator::new(AllocKind::MultiLevel, 2);
+        let a = TaskAllocator::new(AllocKind::MultiLevel);
+        let (s0, s1) = (a.seat(0), a.seat(1));
         // Worker 0 allocates and frees enough to spill to the global pool.
         let mut ptrs = Vec::new();
         for _ in 0..(LOCAL_CACHE_MAX + 50) {
-            ptrs.push(unsafe { a.alloc(0, None, None, 0) });
+            ptrs.push(s0.alloc(None, None, 0));
         }
         for p in ptrs {
-            release_and_free(&a, 0, p);
+            release_and_free(&s0, p);
         }
         assert!(
             !a.global.lock().is_empty(),
@@ -259,10 +254,10 @@ mod tests {
         );
         // Worker 1 can now acquire recycled records without malloc.
         let before = a.global.lock().len();
-        let t = unsafe { a.alloc(1, None, None, 0) };
+        let t = s1.alloc(None, None, 0);
         let after = a.global.lock().len();
         assert!(after < before, "worker 1 should take a global chunk");
-        release_and_free(&a, 1, t);
+        release_and_free(&s1, t);
     }
 
     #[test]
@@ -277,13 +272,14 @@ mod tests {
         }
         for kind in [AllocKind::Malloc, AllocKind::MultiLevel] {
             DROPS.store(0, Ordering::SeqCst);
-            let a = TaskAllocator::new(kind, 1);
+            let a = TaskAllocator::new(kind);
+            let s0 = a.seat(0);
             let canary = Canary;
             let body: TaskBody = Box::new(move |_| {
                 let _keep = &canary;
             });
-            let t = unsafe { a.alloc(0, Some(body), None, 0) };
-            release_and_free(&a, 0, t);
+            let t = s0.alloc(Some(body), None, 0);
+            release_and_free(&s0, t);
             assert_eq!(
                 DROPS.load(Ordering::SeqCst),
                 1,

@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use super::TeamBarrier;
-use crate::util::{CachePadded, PerWorker};
+use crate::util::CachePadded;
 
 /// Per-worker tree node. Padded: `created`/`executed` are the hot cells.
 #[derive(Debug, Default)]
@@ -59,21 +59,19 @@ struct TreeNode {
     /// Release flag; written only by this worker's parent (or the root
     /// for itself). The lock-less half.
     released: AtomicBool,
-}
-
-/// Worker-private round bookkeeping.
-#[derive(Debug, Default)]
-struct OwnerState {
-    last_round: u64,
-    reported: bool,
-    initialized: bool,
+    /// Round bookkeeping: the last round this worker saw and whether it
+    /// has reported in it. Read and written by this worker alone — like
+    /// `created`/`executed`, single-writer relaxed cells, so the node
+    /// needs no ownership promise from `try_release`'s caller.
+    last_round: AtomicU64,
+    /// See `last_round`.
+    reported: AtomicBool,
 }
 
 /// The hybrid distributed tree barrier (XGOMPTB).
 pub struct TreeBarrier {
     n: usize,
     nodes: Box<[CachePadded<TreeNode>]>,
-    owner: PerWorker<OwnerState>,
     /// Current gather round; written only by the root worker.
     round: AtomicU64,
     /// Team idle parker, when the team runs event-driven idling. The
@@ -95,7 +93,6 @@ impl TreeBarrier {
                 .map(|_| CachePadded(TreeNode::default()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            owner: PerWorker::new(n, |_| OwnerState::default()),
             round: AtomicU64::new(1),
             parker: None,
         }
@@ -154,29 +151,13 @@ impl TeamBarrier for TreeBarrier {
         Self::bump(&self.nodes[worker].0.executed);
     }
 
-    fn arrive(&self, worker: usize) {
+    fn arrive(&self, _worker: usize) {
         // Arrival is implicit in this design: a worker participates in
         // gather rounds only through try_release, which the loop calls
-        // only once the worker is at the region-end barrier. Mark the
-        // owner slot initialized for debug clarity.
-        // SAFETY: `worker` is owned by the calling thread; leaf access.
-        unsafe {
-            self.owner.with(worker, |st| st.initialized = true);
-        }
+        // only once the worker is at the region-end barrier.
     }
 
     fn try_release(&self, w: usize) -> bool {
-        /// What the gather step did (wake-ups are issued outside the
-        /// owner-slot closure, which must stay a leaf access).
-        enum Gather {
-            Nothing,
-            Released,
-            /// Reported this subtree's sums to `parent`.
-            Reported(usize),
-            /// Root restarted the gather (activity since last round).
-            NewRound,
-        }
-
         let node = &self.nodes[w].0;
         // Lock-less release path: flag written only by our parent.
         if node.released.load(Ordering::Acquire) {
@@ -184,80 +165,60 @@ impl TeamBarrier for TreeBarrier {
             return true;
         }
         let r = self.round.load(Ordering::Acquire);
-        // SAFETY: worker-ownership contract; all inner operations are
-        // leaf accesses that cannot re-enter this slot.
-        let step = unsafe {
-            self.owner.with(w, |st| {
-                if st.last_round != r {
-                    st.last_round = r;
-                    st.reported = false;
-                    // Reset the mask the *next* round will use. Safe: all
-                    // bits of round r-1 (same parity) were set before the
-                    // root broadcast round r, which happened before we
-                    // observed r (see module docs).
-                    node.complete[((r + 1) & 1) as usize].store(0, Ordering::Relaxed);
-                }
-                if st.reported {
-                    return Gather::Nothing;
-                }
-                // Gather precondition: all children subtrees reported.
-                let parity = (r & 1) as usize;
-                if node.complete[parity].load(Ordering::Acquire) != self.expected_mask(w) {
-                    return Gather::Nothing;
-                }
-                // Aggregate: own counters (we are idle, so these include
-                // everything we have done) + children's published sums.
-                let mut c = node.created.load(Ordering::Relaxed);
-                let mut e = node.executed.load(Ordering::Relaxed);
-                for ch in self.children(w) {
-                    c += self.nodes[ch].0.sub_created.load(Ordering::Relaxed);
-                    e += self.nodes[ch].0.sub_executed.load(Ordering::Relaxed);
-                }
-                st.reported = true;
-                if w == 0 {
-                    if c == e {
-                        node.released.store(true, Ordering::Release);
-                        Gather::Released
-                    } else {
-                        // Activity since the last round: gather again.
-                        self.round.store(r + 1, Ordering::Release);
-                        Gather::NewRound
-                    }
-                } else {
-                    node.sub_created.store(c, Ordering::Relaxed);
-                    node.sub_executed.store(e, Ordering::Relaxed);
-                    let parent = (w - 1) / 2;
-                    let bit = if w == 2 * parent + 1 { 1 } else { 2 };
-                    // The lock-free gather hand-off (one RMW per worker
-                    // per round; release ordering publishes the sums).
-                    self.nodes[parent].0.complete[parity].fetch_or(bit, Ordering::AcqRel);
-                    Gather::Reported(parent)
-                }
-            })
-        };
-        match step {
-            Gather::Released => {
-                self.propagate_release(w);
-                true
-            }
-            Gather::Reported(parent) => {
-                // The parent may be parked mid-gather; our bit is the
-                // event it is waiting for.
-                if let Some(p) = &self.parker {
-                    p.unpark(parent);
-                }
-                false
-            }
-            Gather::NewRound => {
-                // Workers that reported round `r` and then parked must
-                // participate in round `r + 1`.
-                if let Some(p) = &self.parker {
-                    p.unpark_all();
-                }
-                false
-            }
-            Gather::Nothing => false,
+        if node.last_round.load(Ordering::Relaxed) != r {
+            node.last_round.store(r, Ordering::Relaxed);
+            node.reported.store(false, Ordering::Relaxed);
+            // Reset the mask the *next* round will use. Safe: all
+            // bits of round r-1 (same parity) were set before the
+            // root broadcast round r, which happened before we
+            // observed r (see module docs).
+            node.complete[((r + 1) & 1) as usize].store(0, Ordering::Relaxed);
         }
+        if node.reported.load(Ordering::Relaxed) {
+            return false;
+        }
+        // Gather precondition: all children subtrees reported.
+        let parity = (r & 1) as usize;
+        if node.complete[parity].load(Ordering::Acquire) != self.expected_mask(w) {
+            return false;
+        }
+        // Aggregate: own counters (we are idle, so these include
+        // everything we have done) + children's published sums.
+        let mut c = node.created.load(Ordering::Relaxed);
+        let mut e = node.executed.load(Ordering::Relaxed);
+        for ch in self.children(w) {
+            c += self.nodes[ch].0.sub_created.load(Ordering::Relaxed);
+            e += self.nodes[ch].0.sub_executed.load(Ordering::Relaxed);
+        }
+        node.reported.store(true, Ordering::Relaxed);
+        if w == 0 {
+            if c == e {
+                node.released.store(true, Ordering::Release);
+                self.propagate_release(w);
+                return true;
+            }
+            // Activity since the last round: gather again. Workers that
+            // reported round `r` and then parked must participate in
+            // round `r + 1`.
+            self.round.store(r + 1, Ordering::Release);
+            if let Some(p) = &self.parker {
+                p.unpark_all();
+            }
+        } else {
+            node.sub_created.store(c, Ordering::Relaxed);
+            node.sub_executed.store(e, Ordering::Relaxed);
+            let parent = (w - 1) / 2;
+            let bit = if w == 2 * parent + 1 { 1 } else { 2 };
+            // The lock-free gather hand-off (one RMW per worker
+            // per round; release ordering publishes the sums).
+            self.nodes[parent].0.complete[parity].fetch_or(bit, Ordering::AcqRel);
+            // The parent may be parked mid-gather; our bit is the
+            // event it is waiting for.
+            if let Some(p) = &self.parker {
+                p.unpark(parent);
+            }
+        }
+        false
     }
 
     fn name(&self) -> &'static str {

@@ -23,39 +23,67 @@ use xgomp_xqueue::Backoff;
 
 use crate::cancel::{raise_cancel, CancelReason, CancelToken};
 use crate::task::{Task, TaskBody};
-use crate::team::{execute, TeamShared};
+use crate::team::{execute, TeamShared, Worker};
 
 /// A task's handle to the runtime: passed to every task body and to the
 /// parallel-region closure.
+///
+/// A context is the executing worker's private state plus the current
+/// task, so it belongs to the thread that was handed it: it can neither
+/// be sent to nor shared with another thread (`std::thread::scope`
+/// included). Hand work to the team with [`spawn`](Self::spawn) instead.
+///
+/// ```compile_fail
+/// use xgomp_core::{Runtime, RuntimeConfig};
+/// Runtime::new(RuntimeConfig::xgomptb(1)).parallel(|ctx| {
+///     // Shared with a scoped thread: `TaskCtx` is not `Sync`.
+///     std::thread::scope(|s| {
+///         s.spawn(|| ctx.worker_id());
+///     });
+/// });
+/// ```
+///
+/// ```compile_fail
+/// fn sendable<T: Send>() {}
+/// // Sent to another thread: `TaskCtx` is not `Send` either.
+/// sendable::<xgomp_core::TaskCtx<'static>>();
+/// ```
 pub struct TaskCtx<'t> {
-    pub(crate) team: &'t TeamShared,
-    pub(crate) worker: usize,
+    /// The executing worker — `!Sync`, which is what keeps a context on
+    /// its thread.
+    pub(crate) worker: &'t Worker<'t>,
     pub(crate) task: NonNull<Task>,
 }
 
 impl<'t> TaskCtx<'t> {
+    /// The team this context's worker belongs to.
+    #[inline]
+    pub(crate) fn team(&self) -> &'t TeamShared {
+        self.worker.team
+    }
+
     /// Index of the worker executing this task (0 = master).
     #[inline]
     pub fn worker_id(&self) -> usize {
-        self.worker
+        self.worker.id
     }
 
     /// Team size.
     #[inline]
     pub fn n_workers(&self) -> usize {
-        self.team.n
+        self.team().n
     }
 
     /// Simulated NUMA zone of this worker (see `xgomp-topology`).
     #[inline]
     pub fn numa_zone(&self) -> usize {
-        self.team.placement.zone_of(self.worker)
+        self.team().placement.zone_of(self.worker.id)
     }
 
     /// The team's worker placement (topology queries).
     #[inline]
     pub fn placement(&self) -> &xgomp_topology::Placement {
-        &self.team.placement
+        &self.team().placement
     }
 
     /// Spawns a child task with default priority. The body must be
@@ -92,19 +120,28 @@ impl<'t> TaskCtx<'t> {
     /// scheduler visit of the worker that chose to take it.
     #[inline]
     pub fn spawn_boxed_local(&self, body: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>) {
-        self.spawn_impl(body, 0, Some(self.worker));
+        self.spawn_impl(body, 0, Some(self.worker.id));
     }
 
     /// Like [`run_pending`](Self::run_pending), but when the scheduler
     /// is empty it also polls the team's ingress source (if any) and
     /// runs whatever that injected. This is the helping step a job must
-    /// use while waiting on *another job* (`JobHandle::join_within` in
-    /// `xgomp-service`): with every worker busy waiting, the awaited
-    /// jobs may still be sitting in the ingress, reachable by no one
-    /// else.
+    /// use while waiting **without a deadline** on *another job*
+    /// (`JobHandle::join_within` in `xgomp-service`): with every worker
+    /// busy waiting, the awaited jobs may still be sitting in the
+    /// ingress, reachable by no one else.
+    ///
+    /// What it pulls from the ingress is a fresh root job of unbounded
+    /// length, run *nested on the caller's stack* — nothing preempts it,
+    /// so the caller's own wait makes no progress until it returns. The
+    /// rule for help-first joins is therefore: **a bounded wait never
+    /// nests unbounded work.** A caller with a deadline (or one the
+    /// pulled job might itself be waiting on) uses
+    /// [`run_pending`](Self::run_pending) and leaves the ingress to a
+    /// peer, as `JobHandle::join_within_timeout` does.
     pub fn help_pending(&self, max: usize) -> usize {
         let ran = self.run_pending(max);
-        if ran > 0 || self.team.poll_ingress(self.worker) == 0 {
+        if ran > 0 || self.worker.poll_ingress() == 0 {
             return ran;
         }
         self.run_pending(max)
@@ -113,7 +150,7 @@ impl<'t> TaskCtx<'t> {
     /// Whether the team has been poisoned by an un-isolated panic (the
     /// region is ending abnormally; cooperative loops should bail out).
     pub fn is_poisoned(&self) -> bool {
-        self.team.poisoned.load(Ordering::Relaxed)
+        self.team().poisoned.load(Ordering::Relaxed)
     }
 
     /// Installs a [`CancelToken`] on the current task. Every task spawned
@@ -159,7 +196,7 @@ impl<'t> TaskCtx<'t> {
     /// elsewhere it is a no-op so a stray token cannot poison a team.
     #[inline]
     pub fn check_cancel(&self) {
-        if !self.team.isolate_panics || std::thread::panicking() {
+        if !self.team().isolate_panics || std::thread::panicking() {
             return;
         }
         if let Some(reason) = self.poll_cancel() {
@@ -184,26 +221,26 @@ impl<'t> TaskCtx<'t> {
     /// [`park_idle_enabled`](Self::park_idle_enabled); the parker itself
     /// always works.
     pub fn parker(&self) -> &Arc<xgomp_xqueue::Parker> {
-        &self.team.parker
+        &self.team().parker
     }
 
     /// Whether this team runs event-driven idling
     /// (`RuntimeConfig::park_idle`).
     pub fn park_idle_enabled(&self) -> bool {
-        self.team.park_idle
+        self.team().park_idle
     }
 
     /// Racy hint that the scheduler could yield a task for this worker
     /// right now — the pre-park re-check for custom idle loops.
     pub fn has_local_work_hint(&self) -> bool {
-        self.team.sched.has_work_hint(self.worker)
+        self.worker.seat.has_work_hint()
     }
 
     /// Whether the team's flight recorder is live at `min` or above
     /// (one relaxed load + branch; `false` when tracing is off).
     #[inline]
     pub fn trace_on(&self, min: xgomp_profiling::TraceLevel) -> bool {
-        self.team.trace_on(min)
+        self.team().trace_on(min)
     }
 
     /// Emits one flight-recorder record into the calling worker's ring
@@ -220,7 +257,7 @@ impl<'t> TaskCtx<'t> {
         b: u64,
         c: u64,
     ) {
-        self.team.trace_emit(self.worker, min, kind, a, b, c);
+        self.worker.trace_emit(min, kind, a, b, c);
     }
 
     /// Executes up to `max` already-queued tasks on the calling worker,
@@ -228,12 +265,9 @@ impl<'t> TaskCtx<'t> {
     /// never blocks: it is the cooperative scheduling point a server's
     /// master loop interleaves with ingress polling and controller work.
     pub fn run_pending(&self, max: usize) -> usize {
-        let team = self.team;
+        let worker = self.worker;
         let mut ran = 0;
-        while ran < max
-            && !team.poisoned.load(Ordering::Relaxed)
-            && team.run_next(self.worker, || {})
-        {
+        while ran < max && !worker.team.poisoned.load(Ordering::Relaxed) && worker.run_next(|| {}) {
             ran += 1;
         }
         ran
@@ -267,8 +301,8 @@ impl<'t> TaskCtx<'t> {
     /// taskwait scheduling point does) until every direct child of the
     /// current task has completed.
     pub fn taskwait(&self) {
-        let team = self.team;
-        let w = self.worker;
+        let worker = self.worker;
+        let team = worker.team;
         // SAFETY: the record outlives execution (refcount held by us).
         let task = unsafe { self.task.as_ref() };
         if task.unfinished_children() == 0 {
@@ -284,21 +318,21 @@ impl<'t> TaskCtx<'t> {
             }
             let found = || {
                 if let Some(t0) = wait_t0.take() {
-                    team.log_span(w, EventKind::TaskWait, t0);
+                    worker.log_span(EventKind::TaskWait, t0);
                 }
             };
-            if team.run_next(w, found) {
+            if worker.run_next(found) {
                 backoff.reset();
                 continue;
             }
-            team.sched.on_idle(w);
+            worker.seat.on_idle();
             if team.profiling && wait_t0.is_none() {
                 wait_t0 = Some(clock::now());
             }
             backoff.snooze();
         }
         if let Some(t0) = wait_t0 {
-            team.log_span(w, EventKind::TaskWait, t0);
+            worker.log_span(EventKind::TaskWait, t0);
         }
         self.reraise_child_panic(task);
         // Cancellation checkpoint at the taskwait boundary: children are
@@ -312,7 +346,7 @@ impl<'t> TaskCtx<'t> {
     /// surfaces at the job boundary instead of poisoning the team. Never
     /// double-panics (scope's taskwait-on-drop runs during unwinds).
     fn reraise_child_panic(&self, task: &Task) {
-        if !self.team.isolate_panics || std::thread::panicking() {
+        if !self.team().isolate_panics || std::thread::panicking() {
             return;
         }
         if let Some(payload) = task.take_child_panic() {
@@ -324,18 +358,17 @@ impl<'t> TaskCtx<'t> {
     /// publication, link the dependency atomically, allocate, then
     /// publish — falling back to immediate execution when the target
     /// queue is full. `hint = Some(t)` asks the scheduler to hand the
-    /// task to worker `t` (see `Scheduler::spawn`).
+    /// task to worker `t` (see `Seat::spawn`).
     fn spawn_impl(&self, body: TaskBody, priority: i32, hint: Option<usize>) {
-        let team = self.team;
-        let w = self.worker;
+        let worker = self.worker;
+        let (team, w) = (worker.team, worker.id);
         let t0 = if team.profiling { clock::now() } else { 0 };
         team.barrier.task_created(w);
+        // The child's reference on its parent, which is also the
+        // parent's count of live children.
         // SAFETY: parent record is alive (we are executing it).
-        let parent = unsafe { self.task.as_ref() };
-        parent.retain();
-        parent.add_child();
-        // SAFETY: this thread owns worker slot `w`.
-        let ptr = unsafe { team.alloc.alloc(w, Some(body), Some(self.task), priority) };
+        unsafe { self.task.as_ref() }.retain();
+        let ptr = worker.alloc.alloc(Some(body), Some(self.task), priority);
         // Children inherit the parent's cancellation token, so a job's
         // whole task tree answers to one flag.
         // SAFETY: we execute the parent; the child is not yet published.
@@ -345,12 +378,12 @@ impl<'t> TaskCtx<'t> {
             }
         }
         WorkerStats::inc(&team.stats[w].tasks_created);
-        let pushed = team.sched.spawn(w, hint, ptr);
-        team.log_span(w, EventKind::TaskCreate, t0);
+        let pushed = worker.seat.spawn(hint, ptr);
+        worker.log_span(EventKind::TaskCreate, t0);
         if let Err(p) = pushed {
             // Overflow rule: execute the task immediately (§II-B).
             WorkerStats::inc(&team.stats[w].ntasks_imm_exec);
-            execute(team, w, p);
+            execute(worker, p);
         }
     }
 }

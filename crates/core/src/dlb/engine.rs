@@ -2,6 +2,7 @@
 //! (§IV-C, §IV-D, Algs. 1–4), wired into the XQueue scheduler's
 //! scheduling points.
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -9,20 +10,13 @@ use rand::{Rng, SeedableRng};
 
 use xgomp_profiling::WorkerStats;
 use xgomp_topology::Placement;
-use xgomp_xqueue::{Parker, XQueueLattice};
+use xgomp_xqueue::Parker;
 
 use super::message::MsgCell;
 use super::{DlbConfig, DlbStrategy, DlbTuning};
 use crate::loops::LoopBalancer;
-use crate::task::Task;
-use crate::util::{CachePadded, PerWorker};
-
-/// Thief-side per-worker state: the idle timeout counter of §IV-B.
-#[derive(Debug, Default)]
-struct ThiefState {
-    /// Idle scheduling points since the last request burst.
-    idle_iters: u64,
-}
+use crate::sched::Row;
+use crate::util::CachePadded;
 
 /// Victim-side per-worker redirect state (NA-RP, Alg. 3).
 #[derive(Debug)]
@@ -45,7 +39,9 @@ impl Default for RedirectState {
     }
 }
 
-/// Engine owned by the XQueue scheduler when DLB is enabled.
+/// Engine owned by the XQueue scheduler when DLB is enabled: the shared
+/// half of the protocol — the message cells, which a thief writes and a
+/// victim answers, and everything read-only.
 ///
 /// All four knobs are read through a [`DlbTuning`] cell at every
 /// scheduling point, so an external controller holding a clone of the
@@ -56,9 +52,6 @@ pub(crate) struct DlbEngine {
     cells: Box<[CachePadded<MsgCell>]>,
     placement: Arc<Placement>,
     stats: Arc<Vec<WorkerStats>>,
-    thief: PerWorker<ThiefState>,
-    redirect: PerWorker<RedirectState>,
-    rng: PerWorker<SmallRng>,
     /// Team idle parker: a victim that migrates tasks into a thief's row
     /// must wake that thief — a thief parks between request bursts, and
     /// nobody else would ever touch its row.
@@ -67,6 +60,20 @@ pub(crate) struct DlbEngine {
     /// drivers, so rebalance probes keep firing even when every
     /// loop-drain task is buried in long chunks.
     balancer: Arc<LoopBalancer>,
+}
+
+/// Worker `w`'s half of the protocol, owned by its scheduler seat: the
+/// thief and victim state machines (Algs. 1–4) and the state only they
+/// write. A thief never touches a victim's seat, only its message cell.
+pub(crate) struct DlbSeat<'e> {
+    eng: &'e DlbEngine,
+    w: usize,
+    /// Thief side: the idle timeout counter of §IV-B — idle scheduling
+    /// points since the last request burst.
+    idle_iters: Cell<u64>,
+    /// Victim side (NA-RP).
+    redirect: RefCell<RedirectState>,
+    rng: RefCell<SmallRng>,
 }
 
 impl DlbEngine {
@@ -86,258 +93,26 @@ impl DlbEngine {
                 .into_boxed_slice(),
             placement,
             stats,
-            thief: PerWorker::new(n, |_| ThiefState::default()),
-            redirect: PerWorker::new(n, |_| RedirectState::default()),
-            // Deterministic per-worker seeds keep experiments repeatable.
-            rng: PerWorker::new(n, |w| {
-                SmallRng::seed_from_u64(0xD1B0_5EED ^ (w as u64) << 17)
-            }),
             parker,
             balancer,
+        }
+    }
+
+    /// Worker `w`'s seat (the scheduler's seat claim covers it).
+    pub fn seat(&self, w: usize) -> DlbSeat<'_> {
+        DlbSeat {
+            eng: self,
+            w,
+            idle_iters: Cell::new(0),
+            redirect: RefCell::default(),
+            // Deterministic per-worker seeds keep experiments repeatable.
+            rng: RefCell::new(SmallRng::seed_from_u64(0xD1B0_5EED ^ (w as u64) << 17)),
         }
     }
 
     /// Snapshot of the currently active configuration.
     pub fn config(&self) -> DlbConfig {
         self.tuning.load()
-    }
-
-    /// Picks a victim for thief `w`: NUMA-local with probability
-    /// `p_local`, remote otherwise; falls back to the other pool when a
-    /// pool is empty (single-zone or zone-filling placements).
-    ///
-    /// # Safety
-    ///
-    /// Caller thread must own worker slot `w`.
-    unsafe fn pick_victim(&self, w: usize, p_local: f64) -> Option<usize> {
-        let locals = self.placement.local_peers(w);
-        let remotes = self.placement.remote_peers(w);
-        // SAFETY: worker-ownership contract forwarded; leaf access.
-        unsafe {
-            self.rng.with(w, |rng| {
-                let use_local = rng.gen::<f64>() < p_local;
-                let pool = match (use_local, locals.is_empty(), remotes.is_empty()) {
-                    (true, false, _) => locals,
-                    (true, true, false) => remotes,
-                    (false, _, false) => remotes,
-                    (false, false, true) => locals,
-                    _ => return None, // team of one
-                };
-                Some(pool[rng.gen_range(0..pool.len())])
-            })
-        }
-    }
-
-    /// Thief hook: called at every idle scheduling point (Alg. 1 plus the
-    /// §IV-B timeout counter). Sends a burst of `n_victim` requests when
-    /// the counter is at zero, then waits `t_interval` idle iterations
-    /// before retrying.
-    ///
-    /// # Safety
-    ///
-    /// Caller thread must own worker slot `w`.
-    pub unsafe fn on_idle(&self, w: usize) {
-        // Inter-socket loop rebalance probe: rides the idle scheduling
-        // point at its own (tick-based) cadence; a cheap gate when the
-        // interval has not elapsed, a no-op when disabled or no loops
-        // are live.
-        self.balancer.maybe_probe(Some(&self.stats[w]));
-        let cfg = self.tuning.load();
-        // SAFETY: worker-ownership contract; leaf access.
-        let send_now = unsafe {
-            self.thief.with(w, |ts| {
-                let send = ts.idle_iters == 0;
-                ts.idle_iters += 1;
-                if ts.idle_iters >= cfg.t_interval {
-                    ts.idle_iters = 0; // timeout reached: retry next point
-                }
-                send
-            })
-        };
-        if !send_now {
-            return;
-        }
-        for _ in 0..cfg.n_victim {
-            // SAFETY: forwarded contract.
-            if let Some(victim) = unsafe { self.pick_victim(w, cfg.p_local) } {
-                if self.cells[victim].0.try_send_request(w) {
-                    WorkerStats::inc(&self.stats[w].nreq_sent);
-                }
-            }
-        }
-    }
-
-    /// Resets the thief timeout when the worker found work ("the counter
-    /// is reset … if the worker is no longer idle").
-    ///
-    /// # Safety
-    ///
-    /// Caller thread must own worker slot `w`.
-    pub unsafe fn on_active(&self, w: usize) {
-        // SAFETY: worker-ownership contract; leaf access.
-        unsafe {
-            self.thief.with(w, |ts| ts.idle_iters = 0);
-        }
-    }
-
-    /// Victim hook: called when worker `w` has found a task to execute
-    /// ("when a worker finds a task to execute, it becomes a victim and
-    /// tries to handle a request", §IV-B).
-    ///
-    /// # Safety
-    ///
-    /// Caller thread must own worker slot `w` (producer *and* consumer
-    /// roles of row/column `w` of the lattice).
-    pub unsafe fn on_found_task(&self, w: usize, lattice: &XQueueLattice<Task>) {
-        let cfg = self.tuning.load();
-        match cfg.strategy {
-            DlbStrategy::WorkSteal => {
-                // A hot swap from NA-RP can leave a redirect armed with
-                // its round un-bumped; retire it so the cell accepts new
-                // requests under the new strategy.
-                // SAFETY: worker-ownership contract; leaf access.
-                unsafe {
-                    self.redirect.with(w, |rd| {
-                        if rd.thief >= 0 {
-                            self.finish_redirect(w, rd);
-                        }
-                    });
-                }
-                if let Some(thief) = self.cells[w].0.take_valid_request() {
-                    WorkerStats::inc(&self.stats[w].nreq_handled);
-                    // SAFETY: forwarded role contract.
-                    unsafe { self.work_steal(w, thief, cfg.n_steal, lattice) };
-                    self.cells[w].0.bump_round();
-                }
-            }
-            DlbStrategy::RedirectPush => {
-                // SAFETY: worker-ownership contract; leaf access.
-                let armed = unsafe { self.redirect.with(w, |rd| rd.thief >= 0) };
-                if armed {
-                    return; // finish the current redirect first (§IV-C)
-                }
-                if let Some(thief) = self.cells[w].0.take_valid_request() {
-                    WorkerStats::inc(&self.stats[w].nreq_handled);
-                    if thief == w {
-                        // Degenerate self-request; drop it.
-                        self.cells[w].0.bump_round();
-                        return;
-                    }
-                    // Arm: the next `n_steal` spawns are redirected. The
-                    // round is bumped when the quota completes.
-                    // SAFETY: leaf access.
-                    unsafe {
-                        self.redirect.with(w, |rd| {
-                            rd.thief = thief as i64;
-                            rd.remaining = cfg.n_steal as u64;
-                            rd.pushed = 0;
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// NA-WS migration (Alg. 4): move up to `n_steal` queued tasks from
-    /// victim `w`'s row into the thief's queue.
-    ///
-    /// # Safety
-    ///
-    /// Caller thread must own worker slot `w`.
-    unsafe fn work_steal(
-        &self,
-        w: usize,
-        thief: usize,
-        n_steal: usize,
-        lattice: &XQueueLattice<Task>,
-    ) {
-        if thief == w || thief >= self.cells.len() {
-            return;
-        }
-        let stats = &self.stats[w];
-        let mut moved = 0u64;
-        while (moved as usize) < n_steal {
-            // Producer-side fullness check first: `is_full_hint` is exact
-            // for the (thief ← w) queue because w is its only producer.
-            // SAFETY: w owns producer role w.
-            if unsafe { lattice.is_full_hint(w, thief) } {
-                if moved == 0 {
-                    WorkerStats::inc(&stats.nreq_target_full);
-                }
-                break;
-            }
-            // SAFETY: w owns consumer role w.
-            match unsafe { lattice.pop(w) } {
-                None => {
-                    if moved == 0 {
-                        WorkerStats::inc(&stats.nreq_src_empty);
-                    }
-                    break;
-                }
-                Some(task) => {
-                    // SAFETY: w owns producer role w; fullness was checked
-                    // and only the thief (consumer) can change occupancy,
-                    // monotonically downwards.
-                    unsafe { lattice.push(w, thief, task) }
-                        .expect("push after negative fullness hint cannot fail");
-                    moved += 1;
-                }
-            }
-        }
-        if self.settle(w, thief, moved) {
-            // The thief may have parked since sending its request; the
-            // migrated tasks sit in its row, reachable by no one else.
-            self.parker.notify_push(thief);
-        }
-    }
-
-    /// NA-RP spawn hook (Alg. 3, `doRedirectPush`): if a redirect is
-    /// armed, returns the thief to push the new task to and consumes one
-    /// quota unit. Disarms (and bumps the round) when the quota is
-    /// exhausted or the thief's queue is full.
-    ///
-    /// # Safety
-    ///
-    /// Caller thread must own worker slot `w`.
-    pub unsafe fn redirect_target(&self, w: usize, lattice: &XQueueLattice<Task>) -> Option<usize> {
-        if self.tuning.load().strategy != DlbStrategy::RedirectPush {
-            // A hot swap away from NA-RP retires any armed redirect at
-            // the victim's next found-task point (see `on_found_task`).
-            return None;
-        }
-        // SAFETY: worker-ownership contract; the lattice probe inside is
-        // a leaf producer-role call for w.
-        unsafe {
-            self.redirect.with(w, |rd| {
-                if rd.thief < 0 {
-                    return None;
-                }
-                let thief = rd.thief as usize;
-                let full = lattice.is_full_hint(w, thief);
-                if rd.remaining == 0 || full {
-                    // `ctid_thief ← -1` (no thief); request completed.
-                    if full && rd.pushed == 0 {
-                        WorkerStats::inc(&self.stats[w].nreq_target_full);
-                    }
-                    self.finish_redirect(w, rd);
-                    return None;
-                }
-                rd.remaining -= 1;
-                rd.pushed += 1;
-                if rd.remaining == 0 {
-                    self.finish_redirect(w, rd);
-                }
-                Some(thief)
-            })
-        }
-    }
-
-    /// Completes victim `w`'s armed request: settles what it pushed,
-    /// disarms, and bumps the round so the cell accepts new requests.
-    fn finish_redirect(&self, w: usize, rd: &mut RedirectState) {
-        self.settle(w, rd.thief as usize, rd.pushed);
-        *rd = RedirectState::default();
-        self.cells[w].0.bump_round();
     }
 
     /// Books one served request that moved `moved` tasks from victim `w`
@@ -356,9 +131,199 @@ impl DlbEngine {
         }
         true
     }
+}
 
+impl DlbSeat<'_> {
+    /// Picks a victim for this thief: NUMA-local with probability
+    /// `p_local`, remote otherwise; falls back to the other pool when a
+    /// pool is empty (single-zone or zone-filling placements).
+    fn pick_victim(&self, p_local: f64) -> Option<usize> {
+        let locals = self.eng.placement.local_peers(self.w);
+        let remotes = self.eng.placement.remote_peers(self.w);
+        let rng = &mut *self.rng.borrow_mut();
+        let use_local = rng.gen::<f64>() < p_local;
+        let pool = match (use_local, locals.is_empty(), remotes.is_empty()) {
+            (true, false, _) => locals,
+            (true, true, false) => remotes,
+            (false, _, false) => remotes,
+            (false, false, true) => locals,
+            _ => return None, // team of one
+        };
+        Some(pool[rng.gen_range(0..pool.len())])
+    }
+
+    /// Thief hook: called at every idle scheduling point (Alg. 1 plus the
+    /// §IV-B timeout counter). Sends a burst of `n_victim` requests when
+    /// the counter is at zero, then waits `t_interval` idle iterations
+    /// before retrying.
+    pub fn on_idle(&self) {
+        let (eng, w) = (self.eng, self.w);
+        // Inter-socket loop rebalance probe: rides the idle scheduling
+        // point at its own (tick-based) cadence; a cheap gate when the
+        // interval has not elapsed, a no-op when disabled or no loops
+        // are live.
+        eng.balancer.maybe_probe(Some(&eng.stats[w]));
+        let cfg = eng.tuning.load();
+        let send_now = {
+            let mut idle_iters = self.idle_iters.get();
+            let send = idle_iters == 0;
+            idle_iters += 1;
+            if idle_iters >= cfg.t_interval {
+                idle_iters = 0; // timeout reached: retry next point
+            }
+            self.idle_iters.set(idle_iters);
+            send
+        };
+        if !send_now {
+            return;
+        }
+        for _ in 0..cfg.n_victim {
+            if let Some(victim) = self.pick_victim(cfg.p_local) {
+                if eng.cells[victim].0.try_send_request(w) {
+                    WorkerStats::inc(&eng.stats[w].nreq_sent);
+                }
+            }
+        }
+    }
+
+    /// Resets the thief timeout when the worker found work ("the counter
+    /// is reset … if the worker is no longer idle").
+    pub fn on_active(&self) {
+        self.idle_iters.set(0);
+    }
+
+    /// Victim hook: called when the worker has found a task to execute
+    /// ("when a worker finds a task to execute, it becomes a victim and
+    /// tries to handle a request", §IV-B). `row` is this worker's own
+    /// lattice row (producer *and* consumer roles).
+    pub fn on_found_task(&self, row: &Row<'_>) {
+        let (eng, w) = (self.eng, self.w);
+        let cfg = eng.tuning.load();
+        match cfg.strategy {
+            DlbStrategy::WorkSteal => {
+                // A hot swap from NA-RP can leave a redirect armed with
+                // its round un-bumped; retire it so the cell accepts new
+                // requests under the new strategy.
+                {
+                    let rd = &mut *self.redirect.borrow_mut();
+                    if rd.thief >= 0 {
+                        self.finish_redirect(rd);
+                    }
+                }
+                if let Some(thief) = eng.cells[w].0.take_valid_request() {
+                    WorkerStats::inc(&eng.stats[w].nreq_handled);
+                    self.work_steal(row, thief, cfg.n_steal);
+                    eng.cells[w].0.bump_round();
+                }
+            }
+            DlbStrategy::RedirectPush => {
+                let armed = self.redirect.borrow().thief >= 0;
+                if armed {
+                    return; // finish the current redirect first (§IV-C)
+                }
+                if let Some(thief) = eng.cells[w].0.take_valid_request() {
+                    WorkerStats::inc(&eng.stats[w].nreq_handled);
+                    if thief == w {
+                        // Degenerate self-request; drop it.
+                        eng.cells[w].0.bump_round();
+                        return;
+                    }
+                    // Arm: the next `n_steal` spawns are redirected. The
+                    // round is bumped when the quota completes.
+                    let rd = &mut *self.redirect.borrow_mut();
+                    rd.thief = thief as i64;
+                    rd.remaining = cfg.n_steal as u64;
+                    rd.pushed = 0;
+                }
+            }
+        }
+    }
+
+    /// NA-WS migration (Alg. 4): move up to `n_steal` queued tasks from
+    /// this victim's row into the thief's queue.
+    fn work_steal(&self, row: &Row<'_>, thief: usize, n_steal: usize) {
+        let (eng, w) = (self.eng, self.w);
+        if thief == w || thief >= eng.cells.len() {
+            return;
+        }
+        let stats = &eng.stats[w];
+        let mut moved = 0u64;
+        while (moved as usize) < n_steal {
+            // Producer-side fullness check first: `is_full_hint` is exact
+            // for the (thief ← w) queue because w is its only producer.
+            if row.is_full_hint(thief) {
+                if moved == 0 {
+                    WorkerStats::inc(&stats.nreq_target_full);
+                }
+                break;
+            }
+            match row.pop() {
+                None => {
+                    if moved == 0 {
+                        WorkerStats::inc(&stats.nreq_src_empty);
+                    }
+                    break;
+                }
+                Some(task) => {
+                    // Fullness was checked and only the thief (consumer)
+                    // can change occupancy, monotonically downwards.
+                    row.push(thief, task)
+                        .expect("push after negative fullness hint cannot fail");
+                    moved += 1;
+                }
+            }
+        }
+        if eng.settle(w, thief, moved) {
+            // The thief may have parked since sending its request; the
+            // migrated tasks sit in its row, reachable by no one else.
+            eng.parker.notify_push(thief);
+        }
+    }
+
+    /// NA-RP spawn hook (Alg. 3, `doRedirectPush`): if a redirect is
+    /// armed, returns the thief to push the new task to and consumes one
+    /// quota unit. Disarms (and bumps the round) when the quota is
+    /// exhausted or the thief's queue is full.
+    pub fn redirect_target(&self, row: &Row<'_>) -> Option<usize> {
+        if self.eng.tuning.load().strategy != DlbStrategy::RedirectPush {
+            // A hot swap away from NA-RP retires any armed redirect at
+            // the victim's next found-task point (see `on_found_task`).
+            return None;
+        }
+        let rd = &mut *self.redirect.borrow_mut();
+        if rd.thief < 0 {
+            return None;
+        }
+        let thief = rd.thief as usize;
+        let full = row.is_full_hint(thief);
+        if rd.remaining == 0 || full {
+            // `ctid_thief ← -1` (no thief); request completed.
+            if full && rd.pushed == 0 {
+                WorkerStats::inc(&self.eng.stats[self.w].nreq_target_full);
+            }
+            self.finish_redirect(rd);
+            return None;
+        }
+        rd.remaining -= 1;
+        rd.pushed += 1;
+        if rd.remaining == 0 {
+            self.finish_redirect(rd);
+        }
+        Some(thief)
+    }
+
+    /// Completes this victim's armed request: settles what it pushed,
+    /// disarms, and bumps the round so the cell accepts new requests.
+    fn finish_redirect(&self, rd: &mut RedirectState) {
+        self.eng.settle(self.w, rd.thief as usize, rd.pushed);
+        *rd = RedirectState::default();
+        self.eng.cells[self.w].0.bump_round();
+    }
+}
+
+#[cfg(test)]
+impl DlbEngine {
     /// Diagnostic access to a worker's message cell.
-    #[cfg(test)]
     pub fn cell(&self, w: usize) -> &MsgCell {
         &self.cells[w].0
     }
@@ -367,10 +332,16 @@ impl DlbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::Rows;
+    use crate::task::Task;
     use std::ptr::NonNull;
     use xgomp_topology::{Affinity, MachineTopology};
 
-    fn make_engine(n: usize, cfg: DlbConfig) -> (DlbEngine, XQueueLattice<Task>) {
+    fn make_engine(n: usize, cfg: DlbConfig) -> (DlbEngine, Rows) {
+        make_engine_with(n, cfg, 16)
+    }
+
+    fn make_engine_with(n: usize, cfg: DlbConfig, queue_capacity: usize) -> (DlbEngine, Rows) {
         let placement = Arc::new(Placement::new(
             MachineTopology::new(2, 2, 1),
             n,
@@ -389,7 +360,7 @@ mod tests {
                 parker,
                 Arc::new(LoopBalancer::new()),
             ),
-            XQueueLattice::new(n, 16),
+            Rows::new(n, queue_capacity),
         )
     }
 
@@ -407,24 +378,23 @@ mod tests {
             .n_victim(2)
             .t_interval(5)
             .p_local(1.0);
-        let (eng, _lat) = make_engine(4, cfg);
-        unsafe {
-            eng.on_idle(0); // burst at counter 0
-            let sent_after_first = eng.stats[0].snapshot().nreq_sent;
-            assert!(sent_after_first >= 1, "first idle point must send");
-            for _ in 0..3 {
-                eng.on_idle(0); // counter 1..3: silent
-            }
-            assert_eq!(eng.stats[0].snapshot().nreq_sent, sent_after_first);
-            // The victim handles the pending request so the retry burst
-            // has somewhere to land (p_local = 1 ⇒ worker 1 is the only
-            // candidate for worker 0 on the 2×2 topology).
-            assert_eq!(eng.cell(1).take_valid_request(), Some(0));
-            eng.cell(1).bump_round();
-            eng.on_idle(0); // counter hits t_interval: resets
-            eng.on_idle(0); // counter 0 again: burst
-            assert!(eng.stats[0].snapshot().nreq_sent > sent_after_first);
+        let (eng, _rows) = make_engine(4, cfg);
+        let s0 = eng.seat(0);
+        s0.on_idle(); // burst at counter 0
+        let sent_after_first = eng.stats[0].snapshot().nreq_sent;
+        assert!(sent_after_first >= 1, "first idle point must send");
+        for _ in 0..3 {
+            s0.on_idle(); // counter 1..3: silent
         }
+        assert_eq!(eng.stats[0].snapshot().nreq_sent, sent_after_first);
+        // The victim handles the pending request so the retry burst
+        // has somewhere to land (p_local = 1 ⇒ worker 1 is the only
+        // candidate for worker 0 on the 2×2 topology).
+        assert_eq!(eng.cell(1).take_valid_request(), Some(0));
+        eng.cell(1).bump_round();
+        s0.on_idle(); // counter hits t_interval: resets
+        s0.on_idle(); // counter 0 again: burst
+        assert!(eng.stats[0].snapshot().nreq_sent > sent_after_first);
     }
 
     #[test]
@@ -432,130 +402,107 @@ mod tests {
         let cfg = DlbConfig::new(DlbStrategy::WorkSteal)
             .n_steal(3)
             .p_local(1.0);
-        let (eng, lat) = make_engine(2, cfg);
-        unsafe {
-            // Victim 0 has 5 queued tasks in its master queue.
-            let mut ptrs = Vec::new();
-            for _ in 0..5 {
-                let t = mk_task(0);
-                ptrs.push(t);
-                lat.push(0, 0, t).unwrap();
-            }
-            // Thief 1 requests; victim handles at its next found-task point.
-            assert!(eng.cell(0).try_send_request(1));
-            eng.on_found_task(0, &lat);
-            let s = eng.stats[0].snapshot();
-            assert_eq!(s.nreq_handled, 1);
-            assert_eq!(s.ntasks_stolen, 3, "moves exactly n_steal tasks");
-            assert_eq!(s.nreq_has_steal, 1);
-            // Topology 2×2×1 close: workers 0 and 1 share zone 0.
-            assert_eq!(s.nsteal_local, 3);
-            // Thief's row now holds 3 tasks.
-            let mut got = 0;
-            while lat.pop(1).is_some() {
-                got += 1;
-            }
-            assert_eq!(got, 3);
-            // Victim keeps the rest.
-            let mut kept = 0;
-            while lat.pop(0).is_some() {
-                kept += 1;
-            }
-            assert_eq!(kept, 2);
-            for p in ptrs {
-                free_task(p);
-            }
+        let (eng, rows) = make_engine(2, cfg);
+        let (r0, r1) = (rows.claim(0), rows.claim(1));
+        // Victim 0 has 5 queued tasks in its master queue.
+        let mut ptrs = Vec::new();
+        for _ in 0..5 {
+            let t = mk_task(0);
+            ptrs.push(t);
+            r0.push(0, t).unwrap();
+        }
+        // Thief 1 requests; victim handles at its next found-task point.
+        assert!(eng.cell(0).try_send_request(1));
+        eng.seat(0).on_found_task(&r0);
+        let s = eng.stats[0].snapshot();
+        assert_eq!(s.nreq_handled, 1);
+        assert_eq!(s.ntasks_stolen, 3, "moves exactly n_steal tasks");
+        assert_eq!(s.nreq_has_steal, 1);
+        // Topology 2×2×1 close: workers 0 and 1 share zone 0.
+        assert_eq!(s.nsteal_local, 3);
+        // Thief's row now holds 3 tasks.
+        let mut got = 0;
+        while r1.pop().is_some() {
+            got += 1;
+        }
+        assert_eq!(got, 3);
+        // Victim keeps the rest.
+        let mut kept = 0;
+        while r0.pop().is_some() {
+            kept += 1;
+        }
+        assert_eq!(kept, 2);
+        for p in ptrs {
+            unsafe { free_task(p) };
         }
     }
 
     #[test]
     fn work_steal_empty_source_counts() {
         let cfg = DlbConfig::new(DlbStrategy::WorkSteal);
-        let (eng, lat) = make_engine(2, cfg);
-        unsafe {
-            assert!(eng.cell(0).try_send_request(1));
-            eng.on_found_task(0, &lat);
-            let s = eng.stats[0].snapshot();
-            assert_eq!(s.nreq_handled, 1);
-            assert_eq!(s.nreq_src_empty, 1);
-            assert_eq!(s.ntasks_stolen, 0);
-            // Round bumped: a new request can arrive.
-            assert!(eng.cell(0).try_send_request(1));
-        }
+        let (eng, rows) = make_engine(2, cfg);
+        assert!(eng.cell(0).try_send_request(1));
+        eng.seat(0).on_found_task(&rows.claim(0));
+        let s = eng.stats[0].snapshot();
+        assert_eq!(s.nreq_handled, 1);
+        assert_eq!(s.nreq_src_empty, 1);
+        assert_eq!(s.ntasks_stolen, 0);
+        // Round bumped: a new request can arrive.
+        assert!(eng.cell(0).try_send_request(1));
     }
 
     #[test]
     fn redirect_push_arms_and_consumes_quota() {
         let cfg = DlbConfig::new(DlbStrategy::RedirectPush).n_steal(2);
-        let (eng, lat) = make_engine(2, cfg);
-        unsafe {
-            assert!(eng.cell(0).try_send_request(1));
-            eng.on_found_task(0, &lat); // arms the redirect
-            assert_eq!(eng.stats[0].snapshot().nreq_handled, 1);
-            // While armed, further requests are not even examined.
-            let round_before = eng.cell(0).current_round();
-            eng.on_found_task(0, &lat);
-            assert_eq!(eng.cell(0).current_round(), round_before);
-            // Two spawns get redirected to the thief, then disarm.
-            assert_eq!(eng.redirect_target(0, &lat), Some(1));
-            assert_eq!(eng.redirect_target(0, &lat), Some(1));
-            assert_eq!(eng.redirect_target(0, &lat), None, "quota exhausted");
-            let s = eng.stats[0].snapshot();
-            assert_eq!(s.ntasks_stolen, 2);
-            assert_eq!(s.nreq_has_steal, 1);
-            // Round bumped on completion (§IV-C).
-            assert_eq!(eng.cell(0).current_round(), round_before + 1);
-        }
+        let (eng, rows) = make_engine(2, cfg);
+        let (s0, r0) = (eng.seat(0), rows.claim(0));
+        assert!(eng.cell(0).try_send_request(1));
+        s0.on_found_task(&r0); // arms the redirect
+        assert_eq!(eng.stats[0].snapshot().nreq_handled, 1);
+        // While armed, further requests are not even examined.
+        let round_before = eng.cell(0).current_round();
+        s0.on_found_task(&r0);
+        assert_eq!(eng.cell(0).current_round(), round_before);
+        // Two spawns get redirected to the thief, then disarm.
+        assert_eq!(s0.redirect_target(&r0), Some(1));
+        assert_eq!(s0.redirect_target(&r0), Some(1));
+        assert_eq!(s0.redirect_target(&r0), None, "quota exhausted");
+        let s = eng.stats[0].snapshot();
+        assert_eq!(s.ntasks_stolen, 2);
+        assert_eq!(s.nreq_has_steal, 1);
+        // Round bumped on completion (§IV-C).
+        assert_eq!(eng.cell(0).current_round(), round_before + 1);
     }
 
     #[test]
     fn redirect_push_disarms_on_full_target() {
         let cfg = DlbConfig::new(DlbStrategy::RedirectPush).n_steal(100);
-        let placement = Arc::new(Placement::new(
-            MachineTopology::new(2, 2, 1),
-            2,
-            Affinity::Close,
-        ));
-        let stats = Arc::new((0..2).map(|_| WorkerStats::default()).collect::<Vec<_>>());
-        let parker = Arc::new(Parker::new(
-            &(0..2).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
-        ));
-        let eng = DlbEngine::new(
-            2,
-            Arc::new(DlbTuning::new(cfg)),
-            placement,
-            stats,
-            parker,
-            Arc::new(LoopBalancer::new()),
-        );
-        let lat: XQueueLattice<Task> = XQueueLattice::new(2, 2); // tiny queues
-        unsafe {
-            assert!(eng.cell(0).try_send_request(1));
-            eng.on_found_task(0, &lat);
-            // Fill the (thief=1 ← victim=0) queue via redirects.
-            let mut pushed = Vec::new();
-            while let Some(target) = eng.redirect_target(0, &lat) {
-                let t = mk_task(0);
-                pushed.push(t);
-                lat.push(0, target, t).unwrap();
-            }
-            // Queue capacity is 2: exactly 2 redirects then disarm.
-            assert_eq!(pushed.len(), 2);
-            assert_eq!(eng.stats[0].snapshot().ntasks_stolen, 2);
-            lat.drain_with(1, |p| free_task(p));
+        let (eng, mut rows) = make_engine_with(2, cfg, 2); // tiny queues
+        let (s0, r0) = (eng.seat(0), rows.claim(0));
+        assert!(eng.cell(0).try_send_request(1));
+        s0.on_found_task(&r0);
+        // Fill the (thief=1 ← victim=0) queue via redirects.
+        let mut pushed = Vec::new();
+        while let Some(target) = s0.redirect_target(&r0) {
+            let t = mk_task(0);
+            pushed.push(t);
+            r0.push(target, t).unwrap();
         }
+        // Queue capacity is 2: exactly 2 redirects then disarm.
+        assert_eq!(pushed.len(), 2);
+        assert_eq!(eng.stats[0].snapshot().ntasks_stolen, 2);
+        rows.drain_all(&mut |p| unsafe { free_task(p) });
     }
 
     #[test]
     fn p_local_zero_prefers_remote_victims() {
         let cfg = DlbConfig::new(DlbStrategy::WorkSteal).p_local(0.0);
-        let (eng, _lat) = make_engine(4, cfg);
+        let (eng, _rows) = make_engine(4, cfg);
         // Workers 0,1 in zone 0; 2,3 in zone 1 (2 sockets × 2 cores).
-        unsafe {
-            for _ in 0..64 {
-                if let Some(v) = eng.pick_victim(0, eng.config().p_local) {
-                    assert!(v >= 2, "p_local=0 must pick remote zone, got {v}");
-                }
+        let s0 = eng.seat(0);
+        for _ in 0..64 {
+            if let Some(v) = s0.pick_victim(eng.config().p_local) {
+                assert!(v >= 2, "p_local=0 must pick remote zone, got {v}");
             }
         }
     }
@@ -563,12 +510,11 @@ mod tests {
     #[test]
     fn p_local_one_prefers_local_victims() {
         let cfg = DlbConfig::new(DlbStrategy::WorkSteal).p_local(1.0);
-        let (eng, _lat) = make_engine(4, cfg);
-        unsafe {
-            for _ in 0..64 {
-                if let Some(v) = eng.pick_victim(0, eng.config().p_local) {
-                    assert_eq!(v, 1, "p_local=1 must pick the zone peer");
-                }
+        let (eng, _rows) = make_engine(4, cfg);
+        let s0 = eng.seat(0);
+        for _ in 0..64 {
+            if let Some(v) = s0.pick_victim(eng.config().p_local) {
+                assert_eq!(v, 1, "p_local=1 must pick the zone peer");
             }
         }
     }

@@ -21,7 +21,7 @@
 mod engine;
 mod message;
 
-pub(crate) use engine::DlbEngine;
+pub(crate) use engine::{DlbEngine, DlbSeat};
 pub use message::{pack_request, request_round, request_thief, MsgCell, ROUND_MASK};
 
 use serde::{Deserialize, Serialize};

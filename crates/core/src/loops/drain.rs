@@ -84,7 +84,7 @@ impl LoopShared<'_> {
             Some((core, chunker)) => self.drive(ctx, core, chunker, &mut acc),
             None => self.run_block(ctx, seat, &mut acc),
         }
-        let stats = &ctx.team.stats[ctx.worker_id()];
+        let stats = &ctx.team().stats[ctx.worker_id()];
         let total = &mut *locked(&self.total);
         let merge = |cell: &AtomicU64, sum: &mut u64, n: u64| {
             WorkerStats::add(cell, n);
@@ -159,9 +159,9 @@ impl LoopShared<'_> {
         // the inter-socket balancer's probe gate. With no chunks behind
         // it, it only re-stamps: called on both sides of any time spent
         // off the dispense path, so idle time is never billed to a chunk.
-        let balancer = &ctx.team.balancer;
-        let my_stats = &ctx.team.stats[ctx.worker_id()];
-        let lane = ctx.team.sampler.as_ref().map(|l| &*l[ctx.worker_id()]);
+        let balancer = &ctx.team().balancer;
+        let my_stats = &ctx.team().stats[ctx.worker_id()];
+        let lane = ctx.team().sampler.as_ref().map(|l| &*l[ctx.worker_id()]);
         let boundary = |win: &mut Window| {
             let now = clock::now();
             let ticks = now.saturating_sub(win.stamp);

@@ -216,7 +216,7 @@ impl<'t> TaskCtx<'t> {
         // chunker's fixed fallback. Telemetry records under the
         // *requested* schedule, so auto-dispatched loops land in the
         // `auto` family.
-        let auto = match &self.team.auto_select {
+        let auto = match &self.team().auto_select {
             Some(sel) if schedule == LoopSchedule::Auto && !desc.is_empty() => {
                 let key = site.map_or_else(|| auto::space_site_key(&desc), |id| id.0);
                 let pick = sel.pick(key, desc.units(), self.n_workers() as u32);
@@ -237,7 +237,7 @@ impl<'t> TaskCtx<'t> {
         if let Some((sel, key, pick, t0)) = auto.filter(|_| report.cancelled_iters == 0) {
             sel.report(key, pick, clock::now().saturating_sub(t0).max(1));
         }
-        if let Some(lt) = &self.team.loop_stats {
+        if let Some(lt) = &self.team().loop_stats {
             lt.record_loop(
                 schedule.index(),
                 desc.kind().index(),
@@ -313,7 +313,7 @@ fn run_loop(
     let _registration = shared
         .pooled
         .as_ref()
-        .and_then(|(core, _)| (core.pools.len() > 1).then(|| ctx.team.balancer.register(core)));
+        .and_then(|(core, _)| (core.pools.len() > 1).then(|| ctx.team().balancer.register(core)));
 
     ctx.scope(|s| {
         let (shared, layout) = (&shared, &shared.layout);

@@ -17,8 +17,8 @@ use parking_lot::Mutex;
 use xgomp_profiling::WorkerStats;
 use xgomp_xqueue::Parker;
 
-use super::{Scheduler, TaskPtr};
-use crate::task::Task;
+use super::{Claims, Scheduler, Seat};
+use crate::task::{Task, TaskPtr};
 
 struct Entry {
     priority: i32,
@@ -58,12 +58,22 @@ pub struct GompScheduler {
     queue: Mutex<GlobalQueue>,
     stats: Arc<Vec<WorkerStats>>,
     parker: Arc<Parker>,
+    claims: Claims,
+}
+
+/// A worker's seat on the global queue: it owns nothing (that is the
+/// model — every byte of scheduler state is behind the one lock), only
+/// remembers whose statistics and wake zone to use.
+struct GompSeat<'s> {
+    sched: &'s GompScheduler,
+    w: usize,
 }
 
 impl GompScheduler {
     pub(crate) fn new(stats: Arc<Vec<WorkerStats>>, parker: Arc<Parker>) -> Self {
         GompScheduler {
             queue: Mutex::new(GlobalQueue::default()),
+            claims: Claims::new(stats.len()),
             stats,
             parker,
         }
@@ -71,41 +81,12 @@ impl GompScheduler {
 }
 
 impl Scheduler for GompScheduler {
-    fn spawn(
-        &self,
-        w: usize,
-        _hint: Option<usize>,
-        task: NonNull<Task>,
-    ) -> Result<(), NonNull<Task>> {
-        // SAFETY: the task record is live; reading its priority is benign.
-        let priority = unsafe { task.as_ref() }.priority();
-        let mut q = self.queue.lock();
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        q.heap.push(Entry {
-            priority,
-            seq,
-            ptr: TaskPtr(task),
-        });
-        drop(q);
-        WorkerStats::inc(&self.stats[w].ntasks_static_push);
-        // Any worker can pop the global queue: wake one parked worker,
-        // zone-local to the spawner first.
-        self.parker.notify_any(self.parker.zone_of(w));
-        Ok(())
+    fn seat(&self, w: usize) -> Box<dyn Seat + '_> {
+        self.claims.claim(w);
+        Box::new(GompSeat { sched: self, w })
     }
 
-    fn next_task(&self, _w: usize) -> Option<NonNull<Task>> {
-        // The global-lock acquisition at every scheduling point is the
-        // modeled phenomenon — even when the queue turns out to be empty.
-        self.queue.lock().heap.pop().map(|e| e.ptr.0)
-    }
-
-    fn has_work_hint(&self, _w: usize) -> bool {
-        !self.queue.lock().heap.is_empty()
-    }
-
-    fn drain_all(&self, f: &mut dyn FnMut(NonNull<Task>)) {
+    fn drain_all(&mut self, f: &mut dyn FnMut(NonNull<Task>)) {
         let mut q = self.queue.lock();
         while let Some(e) = q.heap.pop() {
             f(e.ptr.0);
@@ -114,6 +95,38 @@ impl Scheduler for GompScheduler {
 
     fn name(&self) -> &'static str {
         "gomp(global-lock)"
+    }
+}
+
+impl Seat for GompSeat<'_> {
+    fn spawn(&self, _hint: Option<usize>, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+        let (s, w) = (self.sched, self.w);
+        // SAFETY: the task record is live; reading its priority is benign.
+        let priority = unsafe { task.as_ref() }.priority();
+        let mut q = s.queue.lock();
+        let seq = q.next_seq;
+        q.next_seq += 1;
+        q.heap.push(Entry {
+            priority,
+            seq,
+            ptr: TaskPtr(task),
+        });
+        drop(q);
+        WorkerStats::inc(&s.stats[w].ntasks_static_push);
+        // Any worker can pop the global queue: wake one parked worker,
+        // zone-local to the spawner first.
+        s.parker.notify_any(s.parker.zone_of(w));
+        Ok(())
+    }
+
+    fn next_task(&self) -> Option<NonNull<Task>> {
+        // The global-lock acquisition at every scheduling point is the
+        // modeled phenomenon — even when the queue turns out to be empty.
+        self.sched.queue.lock().heap.pop().map(|e| e.ptr.0)
+    }
+
+    fn has_work_hint(&self) -> bool {
+        !self.sched.queue.lock().heap.is_empty()
     }
 }
 
@@ -139,19 +152,20 @@ mod tests {
 
     #[test]
     fn priority_then_fifo_order() {
-        let s = GompScheduler::new(stats(1), parker(1));
+        let sched = GompScheduler::new(stats(1), parker(1));
+        let s = sched.seat(0);
         let a = mk(0);
         let b = mk(5);
         let c = mk(0);
-        s.spawn(0, None, a).unwrap();
-        s.spawn(0, None, b).unwrap();
-        s.spawn(0, None, c).unwrap();
+        s.spawn(None, a).unwrap();
+        s.spawn(None, b).unwrap();
+        s.spawn(None, c).unwrap();
         // Highest priority first.
-        assert_eq!(s.next_task(0), Some(b));
+        assert_eq!(s.next_task(), Some(b));
         // FIFO within equal priority.
-        assert_eq!(s.next_task(0), Some(a));
-        assert_eq!(s.next_task(0), Some(c));
-        assert_eq!(s.next_task(0), None);
+        assert_eq!(s.next_task(), Some(a));
+        assert_eq!(s.next_task(), Some(c));
+        assert_eq!(s.next_task(), None);
         unsafe {
             free(a);
             free(b);
@@ -161,13 +175,15 @@ mod tests {
 
     #[test]
     fn drain_returns_everything() {
-        let s = GompScheduler::new(stats(1), parker(1));
+        let mut sched = GompScheduler::new(stats(1), parker(1));
+        let s = sched.seat(0);
         let ptrs: Vec<_> = (0..10).map(|_| mk(0)).collect();
         for &p in &ptrs {
-            s.spawn(0, None, p).unwrap();
+            s.spawn(None, p).unwrap();
         }
+        drop(s);
         let mut n = 0;
-        s.drain_all(&mut |p| {
+        sched.drain_all(&mut |p| {
             n += 1;
             unsafe { free(p) };
         });
@@ -184,10 +200,11 @@ mod tests {
             let s = s.clone();
             let popped = popped.clone();
             handles.push(std::thread::spawn(move || {
+                let seat = s.seat(w);
                 for _ in 0..5_000 {
                     let t = mk(0);
-                    s.spawn(w, None, t).unwrap();
-                    if let Some(p) = s.next_task(w) {
+                    seat.spawn(None, t).unwrap();
+                    if let Some(p) = seat.next_task() {
                         popped.fetch_add(1, Ordering::Relaxed);
                         unsafe { free(p) };
                     }
@@ -197,6 +214,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        let mut s = Arc::into_inner(s).expect("threads joined");
         let mut leftover = 0;
         s.drain_all(&mut |p| {
             leftover += 1;

@@ -7,42 +7,47 @@
 //! the contrast the paper draws against XQueue. Built on
 //! `crossbeam-deque` (the canonical Chase–Lev implementation in Rust).
 
+use std::cell::RefCell;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
 use crossbeam_deque::{Steal, Stealer, Worker as Deque};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xgomp_profiling::WorkerStats;
 use xgomp_xqueue::Parker;
 
-use super::{Scheduler, TaskPtr};
-use crate::task::Task;
-use crate::util::PerWorker;
+use super::{Scheduler, Seat};
+use crate::task::{Task, TaskPtr};
 
 /// Per-worker lock-free deques with random stealing (the LOMP baseline).
 pub struct LompScheduler {
-    /// Owner-side deque handles (worker-owned slots).
-    deques: PerWorker<Deque<TaskPtr>>,
+    /// Owner-side deque handles, parked here until their worker claims
+    /// its seat — taking one out *is* the claim.
+    owners: Mutex<Vec<Option<Deque<TaskPtr>>>>,
     /// Thief-side handles, shareable by anyone.
     stealers: Box<[Stealer<TaskPtr>]>,
-    rng: PerWorker<SmallRng>,
     stats: Arc<Vec<WorkerStats>>,
     parker: Arc<Parker>,
     n: usize,
 }
 
+/// A worker's seat: the owner end of its deque and its victim-picking
+/// RNG, both by value.
+struct LompSeat<'s> {
+    sched: &'s LompScheduler,
+    w: usize,
+    deque: Deque<TaskPtr>,
+    rng: RefCell<SmallRng>,
+}
+
 impl LompScheduler {
     pub(crate) fn new(n: usize, stats: Arc<Vec<WorkerStats>>, parker: Arc<Parker>) -> Self {
         let owners: Vec<Deque<TaskPtr>> = (0..n).map(|_| Deque::new_lifo()).collect();
-        let stealers: Box<[Stealer<TaskPtr>]> = owners.iter().map(|d| d.stealer()).collect();
-        let mut it = owners.into_iter();
         LompScheduler {
-            deques: PerWorker::new(n, |_| it.next().expect("one deque per worker")),
-            stealers,
-            rng: PerWorker::new(n, |w| {
-                SmallRng::seed_from_u64(0x103F_5EED ^ ((w as u64) << 13))
-            }),
+            stealers: owners.iter().map(|d| d.stealer()).collect(),
+            owners: Mutex::new(owners.into_iter().map(Some).collect()),
             stats,
             parker,
             n,
@@ -51,60 +56,18 @@ impl LompScheduler {
 }
 
 impl Scheduler for LompScheduler {
-    fn spawn(
-        &self,
-        w: usize,
-        _hint: Option<usize>,
-        task: NonNull<Task>,
-    ) -> Result<(), NonNull<Task>> {
-        // SAFETY: worker-ownership contract (team loop); leaf access.
-        unsafe { self.deques.with(w, |d| d.push(TaskPtr(task))) };
-        WorkerStats::inc(&self.stats[w].ntasks_static_push);
-        // Stealing is pull-based: a parked thief would never come for
-        // this task, so wake one (zone-local to the spawner first).
-        self.parker.notify_any(self.parker.zone_of(w));
-        Ok(())
+    fn seat(&self, w: usize) -> Box<dyn Seat + '_> {
+        let deque = self.owners.lock()[w].take();
+        Box::new(LompSeat {
+            sched: self,
+            w,
+            deque: deque.unwrap_or_else(|| panic!("scheduler seat {w} claimed twice")),
+            rng: RefCell::new(SmallRng::seed_from_u64(0x103F_5EED ^ ((w as u64) << 13))),
+        })
     }
 
-    fn next_task(&self, w: usize) -> Option<NonNull<Task>> {
-        // Own deque first (LIFO — depth-first on own work).
-        // SAFETY: worker-ownership contract; leaf access.
-        if let Some(t) = unsafe { self.deques.with(w, |d| d.pop()) } {
-            return Some(t.0);
-        }
-        if self.n == 1 {
-            return None;
-        }
-        // Steal: a few random victims per scheduling point.
-        for _ in 0..self.n.min(4) {
-            // SAFETY: leaf access.
-            let victim = unsafe {
-                self.rng.with(w, |rng| {
-                    let mut v = rng.gen_range(0..self.n - 1);
-                    if v >= w {
-                        v += 1;
-                    }
-                    v
-                })
-            };
-            loop {
-                match self.stealers[victim].steal() {
-                    Steal::Success(t) => return Some(t.0),
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-        None
-    }
-
-    fn has_work_hint(&self, _w: usize) -> bool {
-        // Any deque's backlog is reachable from any worker via stealing.
-        self.stealers.iter().any(|s| !s.is_empty())
-    }
-
-    fn drain_all(&self, f: &mut dyn FnMut(NonNull<Task>)) {
-        // Single-threaded teardown: stealing from every deque is safe.
+    fn drain_all(&mut self, f: &mut dyn FnMut(NonNull<Task>)) {
+        // The deques outlive their owner handles; steal them dry.
         for s in self.stealers.iter() {
             loop {
                 match s.steal() {
@@ -118,6 +81,49 @@ impl Scheduler for LompScheduler {
 
     fn name(&self) -> &'static str {
         "lomp(work-steal-deques)"
+    }
+}
+
+impl Seat for LompSeat<'_> {
+    fn spawn(&self, _hint: Option<usize>, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+        let s = self.sched;
+        self.deque.push(TaskPtr(task));
+        WorkerStats::inc(&s.stats[self.w].ntasks_static_push);
+        // Stealing is pull-based: a parked thief would never come for
+        // this task, so wake one (zone-local to the spawner first).
+        s.parker.notify_any(s.parker.zone_of(self.w));
+        Ok(())
+    }
+
+    fn next_task(&self) -> Option<NonNull<Task>> {
+        let (s, w) = (self.sched, self.w);
+        // Own deque first (LIFO — depth-first on own work).
+        if let Some(t) = self.deque.pop() {
+            return Some(t.0);
+        }
+        if s.n == 1 {
+            return None;
+        }
+        // Steal: a few random victims per scheduling point.
+        for _ in 0..s.n.min(4) {
+            let mut victim = self.rng.borrow_mut().gen_range(0..s.n - 1);
+            if victim >= w {
+                victim += 1;
+            }
+            loop {
+                match s.stealers[victim].steal() {
+                    Steal::Success(t) => return Some(t.0),
+                    Steal::Empty => break,
+                    Steal::Retry => continue,
+                }
+            }
+        }
+        None
+    }
+
+    fn has_work_hint(&self) -> bool {
+        // Any deque's backlog is reachable from any worker via stealing.
+        self.sched.stealers.iter().any(|s| !s.is_empty())
     }
 }
 
@@ -143,13 +149,14 @@ mod tests {
 
     #[test]
     fn lifo_on_own_deque() {
-        let s = LompScheduler::new(2, stats(2), parker(2));
+        let sched = LompScheduler::new(2, stats(2), parker(2));
+        let s = sched.seat(0);
         let a = mk();
         let b = mk();
-        s.spawn(0, None, a).unwrap();
-        s.spawn(0, None, b).unwrap();
-        assert_eq!(s.next_task(0), Some(b), "own pops are LIFO");
-        assert_eq!(s.next_task(0), Some(a));
+        s.spawn(None, a).unwrap();
+        s.spawn(None, b).unwrap();
+        assert_eq!(s.next_task(), Some(b), "own pops are LIFO");
+        assert_eq!(s.next_task(), Some(a));
         unsafe {
             free(a);
             free(b);
@@ -158,20 +165,21 @@ mod tests {
 
     #[test]
     fn idle_worker_steals_from_busy_one() {
-        let s = LompScheduler::new(2, stats(2), parker(2));
+        let sched = LompScheduler::new(2, stats(2), parker(2));
         let a = mk();
-        s.spawn(0, None, a).unwrap();
-        assert_eq!(s.next_task(1), Some(a), "worker 1 must steal");
+        sched.seat(0).spawn(None, a).unwrap();
+        assert_eq!(sched.seat(1).next_task(), Some(a), "worker 1 must steal");
         unsafe { free(a) };
     }
 
     #[test]
     fn single_worker_never_steals() {
-        let s = LompScheduler::new(1, stats(1), parker(1));
-        assert_eq!(s.next_task(0), None);
+        let sched = LompScheduler::new(1, stats(1), parker(1));
+        let s = sched.seat(0);
+        assert_eq!(s.next_task(), None);
         let a = mk();
-        s.spawn(0, None, a).unwrap();
-        assert_eq!(s.next_task(0), Some(a));
+        s.spawn(None, a).unwrap();
+        assert_eq!(s.next_task(), Some(a));
         unsafe { free(a) };
     }
 
@@ -185,11 +193,12 @@ mod tests {
             let s = s.clone();
             let popped = popped.clone();
             handles.push(std::thread::spawn(move || {
+                let seat = s.seat(w);
                 for i in 0..5_000 {
                     let t = mk();
-                    s.spawn(w, None, t).unwrap();
+                    seat.spawn(None, t).unwrap();
                     if i % 2 == 0 {
-                        if let Some(p) = s.next_task(w) {
+                        if let Some(p) = seat.next_task() {
                             popped.fetch_add(1, Ordering::Relaxed);
                             unsafe { free(p) };
                         }
@@ -200,6 +209,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        let mut s = Arc::into_inner(s).expect("threads joined");
         let mut leftover = 0;
         s.drain_all(&mut |p| {
             leftover += 1;

@@ -3,6 +3,8 @@
 //! overflow — plus the optional DLB engine (§IV) hooked into its
 //! scheduling points.
 
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
@@ -10,22 +12,103 @@ use xgomp_profiling::WorkerStats;
 use xgomp_topology::Placement;
 use xgomp_xqueue::{Parker, PushCursor, XQueueLattice};
 
-use super::Scheduler;
-use crate::dlb::{DlbEngine, DlbTuning};
+use super::{Claims, Scheduler, Seat};
+use crate::dlb::{DlbEngine, DlbSeat, DlbTuning};
 use crate::loops::LoopBalancer;
 use crate::task::Task;
-use crate::util::PerWorker;
 
 /// XQueue lattice scheduler with optional NA-RP/NA-WS load balancing.
 pub struct XQueueScheduler {
-    lattice: XQueueLattice<Task>,
-    cursors: PerWorker<PushCursor>,
+    rows: Rows,
     stats: Arc<Vec<WorkerStats>>,
     dlb: Option<DlbEngine>,
     /// Team idle parker: every successful push wakes its target row's
     /// owner if that worker is parked (free while nobody is).
     parker: Arc<Parker>,
     n: usize,
+}
+
+/// The lattice behind its claim flags: the only way to a producer or
+/// consumer role is a [`Row`], and row `w` is handed out once.
+pub(crate) struct Rows {
+    lattice: XQueueLattice<Task>,
+    claims: Claims,
+}
+
+/// Producer role `w` *and* consumer role `w` of the lattice, as a value.
+/// Not `Clone`, and `!Sync` (the marker): whoever holds it is the one
+/// caller those roles have, which is all the lattice's `unsafe` API asks.
+pub(crate) struct Row<'l> {
+    lattice: &'l XQueueLattice<Task>,
+    w: usize,
+    _not_sync: PhantomData<Cell<()>>,
+}
+
+impl Rows {
+    pub(crate) fn new(n: usize, queue_capacity: usize) -> Self {
+        Rows {
+            lattice: XQueueLattice::new(n, queue_capacity),
+            claims: Claims::new(n),
+        }
+    }
+
+    /// Claims row and column `w`; panics on a second claim.
+    pub(crate) fn claim(&self, w: usize) -> Row<'_> {
+        self.claims.claim(w);
+        Row {
+            lattice: &self.lattice,
+            w,
+            _not_sync: PhantomData,
+        }
+    }
+
+    /// Empties every queue into `f`.
+    pub(crate) fn drain_all(&mut self, f: &mut dyn FnMut(NonNull<Task>)) {
+        for c in 0..self.lattice.n_workers() {
+            // SAFETY: `&mut self` — no `Row` (each borrows `self`) is
+            // alive, so every role is free and ours for this call.
+            unsafe { self.lattice.drain_with(c, &mut *f) };
+        }
+    }
+}
+
+impl Row<'_> {
+    /// Pushes into `target`'s queue; `Err` hands the task back (full).
+    #[inline]
+    pub(crate) fn push(&self, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+        // SAFETY: this row was claimed once for `w` and cannot be shared
+        // or duplicated, so producer role `w` has this one caller.
+        unsafe { self.lattice.push(self.w, target, task) }
+    }
+
+    /// Pops this row's next task, master queue first.
+    #[inline]
+    pub(crate) fn pop(&self) -> Option<NonNull<Task>> {
+        // SAFETY: as in `push`, for consumer role `w`.
+        unsafe { self.lattice.pop(self.w) }
+    }
+
+    /// Exact for the (`target` ← `w`) queue: `w` is its only producer.
+    #[inline]
+    pub(crate) fn is_full_hint(&self, target: usize) -> bool {
+        // SAFETY: as in `push`.
+        unsafe { self.lattice.is_full_hint(self.w, target) }
+    }
+
+    #[inline]
+    pub(crate) fn is_empty_hint(&self) -> bool {
+        // SAFETY: as in `pop`.
+        unsafe { self.lattice.is_empty_hint(self.w) }
+    }
+}
+
+/// Worker `w`'s seat: its lattice row, its round-robin cursor and — with
+/// DLB on — its thief/victim state, all by value.
+struct XqSeat<'s> {
+    sched: &'s XQueueScheduler,
+    row: Row<'s>,
+    cursor: RefCell<PushCursor>,
+    dlb: Option<DlbSeat<'s>>,
 }
 
 impl XQueueScheduler {
@@ -40,8 +123,7 @@ impl XQueueScheduler {
         balancer: Arc<LoopBalancer>,
     ) -> Self {
         XQueueScheduler {
-            lattice: XQueueLattice::new(n, queue_capacity),
-            cursors: PerWorker::new(n, |w| PushCursor::new(n, w)),
+            rows: Rows::new(n, queue_capacity),
             dlb: tuning
                 .map(|t| DlbEngine::new(n, t, placement, stats.clone(), parker.clone(), balancer)),
             stats,
@@ -49,90 +131,20 @@ impl XQueueScheduler {
             n,
         }
     }
-
-    /// Push → wake: the one publication every spawn goes through.
-    /// `Err` hands the task back (target queue full).
-    fn publish(&self, w: usize, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
-        // SAFETY: w owns producer role w.
-        unsafe { self.lattice.push(w, target, task) }?;
-        if target != w {
-            self.parker.notify_push(target);
-        }
-        Ok(())
-    }
 }
 
 impl Scheduler for XQueueScheduler {
-    fn spawn(
-        &self,
-        w: usize,
-        hint: Option<usize>,
-        task: NonNull<Task>,
-    ) -> Result<(), NonNull<Task>> {
-        // The consumer is chosen once. An explicit placement (loop-drain
-        // tasks, self-placed server jobs) bypasses both the NA-RP
-        // redirect and the round-robin cursor — the caller chose.
-        let target = match hint {
-            Some(target) => target % self.n,
-            None => {
-                // NA-RP override: while a redirect is armed, new tasks
-                // flow to the thief instead of the round-robin target
-                // (Alg. 3); the engine books them as stolen, not static.
-                // SAFETY: worker-ownership contract from the team loop.
-                let dlb = self.dlb.as_ref();
-                let armed = dlb.and_then(|d| unsafe { d.redirect_target(w, &self.lattice) });
-                if let Some(thief) = armed {
-                    // `redirect_target` only returns a thief whose queue
-                    // had room (exact producer-side hint), and only this
-                    // worker produces into it.
-                    self.publish(w, thief, task)
-                        .expect("redirect push after negative fullness hint");
-                    return Ok(());
-                }
-                // Static round-robin across consumers, master queue first.
-                // SAFETY: leaf access to the worker-owned cursor.
-                unsafe { self.cursors.with(w, |c| c.next()) }
-            }
-        };
-        // Full: hand back for immediate execution (§II-B).
-        self.publish(w, target, task)?;
-        WorkerStats::inc(&self.stats[w].ntasks_static_push);
-        Ok(())
+    fn seat(&self, w: usize) -> Box<dyn Seat + '_> {
+        Box::new(XqSeat {
+            sched: self,
+            row: self.rows.claim(w),
+            cursor: RefCell::new(PushCursor::new(self.n, w)),
+            dlb: self.dlb.as_ref().map(|d| d.seat(w)),
+        })
     }
 
-    fn next_task(&self, w: usize) -> Option<NonNull<Task>> {
-        // SAFETY: w owns consumer role w.
-        let task = unsafe { self.lattice.pop(w) }?;
-        // Found work: reset the thief timeout, then act as a victim.
-        if let Some(dlb) = &self.dlb {
-            // SAFETY: worker-ownership contract from the team loop.
-            unsafe {
-                dlb.on_active(w);
-                dlb.on_found_task(w, &self.lattice);
-            }
-        }
-        Some(task)
-    }
-
-    fn on_idle(&self, w: usize) {
-        if let Some(dlb) = &self.dlb {
-            // SAFETY: worker-ownership contract from the team loop.
-            unsafe { dlb.on_idle(w) };
-        }
-    }
-
-    fn has_work_hint(&self, w: usize) -> bool {
-        // SAFETY: worker-ownership contract from the team loop — the
-        // calling thread owns consumer role `w`.
-        !unsafe { self.lattice.is_empty_hint(w) }
-    }
-
-    fn drain_all(&self, f: &mut dyn FnMut(NonNull<Task>)) {
-        // Single-threaded teardown: all roles are free to claim.
-        for c in 0..self.n {
-            // SAFETY: no other thread is alive; roles trivially unique.
-            unsafe { self.lattice.drain_with(c, &mut *f) };
-        }
+    fn drain_all(&mut self, f: &mut dyn FnMut(NonNull<Task>)) {
+        self.rows.drain_all(f);
     }
 
     fn name(&self) -> &'static str {
@@ -141,6 +153,69 @@ impl Scheduler for XQueueScheduler {
             Some(crate::dlb::DlbStrategy::RedirectPush) => "xqueue(NA-RP)",
             Some(crate::dlb::DlbStrategy::WorkSteal) => "xqueue(NA-WS)",
         }
+    }
+}
+
+impl XqSeat<'_> {
+    /// Push → wake: the one publication every spawn goes through.
+    /// `Err` hands the task back (target queue full).
+    fn publish(&self, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+        self.row.push(target, task)?;
+        if target != self.row.w {
+            self.sched.parker.notify_push(target);
+        }
+        Ok(())
+    }
+}
+
+impl Seat for XqSeat<'_> {
+    fn spawn(&self, hint: Option<usize>, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+        // The consumer is chosen once. An explicit placement (loop-drain
+        // tasks, self-placed server jobs) bypasses both the NA-RP
+        // redirect and the round-robin cursor — the caller chose.
+        let target = match hint {
+            Some(target) => target % self.sched.n,
+            None => {
+                // NA-RP override: while a redirect is armed, new tasks
+                // flow to the thief instead of the round-robin target
+                // (Alg. 3); the engine books them as stolen, not static.
+                let dlb = self.dlb.as_ref();
+                if let Some(thief) = dlb.and_then(|d| d.redirect_target(&self.row)) {
+                    // `redirect_target` only returns a thief whose queue
+                    // had room (exact producer-side hint), and only this
+                    // worker produces into it.
+                    self.publish(thief, task)
+                        .expect("redirect push after negative fullness hint");
+                    return Ok(());
+                }
+                // Static round-robin across consumers, master queue first.
+                self.cursor.borrow_mut().next()
+            }
+        };
+        // Full: hand back for immediate execution (§II-B).
+        self.publish(target, task)?;
+        WorkerStats::inc(&self.sched.stats[self.row.w].ntasks_static_push);
+        Ok(())
+    }
+
+    fn next_task(&self) -> Option<NonNull<Task>> {
+        let task = self.row.pop()?;
+        // Found work: reset the thief timeout, then act as a victim.
+        if let Some(dlb) = &self.dlb {
+            dlb.on_active();
+            dlb.on_found_task(&self.row);
+        }
+        Some(task)
+    }
+
+    fn on_idle(&self) {
+        if let Some(dlb) = &self.dlb {
+            dlb.on_idle();
+        }
+    }
+
+    fn has_work_hint(&self) -> bool {
+        !self.row.is_empty_hint()
     }
 }
 
@@ -176,15 +251,16 @@ mod tests {
     #[test]
     fn round_robin_spreads_tasks() {
         let s = build(3, 16, None);
+        let seats: Vec<_> = (0..3).map(|w| s.seat(w)).collect();
         let ptrs: Vec<_> = (0..3).map(|_| mk(0)).collect();
         for &p in &ptrs {
-            s.spawn(0, None, p).unwrap();
+            seats[0].spawn(None, p).unwrap();
         }
         // First push went to worker 0's master queue; the other two to
         // workers 1 and 2.
-        assert!(s.next_task(0).is_some());
-        assert!(s.next_task(1).is_some());
-        assert!(s.next_task(2).is_some());
+        for seat in &seats {
+            assert!(seat.next_task().is_some());
+        }
         for p in ptrs {
             unsafe { free(p) };
         }
@@ -192,16 +268,18 @@ mod tests {
 
     #[test]
     fn overflow_hands_back_for_immediate_execution() {
-        let s = build(1, 2, None);
+        let mut s = build(1, 2, None);
+        let s0 = s.seat(0);
         let a = mk(0);
         let b = mk(0);
         let c = mk(0);
-        assert!(s.spawn(0, None, a).is_ok());
-        assert!(s.spawn(0, None, b).is_ok());
-        match s.spawn(0, None, c) {
+        assert!(s0.spawn(None, a).is_ok());
+        assert!(s0.spawn(None, b).is_ok());
+        match s0.spawn(None, c) {
             Err(p) => assert_eq!(p, c),
             Ok(()) => panic!("capacity-2 queue accepted a third task"),
         }
+        drop(s0);
         let snap = s.stats[0].snapshot();
         assert_eq!(snap.ntasks_static_push, 2);
         let mut n = 0;
@@ -221,18 +299,18 @@ mod tests {
         let s = build(4, 16, Some(cfg));
         assert_eq!(s.name(), "xqueue(NA-WS)");
         // Idle hook sends requests.
-        s.on_idle(1);
+        s.seat(1).on_idle();
         assert!(s.stats[1].snapshot().nreq_sent >= 1);
     }
 
     /// Arms victim 0's NA-RP redirect towards thief 1: the request is
     /// served by the found-task hook inside `next_task`, so worker 0
     /// needs a queued task to find (self-placed: the cursor stays put).
-    fn arm_redirect(s: &XQueueScheduler) {
+    fn arm_redirect(s: &XQueueScheduler, s0: &dyn Seat) {
         assert!(s.dlb.as_ref().unwrap().cell(0).try_send_request(1));
         let q = mk(0);
-        s.spawn(0, Some(0), q).unwrap();
-        assert_eq!(s.next_task(0), Some(q));
+        s0.spawn(Some(0), q).unwrap();
+        assert_eq!(s0.next_task(), Some(q));
         unsafe { free(q) };
     }
 
@@ -242,14 +320,15 @@ mod tests {
             .n_steal(2)
             .p_local(1.0);
         let s = build(2, 16, Some(cfg));
-        arm_redirect(&s);
+        let (s0, s1) = (s.seat(0), s.seat(1));
+        arm_redirect(&s, &*s0);
         // The next two spawns from 0 land in 1's queue.
         let a = mk(0);
         let b = mk(0);
-        s.spawn(0, None, a).unwrap();
-        s.spawn(0, None, b).unwrap();
-        assert_eq!(s.next_task(1), Some(a));
-        assert_eq!(s.next_task(1), Some(b));
+        s0.spawn(None, a).unwrap();
+        s0.spawn(None, b).unwrap();
+        assert_eq!(s1.next_task(), Some(a));
+        assert_eq!(s1.next_task(), Some(b));
         assert_eq!(s.stats[0].snapshot().ntasks_stolen, 2);
         unsafe {
             free(a);
@@ -263,25 +342,26 @@ mod tests {
             .n_steal(2)
             .p_local(1.0);
         let s = build(3, 16, Some(cfg));
-        arm_redirect(&s);
+        let (s0, s1, s2) = (s.seat(0), s.seat(1), s.seat(2));
+        arm_redirect(&s, &*s0);
         // Placed: lands in worker 2's row, not the thief's.
         let placed = mk(0);
-        s.spawn(0, Some(2), placed).unwrap();
-        assert_eq!(s.next_task(2), Some(placed));
-        assert_eq!(s.next_task(1), None);
+        s0.spawn(Some(2), placed).unwrap();
+        assert_eq!(s2.next_task(), Some(placed));
+        assert_eq!(s1.next_task(), None);
         assert_eq!(s.stats[0].snapshot().ntasks_stolen, 0);
         // The quota is intact: exactly two unhinted spawns still reach
         // the thief, and only those two are booked as stolen.
         let (a, b, c) = (mk(0), mk(0), mk(0));
         for p in [a, b, c] {
-            s.spawn(0, None, p).unwrap();
+            s0.spawn(None, p).unwrap();
         }
-        assert_eq!(s.next_task(1), Some(a));
-        assert_eq!(s.next_task(1), Some(b));
-        assert_eq!(s.next_task(1), None);
+        assert_eq!(s1.next_task(), Some(a));
+        assert_eq!(s1.next_task(), Some(b));
+        assert_eq!(s1.next_task(), None);
         // So is the cursor: the first round-robin push is still the one a
         // fresh worker 0 makes — its own master queue.
-        assert_eq!(s.next_task(0), Some(c));
+        assert_eq!(s0.next_task(), Some(c));
         let snap = s.stats[0].snapshot();
         assert_eq!(snap.ntasks_stolen, 2);
         assert_eq!(snap.ntasks_static_push, 3, "two placed + one round-robin");

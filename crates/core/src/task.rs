@@ -1,9 +1,9 @@
 //! Task representation and lifecycle.
 //!
 //! A [`Task`] is a heap-allocated record carrying a boxed body, a pointer
-//! to its parent task, an unfinished-children counter (the `taskwait`
-//! condition), and an intrusive reference count that keeps the record
-//! alive while children may still decrement the parent's counter.
+//! to its parent task, and one intrusive reference count that both keeps
+//! the record alive while children may still touch it and *is* the
+//! `taskwait` condition (`refs − 1` live children for the executor).
 //!
 //! ## Reference-counting protocol
 //!
@@ -11,8 +11,9 @@
 //!   whoever will eventually execute it: a queue slot, or the spawning
 //!   worker on the immediate-execution path).
 //! * Spawning a child *retains* the parent once; the child *releases*
-//!   that reference after it completes (right after decrementing the
-//!   parent's `unfinished_children`).
+//!   that reference after it completes. A task's live children are
+//!   therefore `refs − 1` as seen by its executor (who holds the handle
+//!   reference) — the fact is stored once.
 //! * When `refs` reaches zero the record is returned to the allocator.
 //!
 //! The dependency updates are atomic RMW operations — exactly as in the
@@ -23,7 +24,7 @@
 
 use std::cell::UnsafeCell;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use crate::cancel::CancelToken;
 use crate::ctx::TaskCtx;
@@ -44,9 +45,8 @@ pub(crate) struct Task {
     body: UnsafeCell<Option<TaskBody>>,
     /// Parent task; retained while this task is alive.
     parent: Option<NonNull<Task>>,
-    /// Direct children that have not completed yet (taskwait condition).
-    unfinished_children: AtomicU64,
-    /// Intrusive reference count (see module docs).
+    /// Intrusive reference count: the handle reference plus one per live
+    /// child (see module docs) — also the taskwait condition.
     refs: AtomicU32,
     /// Worker that created this task (locality accounting).
     creator: u32,
@@ -83,7 +83,6 @@ impl Task {
         Task {
             body: UnsafeCell::new(body),
             parent,
-            unfinished_children: AtomicU64::new(0),
             refs: AtomicU32::new(1),
             creator,
             priority,
@@ -112,7 +111,6 @@ impl Task {
         debug_assert_eq!(*t.refs.get_mut(), 0, "reinit of a live task");
         *t.body.get_mut() = body;
         t.parent = parent;
-        *t.unfinished_children.get_mut() = 0;
         *t.refs.get_mut() = 1;
         t.creator = creator;
         t.priority = priority;
@@ -179,25 +177,15 @@ impl Task {
         self.parent
     }
 
-    /// Number of direct children that have not completed.
+    /// Number of direct children that have not completed, as seen by
+    /// the task's executor — the one caller (`taskwait`), which holds the
+    /// handle reference, so every other reference is a live child's.
+    /// `Acquire` pairs with the children's `Release` in
+    /// [`release_ref`](Self::release_ref): a zero here has observed
+    /// everything the children did.
     #[inline]
-    pub(crate) fn unfinished_children(&self) -> u64 {
-        self.unfinished_children.load(Ordering::Acquire)
-    }
-
-    /// Registers a new child (called by the spawning worker, which *is*
-    /// the executor of this task, before making the child visible).
-    #[inline]
-    pub(crate) fn add_child(&self) {
-        self.unfinished_children.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks one child complete. `Release` so the parent's `taskwait`
-    /// acquire-load observes everything the child did.
-    #[inline]
-    pub(crate) fn child_completed(&self) {
-        let prev = self.unfinished_children.fetch_sub(1, Ordering::Release);
-        debug_assert!(prev > 0, "child_completed underflow");
+    pub(crate) fn unfinished_children(&self) -> u32 {
+        self.refs.load(Ordering::Acquire) - 1
     }
 
     /// Takes the body for execution. Returns `None` for implicit tasks.
@@ -214,9 +202,9 @@ impl Task {
 
     /// Deposits the panic payload of a failed child; the first child to
     /// panic wins, later payloads are dropped. Called by the child's
-    /// executor *before* `child_completed`, so the parent's quiescence
-    /// check (`unfinished_children == 0`, acquire) also orders this
-    /// write before any `take_child_panic`.
+    /// executor *before* it releases its reference on the parent, so the
+    /// parent's quiescence check (`unfinished_children == 0`, acquire)
+    /// also orders this write before any `take_child_panic`.
     pub(crate) fn record_child_panic(&self, payload: PanicPayload) {
         if self
             .child_panic_claimed
@@ -245,15 +233,19 @@ impl Task {
         }
     }
 
-    /// Increments the reference count.
+    /// Increments the reference count: registers a new child (called by
+    /// the spawning worker, which *is* the executor of this task, before
+    /// making the child visible).
     #[inline]
     pub(crate) fn retain(&self) {
         let prev = self.refs.fetch_add(1, Ordering::Relaxed);
         debug_assert!(prev > 0, "retain of a dead task");
     }
 
-    /// Decrements the reference count; returns `true` when this was the
-    /// last reference and the record may be recycled.
+    /// Decrements the reference count (a child completing, or the
+    /// executor giving up the handle); returns `true` when this was the
+    /// last reference and the record may be recycled. `Release` so the
+    /// parent's `taskwait` acquire-load observes everything the child did.
     #[inline]
     pub(crate) fn release_ref(&self) -> bool {
         let prev = self.refs.fetch_sub(1, Ordering::Release);
@@ -269,15 +261,19 @@ impl Task {
     }
 }
 
+/// A `Send` wrapper for owning task pointers stored in shared containers
+/// (scheduler queues, the allocator's global pool).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TaskPtr(pub NonNull<Task>);
+// SAFETY: `Task` is `Send`; the pointer is an owning handle moved between
+// threads through the queues and pools.
+unsafe impl Send for TaskPtr {}
+
 impl std::fmt::Debug for Task {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Task")
             .field("creator", &self.creator)
             .field("priority", &self.priority)
-            .field(
-                "unfinished_children",
-                &self.unfinished_children.load(Ordering::Relaxed),
-            )
             .field("refs", &self.refs.load(Ordering::Relaxed))
             .finish()
     }
@@ -299,12 +295,12 @@ mod tests {
     fn child_accounting() {
         let t = Task::new(None, None, 3, 0);
         assert_eq!(t.unfinished_children(), 0);
-        t.add_child();
-        t.add_child();
+        t.retain();
+        t.retain();
         assert_eq!(t.unfinished_children(), 2);
-        t.child_completed();
+        assert!(!t.release_ref());
         assert_eq!(t.unfinished_children(), 1);
-        t.child_completed();
+        assert!(!t.release_ref());
         assert_eq!(t.unfinished_children(), 0);
         assert_eq!(t.creator(), 3);
         assert!(t.release_ref());

@@ -1,13 +1,15 @@
 //! Execution: what a worker does inside a region. One task's life on a
 //! worker is [`execute`] (locality accounting, the body, then
 //! [`retire`]ment behind a drop guard); one *scheduling point* is
-//! [`TeamShared::run_next`] — the only place a task goes from a queue to
+//! [`Worker::run_next`] — the only place a task goes from a queue to
 //! a running body, shared by the worker loop, `taskwait` and
 //! `run_pending`; one *ingress transition* is
-//! [`TeamShared::poll_ingress`], shared by the worker loop and
+//! [`Worker::poll_ingress`], shared by the worker loop and
 //! `help_pending`. Around them sit [`worker_loop`] (the idle protocol
 //! every worker runs inside the region-end barrier) and [`master_main`]
-//! (the implicit task, then the same loop).
+//! (the implicit task, then the same loop). All of it runs on a
+//! [`Worker`]: which thread may touch which worker's state is settled
+//! where the worker is claimed, not here.
 
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
@@ -15,15 +17,16 @@ use std::sync::atomic::Ordering;
 use xgomp_profiling::{clock, EventKind, TraceLevel};
 use xgomp_xqueue::IdleGate;
 
-use super::TeamShared;
+use super::{TeamShared, Worker};
 use crate::ctx::TaskCtx;
 use crate::task::Task;
 
-/// Executes one task on worker `w`: locality accounting, NUMA cost
+/// Executes one task on `worker`: locality accounting, NUMA cost
 /// model, the body itself, then completion (dependency updates, barrier
 /// notification, record release) — which a drop guard performs even if
 /// the body unwinds.
-pub(crate) fn execute(team: &TeamShared, w: usize, task: NonNull<Task>) {
+pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
+    let (team, w) = (worker.team, worker.id);
     // SAFETY: we hold the task's handle reference; the record is alive.
     let creator = unsafe { task.as_ref() }.creator();
     let locality = team.placement.locality(creator, w);
@@ -34,31 +37,26 @@ pub(crate) fn execute(team: &TeamShared, w: usize, task: NonNull<Task>) {
     let timed = team.profiling || team.sampler.is_some() || tracing_tasks;
     let t0 = if timed { clock::now() } else { 0 };
 
-    struct CompletionGuard<'a> {
-        team: &'a TeamShared,
-        w: usize,
+    struct CompletionGuard<'a, 't> {
+        worker: &'a Worker<'t>,
         task: NonNull<Task>,
     }
-    impl Drop for CompletionGuard<'_> {
+    impl Drop for CompletionGuard<'_, '_> {
         fn drop(&mut self) {
             if std::thread::panicking() {
-                self.team.poison();
+                self.worker.team.poison();
             }
             // SAFETY: the handle reference `execute` holds is the one
-            // released here; `w` is the executing worker's own slot.
-            unsafe { retire(self.team, self.w, self.task, true) };
+            // released here.
+            unsafe { retire(self.worker, self.task, true) };
         }
     }
 
-    let guard = CompletionGuard { team, w, task };
+    let guard = CompletionGuard { worker, task };
     // SAFETY: single-executor discipline — the handle reference we hold
     // is the only execution claim on this task.
     if let Some(body) = unsafe { Task::take_body(task) } {
-        let ctx = TaskCtx {
-            team,
-            worker: w,
-            task,
-        };
+        let ctx = TaskCtx { worker, task };
         if team.isolate_panics {
             run_body_isolated(&ctx, task, body);
         } else {
@@ -72,8 +70,7 @@ pub(crate) fn execute(team: &TeamShared, w: usize, task: NonNull<Task>) {
             lanes[w].record(t1.saturating_sub(t0));
         }
         if team.profiling {
-            // SAFETY: worker-ownership contract; leaf access.
-            unsafe { team.logs.with(w, |l| l.push_span(EventKind::Task, t0, t1)) };
+            worker.log.borrow_mut().push_span(EventKind::Task, t0, t1);
         }
         if tracing_tasks {
             if let Some(t) = &team.tracer {
@@ -89,33 +86,29 @@ pub(crate) fn execute(team: &TeamShared, w: usize, task: NonNull<Task>) {
 /// reference the child held on the parent, then drops the task's own
 /// handle reference, freeing whichever record died. `ran` reports the
 /// task to the barrier as finished *between* the two — parent → barrier →
-/// self, the order the execute path has always had; a task drained
-/// unexecuted at teardown (`finish_region`) and the region's implicit
-/// task were never counted as running.
+/// self, the order the execute path has always had; the region's
+/// implicit task was never counted as running.
 ///
 /// # Safety
 ///
-/// The caller holds `task`'s handle reference (gives it up here) and
-/// owns worker slot `w`.
-pub(super) unsafe fn retire(team: &TeamShared, w: usize, task: NonNull<Task>, ran: bool) {
+/// The caller holds `task`'s handle reference and gives it up here.
+pub(super) unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>, ran: bool) {
     // SAFETY: record alive until our release below.
     let t = unsafe { task.as_ref() };
     if let Some(parent) = t.parent() {
         // SAFETY: the child holds a reference to the parent, so the
         // parent record is alive here.
-        let p = unsafe { parent.as_ref() };
-        p.child_completed();
-        if p.release_ref() {
-            // SAFETY: last reference gone; worker slot owned.
-            unsafe { team.alloc.free(w, parent) };
+        if unsafe { parent.as_ref() }.release_ref() {
+            // SAFETY: last reference gone; the record is dead.
+            unsafe { worker.alloc.free(parent) };
         }
     }
     if ran {
-        team.barrier.task_finished(w);
+        worker.team.barrier.task_finished(worker.id);
     }
     if t.release_ref() {
         // SAFETY: as above.
-        unsafe { team.alloc.free(w, task) };
+        unsafe { worker.alloc.free(task) };
     }
 }
 
@@ -139,36 +132,38 @@ fn run_body_isolated(ctx: &TaskCtx<'_>, task: NonNull<Task>, body: crate::task::
     }
 }
 
-impl TeamShared {
-    /// The scheduling point: asks the scheduler for worker `w`'s next
-    /// task (which, under DLB, also serves one pending steal request —
-    /// the victim hook lives inside `Scheduler::next_task`) and runs it.
+impl Worker<'_> {
+    /// The scheduling point: asks this worker's seat for its next task
+    /// (which, under DLB, also serves one pending steal request — the
+    /// victim hook lives inside `Seat::next_task`) and runs it.
     /// `found` fires between the two, before the body: callers close the
     /// `Stall` / `TaskWait` span they were accumulating. Returns whether
-    /// a task ran. The idle side (`Scheduler::on_idle`, the thief hook)
+    /// a task ran. The idle side (`Seat::on_idle`, the thief hook)
     /// stays with the callers — not every one of them may become a thief.
     #[inline]
-    pub(crate) fn run_next(&self, w: usize, found: impl FnOnce()) -> bool {
-        let Some(task) = self.sched.next_task(w) else {
+    pub(crate) fn run_next(&self, found: impl FnOnce()) -> bool {
+        let Some(task) = self.seat.next_task() else {
             return false;
         };
         found();
-        execute(self, w, task);
+        execute(self, task);
         true
     }
 
     /// The ingress transition (persistent executor): lets the team's
     /// [`IngressSource`](super::IngressSource), if any, spawn externally
-    /// submitted work from worker `w`. The injected tasks become children
-    /// of the region's implicit task. Returns how many were spawned.
-    pub(crate) fn poll_ingress(&self, w: usize) -> usize {
-        let Some(src) = &self.source else { return 0 };
-        let Some(root) = NonNull::new(self.root.load(Ordering::Acquire)) else {
+    /// submitted work from this worker. The injected tasks become
+    /// children of the region's implicit task. Returns how many were
+    /// spawned.
+    pub(crate) fn poll_ingress(&self) -> usize {
+        let Some(src) = &self.team.source else {
+            return 0;
+        };
+        let Some(root) = NonNull::new(self.team.root.load(Ordering::Acquire)) else {
             return 0;
         };
         src.poll(&TaskCtx {
-            team: self,
-            worker: w,
+            worker: self,
             task: root,
         })
     }
@@ -200,14 +195,15 @@ impl TeamShared {
 /// The announce → re-check → commit protocol (see `xgomp_xqueue::parker`)
 /// makes the sleep race-free: the re-check below covers exactly the
 /// conditions those wakers signal.
-pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
+pub(crate) fn worker_loop(worker: &Worker<'_>) {
+    let (team, w) = (worker.team, worker.id);
     let mut gate = IdleGate::default();
     // One merged span per idle period: closed as STALL when work shows
     // up, as BARRIER when the region ends (keeps logs bounded).
     let mut idle_t0: Option<u64> = None;
     let close_idle = |idle_t0: &mut Option<u64>, kind| {
         if let Some(t0) = idle_t0.take() {
-            team.log_span(w, kind, t0);
+            worker.log_span(kind, t0);
         }
     };
     // Flight-recorder baseline for this worker's own victim-side DLB
@@ -228,38 +224,25 @@ pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
             let stolen = stats.ntasks_stolen.load(Ordering::Relaxed);
             if let Some((served0, stolen0)) = steal_base {
                 if served > served0 {
-                    team.trace_emit(
-                        w,
-                        TraceLevel::Full,
-                        EventKind::Steal,
-                        0,
-                        served - served0,
-                        0,
-                    );
+                    worker.trace_emit(TraceLevel::Full, EventKind::Steal, 0, served - served0, 0);
                 }
                 if stolen > stolen0 {
-                    team.trace_emit(
-                        w,
-                        TraceLevel::Full,
-                        EventKind::Migrate,
-                        0,
-                        stolen - stolen0,
-                        0,
-                    );
+                    let moved = stolen - stolen0;
+                    worker.trace_emit(TraceLevel::Full, EventKind::Migrate, 0, moved, 0);
                 }
             }
             steal_base = Some((served, stolen));
         } else {
             steal_base = None;
         }
-        if team.run_next(w, || close_idle(&mut idle_t0, EventKind::Stall)) {
+        if worker.run_next(|| close_idle(&mut idle_t0, EventKind::Stall)) {
             gate.reset();
             continue;
         }
-        team.sched.on_idle(w);
+        worker.seat.on_idle();
         // Before concluding the region might be over, pull externally
         // submitted work into the scheduler.
-        if team.poll_ingress(w) > 0 {
+        if worker.poll_ingress() > 0 {
             close_idle(&mut idle_t0, EventKind::Stall);
             gate.reset();
             continue;
@@ -284,11 +267,11 @@ pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
         let mut released = false;
         let slept = gate.idle(&team.parker, w, team.park_idle, || {
             let stay_awake = team.poisoned.load(Ordering::Acquire)
-                || team.sched.has_work_hint(w)
+                || worker.seat.has_work_hint()
                 || team.source.as_ref().is_some_and(|s| s.has_pending());
             released = !stay_awake && team.barrier.try_release(w);
             if !(stay_awake || released) {
-                team.trace_emit(w, TraceLevel::Lifecycle, EventKind::Park, 0, 0, 0);
+                worker.trace_emit(TraceLevel::Lifecycle, EventKind::Park, 0, 0, 0);
             }
             stay_awake || released
         });
@@ -298,7 +281,7 @@ pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
             break;
         }
         if slept {
-            team.trace_emit(w, TraceLevel::Lifecycle, EventKind::Wake, 0, 0, 0);
+            worker.trace_emit(TraceLevel::Lifecycle, EventKind::Wake, 0, 0, 0);
         }
     }
 }
@@ -306,10 +289,10 @@ pub(crate) fn worker_loop(team: &TeamShared, w: usize) {
 /// Master path: run the region closure as the implicit task, then join
 /// the barrier loop like any other worker.
 pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> R) -> R {
+    let worker = Worker::claim(team, 0);
     // The implicit (root) task anchoring the region's task tree,
     // published so idle workers can parent injected tasks to it.
-    // SAFETY: master owns worker slot 0.
-    let root = unsafe { team.alloc.alloc(0, None, None, 0) };
+    let root = worker.alloc.alloc(None, None, 0);
     team.root.store(root.as_ptr(), Ordering::Release);
 
     struct PoisonOnUnwind<'a>(&'a TeamShared);
@@ -321,8 +304,7 @@ pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> 
 
     let result = {
         let ctx = TaskCtx {
-            team,
-            worker: 0,
+            worker: &worker,
             task: root,
         };
         let bomb = PoisonOnUnwind(team);
@@ -332,15 +314,15 @@ pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> 
     };
 
     team.barrier.arrive(0);
-    worker_loop(team, 0);
+    worker_loop(&worker);
 
     // Region quiesced: retire the implicit task. The published pointer is
     // cleared first; released workers have already left their loops.
     team.root.store(std::ptr::null_mut(), Ordering::Release);
     // SAFETY: region quiesced, so every child has released its reference
-    // and ours is the handle; worker slot 0 owned. The barrier never
-    // counted the implicit task.
-    unsafe { retire(team, 0, root, false) };
+    // and ours is the handle. The barrier never counted the implicit
+    // task.
+    unsafe { retire(&worker, root, false) };
     result
 }
 

@@ -6,18 +6,22 @@
 //! fresh per region, the paper's per-region measurement methodology),
 //! the [`ServingHooks`] / [`IngressSource`] a long-lived task server
 //! plugs into it, `build_team` and the teardown checks of
-//! `finish_region`. [`exec`] owns what a worker *does* with that state
-//! (one task's execution and retirement, the scheduling point, the
-//! ingress transition, the worker loop, the master path); [`runtime`]
-//! owns who runs it (the [`Runtime`] engine: hot worker threads parked on
-//! a generation-stamped start gate, one region body behind
+//! `finish_region`. [`worker`] owns what is *not* shared: the [`Worker`]
+//! each thread claims once per region, holding by value everything only
+//! that worker writes. [`exec`] owns what a worker *does* (one task's
+//! execution and retirement, the scheduling point, the ingress
+//! transition, the worker loop, the master path); [`runtime`] owns who
+//! runs it (the [`Runtime`] engine: hot worker threads parked on a
+//! generation-stamped start gate, one region body behind
 //! [`Runtime::parallel`] and [`Runtime::serve`]).
 
 mod exec;
 mod runtime;
+mod worker;
 
 pub(crate) use exec::execute;
 pub use runtime::{RegionOutput, Runtime};
+pub(crate) use worker::Worker;
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -25,8 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use xgomp_profiling::{
-    clock, EventKind, LiveTaskSampler, LoopTelemetry, PerfLog, TaskLane, TeamStats, TraceLevel,
-    Tracer, WorkerStats,
+    LiveTaskSampler, LoopTelemetry, PerfLog, TaskLane, TeamStats, TraceLevel, Tracer, WorkerStats,
 };
 use xgomp_topology::{CostModel, Placement};
 use xgomp_xqueue::{EventRing, Parker};
@@ -39,7 +42,7 @@ use crate::dlb::DlbTuning;
 use crate::loops::{AutoSelector, LoopBalancer};
 use crate::sched::Scheduler;
 use crate::task::Task;
-use crate::util::PerWorker;
+use crate::util::locked;
 
 /// External work feed polled by idle workers (the persistent executor's
 /// job-injection hook).
@@ -117,7 +120,9 @@ pub(crate) struct TeamShared {
     pub stats: Arc<Vec<WorkerStats>>,
     pub placement: Arc<Placement>,
     pub cost: CostModel,
-    pub logs: PerWorker<PerfLog>,
+    /// The logs of the workers that have retired, in retirement order
+    /// (each `Worker` hands its own back when it drops).
+    pub logs: Mutex<Vec<PerfLog>>,
     pub profiling: bool,
     /// Set when any task body panicked; workers drain out instead of
     /// spinning on a barrier that can no longer release.
@@ -197,11 +202,11 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
             balancer.clone(),
         ),
         barrier: cfg.barrier.build(n, parker.clone()),
-        alloc: TaskAllocator::new(cfg.allocator, n),
+        alloc: TaskAllocator::new(cfg.allocator),
         stats,
         placement,
         cost: cfg.cost_model,
-        logs: PerWorker::new(n, |w| PerfLog::new(w, cfg.profiling)),
+        logs: Mutex::new(Vec::with_capacity(n)),
         profiling: cfg.profiling,
         poisoned: AtomicBool::new(false),
         panic: Mutex::new(None),
@@ -219,15 +224,12 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
 }
 
 /// Teardown checks + telemetry collection for a quiesced region.
-fn finish_region<R>(team: TeamShared, result: R, wall: Duration) -> RegionOutput<R> {
-    // Teardown sanity: a correct barrier leaves nothing queued.
+fn finish_region<R>(mut team: TeamShared, result: R, wall: Duration) -> RegionOutput<R> {
+    // Teardown sanity: a correct barrier leaves nothing queued. (A task
+    // found here stays unretired — every worker is gone, and the assert
+    // below is about to report the bug that stranded it.)
     let mut leaked = 0usize;
-    team.sched.drain_all(&mut |ptr| {
-        leaked += 1;
-        // SAFETY: drain handed us the only handle; single-threaded
-        // teardown, so slot 0 is ours.
-        unsafe { exec::retire(&team, 0, ptr, false) };
-    });
+    team.sched.drain_all(&mut |_| leaked += 1);
     assert_eq!(
         leaked,
         0,
@@ -241,25 +243,17 @@ fn finish_region<R>(team: TeamShared, result: R, wall: Duration) -> RegionOutput
         "task records leaked by the region"
     );
 
-    let TeamShared { stats, logs, .. } = team;
+    let mut logs = std::mem::take(&mut *locked(&team.logs));
+    logs.sort_by_key(PerfLog::worker);
     RegionOutput {
         result,
-        stats: TeamStats::collect(&stats),
-        logs: logs.into_values(),
+        stats: TeamStats::collect(&team.stats),
+        logs,
         wall,
     }
 }
 
 impl TeamShared {
-    /// Records a profiling span ending now (no-op when profiling is off).
-    #[inline]
-    pub(crate) fn log_span(&self, w: usize, kind: EventKind, t0: u64) {
-        if self.profiling {
-            // SAFETY: worker-ownership contract; leaf access.
-            unsafe { self.logs.with(w, |l| l.push_span(kind, t0, clock::now())) };
-        }
-    }
-
     /// Marks the team poisoned and wakes every parked worker so the
     /// abort is observed — a sleeping worker cannot poll the flag.
     pub(crate) fn poison(&self) {
@@ -274,26 +268,6 @@ impl TeamShared {
         match &self.tracer {
             Some(t) => t.tracer.enabled(min),
             None => false,
-        }
-    }
-
-    /// Emits one flight-recorder record from worker `w` when the live
-    /// level admits `min`. The emit itself is four relaxed stores plus
-    /// one release publish into `w`'s own SPSC ring — no RMW, no lock.
-    #[inline]
-    pub(crate) fn trace_emit(
-        &self,
-        w: usize,
-        min: TraceLevel,
-        kind: EventKind,
-        a: u32,
-        b: u64,
-        c: u64,
-    ) {
-        if let Some(t) = &self.tracer {
-            if t.tracer.enabled(min) {
-                t.rings[w].emit(clock::now(), kind as u8, a, b, c);
-            }
         }
     }
 }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use xgomp_profiling::{PerfLog, TeamStats};
 
 use super::exec::{master_main, worker_loop};
-use super::{build_team, finish_region, ServingHooks, TeamShared};
+use super::{build_team, finish_region, ServingHooks, TeamShared, Worker};
 use crate::config::RuntimeConfig;
 use crate::ctx::TaskCtx;
 use crate::util::locked;
@@ -204,8 +204,12 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
         // region for everyone); catching here keeps the thread parkable
         // for the next generation and the payload for the region caller.
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // This generation's seat `w`, claimed on the thread the gate
+            // just handed the team to; it retires (log, ledger, free
+            // list back to the team) when it drops, on either path.
+            let worker = Worker::claim(&team, w);
             team.barrier.arrive(w);
-            worker_loop(&team, w);
+            worker_loop(&worker);
         })) {
             team.poison();
             locked(&team.panic).get_or_insert(payload);

@@ -341,3 +341,97 @@ fn idle_workers_drain_an_ingress_source() {
     assert_eq!(sampler.tasks_observed() as usize, JOBS);
     out.stats.check_invariants().unwrap();
 }
+
+/// Every cell a `Worker` owns — cursor, NA-RP redirect, RNG, free list,
+/// log — driven from nested `execute` frames: capacity-2 queues turn
+/// most placed spawns into immediate execution, whose bodies spawn again
+/// from inside the frame that is still spawning. A borrow held across a
+/// body would be a `RefCell` panic here.
+#[test]
+fn owned_worker_state_survives_a_reentrancy_storm() {
+    use crate::dlb::{DlbConfig, DlbStrategy};
+    use crate::AllocKind;
+    use std::sync::atomic::AtomicUsize;
+
+    let cfg = RuntimeConfig::xgomptb(2)
+        .queue_capacity(2)
+        .allocator(AllocKind::MultiLevel)
+        .dlb(DlbConfig::new(DlbStrategy::RedirectPush).t_interval(2))
+        .profiling(true);
+    let ran = AtomicUsize::new(0);
+    let out = Runtime::new(cfg).parallel(|ctx| {
+        ctx.scope(|s| {
+            for _ in 0..64 {
+                s.spawn_on(1, |c| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    c.scope(|inner| {
+                        for _ in 0..4 {
+                            inner.spawn(|c| {
+                                ran.fetch_add(1, Ordering::Relaxed);
+                                c.scope(|leaf| {
+                                    leaf.spawn(|_| {
+                                        ran.fetch_add(1, Ordering::Relaxed);
+                                    })
+                                });
+                            });
+                        }
+                    });
+                });
+            }
+        });
+    });
+    assert_eq!(ran.load(Ordering::Relaxed), 64 * (1 + 4 * 2));
+    let total = out.stats.total();
+    assert_eq!(total.tasks_created, total.tasks_executed);
+    assert!(total.ntasks_imm_exec > 0, "the storm must nest frames");
+    out.stats.check_invariants().unwrap();
+    // `outstanding() == 0` is `finish_region`'s own (debug) assert: the
+    // region returning at all says every record came back.
+    assert_eq!(out.logs.len(), 2);
+    for (w, log) in out.logs.iter().enumerate() {
+        assert_eq!(log.worker(), w);
+        assert!(!log.events().is_empty(), "worker {w} logged nothing");
+    }
+}
+
+/// A region opened from inside an NA-WS task of another region on the
+/// same runtime: the thread that is worker `k` of the outer team is
+/// worker 0 of the inner one, and the two `Worker`s it holds must not
+/// mix — each region's accounting balances on its own.
+#[test]
+fn nested_region_inside_a_dlb_task_keeps_both_teams_apart() {
+    use crate::dlb::{DlbConfig, DlbStrategy};
+
+    let cfg = RuntimeConfig::xgomptb(3).dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(2));
+    let rt = Runtime::new(cfg);
+    let outer = rt.parallel(|ctx| {
+        let mut inner_ok = [false; 3];
+        ctx.scope(|s| {
+            for (w, ok) in inner_ok.iter_mut().enumerate() {
+                let rt = &rt;
+                s.spawn_on(w, move |_| {
+                    let inner = rt.parallel(|ctx| {
+                        let mut acc = [0u64; 48];
+                        ctx.scope(|s| {
+                            for (i, slot) in acc.iter_mut().enumerate() {
+                                s.spawn(move |_| *slot = i as u64);
+                            }
+                        });
+                        acc.iter().sum::<u64>()
+                    });
+                    let total = inner.stats.total();
+                    *ok = inner.result == (0..48u64).sum()
+                        && total.tasks_created == 48
+                        && total.tasks_executed == 48
+                        && inner.stats.check_invariants().is_ok();
+                });
+            }
+        });
+        inner_ok
+    });
+    assert_eq!(outer.result, [true; 3]);
+    let total = outer.stats.total();
+    assert_eq!(total.tasks_created, 3);
+    assert_eq!(total.tasks_executed, 3);
+    outer.stats.check_invariants().unwrap();
+}

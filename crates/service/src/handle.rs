@@ -356,25 +356,46 @@ impl<R> JobHandle<R> {
 
     /// Helps execute pending tasks on `ctx`'s worker until the job is
     /// done (`true`) or `deadline` has passed (`false`).
+    ///
+    /// The help-first rule: **a bounded wait never nests unbounded
+    /// work.** Whatever a helper pulls out of the ingress is a fresh root
+    /// job that runs nested on the waiter's stack, where nothing can
+    /// preempt it — if it is the awaited job (or anything else that
+    /// blocks on the waiter), the deadline can never fire. So with a
+    /// deadline the helper runs tasks already in its own lattice row
+    /// only, and when that runs dry while the awaited job is still
+    /// queued it wakes **one** parked peer to take the job instead.
+    /// Without a deadline it helps the ingress too (`help_pending`): when
+    /// every worker is inside a `join_within`, the awaited jobs can still
+    /// be sitting there with no idle worker left to drain them.
     fn help_until(&self, ctx: &xgomp_core::TaskCtx<'_>, deadline: Option<Instant>) -> bool {
         let mut spins = 0u32;
         while !self.is_done() {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return false;
             }
-            // `help_pending`, not `run_pending`: when every worker is
-            // inside a `join_within`, the awaited jobs can still be
-            // sitting in the ingress with no idle worker left to drain
-            // them — helping must reach the ingress too.
-            if ctx.help_pending(16) == 0 {
-                if spins < 64 {
-                    std::hint::spin_loop();
-                    spins += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            } else {
+            let ran = match deadline {
+                None => ctx.help_pending(16),
+                Some(_) => ctx.run_pending(16),
+            };
+            if ran > 0 {
                 spins = 0;
+                continue;
+            }
+            // Once per dry spell: the submitter's doorbell is the primary
+            // wake; this re-rings it for the one job we are waiting on.
+            if spins == 0
+                && deadline.is_some()
+                && self.state.phase.load(Ordering::Acquire) == PHASE_QUEUED
+                && ctx.parker().currently_parked() > 0
+            {
+                ctx.parker().notify_any(ctx.numa_zone());
+            }
+            if spins < 64 {
+                std::hint::spin_loop();
+                spins += 1;
+            } else {
+                std::thread::yield_now();
             }
         }
         true
@@ -416,6 +437,14 @@ impl<R> JobHandle<R> {
     /// Bounded [`join_within`](Self::join_within): helps execute pending
     /// tasks for up to `timeout`, then returns the typed
     /// [`JoinTimeout`] (handle inside) if the job is still pending.
+    ///
+    /// Unlike `join_within` it helps with tasks already queued on the
+    /// calling worker only and never starts a fresh job from the ingress
+    /// on the caller's stack — a nested job cannot be preempted, so it
+    /// would hold the timeout (and, if it waits on the caller, the whole
+    /// team) hostage. A job still in the ingress is left to a peer, which
+    /// is woken if parked; on a one-worker server the call simply times
+    /// out and the caller decides.
     pub fn join_within_timeout(
         self,
         ctx: &xgomp_core::TaskCtx<'_>,

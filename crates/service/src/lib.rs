@@ -172,7 +172,10 @@
 //! [`JobHandle::join_within`] (which keeps the worker executing pending
 //! tasks while it waits) instead of [`JobHandle::join`], and prefer
 //! [`TaskServer::try_submit`] over the blocking
-//! [`TaskServer::submit`].
+//! [`TaskServer::submit`]. A wait with a deadline
+//! ([`JobHandle::join_within_timeout`]) never starts a fresh job nested
+//! on the waiter's stack — nothing could preempt it when the deadline
+//! passes — so it helps with its own worker's queued tasks only.
 
 #![warn(missing_docs)]
 

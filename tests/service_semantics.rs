@@ -284,6 +284,55 @@ fn saturated_cooperative_joins_make_progress() {
     server.shutdown();
 }
 
+/// The help-first join rule — a bounded wait never nests unbounded work
+/// — on the smallest team that can break it. `waiter` holds the only
+/// worker until gated `slow` sits in the ingress behind it, then waits
+/// for it with a deadline. A bounded join that helped itself to the
+/// ingress would run `slow` nested on top of the one frame that can open
+/// its gate: the deadline could never fire and the server would hang.
+#[test]
+fn bounded_join_never_nests_the_awaited_job() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Mutex;
+
+    let server = server(1);
+    let gate = Arc::new(AtomicBool::new(false));
+    let handoff: Arc<Mutex<Option<JobHandle<u32>>>> = Arc::default();
+    let (g, slot) = (gate.clone(), handoff.clone());
+    let waiter = server
+        .submit(move |ctx| {
+            let slow = loop {
+                if let Some(h) = slot.lock().unwrap().take() {
+                    break h;
+                }
+                std::thread::yield_now();
+            };
+            let timeout = slow
+                .join_within_timeout(ctx, Duration::from_millis(50))
+                .expect_err("`slow` is gated until this frame opens the gate");
+            g.store(true, Ordering::Release);
+            timeout.handle.join_within(ctx).unwrap()
+        })
+        .unwrap();
+    let g = gate.clone();
+    let slow = server
+        .submit(move |_| {
+            while !g.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            17u32
+        })
+        .unwrap();
+    *handoff.lock().unwrap() = Some(slow);
+    let outcome = waiter.join_timeout(Duration::from_secs(5));
+    // Whatever happened, let a nested `slow` finish so a failing run can
+    // still report and shut down instead of hanging.
+    gate.store(true, Ordering::Release);
+    let joined = outcome.expect("the bounded join ran the awaited job nested above its gate");
+    assert_eq!(joined.unwrap(), 17);
+    server.shutdown();
+}
+
 #[test]
 fn idle_server_parks_all_workers_and_stays_parked() {
     const THREADS: usize = 4;
