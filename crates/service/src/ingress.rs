@@ -66,10 +66,21 @@ struct Lane {
     /// Permanent reservation (registered submitter). While set, the
     /// anonymous push path skips this lane entirely.
     reserved: AtomicBool,
-    /// Jobs ever pushed into this lane (conservation accounting).
+    /// Jobs ever pushed into this lane; bumped after the enqueue, before
+    /// the submitter's fenced doorbell (the emptiness probes rely on it).
     pushed: AtomicU64,
     /// Jobs ever drained out of this lane.
     drained: AtomicU64,
+}
+
+impl Lane {
+    /// Jobs in the ring by the lane counters: `drained` is loaded first
+    /// and the difference saturates, so a drain counted before its push
+    /// reads as empty, never as an underflow.
+    fn occupancy(&self) -> usize {
+        let drained = self.drained.load(Ordering::Relaxed);
+        self.pushed.load(Ordering::Relaxed).saturating_sub(drained) as usize
+    }
 }
 
 /// One NUMA zone's ingress: lanes of SPSC rings + a drain claim making
@@ -269,13 +280,13 @@ impl IngressShard {
 
     /// Whether every lane currently looks empty (racy hint).
     pub fn looks_empty(&self) -> bool {
-        self.lanes.iter().all(|l| l.q.occupancy_scan() == 0)
+        self.lanes.iter().all(|l| l.occupancy() == 0)
     }
 
-    /// Jobs currently sitting in this shard's lanes (racy scan; exact
-    /// only while no push or drain is in flight — e.g. a paused server).
+    /// Jobs currently in this shard's lanes by their `pushed − drained`
+    /// counters (racy; exact only while no push or drain is in flight).
     pub fn occupancy(&self) -> usize {
-        self.lanes.iter().map(|l| l.q.occupancy_scan()).sum()
+        self.lanes.iter().map(Lane::occupancy).sum()
     }
 
     /// Per-lane `(pushed, drained)` counters (conservation checks).
@@ -401,9 +412,9 @@ impl ShardedIngress {
         self.shards.iter().all(|s| s.looks_empty())
     }
 
-    /// Jobs currently queued across all shards (racy scan; exact while
-    /// quiescent — the paused-server "queued for the next generation"
-    /// gauge).
+    /// Jobs currently sitting in ring slots across all shards (racy;
+    /// exact while quiescent — 0 after a pause, whose drain empties the
+    /// rings).
     pub fn occupancy(&self) -> usize {
         self.shards.iter().map(|s| s.occupancy()).sum()
     }
@@ -493,6 +504,81 @@ mod tests {
         assert!(shard.reserve_lane().is_none(), "no reservable lane left");
         shard.release_lane(1);
         assert_eq!(shard.reserve_lane(), Some(1));
+    }
+
+    /// The emptiness probes read the lane counters, not the ring slots:
+    /// they must agree with anonymous pushes, reserved-lane pushes and
+    /// drains, survive a drain that is counted before its push, and be
+    /// the number the `/metrics` gauge renders.
+    #[test]
+    fn lane_counters_answer_emptiness() {
+        let shard = IngressShard::new(2, 4);
+        let hits = Arc::new(AtomicU64::new(0));
+        assert!(shard.looks_empty());
+        assert_eq!(shard.occupancy(), 0);
+        let lane = shard.reserve_lane().expect("lane 1 is reservable");
+        shard.try_push(counter_job(hits.clone())).ok().unwrap();
+        shard.try_push(counter_job(hits.clone())).ok().unwrap();
+        let ptr = NonNull::from(Box::leak(Box::new(counter_job(hits.clone()))));
+        shard.push_ptr_reserved(lane, ptr).ok().unwrap();
+        assert!(!shard.looks_empty());
+        assert_eq!(shard.occupancy(), 3);
+        assert_eq!(shard.try_drain(2, &mut |_job| {}), 2);
+        assert_eq!(shard.occupancy(), 1);
+        assert_eq!(shard.try_drain(8, &mut |_job| {}), 1);
+        assert!(shard.looks_empty());
+        assert_eq!(shard.occupancy(), 0);
+
+        // A push whose `pushed` bump has not landed yet is drained and
+        // counted first: the probes read empty, not `u64` wrap-around.
+        let ptr = NonNull::from(Box::leak(Box::new(counter_job(hits.clone()))));
+        // SAFETY: the reservation makes this thread the lane's producer.
+        unsafe { shard.lanes[lane].q.enqueue(ptr) }.ok().unwrap();
+        assert_eq!(shard.try_drain(8, &mut |_job| {}), 1);
+        assert_eq!(shard.occupancy(), 0, "drained-before-pushed underflowed");
+        assert!(shard.looks_empty());
+        shard.lanes[lane].pushed.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(shard.occupancy(), 0);
+        assert_eq!(shard.lane_counters()[lane], (2, 2));
+        shard.release_lane(lane);
+        assert_eq!(hits.load(Ordering::Relaxed), 0, "drained bodies never ran");
+
+        // The gauge: one worker held in a gated job leaves three
+        // anonymous submissions sitting in the rings.
+        let server = crate::TaskServer::start(crate::ServerConfig::new(1).lane_capacity(4));
+        let (gate, running) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (g, r) = (gate.clone(), running.clone());
+        let blocker = server
+            .submit(move |_| {
+                r.store(true, Ordering::Release);
+                while !g.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            })
+            .unwrap();
+        while !running.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let queued: Vec<_> = (0..3u32)
+            .map(|i| server.try_submit(move |_| i).unwrap())
+            .collect();
+        let occupancy = server.ingress().occupancy();
+        assert_eq!(occupancy, 3);
+        let sample = format!("xgomp_ingress_occupancy {occupancy}");
+        assert!(
+            server.render_prometheus().lines().any(|l| l == sample),
+            "gauge disagrees with ingress().occupancy()"
+        );
+        gate.store(true, Ordering::Release);
+        blocker.join().unwrap();
+        for (i, h) in queued.into_iter().enumerate() {
+            assert_eq!(h.join().unwrap(), i as u32);
+        }
+        let report = server.shutdown();
+        assert_eq!(report.stats.queued, 0);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! The server serves *generations*: one [`Runtime::serve`](xgomp_core::Runtime::serve) region on
 //! the runtime's hot workers per generation. [`TaskServer::pause`] completes
-//! every job admitted before it — in-team and still-ring-queued alike —
-//! to a quiescent barrier and retires the generation: every worker
+//! every job admitted before it — wherever it was — and retires the
+//! generation once every job still in flight sits in the spill: every worker
 //! parks (aux workers on the team's start gate, the master on the
 //! control condvar; ~0 CPU), while the ingress tier, registered lanes,
 //! and all [`SubmitterHandle`]s stay exactly as they were. Submissions
@@ -38,18 +38,18 @@
 //! half-confirmed recommendation cannot override the swap.
 //!
 //! ```text
-//!            ┌────────────────────── resume / resume_with ─────────────┐
-//!            ▼                                                         │
-//!       ┌─────────┐   pause()    ┌──────────┐  in-team drained   ┌────────┐
-//!  ───▶ │ Serving │ ───────────▶ │ Draining │ ─────────────────▶ │ Paused │
-//!       └─────────┘              └──────────┘   (region ends,    └────────┘
-//!            │                        │          workers park)        │
-//!            │ shutdown()             │ shutdown()       shutdown()   │
-//!            ▼                        ▼                               ▼
-//!       ┌──────────────────────────────────────────────────────────────┐
-//!       │ Closed: admission rejected, full drain (queued jobs too),    │
-//!       │ team torn down, per-generation telemetry returned            │
-//!       └──────────────────────────────────────────────────────────────┘
+//!            ┌────────────────────── resume / resume_with ────────────────┐
+//!            ▼                                                            │
+//!       ┌─────────┐   pause()    ┌──────────┐  every pre-pause job   ┌────────┐
+//!  ───▶ │ Serving │ ───────────▶ │ Draining │ ─────────────────────▶ │ Paused │
+//!       └─────────┘              └──────────┘  finished; later ones  └────────┘
+//!            │                        │        spilled; workers park      │
+//!            │ shutdown()             │ shutdown()           shutdown()   │
+//!            ▼                        ▼                                   ▼
+//!       ┌──────────────────────────────────────────────────────────────────┐
+//!       │ Closed: admission rejected, full drain (queued jobs too),        │
+//!       │ team torn down, per-generation telemetry returned                │
+//!       └──────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The serve loop itself parks worker 0 once its backoff saturates, so a
@@ -109,11 +109,10 @@ struct ServerShared {
     current_threads: AtomicUsize,
     /// Generations opened so far.
     generation: AtomicU64,
-    /// Jobs admitted but not yet completed (ingress-queued + in-team).
+    /// Jobs admitted and not yet finished, wherever they are — the one
+    /// job ledger: admission bounds it, the job wrapper retires from it,
+    /// and both drains read it (see `serve_loop`).
     in_flight: AtomicUsize,
-    /// Jobs handed to the team's scheduler but not yet completed — the
-    /// quantity a pause drains to zero (ingress-queued jobs stay queued).
-    in_team: AtomicUsize,
     max_in_flight: usize,
     /// In-flight slots only [`QosClass::LatencySensitive`] may use:
     /// Normal/Background admission stops at `max_in_flight − ls_reserve`.
@@ -133,18 +132,11 @@ struct ServerShared {
     class_stats: [ClassCounters; 3],
     /// Pending deadlines, swept by the serve loop.
     deadlines: Deadlines,
-    /// Placement backstop for admitted jobs that find no ring slot while
-    /// no drainer runs (paused server + full anonymous lanes): bounded by
-    /// the admission clamp, drained before the ingress at every poll.
+    /// Where jobs placed from a pause onward wait for the next (or the
+    /// closing) generation; bounded by the admission clamp, drained
+    /// before the ingress at every poll (see `drain_spill`).
     spill: Mutex<VecDeque<JobBody>>,
     spill_nonempty: AtomicBool,
-    /// Submitters currently between a "rings open" check and the end of
-    /// their ring push. The pause drain may not quiesce while this is
-    /// nonzero: a producer that observed `SERVING` could otherwise land
-    /// its (pre-pause-admitted) job in a ring *after* the drain's final
-    /// emptiness check, stranding it until resume. SeqCst Dekker with
-    /// the state flip — see `rings_open`.
-    ring_producers: AtomicUsize,
     /// Blocked `submit` callers parked on `bp_cv` (instead of the old
     /// spin-retry); completions notify when someone is waiting.
     bp_waiters: AtomicUsize,
@@ -260,10 +252,10 @@ impl TaskServer {
         let (shard_of_worker, zone_of_shard) = lifecycle::generation_layout(&rt, n_shards);
 
         let ingress = ShardedIngress::new(n_shards, cfg.lanes_per_shard, cfg.lane_capacity);
-        // An admitted job must always find an ingress slot (the blocking
-        // push in submit relies on it), so the bound never exceeds the
-        // real ring capacity. The effective value is surfaced in
-        // `ServerStats::max_in_flight`.
+        // Admitted jobs never outnumber the ring slots *in total*, so the
+        // anonymous placement loop always has a free slot to find (a
+        // pinned job still waits on its own lane's drains — see `place`).
+        // The effective bound is surfaced in `ServerStats::max_in_flight`.
         let max_in_flight = cfg.max_in_flight.min(ingress.capacity());
         // QoS quota resolution, against the *effective* bound. The
         // reserve is clamped so Normal/Background always keep at least
@@ -298,7 +290,6 @@ impl TaskServer {
             current_threads: AtomicUsize::new(rt.threads),
             generation: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
-            in_team: AtomicUsize::new(0),
             max_in_flight,
             ls_reserve,
             bg_cap,
@@ -308,7 +299,6 @@ impl TaskServer {
             deadlines: Deadlines::default(),
             spill: Mutex::new(VecDeque::new()),
             spill_nonempty: AtomicBool::new(false),
-            ring_producers: AtomicUsize::new(0),
             bp_waiters: AtomicUsize::new(0),
             bp_lock: Mutex::new(()),
             bp_cv: Condvar::new(),

@@ -22,8 +22,8 @@ use xgomp_xqueue::IdleGate;
 /// A generation is open; drainers inject, submissions flow.
 pub(super) const SERVING: u32 = 0;
 /// `pause()` requested: the serve loop is completing every job admitted
-/// before the pause (in-team and ring-queued); new submissions divert
-/// to the spill for the next generation.
+/// before the pause; new submissions divert to the spill for the next
+/// generation.
 pub(super) const DRAINING: u32 = 1;
 /// Between generations: team quiescent and parked, ingress retained,
 /// submissions queue (or bounce at the bound).
@@ -46,7 +46,7 @@ const RUN_BATCH: usize = 128;
 pub enum Lifecycle {
     /// A generation is open and executing jobs.
     Serving,
-    /// A [`pause`](TaskServer::pause) is draining the in-team jobs.
+    /// A [`pause`](TaskServer::pause) is finishing the pre-pause jobs.
     Draining,
     /// Parked between generations; submissions queue for the next one.
     Paused,
@@ -100,7 +100,10 @@ impl TaskServer {
         loop {
             match shared.state.load(Ordering::SeqCst) {
                 SERVING => {
+                    // Under the spill lock: no spill pop follows it.
+                    let spill = locked(&shared.spill);
                     shared.state.store(DRAINING, Ordering::SeqCst);
+                    drop(spill);
                     shared.ctl_cv.notify_all();
                     // The whole team may be asleep; the state store rings
                     // no bell on its own.
@@ -368,8 +371,8 @@ fn apply_config(shared: &ServerShared, team: &mut Runtime, new_rt: RuntimeConfig
 
 /// One generation's serve loop, run by worker 0 as the region closure:
 /// drain ingress, execute, tick the controller, park when idle, and exit
-/// at the generation's drain point (pause: in-team jobs done; shutdown:
-/// everything admitted done).
+/// at the generation's drain point (pause: every job in flight spilled;
+/// shutdown: everything admitted done).
 fn serve_loop(
     ctx: &TaskCtx<'_>,
     shared: &ServerShared,
@@ -412,20 +415,25 @@ fn serve_loop(
             // Shutdown drains *everything admitted*; the final in-flight
             // decrement rings no bell, so spin the (short) tail out.
             CLOSING if shared.in_flight.load(Ordering::SeqCst) == 0 => break,
-            // A pause drains everything admitted before it — the team's
-            // jobs and anything still in the rings (submissions from the
-            // pause onward divert to the spill, which waits for resume,
-            // so this converges under sustained traffic). Order matters:
-            // `ring_producers == 0` must be observed *before* the
-            // emptiness scan — a producer that saw SERVING holds the
-            // count until its push completes, so reading 0 here means
-            // every such push is already visible to `looks_empty`.
-            DRAINING
-                if shared.ring_producers.load(Ordering::SeqCst) == 0
-                    && shared.in_team.load(Ordering::SeqCst) == 0
-                    && shared.ingress.looks_empty() =>
-            {
-                break
+            // A pause is done once every job in flight sits in the spill:
+            // its length, read under the spill lock, equals an `in_flight`
+            // load taken after it. Proof, from two rules:
+            // * `pause()` stored `DRAINING` under the spill lock and
+            //   `drain_spill` pops only after reading `SERVING`/`CLOSING`
+            //   under it, so since `st` the spill has only grown, and a
+            //   spilled job stays counted until it runs. Equality leaves
+            //   no counted job in a ring, mid-placement or in the team.
+            // * A job the load did not count was admitted after it (all
+            //   four accesses are SeqCst), so after `st` saw `DRAINING`;
+            //   its producer's `rings_open` load comes later still and
+            //   sees `DRAINING` or later, so it spills (or, once `CLOSING`,
+            //   joins the final drain generation). Every job from the pause
+            //   on spills, so this converges under sustained submission.
+            DRAINING => {
+                let spilled = locked(&shared.spill).len();
+                if spilled == shared.in_flight.load(Ordering::SeqCst) {
+                    break;
+                }
             }
             _ => {}
         }

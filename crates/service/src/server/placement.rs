@@ -38,10 +38,7 @@ impl ServerShared {
     /// submissions divert to the spill: the rings belong to the pause
     /// drain, and a `try_submit` must never block until `resume`.
     pub(super) fn place(&self, route: Route, body: JobBody) {
-        // Announce *before* the state check (see `ring_producers`).
-        self.ring_producers.fetch_add(1, Ordering::SeqCst);
         if !self.rings_open() {
-            self.ring_producers.fetch_sub(1, Ordering::SeqCst);
             self.spill_job(body);
             return;
         }
@@ -62,7 +59,6 @@ impl ServerShared {
             };
             match pushed {
                 Ok(shard) => {
-                    self.ring_producers.fetch_sub(1, Ordering::SeqCst);
                     // Ring for the shard that actually took the job:
                     // under fallover it may not be `home`, and waking
                     // `home`'s zone instead would leave the job stranded
@@ -74,7 +70,6 @@ impl ServerShared {
                     // A pause landed mid-placement: no drainer will free
                     // a slot before resume — spill instead of blocking
                     // the caller.
-                    self.ring_producers.fetch_sub(1, Ordering::SeqCst);
                     // SAFETY: the rejected pointer is the box we leaked
                     // above.
                     self.spill_job(*unsafe { Box::from_raw(back.as_ptr()) });
@@ -96,12 +91,11 @@ impl ServerShared {
     /// to the pause drain — submissions divert to the spill, which is
     /// what lets that drain converge under sustained traffic.
     ///
-    /// Only meaningful while the caller is counted in `ring_producers`
-    /// (see `place`): the announcement is what makes the answer stable
-    /// against a concurrent pause (Dekker: either this SeqCst load sees
-    /// the DRAINING store and the caller diverts to the spill, or the
-    /// pause drain's SeqCst `ring_producers` read sees the announcement
-    /// and waits the push out).
+    /// This load is the producer half of the one Dekker handshake the
+    /// pause drain relies on (SeqCst on all four accesses): it follows
+    /// the job's admission increment, and the drain loads `in_flight`
+    /// after it has seen `DRAINING` — so either the drain counts the job,
+    /// or this load sees `DRAINING` (or later) and the job spills.
     fn rings_open(&self) -> bool {
         matches!(self.state.load(Ordering::SeqCst), SERVING | CLOSING)
     }
@@ -129,13 +123,18 @@ impl ServerShared {
     /// Like the ingress drain, the job is spawned into the *draining
     /// worker's own* queue: a job cross-pushed into a peer's SPSC queue
     /// is stranded if that peer is stalled inside another job's body,
-    /// even while this worker idles.
+    /// even while this worker idles. Pops only after reading `SERVING`/
+    /// `CLOSING` *under the spill lock*, which `pause()` holds for its
+    /// `DRAINING` store: no pop follows that store.
     fn drain_spill(&self, ctx: &TaskCtx<'_>) -> usize {
         if !self.spill_nonempty.load(Ordering::SeqCst) {
             return 0;
         }
         let job = {
             let mut spill = locked(&self.spill);
+            if !self.rings_open() {
+                return 0;
+            }
             let job = spill.pop_front();
             if spill.is_empty() {
                 self.spill_nonempty.store(false, Ordering::SeqCst);
@@ -143,7 +142,6 @@ impl ServerShared {
             job
         };
         let Some(job) = job else { return 0 };
-        self.in_team.fetch_add(1, Ordering::SeqCst);
         ctx.spawn_boxed_local(job);
         1
     }
@@ -179,18 +177,14 @@ impl IngressSource for ServiceSource {
         // Drains are gated on the lifecycle. While pausing (`DRAINING`),
         // the rings keep draining — everything that reached them was
         // admitted before the pause and must complete — but the spill,
-        // where pause-time submissions divert, is held back; that is what
-        // lets the drain converge under sustained submission. A paused
-        // server drains nothing; a closing one drains everything.
-        let st = self.shared.state.load(Ordering::SeqCst);
-        if st == PAUSED {
+        // where pause-time submissions divert, is held back by
+        // `drain_spill`; that is what lets the drain converge under
+        // sustained submission. Paused drains nothing; closing, everything.
+        if self.shared.state.load(Ordering::SeqCst) == PAUSED {
             return 0;
         }
         let shared = &self.shared;
-        let mut n = 0;
-        if st != DRAINING {
-            n += shared.drain_spill(ctx);
-        }
+        let mut n = shared.drain_spill(ctx);
         let hint = self
             .shard_of_worker
             .get(ctx.worker_id())
@@ -208,20 +202,19 @@ impl IngressSource for ServiceSource {
         // in the serve/idle loops, which re-poll immediately while
         // injections succeed, so throughput is a claim per job, not a
         // drain cycle per job.
-        n += shared.ingress.drain_into(hint, 1, &mut |job| {
-            shared.in_team.fetch_add(1, Ordering::SeqCst);
-            ctx.spawn_boxed_local(job)
-        });
+        n += shared
+            .ingress
+            .drain_into(hint, 1, &mut |job| ctx.spawn_boxed_local(job));
         n
     }
 
     fn has_pending(&self) -> bool {
-        // Pre-park re-check: jobs are visible here before the submitter's
-        // doorbell fence, so a worker either sees them and stays awake or
-        // is woken by the bell (see `xgomp_xqueue::parker`). Gated like
-        // `poll`: queued-for-next-generation jobs must not keep workers
-        // awake, but a pause drain keeps them helping until the rings
-        // are empty.
+        // Pre-park re-check: a job is counted (lane `pushed`, spill flag)
+        // before the submitter's doorbell fence, so a worker either sees
+        // it and stays awake or is woken by the bell (see
+        // `xgomp_xqueue::parker`). Gated like `poll`: queued-for-next-
+        // generation jobs must not keep workers awake, but a pause drain
+        // keeps them helping until the rings are empty.
         match self.shared.state.load(Ordering::SeqCst) {
             PAUSED => false,
             DRAINING => !self.shared.ingress.looks_empty(),

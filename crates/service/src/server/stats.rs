@@ -177,12 +177,13 @@ pub struct ServerStats {
     pub rejected: u64,
     /// Jobs admitted but not yet completed.
     pub in_flight: usize,
-    /// Admitted jobs still queued in the ingress tier (not yet handed to
-    /// the team) — nonzero mostly while paused.
+    /// Admitted jobs still queued in the ingress tier, not yet handed to
+    /// the team: ring occupancy plus the spill (where submissions wait
+    /// from a pause onward) — nonzero mostly while paused.
     pub queued: usize,
     /// The *effective* admission bound: the configured
     /// `ServerConfig::max_in_flight` clamped to the total ingress ring
-    /// capacity (an admitted job must always find a slot).
+    /// capacity (admitted jobs never outnumber the ring slots in total).
     pub max_in_flight: usize,
     /// Serve generations opened so far (pause/resume cycles + 1).
     pub generations: u64,
@@ -539,8 +540,6 @@ impl ServerShared {
     /// contract). The job-outcome totals are sums over the per-class
     /// cells — the only place those facts are stored.
     fn stats(&self) -> ServerStats {
-        let in_flight = self.in_flight.load(Ordering::SeqCst);
-        let in_team = self.in_team.load(Ordering::SeqCst);
         let (loops, loop_chunks, loop_iters, loop_range_steals, loop_rebalances) =
             self.loop_stats.snapshot().totals();
         let total = |cell: fn(&ClassCounters) -> &AtomicU64| -> u64 {
@@ -553,8 +552,8 @@ impl ServerShared {
             cancelled: total(|c| &c.cancelled),
             shed: total(|c| &c.shed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            in_flight,
-            queued: in_flight.saturating_sub(in_team),
+            in_flight: self.in_flight.load(Ordering::SeqCst),
+            queued: self.ingress.occupancy() + locked(&self.spill).len(),
             max_in_flight: self.max_in_flight,
             generations: self.generation.load(Ordering::Relaxed),
             retunes: self.tuning.retunes(),

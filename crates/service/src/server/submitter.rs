@@ -22,9 +22,9 @@ impl ServerShared {
     /// The wrapper is the **single accounting site**: whether the body
     /// ran, unwound at a cancellation checkpoint, or was shed before it
     /// ever started, exactly one of the class's `completed`/`cancelled`/
-    /// `shed` cells moves — and the drain-side decrements (`in_team`/
-    /// `in_flight`/class cap) always happen here, at drain time, so the
-    /// shutdown invariant "`in_flight == 0` ⇒ rings drained" survives
+    /// `shed` cells moves — and the job leaves the ledger (`in_flight`,
+    /// class cap) here and only here, at drain time, so the drains'
+    /// "`in_flight` counts every unfinished job" rule survives
     /// cancellation. `JobHandle::cancel` and the deadline sweep only
     /// resolve the *handle* early; they never touch the counters.
     fn make_job<R, F>(self: &Arc<Self>, opts: SubmitOptions, f: F) -> (JobHandle<R>, JobBody)
@@ -135,7 +135,6 @@ impl ServerShared {
                 emit(EventKind::Shed, by_deadline as u32, state.submitted);
                 cs.shed.fetch_add(1, Ordering::Relaxed);
             }
-            shared.in_team.fetch_sub(1, Ordering::SeqCst);
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             shared.release_class_slot(qos);
             shared.notify_capacity();

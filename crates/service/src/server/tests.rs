@@ -333,7 +333,7 @@ fn paused_at_capacity_bounces_with_paused_error() {
         // Admitted (3 of 4 slots used) but the lane is full: this
         // submit waits inside `place` until the pause diverts it.
         let third = s.spawn(|| sub.try_submit(|_| 2u32).unwrap());
-        while server.shared.ring_producers.load(Ordering::SeqCst) == 0 {
+        while server.in_flight() != 4 {
             std::thread::yield_now();
         }
         let pause = s.spawn(|| server.pause().unwrap());
@@ -359,6 +359,45 @@ fn paused_at_capacity_bounces_with_paused_error() {
     let report = server.shutdown();
     assert_eq!(report.stats.submitted, 4);
     assert_eq!(report.stats.completed, 4);
+}
+
+/// The pause drain's Dekker half, driven by hand: a producer admitted
+/// while `SERVING` that has not pushed yet is counted in `in_flight`, so
+/// the drain must wait for it — and its late ring push then completes
+/// in the draining generation instead of stranding in a ring.
+#[test]
+fn pause_waits_for_an_admitted_job_still_being_placed() {
+    let server = TaskServer::start(ServerConfig::new(2));
+    let shared = server.shared.clone();
+    shared.in_flight.fetch_add(1, Ordering::SeqCst);
+    assert_eq!(server.lifecycle(), Lifecycle::Serving, "rings open");
+    let (paused, ran) = (AtomicBool::new(false), Arc::new(AtomicBool::new(false)));
+    let paused_early = std::thread::scope(|s| {
+        s.spawn(|| {
+            server.pause().unwrap();
+            paused.store(true, Ordering::SeqCst);
+        });
+        while server.lifecycle() != Lifecycle::Draining {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let early = paused.load(Ordering::SeqCst);
+        // Push either way, so a failing run still retires the job and
+        // the shutdown below cannot wait on it forever.
+        let (ran2, ledger) = (ran.clone(), shared.clone());
+        let body: JobBody = Box::new(move |_| {
+            ran2.store(true, Ordering::SeqCst);
+            ledger.in_flight.fetch_sub(1, Ordering::SeqCst);
+        });
+        let ptr = std::ptr::NonNull::from(Box::leak(Box::new(body)));
+        assert!(shared.ingress.push_ptr_from(0, ptr).is_ok());
+        early
+    });
+    let (ran, stranded) = (ran.load(Ordering::SeqCst), server.ingress().occupancy());
+    server.shutdown();
+    assert!(!paused_early, "pause left a counted job behind");
+    assert!(ran, "the late push ran before the pause ended");
+    assert_eq!(stranded, 0);
 }
 
 #[test]

@@ -226,16 +226,6 @@ impl<T> BQueue<T> {
         }
         self.slot(c.tail).load(Ordering::Acquire).is_null()
     }
-
-    /// Approximate occupancy, counted by scanning slots with `Relaxed`
-    /// loads. Safe from any thread; the answer may be stale the moment it
-    /// returns. Used only for statistics.
-    pub fn occupancy_scan(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| !s.load(Ordering::Relaxed).is_null())
-            .count()
-    }
 }
 
 impl<T> std::fmt::Debug for BQueue<T> {
@@ -243,7 +233,6 @@ impl<T> std::fmt::Debug for BQueue<T> {
         f.debug_struct("BQueue")
             .field("capacity", &self.capacity())
             .field("batch", &self.batch)
-            .field("occupancy_scan", &self.occupancy_scan())
             .finish()
     }
 }
@@ -386,21 +375,5 @@ mod tests {
         }
         producer.join().unwrap();
         assert!(unsafe { q.dequeue() }.is_none());
-    }
-
-    #[test]
-    fn occupancy_scan_matches() {
-        let q = BQueue::<u64>::with_capacity(8);
-        unsafe {
-            for i in 0..5 {
-                q.enqueue(leak(i)).unwrap();
-            }
-            assert_eq!(q.occupancy_scan(), 5);
-            unleak(q.dequeue().unwrap());
-            assert_eq!(q.occupancy_scan(), 4);
-            while let Some(p) = q.dequeue() {
-                unleak(p);
-            }
-        }
     }
 }

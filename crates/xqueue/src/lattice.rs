@@ -175,49 +175,6 @@ impl<T> XQueueLattice<T> {
             }
         }
     }
-
-    /// Approximate whole-lattice occupancy snapshot (safe, `Relaxed`
-    /// scans; statistics only).
-    pub fn stats(&self) -> LatticeStats {
-        let mut per_consumer = vec![0usize; self.n];
-        let mut master = 0;
-        let mut aux = 0;
-        for (c, row_total) in per_consumer.iter_mut().enumerate() {
-            for p in 0..self.n {
-                let occ = self.q(c, p).occupancy_scan();
-                *row_total += occ;
-                if c == p {
-                    master += occ;
-                } else {
-                    aux += occ;
-                }
-            }
-        }
-        LatticeStats {
-            per_consumer,
-            master_occupancy: master,
-            aux_occupancy: aux,
-        }
-    }
-}
-
-/// Approximate occupancy snapshot of a lattice (see
-/// [`XQueueLattice::stats`]).
-#[derive(Debug, Clone)]
-pub struct LatticeStats {
-    /// Items visible per consumer row.
-    pub per_consumer: Vec<usize>,
-    /// Items visible across all master queues.
-    pub master_occupancy: usize,
-    /// Items visible across all auxiliary queues.
-    pub aux_occupancy: usize,
-}
-
-impl LatticeStats {
-    /// Total items visible in the snapshot.
-    pub fn total(&self) -> usize {
-        self.master_occupancy + self.aux_occupancy
-    }
 }
 
 /// Round-robin push-target generator implementing the paper's static load
@@ -346,29 +303,6 @@ mod tests {
                 }
                 Ok(()) => panic!("queue of capacity 2 accepted 3 items"),
             }
-            l.drain_with(1, |p| {
-                unleak(p);
-            });
-        }
-    }
-
-    #[test]
-    fn stats_snapshot_counts() {
-        let l = XQueueLattice::<u64>::new(2, 8);
-        unsafe {
-            l.push(0, 0, leak(1)).unwrap(); // master of 0
-            l.push(0, 1, leak(2)).unwrap(); // aux at consumer 1
-            l.push(1, 1, leak(3)).unwrap(); // master of 1
-        }
-        let s = l.stats();
-        assert_eq!(s.master_occupancy, 2);
-        assert_eq!(s.aux_occupancy, 1);
-        assert_eq!(s.total(), 3);
-        assert_eq!(s.per_consumer, vec![1, 2]);
-        unsafe {
-            l.drain_with(0, |p| {
-                unleak(p);
-            });
             l.drain_with(1, |p| {
                 unleak(p);
             });

@@ -71,7 +71,7 @@ pub mod spsc;
 pub use backoff::Backoff;
 pub use bqueue::{BQueue, DEFAULT_CAPACITY};
 pub use eventring::{EventRing, RawEvent, RingCursor, DEFAULT_EVENT_CAPACITY};
-pub use lattice::{LatticeStats, PushCursor, XQueueLattice};
+pub use lattice::{PushCursor, XQueueLattice};
 pub use panes::{PaneSet, DEFAULT_PANE_UNITS, MAX_SHARE_UNITS};
 pub use parker::{IdleGate, Parker, ParkerCell};
 pub use rangepool::{IterRange, RangePool};

@@ -252,12 +252,8 @@ impl Parker {
         true
     }
 
-    /// Wakes one announced worker of zone `zone`, if any.
-    pub fn unpark_one_in_zone(&self, zone: usize) -> Option<usize> {
-        fence(Ordering::SeqCst);
-        self.unpark_one_in_zone_no_fence(zone)
-    }
-
+    /// Wakes one announced worker of zone `zone`, if any (the caller —
+    /// [`notify_any`](Self::notify_any) — has issued the waker fence).
     fn unpark_one_in_zone_no_fence(&self, zone: usize) -> Option<usize> {
         let set = self.zones.get(zone)?;
         if set.parked.load(Ordering::Relaxed) == 0 {

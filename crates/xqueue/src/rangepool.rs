@@ -206,71 +206,6 @@ impl RangePool {
         }
     }
 
-    /// Migrates the upper half of this pool into `dst` — the coarse
-    /// (inter-socket) rebalance primitive: one back-half steal from the
-    /// rich pool, one deposit into the starved one. Returns the number of
-    /// iterations moved, `None` when either side made the migration moot
-    /// (`self` empty, or `dst` non-empty — deposits only land in empty
-    /// pools, see [`deposit_if_empty`](Self::deposit_if_empty)).
-    ///
-    /// Caller contract: the caller should be `dst`'s only *depositor*
-    /// (claims and steals by other threads are fine). The balancer's
-    /// single-prober gate guarantees this; a racing depositor is still
-    /// safe — the stolen range is then handed back to `self`'s back edge
-    /// (or, if other steals moved it, parked in whichever of the two
-    /// pools empties first), never lost.
-    pub fn steal_half_into(&self, dst: &RangePool) -> Option<u32> {
-        if !dst.is_empty() {
-            return None;
-        }
-        let (lo, hi) = self.steal_half()?;
-        loop {
-            if dst.deposit_if_empty(lo, hi) {
-                return Some(hi - lo);
-            }
-            // `dst` filled between the check and the deposit (a foreign
-            // depositor): un-steal by re-extending our own back edge, or
-            // park the range in whichever pool empties first.
-            if self.unsteal(lo, hi) || self.deposit_if_empty(lo, hi) {
-                return None;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Re-extends the back of the pool with `[lo, hi)` iff the pool's
-    /// current `hi` is exactly `lo` (the range is still adjacent — no
-    /// other steal moved the back edge since we took it), or the pool
-    /// emptied meanwhile (any range is depositable then). Returns
-    /// whether the range was taken back; on `false` the caller still
-    /// owns it. The undo half of a two-pool migration — callers that
-    /// account migrations at each linearization point (the loop
-    /// balancer) bracket [`steal_half`](Self::steal_half) /
-    /// [`deposit_if_empty`](Self::deposit_if_empty) with this as the
-    /// give-back path.
-    pub fn unsteal(&self, lo: u32, hi: u32) -> bool {
-        let mut word = self.word.load(Ordering::Acquire);
-        loop {
-            let (cur_lo, cur_hi) = unpack(word);
-            if cur_lo >= cur_hi {
-                // Emptied meanwhile: any range is depositable.
-                return self.deposit_if_empty(lo, hi);
-            }
-            if cur_hi != lo {
-                return false;
-            }
-            match self.word.compare_exchange_weak(
-                word,
-                pack(cur_lo, hi),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(w) => word = w,
-            }
-        }
-    }
-
     /// Deposits `[lo, hi)` into the pool **iff it is currently empty**
     /// (a thief sharing the tail of a stolen range with its own zone).
     /// Returns whether the deposit landed; on `false` the caller still
@@ -386,40 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_half_into_migrates_into_an_empty_pool() {
-        let src = RangePool::new(0, 100);
-        let dst = RangePool::empty();
-        assert_eq!(src.steal_half_into(&dst), Some(50));
-        assert_eq!(src.remaining(), 50);
-        assert_eq!(dst.remaining(), 50);
-        assert_eq!(dst.claim(100), Some((50, 100)));
-        // Non-empty destination: migration refused, source untouched.
-        let busy = RangePool::new(0, 10);
-        assert_eq!(src.steal_half_into(&busy), None);
-        assert_eq!(src.remaining(), 50);
-        // Empty source: nothing to migrate.
-        let dry = RangePool::empty();
-        assert_eq!(dry.steal_half_into(&dst), None);
-    }
-
-    #[test]
-    fn unsteal_restores_an_adjacent_back_range() {
-        let p = RangePool::new(0, 10);
-        let (lo, hi) = p.steal_half().unwrap();
-        assert!(p.unsteal(lo, hi), "still adjacent");
-        assert_eq!(p.remaining(), 10);
-        // After a second steal moved the back edge, the first range is no
-        // longer adjacent.
-        let first = p.steal_half().unwrap();
-        let _second = p.steal_half().unwrap();
-        assert!(!p.unsteal(first.0, first.1));
-        // But an emptied pool takes any range back.
-        while p.claim(100).is_some() {}
-        assert!(p.unsteal(first.0, first.1));
-        assert_eq!(p.remaining(), first.1 - first.0);
-    }
-
-    #[test]
     fn claim_counter_and_rate_ewma() {
         let p = RangePool::new(0, 1_000);
         assert_eq!(p.claimed(), 0);
@@ -481,14 +382,24 @@ mod tests {
         let total: u64 = std::thread::scope(|s| {
             let mut handles = Vec::new();
             // One migrator (the single-depositor contract) re-splitting
-            // the rich pool into the starved one whenever it empties.
-            // Its last deposit is visible before `done` flips, so the
-            // claimers' exit condition cannot strand an in-flight range.
+            // the rich pool into the starved one whenever it empties —
+            // the loop balancer's `steal_half` → `deposit_if_empty`
+            // sequence, with its give-back path: a range whose deposit
+            // raced goes to whichever side empties first. Its last
+            // deposit is visible before `done` flips, so the claimers'
+            // exit condition cannot strand an in-flight range.
             {
                 let (src, dst, done) = (src.clone(), dst.clone(), done.clone());
                 handles.push(s.spawn(move || {
                     while !src.is_empty() {
-                        src.steal_half_into(&dst);
+                        if dst.is_empty() {
+                            if let Some((lo, hi)) = src.steal_half() {
+                                while !dst.deposit_if_empty(lo, hi) && !src.deposit_if_empty(lo, hi)
+                                {
+                                    std::hint::spin_loop();
+                                }
+                            }
+                        }
                         std::hint::spin_loop();
                     }
                     done.store(true, Ordering::SeqCst);

@@ -262,6 +262,29 @@ fn pause_swap_resume_conserves_across_generations() {
     );
 }
 
+/// The ledger rule a returned `pause()` promises: no job is left in a
+/// ring, and every admitted, unfinished job is held (spilled) for the
+/// next generation. The ring check is exact at once; `in_flight ==
+/// queued` may trail by submissions still between admission and their
+/// spill push, so it is awaited (they stop at the bound or in `join`).
+fn assert_paused_ledger(server: &TaskServer) {
+    assert_eq!(server.ingress().occupancy(), 0, "a job stranded in a ring");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let s = server.stats();
+        if s.in_flight == s.queued {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "paused with {} in flight but {} queued",
+            s.in_flight,
+            s.queued
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// Stress: registered and anonymous submitters race pause / resume /
 /// config-swap cycles across ≥ 3 generations; every admitted job must
 /// complete exactly once (checksum + counter conservation).
@@ -308,6 +331,7 @@ fn pause_resume_stress_conserves_jobs() {
         std::thread::sleep(Duration::from_millis(20));
         server.pause().unwrap();
         assert_eq!(server.lifecycle(), Lifecycle::Paused);
+        assert_paused_ledger(&server);
         match round {
             0 => server.resume().unwrap(),
             1 => server
