@@ -116,8 +116,10 @@ impl<'t> TaskCtx<'t> {
     /// peer's SPSC queue and is unreachable by anyone else until that
     /// peer next visits the scheduler — if the peer is stalled inside a
     /// long-running task body, the job is stranded even while other
-    /// workers idle. A self-spawned task is popped by the very next
-    /// scheduler visit of the worker that chose to take it.
+    /// workers idle. A self-spawned task lands in the master queue of the
+    /// worker that chose to take it, which runs it once its own nested
+    /// work (the private stack its explicit tasks' children go to) is
+    /// done.
     #[inline]
     pub fn spawn_boxed_local(&self, body: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>) {
         self.spawn_impl(body, 0, Some(self.worker.id));
@@ -364,10 +366,14 @@ impl<'t> TaskCtx<'t> {
         let (team, w) = (worker.team, worker.id);
         let t0 = if team.profiling { clock::now() } else { 0 };
         team.barrier.task_created(w);
+        // SAFETY: parent record is alive (we are executing it).
+        let parent = unsafe { self.task.as_ref() };
         // The child's reference on its parent, which is also the
         // parent's count of live children.
-        // SAFETY: parent record is alive (we are executing it).
-        unsafe { self.task.as_ref() }.retain();
+        parent.retain();
+        // Only the region's implicit task has no parent: the children of
+        // every other task are nested work.
+        let nested = parent.parent().is_some();
         let ptr = worker.alloc.alloc(Some(body), Some(self.task), priority);
         // Children inherit the parent's cancellation token, so a job's
         // whole task tree answers to one flag.
@@ -378,7 +384,7 @@ impl<'t> TaskCtx<'t> {
             }
         }
         WorkerStats::inc(&team.stats[w].tasks_created);
-        let pushed = worker.seat.spawn(hint, ptr);
+        let pushed = worker.seat.spawn(hint, nested, ptr);
         worker.log_span(EventKind::TaskCreate, t0);
         if let Err(p) = pushed {
             // Overflow rule: execute the task immediately (§II-B).

@@ -240,7 +240,9 @@ impl DlbSeat<'_> {
     }
 
     /// NA-WS migration (Alg. 4): move up to `n_steal` queued tasks from
-    /// this victim's row into the thief's queue.
+    /// this victim into the thief's queue, oldest first: the bottom of the
+    /// victim's own stack (in a recursion, its shallowest and largest
+    /// pending subtrees), then its row.
     fn work_steal(&self, row: &Row<'_>, thief: usize, n_steal: usize) {
         let (eng, w) = (self.eng, self.w);
         if thief == w || thief >= eng.cells.len() {
@@ -257,7 +259,7 @@ impl DlbSeat<'_> {
                 }
                 break;
             }
-            match row.pop() {
+            match row.pop_oldest() {
                 None => {
                     if moved == 0 {
                         WorkerStats::inc(&stats.nreq_src_empty);
@@ -438,6 +440,32 @@ mod tests {
     }
 
     #[test]
+    fn work_steal_migrates_the_oldest_own_task_first() {
+        let cfg = DlbConfig::new(DlbStrategy::WorkSteal)
+            .n_steal(1)
+            .p_local(1.0);
+        let (eng, rows) = make_engine(2, cfg);
+        let (r0, r1) = (rows.claim(0), rows.claim(1));
+        // Victim 0's own stack holds a, b, c (c the newest).
+        let (a, b, c) = (mk_task(0), mk_task(0), mk_task(0));
+        for t in [a, b, c] {
+            r0.push_nested(t).unwrap();
+        }
+        assert!(eng.cell(0).try_send_request(1));
+        eng.seat(0).on_found_task(&r0);
+        assert_eq!(eng.stats[0].snapshot().ntasks_stolen, 1);
+        // The thief gets the oldest; the victim keeps running newest first.
+        assert_eq!(r1.pop(), Some(a));
+        assert_eq!(r1.pop(), None);
+        assert_eq!(r0.pop(), Some(c));
+        assert_eq!(r0.pop(), Some(b));
+        assert_eq!(r0.pop(), None);
+        for p in [a, b, c] {
+            unsafe { free_task(p) };
+        }
+    }
+
+    #[test]
     fn work_steal_empty_source_counts() {
         let cfg = DlbConfig::new(DlbStrategy::WorkSteal);
         let (eng, rows) = make_engine(2, cfg);
@@ -491,6 +519,7 @@ mod tests {
         // Queue capacity is 2: exactly 2 redirects then disarm.
         assert_eq!(pushed.len(), 2);
         assert_eq!(eng.stats[0].snapshot().ntasks_stolen, 2);
+        drop(r0);
         rows.drain_all(&mut |p| unsafe { free_task(p) });
     }
 

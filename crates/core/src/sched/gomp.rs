@@ -99,7 +99,12 @@ impl Scheduler for GompScheduler {
 }
 
 impl Seat for GompSeat<'_> {
-    fn spawn(&self, _hint: Option<usize>, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+    fn spawn(
+        &self,
+        _hint: Option<usize>,
+        _nested: bool,
+        task: NonNull<Task>,
+    ) -> Result<(), NonNull<Task>> {
         let (s, w) = (self.sched, self.w);
         // SAFETY: the task record is live; reading its priority is benign.
         let priority = unsafe { task.as_ref() }.priority();
@@ -157,9 +162,9 @@ mod tests {
         let a = mk(0);
         let b = mk(5);
         let c = mk(0);
-        s.spawn(None, a).unwrap();
-        s.spawn(None, b).unwrap();
-        s.spawn(None, c).unwrap();
+        s.spawn(None, false, a).unwrap();
+        s.spawn(None, false, b).unwrap();
+        s.spawn(None, false, c).unwrap();
         // Highest priority first.
         assert_eq!(s.next_task(), Some(b));
         // FIFO within equal priority.
@@ -179,7 +184,7 @@ mod tests {
         let s = sched.seat(0);
         let ptrs: Vec<_> = (0..10).map(|_| mk(0)).collect();
         for &p in &ptrs {
-            s.spawn(None, p).unwrap();
+            s.spawn(None, false, p).unwrap();
         }
         drop(s);
         let mut n = 0;
@@ -203,7 +208,7 @@ mod tests {
                 let seat = s.seat(w);
                 for _ in 0..5_000 {
                     let t = mk(0);
-                    seat.spawn(None, t).unwrap();
+                    seat.spawn(None, false, t).unwrap();
                     if let Some(p) = seat.next_task() {
                         popped.fetch_add(1, Ordering::Relaxed);
                         unsafe { free(p) };

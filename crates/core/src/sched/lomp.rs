@@ -85,7 +85,12 @@ impl Scheduler for LompScheduler {
 }
 
 impl Seat for LompSeat<'_> {
-    fn spawn(&self, _hint: Option<usize>, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+    fn spawn(
+        &self,
+        _hint: Option<usize>,
+        _nested: bool,
+        task: NonNull<Task>,
+    ) -> Result<(), NonNull<Task>> {
         let s = self.sched;
         self.deque.push(TaskPtr(task));
         WorkerStats::inc(&s.stats[self.w].ntasks_static_push);
@@ -153,8 +158,8 @@ mod tests {
         let s = sched.seat(0);
         let a = mk();
         let b = mk();
-        s.spawn(None, a).unwrap();
-        s.spawn(None, b).unwrap();
+        s.spawn(None, false, a).unwrap();
+        s.spawn(None, false, b).unwrap();
         assert_eq!(s.next_task(), Some(b), "own pops are LIFO");
         assert_eq!(s.next_task(), Some(a));
         unsafe {
@@ -167,7 +172,7 @@ mod tests {
     fn idle_worker_steals_from_busy_one() {
         let sched = LompScheduler::new(2, stats(2), parker(2));
         let a = mk();
-        sched.seat(0).spawn(None, a).unwrap();
+        sched.seat(0).spawn(None, false, a).unwrap();
         assert_eq!(sched.seat(1).next_task(), Some(a), "worker 1 must steal");
         unsafe { free(a) };
     }
@@ -178,7 +183,7 @@ mod tests {
         let s = sched.seat(0);
         assert_eq!(s.next_task(), None);
         let a = mk();
-        s.spawn(None, a).unwrap();
+        s.spawn(None, false, a).unwrap();
         assert_eq!(s.next_task(), Some(a));
         unsafe { free(a) };
     }
@@ -196,7 +201,7 @@ mod tests {
                 let seat = s.seat(w);
                 for i in 0..5_000 {
                     let t = mk();
-                    seat.spawn(None, t).unwrap();
+                    seat.spawn(None, false, t).unwrap();
                     if i % 2 == 0 {
                         if let Some(p) = seat.next_task() {
                             popped.fetch_add(1, Ordering::Relaxed);

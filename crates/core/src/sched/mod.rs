@@ -121,10 +121,18 @@ pub(crate) trait Seat {
     /// task — the zone-affine initial placement of `parallel_for`'s
     /// per-worker loop-drain tasks, or a server job kept on the worker
     /// that drained it. Schedulers without per-worker queues ignore it.
-    /// `Err(task)` hands the task back for immediate execution (the
-    /// XQueue overflow rule, hinted or not); unbounded schedulers never
-    /// return `Err`.
-    fn spawn(&self, hint: Option<usize>, task: NonNull<Task>) -> Result<(), NonNull<Task>>;
+    /// `nested` says the spawning task is an explicit task, not a
+    /// region's implicit one: XQueue keeps such a child, when unplaced and
+    /// round-robined to this worker, on the worker's private LIFO stack;
+    /// the others ignore it. `Err(task)` hands the task back for
+    /// immediate execution (the XQueue overflow rule, hinted or not);
+    /// unbounded schedulers never return `Err`.
+    fn spawn(
+        &self,
+        hint: Option<usize>,
+        nested: bool,
+        task: NonNull<Task>,
+    ) -> Result<(), NonNull<Task>>;
 
     /// Fetches this worker's next task, if any. A scheduler with a DLB
     /// engine fires its *victim* hook here, after a successful fetch and

@@ -2,12 +2,30 @@
 //! lock-less lattice, master-queue-first pops, execute-immediately on
 //! overflow — plus the optional DLB engine (§IV) hooked into its
 //! scheduling points.
+//!
+//! Beside its lattice row, each worker keeps a private LIFO **stack** for
+//! its own nested work: an unplaced spawn from an explicit task whose
+//! round-robin target is the spawning worker itself. Everything else —
+//! cross-worker pushes, placed spawns, the implicit task's spawns — goes
+//! through the lattice and keeps arrival order. The stack has exactly one
+//! user, the owning worker (thieves never read it: an NA-WS victim
+//! migrates from it on its own thread), so it is a plain `RefCell` with no
+//! atomics. Its order, written once in [`Row`]:
+//!
+//! * **push** — onto the top, up to `S_queue` tasks; a full stack hands
+//!   the task back for immediate execution, like a full queue;
+//! * **pop** — the stack top first, then the lattice row (master queue,
+//!   then auxiliaries in rotation), so a `taskwait` helps with its own
+//!   newest child before anything older and nesting depth follows
+//!   recursion depth instead of queue backlog;
+//! * **migrate** — oldest first: the stack bottom, then the row.
 
-use std::cell::{Cell, RefCell};
-use std::marker::PhantomData;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use xgomp_profiling::WorkerStats;
 use xgomp_topology::Placement;
 use xgomp_xqueue::{Parker, PushCursor, XQueueLattice};
@@ -15,7 +33,7 @@ use xgomp_xqueue::{Parker, PushCursor, XQueueLattice};
 use super::{Claims, Scheduler, Seat};
 use crate::dlb::{DlbEngine, DlbSeat, DlbTuning};
 use crate::loops::LoopBalancer;
-use crate::task::Task;
+use crate::task::{Task, TaskPtr};
 
 /// XQueue lattice scheduler with optional NA-RP/NA-WS load balancing.
 pub struct XQueueScheduler {
@@ -33,15 +51,28 @@ pub struct XQueueScheduler {
 pub(crate) struct Rows {
     lattice: XQueueLattice<Task>,
     claims: Claims,
+    /// Stack tasks of rows that dropped non-empty, kept for
+    /// [`drain_all`](Self::drain_all) (teardown only: a quiesced region
+    /// leaves every stack empty).
+    leftover: Mutex<Vec<TaskPtr>>,
 }
 
-/// Producer role `w` *and* consumer role `w` of the lattice, as a value.
-/// Not `Clone`, and `!Sync` (the marker): whoever holds it is the one
-/// caller those roles have, which is all the lattice's `unsafe` API asks.
+/// Producer role `w` *and* consumer role `w` of the lattice, plus worker
+/// `w`'s private stack of nested work, as a value. Not `Clone`, and
+/// `!Sync` (the stack's `RefCell`): whoever holds it is the one caller
+/// those roles have, which is all the lattice's `unsafe` API asks, and the
+/// one user of the stack, which therefore needs no atomics.
+///
+/// Order: [`pop`](Self::pop) takes the stack top, then the row (master
+/// queue first); [`pop_oldest`](Self::pop_oldest), the NA-WS migration
+/// source, takes the stack bottom, then the row. A row dropped with
+/// stacked tasks hands them to [`Rows`], so none leaks silently.
 pub(crate) struct Row<'l> {
-    lattice: &'l XQueueLattice<Task>,
+    rows: &'l Rows,
     w: usize,
-    _not_sync: PhantomData<Cell<()>>,
+    /// Holds at most `cap` (`S_queue`) tasks, newest at the back.
+    stack: RefCell<VecDeque<NonNull<Task>>>,
+    cap: usize,
 }
 
 impl Rows {
@@ -49,25 +80,32 @@ impl Rows {
         Rows {
             lattice: XQueueLattice::new(n, queue_capacity),
             claims: Claims::new(n),
+            leftover: Mutex::new(Vec::new()),
         }
     }
 
     /// Claims row and column `w`; panics on a second claim.
     pub(crate) fn claim(&self, w: usize) -> Row<'_> {
         self.claims.claim(w);
+        let cap = self.lattice.queue_capacity();
         Row {
-            lattice: &self.lattice,
+            rows: self,
             w,
-            _not_sync: PhantomData,
+            stack: RefCell::new(VecDeque::with_capacity(cap)),
+            cap,
         }
     }
 
-    /// Empties every queue into `f`.
+    /// Empties every queue, and every stack a dropped row handed back,
+    /// into `f`.
     pub(crate) fn drain_all(&mut self, f: &mut dyn FnMut(NonNull<Task>)) {
         for c in 0..self.lattice.n_workers() {
             // SAFETY: `&mut self` — no `Row` (each borrows `self`) is
             // alive, so every role is free and ours for this call.
             unsafe { self.lattice.drain_with(c, &mut *f) };
+        }
+        for TaskPtr(task) in self.leftover.get_mut().drain(..) {
+            f(task);
         }
     }
 }
@@ -78,32 +116,72 @@ impl Row<'_> {
     pub(crate) fn push(&self, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
         // SAFETY: this row was claimed once for `w` and cannot be shared
         // or duplicated, so producer role `w` has this one caller.
-        unsafe { self.lattice.push(self.w, target, task) }
+        unsafe { self.rows.lattice.push(self.w, target, task) }
     }
 
-    /// Pops this row's next task, master queue first.
+    /// Pushes onto this worker's own stack; `Err` hands the task back
+    /// (full at `S_queue`, the overflow rule of a lattice queue).
+    #[inline]
+    pub(crate) fn push_nested(&self, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+        let mut stack = self.stack.borrow_mut();
+        if stack.len() == self.cap {
+            return Err(task);
+        }
+        stack.push_back(task);
+        Ok(())
+    }
+
+    /// Pops this worker's next task: the stack top, then the row.
     #[inline]
     pub(crate) fn pop(&self) -> Option<NonNull<Task>> {
+        let top = self.stack.borrow_mut().pop_back();
+        top.or_else(|| self.pop_row())
+    }
+
+    /// Pops the oldest work this worker holds, for a thief: the stack
+    /// bottom, then the row.
+    pub(crate) fn pop_oldest(&self) -> Option<NonNull<Task>> {
+        let bottom = self.stack.borrow_mut().pop_front();
+        bottom.or_else(|| self.pop_row())
+    }
+
+    /// The row alone: master queue first, then auxiliaries in rotation.
+    #[inline]
+    fn pop_row(&self) -> Option<NonNull<Task>> {
         // SAFETY: as in `push`, for consumer role `w`.
-        unsafe { self.lattice.pop(self.w) }
+        unsafe { self.rows.lattice.pop(self.w) }
     }
 
     /// Exact for the (`target` ← `w`) queue: `w` is its only producer.
     #[inline]
     pub(crate) fn is_full_hint(&self, target: usize) -> bool {
         // SAFETY: as in `push`.
-        unsafe { self.lattice.is_full_hint(self.w, target) }
+        unsafe { self.rows.lattice.is_full_hint(self.w, target) }
     }
 
+    /// Racy for the row, exact for the stack (only this worker pushes
+    /// there).
     #[inline]
     pub(crate) fn is_empty_hint(&self) -> bool {
-        // SAFETY: as in `pop`.
-        unsafe { self.lattice.is_empty_hint(self.w) }
+        // SAFETY: as in `pop_row`.
+        self.stack.borrow().is_empty() && unsafe { self.rows.lattice.is_empty_hint(self.w) }
     }
 }
 
-/// Worker `w`'s seat: its lattice row, its round-robin cursor and — with
-/// DLB on — its thief/victim state, all by value.
+impl Drop for Row<'_> {
+    fn drop(&mut self) {
+        let stack = self.stack.get_mut();
+        if !stack.is_empty() {
+            self.rows
+                .leftover
+                .lock()
+                .extend(stack.drain(..).map(TaskPtr));
+        }
+    }
+}
+
+/// Worker `w`'s seat: its lattice row and stack, its round-robin cursor
+/// and — with DLB on — its thief/victim state, all by value.
 struct XqSeat<'s> {
     sched: &'s XQueueScheduler,
     row: Row<'s>,
@@ -169,7 +247,12 @@ impl XqSeat<'_> {
 }
 
 impl Seat for XqSeat<'_> {
-    fn spawn(&self, hint: Option<usize>, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+    fn spawn(
+        &self,
+        hint: Option<usize>,
+        nested: bool,
+        task: NonNull<Task>,
+    ) -> Result<(), NonNull<Task>> {
         // The consumer is chosen once. An explicit placement (loop-drain
         // tasks, self-placed server jobs) bypasses both the NA-RP
         // redirect and the round-robin cursor — the caller chose.
@@ -192,8 +275,15 @@ impl Seat for XqSeat<'_> {
                 self.cursor.borrow_mut().next()
             }
         };
-        // Full: hand back for immediate execution (§II-B).
-        self.publish(target, task)?;
+        // Full: hand back for immediate execution (§II-B). An unplaced
+        // child of an explicit task that stays here is this worker's own
+        // nested work: onto its stack, newest first, with no wake — the
+        // worker pushing it is awake.
+        if nested && hint.is_none() && target == self.row.w {
+            self.row.push_nested(task)?;
+        } else {
+            self.publish(target, task)?;
+        }
         WorkerStats::inc(&self.sched.stats[self.row.w].ntasks_static_push);
         Ok(())
     }
@@ -254,7 +344,7 @@ mod tests {
         let seats: Vec<_> = (0..3).map(|w| s.seat(w)).collect();
         let ptrs: Vec<_> = (0..3).map(|_| mk(0)).collect();
         for &p in &ptrs {
-            seats[0].spawn(None, p).unwrap();
+            seats[0].spawn(None, false, p).unwrap();
         }
         // First push went to worker 0's master queue; the other two to
         // workers 1 and 2.
@@ -273,9 +363,9 @@ mod tests {
         let a = mk(0);
         let b = mk(0);
         let c = mk(0);
-        assert!(s0.spawn(None, a).is_ok());
-        assert!(s0.spawn(None, b).is_ok());
-        match s0.spawn(None, c) {
+        assert!(s0.spawn(None, false, a).is_ok());
+        assert!(s0.spawn(None, false, b).is_ok());
+        match s0.spawn(None, false, c) {
             Err(p) => assert_eq!(p, c),
             Ok(()) => panic!("capacity-2 queue accepted a third task"),
         }
@@ -289,6 +379,28 @@ mod tests {
         });
         assert_eq!(n, 2);
         unsafe { free(c) };
+    }
+
+    #[test]
+    fn leftover_stack_tasks_reach_drain_all() {
+        let mut s = build(1, 2, None);
+        let s0 = s.seat(0);
+        let (a, b, c) = (mk(0), mk(0), mk(0));
+        // Nested self-spawns go on the stack, which holds `S_queue` tasks
+        // and hands the next one back, exactly like a full queue.
+        s0.spawn(None, true, a).unwrap();
+        s0.spawn(None, true, b).unwrap();
+        assert_eq!(s0.spawn(None, true, c), Err(c));
+        assert!(s0.has_work_hint());
+        // The seat retires with both still stacked: teardown sees them.
+        drop(s0);
+        assert_eq!(s.stats[0].snapshot().ntasks_static_push, 2);
+        let mut drained = Vec::new();
+        s.drain_all(&mut |p| drained.push(p));
+        assert_eq!(drained, [a, b]);
+        for p in [a, b, c] {
+            unsafe { free(p) };
+        }
     }
 
     #[test]
@@ -309,7 +421,7 @@ mod tests {
     fn arm_redirect(s: &XQueueScheduler, s0: &dyn Seat) {
         assert!(s.dlb.as_ref().unwrap().cell(0).try_send_request(1));
         let q = mk(0);
-        s0.spawn(Some(0), q).unwrap();
+        s0.spawn(Some(0), false, q).unwrap();
         assert_eq!(s0.next_task(), Some(q));
         unsafe { free(q) };
     }
@@ -325,8 +437,8 @@ mod tests {
         // The next two spawns from 0 land in 1's queue.
         let a = mk(0);
         let b = mk(0);
-        s0.spawn(None, a).unwrap();
-        s0.spawn(None, b).unwrap();
+        s0.spawn(None, false, a).unwrap();
+        s0.spawn(None, false, b).unwrap();
         assert_eq!(s1.next_task(), Some(a));
         assert_eq!(s1.next_task(), Some(b));
         assert_eq!(s.stats[0].snapshot().ntasks_stolen, 2);
@@ -346,7 +458,7 @@ mod tests {
         arm_redirect(&s, &*s0);
         // Placed: lands in worker 2's row, not the thief's.
         let placed = mk(0);
-        s0.spawn(Some(2), placed).unwrap();
+        s0.spawn(Some(2), false, placed).unwrap();
         assert_eq!(s2.next_task(), Some(placed));
         assert_eq!(s1.next_task(), None);
         assert_eq!(s.stats[0].snapshot().ntasks_stolen, 0);
@@ -354,7 +466,7 @@ mod tests {
         // the thief, and only those two are booked as stolen.
         let (a, b, c) = (mk(0), mk(0), mk(0));
         for p in [a, b, c] {
-            s0.spawn(None, p).unwrap();
+            s0.spawn(None, false, p).unwrap();
         }
         assert_eq!(s1.next_task(), Some(a));
         assert_eq!(s1.next_task(), Some(b));

@@ -22,9 +22,11 @@ use crate::util::locked;
 
 /// Stack size for worker threads. The scheduling loops *help*: an
 /// executing task that waits (taskwait, overflow → execute-immediately)
-/// picks up further tasks in a nested `execute` frame, so recursion
-/// depth scales with the task backlog, not with user recursion. 32 MiB
-/// of (virtual, lazily-committed) stack keeps deep fine-grained
+/// picks up further tasks in a nested `execute` frame. Nested work is
+/// popped newest first from the worker's private stack, so for it that
+/// depth follows user recursion; work taken from the lattice (placed,
+/// cross-pushed or root-level tasks) can still nest with the backlog.
+/// 32 MiB of (virtual, lazily-committed) stack keeps deep fine-grained
 /// workloads like BOTS fib off the guard page.
 const WORKER_STACK_BYTES: usize = 32 * 1024 * 1024;
 

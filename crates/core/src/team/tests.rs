@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::config::RuntimeConfig;
+use crate::ctx::Scope;
 
 fn smoke(cfg: RuntimeConfig) {
     let rt = Runtime::new(cfg);
@@ -114,6 +115,82 @@ fn deep_recursion_via_immediate_execution() {
     });
     assert_eq!(out.result, 987);
     assert!(out.stats.total().ntasks_imm_exec > 0);
+}
+
+/// Four children of the scope's task, each logging its index when it
+/// runs; `placed` spawns them on worker 0 instead of round-robin.
+fn spawn_four<'env>(s: &Scope<'_, 'env>, ran: &'env Mutex<Vec<usize>>, placed: bool) {
+    for i in 0..4 {
+        let body = move |_: &TaskCtx<'_>| locked(ran).push(i);
+        if placed {
+            s.spawn_on(0, body);
+        } else {
+            s.spawn(body);
+        }
+    }
+}
+
+/// One worker, so every round-robin target is the spawner itself: an
+/// explicit task's unplaced children are its own nested work and run
+/// newest first; the implicit task's spawns and placed spawns go through
+/// the lattice and keep arrival order.
+#[test]
+fn nested_self_spawns_run_newest_first() {
+    let ran = Mutex::new(Vec::new());
+    let take = || std::mem::take(&mut *locked(&ran));
+    let out = Runtime::new(RuntimeConfig::xgomptb(1)).parallel(|ctx| {
+        ctx.scope(|s| s.spawn(|ctx| ctx.scope(|s| spawn_four(s, &ran, false))));
+        let nested = take();
+        ctx.scope(|s| spawn_four(s, &ran, false));
+        let root = take();
+        ctx.scope(|s| s.spawn(|ctx| ctx.scope(|s| spawn_four(s, &ran, true))));
+        [nested, root, take()]
+    });
+    let [nested, root, placed] = out.result;
+    assert_eq!(nested, [3, 2, 1, 0], "unplaced nested spawns");
+    assert_eq!(root, [0, 1, 2, 3], "the implicit task's spawns");
+    assert_eq!(placed, [0, 1, 2, 3], "placed nested spawns");
+    let total = out.stats.total();
+    assert_eq!(total.tasks_created, total.tasks_executed);
+    out.stats.check_invariants().unwrap();
+}
+
+/// Helping with the newest child first bounds how deep task bodies nest
+/// by the recursion depth: a binary recursion of depth 18 on one worker
+/// nests 19 bodies (one per level), where helping with the oldest queued
+/// task nests unrelated subtrees on top of each other.
+#[test]
+fn nested_help_depth_follows_recursion() {
+    use std::cell::Cell;
+    thread_local! {
+        static DEPTH: Cell<usize> = const { Cell::new(0) };
+        static MAX_DEPTH: Cell<usize> = const { Cell::new(0) };
+    }
+    fn rec(ctx: &TaskCtx<'_>, levels: u32) {
+        let depth = DEPTH.get() + 1;
+        DEPTH.set(depth);
+        MAX_DEPTH.set(MAX_DEPTH.get().max(depth));
+        // Checked here too, so a scheduler that nests deeper fails at
+        // the first frame too many instead of riding the stack down.
+        assert!(depth <= 20, "task bodies nested {depth} deep");
+        if levels > 0 {
+            ctx.scope(|s| {
+                s.spawn(move |ctx| rec(ctx, levels - 1));
+                s.spawn(move |ctx| rec(ctx, levels - 1));
+            });
+        }
+        DEPTH.set(depth - 1);
+    }
+    // One worker: every body runs on this thread, the master.
+    let out = Runtime::new(RuntimeConfig::xgomptb(1)).parallel(|ctx| {
+        ctx.scope(|s| s.spawn(|ctx| rec(ctx, 18)));
+        MAX_DEPTH.get()
+    });
+    assert_eq!(out.result, 19, "one body per recursion level");
+    let total = out.stats.total();
+    assert_eq!(total.tasks_created, (1 << 19) - 1);
+    assert_eq!(total.tasks_created, total.tasks_executed);
+    assert_eq!(total.ntasks_imm_exec, 0, "the stack never fills");
 }
 
 #[test]
