@@ -9,6 +9,22 @@
 //! the body ever ran); the server's job wrapper is the only place that
 //! turns phases into counter accounting, so `completed + cancelled +
 //! shed == submitted` holds exactly no matter how racy the callers are.
+//!
+//! ## Who wakes whom
+//!
+//! Exactly one party completes a job — the wrapper after the body, or
+//! whichever of `cancel` / the deadline sweep / the wrapper's start-time
+//! check sheds it — and every one of them goes through
+//! `JobState::complete`. The only threads that ever sleep on a job are
+//! external joiners in [`join`](JobHandle::join) /
+//! [`join_timeout`](JobHandle::join_timeout); in-team joins help
+//! execute tasks and poll `is_done` instead. A sleeping joiner counts
+//! itself in `JobState::waiters` before it takes the slot lock, and the
+//! completer broadcasts on the condvar only when that count is nonzero.
+//! So a job nobody is parked on — polled with `try_join`/`is_done`,
+//! joined after it finished, or never joined at all — completes with
+//! one uncontended lock round trip and no syscall; a parked joiner is
+//! woken exactly once.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -182,6 +198,10 @@ pub struct JobReport {
 
 pub(crate) struct JobState<R> {
     done: AtomicBool,
+    /// Joiners inside `JobHandle::wait_until` — registered before they
+    /// take the slot lock, deregistered on every exit. `complete` wakes
+    /// the condvar only when this is nonzero.
+    waiters: AtomicU32,
     slot: Mutex<Option<Result<R, JobError>>>,
     cv: Condvar,
     /// Phase machine (see the `PHASE_*` constants).
@@ -205,13 +225,31 @@ impl<R> JobState<R> {
         self.done.load(Ordering::Acquire)
     }
 
-    /// Publishes the job's outcome and wakes joiners. Called exactly once.
+    /// Publishes the job's outcome and wakes parked joiners, if any.
+    /// Called exactly once.
+    ///
+    /// No wake-up is lost although `waiters` is relaxed: the two
+    /// acquisitions of the slot lock — the joiner's in `wait_until` and
+    /// this one — are totally ordered. If the joiner's comes second, it
+    /// finds the result and never sleeps. If it comes first, its
+    /// registration (sequenced before its lock) happens-before this
+    /// lock, hence before the load below, which therefore counts it.
+    /// Loading under the lock keeps a joiner from deregistering between
+    /// the publish and the load; the broadcast itself waits until the
+    /// lock is released, so the woken joiner does not block on it.
     pub(crate) fn complete(&self, result: Result<R, JobError>) {
-        let mut slot = locked(&self.slot);
-        debug_assert!(slot.is_none(), "job completed twice");
-        *slot = Some(result);
-        self.done.store(true, Ordering::Release);
-        self.cv.notify_all();
+        let parked = {
+            let mut slot = locked(&self.slot);
+            debug_assert!(slot.is_none(), "job completed twice");
+            *slot = Some(result);
+            self.done.store(true, Ordering::Release);
+            self.waiters.load(Ordering::Relaxed) > 0
+        };
+        if parked {
+            self.cv.notify_all();
+            #[cfg(test)]
+            tests::WAKES.with(|w| w.set(w.get() + 1));
+        }
     }
 
     /// Claims the `QUEUED → RUNNING` transition (the wrapper, right
@@ -284,6 +322,7 @@ impl<R> JobHandle<R> {
     pub(crate) fn new(id: u64, submitted: u64, token: CancelToken) -> (Self, Arc<JobState<R>>) {
         let state = Arc::new(JobState {
             done: AtomicBool::new(false),
+            waiters: AtomicU32::new(0),
             slot: Mutex::new(None),
             cv: Condvar::new(),
             phase: AtomicU32::new(PHASE_QUEUED),
@@ -403,21 +442,39 @@ impl<R> JobHandle<R> {
 
     /// Parks on the completion condvar until the job is done (`true`)
     /// or `deadline` has passed (`false`).
+    ///
+    /// The joiner registers in `waiters` *before* it takes the slot
+    /// lock: either its lock acquisition follows the completer's and it
+    /// finds the result, or the registration happens-before the
+    /// completer's `waiters` load, which then sees it and broadcasts
+    /// (the argument in full is at `JobState::complete`). It deregisters
+    /// on every exit, a timeout included, so a later completion of a
+    /// handle nobody sleeps on stays syscall-free.
     fn wait_until(&self, deadline: Option<Instant>) -> bool {
-        let mut slot = locked(&self.state.slot);
-        while slot.is_none() {
+        let state = &*self.state;
+        if state.is_done() {
+            return true;
+        }
+        state.waiters.fetch_add(1, Ordering::Relaxed);
+        let mut slot = locked(&state.slot);
+        let done = loop {
+            if slot.is_some() {
+                break true;
+            }
             slot = match deadline {
-                None => wait(&self.state.cv, slot),
+                None => wait(&state.cv, slot),
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
-                        return false;
+                        break false;
                     }
-                    wait_timeout(&self.state.cv, slot, d - now)
+                    wait_timeout(&state.cv, slot, d - now)
                 }
             };
-        }
-        true
+        };
+        drop(slot);
+        state.waiters.fetch_sub(1, Ordering::Relaxed);
+        done
     }
 
     /// Cooperative join **for use inside a job**: helps execute pending
@@ -489,9 +546,96 @@ impl<R> JobHandle<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Condvar broadcasts issued by `JobState::complete` on this
+        /// thread (each test completes its jobs on its own thread).
+        pub(super) static WAKES: Cell<u32> = const { Cell::new(0) };
+    }
+
+    fn wakes() -> u32 {
+        WAKES.with(Cell::get)
+    }
 
     fn pending<R>(id: u64, submitted: u64) -> (JobHandle<R>, Arc<JobState<R>>) {
         JobHandle::new(id, submitted, CancelToken::new())
+    }
+
+    #[test]
+    fn completion_without_a_joiner_issues_no_wake() {
+        let (handle, state) = pending::<u32>(10, 0);
+        state.complete(Ok(1));
+        assert_eq!(wakes(), 0, "nobody parked: no broadcast");
+        assert_eq!(handle.join().unwrap(), 1, "a late join takes the fast path");
+        // A shed goes through the same gate.
+        let (handle, _state) = pending::<u32>(11, 0);
+        handle.cancel();
+        assert_eq!(wakes(), 0);
+        assert!(handle.join().unwrap_err().is_cancelled());
+    }
+
+    #[test]
+    fn parked_joiner_is_woken_exactly_once() {
+        let (handle, state) = pending::<u32>(12, 0);
+        let joiner = std::thread::spawn(move || handle.join());
+        // Registered joiners cannot deregister before the result is in
+        // the slot, so the completion below must count this one.
+        while state.waiters.load(Ordering::Relaxed) != 1 {
+            std::hint::spin_loop();
+        }
+        state.complete(Ok(9));
+        assert_eq!(joiner.join().unwrap().unwrap(), 9);
+        assert_eq!(wakes(), 1);
+        assert_eq!(state.waiters.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn timed_out_join_deregisters() {
+        let (handle, state) = pending::<u32>(13, 0);
+        let handle = match handle.join_timeout(Duration::from_millis(1)) {
+            Err(t) => t.handle,
+            Ok(_) => panic!("nothing completes the job"),
+        };
+        assert_eq!(state.waiters.load(Ordering::Relaxed), 0);
+        state.complete(Ok(3));
+        assert_eq!(wakes(), 0, "the timed-out joiner is gone");
+        assert_eq!(handle.join().unwrap(), 3);
+    }
+
+    /// Joiners racing their completion, round after round: a lost
+    /// wake-up leaves the joiner parked until its timeout although the
+    /// result is long published. A stress test, not a proof — the
+    /// deterministic tests above cannot place a joiner between a
+    /// completer's `waiters` load and its lock.
+    #[test]
+    fn joiner_racing_the_completion_is_never_stranded() {
+        const ROUNDS: u64 = 20_000;
+        const STALL: Duration = Duration::from_secs(1);
+        let round = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = std::sync::mpsc::channel::<JobHandle<u64>>();
+        let r = round.clone();
+        let joiner = std::thread::spawn(move || {
+            for (i, handle) in (1..=ROUNDS).zip(rx) {
+                r.store(i, Ordering::Release);
+                let t0 = Instant::now();
+                assert_eq!(handle.join_timeout(STALL).ok().unwrap().unwrap(), i);
+                assert!(t0.elapsed() < STALL, "round {i}: the wake was lost");
+            }
+        });
+        // A joiner that failed stops taking rounds; its panic surfaces
+        // at the join below.
+        for i in 1..=ROUNDS {
+            let (handle, state) = pending::<u64>(i, 0);
+            if tx.send(handle).is_err() {
+                break;
+            }
+            while round.load(Ordering::Acquire) != i && !joiner.is_finished() {
+                std::hint::spin_loop();
+            }
+            state.complete(Ok(i));
+        }
+        joiner.join().unwrap();
     }
 
     #[test]

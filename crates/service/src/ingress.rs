@@ -187,21 +187,12 @@ impl IngressShard {
         pushed
     }
 
-    /// Attempts to enqueue `job` into any lane of this shard. Fails when
-    /// every lane is full or producer-claimed by someone else.
-    #[cfg(test)]
-    pub(crate) fn try_push(&self, job: JobBody) -> Result<(), JobBody> {
-        let ptr = NonNull::from(Box::leak(Box::new(job)));
-        self.try_push_ptr(ptr).map_err(|back| {
-            // SAFETY: the rejected pointer is the box we leaked above.
-            *unsafe { Box::from_raw(back.as_ptr()) }
-        })
-    }
-
-    /// Pointer-level [`try_push`](Self::try_push): ownership of the
-    /// boxed body transfers on `Ok`, returns to the caller on `Err`.
-    /// Lets retry loops probe many lanes/shards without re-boxing the
-    /// job per attempt. Skips reserved lanes.
+    /// Attempts to enqueue the boxed body behind `ptr` into any lane of
+    /// this shard; fails when every lane is full or producer-claimed by
+    /// someone else. Ownership of the body transfers on `Ok` and returns
+    /// to the caller on `Err`, which lets retry loops probe many
+    /// lanes/shards without re-boxing the job per attempt. Skips
+    /// reserved lanes.
     pub(crate) fn try_push_ptr(&self, ptr: NonNull<JobBody>) -> Result<(), NonNull<JobBody>> {
         let start = self.next_lane.fetch_add(1, Ordering::Relaxed);
         for i in 0..self.lanes.len() {
@@ -241,41 +232,30 @@ impl IngressShard {
         Err(ptr)
     }
 
-    /// Drains up to `max` jobs if the drain claim is free; returns the
-    /// drained bodies' count after feeding each to `f`. Jobs are handed
-    /// out *after* the claim is released so `f` (which may execute a job
-    /// inline on queue overflow) never blocks other drainers.
-    pub(crate) fn try_drain(&self, max: usize, f: &mut dyn FnMut(JobBody)) -> usize {
+    /// Dequeues one job, first lane first, if the drain claim is free;
+    /// `None` when the claim is held or every lane is empty. The claim
+    /// is released *before* the job is returned, so whatever the caller
+    /// does with it (spawn it, or run it inline on queue overflow) never
+    /// blocks other drainers.
+    pub(crate) fn drain_one(&self) -> Option<JobBody> {
         if self
             .draining
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
         {
-            return 0;
+            return None;
         }
-        let mut batch: Vec<JobBody> = Vec::new();
-        'lanes: for lane in self.lanes.iter() {
-            while batch.len() < max {
-                // SAFETY: the `draining` claim makes this thread the
-                // unique consumer of every lane in the shard.
-                match unsafe { lane.q.dequeue() } {
-                    Some(p) => {
-                        lane.drained.fetch_add(1, Ordering::Relaxed);
-                        // SAFETY: every queued pointer came from
-                        // `Box::leak` in a push path.
-                        batch.push(*unsafe { Box::from_raw(p.as_ptr()) });
-                    }
-                    None => continue 'lanes,
-                }
-            }
-            break;
-        }
+        let job = self.lanes.iter().find_map(|lane| {
+            // SAFETY: the `draining` claim makes this thread the unique
+            // consumer of every lane in the shard.
+            let p = unsafe { lane.q.dequeue() }?;
+            lane.drained.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: every queued pointer came from `Box::leak` in a
+            // push path.
+            Some(*unsafe { Box::from_raw(p.as_ptr()) })
+        });
         self.draining.store(false, Ordering::Release);
-        let n = batch.len();
-        for job in batch {
-            f(job);
-        }
-        n
+        job
     }
 
     /// Whether every lane currently looks empty (racy hint).
@@ -357,19 +337,7 @@ impl ShardedIngress {
         self.shards.iter().map(|s| s.claim_conflicts()).sum()
     }
 
-    /// Pushes preferring shard `hint`, falling over to the others.
-    #[cfg(test)]
-    pub(crate) fn push_from(&self, hint: usize, job: JobBody) -> Result<(), JobBody> {
-        let ptr = NonNull::from(Box::leak(Box::new(job)));
-        self.push_ptr_from(hint, ptr)
-            .map(|_shard| ())
-            .map_err(|back| {
-                // SAFETY: the rejected pointer is the box we leaked above.
-                *unsafe { Box::from_raw(back.as_ptr()) }
-            })
-    }
-
-    /// Pointer-level [`push_from`](Self::push_from); see
+    /// Pushes preferring shard `hint`, falling over to the others; see
     /// [`IngressShard::try_push_ptr`] for the ownership contract.
     /// `Ok` carries the index of the shard that accepted the job, so the
     /// caller can ring the doorbell of the zone the job actually landed
@@ -389,22 +357,13 @@ impl ShardedIngress {
         Err(ptr)
     }
 
-    /// Drains up to `max` jobs, preferring shard `hint` (the caller's
-    /// zone) and helping the other shards only when it is empty — work
-    /// conservation without giving up locality.
-    pub(crate) fn drain_into(&self, hint: usize, max: usize, f: &mut dyn FnMut(JobBody)) -> usize {
-        let own = self.shards[hint % self.shards.len()].try_drain(max, f);
-        if own > 0 {
-            return own;
-        }
-        let mut got = 0;
-        for i in 1..self.shards.len() {
-            got += self.shards[(hint + i) % self.shards.len()].try_drain(max - got, f);
-            if got >= max {
-                break;
-            }
-        }
-        got
+    /// Takes one job, preferring shard `hint` (the caller's zone) and
+    /// helping the other shards only when it yields nothing — work
+    /// conservation without giving up locality. See
+    /// [`IngressShard::drain_one`] for the claim discipline.
+    pub(crate) fn drain_one(&self, hint: usize) -> Option<JobBody> {
+        let n = self.shards.len();
+        (0..n).find_map(|i| self.shards[(hint + i) % n].drain_one())
     }
 
     /// Racy emptiness hint across all shards.
@@ -426,6 +385,35 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
+    impl IngressShard {
+        /// Box-level [`try_push_ptr`](Self::try_push_ptr).
+        fn try_push(&self, job: JobBody) -> Result<(), JobBody> {
+            let ptr = NonNull::from(Box::leak(Box::new(job)));
+            self.try_push_ptr(ptr).map_err(|back| {
+                // SAFETY: the rejected pointer is the box we leaked above.
+                *unsafe { Box::from_raw(back.as_ptr()) }
+            })
+        }
+
+        /// Drains until the shard yields nothing; returns the count.
+        fn drain_all(&self) -> u64 {
+            std::iter::from_fn(|| self.drain_one()).count() as u64
+        }
+    }
+
+    impl ShardedIngress {
+        /// Box-level [`push_ptr_from`](Self::push_ptr_from).
+        fn push_from(&self, hint: usize, job: JobBody) -> Result<(), JobBody> {
+            let ptr = NonNull::from(Box::leak(Box::new(job)));
+            self.push_ptr_from(hint, ptr)
+                .map(|_shard| ())
+                .map_err(|back| {
+                    // SAFETY: the rejected pointer is the box we leaked above.
+                    *unsafe { Box::from_raw(back.as_ptr()) }
+                })
+        }
+    }
+
     fn counter_job(hits: Arc<AtomicU64>) -> JobBody {
         Box::new(move |_| {
             hits.fetch_add(1, Ordering::Relaxed);
@@ -440,9 +428,8 @@ mod tests {
             shard.try_push(counter_job(hits.clone())).ok().unwrap();
         }
         assert!(!shard.looks_empty());
-        let mut drained: Vec<JobBody> = Vec::new();
-        let n = shard.try_drain(16, &mut |j| drained.push(j));
-        assert_eq!(n, 5);
+        let drained: Vec<JobBody> = std::iter::from_fn(|| shard.drain_one()).collect();
+        assert_eq!(drained.len(), 5);
         assert!(shard.looks_empty());
         let (pushed, got): (u64, u64) = shard
             .lane_counters()
@@ -465,9 +452,29 @@ mod tests {
     #[test]
     fn drain_claim_is_exclusive() {
         let shard = IngressShard::new(1, 8);
+        shard.try_push(counter_job(Arc::default())).ok().unwrap();
         shard.draining.store(true, Ordering::Release);
-        assert_eq!(shard.try_drain(8, &mut |_| {}), 0);
+        assert!(shard.drain_one().is_none(), "a held claim yields nothing");
         shard.draining.store(false, Ordering::Release);
+        assert!(shard.drain_one().is_some());
+    }
+
+    /// The claim is dropped before the job is handed out: a second
+    /// drainer gets the next job while the first still holds its own.
+    #[test]
+    fn drain_one_releases_the_claim_before_returning() {
+        let shard = IngressShard::new(2, 4);
+        let hits = Arc::new(AtomicU64::new(0));
+        for _ in 0..3 {
+            shard.try_push(counter_job(hits.clone())).ok().unwrap();
+        }
+        let first = shard.drain_one().expect("a queued job");
+        assert!(!shard.draining.load(Ordering::Acquire), "claim released");
+        let second = shard.drain_one().expect("the claim is free again");
+        assert_eq!(shard.occupancy(), 1);
+        drop((first, second));
+        assert_eq!(shard.drain_all(), 1);
+        assert_eq!(hits.load(Ordering::Relaxed), 0, "drained bodies never ran");
     }
 
     #[test]
@@ -490,9 +497,7 @@ mod tests {
         assert_eq!(shard.lane_counters()[lane].0, 1);
         // Release: the lane rejoins the anonymous pool.
         shard.release_lane(lane);
-        let mut n = 0;
-        while shard.try_drain(16, &mut |_j| n += 1) > 0 {}
-        assert_eq!(n, 3);
+        assert_eq!(shard.drain_all(), 3);
         shard.try_push(counter_job(hits)).ok().unwrap();
     }
 
@@ -523,9 +528,9 @@ mod tests {
         shard.push_ptr_reserved(lane, ptr).ok().unwrap();
         assert!(!shard.looks_empty());
         assert_eq!(shard.occupancy(), 3);
-        assert_eq!(shard.try_drain(2, &mut |_job| {}), 2);
+        assert!(shard.drain_one().is_some() && shard.drain_one().is_some());
         assert_eq!(shard.occupancy(), 1);
-        assert_eq!(shard.try_drain(8, &mut |_job| {}), 1);
+        assert_eq!(shard.drain_all(), 1);
         assert!(shard.looks_empty());
         assert_eq!(shard.occupancy(), 0);
 
@@ -534,7 +539,7 @@ mod tests {
         let ptr = NonNull::from(Box::leak(Box::new(counter_job(hits.clone()))));
         // SAFETY: the reservation makes this thread the lane's producer.
         unsafe { shard.lanes[lane].q.enqueue(ptr) }.ok().unwrap();
-        assert_eq!(shard.try_drain(8, &mut |_job| {}), 1);
+        assert_eq!(shard.drain_all(), 1);
         assert_eq!(shard.occupancy(), 0, "drained-before-pushed underflowed");
         assert!(shard.looks_empty());
         shard.lanes[lane].pushed.fetch_add(1, Ordering::Relaxed);
@@ -594,9 +599,7 @@ mod tests {
         }
         assert!(!ingress.shards[1].looks_empty());
         // A drainer hinted at shard 1 still collects everything.
-        let mut n = 0;
-        while ingress.drain_into(1, 64, &mut |_j| n += 1) > 0 {}
-        assert_eq!(n, 4);
+        assert_eq!(std::iter::from_fn(|| ingress.drain_one(1)).count(), 4);
     }
 
     /// Hammers live registration against anonymous pushes on a tiny
@@ -619,9 +622,9 @@ mod tests {
             let drained = drained.clone();
             let stop = stop.clone();
             std::thread::spawn(move || loop {
-                let got = shard.try_drain(32, &mut |_job| {});
-                drained.fetch_add(got as u64, Ordering::Relaxed);
-                if got == 0 {
+                if shard.drain_one().is_some() {
+                    drained.fetch_add(1, Ordering::Relaxed);
+                } else {
                     if stop.load(Ordering::Acquire) && shard.looks_empty() {
                         return;
                     }
@@ -691,8 +694,7 @@ mod tests {
         }
         stop.store(true, Ordering::Release);
         drainer.join().unwrap();
-        let mut rest = 0;
-        while shard.try_drain(1024, &mut |_job| rest += 1) > 0 {}
+        let rest = shard.drain_all();
         let total = ANON_THREADS * ANON_JOBS + ROUNDS * PER_ROUND;
         assert_eq!(
             drained.load(Ordering::Relaxed) + rest,
@@ -721,9 +723,9 @@ mod tests {
                 let drained = drained.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || loop {
-                    let got = ingress.drain_into(hint, 32, &mut |_job| {});
-                    drained.fetch_add(got as u64, Ordering::Relaxed);
-                    if got == 0 {
+                    if ingress.drain_one(hint).is_some() {
+                        drained.fetch_add(1, Ordering::Relaxed);
+                    } else {
                         if stop.load(Ordering::Acquire) && ingress.looks_empty() {
                             return;
                         }
@@ -764,8 +766,7 @@ mod tests {
         }
         // Post-join sweep for anything left between the emptiness check
         // and the last push.
-        let mut rest = 0;
-        while ingress.drain_into(0, 1024, &mut |_job| rest += 1) > 0 {}
+        let rest = std::iter::from_fn(|| ingress.drain_one(0)).count() as u64;
         assert_eq!(
             drained.load(Ordering::Relaxed) + rest,
             PER_THREAD * THREADS,

@@ -127,8 +127,9 @@ struct ServerShared {
     bg_in_flight: AtomicUsize,
     rejected: AtomicU64,
     /// Per-class counters + latency histograms, indexed by
-    /// `QosClass::index()`. The only cells the job outcomes live in: the
-    /// server-wide totals are their sums (see `stats`).
+    /// `QosClass::index()`, each split into a submitter cell and
+    /// per-worker outcome shards. The only cells the job outcomes live
+    /// in: the server-wide totals are their sums (see `stats`).
     class_stats: [ClassCounters; 3],
     /// Pending deadlines, swept by the serve loop.
     deadlines: Deadlines,

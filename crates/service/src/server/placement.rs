@@ -190,8 +190,10 @@ impl IngressSource for ServiceSource {
             .get(ctx.worker_id())
             .copied()
             .unwrap_or(0);
-        // Take ONE job and spawn it into this worker's own queue: it is
-        // popped by this worker's very next scheduler visit. Batched
+        // Take ONE job (`drain_one`: claim, dequeue, release, then hand
+        // it out — no batch buffer) and spawn it into this worker's own
+        // queue: it is popped by this worker's very next scheduler
+        // visit. Batched
         // cross-pushed drains (the previous design) could strand a job
         // in a stalled peer's SPSC queue — or, batched-to-self, behind
         // an earlier job of the same batch that blocks indefinitely —
@@ -202,9 +204,10 @@ impl IngressSource for ServiceSource {
         // in the serve/idle loops, which re-poll immediately while
         // injections succeed, so throughput is a claim per job, not a
         // drain cycle per job.
-        n += shared
-            .ingress
-            .drain_into(hint, 1, &mut |job| ctx.spawn_boxed_local(job));
+        if let Some(job) = shared.ingress.drain_one(hint) {
+            ctx.spawn_boxed_local(job);
+            n += 1;
+        }
         n
     }
 

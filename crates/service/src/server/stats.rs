@@ -22,45 +22,79 @@ const LATENCY_BUCKETS_SECS: [f64; 12] = [
     1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 10.0,
 ];
 
+/// Bucket cells of one [`LatencyHist`]: one per `le` edge, plus the
+/// overflow cell for samples above the last edge.
+const HIST_CELLS: usize = LATENCY_BUCKETS_SECS.len() + 1;
+
 /// One fixed-bucket latency histogram: lock-free recording in clock
 /// ticks, exposition in seconds. Buckets store *non*-cumulative counts;
 /// the render path cumulates (the exposition format wants cumulative
 /// `le` counts, but recording then would need N increments per sample).
+/// There is no separate count cell: `+Inf` and `_count` are the sum of
+/// every bucket read in the same pass, so a scrape racing a record can
+/// never show a finite bucket above `+Inf`.
 #[derive(Default)]
 pub(super) struct LatencyHist {
-    counts: [AtomicU64; LATENCY_BUCKETS_SECS.len()],
+    counts: [AtomicU64; HIST_CELLS],
     sum_ticks: AtomicU64,
-    count: AtomicU64,
 }
 
 impl LatencyHist {
     pub(super) fn record_ticks(&self, ticks: u64) {
         let secs = clock::ticks_to_secs(ticks);
-        if let Some(i) = LATENCY_BUCKETS_SECS.iter().position(|&b| secs <= b) {
-            self.counts[i].fetch_add(1, Ordering::Relaxed);
-        }
+        let i = LATENCY_BUCKETS_SECS
+            .iter()
+            .position(|&b| secs <= b)
+            .unwrap_or(LATENCY_BUCKETS_SECS.len());
+        self.counts[i].fetch_add(1, Ordering::Relaxed);
         self.sum_ticks.fetch_add(ticks, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// (cumulative bucket counts, sum in seconds, total observations).
-    fn render_parts(&self) -> (Vec<u64>, f64, u64) {
+    /// (cumulative bucket counts, sum in seconds, total observations) of
+    /// the merge of `hists` — one histogram per outcome shard.
+    fn render_parts<'a>(hists: impl Iterator<Item = &'a LatencyHist>) -> (Vec<u64>, f64, u64) {
+        let (mut cells, mut sum_ticks) = ([0u64; HIST_CELLS], 0u64);
+        for h in hists {
+            for (acc, c) in cells.iter_mut().zip(&h.counts) {
+                *acc += c.load(Ordering::Relaxed);
+            }
+            sum_ticks += h.sum_ticks.load(Ordering::Relaxed);
+        }
+        let (finite, overflow) = cells.split_at(LATENCY_BUCKETS_SECS.len());
         let mut acc = 0u64;
-        let cumulative = self
-            .counts
+        let cumulative = finite
             .iter()
             .map(|c| {
-                acc += c.load(Ordering::Relaxed);
+                acc += c;
                 acc
             })
             .collect();
-        (
-            cumulative,
-            clock::ticks_to_secs(self.sum_ticks.load(Ordering::Relaxed)),
-            self.count.load(Ordering::Relaxed),
-        )
+        let count = acc + overflow[0];
+        (cumulative, clock::ticks_to_secs(sum_ticks), count)
     }
 }
+
+/// Outcome shards per QoS class. Workers index them by
+/// `worker_id % OUTCOME_SHARDS`: teams up to this size write disjoint
+/// lines, larger ones share shards (still exact, just contended).
+const OUTCOME_SHARDS: usize = 16;
+
+/// The job-outcome cells one worker writes for one QoS class, on lines
+/// of their own.
+#[derive(Default)]
+#[repr(align(128))]
+pub(super) struct OutcomeShard {
+    pub(super) completed: AtomicU64,
+    pub(super) cancelled: AtomicU64,
+    pub(super) shed: AtomicU64,
+    pub(super) queued_hist: LatencyHist,
+    pub(super) run_hist: LatencyHist,
+}
+
+/// The submitter-side admission count, alone on its line.
+#[derive(Default)]
+#[repr(align(128))]
+pub(super) struct SubmittedCell(pub(super) AtomicU64);
 
 /// Per-QoS-class counters and latency histograms (one slot per
 /// [`QosClass`], indexed by `QosClass::index`). The outcome cells are
@@ -68,14 +102,48 @@ impl LatencyHist {
 /// cancellation checkpoint; `shed`: resolved without the body ever
 /// running (cancel/deadline won the race out of `QUEUED`) — so
 /// `completed + cancelled + shed` drains to `submitted` exactly.
+///
+/// The cells are split by writer. `submitted` is bumped by submitters
+/// and sits on a line of its own; the outcomes are bumped by the job
+/// wrapper on the worker that ran (or shed) the job, into that worker's
+/// [`OutcomeShard`], so a completion writes no line another worker or
+/// the submitter writes. Every reader sums over the shards. A sum of
+/// monotone cells is monotone, so snapshots keep the
+/// [`ServerStats::delta`] contract, and once the class is quiescent the
+/// sums partition `submitted` exactly.
 #[derive(Default)]
 pub(super) struct ClassCounters {
-    pub(super) submitted: AtomicU64,
-    pub(super) completed: AtomicU64,
-    pub(super) cancelled: AtomicU64,
-    pub(super) shed: AtomicU64,
-    pub(super) queued_hist: LatencyHist,
-    pub(super) run_hist: LatencyHist,
+    pub(super) submitted: SubmittedCell,
+    shards: [OutcomeShard; OUTCOME_SHARDS],
+}
+
+impl ClassCounters {
+    /// The outcome shard worker `worker` records into.
+    pub(super) fn shard(&self, worker: usize) -> &OutcomeShard {
+        &self.shards[worker % OUTCOME_SHARDS]
+    }
+
+    fn submitted(&self) -> u64 {
+        self.submitted.0.load(Ordering::Relaxed)
+    }
+
+    /// One outcome cell summed over the shards.
+    fn sum(&self, cell: fn(&OutcomeShard) -> &AtomicU64) -> u64 {
+        let cells = self.shards.iter().map(cell);
+        cells.map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    fn completed(&self) -> u64 {
+        self.sum(|s| &s.completed)
+    }
+
+    fn cancelled(&self) -> u64 {
+        self.sum(|s| &s.cancelled)
+    }
+
+    fn shed(&self) -> u64 {
+        self.sum(|s| &s.shed)
+    }
 }
 
 /// Point-in-time per-class job counters ([`TaskServer::class_stats`]).
@@ -229,8 +297,9 @@ enum Read {
     LiveGauge(fn(&ServerShared) -> u64),
     /// One counter sample per value of the named label.
     CounterVec(&'static str, fn(&ServerShared) -> Vec<(&'static str, u64)>),
-    /// One latency histogram series per QoS class.
-    ClassHist(fn(&ClassCounters) -> &LatencyHist),
+    /// One latency histogram series per QoS class, merged over the
+    /// class's outcome shards.
+    ClassHist(fn(&OutcomeShard) -> &LatencyHist),
 }
 
 /// One row of the metric table.
@@ -386,22 +455,22 @@ static FAMILIES: [Family; 38] = [
     Family {
         name: "xgomp_jobs_submitted_by_class_total",
         help: "Jobs accepted by admission control, by QoS class",
-        read: Read::CounterVec("class", |s| s.by_class(|c| &c.submitted)),
+        read: Read::CounterVec("class", |s| s.by_class(ClassCounters::submitted)),
     },
     Family {
         name: "xgomp_jobs_completed_by_class_total",
         help: "Jobs whose body ran to its own end, by QoS class",
-        read: Read::CounterVec("class", |s| s.by_class(|c| &c.completed)),
+        read: Read::CounterVec("class", |s| s.by_class(ClassCounters::completed)),
     },
     Family {
         name: "xgomp_jobs_cancelled_by_class_total",
         help: "Jobs cancelled cooperatively mid-run, by QoS class",
-        read: Read::CounterVec("class", |s| s.by_class(|c| &c.cancelled)),
+        read: Read::CounterVec("class", |s| s.by_class(ClassCounters::cancelled)),
     },
     Family {
         name: "xgomp_jobs_shed_by_class_total",
         help: "Jobs shed before their body ran, by QoS class",
-        read: Read::CounterVec("class", |s| s.by_class(|c| &c.shed)),
+        read: Read::CounterVec("class", |s| s.by_class(ClassCounters::shed)),
     },
     // Fixed-bucket latency histograms (stable `le` edges — see
     // `LATENCY_BUCKETS_SECS`).
@@ -473,7 +542,8 @@ fn render(stats: &ServerStats, live: Option<&ServerShared>) -> String {
             (Read::ClassHist(pick), Some(s)) => {
                 p.histogram_header(f.name, f.help);
                 for (qos, cs) in QosClass::ALL.iter().zip(&s.class_stats) {
-                    let (counts, sum, count) = pick(cs).render_parts();
+                    let hists = cs.shards.iter().map(pick);
+                    let (counts, sum, count) = LatencyHist::render_parts(hists);
                     let buckets = &LATENCY_BUCKETS_SECS;
                     p.histogram_series(f.name, "class", qos.name(), buckets, &counts, sum, count);
                 }
@@ -527,12 +597,12 @@ impl ServerShared {
             .unwrap_or(0)
     }
 
-    /// One `(class name, cell value)` sample per QoS class.
-    fn by_class(&self, cell: fn(&ClassCounters) -> &AtomicU64) -> Vec<(&'static str, u64)> {
+    /// One `(class name, counter value)` sample per QoS class.
+    fn by_class(&self, read: fn(&ClassCounters) -> u64) -> Vec<(&'static str, u64)> {
         QosClass::ALL
             .iter()
             .zip(&self.class_stats)
-            .map(|(qos, cs)| (qos.name(), cell(cs).load(Ordering::Relaxed)))
+            .map(|(qos, cs)| (qos.name(), read(cs)))
             .collect()
     }
 
@@ -542,15 +612,12 @@ impl ServerShared {
     fn stats(&self) -> ServerStats {
         let (loops, loop_chunks, loop_iters, loop_range_steals, loop_rebalances) =
             self.loop_stats.snapshot().totals();
-        let total = |cell: fn(&ClassCounters) -> &AtomicU64| -> u64 {
-            let cells = self.class_stats.iter().map(cell);
-            cells.map(|c| c.load(Ordering::Relaxed)).sum()
-        };
+        let total = |read: fn(&ClassCounters) -> u64| self.class_stats.iter().map(read).sum();
         ServerStats {
-            submitted: total(|c| &c.submitted),
-            completed: total(|c| &c.completed),
-            cancelled: total(|c| &c.cancelled),
-            shed: total(|c| &c.shed),
+            submitted: total(ClassCounters::submitted),
+            completed: total(ClassCounters::completed),
+            cancelled: total(ClassCounters::cancelled),
+            shed: total(ClassCounters::shed),
             rejected: self.rejected.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::SeqCst),
             queued: self.ingress.occupancy() + locked(&self.spill).len(),
@@ -645,7 +712,8 @@ impl TaskServer {
     /// ## Coherence
     ///
     /// Each field is one independent atomic load (the job-outcome
-    /// totals: one per QoS class, summed): the snapshot is *not* an
+    /// totals: one per QoS class and outcome shard, summed): the
+    /// snapshot is *not* an
     /// atomic cut across fields. Every cumulative counter is
     /// individually monotone (two snapshots always satisfy
     /// `later.submitted >= earlier.submitted`, etc. — which is what
@@ -669,10 +737,10 @@ impl TaskServer {
             let cs = &self.shared.class_stats[i];
             QosClassStats {
                 class: QosClass::ALL[i],
-                submitted: cs.submitted.load(Ordering::Relaxed),
-                completed: cs.completed.load(Ordering::Relaxed),
-                cancelled: cs.cancelled.load(Ordering::Relaxed),
-                shed: cs.shed.load(Ordering::Relaxed),
+                submitted: cs.submitted(),
+                completed: cs.completed(),
+                cancelled: cs.cancelled(),
+                shed: cs.shed(),
             }
         })
     }
@@ -796,5 +864,67 @@ impl TaskServer {
         self.collector
             .as_ref()
             .map(|_| *locked(&self.shared.obs.stream))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `+Inf` and `_count` are the sum of the bucket cells — the
+    /// overflow cell included — read in one pass, so the rendered
+    /// cumulative series is monotone up to and including `+Inf`.
+    #[test]
+    fn histogram_count_is_the_sum_of_its_buckets() {
+        let (a, b) = (LatencyHist::default(), LatencyHist::default());
+        a.record_ticks(0);
+        b.record_ticks(clock::ns_to_ticks(2_000));
+        b.record_ticks(clock::ns_to_ticks(11_000_000_000));
+        let (cumulative, sum, count) = LatencyHist::render_parts([&a, &b].into_iter());
+        assert_eq!(count, 3);
+        assert!(
+            cumulative.windows(2).all(|w| w[0] <= w[1]),
+            "{cumulative:?}"
+        );
+        assert_eq!(cumulative[0], 1, "0 s lands in the first bucket");
+        assert_eq!(cumulative[1], 2, "2 us lands at le=1e-5");
+        assert_eq!(*cumulative.last().unwrap(), 2, "11 s is above le=10");
+        assert!(sum > 10.0);
+        let mut p = PromText::new();
+        p.histogram_series(
+            "h",
+            "class",
+            "normal",
+            &LATENCY_BUCKETS_SECS,
+            &cumulative,
+            sum,
+            count,
+        );
+        let text = p.finish();
+        assert!(
+            text.contains("h_bucket{class=\"normal\",le=\"10\"} 2\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("h_bucket{class=\"normal\",le=\"+Inf\"} 3\n"),
+            "{text}"
+        );
+        assert!(text.contains("h_count{class=\"normal\"} 3\n"), "{text}");
+    }
+
+    /// Worker shards own their lines, and the submitters' `submitted`
+    /// cell shares none with them.
+    #[test]
+    fn outcome_shards_and_the_submitted_cell_own_their_lines() {
+        assert!(std::mem::align_of::<OutcomeShard>() >= 128);
+        assert!(std::mem::align_of::<SubmittedCell>() >= 128);
+        let cs = ClassCounters::default();
+        let line = |p: *const u8| p as usize / 128;
+        let submitted = &cs.submitted as *const SubmittedCell as *const u8;
+        let last = submitted.wrapping_add(std::mem::size_of::<SubmittedCell>() - 1);
+        let shard0 = cs.shard(0) as *const OutcomeShard as *const u8;
+        assert_eq!(line(submitted), line(last), "submitted spans one line");
+        assert_ne!(line(submitted), line(shard0));
+        assert!(std::ptr::eq(cs.shard(OUTCOME_SHARDS + 1), cs.shard(1)));
     }
 }

@@ -22,7 +22,8 @@ impl ServerShared {
     /// The wrapper is the **single accounting site**: whether the body
     /// ran, unwound at a cancellation checkpoint, or was shed before it
     /// ever started, exactly one of the class's `completed`/`cancelled`/
-    /// `shed` cells moves — and the job leaves the ledger (`in_flight`,
+    /// `shed` cells moves, in the outcome shard of the worker the
+    /// wrapper runs on — and the job leaves the ledger (`in_flight`,
     /// class cap) here and only here, at drain time, so the drains'
     /// "`in_flight` counts every unfinished job" rule survives
     /// cancellation. `JobHandle::cancel` and the deadline sweep only
@@ -46,6 +47,7 @@ impl ServerShared {
         let (handle, state) = JobHandle::new(id, now, token.clone());
         self.class_stats[qos.index()]
             .submitted
+            .0
             .fetch_add(1, Ordering::Relaxed);
         if let Some(tick) = deadline_tick {
             let st = state.clone();
@@ -75,7 +77,9 @@ impl ServerShared {
                     false
                 }
             };
-            let cs = &shared.class_stats[qos.index()];
+            // This worker's outcome shard: no line here is written by
+            // another worker or by the submitter.
+            let cs = shared.class_stats[qos.index()].shard(ctx.worker_id());
             let emit = |kind, a, c| ctx.trace_emit(TraceLevel::Lifecycle, kind, a, id, c);
             if started {
                 // Lifecycle stamps feed both the flight recorder (one

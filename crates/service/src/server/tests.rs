@@ -690,3 +690,89 @@ fn generation_markers_bracket_every_generation() {
     assert_eq!(opens, vec![1, 2], "markers carry the generation number");
     server.shutdown();
 }
+
+/// The per-class outcome cells live in per-worker shards; every reader
+/// sums them. Across a four-worker team and all three classes, the sums
+/// partition `submitted` exactly and agree with the histogram counts.
+#[test]
+fn class_counters_sum_across_worker_shards() {
+    use crate::{JobError, QosClass, SubmitOptions};
+    const JOBS: u64 = 1_000;
+    let server = TaskServer::start(ServerConfig::new(4));
+    let opts = |qos: QosClass| SubmitOptions::from(qos);
+
+    // Shed: cancelled while paused, so the body never runs.
+    server.pause().unwrap();
+    let mut queued = Vec::new();
+    for qos in QosClass::ALL {
+        for i in 0..10u64 {
+            let h = server.with(opts(qos)).submit(move |_| i).unwrap();
+            if i % 2 == 0 {
+                h.cancel();
+            }
+            queued.push(h);
+        }
+    }
+    server.resume().unwrap();
+    let shed = queued
+        .into_iter()
+        .map(|h| h.join())
+        .filter(|r| matches!(r, Err(JobError::Cancelled)))
+        .count();
+    assert_eq!(shed, 15);
+
+    // Cancelled: the body started, then unwound at a checkpoint.
+    for qos in QosClass::ALL {
+        for _ in 0..3 {
+            let started = Arc::new(AtomicBool::new(false));
+            let s = started.clone();
+            let h = server
+                .with(opts(qos))
+                .submit(move |ctx| -> u64 {
+                    s.store(true, Ordering::Release);
+                    loop {
+                        ctx.check_cancel();
+                        std::hint::spin_loop();
+                    }
+                })
+                .unwrap();
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            h.cancel();
+            assert!(h.join().unwrap_err().is_cancelled());
+        }
+    }
+
+    // Completed: the rest of the thousand, round-robin over the classes.
+    let rest = JOBS - 30 - 9;
+    let handles: Vec<_> = (0..rest)
+        .map(|i| {
+            let qos = QosClass::ALL[i as usize % 3];
+            server.with(opts(qos)).submit(move |_| i).unwrap()
+        })
+        .collect();
+    for (i, h) in handles.into_iter().enumerate() {
+        assert_eq!(h.join().unwrap(), i as u64);
+    }
+
+    server.pause().unwrap();
+    let text = server.render_prometheus();
+    for (i, cs) in server.class_stats().iter().enumerate() {
+        // 10 paused (5 shed, 5 ran), 3 cancelled, and its share of `rest`.
+        let ran = rest / 3 + u64::from((i as u64) < rest % 3);
+        let partition = (cs.submitted, cs.completed, cs.cancelled, cs.shed);
+        assert_eq!(partition, (13 + ran, 5 + ran, 3, 5), "{:?}", cs.class);
+        let run_count = format!(
+            "xgomp_job_run_seconds_count{{class=\"{}\"}} {}",
+            cs.class.name(),
+            cs.completed + cs.cancelled
+        );
+        assert!(text.lines().any(|l| l == run_count), "missing {run_count}");
+    }
+    let report = server.shutdown();
+    let s = report.stats;
+    assert_eq!(s.submitted, JOBS);
+    assert_eq!(s.submitted.abs_diff(s.completed + s.cancelled + s.shed), 0);
+    assert_eq!((s.cancelled, s.shed, s.in_flight), (9, 15, 0));
+}
