@@ -576,6 +576,28 @@ mod tests {
     }
 
     #[test]
+    fn malformed_lines_are_errors_not_panics() {
+        let line = "{\"worker\":0,\"ts\":1000,\"kind\":\"Park\",\"a\":0,\"b\":0,\"c\":0}";
+        assert!(StreamLine::parse(line).is_ok());
+        for cut in 0..line.len() {
+            assert!(StreamLine::parse(&line[..cut]).is_err(), "cut at {cut}");
+        }
+        for garbage in [
+            "garbage",
+            "\u{0}\u{7f}",
+            "🦀",
+            "{\"drain\":{\"cycle\":\"x\"}}",
+            "]",
+        ] {
+            assert!(StreamLine::parse(garbage).is_err(), "{garbage:?}");
+        }
+        // A corrupt segment line nested a million levels deep used to
+        // overflow the reader's stack and abort the process.
+        assert!(StreamLine::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(StreamLine::parse(&"{\"segment\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
     fn jsonl_conversion_survives_headers_and_summaries() {
         let text = concat!(
             "{\"segment\":{\"epoch\":1,\"seq\":0,\"cycles_per_ns\":1.000000}}\n",

@@ -41,13 +41,14 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 /// Parses JSON text into any shim-`Deserialize` type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
-        bytes: s.as_bytes(),
+        src: s,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(Error(format!("trailing data at byte {}", p.pos)));
     }
     Ok(T::from_value(&v)?)
@@ -135,20 +136,28 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     }
 }
 
+/// Arrays and objects nested deeper than this are an error: the parser
+/// recurses once per level, and its input includes lines read from disk.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next token; always on a char boundary, since
+    /// the parser steps over ASCII bytes or whole chars only.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -164,7 +173,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -179,11 +188,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object with `f`, failing instead of recursing
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -207,15 +231,11 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("bad \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("bad \\u escape".into()))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| Error("bad \\u escape".into()))?;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| Error("bad \\u code point".into()))?,
@@ -227,11 +247,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error("invalid UTF-8 in string".into()))?;
-                    let c = s.chars().next().expect("non-empty by peek");
+                    // Decode only the one char at `pos`: re-validating the
+                    // rest of the input per char makes strings quadratic.
+                    let c = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty by peek, on a char boundary");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -255,7 +276,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+        let text = &self.src[start..self.pos];
         if !float {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::UInt(n));
@@ -337,6 +358,48 @@ mod tests {
         let s = to_string(&"a\"b\\c\nd".to_string()).unwrap();
         let back: String = from_str(&s).unwrap();
         assert_eq!(back, "a\"b\\c\nd");
+    }
+
+    #[test]
+    fn multibyte_strings_round_trip() {
+        let v = vec![
+            "é".to_string(),
+            "naïve café, 日本語 ✓".to_string(),
+            "🦀\"\\\n🦀".to_string(),
+        ];
+        let s = to_string(&v).unwrap();
+        let back: Vec<String> = from_str(&s).unwrap();
+        assert_eq!(back, v);
+        let escaped: String = from_str("\"caf\\u00e9 \\u65e5\"").unwrap();
+        assert_eq!(escaped, "café 日");
+    }
+
+    #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        let doc = to_string(&vec!["short string, ünïcödé ✓".to_string(); 80_000]).unwrap();
+        assert!(doc.len() >= 2 << 20, "{} bytes", doc.len());
+        // Parse on a helper thread so a quadratic parser fails the bound
+        // instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let parsed: Result<Vec<String>, Error> = from_str(&doc);
+            tx.send(parsed.map(|v| v.len())).unwrap();
+        });
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a 2 MiB document of short strings parses within 30 s");
+        assert_eq!(parsed.unwrap(), 80_000);
+        parser.join().unwrap();
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_an_error() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // A million open brackets used to overflow the stack and abort.
+        assert!(from_str::<Value>(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! [`channel`] splits one B-queue into a [`Sender`] and a [`Receiver`]
 //! whose ownership *is* the SPSC role contract: each handle is `Send` but
 //! not `Clone`, so at most one thread can produce and one consume. Values
-//! are boxed on send and unboxed on receive; dropping the receiver drains
-//! and drops any in-flight values.
+//! are boxed on send and unboxed on receive; values still in flight when
+//! both handles are gone are dropped with the channel.
 //!
 //! The runtime does not use this wrapper (it manages task pointers
 //! directly), but it is the recommended entry point for standalone users
@@ -26,20 +26,36 @@ use crate::bqueue::BQueue;
 /// assert_eq!(rx.recv(), None);
 /// ```
 pub fn channel<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    let q = Arc::new(BQueue::with_capacity(capacity));
+    let q = Arc::new(Chan(BQueue::with_capacity(capacity)));
     (Sender { q: q.clone() }, Receiver { q })
+}
+
+/// The queue both handles share. Every pointer in it is a `Box` leaked by
+/// [`Sender::send`].
+struct Chan<T: Send>(BQueue<T>);
+
+impl<T: Send> Drop for Chan<T> {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self` means the last `Arc` owner is dropping the
+        // channel, so no handle is left: this is the sole consumer, and
+        // the count's release/acquire makes every send visible here.
+        while let Some(p) = unsafe { self.0.dequeue() } {
+            // SAFETY: every queued pointer came from `Box::into_raw` in `send`.
+            drop(unsafe { Box::from_raw(p.as_ptr()) });
+        }
+    }
 }
 
 /// Producing half of an SPSC channel. Not cloneable: the unique owner is
 /// the unique producer.
 pub struct Sender<T: Send> {
-    q: Arc<BQueue<T>>,
+    q: Arc<Chan<T>>,
 }
 
 /// Consuming half of an SPSC channel. Not cloneable: the unique owner is
 /// the unique consumer.
 pub struct Receiver<T: Send> {
-    q: Arc<BQueue<T>>,
+    q: Arc<Chan<T>>,
 }
 
 impl<T: Send> Sender<T> {
@@ -48,7 +64,7 @@ impl<T: Send> Sender<T> {
         let ptr = NonNull::new(Box::into_raw(Box::new(value))).expect("Box is never null");
         // SAFETY: `Sender` is unique and not Clone, so this thread is the
         // only producer for the lifetime of the call.
-        match unsafe { self.q.enqueue(ptr) } {
+        match unsafe { self.q.0.enqueue(ptr) } {
             Ok(()) => Ok(()),
             // SAFETY: the rejected pointer is the Box we just leaked.
             Err(p) => Err(*unsafe { Box::from_raw(p.as_ptr()) }),
@@ -58,7 +74,7 @@ impl<T: Send> Sender<T> {
     /// Whether the next [`send`](Self::send) would fail.
     pub fn is_full(&self) -> bool {
         // SAFETY: unique producer, see `send`.
-        unsafe { self.q.is_full_hint() }
+        unsafe { self.q.0.is_full_hint() }
     }
 }
 
@@ -67,7 +83,7 @@ impl<T: Send> Receiver<T> {
     pub fn recv(&self) -> Option<T> {
         // SAFETY: `Receiver` is unique and not Clone, so this thread is
         // the only consumer for the lifetime of the call.
-        let p = unsafe { self.q.dequeue() }?;
+        let p = unsafe { self.q.0.dequeue() }?;
         // SAFETY: every queued pointer came from `Box::into_raw` in `send`.
         Some(*unsafe { Box::from_raw(p.as_ptr()) })
     }
@@ -76,20 +92,7 @@ impl<T: Send> Receiver<T> {
     /// sender can publish right after this returns `true`).
     pub fn is_empty(&self) -> bool {
         // SAFETY: unique consumer, see `recv`.
-        unsafe { self.q.is_empty_hint() }
-    }
-}
-
-impl<T: Send> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        // Drop any values still in flight. The sender may still push while
-        // we drain, but whatever it pushes after our last look is simply
-        // leaked into the Arc'd slots and dropped when the sender's Arc
-        // side also drops... which would leak the boxes. To keep the
-        // wrapper leak-free we require (and document) the usual channel
-        // discipline: senders stop before the receiver is dropped. We
-        // still drain defensively here.
-        while self.recv().is_some() {}
+        unsafe { self.q.0.is_empty_hint() }
     }
 }
 
@@ -128,7 +131,10 @@ mod tests {
             tx.send(D).unwrap();
         }
         drop(rx);
-        assert_eq!(DROPS.load(Ordering::SeqCst), 5);
+        // A value sent after the receiver is gone is freed too.
+        tx.send(D).unwrap();
+        drop(tx);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 6);
     }
 
     #[test]

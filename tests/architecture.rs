@@ -1,0 +1,371 @@
+//! The architecture rules, as tier-1 tests read straight from the source
+//! tree (std only, walked from `CARGO_MANIFEST_DIR`).
+//!
+//! * **The census** ([`census_matches_budget`]): `unsafe (\{|fn|impl)`
+//!   sites, `SeqCst` uses and counted lines per workspace crate outside
+//!   `crates/shims/`, split into non-test and test code. The `unsafe` and
+//!   `SeqCst` counts must equal their row in [`BUDGET`] exactly: a change
+//!   that lowers a count lowers its row, and one that raises a count edits
+//!   its row where review sees it. `cargo test --test architecture census
+//!   -- --nocapture` prints the table.
+//! * **The structural guards**: one test per decision that must stay
+//!   written once. Each keeps the textual pattern that defines its rule and
+//!   names the rule when it fails.
+//!
+//! Non-test code is the part of a file before its first `#[cfg(test)]`, so
+//! test-only items go at the end of a file. Everything under `tests/` and
+//! `benches/`, and every out-of-line `tests.rs` module, is test code. Only
+//! code counts: a line's text from its first `//` on is a comment.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+const ROOT: &str = env!("CARGO_MANIFEST_DIR");
+
+/// `[non-test, test]`.
+type Split = [usize; 2];
+
+/// The census budget, one row per crate (`.` is the root package's `src`,
+/// `tests` and `examples`): `[non-test, test]` `unsafe (\{|fn|impl)` sites,
+/// then `[non-test, test]` `SeqCst` uses.
+const BUDGET: &[(&str, Split, Split)] = &[
+    (".", [0, 0], [0, 12]),
+    ("crates/bench", [0, 5], [0, 0]),
+    ("crates/bots", [0, 0], [0, 0]),
+    ("crates/core", [45, 29], [4, 12]),
+    ("crates/posp", [0, 0], [0, 0]),
+    ("crates/profiling", [1, 0], [0, 0]),
+    ("crates/service", [7, 3], [52, 6]),
+    ("crates/topology", [0, 0], [0, 0]),
+    ("crates/xqueue", [34, 25], [25, 11]),
+];
+
+/// One crate's census.
+#[derive(Default)]
+struct Census {
+    unsafe_sites: Split,
+    seq_cst: Split,
+    lines: Split,
+}
+
+fn census(krate: &str) -> Census {
+    let root = Path::new(ROOT);
+    let dirs = match krate {
+        "." => vec![root.join("src"), root.join("tests"), root.join("examples")],
+        _ => vec![root.join(krate)],
+    };
+    let mut c = Census::default();
+    for file in dirs.iter().flat_map(|d| rs_files(d)) {
+        // This file spells out the patterns it counts.
+        if file.ends_with(file!()) {
+            continue;
+        }
+        let rel = file.strip_prefix(root.join(krate)).unwrap();
+        let mut test = rel.starts_with("tests")
+            || rel.starts_with("benches")
+            || rel.file_name().is_some_and(|n| n == "tests.rs");
+        for line in fs::read_to_string(&file).unwrap().lines() {
+            test |= line.contains("#[cfg(test)]");
+            let code = code(line);
+            let t = test as usize;
+            c.unsafe_sites[t] += code
+                .match_indices("unsafe ")
+                .filter(|&(i, m)| {
+                    let rest = &code[i + m.len()..];
+                    ["{", "fn", "impl"].iter().any(|k| rest.starts_with(k))
+                })
+                .count();
+            c.seq_cst[t] += code.matches("SeqCst").count();
+            c.lines[t] += !code.trim().is_empty() as usize;
+        }
+    }
+    c
+}
+
+/// A line without its comment.
+fn code(line: &str) -> &str {
+    line.split("//").next().unwrap()
+}
+
+/// Every `.rs` file under `path` (itself, if it is a file), sorted.
+fn rs_files(path: &Path) -> Vec<PathBuf> {
+    let meta = fs::metadata(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    if meta.is_file() {
+        return vec![path.to_path_buf()];
+    }
+    let mut files = Vec::new();
+    for entry in fs::read_dir(path).unwrap() {
+        let p = entry.unwrap().path();
+        if p.is_dir() && !p.ends_with("target") {
+            files.extend(rs_files(&p));
+        } else if p.extension().is_some_and(|e| e == "rs") {
+            files.push(p);
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Which lines of a file [`grep`] reads.
+#[derive(Clone, Copy, PartialEq)]
+enum Part {
+    All,
+    NonTest,
+}
+
+/// `path:line: text` for every line under `path` (a file, or a directory
+/// walked recursively, relative to the root) that `hit` accepts.
+fn grep(path: &str, part: Part, hit: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut found = Vec::new();
+    for file in rs_files(&Path::new(ROOT).join(path)) {
+        let rel = file.strip_prefix(ROOT).unwrap().display().to_string();
+        let text = fs::read_to_string(&file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            if part == Part::NonTest && line.contains("#[cfg(test)]") {
+                break;
+            }
+            if hit(line) {
+                found.push(format!("{rel}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    found
+}
+
+/// Whether `line` contains `word` not followed by an identifier char.
+fn has_word(line: &str, word: &str) -> bool {
+    line.match_indices(word).any(|(i, _)| {
+        !line[i + word.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+    })
+}
+
+/// A named architecture rule; each failure message leads with its name.
+struct Rule(&'static str);
+
+impl Rule {
+    #[track_caller]
+    fn check(&self, ok: bool, what: &str, found: &[String]) {
+        let found = found.join("\n");
+        assert!(
+            ok,
+            "architecture rule `{}` violated: {what}\n{found}",
+            self.0
+        );
+    }
+
+    /// `found` holds exactly `n` lines.
+    #[track_caller]
+    fn count(&self, n: usize, what: &str, found: Vec<String>) {
+        self.check(found.len() == n, what, &found);
+    }
+}
+
+const CORE: &str = "crates/core/src";
+const SERVICE: &str = "crates/service/src";
+
+fn budget_row(krate: &str) -> (Split, Split) {
+    let &(_, unsafe_sites, seq_cst) = BUDGET.iter().find(|r| r.0 == krate).unwrap();
+    (unsafe_sites, seq_cst)
+}
+
+/// The census of every crate outside the shims equals [`BUDGET`], row for
+/// row. Run with `-- --nocapture` to print the table.
+#[test]
+fn census_matches_budget() {
+    let r = Rule("census_matches_budget");
+    let mut crates = vec![".".to_string()];
+    for entry in fs::read_dir(Path::new(ROOT).join("crates")).unwrap() {
+        let dir = entry.unwrap().path();
+        if dir.join("Cargo.toml").is_file() {
+            crates.push(dir.strip_prefix(ROOT).unwrap().display().to_string());
+        }
+    }
+    crates.sort();
+    let rows: Vec<&str> = BUDGET.iter().map(|r| r.0).collect();
+    r.check(
+        crates == rows,
+        &format!("budget rows {rows:?}, crates {crates:?}"),
+        &[],
+    );
+
+    let pair = |s: Split| format!("{} / {}", s[0], s[1]);
+    let print = |name: &str, c: &Census| {
+        let (u, s, l) = (pair(c.unsafe_sites), pair(c.seq_cst), pair(c.lines));
+        println!("| {name} | {u} | {s} | {l} |");
+    };
+    println!("| crate | `unsafe` (non-test / test) | `SeqCst` (non-test / test) | lines (non-test / test) |");
+    println!("|---|---:|---:|---:|");
+    let mut total = Census::default();
+    let mut moved = Vec::new();
+    for krate in &crates {
+        let c = census(krate);
+        print(krate, &c);
+        let budget = budget_row(krate);
+        if (c.unsafe_sites, c.seq_cst) != budget {
+            moved.push(format!(
+                "{krate}: counted unsafe {:?} SeqCst {:?}, budget row has {:?} {:?}",
+                c.unsafe_sites, c.seq_cst, budget.0, budget.1
+            ));
+        }
+        for t in 0..2 {
+            total.unsafe_sites[t] += c.unsafe_sites[t];
+            total.seq_cst[t] += c.seq_cst[t];
+            total.lines[t] += c.lines[t];
+        }
+    }
+    print("total", &total);
+    let what = "a count moved: lower its row if it fell, justify raising it if it grew";
+    r.check(moved.is_empty(), what, &moved);
+}
+
+/// One team engine: every region runs on the start-gate workers a
+/// `Runtime` owns. A second lifecycle (scoped per-region threads, or
+/// another spawn site for worker stacks) must not grow back beside it.
+#[test]
+fn one_region_lifecycle() {
+    let r = Rule("one_region_lifecycle");
+    let scoped = grep(CORE, Part::All, |l| l.contains("spawn_scoped"));
+    r.count(0, "no scoped per-region threads", scoped);
+    let spawns = grep(CORE, Part::All, |l| {
+        l.contains("WORKER_STACK_BYTES") && !l.contains("const WORKER_STACK_BYTES")
+    });
+    r.count(1, "one worker-spawn site uses `WORKER_STACK_BYTES`", spawns);
+}
+
+/// One scheduling point, one spawn hook: a task goes from a queue to a
+/// running body in `Worker::run_next` and nowhere else (a second
+/// `next_task` call site is a hand-written pop -> victim hook -> execute
+/// growing back), the `Seat` trait has one `spawn` and no separate victim
+/// hook, the task layer carries no dead-code allowances, and the
+/// scoped-spawn lifetime erasure exists once. A worker's private stack of
+/// nested work has one entry point too: `XqSeat::spawn` is the only
+/// non-test `.push_nested(` call site.
+#[test]
+fn one_scheduling_point() {
+    let r = Rule("one_scheduling_point");
+    let mut pops = grep(CORE, Part::All, |l| l.contains("seat.next_task("));
+    pops.retain(|h| !h.starts_with("crates/core/src/sched/"));
+    r.count(1, "one `seat.next_task(` call outside `sched/`", pops);
+    let hooks = grep(CORE, Part::All, |l| {
+        has_word(l, "fn spawn_to") || has_word(l, "fn pre_execute")
+    });
+    r.count(0, "no `spawn_to` or `pre_execute` hook", hooks);
+    let allowances = ["alloc.rs", "util.rs", "sched"]
+        .iter()
+        .flat_map(|p| {
+            grep(&format!("{CORE}/{p}"), Part::All, |l| {
+                l.contains("allow(dead_code)")
+            })
+        })
+        .collect();
+    r.count(0, "no dead-code allowances in the task layer", allowances);
+    let erasures = grep("crates/core/src/ctx.rs", Part::All, |l| {
+        l.contains("mem::transmute")
+    });
+    r.count(1, "one scoped-spawn lifetime erasure", erasures);
+    let xq = "crates/core/src/sched/xq.rs";
+    let nested = grep(xq, Part::NonTest, |l| l.contains(".push_nested("));
+    r.count(1, "one non-test `.push_nested(` call site", nested);
+}
+
+/// Worker state is owned: everything only one worker writes lives by value
+/// in the `Worker` its thread claimed (scheduler seat, allocator seat,
+/// log), so no shared `PerWorker` array, no "this thread owns slot w"
+/// SAFETY sentence and no hand-written Send/Sync on the allocator may grow
+/// back, and `crates/core`'s non-test `unsafe` sites stay at their budget
+/// row: the next "trust me" site fails here instead of joining a census.
+#[test]
+fn worker_state_is_owned() {
+    let r = Rule("worker_state_is_owned");
+    r.count(
+        0,
+        "no `PerWorker` array",
+        grep(CORE, Part::All, |l| l.contains("PerWorker")),
+    );
+    let promises = grep(CORE, Part::All, |l| {
+        let l = l.to_lowercase();
+        [
+            "worker-ownership contract",
+            "own worker slot",
+            "owns worker slot",
+        ]
+        .iter()
+        .any(|p| l.contains(p))
+    });
+    r.count(0, "no worker-slot ownership promise", promises);
+    let impls = grep(CORE, Part::All, |l| {
+        l.contains("unsafe impl Send for TaskAllocator")
+            || l.contains("unsafe impl Sync for TaskAllocator")
+    });
+    r.count(0, "no hand-written Send/Sync on `TaskAllocator`", impls);
+    let counted = census("crates/core").unsafe_sites[0];
+    let budget = budget_row("crates/core").0[0];
+    let what =
+        format!("crates/core has {counted} non-test `unsafe` sites, its budget row {budget}");
+    r.check(counted == budget, &what, &[]);
+}
+
+/// One chunk-boundary clock, one dispense site: the pooled drain loop
+/// reads the clock at its window boundary and nowhere else (a second site
+/// is a per-chunk `t0`/`t1` pair growing back), and stolen ranges are
+/// dispensed by the same code as local reserves (no inner loop of their
+/// own).
+#[test]
+fn one_chunk_boundary_clock() {
+    let r = Rule("one_chunk_boundary_clock");
+    let drain = "crates/core/src/loops/drain.rs";
+    let clocks = grep(drain, Part::All, |l| l.contains("clock::now()"));
+    r.count(1, "one `clock::now()` read, at the window boundary", clocks);
+    let loops = grep(drain, Part::All, |l| l.contains("while lo < hi"));
+    r.count(0, "no dispense loop of its own for stolen ranges", loops);
+}
+
+/// One job ledger: `in_flight` is the serving layer's only count of
+/// unfinished jobs (the pause drain exits on `spill.len() == in_flight`),
+/// and the ingress probes read the lane counters. A second job counter or
+/// a slot-scanning probe must not grow back. Completion stays syscall-free
+/// without a parked joiner: the one condvar broadcast in `handle.rs` is the
+/// waiter-gated one in `JobState::complete`, and the ingress drain hands
+/// out one job with no batch buffer.
+#[test]
+fn one_job_ledger() {
+    let r = Rule("one_job_ledger");
+    let counters = grep(SERVICE, Part::All, |l| {
+        l.contains("ring_producers") || l.contains("in_team")
+    });
+    r.count(0, "no second job counter", counters);
+    let scans = grep(SERVICE, Part::All, |l| l.contains("occupancy_scan"));
+    r.count(0, "no slot-scanning ingress probe", scans);
+    let handle = "crates/service/src/handle.rs";
+    let wakes = grep(handle, Part::All, |l| l.contains("notify_all"));
+    r.count(1, "one `notify_all` in `handle.rs`", wakes);
+    let wakes = grep(handle, Part::NonTest, |l| l.contains("notify_all"));
+    r.count(1, "the `notify_all` in `handle.rs` is non-test code", wakes);
+    let ingress = "crates/service/src/ingress.rs";
+    let batches = grep(ingress, Part::NonTest, |l| l.contains("Vec<JobBody>"));
+    r.count(0, "no `Vec<JobBody>` batch in the ingress drain", batches);
+}
+
+/// The reproducers CI repeats by name (the pause ledger's), and the
+/// help-first join reproducer the docs cite: a rename would leave a repeat
+/// loop running nothing.
+#[test]
+fn pinned_reproducers_exist() {
+    let r = Rule("pinned_reproducers_exist");
+    let server_tests = "crates/service/src/server/tests.rs";
+    for (file, name) in [
+        (
+            "tests/service_semantics.rs",
+            "bounded_join_never_nests_the_awaited_job",
+        ),
+        ("tests/generations.rs", "pause_resume_stress_conserves_jobs"),
+        (server_tests, "paused_at_capacity_bounces_with_paused_error"),
+        (
+            server_tests,
+            "pause_waits_for_an_admitted_job_still_being_placed",
+        ),
+    ] {
+        let defs = grep(file, Part::All, |l| l.contains(&format!("fn {name}(")));
+        r.count(1, &format!("`{name}` is defined in `{file}`"), defs);
+    }
+}
