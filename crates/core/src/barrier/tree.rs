@@ -39,8 +39,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use xgomp_xqueue::{bump, CachePadded};
+
 use super::TeamBarrier;
-use crate::util::CachePadded;
 
 /// Per-worker tree node. Padded: `created`/`executed` are the hot cells.
 #[derive(Debug, Default)]
@@ -89,10 +90,7 @@ impl TreeBarrier {
         assert!(n >= 1);
         TreeBarrier {
             n,
-            nodes: (0..n)
-                .map(|_| CachePadded(TreeNode::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            nodes: (0..n).map(|_| CachePadded::default()).collect(),
             round: AtomicU64::new(1),
             parker: None,
         }
@@ -131,24 +129,17 @@ impl TreeBarrier {
             self.nodes[c].0.released.store(true, Ordering::Release);
         }
     }
-
-    /// Single-writer counter bump: load + store, no RMW.
-    #[inline]
-    fn bump(cell: &AtomicU64) {
-        let v = cell.load(Ordering::Relaxed);
-        cell.store(v + 1, Ordering::Relaxed);
-    }
 }
 
 impl TeamBarrier for TreeBarrier {
     #[inline]
     fn task_created(&self, worker: usize) {
-        Self::bump(&self.nodes[worker].0.created);
+        bump(&self.nodes[worker].0.created, 1);
     }
 
     #[inline]
     fn task_finished(&self, worker: usize) {
-        Self::bump(&self.nodes[worker].0.executed);
+        bump(&self.nodes[worker].0.executed, 1);
     }
 
     fn arrive(&self, _worker: usize) {

@@ -18,8 +18,8 @@ use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use xgomp_profiling::{clock, EventKind, WorkerStats};
-use xgomp_xqueue::Backoff;
+use xgomp_profiling::{clock, EventKind};
+use xgomp_xqueue::{bump, Backoff};
 
 use crate::cancel::{raise_cancel, CancelReason, CancelToken};
 use crate::task::{Task, TaskBody};
@@ -383,12 +383,12 @@ impl<'t> TaskCtx<'t> {
                 Task::set_cancel(ptr, Some(token));
             }
         }
-        WorkerStats::inc(&team.stats[w].tasks_created);
+        bump(&worker.stats.tasks_created, 1);
         let pushed = worker.seat.spawn(hint, nested, ptr);
         worker.log_span(EventKind::TaskCreate, t0);
         if let Err(p) = pushed {
             // Overflow rule: execute the task immediately (§II-B).
-            WorkerStats::inc(&team.stats[w].ntasks_imm_exec);
+            bump(&worker.stats.ntasks_imm_exec, 1);
             execute(worker, p);
         }
     }

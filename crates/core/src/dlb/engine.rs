@@ -10,13 +10,12 @@ use rand::{Rng, SeedableRng};
 
 use xgomp_profiling::WorkerStats;
 use xgomp_topology::Placement;
-use xgomp_xqueue::Parker;
+use xgomp_xqueue::{bump, CachePadded, Parker};
 
 use super::message::MsgCell;
 use super::{DlbConfig, DlbStrategy, DlbTuning};
 use crate::loops::LoopBalancer;
 use crate::sched::Row;
-use crate::util::CachePadded;
 
 /// Victim-side per-worker redirect state (NA-RP, Alg. 3).
 #[derive(Debug)]
@@ -51,7 +50,6 @@ pub(crate) struct DlbEngine {
     tuning: Arc<DlbTuning>,
     cells: Box<[CachePadded<MsgCell>]>,
     placement: Arc<Placement>,
-    stats: Arc<Vec<WorkerStats>>,
     /// Team idle parker: a victim that migrates tasks into a thief's row
     /// must wake that thief — a thief parks between request bursts, and
     /// nobody else would ever touch its row.
@@ -64,10 +62,12 @@ pub(crate) struct DlbEngine {
 
 /// Worker `w`'s half of the protocol, owned by its scheduler seat: the
 /// thief and victim state machines (Algs. 1–4) and the state only they
-/// write. A thief never touches a victim's seat, only its message cell.
+/// write, its worker's statistics block included. A thief never touches
+/// a victim's seat, only its message cell.
 pub(crate) struct DlbSeat<'e> {
     eng: &'e DlbEngine,
     w: usize,
+    stats: &'e WorkerStats,
     /// Thief side: the idle timeout counter of §IV-B — idle scheduling
     /// points since the last request burst.
     idle_iters: Cell<u64>,
@@ -81,28 +81,25 @@ impl DlbEngine {
         n: usize,
         tuning: Arc<DlbTuning>,
         placement: Arc<Placement>,
-        stats: Arc<Vec<WorkerStats>>,
         parker: Arc<Parker>,
         balancer: Arc<LoopBalancer>,
     ) -> Self {
         DlbEngine {
             tuning,
-            cells: (0..n)
-                .map(|_| CachePadded(MsgCell::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            cells: (0..n).map(|_| CachePadded(MsgCell::new())).collect(),
             placement,
-            stats,
             parker,
             balancer,
         }
     }
 
-    /// Worker `w`'s seat (the scheduler's seat claim covers it).
-    pub fn seat(&self, w: usize) -> DlbSeat<'_> {
+    /// Worker `w`'s seat (the scheduler's seat claim covers it), writing
+    /// `stats`.
+    pub fn seat<'e>(&'e self, w: usize, stats: &'e WorkerStats) -> DlbSeat<'e> {
         DlbSeat {
             eng: self,
             w,
+            stats,
             idle_iters: Cell::new(0),
             redirect: RefCell::default(),
             // Deterministic per-worker seeds keep experiments repeatable.
@@ -114,26 +111,26 @@ impl DlbEngine {
     pub fn config(&self) -> DlbConfig {
         self.tuning.load()
     }
-
-    /// Books one served request that moved `moved` tasks from victim `w`
-    /// to `thief` (either strategy); returns whether any moved.
-    fn settle(&self, w: usize, thief: usize, moved: u64) -> bool {
-        if moved == 0 {
-            return false;
-        }
-        let stats = &self.stats[w];
-        WorkerStats::inc(&stats.nreq_has_steal);
-        WorkerStats::add(&stats.ntasks_stolen, moved);
-        if self.placement.is_numa_local(w, thief) {
-            WorkerStats::add(&stats.nsteal_local, moved);
-        } else {
-            WorkerStats::add(&stats.nsteal_remote, moved);
-        }
-        true
-    }
 }
 
 impl DlbSeat<'_> {
+    /// Books one served request that moved `moved` tasks from this
+    /// victim to `thief` (either strategy); returns whether any moved.
+    fn settle(&self, thief: usize, moved: u64) -> bool {
+        if moved == 0 {
+            return false;
+        }
+        let stats = self.stats;
+        bump(&stats.nreq_has_steal, 1);
+        bump(&stats.ntasks_stolen, moved);
+        if self.eng.placement.is_numa_local(self.w, thief) {
+            bump(&stats.nsteal_local, moved);
+        } else {
+            bump(&stats.nsteal_remote, moved);
+        }
+        true
+    }
+
     /// Picks a victim for this thief: NUMA-local with probability
     /// `p_local`, remote otherwise; falls back to the other pool when a
     /// pool is empty (single-zone or zone-filling placements).
@@ -162,7 +159,7 @@ impl DlbSeat<'_> {
         // point at its own (tick-based) cadence; a cheap gate when the
         // interval has not elapsed, a no-op when disabled or no loops
         // are live.
-        eng.balancer.maybe_probe(Some(&eng.stats[w]));
+        eng.balancer.maybe_probe(self.stats);
         let cfg = eng.tuning.load();
         let send_now = {
             let mut idle_iters = self.idle_iters.get();
@@ -180,7 +177,7 @@ impl DlbSeat<'_> {
         for _ in 0..cfg.n_victim {
             if let Some(victim) = self.pick_victim(cfg.p_local) {
                 if eng.cells[victim].0.try_send_request(w) {
-                    WorkerStats::inc(&eng.stats[w].nreq_sent);
+                    bump(&self.stats.nreq_sent, 1);
                 }
             }
         }
@@ -211,7 +208,7 @@ impl DlbSeat<'_> {
                     }
                 }
                 if let Some(thief) = eng.cells[w].0.take_valid_request() {
-                    WorkerStats::inc(&eng.stats[w].nreq_handled);
+                    bump(&self.stats.nreq_handled, 1);
                     self.work_steal(row, thief, cfg.n_steal);
                     eng.cells[w].0.bump_round();
                 }
@@ -222,7 +219,7 @@ impl DlbSeat<'_> {
                     return; // finish the current redirect first (§IV-C)
                 }
                 if let Some(thief) = eng.cells[w].0.take_valid_request() {
-                    WorkerStats::inc(&eng.stats[w].nreq_handled);
+                    bump(&self.stats.nreq_handled, 1);
                     if thief == w {
                         // Degenerate self-request; drop it.
                         eng.cells[w].0.bump_round();
@@ -248,21 +245,21 @@ impl DlbSeat<'_> {
         if thief == w || thief >= eng.cells.len() {
             return;
         }
-        let stats = &eng.stats[w];
+        let stats = self.stats;
         let mut moved = 0u64;
         while (moved as usize) < n_steal {
             // Producer-side fullness check first: `is_full_hint` is exact
             // for the (thief ← w) queue because w is its only producer.
             if row.is_full_hint(thief) {
                 if moved == 0 {
-                    WorkerStats::inc(&stats.nreq_target_full);
+                    bump(&stats.nreq_target_full, 1);
                 }
                 break;
             }
             match row.pop_oldest() {
                 None => {
                     if moved == 0 {
-                        WorkerStats::inc(&stats.nreq_src_empty);
+                        bump(&stats.nreq_src_empty, 1);
                     }
                     break;
                 }
@@ -275,7 +272,7 @@ impl DlbSeat<'_> {
                 }
             }
         }
-        if eng.settle(w, thief, moved) {
+        if self.settle(thief, moved) {
             // The thief may have parked since sending its request; the
             // migrated tasks sit in its row, reachable by no one else.
             eng.parker.notify_push(thief);
@@ -301,7 +298,7 @@ impl DlbSeat<'_> {
         if rd.remaining == 0 || full {
             // `ctid_thief ← -1` (no thief); request completed.
             if full && rd.pushed == 0 {
-                WorkerStats::inc(&self.eng.stats[self.w].nreq_target_full);
+                bump(&self.stats.nreq_target_full, 1);
             }
             self.finish_redirect(rd);
             return None;
@@ -317,7 +314,7 @@ impl DlbSeat<'_> {
     /// Completes this victim's armed request: settles what it pushed,
     /// disarms, and bumps the round so the cell accepts new requests.
     fn finish_redirect(&self, rd: &mut RedirectState) {
-        self.eng.settle(self.w, rd.thief as usize, rd.pushed);
+        self.settle(rd.thief as usize, rd.pushed);
         *rd = RedirectState::default();
         self.eng.cells[self.w].0.bump_round();
     }
@@ -349,7 +346,6 @@ mod tests {
             n,
             Affinity::Close,
         ));
-        let stats = Arc::new((0..n).map(|_| WorkerStats::default()).collect::<Vec<_>>());
         let parker = Arc::new(Parker::new(
             &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
         ));
@@ -358,7 +354,6 @@ mod tests {
                 n,
                 Arc::new(DlbTuning::new(cfg)),
                 placement,
-                stats,
                 parker,
                 Arc::new(LoopBalancer::new()),
             ),
@@ -381,14 +376,15 @@ mod tests {
             .t_interval(5)
             .p_local(1.0);
         let (eng, _rows) = make_engine(4, cfg);
-        let s0 = eng.seat(0);
+        let st = WorkerStats::default();
+        let s0 = eng.seat(0, &st);
         s0.on_idle(); // burst at counter 0
-        let sent_after_first = eng.stats[0].snapshot().nreq_sent;
+        let sent_after_first = st.snapshot().nreq_sent;
         assert!(sent_after_first >= 1, "first idle point must send");
         for _ in 0..3 {
             s0.on_idle(); // counter 1..3: silent
         }
-        assert_eq!(eng.stats[0].snapshot().nreq_sent, sent_after_first);
+        assert_eq!(st.snapshot().nreq_sent, sent_after_first);
         // The victim handles the pending request so the retry burst
         // has somewhere to land (p_local = 1 ⇒ worker 1 is the only
         // candidate for worker 0 on the 2×2 topology).
@@ -396,7 +392,7 @@ mod tests {
         eng.cell(1).bump_round();
         s0.on_idle(); // counter hits t_interval: resets
         s0.on_idle(); // counter 0 again: burst
-        assert!(eng.stats[0].snapshot().nreq_sent > sent_after_first);
+        assert!(st.snapshot().nreq_sent > sent_after_first);
     }
 
     #[test]
@@ -405,6 +401,7 @@ mod tests {
             .n_steal(3)
             .p_local(1.0);
         let (eng, rows) = make_engine(2, cfg);
+        let st = WorkerStats::default();
         let (r0, r1) = (rows.claim(0), rows.claim(1));
         // Victim 0 has 5 queued tasks in its master queue.
         let mut ptrs = Vec::new();
@@ -415,8 +412,8 @@ mod tests {
         }
         // Thief 1 requests; victim handles at its next found-task point.
         assert!(eng.cell(0).try_send_request(1));
-        eng.seat(0).on_found_task(&r0);
-        let s = eng.stats[0].snapshot();
+        eng.seat(0, &st).on_found_task(&r0);
+        let s = st.snapshot();
         assert_eq!(s.nreq_handled, 1);
         assert_eq!(s.ntasks_stolen, 3, "moves exactly n_steal tasks");
         assert_eq!(s.nreq_has_steal, 1);
@@ -445,6 +442,7 @@ mod tests {
             .n_steal(1)
             .p_local(1.0);
         let (eng, rows) = make_engine(2, cfg);
+        let st = WorkerStats::default();
         let (r0, r1) = (rows.claim(0), rows.claim(1));
         // Victim 0's own stack holds a, b, c (c the newest).
         let (a, b, c) = (mk_task(0), mk_task(0), mk_task(0));
@@ -452,8 +450,8 @@ mod tests {
             r0.push_nested(t).unwrap();
         }
         assert!(eng.cell(0).try_send_request(1));
-        eng.seat(0).on_found_task(&r0);
-        assert_eq!(eng.stats[0].snapshot().ntasks_stolen, 1);
+        eng.seat(0, &st).on_found_task(&r0);
+        assert_eq!(st.snapshot().ntasks_stolen, 1);
         // The thief gets the oldest; the victim keeps running newest first.
         assert_eq!(r1.pop(), Some(a));
         assert_eq!(r1.pop(), None);
@@ -469,9 +467,10 @@ mod tests {
     fn work_steal_empty_source_counts() {
         let cfg = DlbConfig::new(DlbStrategy::WorkSteal);
         let (eng, rows) = make_engine(2, cfg);
+        let st = WorkerStats::default();
         assert!(eng.cell(0).try_send_request(1));
-        eng.seat(0).on_found_task(&rows.claim(0));
-        let s = eng.stats[0].snapshot();
+        eng.seat(0, &st).on_found_task(&rows.claim(0));
+        let s = st.snapshot();
         assert_eq!(s.nreq_handled, 1);
         assert_eq!(s.nreq_src_empty, 1);
         assert_eq!(s.ntasks_stolen, 0);
@@ -483,10 +482,11 @@ mod tests {
     fn redirect_push_arms_and_consumes_quota() {
         let cfg = DlbConfig::new(DlbStrategy::RedirectPush).n_steal(2);
         let (eng, rows) = make_engine(2, cfg);
-        let (s0, r0) = (eng.seat(0), rows.claim(0));
+        let st = WorkerStats::default();
+        let (s0, r0) = (eng.seat(0, &st), rows.claim(0));
         assert!(eng.cell(0).try_send_request(1));
         s0.on_found_task(&r0); // arms the redirect
-        assert_eq!(eng.stats[0].snapshot().nreq_handled, 1);
+        assert_eq!(st.snapshot().nreq_handled, 1);
         // While armed, further requests are not even examined.
         let round_before = eng.cell(0).current_round();
         s0.on_found_task(&r0);
@@ -495,7 +495,7 @@ mod tests {
         assert_eq!(s0.redirect_target(&r0), Some(1));
         assert_eq!(s0.redirect_target(&r0), Some(1));
         assert_eq!(s0.redirect_target(&r0), None, "quota exhausted");
-        let s = eng.stats[0].snapshot();
+        let s = st.snapshot();
         assert_eq!(s.ntasks_stolen, 2);
         assert_eq!(s.nreq_has_steal, 1);
         // Round bumped on completion (§IV-C).
@@ -506,7 +506,8 @@ mod tests {
     fn redirect_push_disarms_on_full_target() {
         let cfg = DlbConfig::new(DlbStrategy::RedirectPush).n_steal(100);
         let (eng, mut rows) = make_engine_with(2, cfg, 2); // tiny queues
-        let (s0, r0) = (eng.seat(0), rows.claim(0));
+        let st = WorkerStats::default();
+        let (s0, r0) = (eng.seat(0, &st), rows.claim(0));
         assert!(eng.cell(0).try_send_request(1));
         s0.on_found_task(&r0);
         // Fill the (thief=1 ← victim=0) queue via redirects.
@@ -518,7 +519,7 @@ mod tests {
         }
         // Queue capacity is 2: exactly 2 redirects then disarm.
         assert_eq!(pushed.len(), 2);
-        assert_eq!(eng.stats[0].snapshot().ntasks_stolen, 2);
+        assert_eq!(st.snapshot().ntasks_stolen, 2);
         drop(r0);
         rows.drain_all(&mut |p| unsafe { free_task(p) });
     }
@@ -527,8 +528,9 @@ mod tests {
     fn p_local_zero_prefers_remote_victims() {
         let cfg = DlbConfig::new(DlbStrategy::WorkSteal).p_local(0.0);
         let (eng, _rows) = make_engine(4, cfg);
+        let st = WorkerStats::default();
         // Workers 0,1 in zone 0; 2,3 in zone 1 (2 sockets × 2 cores).
-        let s0 = eng.seat(0);
+        let s0 = eng.seat(0, &st);
         for _ in 0..64 {
             if let Some(v) = s0.pick_victim(eng.config().p_local) {
                 assert!(v >= 2, "p_local=0 must pick remote zone, got {v}");
@@ -540,7 +542,8 @@ mod tests {
     fn p_local_one_prefers_local_victims() {
         let cfg = DlbConfig::new(DlbStrategy::WorkSteal).p_local(1.0);
         let (eng, _rows) = make_engine(4, cfg);
-        let s0 = eng.seat(0);
+        let st = WorkerStats::default();
+        let s0 = eng.seat(0, &st);
         for _ in 0..64 {
             if let Some(v) = s0.pick_victim(eng.config().p_local) {
                 assert_eq!(v, 1, "p_local=1 must pick the zone peer");

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use xgomp_profiling::{clock, WorkerStats};
-use xgomp_xqueue::PaneSet;
+use xgomp_xqueue::{bump, PaneSet};
 
 use super::pools::LoopCore;
 use crate::dlb::{DlbTuning, DEFAULT_REBALANCE_INTERVAL};
@@ -142,16 +142,16 @@ impl LoopBalancer {
     /// lock and runs one probe over every registered loop. Returns
     /// whether this call performed at least one migration.
     ///
-    /// `stats`, when given, is the calling worker's own stats block (the
-    /// per-worker single-writer contract is the caller's).
-    pub fn maybe_probe(&self, stats: Option<&WorkerStats>) -> bool {
+    /// `stats` is the calling worker's own stats block (the per-worker
+    /// single-writer contract is the caller's).
+    pub fn maybe_probe(&self, stats: &WorkerStats) -> bool {
         self.maybe_probe_at(clock::now(), stats)
     }
 
     /// [`maybe_probe`](Self::maybe_probe) against a clock reading the
     /// caller already holds — the loop drain path's one read per timing
     /// window — so the gate itself is relaxed loads only.
-    pub(crate) fn maybe_probe_at(&self, now: u64, stats: Option<&WorkerStats>) -> bool {
+    pub(crate) fn maybe_probe_at(&self, now: u64, stats: &WorkerStats) -> bool {
         let interval = self.interval_ticks();
         if interval == 0 || now < self.next_probe.load(Ordering::Relaxed) {
             return false;
@@ -175,7 +175,7 @@ impl LoopBalancer {
     /// One probe: refresh every registered loop's per-zone drain rates
     /// and apply at most one migration per loop (rich back-half → the
     /// most-starved zone's inbox).
-    fn probe(&self, now: u64, stats: Option<&WorkerStats>) -> bool {
+    fn probe(&self, now: u64, stats: &WorkerStats) -> bool {
         self.probes.fetch_add(1, Ordering::Relaxed);
         let loops = locked(&self.loops);
         let mut any = false;
@@ -200,7 +200,7 @@ impl LoopBalancer {
     /// half when the imbalance exceeds [`STARVE_RATIO`] — which includes
     /// the reactive dry case (`ETA = 0`) and fires *before* dryness once
     /// the rate samples make a small finite ETA visible.
-    fn rebalance_loop(core: &LoopCore, now: u64, stats: Option<&WorkerStats>) -> Option<u64> {
+    fn rebalance_loop(core: &LoopCore, now: u64, stats: &WorkerStats) -> Option<u64> {
         let mut poor: Option<(usize, f64)> = None;
         let mut rich: Option<(usize, f64)> = None;
         for (i, p) in core.pools.iter().enumerate() {
@@ -249,29 +249,20 @@ impl LoopBalancer {
     /// drain tasks keep claiming throughout, so one of the two deposits
     /// lands in bounded time. The seqlock epoch is held odd by the
     /// caller for the whole window.
-    fn migrate(
-        core: &LoopCore,
-        src: &PaneSet,
-        dst: &PaneSet,
-        stats: Option<&WorkerStats>,
-    ) -> Option<u64> {
+    fn migrate(core: &LoopCore, src: &PaneSet, dst: &PaneSet, stats: &WorkerStats) -> Option<u64> {
         if !dst.is_empty() {
             return None;
         }
         let (lo, hi) = src.steal_half()?;
         let n = hi - lo;
         core.migrated_out.fetch_add(n, Ordering::Relaxed);
-        if let Some(st) = stats {
-            WorkerStats::add(&st.nloop_migrated_out, n);
-        }
+        bump(&stats.nloop_migrated_out, n);
         loop {
             if dst.deposit_if_empty(lo, hi) {
                 core.migrated_in.fetch_add(n, Ordering::Relaxed);
                 core.rebalances.fetch_add(1, Ordering::Relaxed);
-                if let Some(st) = stats {
-                    WorkerStats::add(&st.nloop_migrated_in, n);
-                    WorkerStats::inc(&st.nloop_rebalances);
-                }
+                bump(&stats.nloop_migrated_in, n);
+                bump(&stats.nloop_rebalances, 1);
                 return Some(n);
             }
             // `dst` raced non-empty (stale scan / refill in flight):
@@ -279,13 +270,11 @@ impl LoopBalancer {
             // the out-count with it — nothing migrated.
             if src.deposit_if_empty(lo, hi) {
                 core.migrated_out.fetch_sub(n, Ordering::Relaxed);
-                if let Some(st) = stats {
-                    let out = &st.nloop_migrated_out;
-                    out.store(
-                        out.load(Ordering::Relaxed).saturating_sub(n),
-                        Ordering::Relaxed,
-                    );
-                }
+                let out = &stats.nloop_migrated_out;
+                out.store(
+                    out.load(Ordering::Relaxed).saturating_sub(n),
+                    Ordering::Relaxed,
+                );
                 return None;
             }
             std::hint::spin_loop();

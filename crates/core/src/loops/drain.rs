@@ -11,8 +11,8 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use xgomp_profiling::{clock, EventKind, TraceLevel, WorkerStats};
-use xgomp_xqueue::Backoff;
+use xgomp_profiling::{clock, EventKind, TraceLevel};
+use xgomp_xqueue::{bump, Backoff};
 
 use super::policy::Chunker;
 use super::pools::{Layout, LoopCore};
@@ -84,10 +84,10 @@ impl LoopShared<'_> {
             Some((core, chunker)) => self.drive(ctx, core, chunker, &mut acc),
             None => self.run_block(ctx, seat, &mut acc),
         }
-        let stats = &ctx.team().stats[ctx.worker_id()];
+        let stats = ctx.worker.stats;
         let total = &mut *locked(&self.total);
         let merge = |cell: &AtomicU64, sum: &mut u64, n: u64| {
-            WorkerStats::add(cell, n);
+            bump(cell, n);
             *sum += n;
         };
         merge(&stats.nloop_chunks, &mut total.chunks, acc.chunks);
@@ -160,15 +160,14 @@ impl LoopShared<'_> {
         // it, it only re-stamps: called on both sides of any time spent
         // off the dispense path, so idle time is never billed to a chunk.
         let balancer = &ctx.team().balancer;
-        let my_stats = &ctx.team().stats[ctx.worker_id()];
-        let lane = ctx.team().sampler.as_ref().map(|l| &*l[ctx.worker_id()]);
+        let (my_stats, lane) = (ctx.worker.stats, ctx.worker.lane);
         let boundary = |win: &mut Window| {
             let now = clock::now();
             let ticks = now.saturating_sub(win.stamp);
             if let Some(chunk_ticks) = ticks.checked_div(win.chunks) {
                 chunker.record(my, win.units, ticks);
                 if let Some(lane) = lane {
-                    lane.record_n(chunk_ticks, win.chunks);
+                    lane.record(chunk_ticks, win.chunks);
                 }
                 win.chunk_ticks = chunk_ticks;
                 win.len = (WINDOW_TICKS / chunk_ticks.max(1))
@@ -180,7 +179,7 @@ impl LoopShared<'_> {
             if let Some(token) = &token {
                 token.poll_at(now);
             }
-            if balancer.maybe_probe_at(now, Some(my_stats)) {
+            if balancer.maybe_probe_at(now, my_stats) {
                 // Our probe migrated a back-half range between zones — a
                 // coarse-level decision worth a lifecycle record.
                 ctx.trace_emit(TraceLevel::Lifecycle, EventKind::Rebalance, my as u32, 0, 0);

@@ -38,10 +38,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xgomp_profiling::{decade_index, modal_index};
+use xgomp_xqueue::CachePadded;
 
 use super::pools::{Layout, LoopCore};
 use super::{LoopSchedule, AUTO_FALLBACK};
-use crate::util::CachePadded;
 
 /// Chunk-duration target of the adaptive schedule, in clock ticks
 /// (~tens of µs on a GHz-class TSC: long enough to amortize a claim CAS,

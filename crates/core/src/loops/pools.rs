@@ -8,10 +8,9 @@
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use xgomp_topology::Placement;
-use xgomp_xqueue::PaneSet;
+use xgomp_xqueue::{CachePadded, PaneSet};
 
 use super::LoopReport;
-use crate::util::CachePadded;
 
 /// One loop's placement of units and drain tasks, computed once.
 ///

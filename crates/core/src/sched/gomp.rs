@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use xgomp_profiling::WorkerStats;
-use xgomp_xqueue::Parker;
+use xgomp_xqueue::{bump, Parker};
 
 use super::{Claims, Scheduler, Seat};
 use crate::task::{Task, TaskPtr};
@@ -56,34 +56,37 @@ struct GlobalQueue {
 /// Global locked priority queue (the GOMP baseline).
 pub struct GompScheduler {
     queue: Mutex<GlobalQueue>,
-    stats: Arc<Vec<WorkerStats>>,
     parker: Arc<Parker>,
     claims: Claims,
 }
 
 /// A worker's seat on the global queue: it owns nothing (that is the
 /// model — every byte of scheduler state is behind the one lock), only
-/// remembers whose statistics and wake zone to use.
+/// remembers its worker's statistics block and wake zone.
 struct GompSeat<'s> {
     sched: &'s GompScheduler,
     w: usize,
+    stats: &'s WorkerStats,
 }
 
 impl GompScheduler {
-    pub(crate) fn new(stats: Arc<Vec<WorkerStats>>, parker: Arc<Parker>) -> Self {
+    pub(crate) fn new(n: usize, parker: Arc<Parker>) -> Self {
         GompScheduler {
             queue: Mutex::new(GlobalQueue::default()),
-            claims: Claims::new(stats.len()),
-            stats,
+            claims: Claims::new(n),
             parker,
         }
     }
 }
 
 impl Scheduler for GompScheduler {
-    fn seat(&self, w: usize) -> Box<dyn Seat + '_> {
+    fn seat<'s>(&'s self, w: usize, stats: &'s WorkerStats) -> Box<dyn Seat + 's> {
         self.claims.claim(w);
-        Box::new(GompSeat { sched: self, w })
+        Box::new(GompSeat {
+            sched: self,
+            w,
+            stats,
+        })
     }
 
     fn drain_all(&mut self, f: &mut dyn FnMut(NonNull<Task>)) {
@@ -117,7 +120,7 @@ impl Seat for GompSeat<'_> {
             ptr: TaskPtr(task),
         });
         drop(q);
-        WorkerStats::inc(&s.stats[w].ntasks_static_push);
+        bump(&self.stats.ntasks_static_push, 1);
         // Any worker can pop the global queue: wake one parked worker,
         // zone-local to the spawner first.
         s.parker.notify_any(s.parker.zone_of(w));
@@ -147,18 +150,15 @@ mod tests {
         drop(unsafe { Box::from_raw(p.as_ptr()) });
     }
 
-    fn stats(n: usize) -> Arc<Vec<WorkerStats>> {
-        Arc::new((0..n).map(|_| WorkerStats::default()).collect())
-    }
-
     fn parker(n: usize) -> Arc<Parker> {
         Arc::new(Parker::new(&vec![0usize; n]))
     }
 
     #[test]
     fn priority_then_fifo_order() {
-        let sched = GompScheduler::new(stats(1), parker(1));
-        let s = sched.seat(0);
+        let sched = GompScheduler::new(1, parker(1));
+        let stats = WorkerStats::default();
+        let s = sched.seat(0, &stats);
         let a = mk(0);
         let b = mk(5);
         let c = mk(0);
@@ -180,8 +180,9 @@ mod tests {
 
     #[test]
     fn drain_returns_everything() {
-        let mut sched = GompScheduler::new(stats(1), parker(1));
-        let s = sched.seat(0);
+        let mut sched = GompScheduler::new(1, parker(1));
+        let stats = WorkerStats::default();
+        let s = sched.seat(0, &stats);
         let ptrs: Vec<_> = (0..10).map(|_| mk(0)).collect();
         for &p in &ptrs {
             s.spawn(None, false, p).unwrap();
@@ -198,14 +199,15 @@ mod tests {
     #[test]
     fn cross_thread_conservation() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let s = Arc::new(GompScheduler::new(stats(4), parker(4)));
+        let s = Arc::new(GompScheduler::new(4, parker(4)));
         let popped = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for w in 0..4usize {
             let s = s.clone();
             let popped = popped.clone();
             handles.push(std::thread::spawn(move || {
-                let seat = s.seat(w);
+                let stats = WorkerStats::default();
+                let seat = s.seat(w, &stats);
                 for _ in 0..5_000 {
                     let t = mk(0);
                     seat.spawn(None, false, t).unwrap();

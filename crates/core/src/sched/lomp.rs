@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xgomp_profiling::WorkerStats;
-use xgomp_xqueue::Parker;
+use xgomp_xqueue::{bump, Parker};
 
 use super::{Scheduler, Seat};
 use crate::task::{Task, TaskPtr};
@@ -28,27 +28,26 @@ pub struct LompScheduler {
     owners: Mutex<Vec<Option<Deque<TaskPtr>>>>,
     /// Thief-side handles, shareable by anyone.
     stealers: Box<[Stealer<TaskPtr>]>,
-    stats: Arc<Vec<WorkerStats>>,
     parker: Arc<Parker>,
     n: usize,
 }
 
 /// A worker's seat: the owner end of its deque and its victim-picking
-/// RNG, both by value.
+/// RNG, both by value, and its worker's statistics block.
 struct LompSeat<'s> {
     sched: &'s LompScheduler,
     w: usize,
     deque: Deque<TaskPtr>,
     rng: RefCell<SmallRng>,
+    stats: &'s WorkerStats,
 }
 
 impl LompScheduler {
-    pub(crate) fn new(n: usize, stats: Arc<Vec<WorkerStats>>, parker: Arc<Parker>) -> Self {
+    pub(crate) fn new(n: usize, parker: Arc<Parker>) -> Self {
         let owners: Vec<Deque<TaskPtr>> = (0..n).map(|_| Deque::new_lifo()).collect();
         LompScheduler {
             stealers: owners.iter().map(|d| d.stealer()).collect(),
             owners: Mutex::new(owners.into_iter().map(Some).collect()),
-            stats,
             parker,
             n,
         }
@@ -56,13 +55,14 @@ impl LompScheduler {
 }
 
 impl Scheduler for LompScheduler {
-    fn seat(&self, w: usize) -> Box<dyn Seat + '_> {
+    fn seat<'s>(&'s self, w: usize, stats: &'s WorkerStats) -> Box<dyn Seat + 's> {
         let deque = self.owners.lock()[w].take();
         Box::new(LompSeat {
             sched: self,
             w,
             deque: deque.unwrap_or_else(|| panic!("scheduler seat {w} claimed twice")),
             rng: RefCell::new(SmallRng::seed_from_u64(0x103F_5EED ^ ((w as u64) << 13))),
+            stats,
         })
     }
 
@@ -93,7 +93,7 @@ impl Seat for LompSeat<'_> {
     ) -> Result<(), NonNull<Task>> {
         let s = self.sched;
         self.deque.push(TaskPtr(task));
-        WorkerStats::inc(&s.stats[self.w].ntasks_static_push);
+        bump(&self.stats.ntasks_static_push, 1);
         // Stealing is pull-based: a parked thief would never come for
         // this task, so wake one (zone-local to the spawner first).
         s.parker.notify_any(s.parker.zone_of(self.w));
@@ -144,18 +144,15 @@ mod tests {
         drop(unsafe { Box::from_raw(p.as_ptr()) });
     }
 
-    fn stats(n: usize) -> Arc<Vec<WorkerStats>> {
-        Arc::new((0..n).map(|_| WorkerStats::default()).collect())
-    }
-
     fn parker(n: usize) -> Arc<Parker> {
         Arc::new(Parker::new(&vec![0usize; n]))
     }
 
     #[test]
     fn lifo_on_own_deque() {
-        let sched = LompScheduler::new(2, stats(2), parker(2));
-        let s = sched.seat(0);
+        let sched = LompScheduler::new(2, parker(2));
+        let stats = WorkerStats::default();
+        let s = sched.seat(0, &stats);
         let a = mk();
         let b = mk();
         s.spawn(None, false, a).unwrap();
@@ -170,17 +167,20 @@ mod tests {
 
     #[test]
     fn idle_worker_steals_from_busy_one() {
-        let sched = LompScheduler::new(2, stats(2), parker(2));
+        let sched = LompScheduler::new(2, parker(2));
+        let stats = [WorkerStats::default(), WorkerStats::default()];
         let a = mk();
-        sched.seat(0).spawn(None, false, a).unwrap();
-        assert_eq!(sched.seat(1).next_task(), Some(a), "worker 1 must steal");
+        sched.seat(0, &stats[0]).spawn(None, false, a).unwrap();
+        let thief = sched.seat(1, &stats[1]);
+        assert_eq!(thief.next_task(), Some(a), "worker 1 must steal");
         unsafe { free(a) };
     }
 
     #[test]
     fn single_worker_never_steals() {
-        let sched = LompScheduler::new(1, stats(1), parker(1));
-        let s = sched.seat(0);
+        let sched = LompScheduler::new(1, parker(1));
+        let stats = WorkerStats::default();
+        let s = sched.seat(0, &stats);
         assert_eq!(s.next_task(), None);
         let a = mk();
         s.spawn(None, false, a).unwrap();
@@ -191,14 +191,15 @@ mod tests {
     #[test]
     fn threaded_conservation() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let s = Arc::new(LompScheduler::new(4, stats(4), parker(4)));
+        let s = Arc::new(LompScheduler::new(4, parker(4)));
         let popped = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for w in 0..4usize {
             let s = s.clone();
             let popped = popped.clone();
             handles.push(std::thread::spawn(move || {
-                let seat = s.seat(w);
+                let stats = WorkerStats::default();
+                let seat = s.seat(w, &stats);
                 for i in 0..5_000 {
                     let t = mk();
                     seat.spawn(None, false, t).unwrap();

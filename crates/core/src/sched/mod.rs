@@ -53,24 +53,21 @@ impl SchedulerKind {
     /// zone-local sleeper) after publishing a task, so parked workers
     /// never miss work. `balancer` is the team's inter-socket loop
     /// balancer, probed from the DLB engine's idle hook.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
         self,
         n: usize,
         queue_capacity: usize,
-        stats: Arc<Vec<WorkerStats>>,
         placement: Arc<Placement>,
         tuning: Option<Arc<DlbTuning>>,
         parker: Arc<Parker>,
         balancer: Arc<LoopBalancer>,
     ) -> Box<dyn Scheduler> {
         match self {
-            SchedulerKind::Gomp => Box::new(GompScheduler::new(stats, parker)),
-            SchedulerKind::Lomp => Box::new(LompScheduler::new(n, stats, parker)),
+            SchedulerKind::Gomp => Box::new(GompScheduler::new(n, parker)),
+            SchedulerKind::Lomp => Box::new(LompScheduler::new(n, parker)),
             SchedulerKind::XQueue => Box::new(XQueueScheduler::new(
                 n,
                 queue_capacity,
-                stats,
                 placement,
                 tuning,
                 parker,
@@ -89,14 +86,16 @@ impl SchedulerKind {
 /// RNG, deque owner end, lattice roles — lives *in* its [`Seat`], so no
 /// method here or there takes a worker index on trust.
 pub(crate) trait Scheduler: Send + Sync {
-    /// Hands out worker `w`'s seat, built on the calling thread.
+    /// Hands out worker `w`'s seat, built on the calling thread; `stats`
+    /// is worker `w`'s own counter block, which the seat (and its DLB
+    /// half) write.
     ///
     /// **Claim once:** a second claim of the same `w` panics (one flag
     /// swap per worker per region, off the per-task path). That panic is
     /// what every lattice-role `unsafe` in the XQueue seat rests on: a
     /// seat exists at most once per `w`, it is `!Sync`, and its
     /// operations are leaves, so role `w` has one caller at a time.
-    fn seat(&self, w: usize) -> Box<dyn Seat + '_>;
+    fn seat<'s>(&'s self, w: usize, stats: &'s WorkerStats) -> Box<dyn Seat + 's>;
 
     /// Removes every remaining task (teardown path; the region barrier
     /// guarantees emptiness, so anything drained here is a bug surfaced
@@ -181,12 +180,11 @@ mod tests {
     use xgomp_topology::{Affinity, MachineTopology};
 
     fn build(kind: SchedulerKind, n: usize) -> Box<dyn Scheduler> {
-        let stats = Arc::new((0..n).map(|_| WorkerStats::default()).collect::<Vec<_>>());
         let topo = MachineTopology::fit_workers(n);
         let placement = Arc::new(Placement::new(topo, n, Affinity::Close));
         let parker = Arc::new(Parker::new(&vec![0usize; n]));
         let balancer = Arc::new(LoopBalancer::new());
-        kind.build(n, 16, stats, placement, None, parker, balancer)
+        kind.build(n, 16, placement, None, parker, balancer)
     }
 
     #[test]
@@ -197,16 +195,17 @@ mod tests {
             SchedulerKind::XQueue,
         ] {
             let sched = build(kind, 2);
-            let first = sched.seat(1);
+            let stats = [WorkerStats::default(), WorkerStats::default()];
+            let first = sched.seat(1, &stats[1]);
             let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sched.seat(1);
+                sched.seat(1, &stats[1]);
             }));
             assert!(
                 again.is_err(),
                 "{kind:?}: second claim of seat 1 must panic"
             );
             // The other seat is unaffected, and the first still works.
-            let other = sched.seat(0);
+            let other = sched.seat(0, &stats[0]);
             assert_eq!(first.next_task(), None);
             assert_eq!(other.next_task(), None);
         }

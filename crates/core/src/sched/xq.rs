@@ -28,7 +28,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use xgomp_profiling::WorkerStats;
 use xgomp_topology::Placement;
-use xgomp_xqueue::{Parker, PushCursor, XQueueLattice};
+use xgomp_xqueue::{bump, Parker, PushCursor, XQueueLattice};
 
 use super::{Claims, Scheduler, Seat};
 use crate::dlb::{DlbEngine, DlbSeat, DlbTuning};
@@ -38,7 +38,6 @@ use crate::task::{Task, TaskPtr};
 /// XQueue lattice scheduler with optional NA-RP/NA-WS load balancing.
 pub struct XQueueScheduler {
     rows: Rows,
-    stats: Arc<Vec<WorkerStats>>,
     dlb: Option<DlbEngine>,
     /// Team idle parker: every successful push wakes its target row's
     /// owner if that worker is parked (free while nobody is).
@@ -181,20 +180,20 @@ impl Drop for Row<'_> {
 }
 
 /// Worker `w`'s seat: its lattice row and stack, its round-robin cursor
-/// and — with DLB on — its thief/victim state, all by value.
+/// and — with DLB on — its thief/victim state, all by value, plus its
+/// worker's statistics block.
 struct XqSeat<'s> {
     sched: &'s XQueueScheduler,
     row: Row<'s>,
     cursor: RefCell<PushCursor>,
     dlb: Option<DlbSeat<'s>>,
+    stats: &'s WorkerStats,
 }
 
 impl XQueueScheduler {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         n: usize,
         queue_capacity: usize,
-        stats: Arc<Vec<WorkerStats>>,
         placement: Arc<Placement>,
         tuning: Option<Arc<DlbTuning>>,
         parker: Arc<Parker>,
@@ -202,9 +201,7 @@ impl XQueueScheduler {
     ) -> Self {
         XQueueScheduler {
             rows: Rows::new(n, queue_capacity),
-            dlb: tuning
-                .map(|t| DlbEngine::new(n, t, placement, stats.clone(), parker.clone(), balancer)),
-            stats,
+            dlb: tuning.map(|t| DlbEngine::new(n, t, placement, parker.clone(), balancer)),
             parker,
             n,
         }
@@ -212,12 +209,13 @@ impl XQueueScheduler {
 }
 
 impl Scheduler for XQueueScheduler {
-    fn seat(&self, w: usize) -> Box<dyn Seat + '_> {
+    fn seat<'s>(&'s self, w: usize, stats: &'s WorkerStats) -> Box<dyn Seat + 's> {
         Box::new(XqSeat {
             sched: self,
             row: self.rows.claim(w),
             cursor: RefCell::new(PushCursor::new(self.n, w)),
-            dlb: self.dlb.as_ref().map(|d| d.seat(w)),
+            dlb: self.dlb.as_ref().map(|d| d.seat(w, stats)),
+            stats,
         })
     }
 
@@ -284,7 +282,7 @@ impl Seat for XqSeat<'_> {
         } else {
             self.publish(target, task)?;
         }
-        WorkerStats::inc(&self.sched.stats[self.row.w].ntasks_static_push);
+        bump(&self.stats.ntasks_static_push, 1);
         Ok(())
     }
 
@@ -324,7 +322,6 @@ mod tests {
     }
 
     fn build(n: usize, cap: usize, dlb: Option<DlbConfig>) -> XQueueScheduler {
-        let stats = Arc::new((0..n).map(|_| WorkerStats::default()).collect::<Vec<_>>());
         let placement = Arc::new(Placement::new(
             MachineTopology::fit_workers(n),
             n,
@@ -335,13 +332,18 @@ mod tests {
             &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
         ));
         let balancer = Arc::new(LoopBalancer::new());
-        XQueueScheduler::new(n, cap, stats, placement, tuning, parker, balancer)
+        XQueueScheduler::new(n, cap, placement, tuning, parker, balancer)
+    }
+
+    fn stats(n: usize) -> Vec<WorkerStats> {
+        (0..n).map(|_| WorkerStats::default()).collect()
     }
 
     #[test]
     fn round_robin_spreads_tasks() {
         let s = build(3, 16, None);
-        let seats: Vec<_> = (0..3).map(|w| s.seat(w)).collect();
+        let st = stats(3);
+        let seats: Vec<_> = (0..3).map(|w| s.seat(w, &st[w])).collect();
         let ptrs: Vec<_> = (0..3).map(|_| mk(0)).collect();
         for &p in &ptrs {
             seats[0].spawn(None, false, p).unwrap();
@@ -359,7 +361,8 @@ mod tests {
     #[test]
     fn overflow_hands_back_for_immediate_execution() {
         let mut s = build(1, 2, None);
-        let s0 = s.seat(0);
+        let st = stats(1);
+        let s0 = s.seat(0, &st[0]);
         let a = mk(0);
         let b = mk(0);
         let c = mk(0);
@@ -370,7 +373,7 @@ mod tests {
             Ok(()) => panic!("capacity-2 queue accepted a third task"),
         }
         drop(s0);
-        let snap = s.stats[0].snapshot();
+        let snap = st[0].snapshot();
         assert_eq!(snap.ntasks_static_push, 2);
         let mut n = 0;
         s.drain_all(&mut |p| {
@@ -384,7 +387,8 @@ mod tests {
     #[test]
     fn leftover_stack_tasks_reach_drain_all() {
         let mut s = build(1, 2, None);
-        let s0 = s.seat(0);
+        let st = stats(1);
+        let s0 = s.seat(0, &st[0]);
         let (a, b, c) = (mk(0), mk(0), mk(0));
         // Nested self-spawns go on the stack, which holds `S_queue` tasks
         // and hands the next one back, exactly like a full queue.
@@ -394,7 +398,7 @@ mod tests {
         assert!(s0.has_work_hint());
         // The seat retires with both still stacked: teardown sees them.
         drop(s0);
-        assert_eq!(s.stats[0].snapshot().ntasks_static_push, 2);
+        assert_eq!(st[0].snapshot().ntasks_static_push, 2);
         let mut drained = Vec::new();
         s.drain_all(&mut |p| drained.push(p));
         assert_eq!(drained, [a, b]);
@@ -411,8 +415,9 @@ mod tests {
         let s = build(4, 16, Some(cfg));
         assert_eq!(s.name(), "xqueue(NA-WS)");
         // Idle hook sends requests.
-        s.seat(1).on_idle();
-        assert!(s.stats[1].snapshot().nreq_sent >= 1);
+        let st = stats(4);
+        s.seat(1, &st[1]).on_idle();
+        assert!(st[1].snapshot().nreq_sent >= 1);
     }
 
     /// Arms victim 0's NA-RP redirect towards thief 1: the request is
@@ -432,7 +437,8 @@ mod tests {
             .n_steal(2)
             .p_local(1.0);
         let s = build(2, 16, Some(cfg));
-        let (s0, s1) = (s.seat(0), s.seat(1));
+        let st = stats(2);
+        let (s0, s1) = (s.seat(0, &st[0]), s.seat(1, &st[1]));
         arm_redirect(&s, &*s0);
         // The next two spawns from 0 land in 1's queue.
         let a = mk(0);
@@ -441,7 +447,7 @@ mod tests {
         s0.spawn(None, false, b).unwrap();
         assert_eq!(s1.next_task(), Some(a));
         assert_eq!(s1.next_task(), Some(b));
-        assert_eq!(s.stats[0].snapshot().ntasks_stolen, 2);
+        assert_eq!(st[0].snapshot().ntasks_stolen, 2);
         unsafe {
             free(a);
             free(b);
@@ -454,14 +460,15 @@ mod tests {
             .n_steal(2)
             .p_local(1.0);
         let s = build(3, 16, Some(cfg));
-        let (s0, s1, s2) = (s.seat(0), s.seat(1), s.seat(2));
+        let st = stats(3);
+        let (s0, s1, s2) = (s.seat(0, &st[0]), s.seat(1, &st[1]), s.seat(2, &st[2]));
         arm_redirect(&s, &*s0);
         // Placed: lands in worker 2's row, not the thief's.
         let placed = mk(0);
         s0.spawn(Some(2), false, placed).unwrap();
         assert_eq!(s2.next_task(), Some(placed));
         assert_eq!(s1.next_task(), None);
-        assert_eq!(s.stats[0].snapshot().ntasks_stolen, 0);
+        assert_eq!(st[0].snapshot().ntasks_stolen, 0);
         // The quota is intact: exactly two unhinted spawns still reach
         // the thief, and only those two are booked as stolen.
         let (a, b, c) = (mk(0), mk(0), mk(0));
@@ -474,7 +481,7 @@ mod tests {
         // So is the cursor: the first round-robin push is still the one a
         // fresh worker 0 makes — its own master queue.
         assert_eq!(s0.next_task(), Some(c));
-        let snap = s.stats[0].snapshot();
+        let snap = st[0].snapshot();
         assert_eq!(snap.ntasks_stolen, 2);
         assert_eq!(snap.ntasks_static_push, 3, "two placed + one round-robin");
         for p in [placed, a, b, c] {

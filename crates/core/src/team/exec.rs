@@ -30,11 +30,11 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
     // SAFETY: we hold the task's handle reference; the record is alive.
     let creator = unsafe { task.as_ref() }.creator();
     let locality = team.placement.locality(creator, w);
-    team.stats[w].record_execution(locality);
+    worker.stats.record_execution(locality);
     team.cost.apply(locality);
 
     let tracing_tasks = team.trace_on(TraceLevel::Full);
-    let timed = team.profiling || team.sampler.is_some() || tracing_tasks;
+    let timed = team.profiling || worker.lane.is_some() || tracing_tasks;
     let t0 = if timed { clock::now() } else { 0 };
 
     struct CompletionGuard<'a, 't> {
@@ -66,18 +66,16 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
     drop(guard);
     if timed {
         let t1 = clock::now();
-        if let Some(lanes) = &team.sampler {
-            lanes[w].record(t1.saturating_sub(t0));
+        if let Some(lane) = worker.lane {
+            lane.record(t1.saturating_sub(t0), 1);
         }
         if team.profiling {
             worker.log.borrow_mut().push_span(EventKind::Task, t0, t1);
         }
-        if tracing_tasks {
-            if let Some(t) = &team.tracer {
-                // Emit with the measured end stamp (payload `c` carries
-                // the start) so the trace span matches the sampled span.
-                t.rings[w].emit(t1, EventKind::Task as u8, 0, 0, t0);
-            }
+        if let Some(ring) = worker.ring.filter(|_| tracing_tasks) {
+            // Emit with the measured end stamp (payload `c` carries the
+            // start) so the trace span matches the sampled span.
+            ring.emit(t1, EventKind::Task as u8, 0, 0, t0);
         }
     }
 }
@@ -219,9 +217,8 @@ pub(crate) fn worker_loop(worker: &Worker<'_>) {
             break;
         }
         if team.trace_on(TraceLevel::Full) {
-            let stats = &team.stats[w];
-            let served = stats.nreq_has_steal.load(Ordering::Relaxed);
-            let stolen = stats.ntasks_stolen.load(Ordering::Relaxed);
+            let served = worker.stats.nreq_has_steal.load(Ordering::Relaxed);
+            let stolen = worker.stats.ntasks_stolen.load(Ordering::Relaxed);
             if let Some((served0, stolen0)) = steal_base {
                 if served > served0 {
                     worker.trace_emit(TraceLevel::Full, EventKind::Steal, 0, served - served0, 0);

@@ -6,14 +6,19 @@
 //! fresh per region, the paper's per-region measurement methodology),
 //! the [`ServingHooks`] / [`IngressSource`] a long-lived task server
 //! plugs into it, `build_team` and the teardown checks of
-//! `finish_region`. [`worker`] owns what is *not* shared: the [`Worker`]
-//! each thread claims once per region, holding by value everything only
-//! that worker writes. [`exec`] owns what a worker *does* (one task's
-//! execution and retirement, the scheduling point, the ingress
-//! transition, the worker loop, the master path); [`runtime`] owns who
-//! runs it (the [`Runtime`] engine: hot worker threads parked on a
-//! generation-stamped start gate, one region body behind
-//! [`Runtime::parallel`] and [`Runtime::serve`]).
+//! `finish_region`. Every per-worker block the team writes — the §V
+//! counters, and the sampler lanes and trace rings a server shares
+//! across generations — is a seat of an `xgomp_xqueue::Cells`, and
+//! `build_team` claims seats `0..n` of each for the team's life, so a
+//! second team on the same server-owned cells panics where it is built.
+//! [`worker`] owns what is *not* shared: the [`Worker`] each thread
+//! claims once per region, holding by value everything only that worker
+//! writes, and a reference to its own seat of each of those cells.
+//! [`exec`] owns what a worker *does* (one task's execution and
+//! retirement, the scheduling point, the ingress transition, the worker
+//! loop, the master path); [`runtime`] owns who runs it (the [`Runtime`]
+//! engine: hot worker threads parked on a generation-stamped start gate,
+//! one region body behind [`Runtime::parallel`] and [`Runtime::serve`]).
 
 mod exec;
 mod runtime;
@@ -32,7 +37,7 @@ use xgomp_profiling::{
     LiveTaskSampler, LoopTelemetry, PerfLog, TaskLane, TeamStats, TraceLevel, Tracer, WorkerStats,
 };
 use xgomp_topology::{CostModel, Placement};
-use xgomp_xqueue::{EventRing, Parker};
+use xgomp_xqueue::{Cells, Claim, EventRing, Parker};
 
 use crate::alloc::TaskAllocator;
 use crate::barrier::TeamBarrier;
@@ -78,8 +83,8 @@ pub trait IngressSource: Send + Sync {
 pub struct ServingHooks {
     /// External work feed polled by idle workers.
     pub source: Option<Arc<dyn IngressSource>>,
-    /// Online task-size sampling (each worker records into its own lane
-    /// of the sampler, materialized on demand).
+    /// Online task-size sampling (each worker records into its own
+    /// claimed lane of the sampler).
     pub sampler: Option<Arc<LiveTaskSampler>>,
     /// Hot-swappable DLB configuration; `None` uses a per-region cell
     /// seeded from [`RuntimeConfig::dlb`].
@@ -103,21 +108,15 @@ pub struct ServingHooks {
     pub tracer: Option<Arc<Tracer>>,
 }
 
-/// The team-generation view of the flight recorder: the shared
-/// [`Tracer`] plus each worker's ring `Arc`, materialized once at
-/// generation start so the emit path never touches the tracer's mutex.
-pub(crate) struct TeamTracer {
-    pub tracer: Arc<Tracer>,
-    pub rings: Box<[Arc<EventRing>]>,
-}
-
 /// Everything a team of workers shares for one parallel region.
 pub(crate) struct TeamShared {
     pub n: usize,
     pub sched: Box<dyn Scheduler>,
     pub barrier: Box<dyn TeamBarrier>,
     pub alloc: TaskAllocator,
-    pub stats: Arc<Vec<WorkerStats>>,
+    /// The §V counter blocks, one per worker; each worker writes its own
+    /// (`Worker::stats`).
+    pub stats: Claim<WorkerStats>,
     pub placement: Arc<Placement>,
     pub cost: CostModel,
     /// The logs of the workers that have retired, in retirement order
@@ -132,10 +131,10 @@ pub(crate) struct TeamShared {
     pub panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// External work feed polled by idle workers (persistent executor).
     pub source: Option<Arc<dyn IngressSource>>,
-    /// Online task-size sampling (always-on when present): each worker's
-    /// [`LiveTaskSampler`] lane, cached at generation start — like the
-    /// trace rings — so the record path touches no shared state.
-    pub sampler: Option<Box<[Arc<TaskLane>]>>,
+    /// Online task-size sampling (always-on when present): this
+    /// generation's claim on the [`LiveTaskSampler`]'s lanes; each worker
+    /// records into its own (`Worker::lane`).
+    pub sampler: Option<Claim<TaskLane>>,
     /// Cross-generation loop counters (see [`ServingHooks::loop_stats`]).
     pub loop_stats: Option<Arc<LoopTelemetry>>,
     /// Inter-socket loop balancer (coarse level of two-level loop
@@ -158,7 +157,10 @@ pub(crate) struct TeamShared {
     /// Flight recorder (`None` when tracing is off *by construction*;
     /// a live level flip to `Off` keeps the rings but mutes every
     /// site behind one relaxed load).
-    pub tracer: Option<TeamTracer>,
+    pub tracer: Option<Arc<Tracer>>,
+    /// This generation's claim on the tracer's rings; each worker emits
+    /// into its own (`Worker::ring`).
+    pub rings: Option<Claim<EventRing>>,
 }
 
 /// Builds the shared state for one region of `cfg` with the given
@@ -166,7 +168,6 @@ pub(crate) struct TeamShared {
 fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) -> TeamShared {
     let n = cfg.threads;
     let placement = Arc::new(Placement::new(cfg.topology.clone(), n, cfg.affinity));
-    let stats: Arc<Vec<WorkerStats>> = Arc::new((0..n).map(|_| WorkerStats::default()).collect());
     let parker = Arc::new(Parker::new(
         &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
     ));
@@ -185,17 +186,12 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
     }
     let tracer = hooks
         .tracer
-        .or_else(|| (cfg.trace != TraceLevel::Off).then(|| Arc::new(Tracer::new(cfg.trace))))
-        .map(|t| {
-            let rings = (0..n).map(|w| t.ring(w)).collect();
-            TeamTracer { tracer: t, rings }
-        });
+        .or_else(|| (cfg.trace != TraceLevel::Off).then(|| Arc::new(Tracer::new(cfg.trace))));
     TeamShared {
         n,
         sched: cfg.scheduler.build(
             n,
             cfg.queue_capacity,
-            stats.clone(),
             placement.clone(),
             tuning,
             parker.clone(),
@@ -203,7 +199,7 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
         ),
         barrier: cfg.barrier.build(n, parker.clone()),
         alloc: TaskAllocator::new(cfg.allocator),
-        stats,
+        stats: Arc::new(Cells::default()).claim(0..n),
         placement,
         cost: cfg.cost_model,
         logs: Mutex::new(Vec::with_capacity(n)),
@@ -211,7 +207,7 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
         poisoned: AtomicBool::new(false),
         panic: Mutex::new(None),
         source: hooks.source,
-        sampler: hooks.sampler.map(|s| (0..n).map(|w| s.lane(w)).collect()),
+        sampler: hooks.sampler.map(|s| s.lanes.claim(0..n)),
         loop_stats: hooks.loop_stats,
         balancer,
         auto_select: hooks.auto_select,
@@ -219,6 +215,7 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
         isolate_panics,
         parker,
         park_idle: cfg.park_idle,
+        rings: tracer.as_ref().map(|t| t.rings.claim(0..n)),
         tracer,
     }
 }
@@ -247,7 +244,7 @@ fn finish_region<R>(mut team: TeamShared, result: R, wall: Duration) -> RegionOu
     logs.sort_by_key(PerfLog::worker);
     RegionOutput {
         result,
-        stats: TeamStats::collect(&team.stats),
+        stats: TeamStats::collect(team.stats.iter()),
         logs,
         wall,
     }
@@ -265,10 +262,7 @@ impl TeamShared {
     /// *and* its live level admits `min` (one relaxed load + branch).
     #[inline]
     pub(crate) fn trace_on(&self, min: TraceLevel) -> bool {
-        match &self.tracer {
-            Some(t) => t.tracer.enabled(min),
-            None => false,
-        }
+        self.tracer.as_ref().is_some_and(|t| t.enabled(min))
     }
 }
 

@@ -512,3 +512,42 @@ fn nested_region_inside_a_dlb_task_keeps_both_teams_apart() {
     assert_eq!(total.tasks_executed, 3);
     outer.stats.check_invariants().unwrap();
 }
+
+/// A team claims the server-owned cells its workers write for its whole
+/// life. `emit_meta` from outside the team is a second writer of ring 0,
+/// so it panics while the team holds that ring instead of interleaving
+/// records, and lands once the team is gone. A second team on the same
+/// tracer or sampler panics where it is built, before any worker runs.
+#[test]
+fn server_owned_cells_have_one_team_at_a_time() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use xgomp_profiling::EventKind;
+    let tracer = Arc::new(Tracer::new(TraceLevel::Lifecycle));
+    let sampler = Arc::<LiveTaskSampler>::default();
+    let rt = Runtime::new(RuntimeConfig::xgomptb(2));
+    let hooks = || ServingHooks {
+        sampler: Some(sampler.clone()),
+        tracer: Some(tracer.clone()),
+        ..ServingHooks::default()
+    };
+    let meta = || tracer.emit_meta(0, EventKind::GenOpen, 0, 7, 0);
+    let inside = rt.serve(hooks(), |_| {
+        let meta_panicked = catch_unwind(AssertUnwindSafe(meta)).is_err();
+        // A team of its own on the same cells, from inside a task.
+        let other = Runtime::new(RuntimeConfig::xgomptb(1));
+        let team_panicked =
+            catch_unwind(AssertUnwindSafe(|| other.serve(hooks(), |_| ()))).is_err();
+        (meta_panicked, team_panicked)
+    });
+    assert_eq!(inside.result, (true, true));
+    meta();
+    let events = tracer.snapshot().events;
+    let metas: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::GenOpen)
+        .collect();
+    assert_eq!(metas.len(), 1, "only the post-team marker landed");
+    assert_eq!((metas[0].worker, metas[0].b), (0, 7));
+    // Released with the team: the next generation claims the cells again.
+    rt.serve(hooks(), |_| ());
+}

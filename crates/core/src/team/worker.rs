@@ -10,8 +10,10 @@
 //!   scheduler [`Seat`] (lattice row, round-robin cursor, DLB
 //!   thief/redirect state and RNG — or the LOMP deque's owner end), its
 //!   allocator seat (local free list and allocation ledger) and its
-//!   [`PerfLog`]. What several workers write stays in [`TeamShared`],
-//!   behind atomics or locks.
+//!   [`PerfLog`]; by reference, its own seat of each per-worker cell the
+//!   team claimed (§V counters, sampler lane, trace ring), resolved once
+//!   here so no record path looks anything up. What several workers
+//!   write stays in [`TeamShared`], behind atomics or locks.
 //! * **Who builds it** — the worker's own thread, once per region:
 //!   `parked_worker` for workers `1..n` and `master_main` for worker 0,
 //!   right after the `StartGate` generation that handed the thread its
@@ -34,7 +36,8 @@
 
 use std::cell::RefCell;
 
-use xgomp_profiling::{clock, EventKind, PerfLog, TraceLevel};
+use xgomp_profiling::{clock, EventKind, PerfLog, TaskLane, TraceLevel, WorkerStats};
+use xgomp_xqueue::EventRing;
 
 use super::TeamShared;
 use crate::alloc::AllocSeat;
@@ -48,6 +51,12 @@ pub(crate) struct Worker<'t> {
     pub seat: Box<dyn Seat + 't>,
     pub alloc: AllocSeat<'t>,
     pub(super) log: RefCell<PerfLog>,
+    /// This worker's §V counter block.
+    pub stats: &'t WorkerStats,
+    /// This worker's live-sampler lane, when the team samples.
+    pub lane: Option<&'t TaskLane>,
+    /// This worker's flight-recorder ring, when the team traces.
+    pub ring: Option<&'t EventRing>,
 }
 
 impl<'t> Worker<'t> {
@@ -57,12 +66,16 @@ impl<'t> Worker<'t> {
     ///
     /// If seat `id` of this team was claimed before.
     pub(super) fn claim(team: &'t TeamShared, id: usize) -> Self {
+        let stats = team.stats.seat(id);
         Worker {
             team,
             id,
-            seat: team.sched.seat(id),
+            seat: team.sched.seat(id, stats),
             alloc: team.alloc.seat(id),
             log: RefCell::new(PerfLog::new(id, team.profiling)),
+            stats,
+            lane: team.sampler.as_ref().map(|l| l.seat(id)),
+            ring: team.rings.as_ref().map(|r| r.seat(id)),
         }
     }
 
@@ -79,10 +92,8 @@ impl<'t> Worker<'t> {
     /// publish into this worker's own SPSC ring — no RMW, no lock.
     #[inline]
     pub(crate) fn trace_emit(&self, min: TraceLevel, kind: EventKind, a: u32, b: u64, c: u64) {
-        if let Some(t) = &self.team.tracer {
-            if t.tracer.enabled(min) {
-                t.rings[self.id].emit(clock::now(), kind as u8, a, b, c);
-            }
+        if let Some(ring) = self.ring.filter(|_| self.team.trace_on(min)) {
+            ring.emit(clock::now(), kind as u8, a, b, c);
         }
     }
 }

@@ -1,8 +1,11 @@
 //! Per-thread statistical counters (§V).
 //!
-//! Each worker owns one [`WorkerStats`] block. Counters are `AtomicU64`
-//! written with `Relaxed` ordering by their single writer — the cost of a
-//! plain store, but safely readable by the harness from any thread. The
+//! Each worker owns one [`WorkerStats`] block: its claimed seat of the
+//! team's [`Cells`](xgomp_xqueue::Cells), padded so no two workers'
+//! blocks share a cache line, and summed on read ([`TeamStats`]).
+//! Counters are `AtomicU64` its single writer updates with
+//! [`bump`](xgomp_xqueue::bump) — a relaxed load + store, the cost of a
+//! plain add, but safely readable by the harness from any thread. The
 //! full §V counter list is reproduced, including the DLB-specific
 //! request/steal accounting that Tables II and III report.
 
@@ -10,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 use xgomp_topology::Locality;
+use xgomp_xqueue::bump;
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
@@ -113,27 +117,15 @@ counters! {
 }
 
 impl WorkerStats {
-    /// Relaxed single-writer increment.
-    #[inline]
-    pub fn inc(counter: &AtomicU64) {
-        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-
-    /// Relaxed single-writer add.
-    #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-    }
-
     /// Records the locality of an executed task (updates the
     /// self/local/remote triple and `tasks_executed`).
     #[inline]
     pub fn record_execution(&self, locality: Locality) {
-        Self::inc(&self.tasks_executed);
+        bump(&self.tasks_executed, 1);
         match locality {
-            Locality::SelfCore => Self::inc(&self.ntasks_self),
-            Locality::Local => Self::inc(&self.ntasks_local),
-            Locality::Remote => Self::inc(&self.ntasks_remote),
+            Locality::SelfCore => bump(&self.ntasks_self, 1),
+            Locality::Local => bump(&self.ntasks_local, 1),
+            Locality::Remote => bump(&self.ntasks_remote, 1),
         }
     }
 }
@@ -146,10 +138,10 @@ pub struct TeamStats {
 }
 
 impl TeamStats {
-    /// Collects snapshots from live counter blocks.
-    pub fn collect(stats: &[WorkerStats]) -> Self {
+    /// Collects snapshots from live counter blocks, in worker order.
+    pub fn collect<'a>(stats: impl IntoIterator<Item = &'a WorkerStats>) -> Self {
         TeamStats {
-            workers: stats.iter().map(WorkerStats::snapshot).collect(),
+            workers: stats.into_iter().map(WorkerStats::snapshot).collect(),
         }
     }
 
@@ -229,9 +221,9 @@ mod tests {
     #[test]
     fn snapshot_reflects_increments() {
         let s = WorkerStats::default();
-        WorkerStats::inc(&s.tasks_created);
-        WorkerStats::add(&s.ntasks_stolen, 5);
-        WorkerStats::add(&s.nsteal_local, 5);
+        bump(&s.tasks_created, 1);
+        bump(&s.ntasks_stolen, 5);
+        bump(&s.nsteal_local, 5);
         s.record_execution(Locality::SelfCore);
         s.record_execution(Locality::Remote);
         let snap = s.snapshot();
@@ -247,9 +239,9 @@ mod tests {
         let blocks: Vec<WorkerStats> = (0..4).map(|_| WorkerStats::default()).collect();
         for b in &blocks {
             b.record_execution(Locality::Local);
-            WorkerStats::inc(&b.nreq_sent);
+            bump(&b.nreq_sent, 1);
         }
-        WorkerStats::inc(&blocks[0].nreq_handled);
+        bump(&blocks[0].nreq_handled, 1);
         let team = TeamStats::collect(&blocks);
         let total = team.total();
         assert_eq!(total.tasks_executed, 4);
@@ -258,10 +250,21 @@ mod tests {
         team.check_invariants().unwrap();
     }
 
+    /// A block's seat starts a line and fills whole lines, so adjacent
+    /// workers' per-task counters never share one.
+    #[test]
+    fn blocks_never_share_a_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        use xgomp_xqueue::cells::Slot;
+        assert_eq!(align_of::<Slot<WorkerStats>>(), 128);
+        assert_eq!(size_of::<Slot<WorkerStats>>() % 128, 0);
+        assert_eq!(offset_of!(Slot<WorkerStats>, 0), 0);
+    }
+
     #[test]
     fn invariant_violations_are_reported() {
         let b = WorkerStats::default();
-        WorkerStats::inc(&b.tasks_executed); // executed without locality
+        bump(&b.tasks_executed, 1); // executed without locality
         let team = TeamStats::collect(&[b]);
         assert!(team.check_invariants().is_err());
     }

@@ -6,8 +6,16 @@
 //! per-task cycles (Fib 10–80, FFT mostly 10³–10⁴, Align ~10⁶, …) and
 //! keys the Table IV guidelines on it. [`TaskSizeHistogram`] builds
 //! that distribution from recorded `TASK` events.
+//!
+//! [`HistCell`] is the one *live* recorder: a single-writer atomic
+//! histogram of `N` buckets, one per worker seat. The live sampler's
+//! [`TaskLane`] is its decade form, and the task server's latency
+//! histograms use it with fixed `le` edges.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
+use xgomp_xqueue::bump;
 
 use crate::events::{EventKind, PerfLog};
 
@@ -23,22 +31,19 @@ pub struct TaskSizeHistogram {
     /// Sum of durations (for the mean).
     pub total_ticks: u64,
     /// Smallest observed task (meaningful once `count > 0`; an empty
-    /// histogram has no minimum yet and reports 0).
+    /// histogram has no minimum yet and reports 0, which is what makes
+    /// `Default` a correct empty histogram).
     pub min_ticks: u64,
     /// Largest observed task.
     pub max_ticks: u64,
 }
 
 /// Decade bucket index for a duration in ticks: 0 for `<10`, otherwise
-/// `⌊log10⌋` capped at 8 (shared by [`TaskSizeHistogram`] and the live
-/// sampler).
+/// `⌊log10⌋` capped at 8 (shared by [`TaskSizeHistogram`] and
+/// [`TaskLane`]).
 #[inline]
 pub fn decade_index(ticks: u64) -> usize {
-    if ticks < 10 {
-        0
-    } else {
-        (ticks.ilog10() as usize).min(8)
-    }
+    (ticks.max(1).ilog10() as usize).min(8)
 }
 
 /// The modal-decade rule, written once: index of the decade bucket
@@ -68,33 +73,15 @@ pub fn modal_index(buckets: &[u64; 9]) -> Option<usize> {
 }
 
 impl TaskSizeHistogram {
-    /// Builds the histogram from every `TASK` event in the team's logs.
+    /// Builds the histogram from every `TASK` event in the team's logs
+    /// (recorded through a [`TaskLane`], the one recorder).
     pub fn from_logs(logs: &[PerfLog]) -> Self {
-        let mut h = TaskSizeHistogram::default();
-        for log in logs {
-            for e in log.events() {
-                if e.kind == EventKind::Task {
-                    h.record(e.duration());
-                }
-            }
+        let lane = TaskLane::default();
+        let tasks = logs.iter().flat_map(PerfLog::events);
+        for e in tasks.filter(|e| e.kind == EventKind::Task) {
+            lane.record(e.duration(), 1);
         }
-        h
-    }
-
-    /// Records one task of `ticks` duration.
-    #[inline]
-    pub fn record(&mut self, ticks: u64) {
-        // `count == 0` means "no minimum yet", which is what makes
-        // `Default` a correct empty histogram.
-        self.min_ticks = if self.count == 0 {
-            ticks
-        } else {
-            self.min_ticks.min(ticks)
-        };
-        self.max_ticks = self.max_ticks.max(ticks);
-        self.buckets[decade_index(ticks)] += 1;
-        self.count += 1;
-        self.total_ticks += ticks;
+        lane.snapshot()
     }
 
     /// Mean task size in ticks (0 when empty).
@@ -192,16 +179,110 @@ impl TaskSizeHistogram {
     }
 }
 
+/// The one live histogram recorder: `N` bucket counts plus the sum,
+/// minimum and maximum of the recorded values, readable from any thread.
+///
+/// **Single writer.** One thread records into a cell at a time (one cell
+/// per worker, a [`Cells`](xgomp_xqueue::Cells) seat), so every update
+/// is a relaxed load + store, never an RMW; readers merge cells and get
+/// a statistically faithful view, like the paper's §V counters. The
+/// caller picks the bucket: decades for task sizes ([`TaskLane`]), fixed
+/// `le` edges for the task server's latency histograms.
+///
+/// There is no count cell: the count is the sum of the buckets, read in
+/// the same pass, so a reader racing a record never sees a count that
+/// disagrees with the buckets (no finite bucket above `+Inf`).
+#[derive(Debug)]
+pub struct HistCell<const N: usize> {
+    buckets: [AtomicU64; N],
+    sum: AtomicU64,
+    /// `u64::MAX` until the first record.
+    min: AtomicU64,
+    max: AtomicU64,
+}
+
+impl<const N: usize> Default for HistCell<N> {
+    fn default() -> Self {
+        HistCell {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<const N: usize> HistCell<N> {
+    /// Records `n` values of `value` into `bucket` (`n == 0` records
+    /// nothing). The extremes are stored before the bucket that makes
+    /// them count.
+    #[inline]
+    pub fn record_at(&self, bucket: usize, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.store(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.store(value, Ordering::Relaxed);
+        }
+        bump(&self.sum, value * n);
+        bump(&self.buckets[bucket], n);
+    }
+
+    /// Bucket counts.
+    pub fn buckets(&self) -> [u64; N] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    }
+
+    /// Sum of the recorded values.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+}
+
+/// One worker's lane of the live task-size sampler: a decade
+/// [`HistCell`] of task durations in ticks.
+pub type TaskLane = HistCell<9>;
+
+impl TaskLane {
+    /// Records `n` tasks of `ticks` duration each (`n == 0` records
+    /// nothing) — one task is `record(ticks, 1)`. `n > 1` is how a loop's
+    /// timing window of `n` sub-µs chunks keeps one sample of mass per
+    /// chunk while reading the clock once.
+    #[inline]
+    pub fn record(&self, ticks: u64, n: u64) {
+        self.record_at(decade_index(ticks), ticks, n);
+    }
+
+    /// The lane as a plain histogram (an empty lane reports minimum 0).
+    pub fn snapshot(&self) -> TaskSizeHistogram {
+        let (buckets, min) = (self.buckets(), self.min.load(Ordering::Relaxed));
+        TaskSizeHistogram {
+            buckets,
+            count: buckets.iter().sum(),
+            total_ticks: self.sum(),
+            min_ticks: if min == u64::MAX { 0 } else { min },
+            max_ticks: self.max.load(Ordering::Relaxed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `samples` recorded through one lane.
+    fn recorded(samples: impl IntoIterator<Item = u64>) -> TaskSizeHistogram {
+        let lane = TaskLane::default();
+        samples.into_iter().for_each(|t| lane.record(t, 1));
+        lane.snapshot()
+    }
+
     #[test]
     fn buckets_by_decade() {
-        let mut h = TaskSizeHistogram::default();
-        for t in [3u64, 12, 99, 100, 5_000, 123_456] {
-            h.record(t);
-        }
+        let h = recorded([3u64, 12, 99, 100, 5_000, 123_456]);
         assert_eq!(h.count, 6);
         assert_eq!(h.buckets[0], 1); // 3
         assert_eq!(h.buckets[1], 2); // 12, 99
@@ -214,11 +295,8 @@ mod tests {
 
     #[test]
     fn modal_decade_and_mean() {
-        let mut h = TaskSizeHistogram::default();
-        for _ in 0..10 {
-            h.record(2_000); // decade 10^3
-        }
-        h.record(50);
+        // Ten in decade 10^3, one below.
+        let h = recorded(std::iter::repeat_n(2_000, 10).chain([50]));
         assert_eq!(h.modal_decade_index(), Some(3));
         assert_eq!(h.mean(), (10 * 2_000 + 50) / 11);
     }
@@ -237,11 +315,8 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = TaskSizeHistogram::default();
-        a.record(10);
-        let mut b = TaskSizeHistogram::default();
-        b.record(100_000);
-        a.merge(&b);
+        let mut a = recorded([10]);
+        a.merge(&recorded([100_000]));
         assert_eq!(a.count, 2);
         assert_eq!(a.min_ticks, 10);
         assert_eq!(a.max_ticks, 100_000);
@@ -256,24 +331,15 @@ mod tests {
 
     #[test]
     fn render_is_humane() {
-        let mut h = TaskSizeHistogram::default();
-        for _ in 0..5 {
-            h.record(500);
-        }
-        let s = h.render();
+        let s = recorded([500; 5]).render();
         assert!(s.contains("tasks=5"));
         assert!(s.contains("10^2..10^3"));
     }
 
     #[test]
     fn window_since_diffs_buckets_and_totals() {
-        let mut early = TaskSizeHistogram::default();
-        early.record(50);
-        early.record(5_000);
-        let mut late = early.clone();
-        late.record(50);
-        late.record(50);
-        late.record(700);
+        let early = recorded([50, 5_000]);
+        let late = recorded([50, 5_000, 50, 50, 700]);
         let w = late.window_since(&early);
         assert_eq!(w.count, 3);
         assert_eq!(w.buckets[1], 2); // the two new 50s
@@ -307,13 +373,7 @@ mod tests {
         // 1000 tasks of ~50 cycles + 100 tasks of ~5M cycles: the mean
         // (~455k) says "huge tasks", the modal decade says what most
         // tasks are — tiny — and clamps the representative into it.
-        let mut h = TaskSizeHistogram::default();
-        for _ in 0..1_000 {
-            h.record(50);
-        }
-        for _ in 0..100 {
-            h.record(5_000_000);
-        }
+        let h = recorded(std::iter::repeat_n(50, 1_000).chain(std::iter::repeat_n(5_000_000, 100)));
         assert!(h.mean() > 100_000, "mean is outlier-dragged");
         assert_eq!(h.modal_decade_index(), Some(1));
         let rep = h.modal_cycles().unwrap();

@@ -349,20 +349,21 @@ impl TraceStream {
     /// the ring's `emitted` counter.
     fn write_summary(&mut self, tracer: &Tracer) -> io::Result<()> {
         let stats = self.stats();
-        let rings = tracer.rings();
-        let row = |(w, cur): (usize, &xgomp_xqueue::RingCursor)| WorkerDrain {
+        // One cursor per ring the reader has met: a prefix of the rings.
+        let rings = self.reader.cursors().iter().zip(tracer.rings.iter());
+        let workers = rings.enumerate().map(|(w, (cur, ring))| WorkerDrain {
             worker: w as u64,
             position: cur.position(),
             drained: cur.drained(),
             dropped: cur.dropped(),
-            emitted: rings.get(w).map_or(0, |r| r.emitted()),
-        };
+            emitted: ring.emitted(),
+        });
         let summary = DrainSummary {
             cycle: stats.cycles,
             rotations: stats.rotations,
             drained: stats.drained,
             dropped: stats.dropped,
-            workers: self.reader.cursors().iter().enumerate().map(row).collect(),
+            workers: workers.collect(),
         };
         self.out.write(&StreamLine::Drain(summary))
     }
@@ -475,7 +476,8 @@ mod tests {
     fn rolling_stream_rotates_prunes_and_conserves() {
         let dir = scratch("rotate");
         let tracer = Tracer::with_capacity(TraceLevel::Full, 256);
-        let (r0, r1) = (tracer.ring(0), tracer.ring(1));
+        let rings = tracer.rings.claim(0..2);
+        let (r0, r1) = (rings.seat(0), rings.seat(1));
         let cfg = TraceStreamConfig::new(&dir).rotate_bytes(1024).keep(3);
         let mut stream = TraceStream::create(cfg).unwrap();
 
@@ -540,7 +542,8 @@ mod tests {
     fn lapped_collector_accounts_drops_in_the_stream() {
         let dir = scratch("lapped");
         let tracer = Tracer::with_capacity(TraceLevel::Full, 8);
-        let ring = tracer.ring(0);
+        let rings = tracer.rings.claim(0..1);
+        let ring = rings.seat(0);
         let mut stream = TraceStream::create(TraceStreamConfig::new(&dir)).unwrap();
         // Lap the tiny ring between cycles: the gap must surface as
         // stream-side drops, keeping the identity.

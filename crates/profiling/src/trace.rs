@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
-use xgomp_xqueue::{EventRing, RingCursor};
+use xgomp_xqueue::{Cells, EventRing, RingCursor};
 
 pub use crate::chrome::TraceSnapshot;
 use crate::clock;
@@ -90,14 +90,19 @@ impl TraceLevel {
 ///
 /// A `Tracer` outlives any one team generation: the task server keeps
 /// one for its whole life, so rings (and their retained windows)
-/// survive `pause()`/`resume_with()` reshaping — a resize simply grows
-/// the ring list. Workers cache their ring `Arc` at generation start
-/// and emit with zero shared state; draining happens through
-/// [`RingReader`]s, off every hot path.
+/// survive `pause()`/`resume_with()` reshaping — the rings are one
+/// [`Cells`] seat per worker, and a resize simply grows them. Each
+/// generation claims the rings its workers write, and
+/// every worker emits into its own seat with zero shared state;
+/// draining happens through [`RingReader`]s, off every hot path.
 pub struct Tracer {
     level: AtomicU8,
-    ring_capacity: usize,
-    rings: Mutex<Vec<Arc<EventRing>>>,
+    /// Every ring that exists, in worker order; readers iterate them
+    /// lock-free, so a reader never stops an emitter (or a growing team).
+    /// Each team generation [`claim`](Cells::claim)s the rings its
+    /// workers emit into (a second claim of a held ring panics); a ring,
+    /// and its retained record window, persists across generations.
+    pub rings: Arc<Cells<EventRing>>,
     /// The reader behind [`snapshot`](Self::snapshot).
     reader: Mutex<RingReader>,
 }
@@ -106,7 +111,7 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("level", &self.level())
-            .field("rings", &self.rings.lock().unwrap().len())
+            .field("rings", &self.rings)
             .finish()
     }
 }
@@ -122,8 +127,7 @@ impl Tracer {
     pub fn with_capacity(level: TraceLevel, ring_capacity: usize) -> Self {
         Tracer {
             level: AtomicU8::new(level as u8),
-            ring_capacity,
-            rings: Mutex::new(Vec::new()),
+            rings: Arc::new(Cells::new(move || EventRing::with_capacity(ring_capacity))),
             reader: Mutex::default(),
         }
     }
@@ -151,40 +155,26 @@ impl Tracer {
         self.level.load(Ordering::Relaxed) >= min as u8
     }
 
-    /// Worker `w`'s ring, created on first request. Workers call this
-    /// once per generation and cache the `Arc`; the ring — and its
-    /// retained record window — persists across generations.
-    pub fn ring(&self, worker: usize) -> Arc<EventRing> {
-        let mut rings = self.rings.lock().unwrap();
-        while rings.len() <= worker {
-            rings.push(Arc::new(EventRing::with_capacity(self.ring_capacity)));
-        }
-        rings[worker].clone()
-    }
-
-    /// Clones of every materialized ring `Arc`, in worker order, so a
-    /// reader never holds the tracer's lock while it drains (or does
-    /// I/O).
-    pub(crate) fn rings(&self) -> Vec<Arc<EventRing>> {
-        self.rings.lock().unwrap().clone()
-    }
-
     /// Emits one record into `worker`'s ring from *outside* that
-    /// worker's thread, stamped with [`clock::now`]. Only safe while
-    /// the worker is not running (the rings are SPSC) — used for
-    /// generation open/close markers between team regions.
+    /// worker's thread, stamped with [`clock::now`] — the generation
+    /// open/close markers between team regions. The rings are
+    /// single-writer, so the emit claims ring `worker` for its duration.
+    ///
+    /// # Panics
+    ///
+    /// If a live team holds ring `worker` (at `Lifecycle` or above; at
+    /// `Off` nothing is emitted or claimed).
     pub fn emit_meta(&self, worker: usize, kind: EventKind, a: u32, b: u64, c: u64) {
         if !self.enabled(TraceLevel::Lifecycle) {
             return;
         }
-        let ring = self.ring(worker);
-        ring.emit(clock::now(), kind as u8, a, b, c);
+        let ring = self.rings.claim(worker..worker + 1);
+        ring.seat(worker).emit(clock::now(), kind as u8, a, b, c);
     }
 
     /// Total records emitted across all rings.
     pub fn emitted(&self) -> u64 {
-        let rings = self.rings.lock().unwrap();
-        rings.iter().map(|r| r.emitted()).sum()
+        self.rings.iter().map(EventRing::emitted).sum()
     }
 
     /// Records the tracer's own [`snapshot`](Self::snapshot) reader lost
@@ -239,10 +229,9 @@ impl RingReader {
     /// this build does not know are skipped. Returns the records handed
     /// to `sink`.
     pub fn drain(&mut self, tracer: &Tracer, mut sink: impl FnMut(TraceEvent)) -> u64 {
-        let rings = tracer.rings();
-        while self.cursors.len() < rings.len() {
-            self.cursors.push(RingCursor::new());
-        }
+        let rings = &tracer.rings;
+        self.cursors
+            .resize_with(rings.iter().count(), RingCursor::new);
         let mut delivered = 0;
         for (w, (ring, cursor)) in rings.iter().zip(&mut self.cursors).enumerate() {
             ring.drain(cursor, &mut |raw| {
@@ -324,8 +313,8 @@ mod tests {
     #[test]
     fn snapshot_partitions_the_stream() {
         let t = Tracer::with_capacity(TraceLevel::Full, 64);
-        let r0 = t.ring(0);
-        let r1 = t.ring(1);
+        let rings = t.rings.claim(0..2);
+        let (r0, r1) = (rings.seat(0), rings.seat(1));
         r0.emit(10, EventKind::Park as u8, 0, 0, 0);
         r1.emit(5, EventKind::Steal as u8, 0, 3, 0);
         let s1 = t.snapshot();
@@ -347,7 +336,10 @@ mod tests {
         assert_eq!(stream.drain(&t, |e| seen.push((e.worker, e.ts))), 3);
         assert_eq!(seen, [(0, 10), (0, 20), (1, 5)], "per-ring emission order");
         r1.emit(30, EventKind::Steal as u8, 0, 1, 0);
-        t.ring(2).emit(40, EventKind::Park as u8, 0, 0, 0); // a ring neither has met
+        t.rings
+            .claim(2..3)
+            .seat(2)
+            .emit(40, EventKind::Park as u8, 0, 0, 0); // a ring neither has met
         seen.clear();
         assert_eq!(stream.drain(&t, |e| seen.push((e.worker, e.ts))), 2);
         assert_eq!(seen, [(1, 30), (2, 40)]);
@@ -358,10 +350,22 @@ mod tests {
         assert_eq!(stream.cursors().len(), 3);
     }
 
+    /// A ring's seat starts a line and fills whole lines, so adjacent
+    /// workers' ring heads (written on every emit) never share one.
+    #[test]
+    fn rings_never_share_a_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        use xgomp_xqueue::cells::Slot;
+        assert_eq!(align_of::<Slot<EventRing>>(), 128);
+        assert_eq!(size_of::<Slot<EventRing>>() % 128, 0);
+        assert_eq!(offset_of!(Slot<EventRing>, 0), 0);
+    }
+
     #[test]
     fn chrome_export_pairs_parks_and_emits_job_spans() {
         let t = Tracer::with_capacity(TraceLevel::Full, 64);
-        let r = t.ring(0);
+        let rings = t.rings.claim(0..1);
+        let r = rings.seat(0);
         r.emit(1_000, EventKind::Park as u8, 0, 0, 0);
         r.emit(2_000, EventKind::Wake as u8, 0, 0, 0);
         r.emit(3_000, EventKind::JobStart as u8, 0, 42, 2_500);

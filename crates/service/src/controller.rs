@@ -220,9 +220,9 @@ mod tests {
     }
 
     fn feed(sampler: &LiveTaskSampler, lane: usize, n: u64, cycles: u64) {
-        let lane = sampler.lane(lane);
+        let lanes = sampler.lanes.claim(lane..lane + 1);
         for _ in 0..n {
-            lane.record(cycles);
+            lanes.seat(lane).record(cycles, 1);
         }
     }
 

@@ -5,8 +5,9 @@
 //!
 //! Deliberately minimal: one accept thread, one short-lived thread per
 //! connection with a bounded concurrent-connection cap (excess
-//! connections get an inline `503`), read timeouts so a stalled client
-//! cannot pin a handler, and `Connection: close` on every response.
+//! connections get an inline `503`), one deadline for the whole request
+//! head so a stalled or trickling client cannot pin a handler, and
+//! `Connection: close` on every response.
 //! Graceful teardown unblocks `accept` with a loopback self-connect and
 //! waits (bounded) for in-flight handlers to finish.
 
@@ -20,7 +21,8 @@ use std::time::{Duration, Instant};
 /// Most connection handlers alive at once; beyond this the accept
 /// thread answers `503` inline without spawning.
 const MAX_CONNECTIONS: usize = 8;
-/// Per-connection socket read/write timeout.
+/// Per-connection budget for reading the whole request head, and the
+/// socket write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Largest request head (request line + headers) we accept.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
@@ -136,7 +138,6 @@ fn accept_loop(
 }
 
 fn handle_connection(stream: &mut TcpStream, hooks: &MetricsHooks) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let Some(head) = read_request_head(stream) else {
         return;
@@ -173,24 +174,26 @@ fn handle_connection(stream: &mut TcpStream, hooks: &MetricsHooks) {
 }
 
 /// Reads until the end of the request head (`CRLFCRLF`), bounded by
-/// [`MAX_REQUEST_BYTES`] and the socket read timeout. The body, if any,
-/// is ignored — both endpoints are bodiless GETs.
+/// [`MAX_REQUEST_BYTES`] and by one [`IO_TIMEOUT`] deadline for the whole
+/// head: each read may wait only for the time left, so a client that
+/// trickles a byte at a time still loses its handler when the deadline
+/// passes. The body, if any, is ignored — both endpoints are bodiless
+/// GETs.
 fn read_request_head(stream: &mut TcpStream) -> Option<String> {
+    let deadline = Instant::now() + IO_TIMEOUT;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return None,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.windows(4).any(|w| w == b"\r\n\r\n") {
-                    return Some(String::from_utf8_lossy(&buf).into_owned());
-                }
-                if buf.len() > MAX_REQUEST_BYTES {
-                    return None;
-                }
-            }
-            Err(_) => return None,
+        // A zero timeout is rejected, so a passed deadline ends the read.
+        let left = deadline.saturating_duration_since(Instant::now());
+        stream.set_read_timeout(Some(left)).ok()?;
+        let n = stream.read(&mut chunk).ok().filter(|&n| n > 0)?;
+        buf.extend_from_slice(&chunk[..n]);
+        if buf.windows(4).any(|w| w == b"\r\n\r\n") {
+            return Some(String::from_utf8_lossy(&buf).into_owned());
+        }
+        if buf.len() > MAX_REQUEST_BYTES {
+            return None;
         }
     }
 }

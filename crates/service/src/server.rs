@@ -71,6 +71,7 @@ use xgomp_core::{
     AutoSelector, DlbConfig, DlbStrategy, DlbTuning, LiveTaskSampler, LoopBalancer, LoopTelemetry,
     ParkerCell, RegionOutput, TraceStream, Tracer,
 };
+use xgomp_xqueue::{CachePadded, Cells};
 
 mod admission;
 mod collector;
@@ -88,7 +89,7 @@ pub use submitter::{Submission, SubmitterHandle};
 use collector::TraceCollector;
 use deadline::Deadlines;
 use lifecycle::{ControlPlane, CLOSING, SERVING};
-use stats::{ClassCounters, ObsCounters};
+use stats::{ObsCounters, Outcomes};
 
 /// State shared between submitters, the drain hook, and the master loop.
 struct ServerShared {
@@ -126,11 +127,15 @@ struct ServerShared {
     /// same discipline as `in_flight`).
     bg_in_flight: AtomicUsize,
     rejected: AtomicU64,
-    /// Per-class counters + latency histograms, indexed by
-    /// `QosClass::index()`, each split into a submitter cell and
-    /// per-worker outcome shards. The only cells the job outcomes live
-    /// in: the server-wide totals are their sums (see `stats`).
-    class_stats: [ClassCounters; 3],
+    /// Jobs admitted per QoS class (indexed by `QosClass::index()`),
+    /// bumped by submitters, each alone on its line.
+    submitted: [CachePadded<AtomicU64>; 3],
+    /// Job outcomes and latency histograms, one cell per worker (every
+    /// class in each), written only by the job wrapper on that worker
+    /// and claimed by each generation for its workers. With `submitted`,
+    /// the only cells the job counts live in: the server-wide and
+    /// per-class totals are their sums (see `stats`).
+    outcomes: Arc<Cells<Outcomes>>,
     /// Pending deadlines, swept by the serve loop.
     deadlines: Deadlines,
     /// Where jobs placed from a pause onward wait for the next (or the
@@ -296,7 +301,8 @@ impl TaskServer {
             bg_cap,
             bg_in_flight: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
-            class_stats: Default::default(),
+            submitted: Default::default(),
+            outcomes: Arc::default(),
             deadlines: Deadlines::default(),
             spill: Mutex::new(VecDeque::new()),
             spill_nonempty: AtomicBool::new(false),

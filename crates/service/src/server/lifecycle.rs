@@ -307,12 +307,15 @@ pub(super) fn master_loop(
             auto_select: Some(shared.auto_select.clone()),
             tracer: Some(shared.tracer.clone()),
         };
-        // Generation markers go through `emit_meta`, which is only safe
-        // while worker 0's thread is not running — exactly here, between
-        // regions, on the master thread.
+        // Generation markers go through `emit_meta`, which claims ring 0
+        // for its emit — free exactly here, between regions, on the
+        // master thread.
         shared
             .tracer
             .emit_meta(0, EventKind::GenOpen, 0, gen, threads as u64);
+        // The generation's workers are the only writers of their outcome
+        // cells while it runs; the claim drops with this iteration.
+        let _outcomes = shared.outcomes.claim(0..threads);
         regions.push(team.serve(hooks, |ctx| serve_loop(ctx, &shared, &controller, &source)));
         shared.tracer.emit_meta(0, EventKind::GenClose, 0, gen, 0);
 
@@ -365,7 +368,7 @@ fn apply_config(shared: &ServerShared, team: &mut Runtime, new_rt: RuntimeConfig
     // A config swap is a hysteresis boundary even when the DLB seed is
     // unchanged: recommendations confirmed against the old shape must
     // not publish against the new one. (A resize needs nothing more —
-    // the sampler and tracer just grow lanes/rings for new workers.)
+    // the next generation's claims grow the per-worker cells.)
     shared.swap_epoch.fetch_add(1, Ordering::Release);
 }
 

@@ -1,10 +1,10 @@
-//! Counters and their exposition: the per-class outcome cells and
-//! latency histograms, the [`ServerStats`] snapshot, the one metric
+//! Counters and their exposition: the per-worker job-outcome cells and
+//! their latency histograms, the [`ServerStats`] snapshot, the one metric
 //! table every Prometheus family is spelled in, and the `TaskServer`
 //! observability accessors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use super::lifecycle::{DRAINING, PAUSED, SERVING};
 use super::{ServerShared, TaskServer};
@@ -14,6 +14,7 @@ use xgomp_core::{
     clock, AutoSiteStatus, DlbConfig, LoopBalancer, LoopId, LoopTelemetrySnapshot, PromText,
     TaskSizeHistogram, TraceLevel, TraceSnapshot, TraceStreamStats,
 };
+use xgomp_profiling::HistCell;
 
 /// Fixed upper bounds (seconds) of the per-class job latency histograms
 /// (`xgomp_job_{queued,run}_seconds`). Log-spaced from 1 µs to 10 s and
@@ -26,64 +27,70 @@ const LATENCY_BUCKETS_SECS: [f64; 12] = [
 /// overflow cell for samples above the last edge.
 const HIST_CELLS: usize = LATENCY_BUCKETS_SECS.len() + 1;
 
-/// One fixed-bucket latency histogram: lock-free recording in clock
-/// ticks, exposition in seconds. Buckets store *non*-cumulative counts;
-/// the render path cumulates (the exposition format wants cumulative
-/// `le` counts, but recording then would need N increments per sample).
-/// There is no separate count cell: `+Inf` and `_count` are the sum of
-/// every bucket read in the same pass, so a scrape racing a record can
-/// never show a finite bucket above `+Inf`.
-#[derive(Default)]
-pub(super) struct LatencyHist {
-    counts: [AtomicU64; HIST_CELLS],
-    sum_ticks: AtomicU64,
+/// The `le` edges in clock ticks, converted once per process: edge `i` is
+/// the largest tick count whose [`clock::ticks_to_secs`] is at most
+/// `LATENCY_BUCKETS_SECS[i]`. That conversion is monotone, so
+/// `ticks <= edge` picks exactly the bucket the float rule `secs <= le`
+/// picks, with no per-sample float conversion.
+fn le_ticks() -> &'static [u64; 12] {
+    static LE: OnceLock<[u64; 12]> = OnceLock::new();
+    LE.get_or_init(|| {
+        LATENCY_BUCKETS_SECS.map(|le| {
+            let mut t = (le * 1e9 * clock::cycles_per_ns()) as u64;
+            while clock::ticks_to_secs(t) > le {
+                t -= 1;
+            }
+            while clock::ticks_to_secs(t + 1) <= le {
+                t += 1;
+            }
+            t
+        })
+    })
 }
 
+/// One fixed-bucket latency histogram: the one single-writer
+/// [`HistCell`] over the stable `le` edges, recording clock ticks and
+/// exposing seconds. Buckets store *non*-cumulative counts; the render
+/// path cumulates (the exposition format wants cumulative `le` counts,
+/// but recording then would need N increments per sample). `+Inf` and
+/// `_count` are the sum of every bucket read in the same pass, so a
+/// scrape racing a record can never show a finite bucket above `+Inf`.
+#[derive(Default)]
+pub(super) struct LatencyHist(HistCell<HIST_CELLS>);
+
 impl LatencyHist {
+    /// Records one sample against the edges in ticks; the histogram's
+    /// worker is its one writer.
     pub(super) fn record_ticks(&self, ticks: u64) {
-        let secs = clock::ticks_to_secs(ticks);
-        let i = LATENCY_BUCKETS_SECS
-            .iter()
-            .position(|&b| secs <= b)
-            .unwrap_or(LATENCY_BUCKETS_SECS.len());
-        self.counts[i].fetch_add(1, Ordering::Relaxed);
-        self.sum_ticks.fetch_add(ticks, Ordering::Relaxed);
+        let bucket = le_ticks().partition_point(|&le| le < ticks);
+        self.0.record_at(bucket, ticks, 1);
     }
 
     /// (cumulative bucket counts, sum in seconds, total observations) of
-    /// the merge of `hists` — one histogram per outcome shard.
+    /// the merge of `hists` — one histogram per worker's outcome cell.
     fn render_parts<'a>(hists: impl Iterator<Item = &'a LatencyHist>) -> (Vec<u64>, f64, u64) {
         let (mut cells, mut sum_ticks) = ([0u64; HIST_CELLS], 0u64);
         for h in hists {
-            for (acc, c) in cells.iter_mut().zip(&h.counts) {
-                *acc += c.load(Ordering::Relaxed);
+            for (acc, c) in cells.iter_mut().zip(h.0.buckets()) {
+                *acc += c;
             }
-            sum_ticks += h.sum_ticks.load(Ordering::Relaxed);
+            sum_ticks += h.0.sum();
         }
-        let (finite, overflow) = cells.split_at(LATENCY_BUCKETS_SECS.len());
-        let mut acc = 0u64;
-        let cumulative = finite
-            .iter()
-            .map(|c| {
-                acc += c;
-                acc
-            })
-            .collect();
-        let count = acc + overflow[0];
+        // `le` edge `i` counts cells `0..=i`; `+Inf`, every cell.
+        let cumulative = (1..HIST_CELLS).map(|i| cells[..i].iter().sum()).collect();
+        let count = cells.iter().sum();
         (cumulative, clock::ticks_to_secs(sum_ticks), count)
     }
 }
 
-/// Outcome shards per QoS class. Workers index them by
-/// `worker_id % OUTCOME_SHARDS`: teams up to this size write disjoint
-/// lines, larger ones share shards (still exact, just contended).
-const OUTCOME_SHARDS: usize = 16;
-
-/// The job-outcome cells one worker writes for one QoS class, on lines
-/// of their own.
+/// One QoS class's job outcomes on one worker. The outcomes are
+/// disjoint — `cancelled`: the body started and was then terminated at a
+/// cancellation checkpoint; `shed`: resolved without the body ever
+/// running (cancel/deadline won the race out of `QUEUED`) — so summed
+/// over the workers, `completed + cancelled + shed` drains to the
+/// class's `submitted` exactly.
 #[derive(Default)]
-#[repr(align(128))]
-pub(super) struct OutcomeShard {
+pub(super) struct ClassOutcomes {
     pub(super) completed: AtomicU64,
     pub(super) cancelled: AtomicU64,
     pub(super) shed: AtomicU64,
@@ -91,60 +98,15 @@ pub(super) struct OutcomeShard {
     pub(super) run_hist: LatencyHist,
 }
 
-/// The submitter-side admission count, alone on its line.
-#[derive(Default)]
-#[repr(align(128))]
-pub(super) struct SubmittedCell(pub(super) AtomicU64);
-
-/// Per-QoS-class counters and latency histograms (one slot per
-/// [`QosClass`], indexed by `QosClass::index`). The outcome cells are
-/// disjoint — `cancelled`: the body started and was then terminated at a
-/// cancellation checkpoint; `shed`: resolved without the body ever
-/// running (cancel/deadline won the race out of `QUEUED`) — so
-/// `completed + cancelled + shed` drains to `submitted` exactly.
-///
-/// The cells are split by writer. `submitted` is bumped by submitters
-/// and sits on a line of its own; the outcomes are bumped by the job
-/// wrapper on the worker that ran (or shed) the job, into that worker's
-/// [`OutcomeShard`], so a completion writes no line another worker or
-/// the submitter writes. Every reader sums over the shards. A sum of
+/// One worker's job-outcome cell: every QoS class, indexed by
+/// `QosClass::index`. It is that worker's seat of the server's outcome
+/// [`Cells`](xgomp_xqueue::Cells), claimed per generation, and only the
+/// job wrapper running on that worker writes it — relaxed load + store,
+/// never an RMW — so a completion writes no line another worker or the
+/// submitter writes. Every reader sums over the workers; a sum of
 /// monotone cells is monotone, so snapshots keep the
-/// [`ServerStats::delta`] contract, and once the class is quiescent the
-/// sums partition `submitted` exactly.
-#[derive(Default)]
-pub(super) struct ClassCounters {
-    pub(super) submitted: SubmittedCell,
-    shards: [OutcomeShard; OUTCOME_SHARDS],
-}
-
-impl ClassCounters {
-    /// The outcome shard worker `worker` records into.
-    pub(super) fn shard(&self, worker: usize) -> &OutcomeShard {
-        &self.shards[worker % OUTCOME_SHARDS]
-    }
-
-    fn submitted(&self) -> u64 {
-        self.submitted.0.load(Ordering::Relaxed)
-    }
-
-    /// One outcome cell summed over the shards.
-    fn sum(&self, cell: fn(&OutcomeShard) -> &AtomicU64) -> u64 {
-        let cells = self.shards.iter().map(cell);
-        cells.map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    fn completed(&self) -> u64 {
-        self.sum(|s| &s.completed)
-    }
-
-    fn cancelled(&self) -> u64 {
-        self.sum(|s| &s.cancelled)
-    }
-
-    fn shed(&self) -> u64 {
-        self.sum(|s| &s.shed)
-    }
-}
+/// [`ServerStats::delta`] contract.
+pub(super) type Outcomes = [ClassOutcomes; 3];
 
 /// Point-in-time per-class job counters ([`TaskServer::class_stats`]).
 /// The partition is exact once the class is quiescent:
@@ -298,8 +260,8 @@ enum Read {
     /// One counter sample per value of the named label.
     CounterVec(&'static str, fn(&ServerShared) -> Vec<(&'static str, u64)>),
     /// One latency histogram series per QoS class, merged over the
-    /// class's outcome shards.
-    ClassHist(fn(&OutcomeShard) -> &LatencyHist),
+    /// workers' outcome cells.
+    ClassHist(fn(&ClassOutcomes) -> &LatencyHist),
 }
 
 /// One row of the metric table.
@@ -455,22 +417,22 @@ static FAMILIES: [Family; 38] = [
     Family {
         name: "xgomp_jobs_submitted_by_class_total",
         help: "Jobs accepted by admission control, by QoS class",
-        read: Read::CounterVec("class", |s| s.by_class(ClassCounters::submitted)),
+        read: Read::CounterVec("class", |s| s.by_class(|c| c.submitted)),
     },
     Family {
         name: "xgomp_jobs_completed_by_class_total",
         help: "Jobs whose body ran to its own end, by QoS class",
-        read: Read::CounterVec("class", |s| s.by_class(ClassCounters::completed)),
+        read: Read::CounterVec("class", |s| s.by_class(|c| c.completed)),
     },
     Family {
         name: "xgomp_jobs_cancelled_by_class_total",
         help: "Jobs cancelled cooperatively mid-run, by QoS class",
-        read: Read::CounterVec("class", |s| s.by_class(ClassCounters::cancelled)),
+        read: Read::CounterVec("class", |s| s.by_class(|c| c.cancelled)),
     },
     Family {
         name: "xgomp_jobs_shed_by_class_total",
         help: "Jobs shed before their body ran, by QoS class",
-        read: Read::CounterVec("class", |s| s.by_class(ClassCounters::shed)),
+        read: Read::CounterVec("class", |s| s.by_class(|c| c.shed)),
     },
     // Fixed-bucket latency histograms (stable `le` edges — see
     // `LATENCY_BUCKETS_SECS`).
@@ -541,8 +503,8 @@ fn render(stats: &ServerStats, live: Option<&ServerShared>) -> String {
             }
             (Read::ClassHist(pick), Some(s)) => {
                 p.histogram_header(f.name, f.help);
-                for (qos, cs) in QosClass::ALL.iter().zip(&s.class_stats) {
-                    let hists = cs.shards.iter().map(pick);
+                for (i, qos) in QosClass::ALL.iter().enumerate() {
+                    let hists = s.outcomes.iter().map(|o| pick(&o[i]));
                     let (counts, sum, count) = LatencyHist::render_parts(hists);
                     let buckets = &LATENCY_BUCKETS_SECS;
                     p.histogram_series(f.name, "class", qos.name(), buckets, &counts, sum, count);
@@ -597,27 +559,43 @@ impl ServerShared {
             .unwrap_or(0)
     }
 
+    /// Per-class counters, in [`QosClass::ALL`] order: each class's
+    /// submitters' cell, and its outcomes summed over the workers' cells
+    /// — the only places those facts are stored.
+    fn class_stats(&self) -> [QosClassStats; 3] {
+        std::array::from_fn(|i| {
+            let sum = |cell: fn(&ClassOutcomes) -> &AtomicU64| {
+                let cells = self.outcomes.iter().map(|o| cell(&o[i]));
+                cells.map(|c| c.load(Ordering::Relaxed)).sum()
+            };
+            QosClassStats {
+                class: QosClass::ALL[i],
+                submitted: self.submitted[i].0.load(Ordering::Relaxed),
+                completed: sum(|o| &o.completed),
+                cancelled: sum(|o| &o.cancelled),
+                shed: sum(|o| &o.shed),
+            }
+        })
+    }
+
     /// One `(class name, counter value)` sample per QoS class.
-    fn by_class(&self, read: fn(&ClassCounters) -> u64) -> Vec<(&'static str, u64)> {
-        QosClass::ALL
-            .iter()
-            .zip(&self.class_stats)
-            .map(|(qos, cs)| (qos.name(), read(cs)))
-            .collect()
+    fn by_class(&self, read: fn(&QosClassStats) -> u64) -> Vec<(&'static str, u64)> {
+        let classes = self.class_stats();
+        classes.iter().map(|c| (c.class.name(), read(c))).collect()
     }
 
     /// Counter snapshot (see [`TaskServer::stats`] for the coherence
-    /// contract). The job-outcome totals are sums over the per-class
-    /// cells — the only place those facts are stored.
+    /// contract). The job-outcome totals are sums over the classes.
     fn stats(&self) -> ServerStats {
         let (loops, loop_chunks, loop_iters, loop_range_steals, loop_rebalances) =
             self.loop_stats.snapshot().totals();
-        let total = |read: fn(&ClassCounters) -> u64| self.class_stats.iter().map(read).sum();
+        let classes = self.class_stats();
+        let total = |read: fn(&QosClassStats) -> u64| classes.iter().map(read).sum();
         ServerStats {
-            submitted: total(ClassCounters::submitted),
-            completed: total(ClassCounters::completed),
-            cancelled: total(ClassCounters::cancelled),
-            shed: total(ClassCounters::shed),
+            submitted: total(|c| c.submitted),
+            completed: total(|c| c.completed),
+            cancelled: total(|c| c.cancelled),
+            shed: total(|c| c.shed),
             rejected: self.rejected.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::SeqCst),
             queued: self.ingress.occupancy() + locked(&self.spill).len(),
@@ -712,9 +690,8 @@ impl TaskServer {
     /// ## Coherence
     ///
     /// Each field is one independent atomic load (the job-outcome
-    /// totals: one per QoS class and outcome shard, summed): the
-    /// snapshot is *not* an
-    /// atomic cut across fields. Every cumulative counter is
+    /// totals: one per QoS class and worker, summed): the snapshot is
+    /// *not* an atomic cut across fields. Every cumulative counter is
     /// individually monotone (two snapshots always satisfy
     /// `later.submitted >= earlier.submitted`, etc. — which is what
     /// makes [`ServerStats::delta`] meaningful), but cross-field
@@ -733,16 +710,7 @@ impl TaskServer {
     /// Same coherence caveats as [`stats`](Self::stats): once a class is
     /// drained, `submitted == completed + cancelled + shed` exactly.
     pub fn class_stats(&self) -> [QosClassStats; 3] {
-        std::array::from_fn(|i| {
-            let cs = &self.shared.class_stats[i];
-            QosClassStats {
-                class: QosClass::ALL[i],
-                submitted: cs.submitted(),
-                completed: cs.completed(),
-                cancelled: cs.cancelled(),
-                shed: cs.shed(),
-            }
-        })
+        self.shared.class_stats()
     }
 
     /// Per-schedule loop telemetry (chunks, iterations, range steals and
@@ -912,19 +880,48 @@ mod tests {
         assert!(text.contains("h_count{class=\"normal\"} 3\n"), "{text}");
     }
 
-    /// Worker shards own their lines, and the submitters' `submitted`
-    /// cell shares none with them.
+    /// Every worker owns its outcome cell: a seat starts a line and
+    /// fills whole lines, and workers 1 and 17 — which shared a shard
+    /// when outcomes were indexed `worker % 16` — get distinct cells. The
+    /// submitters' `submitted` cells each sit alone on a line.
     #[test]
     fn outcome_shards_and_the_submitted_cell_own_their_lines() {
-        assert!(std::mem::align_of::<OutcomeShard>() >= 128);
-        assert!(std::mem::align_of::<SubmittedCell>() >= 128);
-        let cs = ClassCounters::default();
-        let line = |p: *const u8| p as usize / 128;
-        let submitted = &cs.submitted as *const SubmittedCell as *const u8;
-        let last = submitted.wrapping_add(std::mem::size_of::<SubmittedCell>() - 1);
-        let shard0 = cs.shard(0) as *const OutcomeShard as *const u8;
-        assert_eq!(line(submitted), line(last), "submitted spans one line");
-        assert_ne!(line(submitted), line(shard0));
-        assert!(std::ptr::eq(cs.shard(OUTCOME_SHARDS + 1), cs.shard(1)));
+        use std::mem::{align_of, offset_of, size_of};
+        use xgomp_xqueue::{cells::Slot, CachePadded, Cells};
+        assert_eq!(align_of::<Slot<Outcomes>>(), 128);
+        assert_eq!(size_of::<Slot<Outcomes>>() % 128, 0);
+        assert_eq!(offset_of!(Slot<Outcomes>, 0), 0);
+        let cells = Cells::<Outcomes>::default();
+        assert!(!std::ptr::eq(cells.slot(1), cells.slot(17)));
+        assert_eq!(align_of::<CachePadded<AtomicU64>>(), 128);
+        assert_eq!(
+            size_of::<CachePadded<AtomicU64>>(),
+            128,
+            "submitted fills its line"
+        );
+        assert_eq!(offset_of!(CachePadded<AtomicU64>, 0), 0);
+    }
+
+    /// At, just below and just above every `le` edge, the tick lookup
+    /// picks the bucket the float rule (`ticks_to_secs(t) <= le`) picks.
+    #[test]
+    fn latency_tick_edges_match_the_float_rule() {
+        let float_rule = |t: u64| {
+            let secs = clock::ticks_to_secs(t);
+            let i = LATENCY_BUCKETS_SECS.iter().position(|&b| secs <= b);
+            i.unwrap_or(LATENCY_BUCKETS_SECS.len())
+        };
+        let tick_rule = |t: u64| le_ticks().partition_point(|&le| le < t);
+        for &edge in le_ticks() {
+            for t in [edge.saturating_sub(1), edge, edge + 1] {
+                assert_eq!(tick_rule(t), float_rule(t), "ticks {t} (edge {edge})");
+            }
+        }
+        assert!(
+            le_ticks().windows(2).all(|w| w[0] < w[1]),
+            "{:?}",
+            le_ticks()
+        );
+        assert_eq!((tick_rule(0), tick_rule(u64::MAX)), (0, 12));
     }
 }

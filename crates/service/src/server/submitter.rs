@@ -14,6 +14,7 @@ use xgomp_core::{
     clock, CancelToken, CancelUnwind, EventKind, LoopReport, LoopSchedule, LoopSpace, TaskCtx,
     TraceLevel,
 };
+use xgomp_xqueue::bump;
 
 impl ServerShared {
     /// Wraps a user closure into the queued job body (unwind-caught,
@@ -22,8 +23,8 @@ impl ServerShared {
     /// The wrapper is the **single accounting site**: whether the body
     /// ran, unwound at a cancellation checkpoint, or was shed before it
     /// ever started, exactly one of the class's `completed`/`cancelled`/
-    /// `shed` cells moves, in the outcome shard of the worker the
-    /// wrapper runs on — and the job leaves the ledger (`in_flight`,
+    /// `shed` cells moves, in the outcome cell of the worker the wrapper
+    /// runs on — and the job leaves the ledger (`in_flight`,
     /// class cap) here and only here, at drain time, so the drains'
     /// "`in_flight` counts every unfinished job" rule survives
     /// cancellation. `JobHandle::cancel` and the deadline sweep only
@@ -45,8 +46,7 @@ impl ServerShared {
             None => CancelToken::new(),
         };
         let (handle, state) = JobHandle::new(id, now, token.clone());
-        self.class_stats[qos.index()]
-            .submitted
+        self.submitted[qos.index()]
             .0
             .fetch_add(1, Ordering::Relaxed);
         if let Some(tick) = deadline_tick {
@@ -77,9 +77,9 @@ impl ServerShared {
                     false
                 }
             };
-            // This worker's outcome shard: no line here is written by
+            // This worker's outcome cell: no line here is written by
             // another worker or by the submitter.
-            let cs = shared.class_stats[qos.index()].shard(ctx.worker_id());
+            let cs = &shared.outcomes.slot(ctx.worker_id())[qos.index()];
             let emit = |kind, a, c| ctx.trace_emit(TraceLevel::Lifecycle, kind, a, id, c);
             if started {
                 // Lifecycle stamps feed both the flight recorder (one
@@ -125,7 +125,7 @@ impl ServerShared {
                     // exists.
                     shared.dump_flight_recorder(&format!("panic-job-{id}.trace.json"));
                 }
-                outcome.fetch_add(1, Ordering::Relaxed);
+                bump(outcome, 1);
                 // Completion order matters: the handle is observable
                 // before the drain accounting lets a shutdown (or
                 // pause) finish.
@@ -137,7 +137,7 @@ impl ServerShared {
                 // 1 deadline.
                 let by_deadline = state.phase.load(Ordering::Acquire) == PHASE_SHED_DEADLINE;
                 emit(EventKind::Shed, by_deadline as u32, state.submitted);
-                cs.shed.fetch_add(1, Ordering::Relaxed);
+                bump(&cs.shed, 1);
             }
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             shared.release_class_slot(qos);

@@ -28,14 +28,11 @@ use std::cell::UnsafeCell;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, Ordering};
 
+use crate::CachePadded;
+
 /// Default per-queue capacity used by the runtime (slots per SPSC queue,
 /// i.e. the paper's `S_queue`).
 pub const DEFAULT_CAPACITY: usize = 256;
-
-/// Pads a value to two cache lines to avoid false sharing between the
-/// producer-side and consumer-side cursor blocks.
-#[repr(align(128))]
-struct Pad<T>(T);
 
 struct ProducerState {
     /// Next slot index to write (monotonic; masked on access).
@@ -65,8 +62,9 @@ pub struct BQueue<T> {
     slots: Box<[AtomicPtr<T>]>,
     mask: usize,
     batch: usize,
-    prod: Pad<UnsafeCell<ProducerState>>,
-    cons: Pad<UnsafeCell<ConsumerState>>,
+    /// The producer-side and consumer-side cursor blocks, padded apart.
+    prod: CachePadded<UnsafeCell<ProducerState>>,
+    cons: CachePadded<UnsafeCell<ConsumerState>>,
 }
 
 // SAFETY: the queue hands `NonNull<T>` across threads; that is only safe
@@ -89,11 +87,11 @@ impl<T> BQueue<T> {
             slots,
             mask: cap - 1,
             batch,
-            prod: Pad(UnsafeCell::new(ProducerState {
+            prod: CachePadded(UnsafeCell::new(ProducerState {
                 head: 0,
                 batch_head: 0,
             })),
-            cons: Pad(UnsafeCell::new(ConsumerState {
+            cons: CachePadded(UnsafeCell::new(ConsumerState {
                 tail: 0,
                 batch_tail: 0,
             })),

@@ -18,10 +18,7 @@ use std::cell::UnsafeCell;
 use std::ptr::NonNull;
 
 use crate::bqueue::BQueue;
-
-/// Pads consumer-private scan state to its own cache lines.
-#[repr(align(128))]
-struct Pad<T>(T);
+use crate::CachePadded;
 
 /// The XQueue structure: `n × n` SPSC B-queues plus per-consumer scan
 /// cursors for fair auxiliary-queue polling.
@@ -37,8 +34,9 @@ pub struct XQueueLattice<T> {
     n: usize,
     /// Row-major: `queues[consumer * n + producer]`.
     queues: Box<[BQueue<T>]>,
-    /// Per-consumer rotating cursor over auxiliary producers.
-    scan: Box<[Pad<UnsafeCell<usize>>]>,
+    /// Per-consumer rotating cursor over auxiliary producers, each on
+    /// lines of its own.
+    scan: Box<[CachePadded<UnsafeCell<usize>>]>,
 }
 
 // SAFETY: element pointers move between threads; the per-queue role
@@ -56,7 +54,7 @@ impl<T> XQueueLattice<T> {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let scan = (0..n)
-            .map(|_| Pad(UnsafeCell::new(0)))
+            .map(|_| CachePadded(UnsafeCell::new(0)))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         XQueueLattice { n, queues, scan }

@@ -45,6 +45,9 @@
 //! side: an emit is relaxed slot stores plus one Release index publish,
 //! no RMW anywhere on the writer path; only the *reader's* drop
 //! accounting uses a `fetch_add`, off the measured path by definition.
+//! [`Cells`] is the same discipline for any per-worker block: one padded
+//! slot per worker seat, claimed by its one writer, updated with
+//! [`bump`] (load + store) and summed on read.
 //!
 //! ## Safety model
 //!
@@ -61,6 +64,7 @@
 
 mod backoff;
 mod bqueue;
+pub mod cells;
 pub mod eventring;
 mod lattice;
 pub mod panes;
@@ -70,6 +74,7 @@ pub mod spsc;
 
 pub use backoff::Backoff;
 pub use bqueue::{BQueue, DEFAULT_CAPACITY};
+pub use cells::{bump, CachePadded, Cells, Claim};
 pub use eventring::{EventRing, RawEvent, RingCursor, DEFAULT_EVENT_CAPACITY};
 pub use lattice::{PushCursor, XQueueLattice};
 pub use panes::{PaneSet, DEFAULT_PANE_UNITS, MAX_SHARE_UNITS};

@@ -42,7 +42,7 @@
 use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use crate::Backoff;
+use crate::{Backoff, CachePadded};
 
 /// Worker is running (or spinning); not observable by wakers.
 const IDLE: u32 = 0;
@@ -52,22 +52,13 @@ const PARKED: u32 = 1;
 const NOTIFIED: u32 = 2;
 
 /// One worker's parking word plus the OS primitive it sleeps on, padded
-/// so wakers probing one worker's state never bounce a neighbour's line.
-#[repr(align(128))]
+/// (in the parker's slot array) so wakers probing one worker's state
+/// never bounce a neighbour's line. Starts `IDLE` (0).
+#[derive(Default)]
 struct ParkSlot {
     state: AtomicU32,
     lock: Mutex<()>,
     cv: Condvar,
-}
-
-impl ParkSlot {
-    fn new() -> Self {
-        ParkSlot {
-            state: AtomicU32::new(IDLE),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
 }
 
 /// A zone's wake set: its member workers and how many are announced.
@@ -86,7 +77,7 @@ struct ZoneSet {
 ///
 /// [`Placement`]: https://docs.rs/xgomp-topology
 pub struct Parker {
-    slots: Box<[ParkSlot]>,
+    slots: Box<[CachePadded<ParkSlot>]>,
     zones: Box<[ZoneSet]>,
     zone_of: Box<[usize]>,
     /// Global count of announced workers — the producers' fast-path gate.
@@ -113,7 +104,7 @@ impl Parker {
             zones[z].workers.push(w);
         }
         Parker {
-            slots: zone_of.iter().map(|_| ParkSlot::new()).collect(),
+            slots: zone_of.iter().map(|_| CachePadded::default()).collect(),
             zones: zones.into_boxed_slice(),
             zone_of: zone_of.to_vec().into_boxed_slice(),
             n_parked: AtomicUsize::new(0),
@@ -151,7 +142,7 @@ impl Parker {
     /// The announcement is followed by a `SeqCst` fence, so those
     /// re-check loads observe anything stored before a waker's fence.
     pub fn prepare_park(&self, w: usize) -> bool {
-        let slot = &self.slots[w];
+        let slot = &self.slots[w].0;
         let prev = slot.state.swap(PARKED, Ordering::SeqCst);
         if prev == NOTIFIED {
             // A wake raced our last wake-up; consume it and stay awake.
@@ -170,7 +161,7 @@ impl Parker {
     /// Withdraws an announcement made by [`prepare_park`](Self::prepare_park)
     /// (the re-check found a reason to stay awake).
     pub fn cancel_park(&self, w: usize) {
-        let slot = &self.slots[w];
+        let slot = &self.slots[w].0;
         // A waker may have claimed us between announce and cancel; its
         // notification is consumed here — we are awake either way.
         slot.state.swap(IDLE, Ordering::SeqCst);
@@ -180,7 +171,7 @@ impl Parker {
     /// Commits the park: blocks until a waker notifies worker `w`.
     /// Must follow a `true` return from [`prepare_park`](Self::prepare_park).
     pub fn park(&self, w: usize) {
-        let slot = &self.slots[w];
+        let slot = &self.slots[w].0;
         {
             let mut guard = slot.lock.lock().unwrap_or_else(PoisonError::into_inner);
             while slot.state.load(Ordering::Acquire) != NOTIFIED {
@@ -234,7 +225,7 @@ impl Parker {
     }
 
     fn unpark_no_fence(&self, w: usize) -> bool {
-        let slot = &self.slots[w];
+        let slot = &self.slots[w].0;
         if slot
             .state
             .compare_exchange(PARKED, NOTIFIED, Ordering::AcqRel, Ordering::Relaxed)

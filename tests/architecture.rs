@@ -346,6 +346,27 @@ fn one_job_ledger() {
     r.count(0, "no `Vec<JobBody>` batch in the ingress drain", batches);
 }
 
+/// One per-worker cell primitive: every single-writer per-worker block
+/// (§V counters, sampler lanes, trace rings, job outcomes) is a seat of
+/// `xgomp_xqueue::Cells`, padded by the workspace's one `CachePadded`. A
+/// second padding type, outcome shards indexed `worker % OUTCOME_SHARDS`
+/// (which two workers could share) and mutex-guarded lane or ring lists
+/// must not grow back beside it.
+#[test]
+fn one_per_worker_cell() {
+    let r = Rule("one_per_worker_cell");
+    let mut pads = grep("crates", Part::All, |l| l.contains("#[repr(align("));
+    pads.extend(grep("src", Part::All, |l| l.contains("#[repr(align(")));
+    pads.retain(|h| !h.starts_with("crates/xqueue/src/"));
+    r.count(0, "no `#[repr(align(` outside `crates/xqueue/src`", pads);
+    let shards = grep("crates", Part::All, |l| l.contains("OUTCOME_SHARDS"));
+    r.count(0, "no `OUTCOME_SHARDS`", shards);
+    let lists = grep("crates", Part::All, |l| {
+        l.contains("Mutex<Vec<Arc<TaskLane>>>") || l.contains("Mutex<Vec<Arc<EventRing>>>")
+    });
+    r.count(0, "no mutex-guarded lane or ring list", lists);
+}
+
 /// The reproducers CI repeats by name (the pause ledger's), and the
 /// help-first join reproducer the docs cite: a rename would leave a repeat
 /// loop running nothing.

@@ -236,3 +236,65 @@ fn profiling_on_under_dlb_keeps_invariants() {
     out.stats.check_invariants().unwrap();
     assert!(out.logs.iter().any(|l| !l.events().is_empty()));
 }
+
+#[test]
+fn trickling_metrics_clients_lose_their_handlers_at_the_head_deadline() {
+    // A `/metrics` slow-loris: eight clients hold every handler slot,
+    // each trickling its request head one byte per 200 ms — always
+    // inside a per-read timeout, never finishing the head. A scrape at
+    // once is shed with `503`; once the 2 s head deadline has passed,
+    // every trickler has lost its handler and a scrape is served.
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
+    let server = TaskServer::start(ServerConfig::new(1).metrics_addr("127.0.0.1:0"));
+    let addr = server.metrics_local_addr().expect("ephemeral bind");
+    let stop = Arc::new(AtomicBool::new(false));
+    let tricklers: Vec<_> = (0..8)
+        .map(|_| {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            conn.write_all(b"G").expect("first byte");
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_millis(200));
+                    if conn.write_all(b"E").is_err() {
+                        break;
+                    }
+                }
+            })
+        })
+        .collect();
+    // Accepted after the eight (the listener's queue is FIFO). The shed
+    // path answers without reading, so the request is sent only once
+    // no `503` arrived.
+    let scrape = || {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut resp = String::new();
+        if conn.read_to_string(&mut resp).is_err() {
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            conn.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+            let _ = conn.read_to_string(&mut resp);
+        }
+        resp
+    };
+    let shed = scrape();
+    assert!(shed.starts_with("HTTP/1.1 503"), "all slots held: {shed:?}");
+    std::thread::sleep(Duration::from_millis(3_000));
+    let served = scrape();
+    assert!(
+        served.starts_with("HTTP/1.1 200"),
+        "tricklers outlived the head deadline: {:?}",
+        served.lines().next()
+    );
+    stop.store(true, Ordering::Relaxed);
+    for t in tricklers {
+        t.join().unwrap();
+    }
+    server.shutdown();
+}
