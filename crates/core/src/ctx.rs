@@ -22,7 +22,7 @@ use xgomp_profiling::{clock, EventKind};
 use xgomp_xqueue::{bump, Backoff};
 
 use crate::cancel::{raise_cancel, CancelReason, CancelToken};
-use crate::task::{Task, TaskBody};
+use crate::task::Task;
 use crate::team::{execute, TeamShared, Worker};
 
 /// A task's handle to the runtime: passed to every task body and to the
@@ -94,7 +94,7 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(Box::new(f), 0, None);
+        self.spawn_impl(f, 0, None);
     }
 
     /// Spawns a child task with a GOMP-style priority (only the GOMP
@@ -105,16 +105,17 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(Box::new(f), priority, None);
+        self.spawn_impl(f, priority, None);
     }
 
-    /// Spawns an already-boxed body (no re-boxing) into the *calling
-    /// worker's own* queue, bypassing the round-robin cursor — the hot
-    /// submission path of `xgomp-service`, whose ingress queues carry
-    /// boxed job bodies end to end. This is the placement externally
-    /// injected jobs need: a cross-pushed task lands in one
-    /// peer's SPSC queue and is unreachable by anyone else until that
-    /// peer next visits the scheduler — if the peer is stalled inside a
+    /// Spawns an already-boxed body into the *calling worker's own*
+    /// queue, bypassing the round-robin cursor — the hot submission path
+    /// of `xgomp-service`, whose ingress queues carry boxed job bodies end
+    /// to end: the box's fat pointer is stored inline in the task record,
+    /// so the body is not boxed again. This is the placement externally
+    /// injected jobs need: a cross-pushed task lands in one peer's SPSC
+    /// queue and is unreachable by anyone else until that peer next
+    /// visits the scheduler — if the peer is stalled inside a
     /// long-running task body, the job is stranded even while other
     /// workers idle. A self-spawned task lands in the master queue of the
     /// worker that chose to take it, which runs it once its own nested
@@ -357,11 +358,20 @@ impl<'t> TaskCtx<'t> {
     }
 
     /// The spawn path (§III-A): count for the barrier *before*
-    /// publication, link the dependency atomically, allocate, then
-    /// publish — falling back to immediate execution when the target
-    /// queue is full. `hint = Some(t)` asks the scheduler to hand the
-    /// task to worker `t` (see `Seat::spawn`).
-    fn spawn_impl(&self, body: TaskBody, priority: i32, hint: Option<usize>) {
+    /// publication, link the dependency atomically, allocate one record
+    /// and write the body into it, then publish — falling back to
+    /// immediate execution when the target queue is full. `hint = Some(t)`
+    /// asks the scheduler to hand the task to worker `t` (see
+    /// `Seat::spawn`).
+    ///
+    /// `f` need not be `'static`: every caller guarantees that the child
+    /// finishes before any borrow `f` holds ends — the `spawn*` methods
+    /// take `'static` bodies, and a [`Scope`] taskwaits for its children
+    /// even when it unwinds.
+    fn spawn_impl<F>(&self, f: F, priority: i32, hint: Option<usize>)
+    where
+        F: FnOnce(&TaskCtx<'_>) + Send,
+    {
         let worker = self.worker;
         let (team, w) = (worker.team, worker.id);
         let t0 = if team.profiling { clock::now() } else { 0 };
@@ -374,11 +384,15 @@ impl<'t> TaskCtx<'t> {
         // Only the region's implicit task has no parent: the children of
         // every other task are nested work.
         let nested = parent.parent().is_some();
-        let ptr = worker.alloc.alloc(Some(body), Some(self.task), priority);
+        let ptr = worker.alloc.alloc(Some(self.task), priority);
         // Children inherit the parent's cancellation token, so a job's
         // whole task tree answers to one flag.
-        // SAFETY: we execute the parent; the child is not yet published.
+        // SAFETY: we execute the parent and the child is not yet
+        // published, so both records are ours. `f` outlives the child
+        // (see above), so erasing its type, lifetime included, cannot let
+        // the body observe freed data.
         unsafe {
+            Task::set_body(ptr, f);
             if let Some(token) = Task::cancel_token(self.task) {
                 Task::set_cancel(ptr, Some(token));
             }
@@ -401,13 +415,16 @@ pub struct Scope<'ctx, 'env> {
     _env: PhantomData<&'env mut &'env ()>,
 }
 
+// Both spawns erase `'env` from the body (in `spawn_impl`): the scope's
+// taskwait (`WaitGuard`, run even on unwind) ensures every child finishes
+// before any `'env` borrow ends.
 impl<'ctx, 'env> Scope<'ctx, 'env> {
     /// Spawns a task that may borrow anything outliving the scope.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
-        self.spawn_hinted(None, f);
+        self.ctx.spawn_impl(f, 0, None);
     }
 
     /// Spawns a borrowing task with a *placement target*: worker
@@ -419,22 +436,7 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
-        self.spawn_hinted(Some(target), f);
-    }
-
-    /// Erases `'env` from the body and spawns it as a child of the
-    /// scope's task.
-    fn spawn_hinted<F>(&self, hint: Option<usize>, f: F)
-    where
-        F: FnOnce(&TaskCtx<'_>) + Send + 'env,
-    {
-        let boxed: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'env> = Box::new(f);
-        // SAFETY: the body becomes a child of the task whose scope this
-        // is, and the scope's taskwait (WaitGuard, run even on unwind)
-        // ensures every child finishes before any `'env` borrow ends, so
-        // erasing the lifetime cannot let the body observe freed data.
-        let body: TaskBody = unsafe { std::mem::transmute(boxed) };
-        self.ctx.spawn_impl(body, 0, hint);
+        self.ctx.spawn_impl(f, 0, Some(target));
     }
 
     /// The underlying context (worker id, topology queries).

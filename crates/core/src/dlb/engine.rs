@@ -362,7 +362,7 @@ mod tests {
     }
 
     fn mk_task(creator: u32) -> NonNull<Task> {
-        NonNull::new(Box::into_raw(Box::new(Task::new(None, None, creator, 0)))).unwrap()
+        NonNull::new(Box::into_raw(Box::new(Task::new(None, creator, 0)))).unwrap()
     }
 
     unsafe fn free_task(p: NonNull<Task>) {

@@ -143,7 +143,7 @@ mod tests {
     use super::*;
 
     fn mk(priority: i32) -> NonNull<Task> {
-        NonNull::new(Box::into_raw(Box::new(Task::new(None, None, 0, priority)))).unwrap()
+        NonNull::new(Box::into_raw(Box::new(Task::new(None, 0, priority)))).unwrap()
     }
 
     unsafe fn free(p: NonNull<Task>) {

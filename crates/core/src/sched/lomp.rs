@@ -137,7 +137,7 @@ mod tests {
     use super::*;
 
     fn mk() -> NonNull<Task> {
-        NonNull::new(Box::into_raw(Box::new(Task::new(None, None, 0, 0)))).unwrap()
+        NonNull::new(Box::into_raw(Box::new(Task::new(None, 0, 0)))).unwrap()
     }
 
     unsafe fn free(p: NonNull<Task>) {

@@ -314,7 +314,7 @@ mod tests {
     use xgomp_topology::{Affinity, MachineTopology};
 
     fn mk(creator: u32) -> NonNull<Task> {
-        NonNull::new(Box::into_raw(Box::new(Task::new(None, None, creator, 0)))).unwrap()
+        NonNull::new(Box::into_raw(Box::new(Task::new(None, creator, 0)))).unwrap()
     }
 
     unsafe fn free(p: NonNull<Task>) {

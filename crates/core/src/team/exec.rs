@@ -53,15 +53,14 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
     }
 
     let guard = CompletionGuard { worker, task };
+    let ctx = TaskCtx { worker, task };
     // SAFETY: single-executor discipline — the handle reference we hold
     // is the only execution claim on this task.
-    if let Some(body) = unsafe { Task::take_body(task) } {
-        let ctx = TaskCtx { worker, task };
-        if team.isolate_panics {
-            run_body_isolated(&ctx, task, body);
-        } else {
-            body(&ctx);
-        }
+    let run = || unsafe { Task::run_body(task, &ctx) };
+    if team.isolate_panics {
+        run_body_isolated(task, run);
+    } else {
+        run();
     }
     drop(guard);
     if timed {
@@ -120,8 +119,8 @@ pub(super) unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>, ran: bool)
 /// `execute` frames nest deeply under the immediate-execution overflow
 /// rule, where every byte per frame counts.
 #[inline(never)]
-fn run_body_isolated(ctx: &TaskCtx<'_>, task: NonNull<Task>, body: crate::task::TaskBody) {
-    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(ctx))) {
+fn run_body_isolated(task: NonNull<Task>, run: impl FnOnce()) {
+    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
         // SAFETY: we hold a reference; the record is alive.
         if let Some(parent) = unsafe { task.as_ref() }.parent() {
             // SAFETY: the child retains its parent.
@@ -289,7 +288,7 @@ pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> 
     let worker = Worker::claim(team, 0);
     // The implicit (root) task anchoring the region's task tree,
     // published so idle workers can parent injected tasks to it.
-    let root = worker.alloc.alloc(None, None, 0);
+    let root = worker.alloc.alloc(None, 0);
     team.root.store(root.as_ptr(), Ordering::Release);
 
     struct PoisonOnUnwind<'a>(&'a TeamShared);

@@ -29,10 +29,10 @@ type Split = [usize; 2];
 /// `tests` and `examples`): `[non-test, test]` `unsafe (\{|fn|impl)` sites,
 /// then `[non-test, test]` `SeqCst` uses.
 const BUDGET: &[(&str, Split, Split)] = &[
-    (".", [0, 0], [0, 12]),
+    (".", [0, 5], [0, 12]),
     ("crates/bench", [0, 5], [0, 0]),
     ("crates/bots", [0, 0], [0, 0]),
-    ("crates/core", [45, 29], [4, 12]),
+    ("crates/core", [50, 30], [4, 9]),
     ("crates/posp", [0, 0], [0, 0]),
     ("crates/profiling", [1, 0], [0, 0]),
     ("crates/service", [7, 3], [52, 6]),
@@ -236,8 +236,9 @@ fn one_region_lifecycle() {
 /// running body in `Worker::run_next` and nowhere else (a second
 /// `next_task` call site is a hand-written pop -> victim hook -> execute
 /// growing back), the `Seat` trait has one `spawn` and no separate victim
-/// hook, the task layer carries no dead-code allowances, and the
-/// scoped-spawn lifetime erasure exists once. A worker's private stack of
+/// hook, the task layer carries no dead-code allowances, and a body's type
+/// (the scoped spawn's lifetime included) is erased at one site: where
+/// `Task::set_body` installs the body's thunk. A worker's private stack of
 /// nested work has one entry point too: `XqSeat::spawn` is the only
 /// non-test `.push_nested(` call site.
 #[test]
@@ -259,13 +260,32 @@ fn one_scheduling_point() {
         })
         .collect();
     r.count(0, "no dead-code allowances in the task layer", allowances);
-    let erasures = grep("crates/core/src/ctx.rs", Part::All, |l| {
-        l.contains("mem::transmute")
+    let erasures = grep(CORE, Part::NonTest, |l| {
+        let code = code(l);
+        code.contains("thunk::<") || code.contains("mem::transmute")
     });
-    r.count(1, "one scoped-spawn lifetime erasure", erasures);
+    r.count(1, "one site erases a body's type", erasures);
     let xq = "crates/core/src/sched/xq.rs";
     let nested = grep(xq, Part::NonTest, |l| l.contains(".push_nested("));
     r.count(1, "one non-test `.push_nested(` call site", nested);
+}
+
+/// One allocation per task: the body lives inline in the `Task` record, so
+/// the spawn path boxes nothing, and the one non-test `Box::new(` in
+/// `task.rs` is the body's fallback for a capture too large or too aligned
+/// for the inline storage.
+#[test]
+fn one_allocation_per_task() {
+    let r = Rule("one_allocation_per_task");
+    let boxes = |path| grep(path, Part::NonTest, |l| code(l).contains("Box::new("));
+    let ctx = boxes("crates/core/src/ctx.rs");
+    r.count(0, "no `Box::new(` in the spawn path (`ctx.rs`)", ctx);
+    let task = boxes("crates/core/src/task.rs");
+    r.count(
+        1,
+        "one `Box::new(` in `task.rs`: the oversized-body fallback",
+        task,
+    );
 }
 
 /// Worker state is owned: everything only one worker writes lives by value
