@@ -26,6 +26,7 @@
 
 use std::time::{Duration, Instant};
 
+use serde::Serialize;
 use xgomp_bench::{parse_args, Table};
 use xgomp_bots::Scale;
 use xgomp_core::clock;
@@ -63,6 +64,42 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// One QoS class's open-loop outcome, as written to `overload_slo.json`.
+#[derive(Serialize)]
+#[cfg_attr(test, derive(Default))]
+struct ClassSummary {
+    class: &'static str,
+    submitted: u64,
+    completed: u64,
+    cancelled: u64,
+    shed: u64,
+    rejected: u64,
+    goodput_jobs_per_sec: f64,
+    p50_secs: f64,
+    p99_secs: f64,
+    p999_secs: f64,
+}
+
+/// The open-loop window's summary: `overload_slo.json`. The counts cover
+/// the window only (the calibration burst is subtracted), so they equal
+/// the sums over `classes`.
+#[derive(Serialize)]
+#[cfg_attr(test, derive(Default))]
+struct Summary {
+    bench: &'static str,
+    threads: usize,
+    max_in_flight: usize,
+    saturation_jobs_per_sec: f64,
+    offered_jobs_per_sec: f64,
+    window_secs: f64,
+    submitted: u64,
+    completed: u64,
+    cancelled: u64,
+    shed: u64,
+    rejected: u64,
+    classes: Vec<ClassSummary>,
 }
 
 fn main() {
@@ -185,7 +222,7 @@ fn main() {
         ],
     );
     let ms = |s: f64| format!("{:.3}ms", s * 1e3);
-    let mut json_classes = Vec::new();
+    let mut classes = Vec::new();
     for c in &by_class {
         let i = c.class.index();
         let base = &class_base[i];
@@ -214,14 +251,18 @@ fn main() {
             ms(p99),
             ms(p999),
         ]);
-        json_classes.push(format!(
-            "{{\"class\":\"{}\",\"submitted\":{submitted},\"completed\":{completed},\
-             \"cancelled\":{cancelled},\"shed\":{shed},\"rejected\":{},\
-             \"goodput_jobs_per_sec\":{goodput:.3},\
-             \"p50_secs\":{p50:.6},\"p99_secs\":{p99:.6},\"p999_secs\":{p999:.6}}}",
-            c.class.name(),
-            rejected[i],
-        ));
+        classes.push(ClassSummary {
+            class: c.class.name(),
+            submitted,
+            completed,
+            cancelled,
+            shed,
+            rejected: rejected[i],
+            goodput_jobs_per_sec: goodput,
+            p50_secs: p50,
+            p99_secs: p99,
+            p999_secs: p999,
+        });
     }
     t.print();
     t.write_csv(&ctx.out_dir, "overload_slo").expect("csv");
@@ -256,26 +297,24 @@ fn main() {
     );
     assert_eq!(s.rejected - rejected_before, rejected.iter().sum::<u64>());
 
-    // Top-level counts are the open-loop window only (the calibration
-    // burst is subtracted), matching the per-class entries.
     let open = |total: u64, calib: fn(&xgomp_service::QosClassStats) -> u64| -> u64 {
         total - class_base.iter().map(calib).sum::<u64>()
     };
-    let json = format!(
-        "{{\"bench\":\"overload_slo\",\"threads\":{threads},\"max_in_flight\":{max_in_flight},\
-         \"saturation_jobs_per_sec\":{saturation:.3},\"offered_jobs_per_sec\":{offered:.3},\
-         \"window_secs\":{:.3},\"submitted\":{},\"completed\":{},\"cancelled\":{},\"shed\":{},\
-         \"rejected\":{},\"classes\":[{}]}}",
-        wall,
-        open(s.submitted, |c| c.submitted),
-        open(s.completed, |c| c.completed),
-        open(s.cancelled, |c| c.cancelled),
-        open(s.shed, |c| c.shed),
-        s.rejected - rejected_before,
-        json_classes.join(","),
-    );
-    // Structural self-check before CI ever sees it.
-    let _: serde_json::Value = serde_json::from_str(&json).expect("well-formed summary JSON");
+    let summary = Summary {
+        bench: "overload_slo",
+        threads,
+        max_in_flight,
+        saturation_jobs_per_sec: saturation,
+        offered_jobs_per_sec: offered,
+        window_secs: wall,
+        submitted: open(s.submitted, |c| c.submitted),
+        completed: open(s.completed, |c| c.completed),
+        cancelled: open(s.cancelled, |c| c.cancelled),
+        shed: open(s.shed, |c| c.shed),
+        rejected: s.rejected - rejected_before,
+        classes,
+    };
+    let json = serde_json::to_string(&summary).expect("summary serializes");
     std::fs::create_dir_all(&ctx.out_dir).expect("out dir");
     let json_path = ctx.out_dir.join("overload_slo.json");
     std::fs::write(&json_path, &json).expect("write json");
@@ -294,4 +333,63 @@ fn main() {
         s.shed,
         json_path.display(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use serde::Value;
+
+    use super::*;
+
+    /// The keys CI's schema step checks, top level and per class.
+    const TOP_KEYS: &str = "threads max_in_flight saturation_jobs_per_sec offered_jobs_per_sec \
+                            window_secs submitted completed cancelled shed rejected classes";
+    const CLASS_KEYS: &str = "class submitted completed cancelled shed rejected \
+                              goodput_jobs_per_sec p50_secs p99_secs p999_secs";
+
+    /// Asserts that object `v` has exactly the keys in `want` and that its
+    /// partition holds; returns its `submitted`.
+    fn check(v: &Value, want: &str) -> u64 {
+        let Value::Map(entries) = v else {
+            panic!("expected an object, found {v:?}")
+        };
+        let keys: BTreeSet<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, want.split_whitespace().collect());
+        let [submitted, completed, cancelled, shed] =
+            ["submitted", "completed", "cancelled", "shed"].map(|k| match serde::field(v, k) {
+                Ok(Value::UInt(n)) => *n,
+                other => panic!("`{k}` is not a count: {other:?}"),
+            });
+        assert_eq!(submitted, completed + cancelled + shed);
+        submitted
+    }
+
+    /// The JSON carries exactly the keys CI's schema step checks (plus the
+    /// `bench` tag), and the partition holds top-level, per class and
+    /// summed over the classes: a renamed field fails here, not only in CI.
+    #[test]
+    fn summary_json_has_the_schema_ci_checks() {
+        let class = |submitted, completed, shed| ClassSummary {
+            submitted,
+            completed,
+            shed,
+            ..Default::default()
+        };
+        let summary = Summary {
+            submitted: 60,
+            completed: 30,
+            shed: 30,
+            classes: vec![class(20, 20, 0), class(40, 10, 30)],
+            ..Default::default()
+        };
+        let json = serde_json::to_string(&summary).unwrap();
+        let doc: Value = serde_json::from_str(&json).unwrap();
+        let Ok(Value::Seq(classes)) = serde::field(&doc, "classes") else {
+            panic!("`classes` is not an array")
+        };
+        let per_class: u64 = classes.iter().map(|c| check(c, CLASS_KEYS)).sum();
+        assert_eq!(per_class, check(&doc, &format!("bench {TOP_KEYS}")));
+    }
 }

@@ -1,6 +1,5 @@
 //! Runs the complete reproduction — every figure and table — in one
-//! pass, printing each and writing all CSVs. This is the binary behind
-//! EXPERIMENTS.md.
+//! pass, printing each and writing all CSVs.
 fn main() {
     let ctx = xgomp_bench::parse_args();
     eprintln!(

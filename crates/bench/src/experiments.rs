@@ -1,6 +1,6 @@
-//! One function per figure/table of the paper (DESIGN.md §5 maps each
-//! to its binary). Every function returns [`Table`]s that the binaries
-//! print and write to CSV; EXPERIMENTS.md records paper-vs-measured.
+//! One function per figure/table of the paper, each wrapped by a binary in
+//! `src/bin/` (`repro_all` runs them all). Every function returns
+//! [`Table`]s that the binaries print and write to CSV.
 
 use xgomp_bots::{BotsApp, Scale};
 use xgomp_core::{

@@ -35,18 +35,6 @@ impl Default for ExpCtx {
     }
 }
 
-impl ExpCtx {
-    /// A fast configuration for smoke tests and the `figures` bench.
-    pub fn smoke() -> Self {
-        ExpCtx {
-            scale: Scale::Test,
-            threads: 4,
-            reps: 1,
-            ..Self::default()
-        }
-    }
-}
-
 /// Parses the common CLI flags (see crate docs). Unknown flags abort
 /// with usage help.
 pub fn parse_args() -> ExpCtx {

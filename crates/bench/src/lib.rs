@@ -2,9 +2,9 @@
 //!
 //! The reproduction harness: every figure and table of the paper's
 //! evaluation (§VI–§VIII) is regenerated by a function in
-//! [`experiments`], wrapped by a binary in `src/bin/` (see DESIGN.md §5
-//! for the experiment index). Shared machinery — timing, verification,
-//! table rendering, CSV output — lives here.
+//! [`experiments`], wrapped by a binary in `src/bin/` (the README's
+//! "Reproduction harness" section is the index). Shared machinery —
+//! timing, verification, table rendering, CSV output — lives here.
 //!
 //! All binaries accept:
 //!

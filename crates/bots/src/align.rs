@@ -7,7 +7,7 @@
 //!
 //! BOTS ships `prot.100.aa`; we generate synthetic amino-acid sequences
 //! of the same character (20-letter alphabet, similar lengths) from a
-//! seeded RNG (DESIGN.md §3.5).
+//! seeded RNG ([`crate::rng`]).
 
 use xgomp_core::TaskCtx;
 

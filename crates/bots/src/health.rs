@@ -5,7 +5,7 @@
 //! timestep descends the tree with a task per sub-village.
 //!
 //! BOTS reads the village hierarchy from input files; we generate it
-//! synthetically with matching branching structure (DESIGN.md §3.5).
+//! synthetically with matching branching structure ([`crate::rng`]).
 //! Every village owns its RNG, so the simulation is deterministic
 //! regardless of task interleaving.
 

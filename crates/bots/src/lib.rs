@@ -20,11 +20,11 @@
 //! | Sort     | [`sort`]      | cilksort: parallel mergesort + parallel merge |
 //! | Align    | [`align`]     | task per sequence pair, all spawned by one worker |
 //!
-//! Inputs are scaled by [`Scale`]: `Test` (CI), `Quick` (default bench),
-//! `Paper` (the closest feasible to the paper's inputs on a laptop-class
-//! host — see DESIGN.md §3.4 for the mapping). BOTS input files are
-//! replaced by seeded synthetic generators ([`rng`]) as documented in
-//! DESIGN.md §3.5.
+//! Inputs are scaled by [`Scale`]: `Test` (CI), `Quick` (the figure
+//! binaries' default), `Paper` (the closest feasible to the paper's inputs
+//! on a laptop-class host; [`BotsApp::params_string`] prints each app's
+//! inputs). BOTS input files are replaced by seeded synthetic generators
+//! ([`rng`]).
 //!
 //! [`suite::BotsApp`] exposes the whole suite uniformly (name, run,
 //! digest) for the benchmark harness.

@@ -5,7 +5,7 @@
 //! (UTS uses SHA-1 to derive child seeds). We substitute SplitMix64 — a
 //! well-mixed, splittable, constant-time generator — which preserves the
 //! property that matters for these benchmarks: child seeds look
-//! independent and are identical on every run (DESIGN.md §3.5).
+//! independent and are identical on every run.
 
 /// One SplitMix64 step: returns the next value and advances the state.
 #[inline]

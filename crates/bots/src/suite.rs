@@ -7,16 +7,16 @@ use xgomp_core::{CostModel, TaskCtx};
 
 use crate::{align, fft, fib, floorplan, health, nqueens, sort, strassen, uts};
 
-/// Input scale (DESIGN.md §3.4): `Test` for CI assertions, `Quick` for
-/// `cargo bench`, `Paper` for the closest-feasible reproduction runs.
+/// Input scale: `Test` for CI assertions, `Quick` for the figure binaries'
+/// default runs, `Paper` for the closest-feasible reproduction runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scale {
     /// Milliseconds per app; used by unit/integration tests.
     Test,
-    /// Sub-second per app per runtime; the default for `cargo bench`.
+    /// Sub-second per app per runtime; the figure binaries' default.
     Quick,
-    /// Seconds per app; the reproduction runs reported in
-    /// EXPERIMENTS.md.
+    /// Seconds per app; the closest-feasible reproduction runs
+    /// (`repro_all --scale paper`).
     Paper,
 }
 

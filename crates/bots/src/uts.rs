@@ -5,7 +5,7 @@
 //! stress test (the paper's NA-WS moves 48.9 M tasks here, §VI-B2).
 //!
 //! BOTS derives child identities with SHA-1; we substitute SplitMix64
-//! hashing (DESIGN.md §3.5) — the distributional properties that create
+//! hashing ([`crate::rng`]) — the distributional properties that create
 //! the imbalance are preserved.
 
 use xgomp_core::TaskCtx;

@@ -38,7 +38,7 @@ pub struct RuntimeConfig {
     pub queue_capacity: usize,
     /// Dynamic load balancing, if any (XQueue scheduler only).
     pub dlb: Option<DlbConfig>,
-    /// Simulated machine (see DESIGN.md §3.2).
+    /// Simulated machine (see `xgomp_topology`'s "Why a model").
     pub topology: MachineTopology,
     /// Worker→core binding policy.
     pub affinity: Affinity,

@@ -61,7 +61,7 @@ fn spin_iters(n: u64) {
 
 /// NUMA access-cost model applied when a task runs away from its creator.
 ///
-/// `Disabled` is the default for unit tests; benches enable
+/// `Disabled` is the default for unit tests; the figure binaries enable
 /// [`CostModel::paper_default`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
@@ -88,7 +88,7 @@ impl CostModel {
         }
     }
 
-    /// The DESIGN.md §3.2 defaults: 25 ns same-zone, 100 ns remote-zone
+    /// The paper-derived defaults: 25 ns same-zone, 100 ns remote-zone
     /// (paper's §IV-B lower bounds), one modeled access per task.
     pub const fn paper_default() -> Self {
         CostModel {

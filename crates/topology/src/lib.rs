@@ -9,8 +9,8 @@
 //!
 //! This reproduction runs wherever `cargo test` runs — typically a small
 //! container without 8 sockets and without permission to pin threads (and
-//! `libc` is outside the allowed dependency set). Following DESIGN.md
-//! §3.2, the *topology is virtual*: worker `i` is deterministically
+//! `libc` is outside the allowed dependency set). So the *topology is
+//! virtual*: worker `i` is deterministically
 //! assigned a core, socket, and NUMA zone exactly as OpenMP's
 //! `OMP_PROC_BIND=close` would, and every policy decision in the runtime
 //! (victim choice under `p_local`, self/local/remote accounting, steal

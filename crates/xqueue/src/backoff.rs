@@ -5,7 +5,7 @@
 //! synchronization), so idle paths spin. This helper ramps the number of
 //! `spin_loop` hints up exponentially and, past a threshold, yields the
 //! time slice so oversubscribed configurations (more workers than cores —
-//! the common case in this reproduction, see DESIGN.md §3.2) still make
+//! the common case in this reproduction's virtual topology) still make
 //! global progress.
 
 use std::hint;

@@ -24,9 +24,9 @@
 //! assert_eq!(out.stats.total().tasks_executed, out.stats.total().tasks_created);
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! reproduction design and experiment index, and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! See `README.md` for the architecture overview and its "Reproduction
+//! harness" section for the experiment index, and `PAPER.md` for the
+//! paper being reproduced.
 
 #![warn(missing_docs)]
 

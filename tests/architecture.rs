@@ -13,9 +13,9 @@
 //!   names the rule when it fails.
 //!
 //! Non-test code is the part of a file before its first `#[cfg(test)]`, so
-//! test-only items go at the end of a file. Everything under `tests/` and
-//! `benches/`, and every out-of-line `tests.rs` module, is test code. Only
-//! code counts: a line's text from its first `//` on is a comment.
+//! test-only items go at the end of a file. Everything under `tests/`, and
+//! every out-of-line `tests.rs` module, is test code. Only code counts: a
+//! line's text from its first `//` on is a comment.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -30,7 +30,7 @@ type Split = [usize; 2];
 /// then `[non-test, test]` `SeqCst` uses.
 const BUDGET: &[(&str, Split, Split)] = &[
     (".", [0, 5], [0, 12]),
-    ("crates/bench", [0, 5], [0, 0]),
+    ("crates/bench", [0, 0], [0, 0]),
     ("crates/bots", [0, 0], [0, 0]),
     ("crates/core", [50, 30], [4, 9]),
     ("crates/posp", [0, 0], [0, 0]),
@@ -55,15 +55,13 @@ fn census(krate: &str) -> Census {
         _ => vec![root.join(krate)],
     };
     let mut c = Census::default();
-    for file in dirs.iter().flat_map(|d| rs_files(d)) {
+    for file in dirs.iter().flat_map(|d| files(d, "rs")) {
         // This file spells out the patterns it counts.
         if file.ends_with(file!()) {
             continue;
         }
         let rel = file.strip_prefix(root.join(krate)).unwrap();
-        let mut test = rel.starts_with("tests")
-            || rel.starts_with("benches")
-            || rel.file_name().is_some_and(|n| n == "tests.rs");
+        let mut test = rel.starts_with("tests") || rel.file_name().is_some_and(|n| n == "tests.rs");
         for line in fs::read_to_string(&file).unwrap().lines() {
             test |= line.contains("#[cfg(test)]");
             let code = code(line);
@@ -87,23 +85,25 @@ fn code(line: &str) -> &str {
     line.split("//").next().unwrap()
 }
 
-/// Every `.rs` file under `path` (itself, if it is a file), sorted.
-fn rs_files(path: &Path) -> Vec<PathBuf> {
+/// Every `.{ext}` file under `path` (itself, if it is a file), sorted;
+/// `target` and hidden directories are skipped.
+fn files(path: &Path, ext: &str) -> Vec<PathBuf> {
     let meta = fs::metadata(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     if meta.is_file() {
         return vec![path.to_path_buf()];
     }
-    let mut files = Vec::new();
+    let mut found = Vec::new();
     for entry in fs::read_dir(path).unwrap() {
         let p = entry.unwrap().path();
-        if p.is_dir() && !p.ends_with("target") {
-            files.extend(rs_files(&p));
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            files.push(p);
+        let name = p.file_name().unwrap().to_string_lossy();
+        if p.is_dir() && name != "target" && !name.starts_with('.') {
+            found.extend(files(&p, ext));
+        } else if p.extension().is_some_and(|e| e == ext) {
+            found.push(p);
         }
     }
-    files.sort();
-    files
+    found.sort();
+    found
 }
 
 /// Which lines of a file [`grep`] reads.
@@ -117,7 +117,7 @@ enum Part {
 /// walked recursively, relative to the root) that `hit` accepts.
 fn grep(path: &str, part: Part, hit: impl Fn(&str) -> bool) -> Vec<String> {
     let mut found = Vec::new();
-    for file in rs_files(&Path::new(ROOT).join(path)) {
+    for file in files(&Path::new(ROOT).join(path), "rs") {
         let rel = file.strip_prefix(ROOT).unwrap().display().to_string();
         let text = fs::read_to_string(&file).unwrap();
         for (n, line) in text.lines().enumerate() {
@@ -385,6 +385,37 @@ fn one_per_worker_cell() {
         l.contains("Mutex<Vec<Arc<TaskLane>>>") || l.contains("Mutex<Vec<Arc<EventRing>>>")
     });
     r.count(0, "no mutex-guarded lane or ring list", lists);
+}
+
+/// One measurement harness: a speed claim is a number in the battery's
+/// `BENCH_*.json` or a column of the figure harness (`repro_all`). No
+/// manifest declares a `[[bench]]` target or a `criterion` dependency, no
+/// package holds a `benches/` directory (cargo would build its files as
+/// benches unasked), and the criterion shim crate does not come back.
+#[test]
+fn one_measurement_harness() {
+    let r = Rule("one_measurement_harness");
+    let root = Path::new(ROOT);
+    let mut found = Vec::new();
+    let manifests = files(root, "toml")
+        .into_iter()
+        .filter(|p| p.ends_with("Cargo.toml"));
+    for manifest in manifests {
+        let rel = manifest.strip_prefix(root).unwrap().display().to_string();
+        for (n, line) in fs::read_to_string(&manifest).unwrap().lines().enumerate() {
+            let toml = line.split('#').next().unwrap();
+            if toml.contains("[[bench]]") || toml.contains("criterion") {
+                found.push(format!("{rel}:{}: {}", n + 1, line.trim()));
+            }
+        }
+        if manifest.with_file_name("benches").exists() {
+            found.push(format!("{rel}: its package has a `benches/` directory"));
+        }
+    }
+    let what = "no `[[bench]]` target, `criterion` dependency or `benches/` directory";
+    r.count(0, what, found);
+    let shim = root.join("crates/shims/criterion");
+    r.check(!shim.exists(), "no `crates/shims/criterion` crate", &[]);
 }
 
 /// The reproducers CI repeats by name (the pause ledger's), and the
