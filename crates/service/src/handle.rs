@@ -25,13 +25,31 @@
 //! joined after it finished, or never joined at all — completes with
 //! one uncontended lock round trip and no syscall; a parked joiner is
 //! woken exactly once.
+//!
+//! A joiner does not always sleep at once. When the submit that made the
+//! handle had to wake a parked worker, the job is about to run on an
+//! otherwise idle team, and a condvar sleep would add a futex wake to its
+//! latency. Such a joiner first spins on `is_done` while the job is
+//! younger than [`JOIN_SPIN`] (counted from admission) and the join's
+//! deadline has not passed, and sleeps only if that runs out. A handle
+//! whose submit found the team awake — busy, or never parking — and a job
+//! joined late sleep straight away, so a saturated client never spins
+//! against the workers for a core.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::{locked, wait, wait_timeout};
-use xgomp_core::{CancelReason, CancelToken};
+use xgomp_core::{clock, CancelReason, CancelToken};
+
+/// How long after admission a spin-gated joiner polls `is_done` before
+/// it sleeps on the condvar (see "Who wakes whom"). On a 2-core Xeon
+/// host a ping to a parked team takes 10–17 µs from admission to
+/// completion, of which the worker's wake-up is 4–8 µs: a budget of one
+/// wake-up would run out just before most pings finish. A saturated
+/// client joins its jobs at an age of about 160 µs, past this budget.
+pub(crate) const JOIN_SPIN: Duration = Duration::from_micros(50);
 
 /// Job phases (`JobState::phase`). `QUEUED → RUNNING` is claimed by the
 /// job wrapper when the body starts; `QUEUED → SHED_*` by whichever of
@@ -204,6 +222,9 @@ pub(crate) struct JobState<R> {
     waiters: AtomicU32,
     slot: Mutex<Option<Result<R, JobError>>>,
     cv: Condvar,
+    /// Condvar broadcasts this job's completion issued (see
+    /// [`Broadcasts`]).
+    pub(crate) broadcasts: Broadcasts,
     /// Phase machine (see the `PHASE_*` constants).
     pub(crate) phase: AtomicU32,
     /// The job's cancellation token — installed on the job's root task
@@ -243,12 +264,14 @@ impl<R> JobState<R> {
             debug_assert!(slot.is_none(), "job completed twice");
             *slot = Some(result);
             self.done.store(true, Ordering::Release);
-            self.waiters.load(Ordering::Relaxed) > 0
+            let parked = self.waiters.load(Ordering::Relaxed) > 0;
+            if parked {
+                self.broadcasts.count();
+            }
+            parked
         };
         if parked {
             self.cv.notify_all();
-            #[cfg(test)]
-            tests::WAKES.with(|w| w.set(w.get() + 1));
         }
     }
 
@@ -308,6 +331,10 @@ impl<R> JobState<R> {
 /// under the caller's control.
 pub struct JobHandle<R> {
     pub(crate) state: Arc<JobState<R>>,
+    /// Whether the submit that created this handle woke a parked worker:
+    /// the gate of the joiner's spin (see "Who wakes whom"). Written once
+    /// by the submitter, before the handle leaves its thread.
+    pub(crate) spin: bool,
 }
 
 impl<R> std::fmt::Debug for JobHandle<R> {
@@ -325,6 +352,7 @@ impl<R> JobHandle<R> {
             waiters: AtomicU32::new(0),
             slot: Mutex::new(None),
             cv: Condvar::new(),
+            broadcasts: Default::default(),
             phase: AtomicU32::new(PHASE_QUEUED),
             token,
             id,
@@ -334,6 +362,7 @@ impl<R> JobHandle<R> {
         });
         let handle = JobHandle {
             state: state.clone(),
+            spin: false,
         };
         (handle, state)
     }
@@ -440,18 +469,30 @@ impl<R> JobHandle<R> {
         true
     }
 
-    /// Parks on the completion condvar until the job is done (`true`)
-    /// or `deadline` has passed (`false`).
+    /// Waits for the job to be done (`true`) or for `deadline` to pass
+    /// (`false`): spins first if the gate allows, then parks on the
+    /// completion condvar.
     ///
-    /// The joiner registers in `waiters` *before* it takes the slot
-    /// lock: either its lock acquisition follows the completer's and it
-    /// finds the result, or the registration happens-before the
+    /// The spin runs only on a handle whose submit woke a parked worker
+    /// (`spin`), and only until the earlier of admission + [`JOIN_SPIN`]
+    /// and `deadline`, so a late join or a short timeout falls through
+    /// on its first probe. It takes no lock and writes nothing: a job
+    /// that finishes during it completes without a broadcast.
+    ///
+    /// Past the spin, the joiner registers in `waiters` *before* it takes
+    /// the slot lock: either its lock acquisition follows the completer's
+    /// and it finds the result, or the registration happens-before the
     /// completer's `waiters` load, which then sees it and broadcasts
     /// (the argument in full is at `JobState::complete`). It deregisters
     /// on every exit, a timeout included, so a later completion of a
-    /// handle nobody sleeps on stays syscall-free.
+    /// handle nobody sleeps on stays syscall-free. This is the one place
+    /// a joiner registers, so no join flavor sleeps without passing the
+    /// spin gate.
     fn wait_until(&self, deadline: Option<Instant>) -> bool {
         let state = &*self.state;
+        if self.spin {
+            self.spin_while_young(deadline);
+        }
         if state.is_done() {
             return true;
         }
@@ -475,6 +516,22 @@ impl<R> JobHandle<R> {
         drop(slot);
         state.waiters.fetch_sub(1, Ordering::Relaxed);
         done
+    }
+
+    /// Polls `is_done` until the job is done, its admission age reaches
+    /// [`JOIN_SPIN`], or `deadline` passes — one clock read per probe.
+    fn spin_while_young(&self, deadline: Option<Instant>) {
+        let state = &*self.state;
+        let budget = clock::ns_to_ticks(JOIN_SPIN.as_nanos() as u64);
+        let mut end = state.submitted.saturating_add(budget);
+        if let Some(d) = deadline {
+            let left = d.saturating_duration_since(Instant::now()).as_nanos();
+            let left = clock::ns_to_ticks(u64::try_from(left).unwrap_or(u64::MAX));
+            end = end.min(clock::now().saturating_add(left));
+        }
+        while !state.is_done() && clock::now() < end {
+            std::hint::spin_loop();
+        }
     }
 
     /// Cooperative join **for use inside a job**: helps execute pending
@@ -543,51 +600,158 @@ impl<R> JobHandle<R> {
     }
 }
 
+/// How many condvar broadcasts a job's completion issued: counted in test
+/// builds (the test module's `Broadcasts`), a zero-sized no-op otherwise.
+#[cfg(not(test))]
+#[derive(Default)]
+pub(crate) struct Broadcasts;
+
+#[cfg(not(test))]
+impl Broadcasts {
+    fn count(&self) {}
+}
+
+#[cfg(test)]
+pub(crate) use tests::Broadcasts;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
-    thread_local! {
-        /// Condvar broadcasts issued by `JobState::complete` on this
-        /// thread (each test completes its jobs on its own thread).
-        pub(super) static WAKES: Cell<u32> = const { Cell::new(0) };
-    }
+    /// The test build's [`Broadcasts`](super::Broadcasts): a per-job
+    /// count, so a test reads its own jobs' broadcasts whichever thread
+    /// completed them and whatever other tests run beside it.
+    #[derive(Default)]
+    pub(crate) struct Broadcasts(AtomicU32);
 
-    fn wakes() -> u32 {
-        WAKES.with(Cell::get)
+    impl Broadcasts {
+        pub(super) fn count(&self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+
+        pub(crate) fn get(&self) -> u32 {
+            self.0.load(Ordering::Relaxed)
+        }
     }
 
     fn pending<R>(id: u64, submitted: u64) -> (JobHandle<R>, Arc<JobState<R>>) {
         JobHandle::new(id, submitted, CancelToken::new())
     }
 
+    /// A pending handle whose submit woke a parked worker.
+    fn spin_gated<R>(id: u64, submitted: u64) -> (JobHandle<R>, Arc<JobState<R>>) {
+        let (mut handle, state) = pending(id, submitted);
+        handle.spin = true;
+        (handle, state)
+    }
+
+    /// A pending job: the joiner's handle and the completer's state.
+    type Job = (JobHandle<u32>, Arc<JobState<u32>>);
+
+    /// Admits a job (`job` gets the admission stamp), joins it on a new
+    /// thread, waits until the joiner has registered, completes the job
+    /// and checks that exactly one broadcast woke the joiner. Registered
+    /// joiners cannot deregister before the result is in the slot, so
+    /// the completion must count this one. Returns how long the joiner
+    /// took from entering `join` to registering. The job is admitted on
+    /// the joiner's thread, right before the join, so it is as young as
+    /// a job can be when its join starts.
+    fn join_parked(job: fn(u64) -> Job) -> Duration {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            let (handle, state) = job(clock::now());
+            tx.send((state, Instant::now())).unwrap();
+            handle.join()
+        });
+        let (state, entered) = rx.recv().unwrap();
+        while state.waiters.load(Ordering::Relaxed) != 1 {
+            std::hint::spin_loop();
+        }
+        let registered = Instant::now();
+        state.complete(Ok(9));
+        assert_eq!(joiner.join().unwrap().unwrap(), 9);
+        assert_eq!(state.broadcasts.get(), 1);
+        assert_eq!(state.waiters.load(Ordering::Relaxed), 0);
+        registered.saturating_duration_since(entered)
+    }
+
+    /// Runs `round` until one takes under a quarter of `JOIN_SPIN`, for
+    /// up to half a second, and returns the fastest. A joiner that spun
+    /// takes close to `JOIN_SPIN` in every round (less only by the skew
+    /// between two cores' timestamp counters); a round that was only
+    /// preempted is retried, so a loaded machine cannot fail the test.
+    fn fastest_round(mut round: impl FnMut() -> Duration) -> Duration {
+        let give_up = Instant::now() + Duration::from_millis(500);
+        let mut fastest = Duration::MAX;
+        while fastest >= JOIN_SPIN / 4 && Instant::now() < give_up {
+            fastest = fastest.min(round());
+        }
+        fastest
+    }
+
     #[test]
     fn completion_without_a_joiner_issues_no_wake() {
         let (handle, state) = pending::<u32>(10, 0);
         state.complete(Ok(1));
-        assert_eq!(wakes(), 0, "nobody parked: no broadcast");
+        assert_eq!(state.broadcasts.get(), 0, "nobody parked: no broadcast");
         assert_eq!(handle.join().unwrap(), 1, "a late join takes the fast path");
         // A shed goes through the same gate.
-        let (handle, _state) = pending::<u32>(11, 0);
+        let (handle, state) = pending::<u32>(11, 0);
         handle.cancel();
-        assert_eq!(wakes(), 0);
+        assert_eq!(state.broadcasts.get(), 0);
         assert!(handle.join().unwrap_err().is_cancelled());
     }
 
+    /// A handle whose submit found the team awake (the gate shut, as
+    /// every handle starts) registers at once however young its job is:
+    /// the join behaves exactly as it did before the spin existed.
     #[test]
     fn parked_joiner_is_woken_exactly_once() {
-        let (handle, state) = pending::<u32>(12, 0);
-        let joiner = std::thread::spawn(move || handle.join());
-        // Registered joiners cannot deregister before the result is in
-        // the slot, so the completion below must count this one.
-        while state.waiters.load(Ordering::Relaxed) != 1 {
-            std::hint::spin_loop();
-        }
-        state.complete(Ok(9));
-        assert_eq!(joiner.join().unwrap().unwrap(), 9);
-        assert_eq!(wakes(), 1);
-        assert_eq!(state.waiters.load(Ordering::Relaxed), 0);
+        let fastest = fastest_round(|| {
+            join_parked(|now| {
+                let (handle, state) = pending(12, now);
+                assert!(!handle.spin, "a handle starts with the gate shut");
+                (handle, state)
+            })
+        });
+        assert!(fastest < JOIN_SPIN / 4, "registered after {fastest:?}");
+    }
+
+    /// The spin is gated on the job's admission age too: a spin-gated
+    /// handle whose job was admitted more than `JOIN_SPIN` ago (stamp 0)
+    /// registers on its first probe.
+    #[test]
+    fn stale_spin_gated_joiner_registers_at_once() {
+        let fastest = fastest_round(|| join_parked(|_| spin_gated(14, 0)));
+        assert!(fastest < JOIN_SPIN / 4, "registered after {fastest:?}");
+    }
+
+    /// A join timeout shorter than `JOIN_SPIN` bounds the spin too: the
+    /// join gives up at its own deadline with the joiner deregistered,
+    /// never at admission + `JOIN_SPIN`.
+    #[test]
+    fn short_join_timeout_cuts_the_spin_short() {
+        let timeout = Duration::from_micros(2);
+        let mut id = 20;
+        let fastest = fastest_round(|| {
+            id += 1;
+            let (handle, state) = spin_gated::<u32>(id, clock::now());
+            let t0 = Instant::now();
+            let handle = match handle.join_timeout(timeout) {
+                Err(t) => t.handle,
+                Ok(_) => panic!("nothing completes the job"),
+            };
+            let took = t0.elapsed();
+            assert_eq!(state.waiters.load(Ordering::Relaxed), 0);
+            state.complete(Ok(1));
+            assert_eq!(state.broadcasts.get(), 0, "the timed-out joiner is gone");
+            assert_eq!(handle.join().unwrap(), 1);
+            took
+        });
+        assert!(
+            fastest < JOIN_SPIN / 4,
+            "a {timeout:?} join spun for {fastest:?}"
+        );
     }
 
     #[test]
@@ -599,7 +763,7 @@ mod tests {
         };
         assert_eq!(state.waiters.load(Ordering::Relaxed), 0);
         state.complete(Ok(3));
-        assert_eq!(wakes(), 0, "the timed-out joiner is gone");
+        assert_eq!(state.broadcasts.get(), 0, "the timed-out joiner is gone");
         assert_eq!(handle.join().unwrap(), 3);
     }
 

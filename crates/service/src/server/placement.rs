@@ -25,7 +25,9 @@ pub(super) enum Route {
 
 impl ServerShared {
     /// Places an admitted job along `route` until it lands, then rings
-    /// the doorbell for the shard that took it.
+    /// the doorbell for the shard that took it. Returns whether that
+    /// ring woke a parked worker — the gate of the joiner's spin (see
+    /// `JobHandle::wait_until`); a spilled job returns `false`.
     ///
     /// Anonymous placement rotates over the claim-guarded lanes; pinned
     /// placement is *strict* — the job waits for its reserved lane
@@ -37,10 +39,10 @@ impl ServerShared {
     /// always being drained — except from a pause onward, where
     /// submissions divert to the spill: the rings belong to the pause
     /// drain, and a `try_submit` must never block until `resume`.
-    pub(super) fn place(&self, route: Route, body: JobBody) {
+    pub(super) fn place(&self, route: Route, body: JobBody) -> bool {
         if !self.rings_open() {
             self.spill_job(body);
-            return;
+            return false;
         }
         let home = match route {
             Route::Anonymous { hint } => hint,
@@ -63,8 +65,7 @@ impl ServerShared {
                     // under fallover it may not be `home`, and waking
                     // `home`'s zone instead would leave the job stranded
                     // behind another shard's backlog.
-                    self.ring_doorbell(shard);
-                    return;
+                    return self.ring_doorbell(shard);
                 }
                 Err(back) if !self.rings_open() => {
                     // A pause landed mid-placement: no drainer will free
@@ -73,7 +74,7 @@ impl ServerShared {
                     // SAFETY: the rejected pointer is the box we leaked
                     // above.
                     self.spill_job(*unsafe { Box::from_raw(back.as_ptr()) });
-                    return;
+                    return false;
                 }
                 Err(back) => {
                     ptr = back;
@@ -152,13 +153,14 @@ impl ServerShared {
     }
 
     /// Wakes one parked worker for shard `shard`'s zone (zone-local
-    /// first). No-op before the serve loop has published the parker —
-    /// at that point every worker is still awake.
-    fn ring_doorbell(&self, shard: usize) {
+    /// first); returns whether one was woken. No-op (`false`) before the
+    /// serve loop has published the parker — at that point every worker
+    /// is still awake.
+    fn ring_doorbell(&self, shard: usize) -> bool {
         let zone = self.zone_of_shard[shard % self.zone_of_shard.len()].load(Ordering::Relaxed);
-        self.doorbell.with_current(|p| {
-            p.notify_any(zone);
-        });
+        self.doorbell
+            .with_current(|p| p.notify_any(zone).is_some())
+            .unwrap_or(false)
     }
 }
 

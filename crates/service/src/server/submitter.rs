@@ -172,7 +172,9 @@ pub struct Submission<'a> {
 impl Submission<'_> {
     /// The one admit → wrap → place sequence behind every submit
     /// flavor. `wrap` turns the admitted payload into the job closure;
-    /// a refusal hands the payload back untouched.
+    /// a refusal hands the payload back untouched. The handle learns
+    /// whether placing the job woke a parked worker: only then may its
+    /// joiner spin before it sleeps.
     fn try_place<P, J, R>(
         &mut self,
         payload: P,
@@ -183,8 +185,8 @@ impl Submission<'_> {
         R: Send + 'static,
     {
         let payload = self.shared.admit_or(self.opts.qos, payload)?;
-        let (handle, body) = self.shared.make_job(self.opts, wrap(payload));
-        self.shared.place(self.route, body);
+        let (mut handle, body) = self.shared.make_job(self.opts, wrap(payload));
+        handle.spin = self.shared.place(self.route, body);
         Ok(handle)
     }
 

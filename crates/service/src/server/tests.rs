@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::*;
 use crate::{LoopSchedule, TraceLevel};
@@ -775,4 +775,43 @@ fn class_counters_sum_across_worker_shards() {
     assert_eq!(s.submitted, JOBS);
     assert_eq!(s.submitted.abs_diff(s.completed + s.cancelled + s.shed), 0);
     assert_eq!((s.cancelled, s.shed, s.in_flight), (9, 15, 0));
+}
+
+/// A joiner whose submit woke the parked team spins on the job instead
+/// of sleeping on its condvar, so the completing worker skips the
+/// broadcast. Each ping waits until both workers have parked, so its
+/// doorbell wakes one; a joiner that slept at once would cost a
+/// broadcast on nearly every ping. Parking is pinned on, so an
+/// `XGOMP_WAIT_POLICY=active` run (no worker ever parks, no spin gate
+/// ever opens) tests the same thing.
+#[test]
+fn a_joiner_that_woke_the_team_spins_instead_of_sleeping() {
+    const PINGS: u32 = 200;
+    let cfg = ServerConfig::new(2);
+    let rt = cfg.runtime.clone().park_idle(true);
+    let server = TaskServer::start(cfg.runtime(rt));
+    let parked = || {
+        server
+            .shared
+            .doorbell
+            .with_current(|p| p.currently_parked())
+    };
+    let mut broadcasts = 0;
+    for i in 0..PINGS {
+        // A team that never parks fails the count below, not the suite's
+        // patience.
+        let give_up = Instant::now() + Duration::from_millis(100);
+        while parked() != Some(2) && Instant::now() < give_up {
+            std::hint::spin_loop();
+        }
+        let handle = server.submit(move |_| i).unwrap();
+        let state = handle.state.clone();
+        assert_eq!(handle.join().unwrap(), i);
+        broadcasts += state.broadcasts.get();
+    }
+    assert!(
+        broadcasts < PINGS / 2,
+        "{broadcasts} of {PINGS} pings woke their joiner with a broadcast"
+    );
+    assert_eq!(server.shutdown().stats.completed, u64::from(PINGS));
 }

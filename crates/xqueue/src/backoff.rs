@@ -1,12 +1,13 @@
 //! Exponential spin backoff for polling loops.
 //!
-//! Workers in the XGOMP runtime never block on an OS primitive while the
-//! team is live (the whole point is to avoid kernel-assisted
-//! synchronization), so idle paths spin. This helper ramps the number of
-//! `spin_loop` hints up exponentially and, past a threshold, yields the
-//! time slice so oversubscribed configurations (more workers than cores —
-//! the common case in this reproduction's virtual topology) still make
-//! global progress.
+//! Idle paths in the XGOMP runtime spin before they block: a kernel-assisted
+//! wait costs more than the gap it covers when work arrives soon, and only
+//! a worker whose backoff has saturated parks on the
+//! [`Parker`](crate::Parker) (see [`IdleGate`](crate::IdleGate)). This
+//! helper ramps the number of `spin_loop` hints up exponentially and, past
+//! a threshold, yields the time slice so oversubscribed configurations
+//! (more workers than cores — the common case in this reproduction's
+//! virtual topology) still make global progress.
 
 use std::hint;
 

@@ -366,6 +366,38 @@ fn one_job_ledger() {
     r.count(0, "no `Vec<JobBody>` batch in the ingress drain", batches);
 }
 
+/// One join wait: a joiner sleeps on a job's condvar only after it counts
+/// itself in `waiters`, and the one non-test registration in `handle.rs`
+/// is the one in `JobHandle::wait_until`, after the spin gate. A second
+/// registering join flavor would sleep without passing the gate.
+#[test]
+fn one_join_wait() {
+    let r = Rule("one_join_wait");
+    let handle = "crates/service/src/handle.rs";
+    let registrations = grep(handle, Part::NonTest, |l| {
+        code(l).contains("waiters.fetch_add")
+    });
+    r.count(
+        1,
+        "one non-test `waiters.fetch_add` in `handle.rs`",
+        registrations.clone(),
+    );
+    let text = fs::read_to_string(Path::new(ROOT).join(handle)).unwrap();
+    let lines: Vec<&str> = text.lines().map(code).collect();
+    let find = |from: usize, pat: &str| {
+        let i = lines[from..].iter().position(|l| l.contains(pat))?;
+        Some(from + i)
+    };
+    let gated = || {
+        let wait = find(0, "fn wait_until(")?;
+        let spin = find(wait, "self.spin_while_young(")?;
+        let registration = find(spin, "waiters.fetch_add")?;
+        Some(registration < find(wait + 1, "fn ").unwrap_or(lines.len()))
+    };
+    let what = "the registration sits in `wait_until`, after the spin gate";
+    r.check(gated() == Some(true), what, &registrations);
+}
+
 /// One per-worker cell primitive: every single-writer per-worker block
 /// (§V counters, sampler lanes, trace rings, job outcomes) is a seat of
 /// `xgomp_xqueue::Cells`, padded by the workspace's one `CachePadded`. A
