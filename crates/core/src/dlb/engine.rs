@@ -14,7 +14,6 @@ use xgomp_xqueue::{bump, CachePadded, Parker};
 
 use super::message::MsgCell;
 use super::{DlbConfig, DlbStrategy, DlbTuning};
-use crate::loops::LoopBalancer;
 use crate::sched::Row;
 
 /// Victim-side per-worker redirect state (NA-RP, Alg. 3).
@@ -54,10 +53,6 @@ pub(crate) struct DlbEngine {
     /// must wake that thief — a thief parks between request bursts, and
     /// nobody else would ever touch its row.
     parker: Arc<Parker>,
-    /// Inter-socket loop balancer: idle workers double as its probe
-    /// drivers, so rebalance probes keep firing even when every
-    /// loop-drain task is buried in long chunks.
-    balancer: Arc<LoopBalancer>,
 }
 
 /// Worker `w`'s half of the protocol, owned by its scheduler seat: the
@@ -82,14 +77,12 @@ impl DlbEngine {
         tuning: Arc<DlbTuning>,
         placement: Arc<Placement>,
         parker: Arc<Parker>,
-        balancer: Arc<LoopBalancer>,
     ) -> Self {
         DlbEngine {
             tuning,
             cells: (0..n).map(|_| CachePadded(MsgCell::new())).collect(),
             placement,
             parker,
-            balancer,
         }
     }
 
@@ -155,11 +148,6 @@ impl DlbSeat<'_> {
     /// before retrying.
     pub fn on_idle(&self) {
         let (eng, w) = (self.eng, self.w);
-        // Inter-socket loop rebalance probe: rides the idle scheduling
-        // point at its own (tick-based) cadence; a cheap gate when the
-        // interval has not elapsed, a no-op when disabled or no loops
-        // are live.
-        eng.balancer.maybe_probe(self.stats);
         let cfg = eng.tuning.load();
         let send_now = {
             let mut idle_iters = self.idle_iters.get();
@@ -350,13 +338,7 @@ mod tests {
             &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
         ));
         (
-            DlbEngine::new(
-                n,
-                Arc::new(DlbTuning::new(cfg)),
-                placement,
-                parker,
-                Arc::new(LoopBalancer::new()),
-            ),
+            DlbEngine::new(n, Arc::new(DlbTuning::new(cfg)), placement, parker),
             Rows::new(n, queue_capacity),
         )
     }

@@ -58,19 +58,7 @@ pub struct DlbConfig {
     pub t_interval: u64,
     /// Probability a thief picks a NUMA-local victim (`P_local`).
     pub p_local: f64,
-    /// Clock ticks between inter-socket *loop* rebalance probes — the
-    /// coarse level of two-level loop balancing (the fine level is the
-    /// per-zone range pools). `0` disables the loop balancer entirely,
-    /// reproducing dry-pool steal-splitting only. Rides the same
-    /// [`DlbTuning`] atomics as the task-side knobs, so the adaptive
-    /// controller and `swap_tuning` re-tune it live.
-    pub rebalance_interval: u64,
 }
-
-/// Default [`DlbConfig::rebalance_interval`]: one probe every ~10k
-/// clock ticks (a few µs on GHz-class TSCs — the same order as the
-/// default `t_interval` idle cadence).
-pub const DEFAULT_REBALANCE_INTERVAL: u64 = 10_000;
 
 impl DlbConfig {
     /// A reasonable middle-of-the-sweep default (the paper's most common
@@ -82,7 +70,6 @@ impl DlbConfig {
             n_steal: 32,
             t_interval: 10_000,
             p_local: 1.0,
-            rebalance_interval: DEFAULT_REBALANCE_INTERVAL,
         }
     }
 
@@ -104,12 +91,6 @@ impl DlbConfig {
     /// Sets `P_local` (clamped to `[0, 1]`).
     pub fn p_local(mut self, v: f64) -> Self {
         self.p_local = v.clamp(0.0, 1.0);
-        self
-    }
-    /// Sets the loop-rebalance probe interval in clock ticks (`0`
-    /// disables the inter-socket loop balancer).
-    pub fn rebalance_interval(mut self, v: u64) -> Self {
-        self.rebalance_interval = v;
         self
     }
 
@@ -141,8 +122,6 @@ pub struct DlbTuning {
     t_interval: std::sync::atomic::AtomicU64,
     /// `f64::to_bits` of `p_local`.
     p_local_bits: std::sync::atomic::AtomicU64,
-    /// Loop-rebalance probe cadence in ticks (0 = balancer off).
-    rebalance_interval: std::sync::atomic::AtomicU64,
     /// Completed [`store`](Self::store) calls that changed the config.
     retunes: std::sync::atomic::AtomicU64,
 }
@@ -164,7 +143,6 @@ impl DlbTuning {
             n_steal: AtomicUsize::new(cfg.n_steal.max(1)),
             t_interval: AtomicU64::new(cfg.t_interval.max(1)),
             p_local_bits: AtomicU64::new(cfg.p_local.clamp(0.0, 1.0).to_bits()),
-            rebalance_interval: AtomicU64::new(cfg.rebalance_interval),
             retunes: AtomicU64::new(0),
         }
     }
@@ -182,16 +160,7 @@ impl DlbTuning {
             n_steal: self.n_steal.load(Relaxed),
             t_interval: self.t_interval.load(Relaxed),
             p_local: f64::from_bits(self.p_local_bits.load(Relaxed)),
-            rebalance_interval: self.rebalance_interval.load(Relaxed),
         }
-    }
-
-    /// The loop-rebalance probe interval alone (the loop balancer's hot
-    /// per-chunk gate reads just this knob).
-    #[inline]
-    pub fn rebalance_interval(&self) -> u64 {
-        self.rebalance_interval
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Publishes `cfg` as the active configuration (hot swap). Counts a
@@ -206,8 +175,6 @@ impl DlbTuning {
         self.t_interval.store(cfg.t_interval.max(1), Relaxed);
         self.p_local_bits
             .store(cfg.p_local.clamp(0.0, 1.0).to_bits(), Relaxed);
-        self.rebalance_interval
-            .store(cfg.rebalance_interval, Relaxed);
         if changed {
             self.retunes.fetch_add(1, Relaxed);
         }

@@ -67,11 +67,11 @@ pub use barrier::BarrierKind;
 pub use cancel::{raise_cancel, CancelReason, CancelToken, CancelUnwind};
 pub use config::RuntimeConfig;
 pub use ctx::{Scope, TaskCtx};
-pub use dlb::{DlbConfig, DlbStrategy, DlbTuning, DEFAULT_REBALANCE_INTERVAL};
+pub use dlb::{DlbConfig, DlbStrategy, DlbTuning};
 pub use loops::{
     auto_portfolio_member, AutoPick, AutoSelector, AutoSiteStatus, ChunkPolicy, IterSpace,
-    LoopBalancer, LoopError, LoopId, LoopReport, LoopSchedule, LoopSpace, SpaceKind,
-    AUTO_CONFIRM_WINDOWS, AUTO_FALLBACK, AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER, DEFAULT_TILE,
+    LoopError, LoopId, LoopReport, LoopSchedule, LoopSpace, SpaceKind, AUTO_CONFIRM_WINDOWS,
+    AUTO_FALLBACK, AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER, DEFAULT_TILE,
 };
 pub use sched::SchedulerKind;
 pub use team::{IngressSource, RegionOutput, Runtime, ServingHooks};

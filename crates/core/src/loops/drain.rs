@@ -9,7 +9,7 @@
 //! chunks.
 
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use xgomp_profiling::{clock, EventKind, TraceLevel};
 use xgomp_xqueue::{bump, Backoff};
@@ -41,13 +41,11 @@ pub(super) struct LoopShared<'b> {
     pub(super) space: &'b IterSpace,
     pub(super) runner: &'b UnitRunner<'b>,
     pub(super) layout: Layout,
-    /// The registered, balancer-visible pool state and the loop's chunk
-    /// sizing; `None` for `Static`, where each seat's claim source is
-    /// its private block.
-    pub(super) pooled: Option<(Arc<LoopCore>, Chunker)>,
+    /// The zone pools and the loop's chunk sizing; `None` for `Static`,
+    /// where each seat's claim source is its private block.
+    pub(super) pooled: Option<(LoopCore, Chunker)>,
     /// The loop's ledger, merged into once per drain task. Iteration
-    /// counts are *elements*; chunk/steal counts are claim events; the
-    /// migrated counters (folded from [`LoopCore`]) are units.
+    /// counts are *elements*; chunk/steal counts are claim events.
     pub(super) total: Mutex<LoopReport>,
 }
 
@@ -139,8 +137,8 @@ impl LoopShared<'_> {
     /// The dynamic-family drain loop one worker runs. Every chunk —
     /// wherever its units came from — is cut at the one dispense site at
     /// the bottom of the loop, from a worker-private **reserve**
-    /// `[lo, hi)`: refilled zone-local first (main, then inbox) by one
-    /// claim of [`Chunker::reservation`] units, else by a remote
+    /// `[lo, hi)`: refilled zone-local first by one claim of
+    /// [`Chunker::reservation`] units, else by a remote
     /// steal-split (nearest-first), whose tail it shares through the
     /// local pool.
     fn drive(&self, ctx: &TaskCtx<'_>, core: &LoopCore, chunker: &Chunker, acc: &mut LoopReport) {
@@ -155,12 +153,11 @@ impl LoopShared<'_> {
         // sampler is wired (task server) — the Table-IV adaptive
         // controller, one sample of mass per chunk. The same reading
         // stamps the window ahead, promotes an expired deadline into the
-        // token's state (where the per-chunk checkpoint sees it) and is
-        // the inter-socket balancer's probe gate. With no chunks behind
-        // it, it only re-stamps: called on both sides of any time spent
-        // off the dispense path, so idle time is never billed to a chunk.
-        let balancer = &ctx.team().balancer;
-        let (my_stats, lane) = (ctx.worker.stats, ctx.worker.lane);
+        // token's state (where the per-chunk checkpoint sees it). With
+        // no chunks behind it, it only re-stamps: called on both sides of
+        // any time spent off the dispense path, so idle time is never
+        // billed to a chunk.
+        let lane = ctx.worker.lane;
         let boundary = |win: &mut Window| {
             let now = clock::now();
             let ticks = now.saturating_sub(win.stamp);
@@ -178,11 +175,6 @@ impl LoopShared<'_> {
             win.stamp = now;
             if let Some(token) = &token {
                 token.poll_at(now);
-            }
-            if balancer.maybe_probe_at(now, my_stats) {
-                // Our probe migrated a back-half range between zones — a
-                // coarse-level decision worth a lifecycle record.
-                ctx.trace_emit(TraceLevel::Lifecycle, EventKind::Rebalance, my as u32, 0, 0);
             }
         };
         let mut win = Window {
@@ -212,10 +204,9 @@ impl LoopShared<'_> {
             let want = chunker.size(my, core);
             if lo == hi {
                 // Zone-local first: the claim keeps the iterations in
-                // the zone whose block they belong to. The inbox holds
-                // balancer migrations — zone property too.
+                // the zone whose block they belong to.
                 let ask = chunker.reservation(my, core, want, win.chunk_ticks);
-                if let Some((a, b)) = mine.main.claim(ask).or_else(|| mine.inbox.claim(ask)) {
+                if let Some((a, b)) = mine.claim(ask) {
                     (lo, hi, local) = (a, b, true);
                 } else {
                     boundary(&mut win);
@@ -224,18 +215,15 @@ impl LoopShared<'_> {
                     // iteration ranges). A pane-set steal prefers whole
                     // pending panes, so a waved space migrates pane
                     // tails, not scalar slivers.
-                    let stolen = (1..n_pools).find_map(|d| {
-                        let p = &core.pools[(my + d) % n_pools].0;
-                        p.main.steal_half().or_else(|| p.inbox.steal_half())
-                    });
+                    let stolen =
+                        (1..n_pools).find_map(|d| core.pools[(my + d) % n_pools].0.steal_half());
                     if let Some((a, b)) = stolen {
                         acc.range_steals += 1;
                         ctx.trace_emit(TraceLevel::Full, EventKind::RangeSteal, my as u32, a, b);
                         (lo, hi, local) = (a, b, false);
                     } else if core.fully_claimed() {
-                        // Every pool looked empty and the
-                        // seqlock-validated scan agrees (a migration in
-                        // flight fails it — yield and retry).
+                        // Every pool is empty with no refill in flight;
+                        // a unit still in a reserve is its owner's to run.
                         return;
                     } else {
                         backoff.snooze();
@@ -250,7 +238,7 @@ impl LoopShared<'_> {
             // again before every chunk for as long as the offer is
             // refused.
             let end = lo + u64::from(want).min(hi - lo);
-            if !local && end < hi && mine.main.deposit_if_empty(end, hi) {
+            if !local && end < hi && mine.deposit_if_empty(end, hi) {
                 hi = end;
             }
             chunker.claimed();
@@ -272,16 +260,15 @@ impl LoopShared<'_> {
     /// counting the abandoned **elements** into `acc.cancelled_iters` —
     /// each drained unit range converts through the space's O(1) prefix
     /// math, so abandoning billions of units never iterates them. The
-    /// exit is the same seqlock-validated `fully_claimed` as the normal
-    /// empty exit — a balancer migration in flight holds a range in
-    /// *neither* pool, and a blind drain would strand those units and
-    /// break the conservation identity. Concurrent abandoners are fine:
-    /// a pane-set drain hands every unit to exactly one drainer.
+    /// exit is the same `fully_claimed` as the normal empty exit.
+    /// Concurrent abandoners are fine: a pane-set drain hands every unit
+    /// to exactly one drainer.
     fn abandon_pools(&self, core: &LoopCore, acc: &mut LoopReport) {
         let mut backoff = Backoff::new();
         loop {
-            for set in core.pools.iter().flat_map(|p| [&p.0.main, &p.0.inbox]) {
-                set.drain_all_with(|lo, hi| acc.cancelled_iters += self.space.elems_in(lo, hi));
+            for set in core.pools.iter() {
+                set.0
+                    .drain_all_with(|lo, hi| acc.cancelled_iters += self.space.elems_in(lo, hi));
             }
             if core.fully_claimed() {
                 return;

@@ -1,26 +1,24 @@
 //! Data-parallel loops: NUMA-aware iteration-space scheduling
-//! ([`TaskCtx::parallel_for`]) with **two-level dynamic load balancing**.
+//! ([`TaskCtx::parallel_for`]) with dynamic load balancing.
 //!
 //! The runtime's tasking side reproduces the paper's *task* parallelism;
 //! this module adds the other half of the fine-grained-parallelism
-//! story, in the spirit of LB4OMP's dynamic loop-scheduling library and
-//! the two-level balancing literature: a `parallel_for` over an
-//! iteration space with a family of [`LoopSchedule`]s, built so loop
-//! work flows through the *same* NUMA machinery as tasks.
+//! story, in the spirit of LB4OMP's dynamic loop-scheduling library: a
+//! `parallel_for` over an iteration space with a family of
+//! [`LoopSchedule`]s, built so loop work flows through the *same* NUMA
+//! machinery as tasks.
 //!
 //! ## Architecture
 //!
 //! * The logical [`IterSpace`] (1D range, 2D rectangle, triangular)
 //!   lowers to flat u64 *scheduling units*,
 //!   blocked across NUMA zones proportionally to each zone's worker
-//!   count; each zone's share is seeded into the `main`
-//!   [`PaneSet`](xgomp_xqueue::PaneSet) of its zone pool, which waves
-//!   it through ≤u32 panes drained by one packed atomic word — at most
-//!   one claim per *chunk*, never per iteration (sub-µs fixed chunks
-//!   amortize one claim over a reservation that decays to one chunk at
-//!   the tail), plus one CAS per pane refill. Each zone also carries an
-//!   initially empty `inbox` pane set, the landing pad for balancer
-//!   migrations.
+//!   count; each zone's share is seeded into its zone pool, one
+//!   [`PaneSet`](xgomp_xqueue::PaneSet) that waves it through ≤u32
+//!   panes drained by one packed atomic word — at most one claim per
+//!   *chunk*, never per iteration (sub-µs fixed chunks amortize one
+//!   claim over a reservation that decays to one chunk at the tail),
+//!   plus one CAS per pane refill.
 //! * One *loop-drain task* per worker is spawned with zone-affine
 //!   placement ([`Scope::spawn_on`](crate::Scope::spawn_on) → the
 //!   scheduler's targeted push). Drain tasks are ordinary tasks: the DLB
@@ -28,23 +26,19 @@
 //!   counts them, and parked workers are woken for them through the
 //!   ordinary `xqueue::parker` push-wake path — loop quiescence needs no
 //!   second mechanism.
-//! * **Fine level (reactive, intra-loop):** a drain task cuts every
-//!   chunk from a worker-private *reserve*, refilled from **its
-//!   executor's own zone pools first** (main, then inbox); only when
-//!   both are dry does it *steal-split* a remote zone's pools (taking
-//!   the upper half, exactly like stealing the cold end of a deque),
-//!   visiting remote pools in nearest-first rotation — the NA-RP
-//!   zone-local-first victim order applied to iteration ranges. A stolen
+//! * **Balancing:** a drain task cuts every chunk from a
+//!   worker-private *reserve*, refilled from **its executor's own zone
+//!   pool first**; only when that is dry does it *steal-split* a remote
+//!   zone's pool (taking the upper half, exactly like stealing the cold
+//!   end of a deque), visiting remote pools in nearest-first rotation —
+//!   the NA-RP zone-local-first victim order applied to iteration
+//!   ranges. A stolen
 //!   range is a reserve too: it keeps the chunk it is about to run and
 //!   re-deposits the rest into the thief's own zone pool when that pool
-//!   is empty, so one steal feeds a whole zone.
-//! * **Coarse level (proactive, cross-loop):** every pool-backed loop
-//!   registers with the team's [`LoopBalancer`], which watches per-zone
-//!   claim-rate EWMAs across *all* live loops and migrates back-half
-//!   ranges from the slowest zone into starved zones' inboxes *before*
-//!   they run dry — see `balancer.rs` for the policy and `pools.rs` for
-//!   the seqlock protocol that keeps migrations invisible to the drain
-//!   tasks' exit scan.
+//!   is empty, so one steal feeds a whole zone. A steal is the only way
+//!   units leave their home zone, and every unit is always in a pool or
+//!   in one drain task's reserve — so "every pool is empty" is a sound
+//!   exit test.
 //! * The loop completes through the ordinary structured-spawn path: the
 //!   calling task `scope`s the drain tasks (helping while it waits), and
 //!   every drain task `taskwait`s its own children, so a body that
@@ -59,10 +53,10 @@
 //! | [`Static`](LoopSchedule::Static) | one NUMA-blocked contiguous block per worker, no pools | uniform iteration cost |
 //! | [`Dynamic(c)`](LoopSchedule::Dynamic) | fixed chunks of `c` from the zone pools; at most one claim per chunk — sub-µs chunks amortize one claim over a reservation that decays to one chunk at the tail | known-irregular cost, small loops |
 //! | [`Guided(m)`](LoopSchedule::Guided) | `remaining / (2 · zone workers)`, floored at `m` | irregular cost, decreasing tail |
-//! | [`Adaptive`](LoopSchedule::Adaptive) | chunk ≈ `TARGET_TICKS` ÷ live per-iteration cost estimate (decade histogram, LB4OMP-style), scaled down per zone by its relative drain rate | unknown or shifting cost |
+//! | [`Adaptive`](LoopSchedule::Adaptive) | chunk ≈ `TARGET_TICKS` ÷ live per-iteration cost estimate (decade histogram, LB4OMP-style) | unknown or shifting cost |
 //! | [`Tss { first, last }`](LoopSchedule::Tss) | trapezoid: linear decrement from `first` to `last` over `⌈2N/(first+last)⌉` chunks | mildly decreasing cost, low scheduling overhead |
 //! | [`Factoring`](LoopSchedule::Factoring) | batched halving: `⌈N/(P·2^(b+1))⌉` per chunk of batch `b` (P chunks per batch) | high-variance cost |
-//! | [`WeightedFactoring`](LoopSchedule::WeightedFactoring) | factoring × per-zone weight from the balancer's claim-rate EWMAs | high variance on asymmetric sockets |
+//! | [`WeightedFactoring`](LoopSchedule::WeightedFactoring) | the [`Awf`](LoopSchedule::Awf) chunker under its own name and telemetry slot | high variance on asymmetric sockets |
 //! | [`Awf`](LoopSchedule::Awf) | factoring × per-zone weight from *measured* chunk execution rates | variance + unknown machine asymmetry |
 //! | [`Auto`](LoopSchedule::Auto) | online per-loop-site selection over the portfolio (server-owned [`AutoSelector`]) | repeated loop sites with unknown best schedule |
 //!
@@ -78,16 +72,15 @@
 //! * `policy.rs` — all chunk sizing: the per-loop `Chunker` a schedule
 //!   resolves to once, and the [`ChunkPolicy`] series.
 //! * `auto.rs` — [`AutoSelector`], [`LoopId`], the `Auto` portfolio.
-//! * `pools.rs` — zone `Layout`, `ZonePool`, `LoopCore` and the
-//!   migration seqlock (`fully_claimed` / `migrating`).
+//! * `pools.rs` — zone `Layout` and `LoopCore`, the per-zone pane sets
+//!   with the drain exit test (`fully_claimed`).
 //! * `drain.rs` — the drain task: pooled `drive` (one reserve, one
 //!   dispense site, one clock read per timing window) or static block,
 //!   abandon-on-cancel, and the one ledger merge.
-//! * `balancer.rs` — coarse migration policy; `space.rs` — iteration
-//!   spaces; this file — the `TaskCtx` fronts and `run_loop`.
+//! * `space.rs` — iteration spaces; this file — the `TaskCtx` fronts
+//!   and `run_loop`.
 
 mod auto;
-mod balancer;
 mod drain;
 mod policy;
 mod pools;
@@ -98,12 +91,11 @@ pub use auto::{
     auto_portfolio_member, AutoPick, AutoSelector, AutoSiteStatus, LoopId, AUTO_CONFIRM_WINDOWS,
     AUTO_FALLBACK, AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER,
 };
-pub use balancer::LoopBalancer;
 pub use policy::ChunkPolicy;
 pub use schedule::{LoopError, LoopReport, LoopSchedule};
 pub use space::{IterSpace, LoopSpace, SpaceKind, DEFAULT_TILE};
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use xgomp_profiling::clock;
 use xgomp_xqueue::DEFAULT_PANE_UNITS;
@@ -128,8 +120,8 @@ impl<'t> TaskCtx<'t> {
     ///
     /// The space is NUMA-blocked across the team's zones and drained
     /// through per-zone pane sets by one loop-drain task per worker
-    /// (zone-affinely placed; see the [module docs](self) for the two
-    /// balancing levels). The call returns only when every iteration
+    /// (zone-affinely placed; see the [module docs](self) for how
+    /// they balance). The call returns only when every iteration
     /// *and every task spawned by the body* has completed, so `body` may
     /// borrow from the enclosing frame, exactly like
     /// [`Scope::spawn`](crate::Scope::spawn).
@@ -244,7 +236,6 @@ impl<'t> TaskCtx<'t> {
                 report.chunks,
                 report.iterations,
                 report.range_steals,
-                report.rebalances,
             );
         }
         Ok(report)
@@ -283,8 +274,8 @@ impl<'t> TaskCtx<'t> {
 
 /// Runs one loop: lays the space out across the zones, resolves the
 /// schedule into its claim source (seeded zone pools + chunker, or the
-/// static blocks), registers with the balancer, spawns one drain task
-/// per seat and waits the loop (and everything the body spawned) out.
+/// static blocks), spawns one drain task per seat and waits the loop
+/// (and everything the body spawned) out.
 /// Operates purely on the space's scheduling units, waved in panes of
 /// `pane` units; the runner owns the unit → point decode.
 fn run_loop(
@@ -298,8 +289,8 @@ fn run_loop(
         return LoopReport::default();
     }
     let layout = Layout::new(ctx.placement(), space.units());
-    let pooled = Chunker::resolve(schedule, &layout)
-        .map(|chunker| (Arc::new(LoopCore::seed(&layout, pane)), chunker));
+    let pooled =
+        Chunker::resolve(schedule, &layout).map(|chunker| (LoopCore::seed(&layout, pane), chunker));
     let shared = LoopShared {
         space,
         runner,
@@ -307,14 +298,6 @@ fn run_loop(
         pooled,
         total: Mutex::default(),
     };
-    // Coarse-level registration: the balancer only arbitrates across
-    // zones, so static and single-zone loops stay off its probe list.
-    // The guard deregisters on every exit path (body panics included).
-    let _registration = shared
-        .pooled
-        .as_ref()
-        .and_then(|(core, _)| (core.pools.len() > 1).then(|| ctx.team().balancer.register(core)));
-
     ctx.scope(|s| {
         let (shared, layout) = (&shared, &shared.layout);
         let static_blocks = shared.pooled.is_none();
@@ -334,10 +317,7 @@ fn run_loop(
         }
     });
 
-    let mut report = *locked(&shared.total);
-    if let Some((core, _)) = &shared.pooled {
-        core.fold_into(&mut report);
-    }
+    let report = *locked(&shared.total);
     debug_assert_eq!(
         report.iterations + report.cancelled_iters,
         space.len(),

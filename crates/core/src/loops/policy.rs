@@ -8,8 +8,8 @@
 //! [reservation](Chunker::reservation) that decays to one chunk at the
 //! tail. A chunker only decides *how many units* the next chunk and the
 //! next claim ask for, so every schedule inherits u64 waves,
-//! 2D/triangular spaces, cancellation checkpoints and seqlock-guarded
-//! migration from the shared drain loop unchanged.
+//! 2D/triangular spaces, cancellation checkpoints and range stealing
+//! from the shared drain loop unchanged.
 //!
 //! ## Chunk series
 //!
@@ -24,14 +24,11 @@
 //!   a batch has `⌈N / (P·2^(b+1))⌉` units. Each batch of `P` chunks
 //!   hands out half the remainder, so the series halves once per round
 //!   (the exact-halving FAC2 variant of Hummel/Schonberg/Flynn).
-//! * **Weighted Factoring** — the factoring series scaled per claiming
-//!   *zone* by a weight from the balancer's claim-rate EWMAs (a zone
-//!   draining `w×` the mean rate asks for `w×` the batch chunk).
-//! * **AWF** — adaptive weighted factoring: the same shape, but the
-//!   weights come from *measured per-chunk execution rates* (units per
-//!   tick, folded per zone by the drain loop's existing chunk timing),
-//!   so the weights track the machine actually observed, not the claim
-//!   proxy.
+//! * **AWF** (and **Weighted Factoring**, which runs the same chunker)
+//!   — the factoring series scaled per claiming *zone* by a weight from
+//!   *measured per-chunk execution rates* (units per tick, folded per
+//!   zone at each timing-window boundary of the drain loop): a zone
+//!   executing `w×` the mean rate asks for `w×` the batch chunk.
 //!
 //! All sizes floor at 1 and cap at `u32::MAX` (the pane-claim width).
 
@@ -70,11 +67,11 @@ pub(super) enum Chunker {
     /// `Guided(min)`: half the pool's remainder per zone worker, floored
     /// at `min ≥ 1`.
     Guided { min: u32 },
-    /// `Adaptive`: time budget ÷ live per-unit cost, scaled per zone.
+    /// `Adaptive`: time budget ÷ live per-unit cost.
     Adaptive(AdaptiveCost),
     /// TSS / Factoring / WF / AWF: the loop-global series (peeked — the
-    /// step advances on claim success), weighted per zone for WF
-    /// (claim-rate EWMAs) and AWF (measured execution rates).
+    /// step advances on claim success), weighted per zone by measured
+    /// execution rates for WF and AWF.
     Series(ChunkPolicy),
 }
 
@@ -112,15 +109,13 @@ impl Chunker {
                         as u32,
                     None => ADAPTIVE_SEED_CHUNK,
                 };
-                // v2: per-zone scaling from the balancer's rate signal.
-                let base = zone_chunk_scale(core, pool, base);
                 // Tail cap against the *logical* remaining share — a
                 // giant waved loop keeps one continuous cost histogram
                 // and its chunks are capped by the space's true tail,
                 // never re-shrunk at each pane boundary.
                 u64::from(base).min(core.fair_share(pool).max(1)) as u32
             }
-            Chunker::Series(policy) => policy.peek(policy.weight(pool, core)),
+            Chunker::Series(policy) => policy.peek(policy.pool_weight(pool)),
         }
     }
 
@@ -205,40 +200,6 @@ impl AdaptiveCost {
     }
 }
 
-/// Adaptive v2 zone scaling: shrink `base` by pool `pool`'s claim rate
-/// relative to the fastest zone's (per worker), clamped to `[¼, 1]`.
-/// Unsampled rates (loop younger than one balancer probe) leave the
-/// chunk unscaled.
-pub(super) fn zone_chunk_scale(core: &LoopCore, pool: usize, base: u32) -> u32 {
-    let mine = core.per_worker_rate(pool);
-    let best = (0..core.pools.len())
-        .map(|i| core.per_worker_rate(i))
-        .fold(0.0, f64::max);
-    if best <= f64::EPSILON || mine >= best {
-        return base;
-    }
-    let scale = (mine / best).clamp(0.25, 1.0);
-    (((f64::from(base)) * scale) as u32).max(1)
-}
-
-/// The weighted-factoring weight: `rate(pool)` relative to the *mean*
-/// over the sampled members of `rate(0..n)`, clamped to `[¼, 4]`; `1.0`
-/// while `pool` is unsampled (rate 0) or out of range. Unlike
-/// [`zone_chunk_scale`] this is symmetric: fast zones scale *up* past 1,
-/// which is what lets WF/AWF hand them proportionally bigger chunks.
-fn mean_relative_weight(pool: usize, n: usize, rate: impl Fn(usize) -> f64) -> f64 {
-    let sampled = |r: &f64| *r > f64::EPSILON;
-    let mine = if pool < n { rate(pool) } else { 0.0 };
-    if !sampled(&mine) {
-        return 1.0;
-    }
-    let (sum, k) = (0..n)
-        .map(&rate)
-        .filter(sampled)
-        .fold((0.0, 0u32), |(s, k), r| (s + r, k + 1));
-    (mine / (sum / f64::from(k))).clamp(0.25, 4.0)
-}
-
 /// Which closed-form series a [`ChunkPolicy`] follows.
 #[derive(Debug)]
 enum PolicyKind {
@@ -246,9 +207,8 @@ enum PolicyKind {
     Tss { first: u64, dec: u64, last: u64 },
     /// Batched halving (weight 1).
     Factoring,
-    /// Batched halving, weight from the balancer's claim-rate EWMAs.
-    WeightedFactoring,
-    /// Batched halving, weight from measured per-zone execution rates.
+    /// Batched halving, weight from measured per-zone execution rates
+    /// (AWF, and WF under its own name).
     Awf,
 }
 
@@ -272,7 +232,7 @@ pub struct ChunkPolicy {
     step: AtomicU64,
     total: u64,
     workers: u64,
-    /// Per-pool AWF rate accumulators (empty for the other kinds).
+    /// Per-pool AWF rate accumulators (empty for the unweighted kinds).
     rates: Box<[CachePadded<PoolRate>]>,
 }
 
@@ -302,8 +262,7 @@ impl ChunkPolicy {
                 }
             }
             LoopSchedule::Factoring => PolicyKind::Factoring,
-            LoopSchedule::WeightedFactoring => PolicyKind::WeightedFactoring,
-            LoopSchedule::Awf => PolicyKind::Awf,
+            LoopSchedule::WeightedFactoring | LoopSchedule::Awf => PolicyKind::Awf,
             _ => return None,
         };
         let n_rates = if matches!(kind, PolicyKind::Awf) {
@@ -328,7 +287,7 @@ impl ChunkPolicy {
             PolicyKind::Tss { first, dec, last } => {
                 first.saturating_sub(s.saturating_mul(dec)).max(last)
             }
-            PolicyKind::Factoring | PolicyKind::WeightedFactoring | PolicyKind::Awf => {
+            PolicyKind::Factoring | PolicyKind::Awf => {
                 let batch = s / self.workers;
                 // ⌈N / (P·2^(b+1))⌉ — half the remainder per batch of P.
                 // u128 divisor: deep batches must floor to 1, not wrap.
@@ -363,7 +322,7 @@ impl ChunkPolicy {
     }
 
     /// Folds one executed chunk (`units` over `ticks`) into pool `pool`'s
-    /// AWF rate. No-op for the other kinds.
+    /// AWF rate. No-op for the unweighted kinds.
     pub fn record_pool(&self, pool: usize, units: u64, ticks: u64) {
         if let Some(r) = self.rates.get(pool) {
             r.0.units.fetch_add(units, Ordering::Relaxed);
@@ -372,26 +331,27 @@ impl ChunkPolicy {
     }
 
     /// Pool `pool`'s AWF weight: its measured execution rate relative to
-    /// the mean across measured pools, clamped to `[¼, 4]`; `1.0` before
-    /// any measurement (the seed batch runs unweighted).
+    /// the mean across measured pools, clamped to `[¼, 4]` — symmetric,
+    /// so fast zones scale *up* past 1. `1.0` before the pool's first
+    /// measurement (the seed batch runs unweighted), for an out-of-range
+    /// pool, and for the unweighted kinds (no accumulators).
     pub fn pool_weight(&self, pool: usize) -> f64 {
-        mean_relative_weight(pool, self.rates.len(), |i| {
-            let units = self.rates[i].0.units.load(Ordering::Relaxed);
-            let ticks = self.rates[i].0.ticks.load(Ordering::Relaxed);
+        let rate = |r: &CachePadded<PoolRate>| {
+            let units = r.0.units.load(Ordering::Relaxed);
+            let ticks = r.0.ticks.load(Ordering::Relaxed);
             units as f64 / ticks.max(1) as f64
-        })
-    }
-
-    /// The weight a claim from `core`'s pool `pool` sizes under: 1 for
-    /// the unweighted series, the zone's per-worker claim rate (WF) or
-    /// measured execution rate (AWF) relative to the mean.
-    fn weight(&self, pool: usize, core: &LoopCore) -> f64 {
-        match self.kind {
-            PolicyKind::Tss { .. } | PolicyKind::Factoring => 1.0,
-            PolicyKind::WeightedFactoring => {
-                mean_relative_weight(pool, core.pools.len(), |i| core.per_worker_rate(i))
-            }
-            PolicyKind::Awf => self.pool_weight(pool),
+        };
+        let sampled = |r: &f64| *r > f64::EPSILON;
+        let mine = self.rates.get(pool).map_or(0.0, rate);
+        if !sampled(&mine) {
+            return 1.0;
         }
+        let (sum, k) = self
+            .rates
+            .iter()
+            .map(rate)
+            .filter(sampled)
+            .fold((0.0, 0u32), |(s, k), r| (s + r, k + 1));
+        (mine / (sum / f64::from(k))).clamp(0.25, 4.0)
     }
 }

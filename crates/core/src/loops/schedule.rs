@@ -25,10 +25,7 @@ pub enum LoopSchedule {
     /// Chunk size derived online from the loop's live per-iteration
     /// cost: each chunk's duration feeds a decade histogram, and the
     /// next chunk targets a fixed time budget divided by the modal
-    /// per-iteration cost (LB4OMP-style self-tuning). v2: the budget is
-    /// additionally scaled per *zone* — a zone draining slower than the
-    /// fastest one (slow remote memory, fewer effective workers) claims
-    /// proportionally smaller chunks, so its tail stays balanceable.
+    /// per-iteration cost (LB4OMP-style self-tuning).
     Adaptive,
     /// Trapezoid self-scheduling (Tzen–Ni): chunk sizes decrease
     /// *linearly* from `first` to `last` over `⌈2N/(first+last)⌉`
@@ -46,15 +43,15 @@ pub enum LoopSchedule {
     /// chunks than guided, robust to high iteration-cost variance.
     Factoring,
     /// [`Factoring`](Self::Factoring) with each zone's chunks scaled by
-    /// its claim-rate weight (the balancer's EWMA signal): fast zones
-    /// take proportionally bigger chunks, slow zones keep their tail
-    /// balanceable.
+    /// its measured execution-rate weight: fast zones take
+    /// proportionally bigger chunks, slow zones keep their tail
+    /// balanceable. Runs the same chunker as [`Awf`](Self::Awf); it
+    /// keeps its own name, telemetry slot and `Auto` portfolio slot.
     WeightedFactoring,
-    /// Adaptive weighted factoring: like
-    /// [`WeightedFactoring`](Self::WeightedFactoring), but the weights
+    /// Adaptive weighted factoring: factoring whose per-zone weights
     /// come from *measured* per-chunk execution rates (the same chunk
-    /// timing that feeds the live sampler), so they track observed
-    /// speed rather than the claim-rate proxy.
+    /// timing that feeds the live sampler), folded at each timing
+    /// window boundary.
     Awf,
     /// Online per-loop-site auto-selection: the serving team's
     /// [`AutoSelector`](super::AutoSelector) trials the portfolio across
@@ -140,16 +137,7 @@ pub struct LoopReport {
     /// zone pools (the zone-local-first fast path; static blocks count
     /// when they ran in their home zone).
     pub claimed_local: u64,
-    /// Cross-zone range steal-splits performed (the fine, reactive
-    /// balancing level).
+    /// Cross-zone range steal-splits performed — the only path by which
+    /// units leave their home zone.
     pub range_steals: u64,
-    /// Inter-socket balancer migrations applied to this loop (the
-    /// coarse, proactive level).
-    pub rebalances: u64,
-    /// Iterations the balancer moved *into* starved zones' inboxes.
-    /// Always equals [`migrated_out`](Self::migrated_out) — the
-    /// conservation identity the test suite asserts per loop.
-    pub migrated_in: u64,
-    /// Iterations the balancer moved *out of* rich zones' pools.
-    pub migrated_out: u64,
 }

@@ -15,10 +15,10 @@
 //!   off-diagonal tiles are full rectangles (the diagonal/square block
 //!   typing of triangular self-scheduling balancers).
 //!
-//! Units are what the pools, schedules and balancer move: zone shares
+//! Units are what the pools, schedules and range steals move: zone shares
 //! are contiguous unit blocks (NUMA-aware because row-major/triangular
 //! tile order keeps a zone's tiles in contiguous row bands), chunk sizes
-//! are unit counts, and a migrated "tile range" is a unit range. The
+//! are unit counts, and a stolen "tile range" is a unit range. The
 //! *element* ↔ unit conversion ([`elems_in`](IterSpace::elems_in)) is
 //! closed-form O(1) per space, so abandoning billions of units under
 //! cancellation never iterates them.
@@ -153,7 +153,7 @@ impl IterSpace {
     }
 
     /// Scheduling-unit count (iterations / tiles — what the pools and
-    /// the balancer move).
+    /// range steals move).
     pub fn units(&self) -> u64 {
         match *self {
             IterSpace::Range1D { len, .. } => len,

@@ -1,7 +1,6 @@
 //! Unit tests of the loop layer.
 
-use super::policy::{zone_chunk_scale, AdaptiveCost};
-use super::pools::ZonePool;
+use super::policy::AdaptiveCost;
 use super::*;
 use crate::config::RuntimeConfig;
 use crate::dlb::{DlbConfig, DlbStrategy};
@@ -9,6 +8,7 @@ use crate::team::Runtime;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use xgomp_profiling::StatsSnapshot;
 use xgomp_topology::MachineTopology;
+use xgomp_xqueue::PaneSet;
 
 fn schedules() -> [LoopSchedule; 8] {
     [
@@ -28,7 +28,7 @@ fn schedules() -> [LoopSchedule; 8] {
 
 /// Two single-worker zones holding `[0, 100)` and `[100, 200)`.
 fn two_zone_core() -> LoopCore {
-    let pool = |lo| ZonePool::new(lo, lo + 100, DEFAULT_PANE_UNITS);
+    let pool = |lo| PaneSet::new(lo, lo + 100);
     LoopCore::new(vec![pool(0), pool(100)], &[1, 1])
 }
 
@@ -41,9 +41,6 @@ fn assert_report_matches_stats(report: &LoopReport, total: &StatsSnapshot, what:
         chunks: total.nloop_chunks,
         claimed_local: total.nloop_claim_local,
         range_steals: total.nloop_range_steals,
-        rebalances: total.nloop_rebalances,
-        migrated_in: total.nloop_migrated_in,
-        migrated_out: total.nloop_migrated_out,
     };
     assert_eq!(*report, from_stats, "{what}: report vs WorkerStats totals");
 }
@@ -60,7 +57,6 @@ fn every_schedule_runs_every_iteration_exactly_once() {
                 hits[i as usize].fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(report.iterations, N as u64, "{}", sched.name());
-            assert_eq!(report.migrated_in, report.migrated_out, "{}", sched.name());
             (report, hits.iter().all(|h| h.load(Ordering::Relaxed) == 1))
         });
         let (report, exactly_once) = out.result;
@@ -193,13 +189,12 @@ fn range_steals_follow_zone_local_first_order() {
     // Two zones. All the *work* (slow iterations) sits in zone 1's
     // half of the space; zone 0's workers finish their own block and
     // must steal across — while zone 1's workers never steal (their
-    // own pool always has work until the very end). The balancer is
-    // off so the fine (reactive) level is isolated.
+    // own pool always has work until the very end).
     let topo = MachineTopology::new(2, 2, 1); // 2 sockets × 2 cores
     let rt = Runtime::new(
         RuntimeConfig::xgomptb(4)
             .topology(topo)
-            .dlb(DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(0)),
+            .dlb(DlbConfig::new(DlbStrategy::WorkSteal)),
     );
     let out = rt.parallel(|ctx| {
         ctx.parallel_for(0..4_000, LoopSchedule::Dynamic(16), |i, _| {
@@ -221,8 +216,6 @@ fn range_steals_follow_zone_local_first_order() {
         report.claimed_local > 0,
         "local claims happen before any steal"
     );
-    assert_eq!(report.rebalances, 0, "balancer disabled");
-    assert_eq!(report.migrated_in, 0);
     out.stats.check_invariants().unwrap();
     // Counter-verified victim order: every steal-split was performed
     // by a worker whose own pool was dry (the drive loop only
@@ -230,40 +223,6 @@ fn range_steals_follow_zone_local_first_order() {
     // claims dominate.
     let total = out.stats.total();
     assert!(total.nloop_claim_local >= total.nloop_range_steals);
-    assert_eq!(total.nloop_rebalances, 0);
-}
-
-#[test]
-fn balancer_migrates_into_a_starved_zone() {
-    // Same skew as above, but with an aggressive probe cadence: the
-    // coarse level must re-split zone 1's block into zone 0's inbox
-    // (visible as rebalances on the report and on the §V counters).
-    let topo = MachineTopology::new(2, 2, 1);
-    let rt = Runtime::new(
-        RuntimeConfig::xgomptb(4)
-            .topology(topo)
-            .dlb(DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(256)),
-    );
-    let out = rt.parallel(|ctx| {
-        ctx.parallel_for(0..4_000, LoopSchedule::Dynamic(16), |i, _| {
-            if i >= 2_000 {
-                for _ in 0..2_000 {
-                    std::hint::spin_loop();
-                }
-            }
-        })
-    });
-    let report = out.result;
-    assert_eq!(report.iterations, 4_000);
-    assert!(
-        report.rebalances > 0,
-        "a starved zone with a rich neighbor must trigger a migration"
-    );
-    assert_eq!(report.migrated_in, report.migrated_out, "conservation");
-    assert!(report.migrated_in > 0);
-    out.stats.check_invariants().unwrap();
-    let total = out.stats.total();
-    assert_eq!(total.nloop_migrated_in, total.nloop_migrated_out);
 }
 
 #[test]
@@ -272,19 +231,13 @@ fn local_pools_with_work_are_never_stolen_from_remotely() {
     // whose zone pools have iterations claims locally; the remote
     // pools are untouched until the local ones are dry.
     let core = two_zone_core();
-    // Claim as zone 0 until its pools are dry: no steals yet.
-    while core.pools[0].0.main.claim(10).is_some() {}
-    assert!(core.pools[0].0.inbox.is_empty());
+    // Claim as zone 0 until its pool is dry: no steals yet.
+    while core.pools[0].0.claim(10).is_some() {}
     assert_eq!(core.pools[1].0.remaining(), 100, "remote pool untouched");
-    // Only now does the steal arm fire: upper half of the remote
-    // main pool (nearest-first rotation from the local pool).
+    // Only now does the steal arm fire: upper half of the remote pool
+    // (nearest-first rotation from the local pool).
     let my = 0usize;
-    let remote = &core.pools[(my + 1) % 2].0;
-    let stolen = remote
-        .main
-        .steal_half()
-        .or_else(|| remote.inbox.steal_half());
-    assert_eq!(stolen, Some((150, 200)));
+    assert_eq!(core.pools[(my + 1) % 2].0.steal_half(), Some((150, 200)));
 }
 
 #[test]
@@ -318,23 +271,6 @@ fn adaptive_chunks_grow_toward_the_target() {
     // A minority of expensive chunks does not move the mode.
     cost.record_chunk(10, 10_000_000);
     assert_eq!(cost.estimate(), Some(30));
-}
-
-#[test]
-fn adaptive_v2_scales_chunks_by_zone_rate() {
-    let core = two_zone_core();
-    // No rate samples yet: unscaled.
-    assert_eq!(zone_chunk_scale(&core, 0, 64), 64);
-    // Zone 1 claims 8× faster than zone 0 over a sampled window.
-    core.pools[0].0.main.sample_rate(1_000);
-    core.pools[1].0.main.sample_rate(1_000);
-    core.pools[0].0.main.claim(10);
-    core.pools[1].0.main.claim(80);
-    core.pools[0].0.main.sample_rate(2_000);
-    core.pools[1].0.main.sample_rate(2_000);
-    // Slow zone's chunk shrinks (floored at ¼); fast zone unscaled.
-    assert_eq!(zone_chunk_scale(&core, 0, 64), 16);
-    assert_eq!(zone_chunk_scale(&core, 1, 64), 64);
 }
 
 #[test]
@@ -389,7 +325,6 @@ fn rect2d_loops_cover_every_cell_exactly_once() {
             });
             assert_eq!(report.iterations, R * C, "{}", sched.name());
             assert_eq!(report.cancelled_iters, 0, "{}", sched.name());
-            assert_eq!(report.migrated_in, report.migrated_out, "{}", sched.name());
             hits.iter().all(|h| h.load(Ordering::Relaxed) == 1)
         });
         assert!(
@@ -432,14 +367,14 @@ fn triangular_static_loops_waste_zero_iterations() {
 
 #[test]
 fn parallel_for_tri_balances_tiles_with_conserved_migration() {
-    // Two zones, skewed tile cost, aggressive probing: the balancer
-    // must migrate triangular *tiles* (pane tails) between zones and
-    // the per-loop conservation identity must hold for 2D spaces.
+    // Two zones, skewed tile cost: whatever triangular *tiles* (pane
+    // tails) the cheaper zone steals from the other, the per-loop
+    // ledger stays exact for 2D spaces.
     let topo = MachineTopology::new(2, 2, 1);
     let rt = Runtime::new(
         RuntimeConfig::xgomptb(4)
             .topology(topo)
-            .dlb(DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(256)),
+            .dlb(DlbConfig::new(DlbStrategy::WorkSteal)),
     );
     let out = rt.parallel(|ctx| {
         ctx.parallel_for(
@@ -456,15 +391,16 @@ fn parallel_for_tri_balances_tiles_with_conserved_migration() {
     });
     let report = out.result;
     assert_eq!(report.iterations, 256 * 257 / 2);
-    assert_eq!(report.migrated_in, report.migrated_out, "conservation");
+    assert_eq!(report.cancelled_iters, 0);
     out.stats.check_invariants().unwrap();
+    assert_report_matches_stats(&report, &out.stats.total(), "triangular");
 }
 
 #[test]
 fn waved_loops_conserve_across_pane_refills() {
     // Small panes (the private entry's `pane` argument; production
     // passes `DEFAULT_PANE_UNITS`) force the wave layer on a modest space: many
-    // refills, pane-run steals and pane-tail migrations race the
+    // refills, pane-run steals and stolen-tail deposits race the
     // claims, and every index is still hit exactly once.
     const N: usize = 60_000;
     for sched in [LoopSchedule::Dynamic(64), LoopSchedule::Adaptive] {
@@ -472,7 +408,7 @@ fn waved_loops_conserve_across_pane_refills() {
         let rt = Runtime::new(
             RuntimeConfig::xgomptb(4)
                 .topology(topo)
-                .dlb(DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(256)),
+                .dlb(DlbConfig::new(DlbStrategy::WorkSteal)),
         );
         let out = rt.parallel(|ctx| {
             let hits: Vec<AtomicU8> = (0..N).map(|_| AtomicU8::new(0)).collect();
@@ -485,7 +421,6 @@ fn waved_loops_conserve_across_pane_refills() {
             let space = IterSpace::range(0..N as u64);
             let report = run_loop(ctx, &space, sched, &runner, 4096);
             assert_eq!(report.iterations, N as u64, "{}", sched.name());
-            assert_eq!(report.migrated_in, report.migrated_out, "{}", sched.name());
             hits.iter().all(|h| h.load(Ordering::Relaxed) == 1)
         });
         assert!(
@@ -531,35 +466,6 @@ fn cancelled_tiled_loops_conserve_elements() {
 }
 
 #[test]
-fn fully_claimed_is_false_while_a_migration_is_in_flight() {
-    // All pools empty, but a migration bracket is open on another
-    // thread (its range would be in *neither* pool): the exit scan must
-    // refuse until the migration lands.
-    use std::sync::mpsc::channel;
-    let core = two_zone_core();
-    for pool in core.pools.iter() {
-        pool.0.main.drain_all_with(|_, _| {});
-    }
-    assert!(core.fully_claimed(), "empty pools, no migration");
-    let (opened_tx, opened_rx) = channel();
-    let (land_tx, land_rx) = channel::<()>();
-    std::thread::scope(|s| {
-        let core = &core;
-        s.spawn(move || {
-            core.migrating(|| {
-                opened_tx.send(()).unwrap();
-                land_rx.recv().unwrap();
-            })
-        });
-        opened_rx.recv().unwrap();
-        assert!(!core.fully_claimed(), "migration in flight");
-        assert!(!core.fully_claimed(), "still in flight on a re-scan");
-        land_tx.send(()).unwrap();
-    });
-    assert!(core.fully_claimed(), "migration landed");
-}
-
-#[test]
 fn static_blocks_drain_through_the_shared_ledger() {
     // One chunk per non-empty block and exact conservation, with more
     // workers than units (an empty block is no chunk) and without: with
@@ -598,7 +504,7 @@ fn static_blocks_drain_through_the_shared_ledger() {
         } else {
             assert_eq!((report.chunks, report.iterations), (blocks, len), "{what}");
         }
-        assert_eq!(report.range_steals + report.rebalances, 0, "{what}");
+        assert_eq!(report.range_steals, 0, "{what}");
         out.stats.check_invariants().unwrap();
         assert_report_matches_stats(&report, &out.stats.total(), &what);
     }
@@ -641,7 +547,7 @@ fn fixed_chunks_keep_an_exact_ledger_under_reserve_ahead() {
 fn reservations_are_whole_chunks_capped_by_cost_and_by_the_tail() {
     use super::policy::Chunker;
     // One pool of 100 000 units shared by 4 workers.
-    let core = LoopCore::new(vec![ZonePool::new(0, 100_000, DEFAULT_PANE_UNITS)], &[4]);
+    let core = LoopCore::new(vec![PaneSet::new(0, 100_000)], &[4]);
     let fixed = Chunker::Fixed(3);
     // Unmeasured, or a chunk that costs the whole budget: one chunk.
     assert_eq!(fixed.reservation(0, &core, 3, u64::MAX), 3);
@@ -652,9 +558,9 @@ fn reservations_are_whole_chunks_capped_by_cost_and_by_the_tail() {
     assert_eq!(fixed.reservation(0, &core, 3, 0), 32 * 3);
     // The tail: at most half the claimer's fair share of what is left,
     // in whole chunks, never less than one.
-    core.pools[0].0.main.claim(100_000 - 400); // 400 left → fair 100 → 50
+    core.pools[0].0.claim(100_000 - 400); // 400 left → fair 100 → 50
     assert_eq!(fixed.reservation(0, &core, 3, 40), 16 * 3);
-    core.pools[0].0.main.claim(400 - 20); // 20 left → fair 5 → 2
+    core.pools[0].0.claim(400 - 20); // 20 left → fair 5 → 2
     assert_eq!(fixed.reservation(0, &core, 3, 40), 3);
     // A chunker whose next size depends on shared state claims exactly
     // the chunk it was asked for.

@@ -26,7 +26,6 @@ use xgomp_topology::Placement;
 use xgomp_xqueue::Parker;
 
 use crate::dlb::DlbTuning;
-use crate::loops::LoopBalancer;
 use crate::task::Task;
 
 /// Scheduler implementation selector.
@@ -51,8 +50,7 @@ impl SchedulerKind {
     /// team runs (XQueue scheduler only). `parker` is the team's idle
     /// parker: schedulers wake the push target (or, for global queues, a
     /// zone-local sleeper) after publishing a task, so parked workers
-    /// never miss work. `balancer` is the team's inter-socket loop
-    /// balancer, probed from the DLB engine's idle hook.
+    /// never miss work.
     pub(crate) fn build(
         self,
         n: usize,
@@ -60,7 +58,6 @@ impl SchedulerKind {
         placement: Arc<Placement>,
         tuning: Option<Arc<DlbTuning>>,
         parker: Arc<Parker>,
-        balancer: Arc<LoopBalancer>,
     ) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::Gomp => Box::new(GompScheduler::new(n, parker)),
@@ -71,7 +68,6 @@ impl SchedulerKind {
                 placement,
                 tuning,
                 parker,
-                balancer,
             )),
         }
     }
@@ -183,8 +179,7 @@ mod tests {
         let topo = MachineTopology::fit_workers(n);
         let placement = Arc::new(Placement::new(topo, n, Affinity::Close));
         let parker = Arc::new(Parker::new(&vec![0usize; n]));
-        let balancer = Arc::new(LoopBalancer::new());
-        kind.build(n, 16, placement, None, parker, balancer)
+        kind.build(n, 16, placement, None, parker)
     }
 
     #[test]

@@ -32,7 +32,6 @@ use xgomp_xqueue::{bump, Parker, PushCursor, XQueueLattice};
 
 use super::{Claims, Scheduler, Seat};
 use crate::dlb::{DlbEngine, DlbSeat, DlbTuning};
-use crate::loops::LoopBalancer;
 use crate::task::{Task, TaskPtr};
 
 /// XQueue lattice scheduler with optional NA-RP/NA-WS load balancing.
@@ -197,11 +196,10 @@ impl XQueueScheduler {
         placement: Arc<Placement>,
         tuning: Option<Arc<DlbTuning>>,
         parker: Arc<Parker>,
-        balancer: Arc<LoopBalancer>,
     ) -> Self {
         XQueueScheduler {
             rows: Rows::new(n, queue_capacity),
-            dlb: tuning.map(|t| DlbEngine::new(n, t, placement, parker.clone(), balancer)),
+            dlb: tuning.map(|t| DlbEngine::new(n, t, placement, parker.clone())),
             parker,
             n,
         }
@@ -331,8 +329,7 @@ mod tests {
         let parker = Arc::new(Parker::new(
             &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
         ));
-        let balancer = Arc::new(LoopBalancer::new());
-        XQueueScheduler::new(n, cap, placement, tuning, parker, balancer)
+        XQueueScheduler::new(n, cap, placement, tuning, parker)
     }
 
     fn stats(n: usize) -> Vec<WorkerStats> {

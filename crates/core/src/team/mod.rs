@@ -44,7 +44,7 @@ use crate::barrier::TeamBarrier;
 use crate::config::RuntimeConfig;
 use crate::ctx::TaskCtx;
 use crate::dlb::DlbTuning;
-use crate::loops::{AutoSelector, LoopBalancer};
+use crate::loops::AutoSelector;
 use crate::sched::Scheduler;
 use crate::task::Task;
 use crate::util::locked;
@@ -92,10 +92,6 @@ pub struct ServingHooks {
     /// Cross-generation loop-subsystem counters (`parallel_for` folds
     /// its per-loop totals in here when present).
     pub loop_stats: Option<Arc<LoopTelemetry>>,
-    /// Inter-socket loop balancer shared across generations (a task
-    /// server owns one for its whole life so live loops keep their
-    /// registry across pause/resume); `None` builds a per-region one.
-    pub balancer: Option<Arc<LoopBalancer>>,
     /// `Schedule::Auto` per-loop-site selector, server-owned so
     /// selection state (trial windows, converged picks) survives
     /// pause/resume; `None` makes `Auto` fall back to a fixed member.
@@ -137,9 +133,6 @@ pub(crate) struct TeamShared {
     pub sampler: Option<Claim<TaskLane>>,
     /// Cross-generation loop counters (see [`ServingHooks::loop_stats`]).
     pub loop_stats: Option<Arc<LoopTelemetry>>,
-    /// Inter-socket loop balancer (coarse level of two-level loop
-    /// balancing); probed by loop-drain tasks and the DLB idle hook.
-    pub balancer: Arc<LoopBalancer>,
     /// `Schedule::Auto` selector (see [`ServingHooks::auto_select`]).
     pub auto_select: Option<Arc<AutoSelector>>,
     /// The region's implicit task, published by the master so idle
@@ -171,19 +164,9 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
     let parker = Arc::new(Parker::new(
         &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
     ));
-    // The tuning cell is hoisted here (instead of being created inside
-    // the scheduler) so the loop balancer can ride its
-    // `rebalance_interval` knob — hot-swappable exactly like the task
-    // DLB knobs.
     let tuning = hooks
         .tuning
         .or_else(|| cfg.dlb.map(|d| Arc::new(DlbTuning::new(d))));
-    let balancer = hooks
-        .balancer
-        .unwrap_or_else(|| Arc::new(LoopBalancer::new()));
-    if let Some(t) = &tuning {
-        balancer.bind_tuning(t);
-    }
     let tracer = hooks
         .tracer
         .or_else(|| (cfg.trace != TraceLevel::Off).then(|| Arc::new(Tracer::new(cfg.trace))));
@@ -195,7 +178,6 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
             placement.clone(),
             tuning,
             parker.clone(),
-            balancer.clone(),
         ),
         barrier: cfg.barrier.build(n, parker.clone()),
         alloc: TaskAllocator::new(cfg.allocator),
@@ -209,7 +191,6 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
         source: hooks.source,
         sampler: hooks.sampler.map(|s| s.lanes.claim(0..n)),
         loop_stats: hooks.loop_stats,
-        balancer,
         auto_select: hooks.auto_select,
         root: AtomicPtr::new(std::ptr::null_mut()),
         isolate_panics,

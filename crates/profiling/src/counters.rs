@@ -96,19 +96,6 @@ counters! {
     /// Cross-zone range steal-splits performed by this worker (its own
     /// zone's pool ran dry; a remote pool's upper half was taken).
     nloop_range_steals,
-    /// Inter-socket loop rebalances performed by probes this worker ran
-    /// (the coarse level of two-level loop balancing: a back-half range
-    /// proactively migrated from a rich zone's pool into a starved
-    /// zone's inbox).
-    nloop_rebalances,
-    /// Iterations migrated *into* starved zones by this worker's
-    /// rebalance probes.
-    nloop_migrated_in,
-    /// Iterations migrated *out of* rich zones by this worker's
-    /// rebalance probes. Conservation: team-wide, `in == out` — a
-    /// migration that takes iterations from one pool must land all of
-    /// them in another.
-    nloop_migrated_out,
     /// Loop iterations abandoned (never executed) because their loop was
     /// cancelled while ranges were still pooled. Conservation for a
     /// cancelled loop: `nloop_iters + nloop_cancelled_iters` accounts
@@ -196,18 +183,6 @@ impl TeamStats {
             return Err(format!(
                 "range steals {} > chunks {} (a thief executes ≥ 1 chunk per steal)",
                 t.nloop_range_steals, t.nloop_chunks
-            ));
-        }
-        if t.nloop_migrated_in != t.nloop_migrated_out {
-            return Err(format!(
-                "rebalance conservation: migrated in {} != migrated out {}",
-                t.nloop_migrated_in, t.nloop_migrated_out
-            ));
-        }
-        if t.nloop_rebalances > t.nloop_migrated_in {
-            return Err(format!(
-                "rebalances {} > iterations migrated {} (every rebalance moves ≥ 1)",
-                t.nloop_rebalances, t.nloop_migrated_in
             ));
         }
         Ok(())

@@ -34,9 +34,8 @@ pub enum EventKind {
     /// The DLB engine granted a steal request, migrating tasks to
     /// another worker (instant; payload `b` = requests granted).
     Migrate = 8,
-    /// A loop-balancer probe migrated iteration ranges between zones
-    /// (instant; payload `a` = probing worker's pool index).
-    Rebalance = 9,
+    // 9 is retired and never reused: old dumps may hold it, so it
+    // decodes to `None` and the kinds after it keep their values.
     /// A loop chunk about to execute — one event per *executed* chunk,
     /// whether its units were claimed from a zone pool one chunk at a
     /// time, reserved ahead, or stolen (instant; payload `a` = the
@@ -98,20 +97,20 @@ const fn row(
     label: &'static str,
     c_is_span_start: bool,
     glyph: Option<char>,
-) -> KindRow {
-    KindRow {
+) -> Option<KindRow> {
+    Some(KindRow {
         kind,
         label,
         c_is_span_start,
         glyph,
-    }
+    })
 }
 
 /// **The** kind table, indexed by discriminant (row `i` describes the
-/// kind whose value is `i` — tested): decoding a ring record's `u8`,
-/// labelling, span pairing and glyphs all read it, so a new kind is one
-/// enum variant plus one row.
-const KINDS: [KindRow; 21] = [
+/// kind whose value is `i` — tested; a retired value's row is `None`):
+/// decoding a ring record's `u8`, labelling, span pairing and glyphs all
+/// read it, so a new kind is one enum variant plus one row.
+const KINDS: [Option<KindRow>; 21] = [
     row(EventKind::Task, "TASK", true, Some('T')),
     row(EventKind::TaskCreate, "GOMP_TASK", false, Some('C')),
     row(EventKind::TaskWait, "TASKWAIT", false, Some('w')),
@@ -121,7 +120,7 @@ const KINDS: [KindRow; 21] = [
     row(EventKind::Wake, "WAKE", false, None),
     row(EventKind::Steal, "STEAL", false, None),
     row(EventKind::Migrate, "MIGRATE", false, None),
-    row(EventKind::Rebalance, "REBALANCE", false, None),
+    None,
     row(EventKind::ChunkClaim, "CHUNK_CLAIM", false, None),
     row(EventKind::RangeSteal, "RANGE_STEAL", false, None),
     row(EventKind::JobStart, "JOB_START", true, None),
@@ -150,24 +149,30 @@ impl EventKind {
 
     /// Decodes a stable discriminant (ring records store the `u8`).
     pub fn from_u8(v: u8) -> Option<EventKind> {
-        KINDS.get(v as usize).map(|r| r.kind)
+        KINDS.get(v as usize)?.as_ref().map(|r| r.kind)
+    }
+
+    fn info(self) -> &'static KindRow {
+        KINDS[self as usize]
+            .as_ref()
+            .expect("every live kind has a row")
     }
 
     /// Short label used in summaries.
     pub fn label(self) -> &'static str {
-        KINDS[self as usize].label
+        self.info().label
     }
 
     /// Whether payload `c` carries a paired start timestamp (the record
     /// closes a span `[c, ts]`).
     pub(crate) fn c_is_span_start(self) -> bool {
-        KINDS[self as usize].c_is_span_start
+        self.info().c_is_span_start
     }
 
     /// One-character glyph for the ASCII Gantt renderer; `None` for the
     /// flight-recorder kinds, which the Gantt never draws.
     pub fn glyph(self) -> Option<char> {
-        KINDS[self as usize].glyph
+        self.info().glyph
     }
 }
 
@@ -347,28 +352,32 @@ mod tests {
     fn full_kind_set_round_trips_through_serde_with_stable_discriminants() {
         // The table is discriminant-indexed, exhaustive and
         // duplicate-free: row `i` describes the kind whose value is `i`.
+        let live = || KINDS.iter().flatten();
         for (i, r) in KINDS.iter().enumerate() {
+            let Some(r) = r else { continue };
             assert_eq!(r.kind as usize, i, "row {i} is {}", r.label);
             assert_eq!(EventKind::from_u8(i as u8), Some(r.kind));
             let json = serde_json::to_string(&r.kind).unwrap();
             let back: EventKind = serde_json::from_str(&json).unwrap();
             assert_eq!(back, r.kind, "serde round trip for {}", r.label);
-            let same_label = KINDS.iter().filter(|o| o.label == r.label).count();
+            let same_label = live().filter(|o| o.label == r.label).count();
             assert_eq!(same_label, 1, "label {} is unique", r.label);
         }
         assert_eq!(EventKind::from_u8(KINDS.len() as u8), None);
         assert_eq!(EventKind::from_u8(21), None);
+        // A retired value decodes to nothing: 9 is the only hole.
+        assert_eq!(EventKind::from_u8(9), None);
+        assert_eq!(live().count(), KINDS.len() - 1);
         // The §V five are frozen at 0–4 with their glyphs; no other kind
         // has one.
-        let glyphs: Vec<Option<char>> = KINDS.iter().map(|r| r.glyph).collect();
+        let glyphs: Vec<Option<char>> = live().map(|r| r.glyph).collect();
         assert_eq!(glyphs[..5], ['T', 'C', 'w', 'B', '.'].map(Some));
         assert!(glyphs[5..].iter().all(Option::is_none));
         for (i, k) in EventKind::ALL.iter().enumerate() {
             assert_eq!(*k as usize, i, "§V discriminants must not move");
         }
         // Exactly the span-closing kinds carry a start stamp in `c`.
-        let spans: Vec<EventKind> = KINDS
-            .iter()
+        let spans: Vec<EventKind> = live()
             .filter(|r| r.c_is_span_start)
             .map(|r| r.kind)
             .collect();
@@ -376,9 +385,14 @@ mod tests {
             spans,
             [EventKind::Task, EventKind::JobStart, EventKind::JobEnd]
         );
-        // The pre-cancellation kinds are frozen at their PR 6 values…
+        // The loop kinds after the retired 9 keep their values…
+        assert_eq!(EventKind::ChunkClaim as u8, 10);
+        assert_eq!(EventKind::RangeSteal as u8, 11);
+        // …the pre-cancellation kinds are frozen at their PR 6 values…
         assert_eq!(EventKind::JobStart as u8, 12);
         assert_eq!(EventKind::JobEnd as u8, 13);
+        assert_eq!(EventKind::GenOpen as u8, 14);
+        assert_eq!(EventKind::GenClose as u8, 15);
         assert_eq!(EventKind::Retune as u8, 16);
         // …and the serving-robustness kinds extend, never renumber.
         assert_eq!(EventKind::Cancel as u8, 17);

@@ -47,7 +47,6 @@ struct ScheduleCounters {
     chunks: AtomicU64,
     iters: AtomicU64,
     range_steals: AtomicU64,
-    rebalances: AtomicU64,
 }
 
 /// One space-kind family's counter block.
@@ -82,14 +81,12 @@ impl LoopTelemetry {
         chunks: u64,
         iters: u64,
         range_steals: u64,
-        rebalances: u64,
     ) {
         let s = &self.per_schedule[schedule.min(LOOP_SCHEDULES - 1)];
         s.loops.fetch_add(1, Ordering::Relaxed);
         s.chunks.fetch_add(chunks, Ordering::Relaxed);
         s.iters.fetch_add(iters, Ordering::Relaxed);
         s.range_steals.fetch_add(range_steals, Ordering::Relaxed);
-        s.rebalances.fetch_add(rebalances, Ordering::Relaxed);
         let k = &self.per_space[space_kind.min(LOOP_SPACE_KINDS - 1)];
         k.loops.fetch_add(1, Ordering::Relaxed);
         k.iters.fetch_add(iters, Ordering::Relaxed);
@@ -105,7 +102,6 @@ impl LoopTelemetry {
                 chunks: s.chunks.load(Ordering::Relaxed),
                 iters: s.iters.load(Ordering::Relaxed),
                 range_steals: s.range_steals.load(Ordering::Relaxed),
-                rebalances: s.rebalances.load(Ordering::Relaxed),
             };
         }
         for (i, k) in self.per_space.iter().enumerate() {
@@ -132,9 +128,6 @@ pub struct ScheduleSnapshot {
     pub iters: u64,
     /// Cross-zone range steal-splits performed.
     pub range_steals: u64,
-    /// Inter-socket rebalances the loop balancer applied to loops of
-    /// this schedule while they ran.
-    pub rebalances: u64,
 }
 
 /// Snapshot of one space-kind family's counters.
@@ -161,15 +154,14 @@ pub struct LoopTelemetrySnapshot {
 
 impl LoopTelemetrySnapshot {
     /// Totals across all schedule families:
-    /// `(loops, chunks, iters, range_steals, rebalances)`.
-    pub fn totals(&self) -> (u64, u64, u64, u64, u64) {
-        self.per_schedule.iter().fold((0, 0, 0, 0, 0), |acc, s| {
+    /// `(loops, chunks, iters, range_steals)`.
+    pub fn totals(&self) -> (u64, u64, u64, u64) {
+        self.per_schedule.iter().fold((0, 0, 0, 0), |acc, s| {
             (
                 acc.0 + s.loops,
                 acc.1 + s.chunks,
                 acc.2 + s.iters,
                 acc.3 + s.range_steals,
-                acc.4 + s.rebalances,
             )
         })
     }
@@ -182,17 +174,16 @@ mod tests {
     #[test]
     fn records_accumulate_per_schedule_and_space() {
         let t = LoopTelemetry::new();
-        t.record_loop(0, 0, 10, 1_000, 0, 0);
-        t.record_loop(1, 2, 20, 2_000, 3, 2);
-        t.record_loop(1, 2, 5, 500, 1, 1);
+        t.record_loop(0, 0, 10, 1_000, 0);
+        t.record_loop(1, 2, 20, 2_000, 3);
+        t.record_loop(1, 2, 5, 500, 1);
         let snap = t.snapshot();
         assert_eq!(snap.per_schedule[0].loops, 1);
         assert_eq!(snap.per_schedule[0].chunks, 10);
         assert_eq!(snap.per_schedule[1].loops, 2);
         assert_eq!(snap.per_schedule[1].chunks, 25);
         assert_eq!(snap.per_schedule[1].range_steals, 4);
-        assert_eq!(snap.per_schedule[1].rebalances, 3);
-        assert_eq!(snap.totals(), (3, 35, 3_500, 4, 3));
+        assert_eq!(snap.totals(), (3, 35, 3_500, 4));
         assert_eq!(snap.per_space[0].loops, 1);
         assert_eq!(snap.per_space[0].iters, 1_000);
         assert_eq!(snap.per_space[2].loops, 2);
@@ -206,8 +197,8 @@ mod tests {
         let t = LoopTelemetry::new();
         let over = u32::MAX as u64 + 1;
         let under = u32::MAX as u64 - 1;
-        t.record_loop(1, 0, 7, over, 0, 0);
-        t.record_loop(1, 0, 7, under, 0, 0);
+        t.record_loop(1, 0, 7, over, 0);
+        t.record_loop(1, 0, 7, under, 0);
         let snap = t.snapshot();
         assert_eq!(snap.per_schedule[1].iters, over + under);
         assert_eq!(snap.per_space[0].iters, over + under);
@@ -217,7 +208,7 @@ mod tests {
     #[test]
     fn out_of_range_indices_clamp() {
         let t = LoopTelemetry::new();
-        t.record_loop(99, 99, 1, 1, 0, 0);
+        t.record_loop(99, 99, 1, 1, 0);
         let snap = t.snapshot();
         assert_eq!(snap.per_schedule[LOOP_SCHEDULES - 1].loops, 1);
         assert_eq!(snap.per_space[LOOP_SPACE_KINDS - 1].loops, 1);

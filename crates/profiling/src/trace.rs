@@ -6,7 +6,7 @@
 //! worker owns a bounded, overwrite-oldest
 //! [`EventRing`] into which instrumented
 //! runtime sites emit fixed-size binary records (park/wake, steals,
-//! balancer migrations, job lifecycle spans). A [`Tracer`] owns the
+//! loop chunks, job lifecycle spans). A [`Tracer`] owns the
 //! rings across team generations, gates every site behind a
 //! [`TraceLevel`] held in one atomic byte — `Off` costs a single
 //! relaxed load and branch per site. Every consumer reads the rings
@@ -48,7 +48,7 @@ pub enum TraceLevel {
     #[default]
     Off = 0,
     /// Coarse events only: park/wake, job spans, generation
-    /// boundaries, retunes, balancer migrations — O(events) ≪
+    /// boundaries, retunes, serving outcomes — O(events) ≪
     /// O(tasks), safe to leave on in production.
     Lifecycle = 1,
     /// Everything: per-task run spans, steal batches, per-chunk loop
@@ -370,13 +370,13 @@ mod tests {
         r.emit(2_000, EventKind::Wake as u8, 0, 0, 0);
         r.emit(3_000, EventKind::JobStart as u8, 0, 42, 2_500);
         r.emit(4_000, EventKind::JobEnd as u8, 0, 42, 3_000);
-        r.emit(4_500, EventKind::Rebalance as u8, 1, 0, 0);
+        r.emit(4_500, EventKind::RangeSteal as u8, 1, 0, 0);
         let json = t.snapshot().to_chrome_json();
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"name\":\"parked\""), "park/wake paired");
         assert!(json.contains("\"name\":\"job 42\""));
         assert!(json.contains("\"ph\":\"b\"") && json.contains("\"ph\":\"e\""));
-        assert!(json.contains("\"name\":\"REBALANCE\""));
+        assert!(json.contains("\"name\":\"RANGE_STEAL\""));
         // Structural sanity: serde_json parses what we hand-build.
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         drop(v);

@@ -152,13 +152,8 @@ impl AdaptiveController {
         // Table-IV class boundary only through their tails.
         let rep = window.modal_cycles()?;
 
-        let mut recommended = recommend_dlb(rep);
+        let recommended = recommend_dlb(rep);
         let active = self.tuning.load();
-        // Table IV tunes the *task*-side knobs only; the loop-rebalance
-        // cadence is the operator's (or `swap_tuning`'s). Carry the
-        // active value so a retune can neither re-enable a disabled
-        // balancer nor count a no-op class change as a retune.
-        recommended.rebalance_interval = active.rebalance_interval;
         if recommended == active {
             // Boundary flap back onto the active class: abandon any
             // half-confirmed candidate.
@@ -257,25 +252,6 @@ mod tests {
         let second = c.tick().expect("coarse window 2 confirms");
         assert_eq!(second.strategy, DlbStrategy::RedirectPush);
         assert_eq!(c.retunes(), 2);
-    }
-
-    #[test]
-    fn retunes_preserve_the_rebalance_interval() {
-        // The loop-balancer cadence is not a Table-IV knob: a confirmed
-        // task-side retune must carry the active value — in particular
-        // it must never re-enable a disabled (interval 0) balancer with
-        // the guideline configs' default.
-        let tuning = Arc::new(DlbTuning::new(
-            DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(0),
-        ));
-        let sampler = Arc::<LiveTaskSampler>::default();
-        let mut c =
-            AdaptiveController::new(tuning.clone(), sampler.clone(), 64, false).confirm_windows(1);
-        feed(&sampler, 0, 64, 200_000);
-        let cfg = c.tick().expect("coarse window retunes");
-        assert_eq!(cfg.strategy, DlbStrategy::RedirectPush);
-        assert_eq!(cfg.rebalance_interval, 0, "balancer stays disabled");
-        assert_eq!(tuning.load().rebalance_interval, 0);
     }
 
     #[test]

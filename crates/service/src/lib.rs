@@ -201,8 +201,8 @@ pub use xgomp_core::{CancelReason, CancelToken};
 // Loop-subsystem types a data-parallel client needs, re-exported so
 // `submit_for` is usable from this crate alone.
 pub use xgomp_core::{
-    auto_portfolio_member, AutoSiteStatus, IterSpace, LoopBalancer, LoopError, LoopId, LoopReport,
-    LoopSchedule, LoopSpace, LoopTelemetrySnapshot, SpaceKind, AUTO_CONFIRM_WINDOWS, AUTO_FALLBACK,
+    auto_portfolio_member, AutoSiteStatus, IterSpace, LoopError, LoopId, LoopReport, LoopSchedule,
+    LoopSpace, LoopTelemetrySnapshot, SpaceKind, AUTO_CONFIRM_WINDOWS, AUTO_FALLBACK,
     AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER,
 };
 

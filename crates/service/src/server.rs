@@ -68,8 +68,8 @@ use crate::ingress::{JobBody, ShardedIngress};
 use crate::metrics::{MetricsHooks, MetricsListener};
 use crate::ServerConfig;
 use xgomp_core::{
-    AutoSelector, DlbConfig, DlbStrategy, DlbTuning, LiveTaskSampler, LoopBalancer, LoopTelemetry,
-    ParkerCell, RegionOutput, TraceStream, Tracer,
+    AutoSelector, DlbConfig, DlbStrategy, DlbTuning, LiveTaskSampler, LoopTelemetry, ParkerCell,
+    RegionOutput, TraceStream, Tracer,
 };
 use xgomp_xqueue::{CachePadded, Cells};
 
@@ -167,15 +167,8 @@ struct ServerShared {
     /// team folds into the same block, so — like the ingress lane
     /// counters — these survive pause/resume cycles and config swaps.
     loop_stats: Arc<LoopTelemetry>,
-    /// The inter-socket loop balancer, also server-owned: its loop
-    /// registry, probe cadence state and cumulative rebalance counters
-    /// ride across generations (a pause mid-loop-queue resumes with the
-    /// same balancer the draining loops registered with), and its
-    /// cadence knob lives in the shared `DlbTuning`, so `swap_tuning`
-    /// and the adaptive controller re-tune it live.
-    loop_balancer: Arc<LoopBalancer>,
     /// The `Schedule::Auto` online selector, server-owned like the loop
-    /// telemetry and balancer: per-site trial state and convergence ride
+    /// telemetry: per-site trial state and convergence ride
     /// across generations, so a loop site submitted before a pause keeps
     /// its learned schedule after `resume`. Watches `swap_epoch` — a
     /// `swap_tuning` (or `resume_with`) bump sends every site back to
@@ -280,8 +273,6 @@ impl TaskServer {
             .dlb
             .unwrap_or_else(|| DlbConfig::new(DlbStrategy::WorkSteal));
         let tuning = Arc::new(DlbTuning::new(initial_dlb));
-        let loop_balancer = Arc::new(LoopBalancer::new());
-        loop_balancer.bind_tuning(&tuning);
         // `Schedule::Auto` selector: watches the swap epoch so a tuning
         // swap re-opens exploration at every converged loop site.
         let swap_epoch = Arc::new(AtomicU64::new(0));
@@ -315,7 +306,6 @@ impl TaskServer {
             sampler: Arc::default(),
             swap_epoch,
             loop_stats: Arc::new(LoopTelemetry::new()),
-            loop_balancer,
             auto_select,
             // Server-owned so it spans generations (the same rings are
             // handed to every generation's team) and stays drainable

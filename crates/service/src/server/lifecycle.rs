@@ -303,7 +303,6 @@ pub(super) fn master_loop(
             sampler: Some(shared.sampler.clone()),
             tuning: Some(shared.tuning.clone()),
             loop_stats: Some(shared.loop_stats.clone()),
-            balancer: Some(shared.loop_balancer.clone()),
             auto_select: Some(shared.auto_select.clone()),
             tracer: Some(shared.tracer.clone()),
         };

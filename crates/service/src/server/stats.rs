@@ -4,15 +4,15 @@
 //! observability accessors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use super::lifecycle::{DRAINING, PAUSED, SERVING};
 use super::{ServerShared, TaskServer};
 use crate::ingress::ShardedIngress;
 use crate::{locked, QosClass};
 use xgomp_core::{
-    clock, AutoSiteStatus, DlbConfig, LoopBalancer, LoopId, LoopTelemetrySnapshot, PromText,
-    TaskSizeHistogram, TraceLevel, TraceSnapshot, TraceStreamStats,
+    clock, AutoSiteStatus, DlbConfig, LoopId, LoopTelemetrySnapshot, PromText, TaskSizeHistogram,
+    TraceLevel, TraceSnapshot, TraceStreamStats,
 };
 use xgomp_profiling::HistCell;
 
@@ -165,7 +165,6 @@ pub const STABLE_METRIC_FAMILIES: &[&str] = &[
     "xgomp_loop_chunks_total",
     "xgomp_loop_iters_total",
     "xgomp_loop_range_steals_total",
-    "xgomp_loop_rebalances_total",
     "xgomp_wake_events_total",
     "xgomp_ingress_claim_conflicts_total",
     "xgomp_ingress_occupancy",
@@ -238,10 +237,6 @@ pub struct ServerStats {
     /// generations. Per-schedule breakdowns:
     /// [`TaskServer::loop_telemetry`].
     pub loop_range_steals: u64,
-    /// Inter-socket balancer migrations applied to served loops (the
-    /// coarse level of two-level loop balancing), cumulative across
-    /// generations.
-    pub loop_rebalances: u64,
 }
 
 /// Where one metric family's samples come from — and, for the
@@ -276,7 +271,7 @@ struct Family {
 /// frozen [`STABLE_METRIC_FAMILIES`]). Rendering — of a bare
 /// [`ServerStats`] snapshot or of the live server — and the
 /// counter-vs-gauge rule of [`ServerStats::delta`] both walk it.
-static FAMILIES: [Family; 38] = [
+static FAMILIES: [Family; 37] = [
     Family {
         name: "xgomp_jobs_submitted_total",
         help: "Jobs accepted by admission control",
@@ -361,11 +356,6 @@ static FAMILIES: [Family; 38] = [
         name: "xgomp_loop_range_steals_total",
         help: "Cross-zone loop range steal-splits",
         read: Read::Counter(|s| &mut s.loop_range_steals),
-    },
-    Family {
-        name: "xgomp_loop_rebalances_total",
-        help: "Inter-socket balancer migrations applied to served loops",
-        read: Read::Counter(|s| &mut s.loop_rebalances),
     },
     Family {
         name: "xgomp_wake_events_total",
@@ -587,7 +577,7 @@ impl ServerShared {
     /// Counter snapshot (see [`TaskServer::stats`] for the coherence
     /// contract). The job-outcome totals are sums over the classes.
     fn stats(&self) -> ServerStats {
-        let (loops, loop_chunks, loop_iters, loop_range_steals, loop_rebalances) =
+        let (loops, loop_chunks, loop_iters, loop_range_steals) =
             self.loop_stats.snapshot().totals();
         let classes = self.class_stats();
         let total = |read: fn(&QosClassStats) -> u64| classes.iter().map(read).sum();
@@ -609,7 +599,6 @@ impl ServerShared {
             loop_chunks,
             loop_iters,
             loop_range_steals,
-            loop_rebalances,
         }
     }
 
@@ -713,18 +702,10 @@ impl TaskServer {
         self.shared.class_stats()
     }
 
-    /// Per-schedule loop telemetry (chunks, iterations, range steals and
-    /// rebalances for static/dynamic/guided/adaptive), cumulative across
-    /// generations.
+    /// Per-schedule loop telemetry (loops, chunks, iterations and range
+    /// steals per schedule family), cumulative across generations.
     pub fn loop_telemetry(&self) -> LoopTelemetrySnapshot {
         self.shared.loop_stats.snapshot()
-    }
-
-    /// The server-owned inter-socket loop balancer (live probe and
-    /// migration counters; its registry and cadence survive every
-    /// generation boundary).
-    pub fn loop_balancer(&self) -> &Arc<LoopBalancer> {
-        &self.shared.loop_balancer
     }
 
     /// Convergence status of one `Schedule::Auto` loop site (`None`

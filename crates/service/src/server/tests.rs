@@ -497,8 +497,6 @@ const FROZEN_HEADERS: &str = "\
 # TYPE xgomp_loop_iters_total counter
 # HELP xgomp_loop_range_steals_total Cross-zone loop range steal-splits
 # TYPE xgomp_loop_range_steals_total counter
-# HELP xgomp_loop_rebalances_total Inter-socket balancer migrations applied to served loops
-# TYPE xgomp_loop_rebalances_total counter
 # HELP xgomp_wake_events_total Wake-ups delivered across all generations (doorbells, pushes, teardown)
 # TYPE xgomp_wake_events_total counter
 # HELP xgomp_ingress_claim_conflicts_total Lost lane-claim races on the anonymous ingress path
@@ -584,10 +582,10 @@ fn prometheus_rendering_uses_stable_names() {
         .collect();
     assert_eq!(help_names, STABLE_METRIC_FAMILIES);
     // A bare snapshot renders the snapshot-backed prefix of the same
-    // table (18 families).
+    // table (17 families).
     let bare = server.stats().render_prometheus();
     let bare_headers: Vec<&str> = bare.lines().filter(|l| l.starts_with('#')).collect();
-    assert_eq!(bare_headers, headers[..36]);
+    assert_eq!(bare_headers, headers[..34]);
     assert!(text.contains("xgomp_jobs_submitted_total 10"));
     // Continuous-pipeline families render (at zero) even with the
     // stream and listener unconfigured.

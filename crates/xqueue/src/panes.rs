@@ -11,11 +11,10 @@
 //!   covers `[S + k·P, min(S + (k+1)·P, E))` — pane position is pure
 //!   arithmetic, never shared mutable state.
 //! * `current` — the active pane's units, as u32 offsets from an atomic
-//!   `base`. All front claims flow through here, so the claim-rate EWMA
-//!   carries over unchanged and a claim stays one CAS on the range word
-//!   — but not one RMW: with the handshake below a pane-set claim is
-//!   *four* RMWs on shared lines (`claimers` +1, the range-word CAS, the
-//!   `claimed` counter, `claimers` −1; `xqueue.panes.claim_ns` in the
+//!   `base`. All front claims flow through here, so a claim stays one
+//!   CAS on the range word — but not one RMW: with the handshake below
+//!   a pane-set claim is *three* RMWs on shared lines (`claimers` +1,
+//!   the range-word CAS, `claimers` −1; `xqueue.panes.claim_ns` in the
 //!   benchmark ledger, uncontended), each of which a second claimer
 //!   turns into a cache-line transfer. Callers amortize: at most one
 //!   claim per chunk, and one claim per *reservation* of sub-µs chunks.
@@ -45,8 +44,7 @@
 //! `seq` doubles as a seqlock for scanners:
 //! [`is_definitely_empty`](PaneSet::is_definitely_empty) validates its
 //! two-pool emptiness scan against an even, unchanged `seq`, because a
-//! pane mid-refill is in *neither* pool — exactly the in-flight-range
-//! argument of the loop balancer's epoch seqlock, one layer down.
+//! pane mid-refill is in *neither* pool.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -246,8 +244,8 @@ impl PaneSet {
         got
     }
 
-    /// Deposits units `[lo, hi)` **iff the set is empty** (the landing
-    /// pad of balancer migrations and stolen-tail re-homing). Shares
+    /// Deposits units `[lo, hi)` **iff the set is empty** (a thief
+    /// re-homing the tail of a stolen range into its own zone). Shares
     /// longer than one pane re-wave through the pane queue. Returns
     /// whether the deposit landed; on `false` the caller still owns the
     /// range.
@@ -313,7 +311,7 @@ impl PaneSet {
     }
 
     /// Racy remaining-unit estimate across both pools (scheduling
-    /// heuristics and balancer ETAs only).
+    /// heuristics only).
     pub fn remaining(&self) -> u64 {
         let mut total = self.current.remaining() as u64;
         let (ka, kb) = self.panes.snapshot();
@@ -349,26 +347,6 @@ impl PaneSet {
         fence(Ordering::Acquire);
         empty && self.seq.load(Ordering::SeqCst) == s
     }
-
-    /// Cumulative units claimed from the front (pane-steals are
-    /// re-homing, not draining — counted by their eventual claimer, like
-    /// [`RangePool`] steals).
-    #[inline]
-    pub fn claimed(&self) -> u64 {
-        self.current.claimed()
-    }
-
-    /// Latest claims-per-tick EWMA (see [`RangePool::claim_rate`]).
-    #[inline]
-    pub fn claim_rate(&self) -> f64 {
-        self.current.claim_rate()
-    }
-
-    /// Folds claims since the previous call into the rate EWMA (see
-    /// [`RangePool::sample_rate`]; same single-sampler contract).
-    pub fn sample_rate(&self, now_tick: u64) -> f64 {
-        self.current.sample_rate(now_tick)
-    }
 }
 
 #[cfg(test)]
@@ -399,7 +377,6 @@ mod tests {
         }
         assert_eq!(next, 125, "every unit claimed exactly once");
         assert!(set.is_definitely_empty());
-        assert_eq!(set.claimed(), 25);
     }
 
     #[test]
@@ -470,7 +447,6 @@ mod tests {
         assert_eq!(total, 25);
         assert_eq!(total, drained.iter().map(|(lo, hi)| hi - lo).sum::<u64>());
         assert!(set.is_definitely_empty());
-        assert_eq!(set.claimed(), 5, "drained units don't count as claimed");
     }
 
     #[test]

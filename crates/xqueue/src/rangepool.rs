@@ -10,12 +10,12 @@
 //!
 //! Like [`parker`](crate::parker), this module is a deliberate exception
 //! to the crate's plain-load/store discipline: pools use CAS, but at
-//! most once per *chunk*, never per iteration. What a claim costs: two
-//! RMWs on shared lines (the range-word CAS and the
-//! [`claimed`](RangePool::claimed) counter) — ≈ 20 ns with the word to
-//! itself, but ≈ 5× that with a second claimer on it (the benchmark
-//! ledger's `xqueue.rangepool.claim_ns` vs `claim_2t_ns`), and more with
-//! every further worker of the zone. That is noise next to chunks of
+//! most once per *chunk*, never per iteration. The pool is that one
+//! word and nothing else, so what a claim costs is one RMW on a shared
+//! line — cheap with the word to itself, several times that with a
+//! second claimer on it (the benchmark ledger's
+//! `xqueue.rangepool.claim_ns` vs `claim_2t_ns`), and more with every
+//! further worker of the zone. That is noise next to chunks of
 //! tens to thousands of iterations and as much as the body itself next
 //! to a sub-µs chunk, which is why the loop layer's drain path reserves
 //! several such chunks with one claim instead of claiming each.
@@ -25,24 +25,8 @@
 //! units. Larger logical spaces are *waved* through panes of ≤ u32::MAX
 //! units by the [`panes`](crate::panes) layer, which chains pools
 //! without adding a claim per chunk.
-//!
-//! ## Rate telemetry
-//!
-//! Beyond the range word, each pool carries *claim-rate telemetry*: a
-//! cumulative [`claimed`](RangePool::claimed) iteration counter (one
-//! relaxed `fetch_add` per successful claim — still amortized over a
-//! whole chunk) and an iterations-per-tick EWMA refreshed by a single
-//! sampler through [`sample_rate`](RangePool::sample_rate). The
-//! inter-socket loop balancer reads these rates to decide which zone's
-//! block to re-split *before* a pool runs dry; the pool itself attaches
-//! no policy to them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// EWMA smoothing factor of [`RangePool::sample_rate`] (new sample
-/// weight). ½ keeps the estimate responsive to phase changes while
-/// damping single-probe noise.
-const RATE_ALPHA: f64 = 0.5;
 
 /// A half-open range of iteration offsets, `[lo, hi)`.
 pub type IterRange = (u32, u32);
@@ -62,17 +46,6 @@ fn unpack(word: u64) -> (u32, u32) {
 #[derive(Debug)]
 pub struct RangePool {
     word: AtomicU64,
-    /// Cumulative iterations handed out through [`claim`](Self::claim)
-    /// (front claims only; steals are *re-homing*, not draining, and are
-    /// counted by their eventual claimer).
-    claimed: AtomicU64,
-    /// `f64::to_bits` of the claims-per-tick EWMA (see
-    /// [`sample_rate`](Self::sample_rate)).
-    rate_bits: AtomicU64,
-    /// `claimed` as of the previous `sample_rate` call.
-    last_claimed: AtomicU64,
-    /// Tick of the previous `sample_rate` call (0 = never sampled).
-    last_tick: AtomicU64,
 }
 
 impl RangePool {
@@ -86,10 +59,6 @@ impl RangePool {
         debug_assert!(lo <= hi);
         RangePool {
             word: AtomicU64::new(pack(lo, hi)),
-            claimed: AtomicU64::new(0),
-            rate_bits: AtomicU64::new(0f64.to_bits()),
-            last_claimed: AtomicU64::new(0),
-            last_tick: AtomicU64::new(0),
         }
     }
 
@@ -133,51 +102,10 @@ impl RangePool {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => {
-                    self.claimed.fetch_add(take as u64, Ordering::Relaxed);
-                    return Some((lo, lo + take));
-                }
+                Ok(_) => return Some((lo, lo + take)),
                 Err(w) => word = w,
             }
         }
-    }
-
-    /// Cumulative iterations claimed from the front of this pool.
-    #[inline]
-    pub fn claimed(&self) -> u64 {
-        self.claimed.load(Ordering::Relaxed)
-    }
-
-    /// Latest claims-per-tick EWMA (0.0 until two
-    /// [`sample_rate`](Self::sample_rate) calls have bracketed some
-    /// claims).
-    #[inline]
-    pub fn claim_rate(&self) -> f64 {
-        f64::from_bits(self.rate_bits.load(Ordering::Relaxed))
-    }
-
-    /// Folds the claims since the previous call into the rate EWMA and
-    /// returns the updated estimate (iterations per clock tick).
-    ///
-    /// Single-sampler contract: the balancer's probe gate guarantees one
-    /// sampler at a time, so the `last_*` bookkeeping uses plain relaxed
-    /// stores. The first call only establishes the baseline.
-    pub fn sample_rate(&self, now_tick: u64) -> f64 {
-        let claimed = self.claimed.load(Ordering::Relaxed);
-        let prev_tick = self.last_tick.load(Ordering::Relaxed);
-        let prev_claimed = self.last_claimed.load(Ordering::Relaxed);
-        if prev_tick == 0 || now_tick <= prev_tick {
-            self.last_tick.store(now_tick.max(1), Ordering::Relaxed);
-            self.last_claimed.store(claimed, Ordering::Relaxed);
-            return self.claim_rate();
-        }
-        let dt = (now_tick - prev_tick) as f64;
-        let inst = claimed.saturating_sub(prev_claimed) as f64 / dt;
-        let ewma = (1.0 - RATE_ALPHA) * self.claim_rate() + RATE_ALPHA * inst;
-        self.rate_bits.store(ewma.to_bits(), Ordering::Relaxed);
-        self.last_tick.store(now_tick, Ordering::Relaxed);
-        self.last_claimed.store(claimed, Ordering::Relaxed);
-        ewma
     }
 
     /// Steals the upper half of the pool (⌈remaining / 2⌉ iterations —
@@ -234,9 +162,7 @@ impl RangePool {
     /// Empties the pool in one CAS and returns the drained range — the
     /// cancellation primitive, range-returning form (callers that map
     /// pool offsets back into a larger logical space need the bounds,
-    /// not just the count). Unlike [`claim`](Self::claim) the drained
-    /// iterations stay out of the `claimed` counter, so the rate EWMA
-    /// keeps describing *executed* throughput only. Linearizable against
+    /// not just the count). Linearizable against
     /// concurrent claims, steals and deposits: every drained iteration
     /// is taken by exactly one drainer and never also handed out for
     /// execution.
@@ -299,7 +225,6 @@ mod tests {
         assert_eq!(p.abandon(), 7, "abandons everything still pooled");
         assert!(p.is_empty());
         assert_eq!(p.abandon(), 0, "second abandon finds nothing");
-        assert_eq!(p.claimed(), 3, "abandoned iters don't count as claimed");
         assert!(p.deposit_if_empty(20, 25), "pool is reusable after abandon");
         assert_eq!(p.abandon(), 5);
     }
@@ -321,25 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn claim_counter_and_rate_ewma() {
-        let p = RangePool::new(0, 1_000);
-        assert_eq!(p.claimed(), 0);
-        p.claim(100);
-        p.claim(50);
-        assert_eq!(p.claimed(), 150);
-        // Steals do not count as claims.
-        p.steal_half();
-        assert_eq!(p.claimed(), 150);
-        // First sample establishes the baseline only.
-        assert_eq!(p.sample_rate(1_000), 0.0);
-        p.claim(200);
-        // 200 iterations over 1000 ticks → 0.2/tick, EWMA-weighted ½.
-        let r = p.sample_rate(2_000);
-        assert!((r - 0.1).abs() < 1e-9, "rate {r}");
-        // A stalled interval decays the estimate.
-        let r2 = p.sample_rate(3_000);
-        assert!((r2 - 0.05).abs() < 1e-9, "rate {r2}");
-        assert_eq!(p.claim_rate(), r2);
+    fn pool_is_one_packed_word() {
+        // The whole pool state is the `(lo, hi)` word: a claim, steal,
+        // deposit or drain is one CAS and touches nothing else.
+        assert_eq!(std::mem::size_of::<RangePool>(), 8);
     }
 
     #[test]
@@ -383,11 +293,11 @@ mod tests {
             let mut handles = Vec::new();
             // One migrator (the single-depositor contract) re-splitting
             // the rich pool into the starved one whenever it empties —
-            // the loop balancer's `steal_half` → `deposit_if_empty`
-            // sequence, with its give-back path: a range whose deposit
-            // raced goes to whichever side empties first. Its last
-            // deposit is visible before `done` flips, so the claimers'
-            // exit condition cannot strand an in-flight range.
+            // the loop drain's stolen-tail `steal_half` →
+            // `deposit_if_empty` sequence, plus a give-back path: a range
+            // whose deposit raced goes to whichever side empties first.
+            // Its last deposit is visible before `done` flips, so the
+            // claimers' exit condition cannot strand an in-flight range.
             {
                 let (src, dst, done) = (src.clone(), dst.clone(), done.clone());
                 handles.push(s.spawn(move || {

@@ -32,7 +32,7 @@ const BUDGET: &[(&str, Split, Split)] = &[
     (".", [0, 5], [0, 12]),
     ("crates/bench", [0, 0], [0, 0]),
     ("crates/bots", [0, 0], [0, 0]),
-    ("crates/core", [50, 30], [4, 9]),
+    ("crates/core", [50, 30], [0, 9]),
     ("crates/posp", [0, 0], [0, 0]),
     ("crates/profiling", [1, 0], [0, 0]),
     ("crates/service", [7, 3], [52, 6]),
@@ -364,6 +364,31 @@ fn one_job_ledger() {
     let ingress = "crates/service/src/ingress.rs";
     let batches = grep(ingress, Part::NonTest, |l| l.contains("Vec<JobBody>"));
     r.count(0, "no `Vec<JobBody>` batch in the ingress drain", batches);
+}
+
+/// One level of loop balancing: a zone's pool is its one `PaneSet`, and
+/// units leave their zone only by a drain task's steal-split, so every
+/// unit is always in a pool or in one drain task's reserve and the drain
+/// exit is a plain all-pools-empty scan. A second pool per zone (an
+/// inbox), a migration seqlock guarding a range held outside both, and a
+/// per-claim counter on the range pool (whose only reader was a
+/// migration policy) must not grow back. `auto.rs` is exempt from the
+/// `epoch` check: its tuning-swap epoch is the `Auto` selector's.
+#[test]
+fn one_loop_balancing_level() {
+    let r = Rule("one_loop_balancing_level");
+    let loops = "crates/core/src/loops";
+    let inboxes = grep(loops, Part::All, |l| l.contains("inbox"));
+    r.count(0, "no `inbox` under `crates/core/src/loops/`", inboxes);
+    let mut seqlocks = grep(loops, Part::All, |l| {
+        l.contains("epoch") || l.contains("migrating(")
+    });
+    seqlocks.retain(|h| !h.starts_with("crates/core/src/loops/auto.rs:"));
+    let what = "no `epoch` or `migrating(` under `crates/core/src/loops/`";
+    r.count(0, what, seqlocks);
+    let rangepool = "crates/xqueue/src/rangepool.rs";
+    let counters = grep(rangepool, Part::NonTest, |l| code(l).contains("fetch_add"));
+    r.count(0, "no non-test `fetch_add` in `rangepool.rs`", counters);
 }
 
 /// One join wait: a joiner sleeps on a job's condvar only after it counts

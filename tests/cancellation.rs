@@ -29,15 +29,11 @@ use xgomp::{
     RuntimeConfig, SubmitOptions,
 };
 
-/// A two-zone server with an aggressive rebalance cadence.
-fn two_zone_server(threads: usize, interval: u64) -> TaskServer {
+/// A two-zone server.
+fn two_zone_server(threads: usize) -> TaskServer {
     let rt = RuntimeConfig::xgomptb(threads)
         .topology(MachineTopology::new(2, threads.div_ceil(2).max(1), 1))
-        .dlb(
-            DlbConfig::new(DlbStrategy::WorkSteal)
-                .t_interval(32)
-                .rebalance_interval(interval),
-        );
+        .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32));
     TaskServer::start(ServerConfig::new(threads).runtime(rt).adapt_every(0))
 }
 
@@ -114,7 +110,7 @@ fn background_flood_leaves_latency_sensitive_capacity() {
 #[test]
 fn cancel_mid_loop_conserves_iterations_exactly() {
     const LEN: u64 = 100_000;
-    let server = two_zone_server(4, 256);
+    let server = two_zone_server(4);
     let spin = Arc::new(AtomicBool::new(true));
     let ran = Arc::new(AtomicU64::new(0));
     let (s, r) = (spin.clone(), ran.clone());
@@ -251,7 +247,7 @@ fn deadline_inside_a_reserve_abandons_it_exactly() {
 
 #[test]
 fn cancel_races_pause_and_resume_with() {
-    let server = Arc::new(two_zone_server(4, 128));
+    let server = Arc::new(two_zone_server(4));
     let spin = Arc::new(AtomicBool::new(true));
     let ran = Arc::new(AtomicU64::new(0));
     let (s, r) = (spin.clone(), ran.clone());
@@ -300,7 +296,7 @@ fn cancel_races_pause_and_resume_with() {
 
 #[test]
 fn queued_deadline_expires_across_a_paused_generation() {
-    let server = two_zone_server(2, 0);
+    let server = two_zone_server(2);
     server.pause().unwrap();
     // Queued into the paused generation; nothing can start it.
     let h = server
@@ -337,7 +333,7 @@ fn queued_deadline_expires_across_a_paused_generation() {
 
 #[test]
 fn running_job_past_deadline_cancels_at_a_checkpoint() {
-    let server = two_zone_server(2, 0);
+    let server = two_zone_server(2);
     let h = server
         .with(SubmitOptions::new().deadline(Duration::from_millis(10)))
         .submit(|ctx| -> u32 {
@@ -359,7 +355,7 @@ fn running_job_past_deadline_cancels_at_a_checkpoint() {
 
 #[test]
 fn join_timeout_returns_the_live_handle() {
-    let server = two_zone_server(2, 0);
+    let server = two_zone_server(2);
     let gate = Arc::new(AtomicBool::new(false));
     let g = gate.clone();
     let h = server
@@ -414,7 +410,7 @@ fn join_timeout_returns_the_live_handle() {
 /// (CI timeout) is the failure mode.
 #[test]
 fn gated_sibling_pairs_never_strand() {
-    let server = two_zone_server(2, 0);
+    let server = two_zone_server(2);
     for round in 0..200 {
         let gate = Arc::new(AtomicBool::new(false));
         let g = gate.clone();
@@ -448,7 +444,7 @@ fn gated_sibling_pairs_never_strand() {
 fn cancel_before_start_sheds_without_running_the_body() {
     // Paused server: the job can never start, so cancel() must resolve
     // the handle as shed — and the body must never run.
-    let server = two_zone_server(2, 0);
+    let server = two_zone_server(2);
     server.pause().unwrap();
     let ran = Arc::new(AtomicBool::new(false));
     let r = ran.clone();

@@ -1,4 +1,4 @@
-//! Two-level loop balancing: conservation and chaos tests for
+//! Loop balancing across zones: conservation and chaos tests for
 //! *concurrent* loops sharing one team.
 //!
 //! The contract under test, on top of `tests/loops.rs`' single-loop
@@ -7,16 +7,11 @@
 //! * N simultaneous `submit_for` jobs (mixed schedules, skewed bodies)
 //!   each execute **every iteration exactly once**, with the executing
 //!   zone recorded — no iteration runs in two zones;
-//! * the inter-socket balancer's accounting conserves:
-//!   `migrated_in == migrated_out` per loop, and the per-schedule
-//!   telemetry's rebalance total equals the sum over the loops' reports;
-//! * balancer **off** (`rebalance_interval = 0`) reproduces the PR 4
-//!   dry-pool-steal behavior: identical checksums, all rebalance
-//!   counters exactly zero;
+//! * the server's cumulative range-steal telemetry equals the sum over
+//!   the loops' reports;
 //! * the chaos matrix holds: pause→resume landing mid-stream on live
-//!   balanced loops, a `resume_with` zone collapse (2 sockets → 1) plus
-//!   worker shrink under the same server-owned balancer, and
-//!   `swap_tuning` retuning the probe cadence mid-loop.
+//!   skewed loops, and a `resume_with` zone collapse (2 sockets → 1)
+//!   plus worker shrink.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -59,16 +54,11 @@ fn pick_schedule(pick: u64, chunk: u32) -> LoopSchedule {
     }
 }
 
-/// A two-zone server with an aggressive rebalance cadence (`interval`
-/// ticks; 0 disables the balancer).
-fn two_zone_server(threads: usize, interval: u64) -> TaskServer {
+/// A two-zone server.
+fn two_zone_server(threads: usize) -> TaskServer {
     let rt = RuntimeConfig::xgomptb(threads)
         .topology(MachineTopology::new(2, threads.div_ceil(2).max(1), 1))
-        .dlb(
-            DlbConfig::new(DlbStrategy::WorkSteal)
-                .t_interval(64)
-                .rebalance_interval(interval),
-        );
+        .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(64));
     TaskServer::start(ServerConfig::new(threads).runtime(rt).adapt_every(0))
 }
 
@@ -82,13 +72,13 @@ fn spin(w: u64) {
 /// (a) The conservation suite: N simultaneous loop jobs on one team,
 /// mixed schedules, skewed cost. Every loop exactly-once, with the
 /// executing zone recorded per iteration (an iteration claimed by two
-/// zones would overwrite a non-zero owner), and every loop's migration
-/// accounting conserved.
+/// zones would overwrite a non-zero owner), and the server's range-steal
+/// telemetry equal to the sum of the loops' reports.
 #[test]
 fn concurrent_loops_conserve_exactly_once_across_zones() {
     const N: u64 = 60_000;
     const JOBS: usize = 8;
-    let server = two_zone_server(4, 1_024);
+    let server = two_zone_server(4);
 
     // owners[j][i] = 1 + zone that executed iteration i of loop j.
     let owners: Vec<Arc<Vec<AtomicU8>>> = (0..JOBS)
@@ -117,22 +107,12 @@ fn concurrent_loops_conserve_exactly_once_across_zones() {
         })
         .collect();
 
-    let mut rebalances_sum = 0;
+    let mut steals_sum = 0;
     for (j, h) in handles.into_iter().enumerate() {
         let report = h.join().unwrap();
         let sched = SCHEDULES[j % SCHEDULES.len()];
         assert_eq!(report.iterations, N, "loop {j} ({})", sched.name());
-        assert_eq!(
-            report.migrated_in,
-            report.migrated_out,
-            "loop {j} ({}): migration accounting must conserve",
-            sched.name()
-        );
-        assert!(
-            report.rebalances <= report.migrated_in,
-            "loop {j}: every rebalance moves ≥ 1 iteration"
-        );
-        rebalances_sum += report.rebalances;
+        steals_sum += report.range_steals;
     }
     assert_eq!(doubles.load(Ordering::Relaxed), 0, "iteration ran twice");
     for (j, own) in owners.iter().enumerate() {
@@ -145,103 +125,26 @@ fn concurrent_loops_conserve_exactly_once_across_zones() {
         );
     }
 
-    // The per-schedule telemetry's rebalance total is exactly the sum of
-    // the loops' own reports — no migrations are double-counted or lost.
+    // The per-schedule telemetry's steal total is exactly the sum of the
+    // loops' own reports — no steal is double-counted or lost.
     let stats = server.stats();
     assert_eq!(stats.loops, JOBS as u64);
     assert_eq!(stats.loop_iters, N * JOBS as u64);
-    assert_eq!(stats.loop_rebalances, rebalances_sum);
-    assert_eq!(server.loop_balancer().live_loops(), 0, "registry drained");
+    assert_eq!(stats.loop_range_steals, steals_sum);
 
     let report = server.shutdown();
     let region = report.region.expect("clean serve");
     region.stats.check_invariants().unwrap();
 }
 
-/// (b) A strongly skewed single loop *must* trigger proactive
-/// rebalancing: zone 0 drains its cheap block quickly, and its own
-/// next probe (fired at a chunk boundary or idle point) re-splits zone
-/// 1's rich block into zone 0's inbox before/at dryness.
-#[test]
-fn skewed_loops_trigger_rebalancing_with_conserved_counters() {
-    let server = two_zone_server(4, 256);
-    const N: u64 = 8_000;
-    let sum = Arc::new(AtomicU64::new(0));
-    let s = sum.clone();
-    let report = server
-        .submit_for(0..N, LoopSchedule::Dynamic(16), move |i, _| {
-            if i >= N / 2 {
-                spin(2_000); // zone 1's block is ~1000× zone 0's
-            }
-            s.fetch_add(i + 1, Ordering::Relaxed);
-        })
-        .unwrap()
-        .join()
-        .unwrap();
-    assert_eq!(sum.load(Ordering::Relaxed), (1..=N).sum::<u64>());
-    assert!(
-        report.rebalances > 0,
-        "a starved zone facing a rich neighbor must be fed by the balancer"
-    );
-    assert_eq!(report.migrated_in, report.migrated_out);
-    assert_eq!(server.stats().loop_rebalances, report.rebalances);
-    assert!(server.loop_balancer().probes() > 0);
-    assert_eq!(
-        server.loop_balancer().iterations_migrated(),
-        report.migrated_in
-    );
-    server.shutdown();
-}
-
-/// (c) Balancer off (`rebalance_interval = 0`): bit-for-bit the PR 4
-/// dry-pool-steal behavior on the conservation suite — identical
-/// checksums and *zero* everywhere in the rebalance telemetry.
-#[test]
-fn balancer_off_reproduces_dry_pool_steal_baseline() {
-    let server = two_zone_server(4, 0);
-    const N: u64 = 50_000;
-    let mut checksums = Vec::new();
-    for sched in SCHEDULES {
-        let sum = Arc::new(AtomicU64::new(0));
-        let s = sum.clone();
-        let report = server
-            .submit_for(0..N, sched, move |i, _| {
-                if i >= N - N / 4 {
-                    spin(200);
-                }
-                s.fetch_add(i * 31 + 7, Ordering::Relaxed);
-            })
-            .unwrap()
-            .join()
-            .unwrap();
-        assert_eq!(report.iterations, N, "{}", sched.name());
-        assert_eq!(report.rebalances, 0, "{}", sched.name());
-        assert_eq!(report.migrated_in, 0, "{}", sched.name());
-        assert_eq!(report.migrated_out, 0, "{}", sched.name());
-        checksums.push(sum.load(Ordering::Relaxed));
-    }
-    let expect: u64 = (0..N).map(|i| i * 31 + 7).sum();
-    assert!(checksums.iter().all(|&c| c == expect), "checksum drift");
-    let stats = server.stats();
-    assert_eq!(stats.loop_rebalances, 0);
-    assert_eq!(server.loop_balancer().rebalances(), 0);
-    assert_eq!(server.loop_balancer().iterations_migrated(), 0);
-    let report = server.shutdown();
-    let total = report.region.expect("clean serve").stats.total();
-    assert_eq!(total.nloop_rebalances, 0);
-    assert_eq!(total.nloop_migrated_in, 0);
-    assert_eq!(total.nloop_migrated_out, 0);
-}
-
-/// (d) Chaos: a pause lands mid-stream on a queue of balancer-live
-/// skewed loops; the drain completes them under the balancer, the
-/// queued tail runs in the next generation — same server-owned
-/// balancer, everything conserved.
+/// (b) Chaos: a pause lands mid-stream on a queue of skewed loops whose
+/// zones steal from each other; the drain completes them, the queued
+/// tail runs in the next generation, everything conserved.
 #[test]
 fn pause_resume_mid_rebalance_conserves() {
     const N: u64 = 20_000;
     const JOBS: usize = 10;
-    let server = two_zone_server(4, 512);
+    let server = two_zone_server(4);
     let sum = Arc::new(AtomicU64::new(0));
 
     let mut handles = Vec::new();
@@ -260,14 +163,9 @@ fn pause_resume_mid_rebalance_conserves() {
         );
         if j == JOBS / 2 {
             // Mid-stream: loops done / in-team (with possible in-flight
-            // migrations) / ring-queued. The pause drains everything
-            // admitted so far; the balancer registry must end empty.
+            // steals) / ring-queued. The pause drains everything
+            // admitted so far.
             server.pause().unwrap();
-            assert_eq!(
-                server.loop_balancer().live_loops(),
-                0,
-                "a paused (quiescent) server cannot have live loops"
-            );
         }
     }
     server.resume().unwrap();
@@ -284,14 +182,14 @@ fn pause_resume_mid_rebalance_conserves() {
     server.shutdown();
 }
 
-/// (e) Chaos: `resume_with` collapses 2 sockets → 1 *and* shrinks the
-/// worker set under the same server-owned balancer. Pre-swap loops may
-/// rebalance (two zones); post-swap loops cannot (single pool) — and
-/// the cumulative telemetry must reflect exactly that.
+/// (c) Chaos: `resume_with` collapses 2 sockets → 1 *and* shrinks the
+/// worker set. Pre-swap loops may steal across zones (two pools);
+/// post-swap loops cannot (single pool) — and the cumulative telemetry
+/// must reflect exactly that.
 #[test]
 fn zone_collapse_and_worker_shrink_with_live_balancer() {
     const N: u64 = 30_000;
-    let server = two_zone_server(6, 512);
+    let server = two_zone_server(6);
 
     let sum = Arc::new(AtomicU64::new(0));
     let s = sum.clone();
@@ -305,16 +203,15 @@ fn zone_collapse_and_worker_shrink_with_live_balancer() {
         .unwrap()
         .join()
         .unwrap();
-    assert_eq!(before.migrated_in, before.migrated_out);
-    let rebalances_before = server.stats().loop_rebalances;
-    assert_eq!(rebalances_before, before.rebalances);
+    let steals_before = server.stats().loop_range_steals;
+    assert_eq!(steals_before, before.range_steals);
 
     server.pause().unwrap();
     server
         .resume_with(
             RuntimeConfig::xgomptb(2)
                 .topology(MachineTopology::new(1, 2, 1))
-                .dlb(DlbConfig::new(DlbStrategy::RedirectPush).rebalance_interval(512)),
+                .dlb(DlbConfig::new(DlbStrategy::RedirectPush)),
         )
         .unwrap();
 
@@ -331,71 +228,18 @@ fn zone_collapse_and_worker_shrink_with_live_balancer() {
         .unwrap();
     assert_eq!(sum.load(Ordering::Relaxed), 2 * (0..N).sum::<u64>());
     assert_eq!(
-        after.rebalances, 0,
-        "a single-zone loop has nothing to rebalance across"
+        after.range_steals, 0,
+        "a single-zone loop has no remote pool to steal from"
     );
-    // Cumulative across the swap: pre-swap rebalances survive, post-swap
+    // Cumulative across the swap: pre-swap steals survive, post-swap
     // adds none.
     let stats = server.stats();
     assert_eq!(stats.loops, 2);
-    assert_eq!(stats.loop_rebalances, rebalances_before);
+    assert_eq!(stats.loop_range_steals, steals_before);
     server.shutdown();
 }
 
-/// (f) Chaos: `swap_tuning` mid-loop — the probe cadence knob flips
-/// off → aggressive → off while a long skewed loop drains; conservation
-/// holds throughout and the final swap's `rebalance_interval = 0` stops
-/// the balancer (no further migrations after the loop that observed it).
-#[test]
-fn swap_tuning_retunes_rebalance_cadence_mid_loop() {
-    const N: u64 = 40_000;
-    let server = two_zone_server(4, 0); // starts disabled
-    let sum = Arc::new(AtomicU64::new(0));
-
-    let s = sum.clone();
-    let h = server
-        .submit_for(0..N, LoopSchedule::Dynamic(32), move |i, _| {
-            if i >= N / 2 {
-                spin(120);
-            }
-            s.fetch_add(i + 1, Ordering::Relaxed);
-        })
-        .unwrap();
-    // Mid-loop: turn the balancer on, aggressively. The drain tasks
-    // re-read the knob at their next probe gate (no pause needed).
-    server.swap_tuning(
-        DlbConfig::new(DlbStrategy::WorkSteal)
-            .t_interval(64)
-            .rebalance_interval(256),
-    );
-    let report = h.join().unwrap();
-    assert_eq!(report.iterations, N);
-    assert_eq!(report.migrated_in, report.migrated_out);
-    assert_eq!(sum.load(Ordering::Relaxed), (1..=N).sum::<u64>());
-
-    // And off again: the next skewed loop must not migrate at all.
-    server.swap_tuning(DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(0));
-    let migrated_so_far = server.loop_balancer().iterations_migrated();
-    let s = sum.clone();
-    let off = server
-        .submit_for(0..N, LoopSchedule::Dynamic(32), move |i, _| {
-            if i >= N / 2 {
-                spin(120);
-            }
-            s.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap()
-        .join()
-        .unwrap();
-    assert_eq!(off.rebalances, 0, "interval 0 must disable the balancer");
-    assert_eq!(
-        server.loop_balancer().iterations_migrated(),
-        migrated_so_far
-    );
-    server.shutdown();
-}
-
-/// (g) `submit_for` space validation: an iteration space wider than the
+/// (d) `submit_for` space validation: an iteration space wider than the
 /// 2^62-unit schedulable bound comes back as a typed, terminal
 /// `SubmitError::InvalidLoop` — before admission, so it costs no
 /// in-flight slot — from both the blocking and non-blocking paths, with
@@ -403,7 +247,7 @@ fn swap_tuning_retunes_rebalance_cadence_mid_loop() {
 /// wave through panes — so the only rejection left is the 2^62 bound.)
 #[test]
 fn oversized_submit_for_returns_typed_error() {
-    let server = two_zone_server(2, 0);
+    let server = two_zone_server(2);
     // A 2^41 x 2^41 rectangle: 2^82 elements, far past the bound, but
     // cheap to name — validation is O(1) closed-form math.
     let huge = xgomp::IterSpace::rect(1u64 << 41, 1u64 << 41);
@@ -448,9 +292,8 @@ proptest! {
     })]
 
     /// Random (loops, ranges, schedules, workers, sockets): L concurrent
-    /// loop jobs conserve — index-sum checksums match the closed form,
-    /// per-loop migration accounting balances, and the team-level §V
-    /// invariants (including the new rebalance conservation) hold.
+    /// loop jobs conserve — index-sum checksums match the closed form and
+    /// the team-level §V invariants hold.
     #[test]
     fn random_concurrent_loops_conserve(
         n_loops in 1usize..5,
@@ -458,7 +301,6 @@ proptest! {
         chunk in 1u32..256,
         threads in 1usize..6,
         sockets in 1usize..3,
-        interval_pick in 0u8..3,
     ) {
         // Per-loop (start, len, schedule) derived from the seed with a
         // splitmix-style mixer — the shim's proptest has no collection
@@ -469,15 +311,10 @@ proptest! {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let interval = [0u64, 256, 4_096][interval_pick as usize];
         let topo = MachineTopology::new(sockets, threads.div_ceil(sockets).max(1), 1);
         let rt = RuntimeConfig::xgomptb(threads)
             .topology(topo)
-            .dlb(
-                DlbConfig::new(DlbStrategy::WorkSteal)
-                    .t_interval(32)
-                    .rebalance_interval(interval),
-            );
+            .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32));
         let server = TaskServer::start(
             ServerConfig::new(threads).runtime(rt).adapt_every(0),
         );
@@ -501,10 +338,6 @@ proptest! {
         for (h, sum, start, len) in handles {
             let report = h.join().unwrap();
             prop_assert_eq!(report.iterations, len);
-            prop_assert_eq!(report.migrated_in, report.migrated_out);
-            if interval == 0 {
-                prop_assert_eq!(report.rebalances, 0);
-            }
             let expect: u64 = (start..start + len).sum();
             prop_assert_eq!(sum.load(Ordering::Relaxed), expect);
         }
@@ -518,8 +351,7 @@ proptest! {
     /// linear-id checksum matches the closed form (the point → id map is
     /// a bijection onto `0..len`, so the sum proves exactly-once), some
     /// jobs are cancelled mid-flight and must conserve
-    /// `executed + cancelled == len` instead, and per-loop migration
-    /// accounting balances on every shape.
+    /// `executed + cancelled == len` instead.
     #[test]
     fn random_concurrent_spaces_conserve(
         n_loops in 1usize..5,
@@ -527,7 +359,6 @@ proptest! {
         chunk in 1u32..128,
         threads in 1usize..6,
         sockets in 1usize..3,
-        interval_pick in 0u8..3,
         cancel_mask in 0u8..8,
     ) {
         let mix = |x: u64| {
@@ -536,15 +367,10 @@ proptest! {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let interval = [0u64, 256, 4_096][interval_pick as usize];
         let topo = MachineTopology::new(sockets, threads.div_ceil(sockets).max(1), 1);
         let rt = RuntimeConfig::xgomptb(threads)
             .topology(topo)
-            .dlb(
-                DlbConfig::new(DlbStrategy::WorkSteal)
-                    .t_interval(32)
-                    .rebalance_interval(interval),
-            );
+            .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32));
         let server = TaskServer::start(
             ServerConfig::new(threads).runtime(rt).adapt_every(0),
         );
@@ -591,7 +417,6 @@ proptest! {
             match h.join() {
                 Ok(report) => {
                     prop_assert_eq!(report.iterations, len);
-                    prop_assert_eq!(report.migrated_in, report.migrated_out);
                     // Linear-id sum over exactly-once coverage.
                     prop_assert_eq!(
                         sum.load(Ordering::Relaxed),

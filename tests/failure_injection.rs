@@ -165,17 +165,13 @@ fn deeply_nested_scopes_do_not_overflow_reasonable_stacks() {
 
 #[test]
 fn panicking_loop_body_racing_a_rebalance_probe_is_isolated() {
-    // A loop whose body panics inside the rich (heavily rebalanced)
-    // half of the space, racing an aggressive probe cadence — the panic
-    // must fail only its own job: the sibling skewed loop conserves, the
-    // balancer deregisters the dead loop, and the server keeps serving.
+    // A loop whose body panics inside the rich half of the space —
+    // the half the other zone's drain tasks steal-split from — must
+    // fail only its own job: the sibling skewed loop conserves and the
+    // server keeps serving.
     let rt = RuntimeConfig::xgomptb(4)
         .topology(MachineTopology::new(2, 2, 1))
-        .dlb(
-            DlbConfig::new(DlbStrategy::WorkSteal)
-                .t_interval(32)
-                .rebalance_interval(256),
-        );
+        .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32));
     let server = TaskServer::start(ServerConfig::new(4).runtime(rt).adapt_every(0));
 
     const N: u64 = 30_000;
@@ -194,7 +190,7 @@ fn panicking_loop_body_racing_a_rebalance_probe_is_isolated() {
     let doomed = server
         .submit_for(0..N, LoopSchedule::Guided(16), |i, _| {
             if i == N - N / 4 {
-                panic!("iteration {i} exploded mid-rebalance");
+                panic!("iteration {i} exploded in the stolen-from half");
             }
             if i >= N / 2 {
                 for _ in 0..100 {
@@ -210,10 +206,7 @@ fn panicking_loop_body_racing_a_rebalance_probe_is_isolated() {
     sibling.join().unwrap();
     assert_eq!(sum.load(Ordering::Relaxed), (1..=N).sum::<u64>());
 
-    // The dead loop deregistered (drop guard ran through the unwind);
-    // probes against an empty registry stay harmless and the server
-    // still serves both flavors of work.
-    assert_eq!(server.loop_balancer().live_loops(), 0);
+    // The server still serves both flavors of work.
     assert_eq!(server.submit(|_| 5u32).unwrap().join().unwrap(), 5);
     let again = server
         .submit_for(0..1_000, LoopSchedule::Adaptive, |_, _| {})

@@ -421,11 +421,10 @@ proptest! {
         prop_assert_eq!(report.iterations, len);
     }
 
-    /// Random (space kind, dims, tile, schedule, workers, sockets,
-    /// rebalance interval) is **exactly-once over every element** of the
-    /// space — a per-element hit array, not just a checksum — and the
-    /// balancer's per-loop migration accounting stays conserved on 2-D
-    /// and triangular shapes.
+    /// Random (space kind, dims, tile, schedule, workers, sockets) is
+    /// **exactly-once over every element** of the space — a per-element
+    /// hit array, not just a checksum — on 1-D, 2-D and triangular
+    /// shapes.
     #[test]
     fn random_spaces_are_exactly_once(
         kind in 0u8..3,
@@ -436,7 +435,6 @@ proptest! {
         sched_pick in 0u8..9,
         threads in 1usize..6,
         sockets in 1usize..3,
-        interval_pick in 0u8..3,
     ) {
         let sched = pick_schedule(sched_pick, chunk);
         // The linear element id of a point, per shape — a bijection onto
@@ -456,16 +454,11 @@ proptest! {
             ),
         };
         let len = space.len();
-        let interval = [0u64, 128, 2_048][interval_pick as usize];
         let topo = MachineTopology::new(sockets, threads.div_ceil(sockets).max(1), 1);
         let rt = Runtime::new(
             RuntimeConfig::xgomptb(threads)
                 .topology(topo)
-                .dlb(
-                    DlbConfig::new(DlbStrategy::WorkSteal)
-                        .t_interval(32)
-                        .rebalance_interval(interval),
-                ),
+                .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32)),
         );
         let hits: Vec<AtomicU8> = (0..len).map(|_| AtomicU8::new(0)).collect();
         let report = {
@@ -479,10 +472,6 @@ proptest! {
             .result
         };
         prop_assert_eq!(report.iterations, len);
-        prop_assert_eq!(report.migrated_in, report.migrated_out);
-        if interval == 0 {
-            prop_assert_eq!(report.rebalances, 0);
-        }
         for (i, h) in hits.iter().enumerate() {
             prop_assert_eq!(h.load(Ordering::Relaxed), 1, "element {} of {:?}", i, space.kind());
         }

@@ -207,12 +207,12 @@ fn full_trace_captures_loop_and_runtime_events() {
 
     // One `ChunkClaim` per *executed* chunk, wherever its units came
     // from. Two zones with all the cost in zone 1's half, so zone 0
-    // drains its own pool and must steal across (balancer off): chunks
+    // drains its own pool and must steal across: chunks
     // cut from the stolen ranges are on the timeline like any other.
     // 250 chunks stay far inside the 4096-record rings.
     let rt = RuntimeConfig::xgomptb(4)
         .topology(MachineTopology::new(2, 2, 1))
-        .dlb(DlbConfig::new(DlbStrategy::WorkSteal).rebalance_interval(0))
+        .dlb(DlbConfig::new(DlbStrategy::WorkSteal))
         .trace(TraceLevel::Full);
     let server = TaskServer::start(ServerConfig::new(4).runtime(rt).adapt_every(0));
     let report = server
