@@ -108,11 +108,11 @@ impl<'t> TaskCtx<'t> {
         self.spawn_impl(f, priority, None);
     }
 
-    /// Spawns an already-boxed body into the *calling worker's own*
-    /// queue, bypassing the round-robin cursor — the hot submission path
-    /// of `xgomp-service`, whose ingress queues carry boxed job bodies end
-    /// to end: the box's fat pointer is stored inline in the task record,
-    /// so the body is not boxed again. This is the placement externally
+    /// Spawns a body into the *calling worker's own* queue, bypassing the
+    /// round-robin cursor — the hot submission path of `xgomp-service`,
+    /// whose ingress queues carry one thin pointer per job end to end: the
+    /// drain wraps it in a one-word closure, stored inline in the task
+    /// record like any other body. This is the placement externally
     /// injected jobs need: a cross-pushed task lands in one peer's SPSC
     /// queue and is unreachable by anyone else until that peer next
     /// visits the scheduler — if the peer is stalled inside a
@@ -122,8 +122,11 @@ impl<'t> TaskCtx<'t> {
     /// work (the private stack its explicit tasks' children go to) is
     /// done.
     #[inline]
-    pub fn spawn_boxed_local(&self, body: Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>) {
-        self.spawn_impl(body, 0, Some(self.worker.id));
+    pub fn spawn_local<F>(&self, f: F)
+    where
+        F: FnOnce(&TaskCtx<'_>) + Send + 'static,
+    {
+        self.spawn_impl(f, 0, Some(self.worker.id));
     }
 
     /// Like [`run_pending`](Self::run_pending), but when the scheduler

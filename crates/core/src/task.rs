@@ -394,9 +394,11 @@ mod tests {
     use crate::{Runtime, RuntimeConfig, ServingHooks};
     use std::sync::atomic::AtomicUsize;
 
-    // The inline storage holds `fib`'s closure (two references) and the
-    // service's boxed job body (a fat pointer): neither is boxed again.
+    // The inline storage holds `fib`'s closure (two references), the
+    // service's drain closure (one thin job pointer) and a boxed trait
+    // object's fat pointer: none is boxed again.
     const _: () = assert!(Body::fits::<(&u64, &AtomicUsize)>());
+    const _: () = assert!(Body::fits::<NonNull<u8>>());
     const _: () = assert!(Body::fits::<Box<dyn FnOnce(&TaskCtx<'_>) + Send>>());
     // Too large, or too aligned, and the body is boxed.
     const _: () = assert!(!Body::fits::<[u64; 3]>());

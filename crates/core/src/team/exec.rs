@@ -352,12 +352,12 @@ mod tests {
             while !stolen.load(Ordering::Relaxed) && Instant::now() < deadline {
                 for _ in 0..32 {
                     let (done, stolen) = (done.clone(), stolen.clone());
-                    ctx.spawn_boxed_local(Box::new(move |c| {
+                    ctx.spawn_local(move |c| {
                         if c.worker_id() == 1 {
                             stolen.store(true, Ordering::Relaxed);
                         }
                         done.fetch_add(1, Ordering::Release);
-                    }));
+                    });
                     spawned += 1;
                 }
                 wait(ctx, &done, spawned);

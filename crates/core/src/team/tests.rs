@@ -384,9 +384,9 @@ fn idle_workers_drain_an_ingress_source() {
                     break;
                 }
                 let hits = self.hits.clone();
-                ctx.spawn_boxed_local(Box::new(move |_| {
+                ctx.spawn_local(move |_| {
                     hits.fetch_add(1, Ordering::Relaxed);
-                }));
+                });
                 injected += 1;
             }
             injected

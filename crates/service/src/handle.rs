@@ -19,7 +19,7 @@
 //! external joiners in [`join`](JobHandle::join) /
 //! [`join_timeout`](JobHandle::join_timeout); in-team joins help
 //! execute tasks and poll `is_done` instead. A sleeping joiner counts
-//! itself in `JobState::waiters` before it takes the slot lock, and the
+//! itself in `JobHeader::waiters` before it takes the slot lock, and the
 //! completer broadcasts on the condvar only when that count is nonzero.
 //! So a job nobody is parked on — polled with `try_join`/`is_done`,
 //! joined after it finished, or never joined at all — completes with
@@ -35,13 +35,34 @@
 //! whose submit found the team awake — busy, or never parking — and a job
 //! joined late sleep straight away, so a saturated client never spins
 //! against the workers for a core.
+//!
+//! ## One record per job
+//!
+//! A job is one heap allocation, made by its submitter: a [`JobRecord`]
+//! holds the job's state — phase word, `done`/`waiters`, stamps, id,
+//! token, the result slot with its mutex and condvar — under one
+//! reference count, with the job's body inline after it. The body's type
+//! is erased behind one thunk monomorphized for the record's types, which
+//! runs the body, sheds the job or frees the record ([`Op`]). Three
+//! parties count references: the [`JobHandle`], typed over the result
+//! only; the one-word [`JobRef`] that crosses the ingress, which the
+//! drain spawns inside a one-word closure, so the root task stores it
+//! inline; and a deadline job's sweep entry, another `JobRef`. Whoever
+//! drops the last reference frees the record. For a joined job that is
+//! usually the joiner, on the thread that allocated the record; a
+//! detached handle leaves it to the worker.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::cell::UnsafeCell;
+use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
+use std::ops::Deref;
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::{locked, wait, wait_timeout};
-use xgomp_core::{clock, CancelReason, CancelToken};
+use xgomp_core::{clock, CancelReason, CancelToken, TaskCtx};
 
 /// How long after admission a spin-gated joiner polls `is_done` before
 /// it sleeps on the condvar (see "Who wakes whom"). On a 2-core Xeon
@@ -51,7 +72,7 @@ use xgomp_core::{clock, CancelReason, CancelToken};
 /// client joins its jobs at an age of about 160 µs, past this budget.
 pub(crate) const JOIN_SPIN: Duration = Duration::from_micros(50);
 
-/// Job phases (`JobState::phase`). `QUEUED → RUNNING` is claimed by the
+/// Job phases (`JobHeader::phase`). `QUEUED → RUNNING` is claimed by the
 /// job wrapper when the body starts; `QUEUED → SHED_*` by whichever of
 /// `JobHandle::cancel` / the deadline sweep / the wrapper's own
 /// start-time check gets there first — exactly one transition out of
@@ -214,13 +235,24 @@ pub struct JobReport {
     pub total_cycles: u64,
 }
 
-pub(crate) struct JobState<R> {
+/// The untyped part of a job record: everything but the result slot and
+/// the body, so the ingress, the drain and the deadline sweep reach it
+/// without knowing the job's types.
+pub(crate) struct JobHeader {
+    /// References to the record: the handle, the queued [`JobRef`] and a
+    /// deadline's sweep entry. The last one dropped frees the record.
+    refs: AtomicUsize,
+    /// The record's thunk, monomorphized for its types (see [`Op`]).
+    thunk: Thunk,
+    /// Whether the body is still in the record. The drain clears it when
+    /// it takes the body to run; a record freed with it set drops the body
+    /// unrun.
+    has_body: AtomicBool,
     done: AtomicBool,
     /// Joiners inside `JobHandle::wait_until` — registered before they
     /// take the slot lock, deregistered on every exit. `complete` wakes
     /// the condvar only when this is nonzero.
     waiters: AtomicU32,
-    slot: Mutex<Option<Result<R, JobError>>>,
     cv: Condvar,
     /// Condvar broadcasts this job's completion issued (see
     /// [`Broadcasts`]).
@@ -240,14 +272,47 @@ pub(crate) struct JobState<R> {
     pub(crate) finished: AtomicU64,
 }
 
-impl<R> JobState<R> {
+impl JobHeader {
     /// Whether the outcome has been published (lock-free probe).
     pub(crate) fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
     }
 
+    /// Claims the `QUEUED → RUNNING` transition (the wrapper, right
+    /// before the body runs). `false` means a cancel/deadline shed the
+    /// job first.
+    pub(crate) fn try_start(&self) -> bool {
+        self.phase
+            .compare_exchange(
+                PHASE_QUEUED,
+                PHASE_RUNNING,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok()
+    }
+}
+
+/// A job's state as its handle and its body see it: the header, then the
+/// result slot.
+#[repr(C)]
+pub(crate) struct JobState<R> {
+    header: JobHeader,
+    slot: Mutex<Option<Result<R, JobError>>>,
+}
+
+impl<R> Deref for JobState<R> {
+    type Target = JobHeader;
+
+    fn deref(&self) -> &JobHeader {
+        &self.header
+    }
+}
+
+impl<R> JobState<R> {
     /// Publishes the job's outcome and wakes parked joiners, if any.
-    /// Called exactly once.
+    /// Called exactly once, by a party that holds a reference to the
+    /// record, so the broadcast after the unlock never outlives it.
     ///
     /// No wake-up is lost although `waiters` is relaxed: the two
     /// acquisitions of the slot lock — the joiner's in `wait_until` and
@@ -275,20 +340,6 @@ impl<R> JobState<R> {
         }
     }
 
-    /// Claims the `QUEUED → RUNNING` transition (the wrapper, right
-    /// before the body runs). `false` means a cancel/deadline shed the
-    /// job first.
-    pub(crate) fn try_start(&self) -> bool {
-        self.phase
-            .compare_exchange(
-                PHASE_QUEUED,
-                PHASE_RUNNING,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-    }
-
     /// Claims a `QUEUED → SHED_*` transition and resolves the handle
     /// with `err` — the job's body will never run. `false` means the job
     /// already started (or was already shed); the caller must not touch
@@ -312,6 +363,171 @@ impl<R> JobState<R> {
     }
 }
 
+/// One job's allocation: the state first, so a pointer to the record is
+/// a pointer to its state and to its header; the body inline after it.
+#[repr(C)]
+struct JobRecord<R, F> {
+    state: JobState<R>,
+    /// Taken once, by the drain's `Op::Run`, which clears `has_body`.
+    body: UnsafeCell<ManuallyDrop<F>>,
+}
+
+/// What a record's thunk does.
+enum Op<'a, 'c> {
+    /// Runs the body on the worker that drained the job; a body already
+    /// taken does not run again.
+    Run(&'a TaskCtx<'c>),
+    /// Resolves a job that has not started with this error
+    /// ([`JobState::try_shed`]); the thunk returns whether it did.
+    Shed(JobError),
+    /// Drops the record — its result, and its body if it never ran — and
+    /// frees it.
+    Free,
+}
+
+/// A record's thunk: one instance per record type, so the header's
+/// users never name the job's types.
+type Thunk = unsafe fn(NonNull<JobHeader>, Op<'_, '_>) -> bool;
+
+/// The thunk of a `JobRecord<R, F>`.
+///
+/// # Safety
+///
+/// `header` heads a `JobRecord<R, F>` made by [`JobHandle::new`], and the
+/// caller holds one of its references — for [`Op::Free`], the last one,
+/// already given up.
+unsafe fn thunk<R, F>(header: NonNull<JobHeader>, op: Op<'_, '_>) -> bool
+where
+    F: FnOnce(&TaskCtx<'_>, &JobState<R>),
+{
+    let record = header.cast::<JobRecord<R, F>>();
+    match op {
+        Op::Run(ctx) => {
+            // SAFETY: the caller's reference keeps the record alive.
+            let record = unsafe { record.as_ref() };
+            if !record.state.has_body.swap(false, Ordering::Relaxed) {
+                return false;
+            }
+            // SAFETY: the flag was set and this swap cleared it, so the
+            // body is in place and no other call reads it.
+            let body = unsafe { ManuallyDrop::take(&mut *record.body.get()) };
+            body(ctx, &record.state);
+            true
+        }
+        // SAFETY: the caller's reference keeps the record alive.
+        Op::Shed(err) => unsafe { record.cast::<JobState<R>>().as_ref() }.try_shed(err),
+        Op::Free => {
+            // SAFETY: the record was leaked from a box by
+            // `JobHandle::new`, and nobody references it any more.
+            let mut record = unsafe { Box::from_raw(record.as_ptr()) };
+            if *record.state.header.has_body.get_mut() {
+                // SAFETY: the body was never taken.
+                unsafe { ManuallyDrop::drop(record.body.get_mut()) };
+            }
+            true
+        }
+    }
+}
+
+/// A counted, untyped reference to a job record, one word wide: the
+/// ingress lanes and the spill carry it, the drain runs it, and a
+/// deadline's sweep entry holds one.
+pub(crate) struct JobRef(NonNull<JobHeader>);
+
+// SAFETY: the record is shared only through counted references; its body
+// and result are `Send` (`JobHandle::new` requires it), and every field
+// the header's users touch is atomic or behind the slot's mutex.
+unsafe impl Send for JobRef {}
+// SAFETY: as above — a shared `JobRef` reaches the record through the
+// same atomics and mutex.
+unsafe impl Sync for JobRef {}
+
+impl JobRef {
+    fn header(&self) -> &JobHeader {
+        // SAFETY: this reference keeps the record alive.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// Runs the job's body on the worker that drained it (a second run
+    /// of the same record does nothing), then drops this reference.
+    pub(crate) fn run(self, ctx: &TaskCtx<'_>) {
+        // SAFETY: this reference keeps the record alive.
+        unsafe { (self.header().thunk)(self.0, Op::Run(ctx)) };
+    }
+
+    /// The deadline sweep's act on an expired job: fires its token, so a
+    /// running job cancels at its next checkpoint, and sheds it if it is
+    /// still queued. Returns whether this call was the first to fire the
+    /// token (the sweep emits one `DeadlineMiss` per missed job).
+    pub(crate) fn expire(&self) -> bool {
+        let header = self.header();
+        if header.is_done() {
+            return false; // completed under its deadline
+        }
+        let first = !header.token.is_fired();
+        header.token.expire();
+        let shed = Op::Shed(JobError::DeadlineExceeded);
+        // SAFETY: this reference keeps the record alive.
+        unsafe { (header.thunk)(self.0, shed) };
+        first
+    }
+
+    /// Gives the reference up as a raw pointer (an ingress ring slot).
+    pub(crate) fn into_raw(self) -> NonNull<JobHeader> {
+        ManuallyDrop::new(self).0
+    }
+
+    /// Takes back a reference [`into_raw`](Self::into_raw) gave up.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` came from `into_raw` and is taken back once.
+    pub(crate) unsafe fn from_raw(ptr: NonNull<JobHeader>) -> JobRef {
+        JobRef(ptr)
+    }
+}
+
+impl Clone for JobRef {
+    fn clone(&self) -> Self {
+        self.header().refs.fetch_add(1, Ordering::Relaxed);
+        JobRef(self.0)
+    }
+}
+
+impl Drop for JobRef {
+    /// Gives the reference up, freeing the record with the last one — the
+    /// `Arc` protocol: the release decrement and the acquire fence order
+    /// every holder's use of the record before the free.
+    fn drop(&mut self) {
+        let header = self.header();
+        let thunk = header.thunk;
+        if header.refs.fetch_sub(1, Ordering::Release) == 1 {
+            fence(Ordering::Acquire);
+            // SAFETY: that was the last reference.
+            unsafe { thunk(self.0, Op::Free) };
+        }
+    }
+}
+
+/// A counted reference to a job record typed over its result: what a
+/// [`JobHandle`] holds. `Send` and `Sync` exactly when `R` is `Send`, as
+/// an `Arc<Mutex<Option<R>>>` would be.
+pub(crate) struct StateRef<R> {
+    job: JobRef,
+    _result: PhantomData<Mutex<R>>,
+}
+
+impl<R> Deref for StateRef<R> {
+    type Target = JobState<R>;
+
+    fn deref(&self) -> &JobState<R> {
+        // SAFETY: the record was made as a `JobRecord<R, _>` (the only
+        // constructor is `JobHandle::new`), whose state comes first; the
+        // reference keeps it alive.
+        unsafe { self.job.0.cast::<JobState<R>>().as_ref() }
+    }
+}
+
 /// A handle to one submitted job's eventual result.
 ///
 /// Cheap to move across threads; [`join`](Self::join) blocks until the
@@ -330,7 +546,7 @@ impl<R> JobState<R> {
 /// [`join_timeout`](Self::join_timeout) when the pause duration is
 /// under the caller's control.
 pub struct JobHandle<R> {
-    pub(crate) state: Arc<JobState<R>>,
+    pub(crate) state: StateRef<R>,
     /// Whether the submit that created this handle woke a parked worker:
     /// the gate of the joiner's spin (see "Who wakes whom"). Written once
     /// by the submitter, before the handle leaves its thread.
@@ -345,31 +561,53 @@ impl<R> std::fmt::Debug for JobHandle<R> {
     }
 }
 
-impl<R> JobHandle<R> {
-    pub(crate) fn new(id: u64, submitted: u64, token: CancelToken) -> (Self, Arc<JobState<R>>) {
-        let state = Arc::new(JobState {
-            done: AtomicBool::new(false),
-            waiters: AtomicU32::new(0),
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-            broadcasts: Default::default(),
-            phase: AtomicU32::new(PHASE_QUEUED),
-            token,
-            id,
-            submitted,
-            started: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
+impl<R: Send + 'static> JobHandle<R> {
+    /// Makes a job's record around `body` — the submitter's one
+    /// allocation per job — and returns the handle and the [`JobRef`]
+    /// the job is queued by. The body runs once, on the worker that
+    /// drains the job, with the job's state; a record dropped before
+    /// that drops it unrun.
+    pub(crate) fn new<F>(id: u64, submitted: u64, token: CancelToken, body: F) -> (Self, JobRef)
+    where
+        F: FnOnce(&TaskCtx<'_>, &JobState<R>) + Send + 'static,
+    {
+        let record = Box::new(JobRecord {
+            state: JobState::<R> {
+                header: JobHeader {
+                    refs: AtomicUsize::new(2),
+                    thunk: thunk::<R, F>,
+                    has_body: AtomicBool::new(true),
+                    done: AtomicBool::new(false),
+                    waiters: AtomicU32::new(0),
+                    cv: Condvar::new(),
+                    broadcasts: Default::default(),
+                    phase: AtomicU32::new(PHASE_QUEUED),
+                    token,
+                    id,
+                    submitted,
+                    started: AtomicU64::new(0),
+                    finished: AtomicU64::new(0),
+                },
+                slot: Mutex::new(None),
+            },
+            body: UnsafeCell::new(ManuallyDrop::new(body)),
         });
+        let header = NonNull::from(Box::leak(record)).cast::<JobHeader>();
         let handle = JobHandle {
-            state: state.clone(),
+            state: StateRef {
+                job: JobRef(header),
+                _result: PhantomData,
+            },
             spin: false,
         };
-        (handle, state)
+        (handle, JobRef(header))
     }
+}
 
+impl<R> JobHandle<R> {
     /// Whether the job has completed (lock-free probe).
     pub fn is_done(&self) -> bool {
-        self.state.done.load(Ordering::Acquire)
+        self.state.is_done()
     }
 
     /// Server-unique id of this job — the flight recorder keys the job's
@@ -617,6 +855,7 @@ pub(crate) use tests::Broadcasts;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// The test build's [`Broadcasts`](super::Broadcasts): a per-job
     /// count, so a test reads its own jobs' broadcasts whichever thread
@@ -634,19 +873,43 @@ mod tests {
         }
     }
 
-    fn pending<R>(id: u64, submitted: u64) -> (JobHandle<R>, Arc<JobState<R>>) {
-        JobHandle::new(id, submitted, CancelToken::new())
+    impl<R> Clone for StateRef<R> {
+        fn clone(&self) -> Self {
+            StateRef {
+                job: self.job.clone(),
+                _result: PhantomData,
+            }
+        }
+    }
+
+    impl JobRef {
+        /// A record around `f` whose handle is already dropped: what the
+        /// ingress tests queue and drain.
+        pub(crate) fn from_fn(f: impl FnOnce(&TaskCtx<'_>) + Send + 'static) -> JobRef {
+            let body = move |ctx: &TaskCtx<'_>, _: &JobState<()>| f(ctx);
+            JobHandle::new(0, 0, CancelToken::new(), body).1
+        }
+    }
+
+    /// A pending job: its handle and a second reference for the test to
+    /// complete it through. The queued reference is dropped at once, so
+    /// nothing ever runs the (empty) body.
+    fn pending<R: Send + 'static>(id: u64, submitted: u64) -> (JobHandle<R>, StateRef<R>) {
+        let body = |_: &TaskCtx<'_>, _: &JobState<R>| {};
+        let (handle, _queued) = JobHandle::new(id, submitted, CancelToken::new(), body);
+        let state = handle.state.clone();
+        (handle, state)
     }
 
     /// A pending handle whose submit woke a parked worker.
-    fn spin_gated<R>(id: u64, submitted: u64) -> (JobHandle<R>, Arc<JobState<R>>) {
+    fn spin_gated<R: Send + 'static>(id: u64, submitted: u64) -> (JobHandle<R>, StateRef<R>) {
         let (mut handle, state) = pending(id, submitted);
         handle.spin = true;
         (handle, state)
     }
 
     /// A pending job: the joiner's handle and the completer's state.
-    type Job = (JobHandle<u32>, Arc<JobState<u32>>);
+    type Job = (JobHandle<u32>, StateRef<u32>);
 
     /// Admits a job (`job` gets the admission stamp), joins it on a new
     /// thread, waits until the joiner has registered, completes the job
@@ -687,6 +950,13 @@ mod tests {
             fastest = fastest.min(round());
         }
         fastest
+    }
+
+    /// The ingress carries one word per job.
+    #[test]
+    fn a_job_ref_is_one_word() {
+        assert_eq!(size_of::<JobRef>(), size_of::<usize>());
+        assert_eq!(size_of::<Option<JobRef>>(), size_of::<usize>());
     }
 
     #[test]

@@ -31,9 +31,13 @@
 //! thread-hash lane choice whose collisions let two submitters contend
 //! on one lane while others sat empty.
 //!
-//! Jobs are boxed `FnOnce(&TaskCtx)` bodies; a drained body is handed to
-//! `TaskCtx::spawn_boxed_local` by whichever idle worker claimed the
-//! drain, so it lands in that worker's own queue.
+//! A ring slot holds one [`JobRef`]: the thin pointer to a job's one
+//! record (closure, handle state and result slot in one allocation — see
+//! `handle.rs`), given up by the push and taken back by the drain. The
+//! submitter allocates nothing else to queue a job. Whichever idle worker
+//! claimed the drain hands the reference to `TaskCtx::spawn_local` inside
+//! a one-word closure, so the job lands in that worker's own queue and its
+//! root task stores the closure inline.
 //!
 //! ## Generations
 //!
@@ -50,17 +54,14 @@
 //! [`SubmitterHandle`](crate::SubmitterHandle)'s `(shard, lane)`
 //! coordinates stay valid across every generation.
 
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use xgomp_core::TaskCtx;
+use crate::handle::{JobHeader, JobRef};
 use xgomp_xqueue::{BQueue, Backoff};
 
-/// A submitted job body, exactly as the scheduler will consume it.
-pub(crate) type JobBody = Box<dyn FnOnce(&TaskCtx<'_>) + Send + 'static>;
-
 struct Lane {
-    q: BQueue<JobBody>,
+    /// Job references given up by `JobRef::into_raw`.
+    q: BQueue<JobHeader>,
     /// Producer-side claim: holder is the lane's unique producer.
     producing: AtomicBool,
     /// Permanent reservation (registered submitter). While set, the
@@ -80,6 +81,36 @@ impl Lane {
     fn occupancy(&self) -> usize {
         let drained = self.drained.load(Ordering::Relaxed);
         self.pushed.load(Ordering::Relaxed).saturating_sub(drained) as usize
+    }
+
+    /// Enqueues `job`, counting it in `pushed`; a full ring hands it back.
+    ///
+    /// # Safety
+    ///
+    /// The caller is the lane's unique producer.
+    unsafe fn push(&self, job: JobRef) -> Result<(), JobRef> {
+        // SAFETY: the caller is the unique producer. A rejected pointer is
+        // the reference `into_raw` gave up just now.
+        unsafe {
+            self.q
+                .enqueue(job.into_raw())
+                .map_err(|back| JobRef::from_raw(back))?;
+        }
+        self.pushed.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Dequeues one job, counting it in `drained`.
+    ///
+    /// # Safety
+    ///
+    /// The caller is the lane's unique consumer.
+    unsafe fn pop(&self) -> Option<JobRef> {
+        // SAFETY: the caller is the unique consumer; every queued pointer
+        // is a reference a push gave up, taken back once here.
+        let job = unsafe { JobRef::from_raw(self.q.dequeue()?) };
+        self.drained.fetch_add(1, Ordering::Relaxed);
+        Some(job)
     }
 }
 
@@ -171,29 +202,20 @@ impl IngressShard {
 
     /// Pushes through a reserved lane. The caller must hold the
     /// reservation of `lane` — that makes it the lane's unique producer,
-    /// so the push is a plain SPSC enqueue with no claim traffic.
-    pub(crate) fn push_ptr_reserved(
-        &self,
-        lane: usize,
-        ptr: NonNull<JobBody>,
-    ) -> Result<(), NonNull<JobBody>> {
+    /// so the push is a plain SPSC enqueue with no claim traffic. A full
+    /// lane hands the job back.
+    pub(crate) fn push_reserved(&self, lane: usize, job: JobRef) -> Result<(), JobRef> {
         let l = &self.lanes[lane];
         debug_assert!(l.reserved.load(Ordering::Relaxed), "lane not reserved");
         // SAFETY: the reservation makes the holder the unique producer.
-        let pushed = unsafe { l.q.enqueue(ptr) };
-        if pushed.is_ok() {
-            l.pushed.fetch_add(1, Ordering::Relaxed);
-        }
-        pushed
+        unsafe { l.push(job) }
     }
 
-    /// Attempts to enqueue the boxed body behind `ptr` into any lane of
-    /// this shard; fails when every lane is full or producer-claimed by
-    /// someone else. Ownership of the body transfers on `Ok` and returns
-    /// to the caller on `Err`, which lets retry loops probe many
-    /// lanes/shards without re-boxing the job per attempt. Skips
-    /// reserved lanes.
-    pub(crate) fn try_push_ptr(&self, ptr: NonNull<JobBody>) -> Result<(), NonNull<JobBody>> {
+    /// Enqueues `job` into any lane of this shard; hands it back when
+    /// every lane is full or producer-claimed by someone else, so retry
+    /// loops can probe many lanes and shards with the same reference.
+    /// Skips reserved lanes.
+    pub(crate) fn try_push(&self, mut job: JobRef) -> Result<(), JobRef> {
         let start = self.next_lane.fetch_add(1, Ordering::Relaxed);
         for i in 0..self.lanes.len() {
             let lane = &self.lanes[(start + i) % self.lanes.len()];
@@ -220,16 +242,14 @@ impl IngressShard {
             }
             // SAFETY: the `producing` claim makes this thread the lane's
             // unique producer for the duration of the call.
-            let pushed = unsafe { lane.q.enqueue(ptr) };
-            if pushed.is_ok() {
-                lane.pushed.fetch_add(1, Ordering::Relaxed);
-            }
+            let pushed = unsafe { lane.push(job) };
             lane.producing.store(false, Ordering::Release);
-            if pushed.is_ok() {
-                return Ok(());
+            match pushed {
+                Ok(()) => return Ok(()),
+                Err(back) => job = back,
             }
         }
-        Err(ptr)
+        Err(job)
     }
 
     /// Dequeues one job, first lane first, if the drain claim is free;
@@ -237,7 +257,7 @@ impl IngressShard {
     /// is released *before* the job is returned, so whatever the caller
     /// does with it (spawn it, or run it inline on queue overflow) never
     /// blocks other drainers.
-    pub(crate) fn drain_one(&self) -> Option<JobBody> {
+    pub(crate) fn drain_one(&self) -> Option<JobRef> {
         if self
             .draining
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -245,15 +265,9 @@ impl IngressShard {
         {
             return None;
         }
-        let job = self.lanes.iter().find_map(|lane| {
-            // SAFETY: the `draining` claim makes this thread the unique
-            // consumer of every lane in the shard.
-            let p = unsafe { lane.q.dequeue() }?;
-            lane.drained.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: every queued pointer came from `Box::leak` in a
-            // push path.
-            Some(*unsafe { Box::from_raw(p.as_ptr()) })
-        });
+        // SAFETY: the `draining` claim makes this thread the unique
+        // consumer of every lane in the shard.
+        let job = self.lanes.iter().find_map(|lane| unsafe { lane.pop() });
         self.draining.store(false, Ordering::Release);
         job
     }
@@ -290,14 +304,12 @@ impl IngressShard {
 
 impl Drop for IngressShard {
     fn drop(&mut self) {
-        // Free any bodies that were never drained (only reachable when a
-        // server is torn down without its shutdown drain, e.g. on panic).
+        // Give back the references of jobs that were never drained (only
+        // reachable when a server is torn down without its shutdown
+        // drain, e.g. on panic); a record freed here drops its body unrun.
         for lane in self.lanes.iter() {
             // SAFETY: `&mut self` — no concurrent producers or consumers.
-            while let Some(p) = unsafe { lane.q.dequeue() } {
-                // SAFETY: pointer from `Box::leak` in a push path.
-                drop(unsafe { Box::from_raw(p.as_ptr()) });
-            }
+            while unsafe { lane.pop() }.is_some() {}
         }
     }
 }
@@ -338,30 +350,26 @@ impl ShardedIngress {
     }
 
     /// Pushes preferring shard `hint`, falling over to the others; see
-    /// [`IngressShard::try_push_ptr`] for the ownership contract.
+    /// [`IngressShard::try_push`] for the hand-back contract.
     /// `Ok` carries the index of the shard that accepted the job, so the
     /// caller can ring the doorbell of the zone the job actually landed
     /// in (fallover may pick a different shard than `hint`).
-    pub(crate) fn push_ptr_from(
-        &self,
-        hint: usize,
-        mut ptr: NonNull<JobBody>,
-    ) -> Result<usize, NonNull<JobBody>> {
+    pub(crate) fn push_from(&self, hint: usize, mut job: JobRef) -> Result<usize, JobRef> {
         for i in 0..self.shards.len() {
             let shard = (hint + i) % self.shards.len();
-            match self.shards[shard].try_push_ptr(ptr) {
+            match self.shards[shard].try_push(job) {
                 Ok(()) => return Ok(shard),
-                Err(back) => ptr = back,
+                Err(back) => job = back,
             }
         }
-        Err(ptr)
+        Err(job)
     }
 
     /// Takes one job, preferring shard `hint` (the caller's zone) and
     /// helping the other shards only when it yields nothing — work
     /// conservation without giving up locality. See
     /// [`IngressShard::drain_one`] for the claim discipline.
-    pub(crate) fn drain_one(&self, hint: usize) -> Option<JobBody> {
+    pub(crate) fn drain_one(&self, hint: usize) -> Option<JobRef> {
         let n = self.shards.len();
         (0..n).find_map(|i| self.shards[(hint + i) % n].drain_one())
     }
@@ -386,36 +394,14 @@ mod tests {
     use std::sync::Arc;
 
     impl IngressShard {
-        /// Box-level [`try_push_ptr`](Self::try_push_ptr).
-        fn try_push(&self, job: JobBody) -> Result<(), JobBody> {
-            let ptr = NonNull::from(Box::leak(Box::new(job)));
-            self.try_push_ptr(ptr).map_err(|back| {
-                // SAFETY: the rejected pointer is the box we leaked above.
-                *unsafe { Box::from_raw(back.as_ptr()) }
-            })
-        }
-
         /// Drains until the shard yields nothing; returns the count.
         fn drain_all(&self) -> u64 {
             std::iter::from_fn(|| self.drain_one()).count() as u64
         }
     }
 
-    impl ShardedIngress {
-        /// Box-level [`push_ptr_from`](Self::push_ptr_from).
-        fn push_from(&self, hint: usize, job: JobBody) -> Result<(), JobBody> {
-            let ptr = NonNull::from(Box::leak(Box::new(job)));
-            self.push_ptr_from(hint, ptr)
-                .map(|_shard| ())
-                .map_err(|back| {
-                    // SAFETY: the rejected pointer is the box we leaked above.
-                    *unsafe { Box::from_raw(back.as_ptr()) }
-                })
-        }
-    }
-
-    fn counter_job(hits: Arc<AtomicU64>) -> JobBody {
-        Box::new(move |_| {
+    fn counter_job(hits: Arc<AtomicU64>) -> JobRef {
+        JobRef::from_fn(move |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         })
     }
@@ -428,7 +414,7 @@ mod tests {
             shard.try_push(counter_job(hits.clone())).ok().unwrap();
         }
         assert!(!shard.looks_empty());
-        let drained: Vec<JobBody> = std::iter::from_fn(|| shard.drain_one()).collect();
+        let drained: Vec<JobRef> = std::iter::from_fn(|| shard.drain_one()).collect();
         assert_eq!(drained.len(), 5);
         assert!(shard.looks_empty());
         let (pushed, got): (u64, u64) = shard
@@ -492,8 +478,10 @@ mod tests {
         let counters = shard.lane_counters();
         assert_eq!(counters[lane].0, 0, "reserved lane untouched");
         // The reservation holder pushes without a claim.
-        let ptr = NonNull::from(Box::leak(Box::new(counter_job(hits.clone()))));
-        shard.push_ptr_reserved(lane, ptr).ok().unwrap();
+        shard
+            .push_reserved(lane, counter_job(hits.clone()))
+            .ok()
+            .unwrap();
         assert_eq!(shard.lane_counters()[lane].0, 1);
         // Release: the lane rejoins the anonymous pool.
         shard.release_lane(lane);
@@ -524,8 +512,10 @@ mod tests {
         let lane = shard.reserve_lane().expect("lane 1 is reservable");
         shard.try_push(counter_job(hits.clone())).ok().unwrap();
         shard.try_push(counter_job(hits.clone())).ok().unwrap();
-        let ptr = NonNull::from(Box::leak(Box::new(counter_job(hits.clone()))));
-        shard.push_ptr_reserved(lane, ptr).ok().unwrap();
+        shard
+            .push_reserved(lane, counter_job(hits.clone()))
+            .ok()
+            .unwrap();
         assert!(!shard.looks_empty());
         assert_eq!(shard.occupancy(), 3);
         assert!(shard.drain_one().is_some() && shard.drain_one().is_some());
@@ -536,7 +526,7 @@ mod tests {
 
         // A push whose `pushed` bump has not landed yet is drained and
         // counted first: the probes read empty, not `u64` wrap-around.
-        let ptr = NonNull::from(Box::leak(Box::new(counter_job(hits.clone()))));
+        let ptr = counter_job(hits.clone()).into_raw();
         // SAFETY: the reservation makes this thread the lane's producer.
         unsafe { shard.lanes[lane].q.enqueue(ptr) }.ok().unwrap();
         assert_eq!(shard.drain_all(), 1);
@@ -647,15 +637,14 @@ mod tests {
                         }
                     };
                     for i in 0..PER_ROUND {
-                        let job: JobBody = Box::new(move |_| {
+                        let mut job = JobRef::from_fn(move |_| {
                             std::hint::black_box(i);
                         });
-                        let mut ptr = NonNull::from(Box::leak(Box::new(job)));
                         loop {
-                            match shard.push_ptr_reserved(lane, ptr) {
+                            match shard.push_reserved(lane, job) {
                                 Ok(()) => break,
                                 Err(back) => {
-                                    ptr = back;
+                                    job = back;
                                     std::thread::yield_now();
                                 }
                             }
@@ -671,7 +660,7 @@ mod tests {
                 let shard = shard.clone();
                 std::thread::spawn(move || {
                     for i in 0..ANON_JOBS {
-                        let mut job: JobBody = Box::new(move |_| {
+                        let mut job = JobRef::from_fn(move |_| {
                             std::hint::black_box(i);
                         });
                         loop {
@@ -740,12 +729,12 @@ mod tests {
                 let ingress = ingress.clone();
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
-                        let mut job: JobBody = Box::new(move |_| {
+                        let mut job = JobRef::from_fn(move |_| {
                             std::hint::black_box(i);
                         });
                         loop {
                             match ingress.push_from(t as usize, job) {
-                                Ok(()) => break,
+                                Ok(_shard) => break,
                                 Err(back) => {
                                     job = back;
                                     std::thread::yield_now();

@@ -64,7 +64,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::ingress::{JobBody, ShardedIngress};
+use crate::handle::JobRef;
+use crate::ingress::ShardedIngress;
 use crate::metrics::{MetricsHooks, MetricsListener};
 use crate::ServerConfig;
 use xgomp_core::{
@@ -141,7 +142,7 @@ struct ServerShared {
     /// Where jobs placed from a pause onward wait for the next (or the
     /// closing) generation; bounded by the admission clamp, drained
     /// before the ingress at every poll (see `drain_spill`).
-    spill: Mutex<VecDeque<JobBody>>,
+    spill: Mutex<VecDeque<JobRef>>,
     spill_nonempty: AtomicBool,
     /// Blocked `submit` callers parked on `bp_cv` (instead of the old
     /// spin-retry); completions notify when someone is waiting.

@@ -3,13 +3,12 @@
 //! from a pause onward) and rings the doorbell; the drain side
 //! ([`ServiceSource`]) is what idle workers and the serve loop poll.
 
-use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::lifecycle::{CLOSING, DRAINING, PAUSED, SERVING};
 use super::ServerShared;
-use crate::ingress::JobBody;
+use crate::handle::JobRef;
 use crate::locked;
 use xgomp_core::{IngressSource, TaskCtx};
 use xgomp_xqueue::Backoff;
@@ -39,24 +38,23 @@ impl ServerShared {
     /// always being drained — except from a pause onward, where
     /// submissions divert to the spill: the rings belong to the pause
     /// drain, and a `try_submit` must never block until `resume`.
-    pub(super) fn place(&self, route: Route, body: JobBody) -> bool {
+    pub(super) fn place(&self, route: Route, mut job: JobRef) -> bool {
         if !self.rings_open() {
-            self.spill_job(body);
+            self.spill_job(job);
             return false;
         }
         let home = match route {
             Route::Anonymous { hint } => hint,
             Route::Pinned { shard, .. } => shard,
         };
-        let mut ptr = NonNull::from(Box::leak(Box::new(body)));
         let mut backoff = Backoff::new();
         loop {
             let pushed = match route {
-                Route::Anonymous { hint } => self.ingress.push_ptr_from(hint, ptr),
+                Route::Anonymous { hint } => self.ingress.push_from(hint, job),
                 Route::Pinned { shard, lane } => self
                     .ingress
                     .shard(shard)
-                    .push_ptr_reserved(lane, ptr)
+                    .push_reserved(lane, job)
                     .map(|()| shard),
             };
             match pushed {
@@ -71,13 +69,11 @@ impl ServerShared {
                     // A pause landed mid-placement: no drainer will free
                     // a slot before resume — spill instead of blocking
                     // the caller.
-                    // SAFETY: the rejected pointer is the box we leaked
-                    // above.
-                    self.spill_job(*unsafe { Box::from_raw(back.as_ptr()) });
+                    self.spill_job(back);
                     return false;
                 }
                 Err(back) => {
-                    ptr = back;
+                    job = back;
                     // Queues full: make sure someone is draining them.
                     self.ring_doorbell(home);
                     backoff.snooze();
@@ -105,10 +101,10 @@ impl ServerShared {
     /// from the pause onward), or catches a job that lost the ring race
     /// against a pause. Bounded by `max_in_flight`; drained before the
     /// ingress by the first polls of the next (or closing) generation.
-    fn spill_job(&self, body: JobBody) {
+    fn spill_job(&self, job: JobRef) {
         {
             let mut spill = locked(&self.spill);
-            spill.push_back(body);
+            spill.push_back(job);
             self.spill_nonempty.store(true, Ordering::SeqCst);
         }
         // Harmless while paused (nobody is parked in a live generation);
@@ -143,7 +139,7 @@ impl ServerShared {
             job
         };
         let Some(job) = job else { return 0 };
-        ctx.spawn_boxed_local(job);
+        ctx.spawn_local(move |ctx| job.run(ctx));
         1
     }
 
@@ -207,7 +203,7 @@ impl IngressSource for ServiceSource {
         // injections succeed, so throughput is a claim per job, not a
         // drain cycle per job.
         if let Some(job) = shared.ingress.drain_one(hint) {
-            ctx.spawn_boxed_local(job);
+            ctx.spawn_local(move |ctx| job.run(ctx));
             n += 1;
         }
         n

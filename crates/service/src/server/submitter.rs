@@ -1,14 +1,20 @@
-//! The submission pipeline, written once: admit → wrap into a job body →
+//! The submission pipeline, written once: admit → make the job's record →
 //! place along a [`Route`]. [`Submission`] is the options-carrying view
 //! both [`TaskServer`] and [`SubmitterHandle`] submit through.
+//!
+//! A submit allocates the job's one record (closure, handle state and
+//! result slot together, see `handle.rs`) and its token; nothing else.
+//! What crosses the ingress is the record's one-word [`JobRef`], and a
+//! deadline's sweep entry holds another, so no allocation the submitter
+//! makes is freed by a worker unless the worker drops the last
+//! reference.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::placement::Route;
 use super::{ServerShared, SubmitError, TaskServer};
-use crate::handle::{JobError, JobHandle, JobPanic, PHASE_SHED_DEADLINE};
-use crate::ingress::JobBody;
+use crate::handle::{JobError, JobHandle, JobPanic, JobRef, JobState, PHASE_SHED_DEADLINE};
 use crate::SubmitOptions;
 use xgomp_core::{
     clock, CancelToken, CancelUnwind, EventKind, LoopReport, LoopSchedule, LoopSpace, TaskCtx,
@@ -17,8 +23,9 @@ use xgomp_core::{
 use xgomp_xqueue::bump;
 
 impl ServerShared {
-    /// Wraps a user closure into the queued job body (unwind-caught,
-    /// completion-accounted, lifecycle-traced) and its result handle.
+    /// Makes the job's record: its result handle and the queued job body
+    /// (unwind-caught, completion-accounted, lifecycle-traced) in one
+    /// allocation.
     ///
     /// The wrapper is the **single accounting site**: whether the body
     /// ran, unwound at a cancellation checkpoint, or was shed before it
@@ -28,8 +35,10 @@ impl ServerShared {
     /// class cap) here and only here, at drain time, so the drains'
     /// "`in_flight` counts every unfinished job" rule survives
     /// cancellation. `JobHandle::cancel` and the deadline sweep only
-    /// resolve the *handle* early; they never touch the counters.
-    fn make_job<R, F>(self: &Arc<Self>, opts: SubmitOptions, f: F) -> (JobHandle<R>, JobBody)
+    /// resolve the *handle* early; they never touch the counters. A
+    /// deadline job also leaves the deadline set here, whichever way it
+    /// resolved.
+    fn make_job<R, F>(self: &Arc<Self>, opts: SubmitOptions, f: F) -> (JobHandle<R>, JobRef)
     where
         F: FnOnce(&TaskCtx<'_>) -> R + Send + 'static,
         R: Send + 'static,
@@ -45,26 +54,12 @@ impl ServerShared {
             Some(tick) => CancelToken::with_deadline_tick(tick),
             None => CancelToken::new(),
         };
-        let (handle, state) = JobHandle::new(id, now, token.clone());
         self.submitted[qos.index()]
             .0
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(tick) = deadline_tick {
-            let st = state.clone();
-            let tok = token.clone();
-            let fire = move || {
-                if st.is_done() {
-                    return false; // completed under its deadline
-                }
-                let first = !tok.is_fired();
-                tok.expire();
-                st.try_shed(JobError::DeadlineExceeded);
-                first
-            };
-            self.deadlines.register(tick, id, Box::new(fire));
-        }
         let shared = self.clone();
-        let body: JobBody = Box::new(move |ctx: &TaskCtx<'_>| {
+        let body = move |ctx: &TaskCtx<'_>, state: &JobState<R>| {
+            let (id, token) = (state.id, &state.token);
             // Start-time gate: claim `QUEUED → RUNNING`, unless a cancel
             // or the deadline got there first — then the body never
             // runs and the job is *shed* (the handle may already be
@@ -81,6 +76,14 @@ impl ServerShared {
             // another worker or by the submitter.
             let cs = &shared.outcomes.slot(ctx.worker_id())[qos.index()];
             let emit = |kind, a, c| ctx.trace_emit(TraceLevel::Lifecycle, kind, a, id, c);
+            // The sweep needs the entry until the body has finished (it
+            // fires the token of a running job); once the job resolves,
+            // the entry would only keep the record alive until its tick.
+            let leave_deadlines = || {
+                if let Some(tick) = token.deadline_tick() {
+                    shared.deadlines.remove(tick, id);
+                }
+            };
             if started {
                 // Lifecycle stamps feed both the flight recorder (one
                 // `JobStart`..`JobEnd` async span per job id) and the
@@ -126,6 +129,9 @@ impl ServerShared {
                     shared.dump_flight_recorder(&format!("panic-job-{id}.trace.json"));
                 }
                 bump(outcome, 1);
+                // Before the completion, so a joined job has left the
+                // deadline set by the time its joiner returns.
+                leave_deadlines();
                 // Completion order matters: the handle is observable
                 // before the drain accounting lets a shutdown (or
                 // pause) finish.
@@ -138,12 +144,17 @@ impl ServerShared {
                 let by_deadline = state.phase.load(Ordering::Acquire) == PHASE_SHED_DEADLINE;
                 emit(EventKind::Shed, by_deadline as u32, state.submitted);
                 bump(&cs.shed, 1);
+                leave_deadlines();
             }
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             shared.release_class_slot(qos);
             shared.notify_capacity();
-        });
-        (handle, body)
+        };
+        let (handle, job) = JobHandle::new(id, now, token, body);
+        if let Some(tick) = deadline_tick {
+            self.deadlines.register(tick, id, job.clone());
+        }
+        (handle, job)
     }
 }
 
@@ -185,8 +196,8 @@ impl Submission<'_> {
         R: Send + 'static,
     {
         let payload = self.shared.admit_or(self.opts.qos, payload)?;
-        let (mut handle, body) = self.shared.make_job(self.opts, wrap(payload));
-        handle.spin = self.shared.place(self.route, body);
+        let (mut handle, job) = self.shared.make_job(self.opts, wrap(payload));
+        handle.spin = self.shared.place(self.route, job);
         Ok(handle)
     }
 

@@ -1,12 +1,12 @@
 //! Unit tests of the serving layer (the `server` module tree).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::*;
-use crate::{LoopSchedule, TraceLevel};
-use xgomp_core::EventKind;
+use crate::{locked, JobHandle, LoopSchedule, SubmitOptions, TraceLevel};
+use xgomp_core::{EventKind, TaskCtx};
 
 #[test]
 fn jobs_roundtrip_results() {
@@ -385,12 +385,11 @@ fn pause_waits_for_an_admitted_job_still_being_placed() {
         // Push either way, so a failing run still retires the job and
         // the shutdown below cannot wait on it forever.
         let (ran2, ledger) = (ran.clone(), shared.clone());
-        let body: JobBody = Box::new(move |_| {
+        let job = JobRef::from_fn(move |_| {
             ran2.store(true, Ordering::SeqCst);
             ledger.in_flight.fetch_sub(1, Ordering::SeqCst);
         });
-        let ptr = std::ptr::NonNull::from(Box::leak(Box::new(body)));
-        assert!(shared.ingress.push_ptr_from(0, ptr).is_ok());
+        assert!(shared.ingress.push_from(0, job).is_ok());
         early
     });
     let (ran, stranded) = (ran.load(Ordering::SeqCst), server.ingress().occupancy());
@@ -812,4 +811,237 @@ fn a_joiner_that_woke_the_team_spins_instead_of_sleeping() {
         "{broadcasts} of {PINGS} pings woke their joiner with a broadcast"
     );
     assert_eq!(server.shutdown().stats.completed, u64::from(PINGS));
+}
+
+/// Before a deadline job's wrapper took its entry out, every entry kept
+/// its job's record alive until the tick: with hour-long deadlines the
+/// set, and the memory behind it, grew by one job per submit.
+#[test]
+fn resolved_deadline_jobs_leave_the_deadline_set() {
+    const JOBS: u64 = 20_000;
+    const BATCH: u64 = 100;
+    let server = TaskServer::start(ServerConfig::new(2));
+    let opts = SubmitOptions::new().deadline(Duration::from_secs(3_600));
+    for batch in 0..JOBS / BATCH {
+        let handles: Vec<_> = (0..BATCH)
+            .map(|i| {
+                server
+                    .with(opts)
+                    .submit(move |_| batch * BATCH + i)
+                    .unwrap()
+            })
+            .collect();
+        for (i, h) in (0..BATCH).zip(handles) {
+            assert_eq!(h.join().unwrap(), batch * BATCH + i);
+        }
+    }
+    assert_eq!(
+        server.shared.deadlines.len(),
+        0,
+        "resolved jobs left entries"
+    );
+    // A cancelled job leaves too, when its wrapper drains it.
+    let shared = server.shared.clone();
+    let h = server.with(opts).submit(|_| ()).unwrap();
+    h.cancel();
+    let report = server.shutdown();
+    assert_eq!(report.stats.completed + report.stats.shed, JOBS + 1);
+    assert_eq!(shared.deadlines.len(), 0);
+}
+
+/// Counts its drops into the counter it shares.
+struct Canary(Arc<AtomicUsize>);
+
+impl Drop for Canary {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+fn counter() -> Arc<AtomicUsize> {
+    Arc::new(AtomicUsize::new(0))
+}
+
+/// Occupies one worker with a job that spins until the returned gate
+/// opens; returns once the job is running.
+fn hold_a_worker(server: &TaskServer) -> (Arc<AtomicBool>, JobHandle<()>) {
+    let (gate, running) = (Arc::new(AtomicBool::new(false)), counter());
+    let (g, r) = (gate.clone(), running.clone());
+    let held = server
+        .submit(move |_| {
+            r.store(1, Ordering::Release);
+            while !g.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        })
+        .unwrap();
+    while running.load(Ordering::Acquire) == 0 {
+        std::thread::yield_now();
+    }
+    (gate, held)
+}
+
+/// A job whose closure holds a canary: counts into `ran` when it runs,
+/// into `drops` when the closure is dropped.
+fn canary_job(
+    ran: &Arc<AtomicUsize>,
+    drops: &Arc<AtomicUsize>,
+) -> impl FnOnce(&TaskCtx<'_>) -> u32 + Send + 'static {
+    let (ran, canary) = (ran.clone(), Canary(drops.clone()));
+    move |_| {
+        let _keep = &canary;
+        ran.fetch_add(1, Ordering::Relaxed);
+        7
+    }
+}
+
+#[test]
+fn a_job_closure_is_dropped_once_when_it_runs() {
+    let server = TaskServer::start(ServerConfig::new(2));
+    let (ran, drops, results) = (counter(), counter(), counter());
+    let (r, canary, result) = (ran.clone(), Canary(drops.clone()), Canary(results.clone()));
+    let h = server
+        .submit(move |_| {
+            let _keep = &canary;
+            r.fetch_add(1, Ordering::Relaxed);
+            result
+        })
+        .unwrap();
+    let result = h.join().unwrap();
+    assert_eq!(drops.load(Ordering::Relaxed), 1);
+    assert_eq!(
+        results.load(Ordering::Relaxed),
+        0,
+        "the joiner owns the result"
+    );
+    drop(result);
+    assert_eq!(results.load(Ordering::Relaxed), 1);
+    server.shutdown();
+    assert_eq!(
+        (ran.load(Ordering::Relaxed), drops.load(Ordering::Relaxed)),
+        (1, 1)
+    );
+}
+
+#[test]
+fn a_cancelled_queued_job_drops_its_closure_once() {
+    let server = TaskServer::start(ServerConfig::new(1));
+    let (gate, held) = hold_a_worker(&server);
+    let (ran, drops) = (counter(), counter());
+    let h = server.submit(canary_job(&ran, &drops)).unwrap();
+    h.cancel();
+    assert!(h.join().unwrap_err().is_cancelled());
+    gate.store(true, Ordering::Release);
+    held.join().unwrap();
+    let report = server.shutdown();
+    assert_eq!(report.stats.shed, 1);
+    assert_eq!(
+        (ran.load(Ordering::Relaxed), drops.load(Ordering::Relaxed)),
+        (0, 1)
+    );
+}
+
+#[test]
+fn a_deadline_shed_job_drops_its_closure_once() {
+    let server = TaskServer::start(ServerConfig::new(1));
+    let (gate, held) = hold_a_worker(&server);
+    let (ran, drops) = (counter(), counter());
+    let opts = SubmitOptions::new().deadline(Duration::from_millis(1));
+    let h = server.with(opts).submit(canary_job(&ran, &drops)).unwrap();
+    std::thread::sleep(Duration::from_millis(10));
+    gate.store(true, Ordering::Release);
+    held.join().unwrap();
+    assert!(h.join().unwrap_err().is_deadline_exceeded());
+    let report = server.shutdown();
+    assert_eq!(report.stats.shed, 1);
+    assert_eq!(
+        (ran.load(Ordering::Relaxed), drops.load(Ordering::Relaxed)),
+        (0, 1)
+    );
+}
+
+#[test]
+fn a_panicking_job_drops_its_closure_once() {
+    let server = TaskServer::start(ServerConfig::new(2));
+    let drops = counter();
+    let canary = Canary(drops.clone());
+    let h = server
+        .submit(move |_| -> u32 {
+            let _keep = &canary;
+            panic!("canary job failed");
+        })
+        .unwrap();
+    assert!(h.join().unwrap_err().panic().is_some());
+    assert_eq!(drops.load(Ordering::Relaxed), 1);
+    server.shutdown();
+    assert_eq!(drops.load(Ordering::Relaxed), 1);
+}
+
+/// Jobs still in a lane, or in the spill, when the server shuts down run
+/// in its drain: each closure runs once and is dropped once, handles
+/// dropped or not.
+#[test]
+fn queued_and_spilled_jobs_drop_their_closures_once_at_shutdown() {
+    const JOBS: usize = 3;
+    let (ran, drops) = (counter(), counter());
+    let server = TaskServer::start(ServerConfig::new(1));
+    let (gate, held) = hold_a_worker(&server);
+    for _ in 0..JOBS {
+        drop(server.submit(canary_job(&ran, &drops)).unwrap());
+    }
+    assert_eq!(server.ingress().occupancy(), JOBS, "the jobs sit in a lane");
+    let shared = server.shared.clone();
+    std::thread::scope(|s| {
+        let closing = s.spawn(|| server.shutdown());
+        while shared.state.load(Ordering::Relaxed) != lifecycle::CLOSING {
+            std::thread::yield_now();
+        }
+        gate.store(true, Ordering::Release);
+        assert_eq!(closing.join().unwrap().stats.completed, JOBS as u64 + 1);
+    });
+    drop(held);
+    assert_eq!(ran.load(Ordering::Relaxed), JOBS);
+    assert_eq!(drops.load(Ordering::Relaxed), JOBS);
+
+    let (ran, drops) = (counter(), counter());
+    let server = TaskServer::start(ServerConfig::new(1));
+    server.pause().unwrap();
+    let handles: Vec<_> = (0..JOBS)
+        .map(|_| server.submit(canary_job(&ran, &drops)).unwrap())
+        .collect();
+    assert_eq!(locked(&server.shared.spill).len(), JOBS, "the jobs spilled");
+    assert_eq!(drops.load(Ordering::Relaxed), 0);
+    server.shutdown();
+    for h in handles {
+        assert_eq!(h.join().unwrap(), 7);
+    }
+    assert_eq!(ran.load(Ordering::Relaxed), JOBS);
+    assert_eq!(drops.load(Ordering::Relaxed), JOBS);
+}
+
+/// Drops the result, recording the thread it was dropped on.
+struct WhereDropped(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+
+impl Drop for WhereDropped {
+    fn drop(&mut self) {
+        locked(&self.0).push(std::thread::current().id());
+    }
+}
+
+/// A handle dropped before its job completes leaves the worker holding
+/// the last reference: the worker frees the record, and with it the
+/// result nobody took.
+#[test]
+fn a_detached_handle_leaves_the_worker_to_free_the_record() {
+    let server = TaskServer::start(ServerConfig::new(1));
+    let (gate, held) = hold_a_worker(&server);
+    let dropped_on = Arc::new(Mutex::new(Vec::new()));
+    let result = WhereDropped(dropped_on.clone());
+    drop(server.submit(move |_| result).unwrap());
+    gate.store(true, Ordering::Release);
+    held.join().unwrap();
+    server.shutdown();
+    let dropped_on = locked(&dropped_on).clone();
+    assert_eq!(dropped_on.len(), 1, "the result is dropped once");
+    assert_ne!(dropped_on[0], std::thread::current().id());
 }

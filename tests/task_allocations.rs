@@ -1,7 +1,7 @@
-//! Heap allocations per spawned task, counted by a global allocator that
-//! tallies each thread's allocations. A one-worker runtime runs every task
-//! on the calling thread, so tests running in parallel cannot pollute the
-//! count. The per-task figure is a region spawning 2 000 tasks minus one
+//! Heap allocations per spawned task, counted on the calling thread by
+//! the shared counting allocator (`support`). A one-worker runtime runs
+//! every task on the calling thread, so tests running in parallel cannot
+//! pollute the count. The per-task figure is a region spawning 2 000 tasks minus one
 //! spawning 1 000 (after a warm-up region), which cancels every per-region
 //! allocation.
 //!
@@ -10,40 +10,15 @@
 //! (recycled records). A capture larger than the inline storage is boxed
 //! and pays one more.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xgomp::{Runtime, RuntimeConfig};
 
-/// The system allocator, counting allocations per thread.
-struct Counting;
+mod support;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally is a
-// const-initialized thread-local, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // A thread being torn down has no tally left; skip it.
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, forwarded.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
+/// This thread's allocations so far.
 fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
+    support::allocs().0
 }
 
 /// A capture larger than the inline storage.
