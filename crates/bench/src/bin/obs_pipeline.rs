@@ -90,7 +90,6 @@ fn main() {
     let server = TaskServer::start(
         ServerConfig::new(threads)
             .runtime(rt)
-            .adapt_every(0)
             .trace_stream(&opts.dir, 256 * 1024, 64)
             .trace_stream_interval(Duration::from_micros(500))
             .metrics_addr(&opts.addr),

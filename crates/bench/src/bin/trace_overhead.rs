@@ -114,9 +114,7 @@ fn run_leg(
     artifacts: Option<&Path>,
 ) -> Leg {
     let rt = RuntimeConfig::xgomptb(threads).trace(level);
-    // adapt_every(0): the controller's retunes are workload-dependent
-    // timing noise this comparison does not want.
-    let server = TaskServer::start(ServerConfig::new(threads).runtime(rt).adapt_every(0));
+    let server = TaskServer::start(ServerConfig::new(threads).runtime(rt));
 
     let mut times = Vec::with_capacity(reps);
     for _ in 0..reps.max(1) {
@@ -221,7 +219,6 @@ fn run_stream_leg(
     let server = TaskServer::start(
         ServerConfig::new(threads)
             .runtime(rt)
-            .adapt_every(0)
             .trace_stream(&dir, 256 * 1024, 64)
             .trace_stream_interval(Duration::from_micros(500))
             .metrics_addr("127.0.0.1:0"),

@@ -31,8 +31,8 @@ pub enum CostProfile {
     /// statically-unbalanceable tail: the last block dominates).
     Skewed,
     /// ~90% cheap iterations, ~10% expensive ones, interleaved
-    /// pseudo-randomly (outlier-dominated distributions — the case the
-    /// modal-decade controller exists for).
+    /// pseudo-randomly (outlier-dominated distributions — the case
+    /// modal-decade classification exists for).
     Bimodal,
 }
 

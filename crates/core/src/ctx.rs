@@ -269,7 +269,7 @@ impl<'t> TaskCtx<'t> {
     /// Executes up to `max` already-queued tasks on the calling worker,
     /// returning how many ran. Unlike [`taskwait`](Self::taskwait) this
     /// never blocks: it is the cooperative scheduling point a server's
-    /// master loop interleaves with ingress polling and controller work.
+    /// master loop interleaves with ingress polling.
     pub fn run_pending(&self, max: usize) -> usize {
         let worker = self.worker;
         let mut ran = 0;

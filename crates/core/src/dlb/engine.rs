@@ -42,9 +42,9 @@ impl Default for RedirectState {
 /// victim answers, and everything read-only.
 ///
 /// All four knobs are read through a [`DlbTuning`] cell at every
-/// scheduling point, so an external controller holding a clone of the
-/// `Arc` can hot-swap the configuration (including the strategy) while
-/// the team keeps running.
+/// scheduling point, so an operator holding a clone of the `Arc` (the
+/// task server's `swap_tuning`) can hot-swap the configuration
+/// (including the strategy) while the team keeps running.
 pub(crate) struct DlbEngine {
     tuning: Arc<DlbTuning>,
     cells: Box<[CachePadded<MsgCell>]>,

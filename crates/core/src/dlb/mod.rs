@@ -103,8 +103,8 @@ impl DlbConfig {
 }
 
 /// A [`DlbConfig`] whose knobs can be re-tuned **while workers are
-/// running** — the mechanism behind the online Table-IV adaptation in
-/// `xgomp-service`.
+/// running** — the mechanism behind the task server's operator swaps
+/// (`TaskServer::swap_tuning` in `xgomp-service`).
 ///
 /// Every field is an independent relaxed atomic: workers re-read the
 /// configuration at each scheduling point, so a store becomes visible
@@ -134,15 +134,26 @@ impl DlbTuning {
         }
     }
 
+    /// `cfg` with every knob in range — the form the cell holds. The
+    /// fields are `pub`, so a struct literal bypasses the builder
+    /// clamps; this applies the same ones.
+    fn normalized(cfg: DlbConfig) -> DlbConfig {
+        cfg.n_victim(cfg.n_victim)
+            .n_steal(cfg.n_steal)
+            .t_interval(cfg.t_interval)
+            .p_local(cfg.p_local)
+    }
+
     /// A tuning cell seeded with `cfg`.
     pub fn new(cfg: DlbConfig) -> Self {
         use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize};
+        let cfg = Self::normalized(cfg);
         DlbTuning {
             strategy: AtomicU8::new(Self::strategy_code(cfg.strategy)),
-            n_victim: AtomicUsize::new(cfg.n_victim.max(1)),
-            n_steal: AtomicUsize::new(cfg.n_steal.max(1)),
-            t_interval: AtomicU64::new(cfg.t_interval.max(1)),
-            p_local_bits: AtomicU64::new(cfg.p_local.clamp(0.0, 1.0).to_bits()),
+            n_victim: AtomicUsize::new(cfg.n_victim),
+            n_steal: AtomicUsize::new(cfg.n_steal),
+            t_interval: AtomicU64::new(cfg.t_interval),
+            p_local_bits: AtomicU64::new(cfg.p_local.to_bits()),
             retunes: AtomicU64::new(0),
         }
     }
@@ -164,20 +175,22 @@ impl DlbTuning {
     }
 
     /// Publishes `cfg` as the active configuration (hot swap). Counts a
-    /// retune when anything actually changed.
-    pub fn store(&self, cfg: DlbConfig) {
+    /// retune when anything actually changed, compared in the clamped
+    /// form the cell holds. Returns whether it did.
+    pub fn store(&self, cfg: DlbConfig) -> bool {
         use std::sync::atomic::Ordering::Relaxed;
+        let cfg = Self::normalized(cfg);
         let changed = self.load() != cfg;
         self.strategy
             .store(Self::strategy_code(cfg.strategy), Relaxed);
-        self.n_victim.store(cfg.n_victim.max(1), Relaxed);
-        self.n_steal.store(cfg.n_steal.max(1), Relaxed);
-        self.t_interval.store(cfg.t_interval.max(1), Relaxed);
-        self.p_local_bits
-            .store(cfg.p_local.clamp(0.0, 1.0).to_bits(), Relaxed);
+        self.n_victim.store(cfg.n_victim, Relaxed);
+        self.n_steal.store(cfg.n_steal, Relaxed);
+        self.t_interval.store(cfg.t_interval, Relaxed);
+        self.p_local_bits.store(cfg.p_local.to_bits(), Relaxed);
         if changed {
             self.retunes.fetch_add(1, Relaxed);
         }
+        changed
     }
 
     /// How many effective re-tunes have been published.
@@ -208,6 +221,26 @@ mod tests {
         t.store(b);
         assert_eq!(t.load(), b);
         assert_eq!(t.retunes(), 1);
+    }
+
+    /// A struct literal bypasses the builder clamps; storing the same
+    /// out-of-range config twice is one retune, not two.
+    #[test]
+    fn out_of_range_literal_counts_one_retune() {
+        let t = DlbTuning::new(DlbConfig::new(DlbStrategy::WorkSteal));
+        let raw = DlbConfig {
+            strategy: DlbStrategy::RedirectPush,
+            n_victim: 0,
+            n_steal: 0,
+            t_interval: 0,
+            p_local: 1.5,
+        };
+        t.store(raw);
+        t.store(raw);
+        assert_eq!(t.retunes(), 1, "an identical store is not a retune");
+        let held = t.load();
+        assert_eq!((held.n_victim, held.n_steal, held.t_interval), (1, 1, 1));
+        assert_eq!(held.p_local, 1.0);
     }
 
     #[test]

@@ -79,10 +79,10 @@ pub use team::{IngressSource, RegionOutput, Runtime, ServingHooks};
 // Re-exports so downstream crates need only depend on xgomp-core.
 pub use xgomp_profiling::{
     chrome_json_from_dir, chrome_json_from_jsonl, clock, final_summary, render_task_counts,
-    render_timeline, state_summary, DrainSummary, EventKind, LiveTaskSampler, LoopTelemetry,
-    LoopTelemetrySnapshot, PerfLog, ProfileDump, PromText, StatsSnapshot, StreamLine,
-    TaskSizeHistogram, TeamStats, TraceEvent, TraceLevel, TraceSnapshot, TraceStream,
-    TraceStreamConfig, TraceStreamStats, Tracer, LOOP_SCHEDULES, LOOP_SCHEDULE_NAMES,
+    render_timeline, state_summary, DrainSummary, EventKind, LoopTelemetry, LoopTelemetrySnapshot,
+    PerfLog, ProfileDump, PromText, StatsSnapshot, StreamLine, TaskSizeHistogram, TeamStats,
+    TraceEvent, TraceLevel, TraceSnapshot, TraceStream, TraceStreamConfig, TraceStreamStats,
+    Tracer, LOOP_SCHEDULES, LOOP_SCHEDULE_NAMES,
 };
 pub use xgomp_topology::{Affinity, CostModel, Locality, MachineTopology, Placement};
 pub use xgomp_xqueue::{Parker, ParkerCell};

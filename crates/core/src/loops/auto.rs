@@ -6,10 +6,10 @@
 //! given), it trials the portfolio across repeated loop instances,
 //! scores each member by measured makespan over a fixed trial window,
 //! and converges on the fastest once two consecutive sweep windows agree
-//! (the Table-IV `confirm_windows` hysteresis idiom). A converged site
-//! re-explores when the tuning swap epoch moves (`watch_swaps`, exactly
-//! like the adaptive controller) or when its makespan drifts to ≥2× the
-//! converged baseline for several consecutive runs (distribution shift).
+//! (two-window hysteresis). A converged site re-explores when the DLB
+//! tuning swap epoch moves (`watch_swaps`: an operator's `swap_tuning`)
+//! or when its makespan drifts to ≥2× the converged baseline for several
+//! consecutive runs (distribution shift).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +38,7 @@ pub const AUTO_PORTFOLIO_LEN: usize = 7;
 pub const AUTO_TRIALS_PER_MEMBER: u32 = 2;
 
 /// Consecutive sweep windows that must agree on a winner before the
-/// site converges (the controller's `confirm_windows` hysteresis).
+/// site converges (two-window hysteresis).
 pub const AUTO_CONFIRM_WINDOWS: u32 = 2;
 
 /// Consecutive converged runs at ≥2× the converged baseline makespan
@@ -173,8 +173,7 @@ pub struct AutoSiteStatus {
 pub struct AutoSelector {
     sites: Mutex<HashMap<u64, SiteState>>,
     /// External tuning-swap epoch (the server's `swap_epoch`); a change
-    /// re-opens exploration at every site, mirroring the adaptive
-    /// controller's `watch_swaps`.
+    /// re-opens exploration at every site.
     swap_epoch: Mutex<Option<Arc<AtomicU64>>>,
     epoch_seen: AtomicU64,
     /// Selections handed out, by concrete schedule family index

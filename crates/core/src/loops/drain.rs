@@ -109,7 +109,7 @@ impl LoopShared<'_> {
 
     /// The static claim source: `seat`'s one contiguous NUMA-blocked
     /// unit block, run where the zone-affine placement (or a DLB
-    /// migration of the drain task) put us; no pools, no sampler feed.
+    /// migration of the drain task) put us; no pools, no clock read.
     fn run_block(&self, ctx: &TaskCtx<'_>, seat: usize, acc: &mut LoopReport) {
         let (mut next, hi) = (self.layout.block(seat), self.layout.block(seat + 1));
         let token = ctx.cancel_token();
@@ -149,23 +149,17 @@ impl LoopShared<'_> {
         let token = ctx.cancel_token();
         // A window boundary. Its clock read — the only one on the path —
         // closes the window behind it: the chunks' mean duration feeds
-        // the chunker's cost model (adaptive, AWF) and — when a live
-        // sampler is wired (task server) — the Table-IV adaptive
-        // controller, one sample of mass per chunk. The same reading
+        // the chunker's cost model (adaptive, AWF). The same reading
         // stamps the window ahead, promotes an expired deadline into the
         // token's state (where the per-chunk checkpoint sees it). With
         // no chunks behind it, it only re-stamps: called on both sides of
         // any time spent off the dispense path, so idle time is never
         // billed to a chunk.
-        let lane = ctx.worker.lane;
         let boundary = |win: &mut Window| {
             let now = clock::now();
             let ticks = now.saturating_sub(win.stamp);
             if let Some(chunk_ticks) = ticks.checked_div(win.chunks) {
                 chunker.record(my, win.units, ticks);
-                if let Some(lane) = lane {
-                    lane.record(chunk_ticks, win.chunks);
-                }
                 win.chunk_ticks = chunk_ticks;
                 win.len = (WINDOW_TICKS / chunk_ticks.max(1))
                     .clamp(1, MAX_WINDOW_CHUNKS)

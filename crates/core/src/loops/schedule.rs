@@ -49,9 +49,8 @@ pub enum LoopSchedule {
     /// keeps its own name, telemetry slot and `Auto` portfolio slot.
     WeightedFactoring,
     /// Adaptive weighted factoring: factoring whose per-zone weights
-    /// come from *measured* per-chunk execution rates (the same chunk
-    /// timing that feeds the live sampler), folded at each timing
-    /// window boundary.
+    /// come from *measured* per-chunk execution rates, folded at each
+    /// timing window boundary.
     Awf,
     /// Online per-loop-site auto-selection: the serving team's
     /// [`AutoSelector`](super::AutoSelector) trials the portfolio across

@@ -34,7 +34,7 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
     team.cost.apply(locality);
 
     let tracing_tasks = team.trace_on(TraceLevel::Full);
-    let timed = team.profiling || worker.lane.is_some() || tracing_tasks;
+    let timed = team.profiling || tracing_tasks;
     let t0 = if timed { clock::now() } else { 0 };
 
     struct CompletionGuard<'a, 't> {
@@ -65,15 +65,12 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
     drop(guard);
     if timed {
         let t1 = clock::now();
-        if let Some(lane) = worker.lane {
-            lane.record(t1.saturating_sub(t0), 1);
-        }
         if team.profiling {
             worker.log.borrow_mut().push_span(EventKind::Task, t0, t1);
         }
         if let Some(ring) = worker.ring.filter(|_| tracing_tasks) {
             // Emit with the measured end stamp (payload `c` carries the
-            // start) so the trace span matches the sampled span.
+            // start) so the trace span matches the profiled span.
             ring.emit(t1, EventKind::Task as u8, 0, 0, t0);
         }
     }

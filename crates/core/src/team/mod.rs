@@ -7,8 +7,8 @@
 //! the [`ServingHooks`] / [`IngressSource`] a long-lived task server
 //! plugs into it, `build_team` and the teardown checks of
 //! `finish_region`. Every per-worker block the team writes — the §V
-//! counters, and the sampler lanes and trace rings a server shares
-//! across generations — is a seat of an `xgomp_xqueue::Cells`, and
+//! counters, and the trace rings a server shares across generations —
+//! is a seat of an `xgomp_xqueue::Cells`, and
 //! `build_team` claims seats `0..n` of each for the team's life, so a
 //! second team on the same server-owned cells panics where it is built.
 //! [`worker`] owns what is *not* shared: the [`Worker`] each thread
@@ -33,9 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use xgomp_profiling::{
-    LiveTaskSampler, LoopTelemetry, PerfLog, TaskLane, TeamStats, TraceLevel, Tracer, WorkerStats,
-};
+use xgomp_profiling::{LoopTelemetry, PerfLog, TeamStats, TraceLevel, Tracer, WorkerStats};
 use xgomp_topology::{CostModel, Placement};
 use xgomp_xqueue::{Cells, Claim, EventRing, Parker};
 
@@ -83,9 +81,6 @@ pub trait IngressSource: Send + Sync {
 pub struct ServingHooks {
     /// External work feed polled by idle workers.
     pub source: Option<Arc<dyn IngressSource>>,
-    /// Online task-size sampling (each worker records into its own
-    /// claimed lane of the sampler).
-    pub sampler: Option<Arc<LiveTaskSampler>>,
     /// Hot-swappable DLB configuration; `None` uses a per-region cell
     /// seeded from [`RuntimeConfig::dlb`].
     pub tuning: Option<Arc<DlbTuning>>,
@@ -127,10 +122,6 @@ pub(crate) struct TeamShared {
     pub panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// External work feed polled by idle workers (persistent executor).
     pub source: Option<Arc<dyn IngressSource>>,
-    /// Online task-size sampling (always-on when present): this
-    /// generation's claim on the [`LiveTaskSampler`]'s lanes; each worker
-    /// records into its own (`Worker::lane`).
-    pub sampler: Option<Claim<TaskLane>>,
     /// Cross-generation loop counters (see [`ServingHooks::loop_stats`]).
     pub loop_stats: Option<Arc<LoopTelemetry>>,
     /// `Schedule::Auto` selector (see [`ServingHooks::auto_select`]).
@@ -189,7 +180,6 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
         poisoned: AtomicBool::new(false),
         panic: Mutex::new(None),
         source: hooks.source,
-        sampler: hooks.sampler.map(|s| s.lanes.claim(0..n)),
         loop_stats: hooks.loop_stats,
         auto_select: hooks.auto_select,
         root: AtomicPtr::new(std::ptr::null_mut()),

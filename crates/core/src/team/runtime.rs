@@ -86,8 +86,8 @@ impl Runtime {
     }
 
     /// Opens a region with the persistent-executor [`ServingHooks`]: an
-    /// ingress source polled by idle workers and optional live sampling
-    /// / DLB tuning / telemetry hooks. Task-body panics are isolated:
+    /// ingress source polled by idle workers and optional DLB tuning /
+    /// telemetry / tracer hooks. Task-body panics are isolated:
     /// they re-raise at the parent's next `taskwait` instead of
     /// poisoning the team.
     pub fn serve<R>(

@@ -398,12 +398,10 @@ fn idle_workers_drain_an_ingress_source() {
         remaining: AtomicUsize::new(JOBS),
         hits: hits.clone(),
     });
-    let sampler = Arc::<LiveTaskSampler>::default();
     let rt = Runtime::new(RuntimeConfig::xgomptb(4));
     let h2 = hits.clone();
     let hooks = ServingHooks {
         source: Some(source),
-        sampler: Some(sampler.clone()),
         ..ServingHooks::default()
     };
     let out = rt.serve(hooks, move |ctx| {
@@ -415,7 +413,6 @@ fn idle_workers_drain_an_ingress_source() {
     });
     assert_eq!(hits.load(Ordering::Relaxed), JOBS);
     assert_eq!(out.stats.total().tasks_executed as usize, JOBS);
-    assert_eq!(sampler.tasks_observed() as usize, JOBS);
     out.stats.check_invariants().unwrap();
 }
 
@@ -517,16 +514,14 @@ fn nested_region_inside_a_dlb_task_keeps_both_teams_apart() {
 /// life. `emit_meta` from outside the team is a second writer of ring 0,
 /// so it panics while the team holds that ring instead of interleaving
 /// records, and lands once the team is gone. A second team on the same
-/// tracer or sampler panics where it is built, before any worker runs.
+/// tracer panics where it is built, before any worker runs.
 #[test]
 fn server_owned_cells_have_one_team_at_a_time() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use xgomp_profiling::EventKind;
     let tracer = Arc::new(Tracer::new(TraceLevel::Lifecycle));
-    let sampler = Arc::<LiveTaskSampler>::default();
     let rt = Runtime::new(RuntimeConfig::xgomptb(2));
     let hooks = || ServingHooks {
-        sampler: Some(sampler.clone()),
         tracer: Some(tracer.clone()),
         ..ServingHooks::default()
     };

@@ -11,7 +11,7 @@
 //!   thief/redirect state and RNG — or the LOMP deque's owner end), its
 //!   allocator seat (local free list and allocation ledger) and its
 //!   [`PerfLog`]; by reference, its own seat of each per-worker cell the
-//!   team claimed (§V counters, sampler lane, trace ring), resolved once
+//!   team claimed (§V counters, trace ring), resolved once
 //!   here so no record path looks anything up. What several workers
 //!   write stays in [`TeamShared`], behind atomics or locks.
 //! * **Who builds it** — the worker's own thread, once per region:
@@ -36,7 +36,7 @@
 
 use std::cell::RefCell;
 
-use xgomp_profiling::{clock, EventKind, PerfLog, TaskLane, TraceLevel, WorkerStats};
+use xgomp_profiling::{clock, EventKind, PerfLog, TraceLevel, WorkerStats};
 use xgomp_xqueue::EventRing;
 
 use super::TeamShared;
@@ -53,8 +53,6 @@ pub(crate) struct Worker<'t> {
     pub(super) log: RefCell<PerfLog>,
     /// This worker's §V counter block.
     pub stats: &'t WorkerStats,
-    /// This worker's live-sampler lane, when the team samples.
-    pub lane: Option<&'t TaskLane>,
     /// This worker's flight-recorder ring, when the team traces.
     pub ring: Option<&'t EventRing>,
 }
@@ -74,7 +72,6 @@ impl<'t> Worker<'t> {
             alloc: team.alloc.seat(id),
             log: RefCell::new(PerfLog::new(id, team.profiling)),
             stats,
-            lane: team.sampler.as_ref().map(|l| l.seat(id)),
             ring: team.rings.as_ref().map(|r| r.seat(id)),
         }
     }

@@ -7,10 +7,10 @@
 //! keys the Table IV guidelines on it. [`TaskSizeHistogram`] builds
 //! that distribution from recorded `TASK` events.
 //!
-//! [`HistCell`] is the one *live* recorder: a single-writer atomic
-//! histogram of `N` buckets, one per worker seat. The live sampler's
-//! [`TaskLane`] is its decade form, and the task server's latency
-//! histograms use it with fixed `le` edges.
+//! [`HistCell`] is the one recorder: a single-writer atomic histogram
+//! of `N` buckets. [`TaskLane`] is its decade form, which
+//! [`TaskSizeHistogram::from_logs`] records through, and the task
+//! server's per-worker latency histograms use it with fixed `le` edges.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,7 +79,7 @@ impl TaskSizeHistogram {
         let lane = TaskLane::default();
         let tasks = logs.iter().flat_map(PerfLog::events);
         for e in tasks.filter(|e| e.kind == EventKind::Task) {
-            lane.record(e.duration(), 1);
+            lane.record(e.duration());
         }
         lane.snapshot()
     }
@@ -213,22 +213,18 @@ impl<const N: usize> Default for HistCell<N> {
 }
 
 impl<const N: usize> HistCell<N> {
-    /// Records `n` values of `value` into `bucket` (`n == 0` records
-    /// nothing). The extremes are stored before the bucket that makes
-    /// them count.
+    /// Records one `value` into `bucket`. The extremes are stored
+    /// before the bucket that makes them count.
     #[inline]
-    pub fn record_at(&self, bucket: usize, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
+    pub fn record_at(&self, bucket: usize, value: u64) {
         if value < self.min.load(Ordering::Relaxed) {
             self.min.store(value, Ordering::Relaxed);
         }
         if value > self.max.load(Ordering::Relaxed) {
             self.max.store(value, Ordering::Relaxed);
         }
-        bump(&self.sum, value * n);
-        bump(&self.buckets[bucket], n);
+        bump(&self.sum, value);
+        bump(&self.buckets[bucket], 1);
     }
 
     /// Bucket counts.
@@ -242,18 +238,15 @@ impl<const N: usize> HistCell<N> {
     }
 }
 
-/// One worker's lane of the live task-size sampler: a decade
-/// [`HistCell`] of task durations in ticks.
+/// A decade [`HistCell`] of task durations in ticks: the recorder
+/// behind [`TaskSizeHistogram`].
 pub type TaskLane = HistCell<9>;
 
 impl TaskLane {
-    /// Records `n` tasks of `ticks` duration each (`n == 0` records
-    /// nothing) — one task is `record(ticks, 1)`. `n > 1` is how a loop's
-    /// timing window of `n` sub-µs chunks keeps one sample of mass per
-    /// chunk while reading the clock once.
+    /// Records one task of `ticks` duration.
     #[inline]
-    pub fn record(&self, ticks: u64, n: u64) {
-        self.record_at(decade_index(ticks), ticks, n);
+    pub fn record(&self, ticks: u64) {
+        self.record_at(decade_index(ticks), ticks);
     }
 
     /// The lane as a plain histogram (an empty lane reports minimum 0).
@@ -276,7 +269,7 @@ mod tests {
     /// `samples` recorded through one lane.
     fn recorded(samples: impl IntoIterator<Item = u64>) -> TaskSizeHistogram {
         let lane = TaskLane::default();
-        samples.into_iter().for_each(|t| lane.record(t, 1));
+        samples.into_iter().for_each(|t| lane.record(t));
         lane.snapshot()
     }
 

@@ -31,16 +31,15 @@
 //! | `clock.rs` | the timestamp source and its tick ↔ time calibration |
 //! | `events.rs` | [`EventKind`] and its one per-kind table; the §V [`PerfLog`] / [`ProfileDump`] |
 //! | `counters.rs`, `loopstats.rs` | the §V per-worker counters; the loop-subsystem counters |
-//! | `histogram.rs` | [`TaskSizeHistogram`], decade bucketing and the modal-decade rule ([`modal_index`]); [`HistCell`], the one live single-writer histogram recorder ([`TaskLane`] is its decade form) |
-//! | `live.rs` | [`LiveTaskSampler`]: one [`TaskLane`] per worker seat, merged on read |
+//! | `histogram.rs` | [`TaskSizeHistogram`], decade bucketing and the modal-decade rule ([`modal_index`]); [`HistCell`], the one single-writer histogram recorder ([`TaskLane`] is its decade form) |
 //! | `timeline.rs` | the Fig. 3 ASCII renderers |
 //! | `trace.rs` | [`TraceLevel`], the [`Tracer`] (ring owner + level gate) and the [`RingReader`] — the one ring-read/decode path |
 //! | `chrome.rs` | [`TraceSnapshot`] and its Chrome-trace / Perfetto export |
 //! | `prom.rs` | [`PromText`], the Prometheus text-exposition builder |
 //! | `stream.rs` | the rolling on-disk stream: [`StreamLine`] (the one line format), [`TraceStream`], [`final_summary`], `trace2chrome` |
 //!
-//! Every per-worker block here — [`WorkerStats`], the [`TaskLane`]s, the
-//! trace rings — is one seat of an `xgomp_xqueue::Cells` (`cells.rs`
+//! Every per-worker block here — [`WorkerStats`], the trace rings — is
+//! one seat of an `xgomp_xqueue::Cells` (`cells.rs`
 //! there): padded, grown on demand, claimed per team generation and
 //! summed on read.
 
@@ -51,7 +50,6 @@ pub mod clock;
 mod counters;
 mod events;
 mod histogram;
-mod live;
 mod loopstats;
 mod prom;
 pub mod stream;
@@ -61,7 +59,6 @@ pub mod trace;
 pub use counters::{StatsSnapshot, TeamStats, WorkerStats};
 pub use events::{EventKind, EventRecord, PerfLog, ProfileDump};
 pub use histogram::{decade_index, modal_index, HistCell, TaskLane, TaskSizeHistogram};
-pub use live::LiveTaskSampler;
 pub use loopstats::{
     LoopTelemetry, LoopTelemetrySnapshot, ScheduleSnapshot, SpaceKindSnapshot, LOOP_SCHEDULES,
     LOOP_SCHEDULE_NAMES, LOOP_SPACE_KINDS, LOOP_SPACE_KIND_NAMES,

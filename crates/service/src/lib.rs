@@ -4,9 +4,10 @@
 //! is one long region on a `Runtime`'s hot workers, so one team stays
 //! alive across jobs; external threads submit work through NUMA-sharded
 //! lock-less ingress queues, results come back through futures-style
-//! [`JobHandle`]s, and an online controller re-applies the paper's
-//! Table-IV tuning guidelines to the live task-size distribution —
-//! hot-swapping the DLB configuration while the workers keep running.
+//! [`JobHandle`]s, and an operator can hot-swap the DLB configuration
+//! (for example the paper's Table-IV pick for the task size at hand,
+//! `xgomp_core::guidelines::recommend_dlb`) while the workers keep
+//! running.
 //!
 //! ## Architecture
 //!
@@ -26,9 +27,8 @@
 //!        ▼
 //!  job body runs (unwind-caught) ──▶ JobHandle completes
 //!
-//!  every completed task feeds a LiveTaskSampler; the AdaptiveController
-//!  re-runs guidelines::recommend_dlb per window (with two-window
-//!  hysteresis) and hot-swaps DlbTuning
+//!  swap_tuning / resume_with ──▶ DlbTuning, read by every worker at
+//!  its next scheduling point
 //! ```
 //!
 //! ## Idle/wake semantics
@@ -58,9 +58,8 @@
 //! gate, and [`TaskServer::resume_with`] applies a whole new
 //! [`RuntimeConfig`] at the boundary — worker count, barrier, topology —
 //! while [`TaskServer::swap_tuning`] hot-swaps just the DLB parameters
-//! without pausing at all (resetting the controller's hysteresis so a
-//! stale half-confirmed recommendation cannot override the swap). See
-//! the [server module](TaskServer) docs for the state-machine diagram.
+//! without pausing at all. Those two calls are the only retunes. See the
+//! [server module](TaskServer) docs for the state-machine diagram.
 //!
 //! ## Serving robustness: QoS, cancellation, deadlines
 //!
@@ -179,13 +178,11 @@
 
 #![warn(missing_docs)]
 
-mod controller;
 mod handle;
 mod ingress;
 mod metrics;
 mod server;
 
-pub use controller::AdaptiveController;
 pub use handle::{JobError, JobHandle, JobPanic, JobReport, JoinTimeout};
 pub use ingress::{IngressShard, ShardedIngress};
 pub use server::{
@@ -390,10 +387,9 @@ pub struct ServerConfig {
     pub lanes_per_shard: usize,
     /// Slots per lane (rounded up to a power of two by the B-queue).
     pub lane_capacity: usize,
-    /// Completed tasks per adaptation window of the Table-IV controller;
-    /// `0` disables online adaptation.
-    pub adapt_every: u64,
-    /// Print a line to stderr on every effective DLB retune.
+    /// Print a line to stderr on every effective DLB retune (a
+    /// [`TaskServer::swap_tuning`] or `resume_with` seed that changes the
+    /// configuration).
     pub log_retunes: bool,
     /// Directory for *automatic* flight-recorder dumps: a panicking job
     /// writes `panic-job-<id>.trace.json` (before its handle completes)
@@ -446,7 +442,6 @@ impl ServerConfig {
             max_in_flight: 1_024,
             lanes_per_shard: 8,
             lane_capacity: 128,
-            adapt_every: 512,
             log_retunes: false,
             trace_dump: std::env::var_os("XGOMP_TRACE_PATH").map(std::path::PathBuf::from),
             ls_reserve: None,
@@ -489,12 +484,6 @@ impl ServerConfig {
     /// Sets slots per lane (≥ 2).
     pub fn lane_capacity(mut self, n: usize) -> Self {
         self.lane_capacity = n.max(2);
-        self
-    }
-
-    /// Sets the adaptation window (`0` disables the controller).
-    pub fn adapt_every(mut self, n: u64) -> Self {
-        self.adapt_every = n;
         self
     }
 

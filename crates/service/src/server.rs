@@ -34,8 +34,8 @@
 //! worker set and re-mapping workers/doorbells onto the (persistent)
 //! ingress shards when the zone map changes — and
 //! [`TaskServer::swap_tuning`] hot-swaps the DLB configuration at any
-//! time, resetting the adaptive controller's hysteresis so a stale
-//! half-confirmed recommendation cannot override the swap.
+//! time. Those two are the only writers of the DLB tuning cell after
+//! start: the server retunes only when an operator asks.
 //!
 //! ```text
 //!            ┌────────────────────── resume / resume_with ────────────────┐
@@ -69,8 +69,8 @@ use crate::ingress::ShardedIngress;
 use crate::metrics::{MetricsHooks, MetricsListener};
 use crate::ServerConfig;
 use xgomp_core::{
-    AutoSelector, DlbConfig, DlbStrategy, DlbTuning, LiveTaskSampler, LoopTelemetry, ParkerCell,
-    RegionOutput, TraceStream, Tracer,
+    AutoSelector, DlbConfig, DlbStrategy, DlbTuning, LoopTelemetry, ParkerCell, RegionOutput,
+    TraceStream, Tracer,
 };
 use xgomp_xqueue::{CachePadded, Cells};
 
@@ -153,15 +153,14 @@ struct ServerShared {
     ctl: Mutex<ControlPlane>,
     ctl_cv: Condvar,
     /// The DLB configuration cell driving every generation's team;
-    /// swapped by the adaptive controller, `swap_tuning` and
+    /// seeded from the config, then stored only by `swap_tuning` and
     /// `resume_with`.
     tuning: Arc<DlbTuning>,
-    /// Live task-size sampler, server-owned like the tracer below: every
-    /// generation's workers record into the same lanes (a resize grows
-    /// the lane list), so its histogram spans the server's life.
-    sampler: Arc<LiveTaskSampler>,
-    /// Bumped on every external `DlbTuning` swap; the controller resets
-    /// its hysteresis when it observes a change.
+    /// Print a line to stderr whenever one of those stores changes the
+    /// configuration (`ServerConfig::log_retunes`).
+    log_retunes: bool,
+    /// Bumped on every `swap_tuning` and `resume_with`; the `Auto`
+    /// selector re-explores when it observes a change.
     swap_epoch: Arc<AtomicU64>,
     /// Loop-subsystem telemetry (`parallel_for` chunk/steal counters),
     /// owned by the *server*, not by any generation: every generation's
@@ -173,7 +172,7 @@ struct ServerShared {
     /// across generations, so a loop site submitted before a pause keeps
     /// its learned schedule after `resume`. Watches `swap_epoch` — a
     /// `swap_tuning` (or `resume_with`) bump sends every site back to
-    /// exploration, mirroring the adaptive controller's hysteresis reset.
+    /// exploration.
     auto_select: Arc<AutoSelector>,
     /// The flight recorder: one lock-free event ring per worker, shared
     /// with every generation's team (the same `Arc` is handed to
@@ -304,7 +303,7 @@ impl TaskServer {
             ctl: Mutex::new(ControlPlane::default()),
             ctl_cv: Condvar::new(),
             tuning,
-            sampler: Arc::default(),
+            log_retunes: cfg.log_retunes,
             swap_epoch,
             loop_stats: Arc::new(LoopTelemetry::new()),
             auto_select,
@@ -359,12 +358,9 @@ impl TaskServer {
 
         let master = {
             let shared = shared.clone();
-            let (adapt_every, log_retunes) = (cfg.adapt_every, cfg.log_retunes);
             std::thread::Builder::new()
                 .name("xgomp-service-master".into())
-                .spawn(move || {
-                    lifecycle::master_loop(shared, rt, shard_of_worker, adapt_every, log_retunes)
-                })
+                .spawn(move || lifecycle::master_loop(shared, rt, shard_of_worker))
                 .expect("spawn service master")
         };
 

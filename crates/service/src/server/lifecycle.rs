@@ -3,12 +3,11 @@
 //! worker 0 runs inside each generation.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use super::placement::ServiceSource;
 use super::{ServerShared, TaskServer};
-use crate::controller::AdaptiveController;
 use crate::{locked, wait};
 use xgomp_core::{
     DlbConfig, EventKind, IngressSource, RegionOutput, Runtime, RuntimeConfig, ServingHooks,
@@ -35,8 +34,8 @@ pub(super) const CLOSING: u32 = 3;
 /// Tasks the serve loop executes per iteration between ingress polls.
 /// The poll itself takes one job at a time (see `ServiceSource::poll`
 /// for why); this only bounds how long worker 0 runs the team's
-/// already-injected tasks before it looks at the ingress, the deadline
-/// heap and the controller again.
+/// already-injected tasks before it looks at the ingress and the deadline
+/// heap again.
 const RUN_BATCH: usize = 128;
 
 /// Point-in-time lifecycle of a [`TaskServer`] (see the
@@ -144,8 +143,9 @@ impl TaskServer {
     /// topology and `park_idle` all take effect for generation N+1. A
     /// changed worker count rebuilds the thread set and re-maps workers
     /// and doorbells onto the existing ingress shards; a `Some` DLB in
-    /// the config seeds the tuning cell (counting as an external swap,
-    /// which resets the adaptive controller's hysteresis).
+    /// the config seeds the tuning cell (a retune when it changes the
+    /// active configuration). Either way the boundary bumps the swap
+    /// epoch, so `Schedule::Auto` loop sites re-explore.
     pub fn resume_with(&self, rt: RuntimeConfig) -> Result<(), LifecycleError> {
         rt.assert_team_size();
         self.resume_inner(Some(rt))
@@ -185,12 +185,15 @@ impl TaskServer {
     }
 
     /// Hot-swaps the DLB configuration driving the team, effective at
-    /// the workers' next scheduling points — no pause required. The swap
-    /// bumps the external-swap epoch, so the adaptive controller drops
-    /// any half-confirmed recommendation computed against the previous
-    /// configuration instead of publishing it one window later.
+    /// the workers' next scheduling points — no pause required. This is
+    /// how the server is retuned: pick the config (Table IV is
+    /// `xgomp_core::guidelines::recommend_dlb`) and swap it in. A swap
+    /// that changes the configuration counts a retune; every swap bumps
+    /// the swap epoch, so `Schedule::Auto` loop sites re-explore.
     pub fn swap_tuning(&self, dlb: DlbConfig) {
-        self.shared.tuning.store(dlb);
+        if self.shared.tuning.store(dlb) {
+            self.shared.log_retune("swap_tuning");
+        }
         self.shared.swap_epoch.fetch_add(1, Ordering::Release);
     }
 
@@ -249,18 +252,8 @@ pub(super) fn master_loop(
     shared: Arc<ServerShared>,
     rt: RuntimeConfig,
     first_layout: Vec<usize>,
-    adapt_every: u64,
-    log_retunes: bool,
 ) -> Vec<RegionOutput<()>> {
     let mut team = Runtime::new(rt);
-    // The controller persists across generations (window continuity and
-    // hysteresis are workload properties, not generation properties);
-    // config swaps reset it through the swap epoch.
-    let (tuning, sampler) = (shared.tuning.clone(), shared.sampler.clone());
-    let controller = Mutex::new(
-        AdaptiveController::new(tuning, sampler, adapt_every, log_retunes)
-            .watch_swaps(shared.swap_epoch.clone()),
-    );
     let mut layout = Some(first_layout);
     let mut regions: Vec<RegionOutput<()>> = Vec::new();
 
@@ -300,7 +293,6 @@ pub(super) fn master_loop(
         });
         let hooks = ServingHooks {
             source: Some(source.clone() as Arc<dyn IngressSource>),
-            sampler: Some(shared.sampler.clone()),
             tuning: Some(shared.tuning.clone()),
             loop_stats: Some(shared.loop_stats.clone()),
             auto_select: Some(shared.auto_select.clone()),
@@ -315,7 +307,7 @@ pub(super) fn master_loop(
         // The generation's workers are the only writers of their outcome
         // cells while it runs; the claim drops with this iteration.
         let _outcomes = shared.outcomes.claim(0..threads);
-        regions.push(team.serve(hooks, |ctx| serve_loop(ctx, &shared, &controller, &source)));
+        regions.push(team.serve(hooks, |ctx| serve_loop(ctx, &shared, &source)));
         shared.tracer.emit_meta(0, EventKind::GenClose, 0, gen, 0);
 
         // Generation over. If a pause requested it, publish quiescence.
@@ -361,26 +353,45 @@ pub(super) fn master_loop(
 /// Applies a `resume_with` configuration at the generation boundary.
 fn apply_config(shared: &ServerShared, team: &mut Runtime, new_rt: RuntimeConfig) {
     if let Some(dlb) = new_rt.dlb {
-        shared.tuning.store(dlb);
+        if shared.tuning.store(dlb) {
+            shared.log_retune("resume_with");
+        }
     }
     team.reconfigure(new_rt);
-    // A config swap is a hysteresis boundary even when the DLB seed is
-    // unchanged: recommendations confirmed against the old shape must
-    // not publish against the new one. (A resize needs nothing more —
-    // the next generation's claims grow the per-worker cells.)
+    // A config swap re-opens `Auto` exploration even when the DLB seed is
+    // unchanged: a site's converged pick was measured on the old shape.
+    // (A resize needs nothing more — the next generation's claims grow
+    // the per-worker cells.)
     shared.swap_epoch.fetch_add(1, Ordering::Release);
 }
 
+impl ServerShared {
+    /// The stderr line of a store that changed the DLB configuration
+    /// (`ServerConfig::log_retunes`); `source` names the call.
+    fn log_retune(&self, source: &str) {
+        if !self.log_retunes {
+            return;
+        }
+        let cfg = self.tuning.load();
+        eprintln!(
+            "[xgomp-service] DLB retune #{} ({source}) -> {} \
+             (n_victim={}, n_steal={}, t_interval={}, p_local={}, steal size {:.0})",
+            self.tuning.retunes(),
+            cfg.strategy.name(),
+            cfg.n_victim,
+            cfg.n_steal,
+            cfg.t_interval,
+            cfg.p_local,
+            cfg.steal_size(),
+        );
+    }
+}
+
 /// One generation's serve loop, run by worker 0 as the region closure:
-/// drain ingress, execute, tick the controller, park when idle, and exit
+/// drain ingress, execute, park when idle, and exit
 /// at the generation's drain point (pause: every job in flight spilled;
 /// shutdown: everything admitted done).
-fn serve_loop(
-    ctx: &TaskCtx<'_>,
-    shared: &ServerShared,
-    controller: &Mutex<AdaptiveController>,
-    source: &ServiceSource,
-) {
+fn serve_loop(ctx: &TaskCtx<'_>, shared: &ServerShared, source: &ServiceSource) {
     // Publish the team's parker as the doorbell before any worker could
     // possibly park. (Replaces the previous generation's parker, which
     // has no sleepers left.)
@@ -397,10 +408,9 @@ fn serve_loop(
         shared.deadlines.sweep(ctx);
         let injected = source.poll(ctx);
         let ran = ctx.run_pending(RUN_BATCH);
-        locked(controller).tick();
         if ctx.trace_on(TraceLevel::Lifecycle) {
-            // Retunes land from the controller tick above or from a
-            // concurrent `swap_tuning`; the serve loop is the one place
+            // Retunes land from a concurrent `swap_tuning`, on a thread
+            // with no ring of its own; the serve loop is the one place
             // that polls often enough to stamp them near their effect.
             let r = shared.tuning.retunes();
             if r != last_retunes {

@@ -11,8 +11,8 @@ use super::{ServerShared, TaskServer};
 use crate::ingress::ShardedIngress;
 use crate::{locked, QosClass};
 use xgomp_core::{
-    clock, AutoSiteStatus, DlbConfig, LoopId, LoopTelemetrySnapshot, PromText, TaskSizeHistogram,
-    TraceLevel, TraceSnapshot, TraceStreamStats,
+    clock, AutoSiteStatus, DlbConfig, LoopId, LoopTelemetrySnapshot, PromText, TraceLevel,
+    TraceSnapshot, TraceStreamStats,
 };
 use xgomp_profiling::HistCell;
 
@@ -63,7 +63,7 @@ impl LatencyHist {
     /// worker is its one writer.
     pub(super) fn record_ticks(&self, ticks: u64) {
         let bucket = le_ticks().partition_point(|&le| le < ticks);
-        self.0.record_at(bucket, ticks, 1);
+        self.0.record_at(bucket, ticks);
     }
 
     /// (cumulative bucket counts, sum in seconds, total observations) of
@@ -216,7 +216,9 @@ pub struct ServerStats {
     pub max_in_flight: usize,
     /// Serve generations opened so far (pause/resume cycles + 1).
     pub generations: u64,
-    /// Effective DLB retunes published (controller + manual swaps).
+    /// Effective DLB retunes published: operator swaps
+    /// ([`TaskServer::swap_tuning`], a `resume_with` DLB seed) that
+    /// changed the configuration.
     pub retunes: u64,
     /// Ingress shards (fixed at construction).
     pub shards: usize,
@@ -319,7 +321,7 @@ static FAMILIES: [Family; 37] = [
     },
     Family {
         name: "xgomp_retunes_total",
-        help: "Effective DLB retunes published (controller + manual swaps)",
+        help: "Effective DLB retunes published (operator swaps)",
         read: Read::Counter(|s| &mut s.retunes),
     },
     Family {
@@ -736,15 +738,10 @@ impl TaskServer {
         self.shared.tuning.load()
     }
 
-    /// Effective DLB retunes so far.
+    /// Effective DLB retunes so far: operator swaps that changed the
+    /// configuration.
     pub fn retunes(&self) -> u64 {
         self.shared.tuning.retunes()
-    }
-
-    /// Merged live task-size histogram since the server started,
-    /// spanning every generation (team-resizing config swaps included).
-    pub fn task_histogram(&self) -> TaskSizeHistogram {
-        self.shared.sampler.snapshot()
     }
 
     // ---- flight recorder / metrics exposition -------------------------

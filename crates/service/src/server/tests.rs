@@ -480,7 +480,7 @@ const FROZEN_HEADERS: &str = "\
 # TYPE xgomp_max_in_flight gauge
 # HELP xgomp_generations_total Serve generations opened
 # TYPE xgomp_generations_total counter
-# HELP xgomp_retunes_total Effective DLB retunes published (controller + manual swaps)
+# HELP xgomp_retunes_total Effective DLB retunes published (operator swaps)
 # TYPE xgomp_retunes_total counter
 # HELP xgomp_ingress_shards Ingress shards (one per NUMA zone)
 # TYPE xgomp_ingress_shards gauge

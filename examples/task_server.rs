@@ -6,10 +6,10 @@
 //! ([`TaskServer::register_submitter`]) — claim-free SPSC submission
 //! with a zone-local doorbell wake. Halfway through, every submitter
 //! switches from fine-grained jobs (hundreds of cycles) to coarse ones
-//! (hundreds of thousands of cycles) — the adaptive controller observes
-//! the shift in the live task-size histogram and, after its two-window
-//! hysteresis confirms it, hot-swaps the DLB configuration per
-//! Table IV, logging each retune to stderr. At the end the example
+//! (about 10^5 cycles), and at that shift the operator (submitter 0)
+//! hot-swaps the DLB configuration to Table IV's pick for the coarse
+//! phase ([`TaskServer::swap_tuning`] with `recommend_dlb`), with each
+//! retune logged to stderr. At the end the example
 //! demonstrates the event-driven idle path: the drained server parks
 //! every worker (zero CPU) and one last doorbell ring wakes it.
 //!
@@ -20,11 +20,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use xgomp::guidelines::recommend_dlb;
 use xgomp::service::{ServerConfig, TaskServer};
 use xgomp::{DlbConfig, DlbStrategy, MachineTopology, RuntimeConfig};
 
 const SUBMITTERS: u64 = 8;
 const JOBS_PER_SUBMITTER: u64 = 1_000;
+/// Spin iterations of one coarse (second-phase) job.
+const COARSE_ITERS: u64 = 20_000;
+/// Cycles of one coarse job, roughly five per spin iteration.
+const COARSE_CYCLES: u64 = 5 * COARSE_ITERS;
 
 fn submit_and_verify(server: &TaskServer, t: u64, checksum: &AtomicU64) {
     // Pin this submitter to a reserved SPSC lane in its NUMA zone: no
@@ -33,14 +38,17 @@ fn submit_and_verify(server: &TaskServer, t: u64, checksum: &AtomicU64) {
     let mut handles = Vec::with_capacity(JOBS_PER_SUBMITTER as usize);
     for i in 0..JOBS_PER_SUBMITTER {
         // First half: fine-grained jobs (a handful of arithmetic ops).
-        // Second half: coarse jobs spinning for ~10^5 cycles — the
-        // distribution shift the controller must catch.
+        // Second half: coarse jobs spinning for ~10^5 cycles. At the
+        // shift the operator retunes DLB for the new task size.
         let coarse = i >= JOBS_PER_SUBMITTER / 2;
+        if t == 0 && i == JOBS_PER_SUBMITTER / 2 {
+            server.swap_tuning(recommend_dlb(COARSE_CYCLES));
+        }
         let h = sub
             .submit(move |_ctx| {
                 if coarse {
                     let mut acc = 0u64;
-                    for k in 0..20_000u64 {
+                    for k in 0..COARSE_ITERS {
                         acc = acc.wrapping_add(std::hint::black_box(k ^ i));
                     }
                     std::hint::black_box(acc);
@@ -70,7 +78,6 @@ fn main() {
         ServerConfig::new(8)
             .runtime(runtime)
             .max_in_flight(2_048)
-            .adapt_every(512)
             .log_retunes(true),
     );
     eprintln!(
@@ -205,7 +212,6 @@ fn main() {
         server.stats().loop_range_steals,
     );
 
-    let hist = server.task_histogram();
     let report = server.shutdown();
     let total = SUBMITTERS * JOBS_PER_SUBMITTER;
     assert_eq!(
@@ -219,14 +225,10 @@ fn main() {
     assert_eq!(report.prior_regions.len(), 1);
     assert!(
         report.stats.retunes >= 1,
-        "the distribution shift must trigger at least one live retune \
-         (got {}; histogram:\n{})",
+        "the swap at the distribution shift must count a live retune (got {})",
         report.stats.retunes,
-        hist.render()
     );
 
-    eprintln!("[task_server] task-size distribution across the run:");
-    eprint!("{}", hist.render());
     eprintln!(
         "[task_server] OK: {total} jobs from {SUBMITTERS} submitters in {wall:.2?} \
          ({:.0} jobs/s), {} live DLB retune(s), {} rejected submissions",

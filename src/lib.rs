@@ -34,13 +34,13 @@ pub use xgomp_core::{
     auto_portfolio_member, chrome_json_from_dir, chrome_json_from_jsonl, clock, final_summary,
     guidelines, render_task_counts, render_timeline, state_summary, Affinity, AllocKind, AutoPick,
     AutoSelector, AutoSiteStatus, BarrierKind, ChunkPolicy, CostModel, DlbConfig, DlbStrategy,
-    DlbTuning, DrainSummary, EventKind, IngressSource, IterSpace, LiveTaskSampler, Locality,
-    LoopError, LoopId, LoopReport, LoopSchedule, LoopSpace, LoopTelemetry, LoopTelemetrySnapshot,
-    MachineTopology, Parker, PerfLog, Placement, ProfileDump, PromText, RegionOutput, Runtime,
-    RuntimeConfig, SchedulerKind, Scope, SpaceKind, StatsSnapshot, StreamLine, TaskCtx,
-    TaskSizeHistogram, TeamStats, TraceEvent, TraceLevel, TraceSnapshot, TraceStream,
-    TraceStreamConfig, TraceStreamStats, Tracer, AUTO_CONFIRM_WINDOWS, AUTO_FALLBACK,
-    AUTO_PORTFOLIO_LEN, AUTO_TRIALS_PER_MEMBER, DEFAULT_TILE,
+    DlbTuning, DrainSummary, EventKind, IngressSource, IterSpace, Locality, LoopError, LoopId,
+    LoopReport, LoopSchedule, LoopSpace, LoopTelemetry, LoopTelemetrySnapshot, MachineTopology,
+    Parker, PerfLog, Placement, ProfileDump, PromText, RegionOutput, Runtime, RuntimeConfig,
+    SchedulerKind, Scope, SpaceKind, StatsSnapshot, StreamLine, TaskCtx, TaskSizeHistogram,
+    TeamStats, TraceEvent, TraceLevel, TraceSnapshot, TraceStream, TraceStreamConfig,
+    TraceStreamStats, Tracer, AUTO_CONFIRM_WINDOWS, AUTO_FALLBACK, AUTO_PORTFOLIO_LEN,
+    AUTO_TRIALS_PER_MEMBER, DEFAULT_TILE,
 };
 pub use xgomp_service::{
     CancelReason, CancelToken, JobError, JobHandle, JobPanic, JobReport, JoinTimeout, QosClass,

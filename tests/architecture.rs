@@ -454,7 +454,7 @@ fn one_join_wait() {
 }
 
 /// One per-worker cell primitive: every single-writer per-worker block
-/// (§V counters, sampler lanes, trace rings, job outcomes) is a seat of
+/// (§V counters, trace rings, job outcomes) is a seat of
 /// `xgomp_xqueue::Cells`, padded by the workspace's one `CachePadded`. A
 /// second padding type, outcome shards indexed `worker % OUTCOME_SHARDS`
 /// (which two workers could share) and mutex-guarded lane or ring lists
@@ -472,6 +472,66 @@ fn one_per_worker_cell() {
         l.contains("Mutex<Vec<Arc<TaskLane>>>") || l.contains("Mutex<Vec<Arc<EventRing>>>")
     });
     r.count(0, "no mutex-guarded lane or ring list", lists);
+}
+
+/// One DLB tuning source: after start, a server's tuning cell is written
+/// only when an operator asks — by `swap_tuning` and by a `resume_with`
+/// DLB seed (`apply_config`), both in `server/lifecycle.rs` — so
+/// `retunes` counts operator swaps and nothing else. The online Table-IV
+/// controller and the live task sampler it read (a clock pair around
+/// every served task) must not grow back.
+#[test]
+fn one_dlb_tuning_source() {
+    let r = Rule("one_dlb_tuning_source");
+    // `path: fn` of every non-test `tuning.store(`, with a method chain
+    // split over lines (`shared\n.tuning\n.store(`) read as one line.
+    let mut stores = Vec::new();
+    for dir in ["crates", "src"] {
+        for file in files(&Path::new(ROOT).join(dir), "rs") {
+            let rel = file.strip_prefix(ROOT).unwrap().display().to_string();
+            if rel.ends_with("/tests.rs") {
+                continue;
+            }
+            let text = fs::read_to_string(&file).unwrap();
+            let (mut owner, mut logical) = (String::new(), String::new());
+            let non_test = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+            for line in non_test.chain([""]) {
+                let line = code(line).trim();
+                if !line.starts_with('.') {
+                    if logical.contains("tuning.store(") {
+                        stores.push(format!("{rel}: {owner}"));
+                    }
+                    logical.clear();
+                }
+                logical.push_str(line);
+                if let Some((_, rest)) = line.split_once("fn ") {
+                    owner = rest.split(['(', '<']).next().unwrap().to_string();
+                }
+            }
+        }
+    }
+    let lifecycle = format!("{SERVICE}/server/lifecycle.rs");
+    let expected = [
+        format!("{lifecycle}: swap_tuning"),
+        format!("{lifecycle}: apply_config"),
+    ];
+    let what = "non-test `tuning.store(` only in `swap_tuning` and `apply_config`";
+    r.check(stores == expected, what, &stores);
+    let tables = grep(SERVICE, Part::NonTest, |l| {
+        code(l).contains("recommend_dlb")
+    });
+    r.count(0, "the server applies no Table-IV pick of its own", tables);
+    let mut controllers = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        controllers.extend(grep(dir, Part::All, |l| {
+            ["AdaptiveController", "LiveTaskSampler", "adapt_every"]
+                .iter()
+                .any(|w| l.contains(w))
+        }));
+    }
+    controllers.retain(|h| !h.starts_with("tests/architecture.rs:"));
+    let what = "no `AdaptiveController`, `LiveTaskSampler` or `adapt_every`";
+    r.count(0, what, controllers);
 }
 
 /// One measurement harness: a speed claim is a number in the battery's

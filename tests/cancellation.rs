@@ -34,7 +34,7 @@ fn two_zone_server(threads: usize) -> TaskServer {
     let rt = RuntimeConfig::xgomptb(threads)
         .topology(MachineTopology::new(2, threads.div_ceil(2).max(1), 1))
         .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32));
-    TaskServer::start(ServerConfig::new(threads).runtime(rt).adapt_every(0))
+    TaskServer::start(ServerConfig::new(threads).runtime(rt))
 }
 
 #[test]
@@ -209,7 +209,7 @@ fn deadline_inside_a_reserve_abandons_it_exactly() {
     const WORKERS: usize = 4;
     const ROUNDS: u64 = 20;
     let rt = RuntimeConfig::xgomptb(WORKERS).topology(MachineTopology::new(1, WORKERS, 1));
-    let server = TaskServer::start(ServerConfig::new(WORKERS).runtime(rt).adapt_every(0));
+    let server = TaskServer::start(ServerConfig::new(WORKERS).runtime(rt));
     let ran = Arc::new(AtomicU64::new(0));
     for round in 0..ROUNDS {
         let late = Arc::new(AtomicU64::new(0));

@@ -59,7 +59,7 @@ fn two_zone_server(threads: usize) -> TaskServer {
     let rt = RuntimeConfig::xgomptb(threads)
         .topology(MachineTopology::new(2, threads.div_ceil(2).max(1), 1))
         .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(64));
-    TaskServer::start(ServerConfig::new(threads).runtime(rt).adapt_every(0))
+    TaskServer::start(ServerConfig::new(threads).runtime(rt))
 }
 
 /// Spins ~`w` iterations of busy work (pure, checksum-free).
@@ -316,7 +316,7 @@ proptest! {
             .topology(topo)
             .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32));
         let server = TaskServer::start(
-            ServerConfig::new(threads).runtime(rt).adapt_every(0),
+            ServerConfig::new(threads).runtime(rt),
         );
 
         let handles: Vec<_> = (0..n_loops)
@@ -372,7 +372,7 @@ proptest! {
             .topology(topo)
             .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32));
         let server = TaskServer::start(
-            ServerConfig::new(threads).runtime(rt).adapt_every(0),
+            ServerConfig::new(threads).runtime(rt),
         );
 
         let handles: Vec<_> = (0..n_loops)

@@ -172,7 +172,7 @@ fn panicking_loop_body_racing_a_rebalance_probe_is_isolated() {
     let rt = RuntimeConfig::xgomptb(4)
         .topology(MachineTopology::new(2, 2, 1))
         .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(32));
-    let server = TaskServer::start(ServerConfig::new(4).runtime(rt).adapt_every(0));
+    let server = TaskServer::start(ServerConfig::new(4).runtime(rt));
 
     const N: u64 = 30_000;
     let sum = Arc::new(AtomicU64::new(0));

@@ -22,8 +22,8 @@ fn parking_server(threads: usize) -> TaskServer {
     )
 }
 
-/// Busy-waits ≥ 1 µs and hands `v` back: a job body long enough that its
-/// sampled duration cannot round to zero ticks.
+/// Busy-waits ≥ 1 µs and hands `v` back: a job body that takes
+/// measurable time, not an instant return.
 fn after_1us(v: u64) -> u64 {
     let t0 = clock::now();
     while clock::now().saturating_sub(t0) < clock::ns_to_ticks(1_000) {
@@ -161,8 +161,6 @@ fn pause_swap_resume_conserves_across_generations() {
         parks_paused,
         "paused team must be asleep, not yield-looping"
     );
-    let hist_g1 = server.task_histogram();
-    assert_eq!(hist_g1.count, 100, "every generation-1 job was sampled");
 
     // Queue while paused, through the *retained* pinned lane and the
     // anonymous path. Nothing may execute yet.
@@ -213,30 +211,6 @@ fn pause_swap_resume_conserves_across_generations() {
     for (i, h) in g2.into_iter().enumerate() {
         assert_eq!(h.join().unwrap(), 2_000 + i as u64);
     }
-
-    // One sampler serves the server's whole life: the 8 → 3 resize
-    // retired nothing, so the histogram is monotone across it, covers
-    // both generations' jobs, and keeps a true (nonzero) minimum. A
-    // worker records just *after* it completes the handle, hence the
-    // short wait for the last sample.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let hist = loop {
-        let h = server.task_histogram();
-        assert!(h.count >= hist_g1.count && h.count <= 210);
-        if h.count == 210 {
-            break h;
-        }
-        assert!(Instant::now() < deadline, "sampled {}/210 jobs", h.count);
-        std::thread::yield_now();
-    };
-    assert!(hist.min_ticks <= hist_g1.min_ticks && hist.max_ticks >= hist_g1.max_ticks);
-    assert!(
-        0 < hist.min_ticks && hist.min_ticks <= hist.mean() && hist.mean() <= hist.max_ticks,
-        "min {} <= mean {} <= max {}",
-        hist.min_ticks,
-        hist.mean(),
-        hist.max_ticks
-    );
 
     drop(pinned);
     let report = server.shutdown();
@@ -377,7 +351,7 @@ fn pause_resume_stress_conserves_jobs() {
 /// later generations.
 #[test]
 fn swap_tuning_applies_without_pause() {
-    let server = TaskServer::start(ServerConfig::new(2).adapt_every(0));
+    let server = TaskServer::start(ServerConfig::new(2));
     let manual = DlbConfig::new(DlbStrategy::RedirectPush).n_steal(2);
     server.swap_tuning(manual);
     assert_eq!(server.active_dlb(), manual);

@@ -32,8 +32,7 @@ fn sixty_four_registered_submitters_conserve_per_lane() {
             .runtime(runtime)
             .lanes_per_shard(SUBMITTERS / ZONES + 1)
             .lane_capacity(64)
-            .max_in_flight(100_000) // clamped to real ring capacity
-            .adapt_every(0),
+            .max_in_flight(100_000), // clamped to real ring capacity
     ));
     assert_eq!(server.stats().shards, ZONES);
 

@@ -27,11 +27,10 @@ fn run_allocs(server: &TaskServer, opts: SubmitOptions, n: u64) -> u64 {
     support::allocs().1 - before
 }
 
-/// Allocations per job submitted through `opts` to a one-worker server.
-/// The adaptive controller is off: its window snapshot allocates once per
-/// 512 tasks, which is no job's cost.
+/// Allocations per job submitted through `opts` to a one-worker server
+/// with the default configuration.
 fn per_job(opts: SubmitOptions) -> f64 {
-    let server = TaskServer::start(ServerConfig::new(1).adapt_every(0));
+    let server = TaskServer::start(ServerConfig::new(1));
     run_allocs(&server, opts, 1_000);
     let small = run_allocs(&server, opts, 1_000);
     let large = run_allocs(&server, opts, 2_000);

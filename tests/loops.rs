@@ -56,7 +56,7 @@ fn two_zone_server(threads: usize) -> TaskServer {
     let rt = RuntimeConfig::xgomptb(threads)
         .topology(MachineTopology::new(2, threads.div_ceil(2).max(1), 1))
         .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(64));
-    TaskServer::start(ServerConfig::new(threads).runtime(rt).adapt_every(0))
+    TaskServer::start(ServerConfig::new(threads).runtime(rt))
 }
 
 /// (a) Exactly-once over 1M iterations for every schedule, with a
@@ -198,69 +198,6 @@ fn worker_shrink_on_resume_conserves_and_telemetry_survives() {
     let per = server.loop_telemetry().per_schedule;
     assert_eq!(per[LoopSchedule::Guided(16).index()].loops, 1);
     assert_eq!(per[LoopSchedule::Adaptive.index()].loops, 1);
-    server.shutdown();
-}
-
-/// Loop chunk durations feed the live task-size sampler (the signal the
-/// Table-IV adaptive controller windows on), so loop-heavy workloads
-/// can retune the DLB engine from their real chunk grain — not just
-/// from whole drain-task durations.
-#[test]
-fn loop_chunk_durations_feed_the_live_sampler() {
-    let server = two_zone_server(4);
-    let baseline = server.task_histogram().count;
-    let report = server
-        .submit_for(0..100_000, LoopSchedule::Dynamic(256), |_, _| {})
-        .unwrap()
-        .join()
-        .unwrap();
-    assert!(report.chunks >= 100_000 / 256);
-    let after = server.task_histogram().count;
-    assert!(
-        after - baseline >= report.chunks,
-        "sampler saw {} new samples for {} chunks — chunk durations must \
-         be sampled individually",
-        after - baseline,
-        report.chunks
-    );
-    server.shutdown();
-}
-
-/// The sampler keeps one sample of mass per chunk at either end of the
-/// timing-window rule: sub-µs chunks share one clock read between the
-/// chunks of a window and are recorded weighted; chunks of 10 µs and
-/// more are windows of one, recorded one by one as before. (The loop job
-/// and its drain tasks are samples too, hence the small surplus.)
-#[test]
-fn sampler_mass_is_one_sample_per_chunk_at_any_grain() {
-    let server = two_zone_server(4);
-    let cases: [(&str, u64, fn()); 2] = [
-        ("sub-µs body", 100_000, || {}),
-        ("10 µs body", 600, || {
-            let t0 = std::time::Instant::now();
-            while t0.elapsed() < std::time::Duration::from_micros(10) {
-                std::hint::spin_loop();
-            }
-        }),
-    ];
-    for (what, len, body) in cases {
-        let baseline = server.task_histogram().count;
-        let report = server
-            .submit_for(0..len, LoopSchedule::Dynamic(1), move |_, _| body())
-            .unwrap()
-            .join()
-            .unwrap();
-        assert_eq!(
-            report.chunks, len,
-            "{what}: Dynamic(1) chunks are iterations"
-        );
-        let seen = server.task_histogram().count - baseline;
-        assert!(
-            (report.chunks..=report.chunks + 16).contains(&seen),
-            "{what}: sampler saw {seen} new samples for {} chunks",
-            report.chunks
-        );
-    }
     server.shutdown();
 }
 

@@ -407,8 +407,7 @@ fn auto_sites_are_independent() {
 }
 
 /// A tuning-swap epoch bump re-opens exploration at every converged
-/// site — the converged answer was measured under the old tuning
-/// (mirrors the adaptive controller's `watch_swaps`).
+/// site — the converged answer was measured under the old tuning.
 #[test]
 fn auto_reexplores_after_swap_epoch_bump() {
     let sel = AutoSelector::new();
@@ -521,7 +520,7 @@ fn auto_loops_through_the_server_conserve_and_export_metrics() {
     let rt = RuntimeConfig::xgomptb(4)
         .topology(MachineTopology::new(2, 2, 1))
         .dlb(DlbConfig::new(DlbStrategy::WorkSteal).t_interval(64));
-    let server = TaskServer::start(ServerConfig::new(4).runtime(rt).adapt_every(0));
+    let server = TaskServer::start(ServerConfig::new(4).runtime(rt));
     let site = LoopId(0xDA7A);
 
     let executed = Arc::new(AtomicU64::new(0));

@@ -214,7 +214,7 @@ fn full_trace_captures_loop_and_runtime_events() {
         .topology(MachineTopology::new(2, 2, 1))
         .dlb(DlbConfig::new(DlbStrategy::WorkSteal))
         .trace(TraceLevel::Full);
-    let server = TaskServer::start(ServerConfig::new(4).runtime(rt).adapt_every(0));
+    let server = TaskServer::start(ServerConfig::new(4).runtime(rt));
     let report = server
         .submit_for(0..4_000, xgomp::LoopSchedule::Dynamic(16), |i, _| {
             if i >= 2_000 {

@@ -75,7 +75,6 @@ fn rolling_drain_conserves_across_rotations_and_reshape() {
     let rt = RuntimeConfig::xgomptb(2).trace(TraceLevel::Full);
     let cfg = ServerConfig::new(2)
         .runtime(rt)
-        .adapt_every(0)
         // Tiny segments force rotation mid-load; a high retention cap
         // keeps every rolled segment so the whole stream is on disk.
         .trace_stream(&dir, 16 * 1024, 10_000)
@@ -159,7 +158,6 @@ fn pause_flush_barrier_completes_the_on_disk_stream() {
     let server = TaskServer::start(
         ServerConfig::new(2)
             .runtime(rt)
-            .adapt_every(0)
             .trace_stream(&dir, 1 << 20, 10_000)
             // Deliberately glacial cadence: only the pause barrier can
             // explain the records reaching disk promptly.
