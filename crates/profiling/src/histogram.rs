@@ -383,4 +383,15 @@ mod tests {
         assert_eq!(h.mean(), 0);
         assert_eq!(h.min_ticks, 0);
     }
+
+    /// A lane's seat starts a line and fills whole lines, so adjacent
+    /// workers' lanes never share a 128-byte line.
+    #[test]
+    fn lanes_never_share_a_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        use xgomp_xqueue::cells::Slot;
+        assert_eq!(align_of::<Slot<TaskLane>>(), 128);
+        assert_eq!(size_of::<Slot<TaskLane>>() % 128, 0);
+        assert_eq!(offset_of!(Slot<TaskLane>, 0), 0);
+    }
 }
