@@ -13,7 +13,7 @@ use xgomp_topology::Placement;
 use xgomp_xqueue::{bump, CachePadded, Parker};
 
 use super::message::MsgCell;
-use super::{DlbConfig, DlbStrategy, DlbTuning};
+use super::{DlbConfig, DlbStrategy};
 use crate::sched::Row;
 
 /// Victim-side per-worker redirect state (NA-RP, Alg. 3).
@@ -41,12 +41,10 @@ impl Default for RedirectState {
 /// half of the protocol — the message cells, which a thief writes and a
 /// victim answers, and everything read-only.
 ///
-/// All four knobs are read through a [`DlbTuning`] cell at every
-/// scheduling point, so an operator holding a clone of the `Arc` (the
-/// task server's `swap_tuning`) can hot-swap the configuration
-/// (including the strategy) while the team keeps running.
+/// The configuration is held by value, normalised once: a team's DLB
+/// strategy and knobs are fixed for its life.
 pub(crate) struct DlbEngine {
-    tuning: Arc<DlbTuning>,
+    cfg: DlbConfig,
     cells: Box<[CachePadded<MsgCell>]>,
     placement: Arc<Placement>,
     /// Team idle parker: a victim that migrates tasks into a thief's row
@@ -72,14 +70,9 @@ pub(crate) struct DlbSeat<'e> {
 }
 
 impl DlbEngine {
-    pub fn new(
-        n: usize,
-        tuning: Arc<DlbTuning>,
-        placement: Arc<Placement>,
-        parker: Arc<Parker>,
-    ) -> Self {
+    pub fn new(n: usize, cfg: DlbConfig, placement: Arc<Placement>, parker: Arc<Parker>) -> Self {
         DlbEngine {
-            tuning,
+            cfg: cfg.normalized(),
             cells: (0..n).map(|_| CachePadded(MsgCell::new())).collect(),
             placement,
             parker,
@@ -100,9 +93,9 @@ impl DlbEngine {
         }
     }
 
-    /// Snapshot of the currently active configuration.
+    /// The configuration this team runs (normalised).
     pub fn config(&self) -> DlbConfig {
-        self.tuning.load()
+        self.cfg
     }
 }
 
@@ -148,7 +141,7 @@ impl DlbSeat<'_> {
     /// before retrying.
     pub fn on_idle(&self) {
         let (eng, w) = (self.eng, self.w);
-        let cfg = eng.tuning.load();
+        let cfg = &eng.cfg;
         let send_now = {
             let mut idle_iters = self.idle_iters.get();
             let send = idle_iters == 0;
@@ -183,18 +176,9 @@ impl DlbSeat<'_> {
     /// lattice row (producer *and* consumer roles).
     pub fn on_found_task(&self, row: &Row<'_>) {
         let (eng, w) = (self.eng, self.w);
-        let cfg = eng.tuning.load();
+        let cfg = &eng.cfg;
         match cfg.strategy {
             DlbStrategy::WorkSteal => {
-                // A hot swap from NA-RP can leave a redirect armed with
-                // its round un-bumped; retire it so the cell accepts new
-                // requests under the new strategy.
-                {
-                    let rd = &mut *self.redirect.borrow_mut();
-                    if rd.thief >= 0 {
-                        self.finish_redirect(rd);
-                    }
-                }
                 if let Some(thief) = eng.cells[w].0.take_valid_request() {
                     bump(&self.stats.nreq_handled, 1);
                     self.work_steal(row, thief, cfg.n_steal);
@@ -270,13 +254,9 @@ impl DlbSeat<'_> {
     /// NA-RP spawn hook (Alg. 3, `doRedirectPush`): if a redirect is
     /// armed, returns the thief to push the new task to and consumes one
     /// quota unit. Disarms (and bumps the round) when the quota is
-    /// exhausted or the thief's queue is full.
+    /// exhausted or the thief's queue is full. Under NA-WS no redirect
+    /// is ever armed, so this is `None`.
     pub fn redirect_target(&self, row: &Row<'_>) -> Option<usize> {
-        if self.eng.tuning.load().strategy != DlbStrategy::RedirectPush {
-            // A hot swap away from NA-RP retires any armed redirect at
-            // the victim's next found-task point (see `on_found_task`).
-            return None;
-        }
         let rd = &mut *self.redirect.borrow_mut();
         if rd.thief < 0 {
             return None;
@@ -338,7 +318,7 @@ mod tests {
             &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
         ));
         (
-            DlbEngine::new(n, Arc::new(DlbTuning::new(cfg)), placement, parker),
+            DlbEngine::new(n, cfg, placement, parker),
             Rows::new(n, queue_capacity),
         )
     }

@@ -16,7 +16,9 @@
 //!
 //! Both are driven by [`DlbConfig`]'s four knobs — `n_victim`, `n_steal`,
 //! `t_interval`, `p_local` — the parameters swept in Table I and
-//! Figs. 9–11.
+//! Figs. 9–11. Like the paper, which fixes one configuration per run
+//! (§IV-E), a team holds one [`DlbConfig`] for its whole life; a task
+//! server changes it only between generations (`resume_with`).
 
 mod engine;
 mod message;
@@ -94,108 +96,31 @@ impl DlbConfig {
         self
     }
 
+    /// `self` with every knob in range. The fields are `pub`, so a
+    /// struct literal bypasses the builder clamps; this applies the same
+    /// ones. A team runs (and a server compares) the normalised form.
+    pub fn normalized(self) -> Self {
+        self.n_victim(self.n_victim)
+            .n_steal(self.n_steal)
+            .t_interval(self.t_interval)
+            .p_local(self.p_local)
+    }
+
+    /// Makes `to`, normalised, the configuration `self` holds, and
+    /// returns whether that is a retune: whether anything changed in the
+    /// normalised form. A task server's `resume_with` counts these.
+    pub fn retune(&mut self, to: DlbConfig) -> bool {
+        let to = to.normalized();
+        let changed = *self != to;
+        *self = to;
+        changed
+    }
+
     /// The paper's Eq. 1 *steal size*:
     /// `S_steal = N_steal × N_victim / log10(T_interval)`.
     pub fn steal_size(&self) -> f64 {
         let denom = (self.t_interval.max(2) as f64).log10();
         (self.n_steal * self.n_victim) as f64 / denom
-    }
-}
-
-/// A [`DlbConfig`] whose knobs can be re-tuned **while workers are
-/// running** — the mechanism behind the task server's operator swaps
-/// (`TaskServer::swap_tuning` in `xgomp-service`).
-///
-/// Every field is an independent relaxed atomic: workers re-read the
-/// configuration at each scheduling point, so a store becomes visible
-/// within one scheduling-point latency without stopping the team. A
-/// reader may transiently observe a mix of old and new fields during a
-/// swap; every mix is itself a valid configuration, so this is benign
-/// (the same argument the paper makes for its last-writer-wins request
-/// cells).
-#[derive(Debug)]
-pub struct DlbTuning {
-    /// 0 = NA-RP, 1 = NA-WS.
-    strategy: std::sync::atomic::AtomicU8,
-    n_victim: std::sync::atomic::AtomicUsize,
-    n_steal: std::sync::atomic::AtomicUsize,
-    t_interval: std::sync::atomic::AtomicU64,
-    /// `f64::to_bits` of `p_local`.
-    p_local_bits: std::sync::atomic::AtomicU64,
-    /// Completed [`store`](Self::store) calls that changed the config.
-    retunes: std::sync::atomic::AtomicU64,
-}
-
-impl DlbTuning {
-    fn strategy_code(s: DlbStrategy) -> u8 {
-        match s {
-            DlbStrategy::RedirectPush => 0,
-            DlbStrategy::WorkSteal => 1,
-        }
-    }
-
-    /// `cfg` with every knob in range — the form the cell holds. The
-    /// fields are `pub`, so a struct literal bypasses the builder
-    /// clamps; this applies the same ones.
-    fn normalized(cfg: DlbConfig) -> DlbConfig {
-        cfg.n_victim(cfg.n_victim)
-            .n_steal(cfg.n_steal)
-            .t_interval(cfg.t_interval)
-            .p_local(cfg.p_local)
-    }
-
-    /// A tuning cell seeded with `cfg`.
-    pub fn new(cfg: DlbConfig) -> Self {
-        use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize};
-        let cfg = Self::normalized(cfg);
-        DlbTuning {
-            strategy: AtomicU8::new(Self::strategy_code(cfg.strategy)),
-            n_victim: AtomicUsize::new(cfg.n_victim),
-            n_steal: AtomicUsize::new(cfg.n_steal),
-            t_interval: AtomicU64::new(cfg.t_interval),
-            p_local_bits: AtomicU64::new(cfg.p_local.to_bits()),
-            retunes: AtomicU64::new(0),
-        }
-    }
-
-    /// Snapshot of the active configuration.
-    pub fn load(&self) -> DlbConfig {
-        use std::sync::atomic::Ordering::Relaxed;
-        DlbConfig {
-            strategy: if self.strategy.load(Relaxed) == 0 {
-                DlbStrategy::RedirectPush
-            } else {
-                DlbStrategy::WorkSteal
-            },
-            n_victim: self.n_victim.load(Relaxed),
-            n_steal: self.n_steal.load(Relaxed),
-            t_interval: self.t_interval.load(Relaxed),
-            p_local: f64::from_bits(self.p_local_bits.load(Relaxed)),
-        }
-    }
-
-    /// Publishes `cfg` as the active configuration (hot swap). Counts a
-    /// retune when anything actually changed, compared in the clamped
-    /// form the cell holds. Returns whether it did.
-    pub fn store(&self, cfg: DlbConfig) -> bool {
-        use std::sync::atomic::Ordering::Relaxed;
-        let cfg = Self::normalized(cfg);
-        let changed = self.load() != cfg;
-        self.strategy
-            .store(Self::strategy_code(cfg.strategy), Relaxed);
-        self.n_victim.store(cfg.n_victim, Relaxed);
-        self.n_steal.store(cfg.n_steal, Relaxed);
-        self.t_interval.store(cfg.t_interval, Relaxed);
-        self.p_local_bits.store(cfg.p_local.to_bits(), Relaxed);
-        if changed {
-            self.retunes.fetch_add(1, Relaxed);
-        }
-        changed
-    }
-
-    /// How many effective re-tunes have been published.
-    pub fn retunes(&self) -> u64 {
-        self.retunes.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -208,26 +133,24 @@ mod tests {
         let a = DlbConfig::new(DlbStrategy::WorkSteal)
             .n_steal(4)
             .p_local(0.5);
-        let t = DlbTuning::new(a);
-        assert_eq!(t.load(), a);
-        assert_eq!(t.retunes(), 0);
-        t.store(a); // no change: not a retune
-        assert_eq!(t.retunes(), 0);
+        let mut held = a;
+        assert!(!held.retune(a), "no change: not a retune");
+        assert_eq!(held, a);
         let b = DlbConfig::new(DlbStrategy::RedirectPush)
             .n_victim(24)
             .n_steal(128)
             .t_interval(1_000)
             .p_local(0.06);
-        t.store(b);
-        assert_eq!(t.load(), b);
-        assert_eq!(t.retunes(), 1);
+        let retunes = [b, b, a].into_iter().filter(|&c| held.retune(c)).count();
+        assert_eq!(held, a);
+        assert_eq!(retunes, 2);
     }
 
-    /// A struct literal bypasses the builder clamps; storing the same
-    /// out-of-range config twice is one retune, not two.
+    /// A struct literal bypasses the builder clamps; retuning to the
+    /// same out-of-range config twice is one retune, not two.
     #[test]
     fn out_of_range_literal_counts_one_retune() {
-        let t = DlbTuning::new(DlbConfig::new(DlbStrategy::WorkSteal));
+        let mut held = DlbConfig::new(DlbStrategy::WorkSteal);
         let raw = DlbConfig {
             strategy: DlbStrategy::RedirectPush,
             n_victim: 0,
@@ -235,10 +158,8 @@ mod tests {
             t_interval: 0,
             p_local: 1.5,
         };
-        t.store(raw);
-        t.store(raw);
-        assert_eq!(t.retunes(), 1, "an identical store is not a retune");
-        let held = t.load();
+        let retunes = [raw, raw].into_iter().filter(|&c| held.retune(c)).count();
+        assert_eq!(retunes, 1, "an identical config is not a retune");
         assert_eq!((held.n_victim, held.n_steal, held.t_interval), (1, 1, 1));
         assert_eq!(held.p_local, 1.0);
     }

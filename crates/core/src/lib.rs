@@ -47,6 +47,7 @@
 //! * tuning: [`guidelines`] (Table IV as code).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod alloc;
@@ -67,7 +68,7 @@ pub use barrier::BarrierKind;
 pub use cancel::{raise_cancel, CancelReason, CancelToken, CancelUnwind};
 pub use config::RuntimeConfig;
 pub use ctx::{Scope, TaskCtx};
-pub use dlb::{DlbConfig, DlbStrategy, DlbTuning};
+pub use dlb::{DlbConfig, DlbStrategy};
 pub use loops::{
     auto_portfolio_member, AutoPick, AutoSelector, AutoSiteStatus, ChunkPolicy, IterSpace,
     LoopError, LoopId, LoopReport, LoopSchedule, LoopSpace, SpaceKind, AUTO_CONFIRM_WINDOWS,

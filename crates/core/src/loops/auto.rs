@@ -6,8 +6,8 @@
 //! given), it trials the portfolio across repeated loop instances,
 //! scores each member by measured makespan over a fixed trial window,
 //! and converges on the fastest once two consecutive sweep windows agree
-//! (two-window hysteresis). A converged site re-explores when the DLB
-//! tuning swap epoch moves (`watch_swaps`: an operator's `swap_tuning`)
+//! (two-window hysteresis). A converged site re-explores when the
+//! server's swap epoch moves (`watch_swaps`: a `resume_with` config swap)
 //! or when its makespan drifts to ≥2× the converged baseline for several
 //! consecutive runs (distribution shift).
 

@@ -25,7 +25,7 @@ use xgomp_profiling::WorkerStats;
 use xgomp_topology::Placement;
 use xgomp_xqueue::Parker;
 
-use crate::dlb::DlbTuning;
+use crate::dlb::DlbConfig;
 use crate::task::Task;
 
 /// Scheduler implementation selector.
@@ -36,7 +36,7 @@ pub enum SchedulerKind {
     /// Per-worker lock-free work-stealing deques (LOMP model).
     Lomp,
     /// XQueue lattice with static round-robin balancing; pass a
-    /// [`DlbConfig`](crate::DlbConfig) through `SchedulerKind::build` to enable NA-RP or
+    /// [`DlbConfig`] through `SchedulerKind::build` to enable NA-RP or
     /// NA-WS on top.
     XQueue,
 }
@@ -44,10 +44,9 @@ pub enum SchedulerKind {
 impl SchedulerKind {
     /// Instantiates the scheduler for a team of `n` workers.
     ///
-    /// `tuning` (hoisted by the team builder from the runtime's
-    /// `DlbConfig` or supplied by a server) enables the DLB engine and
-    /// stays shared with the caller, enabling hot re-tuning while the
-    /// team runs (XQueue scheduler only). `parker` is the team's idle
+    /// `dlb` (the runtime's [`RuntimeConfig::dlb`](crate::RuntimeConfig::dlb))
+    /// enables the DLB engine, which holds that configuration for the
+    /// team's life (XQueue scheduler only). `parker` is the team's idle
     /// parker: schedulers wake the push target (or, for global queues, a
     /// zone-local sleeper) after publishing a task, so parked workers
     /// never miss work.
@@ -56,7 +55,7 @@ impl SchedulerKind {
         n: usize,
         queue_capacity: usize,
         placement: Arc<Placement>,
-        tuning: Option<Arc<DlbTuning>>,
+        dlb: Option<DlbConfig>,
         parker: Arc<Parker>,
     ) -> Box<dyn Scheduler> {
         match self {
@@ -66,7 +65,7 @@ impl SchedulerKind {
                 n,
                 queue_capacity,
                 placement,
-                tuning,
+                dlb,
                 parker,
             )),
         }

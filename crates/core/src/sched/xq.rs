@@ -31,7 +31,7 @@ use xgomp_topology::Placement;
 use xgomp_xqueue::{bump, Parker, PushCursor, XQueueLattice};
 
 use super::{Claims, Scheduler, Seat};
-use crate::dlb::{DlbEngine, DlbSeat, DlbTuning};
+use crate::dlb::{DlbConfig, DlbEngine, DlbSeat};
 use crate::task::{Task, TaskPtr};
 
 /// XQueue lattice scheduler with optional NA-RP/NA-WS load balancing.
@@ -194,12 +194,12 @@ impl XQueueScheduler {
         n: usize,
         queue_capacity: usize,
         placement: Arc<Placement>,
-        tuning: Option<Arc<DlbTuning>>,
+        dlb: Option<DlbConfig>,
         parker: Arc<Parker>,
     ) -> Self {
         XQueueScheduler {
             rows: Rows::new(n, queue_capacity),
-            dlb: tuning.map(|t| DlbEngine::new(n, t, placement, parker.clone())),
+            dlb: dlb.map(|cfg| DlbEngine::new(n, cfg, placement, parker.clone())),
             parker,
             n,
         }
@@ -308,7 +308,7 @@ impl Seat for XqSeat<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dlb::{DlbConfig, DlbStrategy};
+    use crate::dlb::DlbStrategy;
     use xgomp_topology::{Affinity, MachineTopology};
 
     fn mk(creator: u32) -> NonNull<Task> {
@@ -325,11 +325,10 @@ mod tests {
             n,
             Affinity::Close,
         ));
-        let tuning = dlb.map(|cfg| Arc::new(DlbTuning::new(cfg)));
         let parker = Arc::new(Parker::new(
             &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
         ));
-        XQueueScheduler::new(n, cap, placement, tuning, parker)
+        XQueueScheduler::new(n, cap, placement, dlb, parker)
     }
 
     fn stats(n: usize) -> Vec<WorkerStats> {

@@ -143,6 +143,10 @@ pub(crate) struct Task {
 // state is atomic or guarded by the single-executor discipline (`body` is
 // consumed exactly once, by the executing worker).
 unsafe impl Send for Task {}
+// SAFETY: through a shared reference a record changes only in atomics
+// (`refs`, the panic claim) and in cells each owned by one thread at a
+// time: `body` and `cancel` by the executing worker, `child_panic` by the
+// claim winner until the executor reads it after quiescence.
 unsafe impl Sync for Task {}
 
 impl Task {

@@ -20,6 +20,7 @@ use xgomp_xqueue::IdleGate;
 use super::{TeamShared, Worker};
 use crate::ctx::TaskCtx;
 use crate::task::Task;
+use crate::util::locked;
 
 /// Executes one task on `worker`: locality accounting, NUMA cost
 /// model, the body itself, then completion (dependency updates, barrier
@@ -280,43 +281,40 @@ pub(crate) fn worker_loop(worker: &Worker<'_>) {
 }
 
 /// Master path: run the region closure as the implicit task, then join
-/// the barrier loop like any other worker.
-pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> R) -> R {
+/// the barrier loop like any other worker. Returns `None` when the region
+/// panicked.
+///
+/// A panic on either leg — the closure, or a task body the master runs —
+/// is caught: it poisons the team, and its payload replaces any worker's
+/// (the master's panic is the region's). The master still joins the
+/// loop, which the poison ends, so every path hands `finish_region` a
+/// team whose implicit task it can retire once the workers are gone.
+pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> R) -> Option<R> {
     let worker = Worker::claim(team, 0);
     // The implicit (root) task anchoring the region's task tree,
     // published so idle workers can parent injected tasks to it.
     let root = worker.alloc.alloc(None, 0);
     team.root.store(root.as_ptr(), Ordering::Release);
-
-    struct PoisonOnUnwind<'a>(&'a TeamShared);
-    impl Drop for PoisonOnUnwind<'_> {
-        fn drop(&mut self) {
-            self.0.poison();
-        }
-    }
-
-    let result = {
-        let ctx = TaskCtx {
-            worker: &worker,
-            task: root,
-        };
-        let bomb = PoisonOnUnwind(team);
-        let r = f(&ctx);
-        std::mem::forget(bomb);
-        r
+    let ctx = TaskCtx {
+        worker: &worker,
+        task: root,
     };
-
+    let result = master_leg(team, || f(&ctx));
     team.barrier.arrive(0);
-    worker_loop(&worker);
-
-    // Region quiesced: retire the implicit task. The published pointer is
-    // cleared first; released workers have already left their loops.
-    team.root.store(std::ptr::null_mut(), Ordering::Release);
-    // SAFETY: region quiesced, so every child has released its reference
-    // and ours is the handle. The barrier never counted the implicit
-    // task.
-    unsafe { retire(&worker, root, false) };
+    master_leg(team, || worker_loop(&worker));
     result
+}
+
+/// One leg of the master path; a panic poisons the team with the
+/// master's payload.
+fn master_leg<T>(team: &TeamShared, leg: impl FnOnce() -> T) -> Option<T> {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(leg));
+    caught
+        .map_err(|payload| {
+            *locked(&team.panic) = Some(payload);
+            team.poison();
+        })
+        .ok()
 }
 
 #[cfg(test)]

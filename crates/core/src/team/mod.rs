@@ -29,6 +29,7 @@ pub use runtime::{RegionOutput, Runtime};
 pub(crate) use worker::Worker;
 
 use std::any::Any;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -41,7 +42,6 @@ use crate::alloc::TaskAllocator;
 use crate::barrier::TeamBarrier;
 use crate::config::RuntimeConfig;
 use crate::ctx::TaskCtx;
-use crate::dlb::DlbTuning;
 use crate::loops::AutoSelector;
 use crate::sched::Scheduler;
 use crate::task::Task;
@@ -81,9 +81,6 @@ pub trait IngressSource: Send + Sync {
 pub struct ServingHooks {
     /// External work feed polled by idle workers.
     pub source: Option<Arc<dyn IngressSource>>,
-    /// Hot-swappable DLB configuration; `None` uses a per-region cell
-    /// seeded from [`RuntimeConfig::dlb`].
-    pub tuning: Option<Arc<DlbTuning>>,
     /// Cross-generation loop-subsystem counters (`parallel_for` folds
     /// its per-loop totals in here when present).
     pub loop_stats: Option<Arc<LoopTelemetry>>,
@@ -155,9 +152,6 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
     let parker = Arc::new(Parker::new(
         &(0..n).map(|w| placement.zone_of(w)).collect::<Vec<_>>(),
     ));
-    let tuning = hooks
-        .tuning
-        .or_else(|| cfg.dlb.map(|d| Arc::new(DlbTuning::new(d))));
     let tracer = hooks
         .tracer
         .or_else(|| (cfg.trace != TraceLevel::Off).then(|| Arc::new(Tracer::new(cfg.trace))));
@@ -167,7 +161,7 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
             n,
             cfg.queue_capacity,
             placement.clone(),
-            tuning,
+            cfg.dlb,
             parker.clone(),
         ),
         barrier: cfg.barrier.build(n, parker.clone()),
@@ -191,25 +185,49 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
     }
 }
 
-/// Teardown checks + telemetry collection for a quiesced region.
-fn finish_region<R>(mut team: TeamShared, result: R, wall: Duration) -> RegionOutput<R> {
-    // Teardown sanity: a correct barrier leaves nothing queued. (A task
-    // found here stays unretired — every worker is gone, and the assert
-    // below is about to report the bug that stranded it.)
-    let mut leaked = 0usize;
-    team.sched.drain_all(&mut |_| leaked += 1);
-    assert_eq!(
-        leaked,
-        0,
-        "scheduler `{}` retained {leaked} task(s) after `{}` released",
+/// Teardown of a region whose workers have all retired, on every exit
+/// path: retires the implicit task, runs the retention and leak checks,
+/// then re-raises the panic of a poisoned region (`result` is `None`
+/// exactly then) or collects the telemetry.
+fn finish_region<R>(mut team: TeamShared, result: Option<R>, wall: Duration) -> RegionOutput<R> {
+    // With every worker gone nothing can parent a task to the root any
+    // more, so the master's handle reference is dropped here.
+    let root = std::mem::replace(team.root.get_mut(), std::ptr::null_mut());
+    let root = NonNull::new(root).expect("the master published the root");
+    let seat = team.alloc.seat(0);
+    // SAFETY: the handle reference `master_main` took is released once,
+    // here, and the record is freed only once that was the last one (a
+    // stranded child still holds its own).
+    unsafe {
+        if root.as_ref().release_ref() {
+            seat.free(root);
+        }
+    }
+    drop(seat);
+    // Teardown sanity: a correct barrier leaves nothing queued. A
+    // poisoned region may strand tasks, because its workers leave their
+    // loops at the poison. A stranded task stays unretired (its body may
+    // borrow from the frame the panic unwound), and it pins its
+    // ancestors' records, so the leak check only runs without one.
+    let poisoned = *team.poisoned.get_mut();
+    let mut stranded = 0usize;
+    team.sched.drain_all(&mut |_| stranded += 1);
+    assert!(
+        poisoned || stranded == 0,
+        "scheduler `{}` retained {stranded} task(s) after `{}` released",
         team.sched.name(),
         team.barrier.name()
     );
-    debug_assert_eq!(
-        team.alloc.outstanding(),
-        0,
+    debug_assert!(
+        stranded > 0 || team.alloc.outstanding() == 0,
         "task records leaked by the region"
     );
+    let Some(result) = result.filter(|_| !poisoned) else {
+        match locked(&team.panic).take() {
+            Some(payload) => std::panic::resume_unwind(payload),
+            None => panic!("a task body panicked inside the region"),
+        }
+    };
 
     let mut logs = std::mem::take(&mut *locked(&team.logs));
     logs.sort_by_key(PerfLog::worker);

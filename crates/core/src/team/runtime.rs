@@ -8,7 +8,6 @@
 //! threads (a worker's payload re-raised on the region caller, the hot
 //! thread kept parkable) lives here too.
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -86,8 +85,8 @@ impl Runtime {
     }
 
     /// Opens a region with the persistent-executor [`ServingHooks`]: an
-    /// ingress source polled by idle workers and optional DLB tuning /
-    /// telemetry / tracer hooks. Task-body panics are isolated:
+    /// ingress source polled by idle workers and optional telemetry /
+    /// tracer hooks. Task-body panics are isolated:
     /// they re-raise at the parent's next `taskwait` instead of
     /// poisoning the team.
     pub fn serve<R>(
@@ -122,8 +121,8 @@ impl Runtime {
             workers.gate.cv.notify_all();
         }
 
-        // A master that unwinds from here drops `workers`, which joins
-        // them (the team is poisoned, so they drain out) instead of
+        // The master catches a panicked region's payload; a master that
+        // unwinds anyway drops `workers`, which joins them instead of
         // returning threads of unknown state to the slot.
         let result = master_main(&team, f);
 
@@ -141,13 +140,6 @@ impl Runtime {
         drop(displaced);
 
         let team = Arc::into_inner(team).expect("workers retired their team handles");
-        if team.poisoned.load(Ordering::Acquire) {
-            let payload = locked(&team.panic).take();
-            match payload {
-                Some(payload) => std::panic::resume_unwind(payload),
-                None => panic!("a task body panicked inside the region"),
-            }
-        }
         finish_region(team, result, wall)
     }
 }

@@ -57,8 +57,8 @@ pub enum EventKind {
     GenOpen = 14,
     /// A task-server generation closed (payload `b` = generation).
     GenClose = 15,
-    /// An operator swap (`swap_tuning`, or a resume's DLB seed) changed
-    /// the DLB tuning (payload `b` = cumulative retune count).
+    /// A task server's `resume_with` changed the DLB configuration at a
+    /// generation boundary (payload `b` = cumulative retune count).
     Retune = 16,
     /// A job was cancelled cooperatively (instant; payload `a` = 0
     /// explicit cancel / 1 deadline, `b` = job id).

@@ -89,50 +89,12 @@ impl TaskSizeHistogram {
         self.total_ticks.checked_div(self.count).unwrap_or(0)
     }
 
-    /// The window between an `earlier` cumulative snapshot and this one:
-    /// bucket counts, task count and tick totals are differenced
-    /// (saturating — swapped arguments yield an empty window instead of
-    /// nonsense). `min_ticks`/`max_ticks` are not diffable and are
-    /// reported as the cumulative values.
-    pub fn window_since(&self, earlier: &TaskSizeHistogram) -> TaskSizeHistogram {
-        let mut w = TaskSizeHistogram {
-            count: self.count.saturating_sub(earlier.count),
-            total_ticks: self.total_ticks.saturating_sub(earlier.total_ticks),
-            min_ticks: self.min_ticks,
-            max_ticks: self.max_ticks,
-            ..Default::default()
-        };
-        for (dst, (now, was)) in w
-            .buckets
-            .iter_mut()
-            .zip(self.buckets.iter().zip(&earlier.buckets))
-        {
-            *dst = now.saturating_sub(*was);
-        }
-        w
-    }
-
     /// Index of the decade holding the most tasks — the paper's "highest
     /// proportion around 10^k cycles" — or `None` when the histogram is
     /// empty ([`modal_index`] over the buckets: argmax, median
     /// tie-break).
     pub fn modal_decade_index(&self) -> Option<usize> {
         modal_index(&self.buckets)
-    }
-
-    /// A representative per-task cycle count for guideline
-    /// classification: the *modal decade* of the distribution (argmax
-    /// bucket, median tie-break), positioned within the decade by the
-    /// histogram's mean when the mean falls inside it and clamped to the
-    /// decade's bounds otherwise. Unlike the raw mean, this cannot be
-    /// dragged across a class boundary by a minority of outliers — a
-    /// bimodal window (many tiny tasks, a few huge ones) classifies by
-    /// what *most* tasks look like. `None` when empty.
-    pub fn modal_cycles(&self) -> Option<u64> {
-        let i = self.modal_decade_index()?;
-        let lo = if i == 0 { 0 } else { 10u64.pow(i as u32) };
-        let hi = 10u64.pow(i as u32 + 1) - 1;
-        Some(self.mean().clamp(lo, hi))
     }
 
     /// Renders an ASCII distribution, one row per decade.
@@ -159,23 +121,6 @@ impl TaskSizeHistogram {
             ));
         }
         out
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &TaskSizeHistogram) {
-        if other.count > 0 {
-            self.min_ticks = if self.count == 0 {
-                other.min_ticks
-            } else {
-                self.min_ticks.min(other.min_ticks)
-            };
-            self.max_ticks = self.max_ticks.max(other.max_ticks);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.total_ticks += other.total_ticks;
     }
 }
 
@@ -307,40 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = recorded([10]);
-        a.merge(&recorded([100_000]));
-        assert_eq!(a.count, 2);
-        assert_eq!(a.min_ticks, 10);
-        assert_eq!(a.max_ticks, 100_000);
-        // Merging into (or from) an empty histogram keeps the true
-        // minimum: `Default` has no minimum yet, not a minimum of 0.
-        let mut fresh = TaskSizeHistogram::default();
-        fresh.merge(&a);
-        assert_eq!(fresh, a);
-        fresh.merge(&TaskSizeHistogram::default());
-        assert_eq!(fresh.min_ticks, 10);
-    }
-
-    #[test]
     fn render_is_humane() {
         let s = recorded([500; 5]).render();
         assert!(s.contains("tasks=5"));
         assert!(s.contains("10^2..10^3"));
-    }
-
-    #[test]
-    fn window_since_diffs_buckets_and_totals() {
-        let early = recorded([50, 5_000]);
-        let late = recorded([50, 5_000, 50, 50, 700]);
-        let w = late.window_since(&early);
-        assert_eq!(w.count, 3);
-        assert_eq!(w.buckets[1], 2); // the two new 50s
-        assert_eq!(w.buckets[2], 1); // 700
-        assert_eq!(w.buckets[3], 0, "pre-window 5000 excluded");
-        assert_eq!(w.total_ticks, 50 + 50 + 700);
-        // Swapped arguments (counts go backwards) yield an empty window.
-        assert_eq!(early.window_since(&late).count, 0);
     }
 
     #[test]
@@ -359,21 +274,6 @@ mod tests {
         h.buckets = [0, 5, 0, 0, 0, 1, 5, 0, 0];
         h.count = 11;
         assert_eq!(h.modal_decade_index(), Some(6));
-    }
-
-    #[test]
-    fn modal_cycles_resists_bimodal_outliers() {
-        // 1000 tasks of ~50 cycles + 100 tasks of ~5M cycles: the mean
-        // (~455k) says "huge tasks", the modal decade says what most
-        // tasks are — tiny — and clamps the representative into it.
-        let h = recorded(std::iter::repeat_n(50, 1_000).chain(std::iter::repeat_n(5_000_000, 100)));
-        assert!(h.mean() > 100_000, "mean is outlier-dragged");
-        assert_eq!(h.modal_decade_index(), Some(1));
-        let rep = h.modal_cycles().unwrap();
-        assert!(
-            (10..100).contains(&rep),
-            "representative in 10..100, got {rep}"
-        );
     }
 
     #[test]

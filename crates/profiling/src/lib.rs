@@ -44,6 +44,7 @@
 //! summed on read.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 mod chrome;
 pub mod clock;

@@ -758,7 +758,7 @@ impl<R> JobHandle<R> {
 
     /// Polls `is_done` until the job is done, its admission age reaches
     /// [`JOIN_SPIN`], or `deadline` passes — one clock read per probe.
-    fn spin_while_young(&self, deadline: Option<Instant>) {
+    pub(crate) fn spin_while_young(&self, deadline: Option<Instant>) {
         let state = &*self.state;
         let budget = clock::ns_to_ticks(JOIN_SPIN.as_nanos() as u64);
         let mut end = state.submitted.saturating_add(budget);
@@ -918,21 +918,30 @@ mod tests {
     /// the completion must count this one. Returns how long the joiner
     /// took from entering `join` to registering. The job is admitted on
     /// the joiner's thread, right before the join, so it is as young as
-    /// a job can be when its join starts.
+    /// a job can be when its join starts. This thread polls for the
+    /// handover instead of blocking on it, so its own wake-up is not part
+    /// of the measured time.
     fn join_parked(job: fn(u64) -> Job) -> Duration {
         let (tx, rx) = std::sync::mpsc::channel();
         let joiner = std::thread::spawn(move || {
             let (handle, state) = job(clock::now());
-            tx.send((state, Instant::now())).unwrap();
-            handle.join()
+            tx.send(state).unwrap();
+            let entered = Instant::now();
+            (entered, handle.join())
         });
-        let (state, entered) = rx.recv().unwrap();
+        let state = loop {
+            match rx.try_recv() {
+                Ok(state) => break state,
+                Err(_) => std::hint::spin_loop(),
+            }
+        };
         while state.waiters.load(Ordering::Relaxed) != 1 {
             std::hint::spin_loop();
         }
         let registered = Instant::now();
         state.complete(Ok(9));
-        assert_eq!(joiner.join().unwrap().unwrap(), 9);
+        let (entered, joined) = joiner.join().unwrap();
+        assert_eq!(joined.unwrap(), 9);
         assert_eq!(state.broadcasts.get(), 1);
         assert_eq!(state.waiters.load(Ordering::Relaxed), 0);
         registered.saturating_duration_since(entered)

@@ -4,10 +4,10 @@
 //! is one long region on a `Runtime`'s hot workers, so one team stays
 //! alive across jobs; external threads submit work through NUMA-sharded
 //! lock-less ingress queues, results come back through futures-style
-//! [`JobHandle`]s, and an operator can hot-swap the DLB configuration
-//! (for example the paper's Table-IV pick for the task size at hand,
-//! `xgomp_core::guidelines::recommend_dlb`) while the workers keep
-//! running.
+//! [`JobHandle`]s, and an operator can change the DLB configuration
+//! between generations (for example to the paper's Table-IV pick for the
+//! task size at hand, `xgomp_core::guidelines::recommend_dlb`) without
+//! losing a queued job.
 //!
 //! ## Architecture
 //!
@@ -27,8 +27,8 @@
 //!        ▼
 //!  job body runs (unwind-caught) ──▶ JobHandle completes
 //!
-//!  swap_tuning / resume_with ──▶ DlbTuning, read by every worker at
-//!  its next scheduling point
+//!  resume_with ──▶ the next generation's DlbConfig, held by value by
+//!  that team's DLB engine for the generation's life
 //! ```
 //!
 //! ## Idle/wake semantics
@@ -56,10 +56,10 @@
 //! [`SubmitError::Paused`] only at the in-flight bound).
 //! [`TaskServer::resume`] reopens on the team's generation-stamped start
 //! gate, and [`TaskServer::resume_with`] applies a whole new
-//! [`RuntimeConfig`] at the boundary — worker count, barrier, topology —
-//! while [`TaskServer::swap_tuning`] hot-swaps just the DLB parameters
-//! without pausing at all. Those two calls are the only retunes. See the
-//! [server module](TaskServer) docs for the state-machine diagram.
+//! [`RuntimeConfig`] at the boundary — worker count, barrier, topology,
+//! DLB. That boundary is the only retune: a generation's team runs one
+//! DLB configuration for its life, as the paper fixes one per run. See
+//! the [server module](TaskServer) docs for the state-machine diagram.
 //!
 //! ## Serving robustness: QoS, cancellation, deadlines
 //!
@@ -177,6 +177,7 @@
 //! passes — so it helps with its own worker's queued tasks only.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 mod handle;
 mod ingress;
@@ -367,9 +368,9 @@ impl From<QosClass> for SubmitOptions {
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Team shape and scheduler. Use an XQueue-based preset (the
-    /// default, [`RuntimeConfig::xgomptb`]) — the DLB hot-tuning has no
-    /// effect on the GOMP/LOMP baselines. When `runtime.dlb` is `None`,
-    /// the server seeds the tuning cell with the NA-WS defaults.
+    /// default, [`RuntimeConfig::xgomptb`]) — DLB has no effect on the
+    /// GOMP/LOMP baselines. When `runtime.dlb` is `None`, the server
+    /// runs the first generation with the NA-WS defaults.
     pub runtime: RuntimeConfig,
     /// Admission bound: jobs submitted but not yet completed. `submit`
     /// parks and `try_submit` fails while at the bound. Must be ≥ 1
@@ -388,8 +389,7 @@ pub struct ServerConfig {
     /// Slots per lane (rounded up to a power of two by the B-queue).
     pub lane_capacity: usize,
     /// Print a line to stderr on every effective DLB retune (a
-    /// [`TaskServer::swap_tuning`] or `resume_with` seed that changes the
-    /// configuration).
+    /// [`TaskServer::resume_with`] whose DLB changes the configuration).
     pub log_retunes: bool,
     /// Directory for *automatic* flight-recorder dumps: a panicking job
     /// writes `panic-job-<id>.trace.json` (before its handle completes)

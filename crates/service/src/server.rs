@@ -32,10 +32,10 @@
 //! generation-stamped start gate; [`TaskServer::resume_with`] applies a
 //! new [`RuntimeConfig`] at the boundary — growing or shrinking the
 //! worker set and re-mapping workers/doorbells onto the (persistent)
-//! ingress shards when the zone map changes — and
-//! [`TaskServer::swap_tuning`] hot-swaps the DLB configuration at any
-//! time. Those two are the only writers of the DLB tuning cell after
-//! start: the server retunes only when an operator asks.
+//! ingress shards when the zone map changes. That boundary is the only
+//! place the server's DLB configuration changes: a generation's team
+//! runs one configuration for its whole life, and the server retunes
+//! only when an operator asks.
 //!
 //! ```text
 //!            ┌────────────────────── resume / resume_with ────────────────┐
@@ -69,8 +69,8 @@ use crate::ingress::ShardedIngress;
 use crate::metrics::{MetricsHooks, MetricsListener};
 use crate::ServerConfig;
 use xgomp_core::{
-    AutoSelector, DlbConfig, DlbStrategy, DlbTuning, LoopTelemetry, ParkerCell, RegionOutput,
-    TraceStream, Tracer,
+    AutoSelector, DlbConfig, DlbStrategy, LoopTelemetry, ParkerCell, RegionOutput, TraceStream,
+    Tracer,
 };
 use xgomp_xqueue::{CachePadded, Cells};
 
@@ -152,15 +152,17 @@ struct ServerShared {
     /// Control plane: lifecycle transitions and the resume command.
     ctl: Mutex<ControlPlane>,
     ctl_cv: Condvar,
-    /// The DLB configuration cell driving every generation's team;
-    /// seeded from the config, then stored only by `swap_tuning` and
-    /// `resume_with`.
-    tuning: Arc<DlbTuning>,
-    /// Print a line to stderr whenever one of those stores changes the
-    /// configuration (`ServerConfig::log_retunes`).
+    /// The DLB configuration the current generation's team runs
+    /// (normalised): seeded in `start`, then written only by a
+    /// `resume_with` at a generation boundary (`apply_config`).
+    active_dlb: Mutex<DlbConfig>,
+    /// `resume_with` calls that changed `active_dlb`.
+    retunes: AtomicU64,
+    /// Print a line to stderr on every retune
+    /// (`ServerConfig::log_retunes`).
     log_retunes: bool,
-    /// Bumped on every `swap_tuning` and `resume_with`; the `Auto`
-    /// selector re-explores when it observes a change.
+    /// Bumped on every `resume_with`; the `Auto` selector re-explores
+    /// when it observes a change.
     swap_epoch: Arc<AtomicU64>,
     /// Loop-subsystem telemetry (`parallel_for` chunk/steal counters),
     /// owned by the *server*, not by any generation: every generation's
@@ -171,8 +173,7 @@ struct ServerShared {
     /// telemetry: per-site trial state and convergence ride
     /// across generations, so a loop site submitted before a pause keeps
     /// its learned schedule after `resume`. Watches `swap_epoch` — a
-    /// `swap_tuning` (or `resume_with`) bump sends every site back to
-    /// exploration.
+    /// `resume_with` bump sends every site back to exploration.
     auto_select: Arc<AutoSelector>,
     /// The flight recorder: one lock-free event ring per worker, shared
     /// with every generation's team (the same `Arc` is handed to
@@ -242,7 +243,15 @@ impl TaskServer {
             cfg.max_in_flight > 0,
             "ServerConfig::max_in_flight must be ≥ 1: a bound of 0 admits no job ever"
         );
-        let rt = cfg.runtime.clone();
+        // The DLB seed (NA-WS unless the runtime names one) goes into
+        // the first generation's config; later ones inherit it unless a
+        // `resume_with` names another.
+        let mut rt = cfg.runtime.clone();
+        let initial_dlb = rt
+            .dlb
+            .unwrap_or_else(|| DlbConfig::new(DlbStrategy::WorkSteal))
+            .normalized();
+        rt.dlb = Some(initial_dlb);
 
         // One shard per NUMA zone of the *initial* placement. The shard
         // set is fixed for the server's lifetime (pinned lanes keep their
@@ -269,11 +278,7 @@ impl TaskServer {
             .unwrap_or(max_in_flight / 2)
             .clamp(1, max_in_flight);
 
-        let initial_dlb = rt
-            .dlb
-            .unwrap_or_else(|| DlbConfig::new(DlbStrategy::WorkSteal));
-        let tuning = Arc::new(DlbTuning::new(initial_dlb));
-        // `Schedule::Auto` selector: watches the swap epoch so a tuning
+        // `Schedule::Auto` selector: watches the swap epoch so a config
         // swap re-opens exploration at every converged loop site.
         let swap_epoch = Arc::new(AtomicU64::new(0));
         let auto_select = Arc::new(AutoSelector::new());
@@ -302,7 +307,8 @@ impl TaskServer {
             bp_cv: Condvar::new(),
             ctl: Mutex::new(ControlPlane::default()),
             ctl_cv: Condvar::new(),
-            tuning,
+            active_dlb: Mutex::new(initial_dlb),
+            retunes: AtomicU64::new(0),
             log_retunes: cfg.log_retunes,
             swap_epoch,
             loop_stats: Arc::new(LoopTelemetry::new()),

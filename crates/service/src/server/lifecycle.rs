@@ -11,7 +11,7 @@ use super::{ServerShared, TaskServer};
 use crate::{locked, wait};
 use xgomp_core::{
     DlbConfig, EventKind, IngressSource, RegionOutput, Runtime, RuntimeConfig, ServingHooks,
-    TaskCtx, TraceLevel,
+    TaskCtx,
 };
 use xgomp_topology::Placement;
 use xgomp_xqueue::IdleGate;
@@ -142,10 +142,14 @@ impl TaskServer {
     /// at the generation boundary: worker count, barrier/scheduler kind,
     /// topology and `park_idle` all take effect for generation N+1. A
     /// changed worker count rebuilds the thread set and re-maps workers
-    /// and doorbells onto the existing ingress shards; a `Some` DLB in
-    /// the config seeds the tuning cell (a retune when it changes the
-    /// active configuration). Either way the boundary bumps the swap
-    /// epoch, so `Schedule::Auto` loop sites re-explore.
+    /// and doorbells onto the existing ingress shards. This is the one
+    /// place the server's DLB configuration changes: a `Some` DLB in the
+    /// config is the new generation's (a retune when it differs, after
+    /// normalisation, from [`active_dlb`](Self::active_dlb)), a `None`
+    /// keeps the active one. To retune for a new task size, pick the
+    /// config (Table IV is `xgomp_core::guidelines::recommend_dlb`) and
+    /// pass it here. Either way the boundary bumps the swap epoch, so
+    /// `Schedule::Auto` loop sites re-explore.
     pub fn resume_with(&self, rt: RuntimeConfig) -> Result<(), LifecycleError> {
         rt.assert_team_size();
         self.resume_inner(Some(rt))
@@ -182,19 +186,6 @@ impl TaskServer {
             }
             ctl = wait(&shared.ctl_cv, ctl);
         }
-    }
-
-    /// Hot-swaps the DLB configuration driving the team, effective at
-    /// the workers' next scheduling points — no pause required. This is
-    /// how the server is retuned: pick the config (Table IV is
-    /// `xgomp_core::guidelines::recommend_dlb`) and swap it in. A swap
-    /// that changes the configuration counts a retune; every swap bumps
-    /// the swap epoch, so `Schedule::Auto` loop sites re-explore.
-    pub fn swap_tuning(&self, dlb: DlbConfig) {
-        if self.shared.tuning.store(dlb) {
-            self.shared.log_retune("swap_tuning");
-        }
-        self.shared.swap_epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Current lifecycle state (racy snapshot).
@@ -293,7 +284,6 @@ pub(super) fn master_loop(
         });
         let hooks = ServingHooks {
             source: Some(source.clone() as Arc<dyn IngressSource>),
-            tuning: Some(shared.tuning.clone()),
             loop_stats: Some(shared.loop_stats.clone()),
             auto_select: Some(shared.auto_select.clone()),
             tracer: Some(shared.tracer.clone()),
@@ -350,12 +340,22 @@ pub(super) fn master_loop(
     regions
 }
 
-/// Applies a `resume_with` configuration at the generation boundary.
-fn apply_config(shared: &ServerShared, team: &mut Runtime, new_rt: RuntimeConfig) {
-    if let Some(dlb) = new_rt.dlb {
-        if shared.tuning.store(dlb) {
-            shared.log_retune("resume_with");
+/// Applies a `resume_with` configuration at the generation boundary —
+/// the one writer of the server's active DLB configuration. A `Some` DLB
+/// that differs from the active one after normalisation is a retune
+/// (counted, logged, and traced as one `Retune` record on ring 0, which
+/// is free between regions); a `None` keeps the active one.
+fn apply_config(shared: &ServerShared, team: &mut Runtime, mut new_rt: RuntimeConfig) {
+    {
+        let mut active = locked(&shared.active_dlb);
+        if let Some(dlb) = new_rt.dlb {
+            if active.retune(dlb) {
+                let n = shared.retunes.fetch_add(1, Ordering::Relaxed) + 1;
+                shared.log_retune(n, *active);
+                shared.tracer.emit_meta(0, EventKind::Retune, 0, n, 0);
+            }
         }
+        new_rt.dlb = Some(*active);
     }
     team.reconfigure(new_rt);
     // A config swap re-opens `Auto` exploration even when the DLB seed is
@@ -366,17 +366,15 @@ fn apply_config(shared: &ServerShared, team: &mut Runtime, new_rt: RuntimeConfig
 }
 
 impl ServerShared {
-    /// The stderr line of a store that changed the DLB configuration
-    /// (`ServerConfig::log_retunes`); `source` names the call.
-    fn log_retune(&self, source: &str) {
+    /// The stderr line of retune `n`, to `cfg`
+    /// (`ServerConfig::log_retunes`).
+    fn log_retune(&self, n: u64, cfg: DlbConfig) {
         if !self.log_retunes {
             return;
         }
-        let cfg = self.tuning.load();
         eprintln!(
-            "[xgomp-service] DLB retune #{} ({source}) -> {} \
+            "[xgomp-service] DLB retune #{n} (resume_with) -> {} \
              (n_victim={}, n_steal={}, t_interval={}, p_local={}, steal size {:.0})",
-            self.tuning.retunes(),
             cfg.strategy.name(),
             cfg.n_victim,
             cfg.n_steal,
@@ -398,7 +396,6 @@ fn serve_loop(ctx: &TaskCtx<'_>, shared: &ServerShared, source: &ServiceSource) 
     let parker = ctx.parker().clone();
     shared.doorbell.publish(parker.clone());
     let mut gate = IdleGate::default();
-    let mut last_retunes = shared.tuning.retunes();
     loop {
         if ctx.is_poisoned() {
             // Un-isolated panic (a runtime bug — job panics are caught):
@@ -408,16 +405,6 @@ fn serve_loop(ctx: &TaskCtx<'_>, shared: &ServerShared, source: &ServiceSource) 
         shared.deadlines.sweep(ctx);
         let injected = source.poll(ctx);
         let ran = ctx.run_pending(RUN_BATCH);
-        if ctx.trace_on(TraceLevel::Lifecycle) {
-            // Retunes land from a concurrent `swap_tuning`, on a thread
-            // with no ring of its own; the serve loop is the one place
-            // that polls often enough to stamp them near their effect.
-            let r = shared.tuning.retunes();
-            if r != last_retunes {
-                last_retunes = r;
-                ctx.trace_emit(TraceLevel::Lifecycle, EventKind::Retune, 0, r, 0);
-            }
-        }
         if injected > 0 || ran > 0 {
             gate.reset();
             continue;

@@ -216,9 +216,8 @@ pub struct ServerStats {
     pub max_in_flight: usize,
     /// Serve generations opened so far (pause/resume cycles + 1).
     pub generations: u64,
-    /// Effective DLB retunes published: operator swaps
-    /// ([`TaskServer::swap_tuning`], a `resume_with` DLB seed) that
-    /// changed the configuration.
+    /// Effective DLB retunes: [`TaskServer::resume_with`] calls whose
+    /// DLB changed the configuration.
     pub retunes: u64,
     /// Ingress shards (fixed at construction).
     pub shards: usize,
@@ -593,7 +592,7 @@ impl ServerShared {
             queued: self.ingress.occupancy() + locked(&self.spill).len(),
             max_in_flight: self.max_in_flight,
             generations: self.generation.load(Ordering::Relaxed),
-            retunes: self.tuning.retunes(),
+            retunes: self.retunes.load(Ordering::Relaxed),
             shards: self.ingress.n_shards(),
             parked_workers: self.parked_workers_now(),
             parks: self.doorbell.parks(),
@@ -733,15 +732,16 @@ impl TaskServer {
         &self.shared.ingress
     }
 
-    /// The DLB configuration currently driving the team.
+    /// The DLB configuration driving the current generation's team
+    /// (normalised: builder clamps applied).
     pub fn active_dlb(&self) -> DlbConfig {
-        self.shared.tuning.load()
+        *locked(&self.shared.active_dlb)
     }
 
-    /// Effective DLB retunes so far: operator swaps that changed the
-    /// configuration.
+    /// Effective DLB retunes so far: `resume_with` calls whose DLB
+    /// changed the configuration.
     pub fn retunes(&self) -> u64 {
-        self.shared.tuning.retunes()
+        self.shared.retunes.load(Ordering::Relaxed)
     }
 
     // ---- flight recorder / metrics exposition -------------------------

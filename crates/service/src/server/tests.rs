@@ -5,8 +5,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::*;
+use crate::handle::JOIN_SPIN;
 use crate::{locked, JobHandle, LoopSchedule, SubmitOptions, TraceLevel};
-use xgomp_core::{EventKind, TaskCtx};
+use xgomp_core::{clock, EventKind, TaskCtx};
 
 #[test]
 fn jobs_roundtrip_results() {
@@ -775,42 +776,67 @@ fn class_counters_sum_across_worker_shards() {
 }
 
 /// A joiner whose submit woke the parked team spins on the job instead
-/// of sleeping on its condvar, so the completing worker skips the
-/// broadcast. Each ping waits until both workers have parked, so its
-/// doorbell wakes one; a joiner that slept at once would cost a
-/// broadcast on nearly every ping. Parking is pinned on, so an
-/// `XGOMP_WAIT_POLICY=active` run (no worker ever parks, no spin gate
-/// ever opens) tests the same thing.
+/// of sleeping on its condvar, so a job that finishes within the spin
+/// completes without a broadcast. The two decisions behind that are
+/// checked here with no timing budget: the handle's spin gate is exactly
+/// what placing the job got back from `ring_doorbell` (whether a wake-up
+/// was delivered, read off the doorbell's wake counter), and the spin
+/// stops once the job's admission age reaches `JOIN_SPIN`. Whether the
+/// spin wins its race is a timing claim, which the battery measures
+/// (`service.handle.join_wake_us_p50`). Parking is pinned on, so an
+/// `XGOMP_WAIT_POLICY=active` run tests the same thing.
 #[test]
 fn a_joiner_that_woke_the_team_spins_instead_of_sleeping() {
-    const PINGS: u32 = 200;
+    const PINGS: u32 = 20;
     let cfg = ServerConfig::new(2);
     let rt = cfg.runtime.clone().park_idle(true);
     let server = TaskServer::start(cfg.runtime(rt));
-    let parked = || {
-        server
-            .shared
-            .doorbell
-            .with_current(|p| p.currently_parked())
-    };
-    let mut broadcasts = 0;
+    let doorbell = &server.shared.doorbell;
+    let mut gated = 0;
     for i in 0..PINGS {
-        // A team that never parks fails the count below, not the suite's
-        // patience.
-        let give_up = Instant::now() + Duration::from_millis(100);
-        while parked() != Some(2) && Instant::now() < give_up {
-            std::hint::spin_loop();
+        // Let the team park so the doorbell has a worker to wake. A ping
+        // that finds it awake checks the same equality with a shut gate.
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while doorbell.with_current(|p| p.currently_parked()) != Some(2) && Instant::now() < give_up
+        {
+            std::thread::yield_now();
         }
+        let wakes = doorbell.wakes();
         let handle = server.submit(move |_| i).unwrap();
-        let state = handle.state.clone();
+        let woke = doorbell.wakes() > wakes;
+        assert_eq!(
+            handle.spin, woke,
+            "ping {i}: the spin gate follows the doorbell"
+        );
+        gated += u32::from(handle.spin);
         assert_eq!(handle.join().unwrap(), i);
-        broadcasts += state.broadcasts.get();
     }
+    assert!(gated > 0, "no ping found the team parked");
+
+    // On a gated handle whose job is still running, the spin polls until
+    // the job's admission age reaches its budget and then stops.
+    let release = Arc::new(AtomicBool::new(false));
+    let held = release.clone();
+    let mut handle = server
+        .submit(move |_| {
+            while !held.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            PINGS
+        })
+        .unwrap();
+    handle.spin = true;
+    handle.spin_while_young(None);
+    let age = clock::now().saturating_sub(handle.state.submitted);
+    assert!(!handle.is_done(), "the job is held until released");
+    let budget = clock::ns_to_ticks(JOIN_SPIN.as_nanos() as u64);
     assert!(
-        broadcasts < PINGS / 2,
-        "{broadcasts} of {PINGS} pings woke their joiner with a broadcast"
+        age >= budget,
+        "the spin stopped {age} ticks after admission, inside its {budget}"
     );
-    assert_eq!(server.shutdown().stats.completed, u64::from(PINGS));
+    release.store(true, Ordering::Release);
+    assert_eq!(handle.join().unwrap(), PINGS);
+    assert_eq!(server.shutdown().stats.completed, u64::from(PINGS) + 1);
 }
 
 /// Before a deadline job's wrapper took its entry out, every entry kept

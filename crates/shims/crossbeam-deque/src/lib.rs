@@ -111,6 +111,9 @@ struct Inner<T> {
 // SAFETY: elements move across threads through the deque; all shared
 // mutable state is atomics or governed by the owner/claim contracts.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: a thief only loads `top`, `bottom` and `buf`, CASes `top` and
+// copies the slot its CAS claims; stores to `bottom` and `buf` and the
+// `retired` list belong to the single owner (the `Worker` handle).
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 impl<T> Drop for Inner<T> {

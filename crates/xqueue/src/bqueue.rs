@@ -70,6 +70,9 @@ pub struct BQueue<T> {
 // SAFETY: the queue hands `NonNull<T>` across threads; that is only safe
 // when the pointee may move between threads.
 unsafe impl<T: Send> Send for BQueue<T> {}
+// SAFETY: through a shared reference the slots are touched only as
+// atomics, and each cursor block only by the `unsafe` methods of its
+// role, whose contract allows one producer and one consumer thread.
 unsafe impl<T: Send> Sync for BQueue<T> {}
 
 impl<T> BQueue<T> {

@@ -42,6 +42,9 @@ pub struct XQueueLattice<T> {
 // SAFETY: element pointers move between threads; the per-queue role
 // contracts are delegated to the unsafe methods.
 unsafe impl<T: Send> Send for XQueueLattice<T> {}
+// SAFETY: through a shared reference every queue and scan cursor is
+// reached only by the `unsafe` methods, whose producer/consumer role
+// contracts give each role (a cursor is its consumer's) one thread.
 unsafe impl<T: Send> Sync for XQueueLattice<T> {}
 
 impl<T> XQueueLattice<T> {

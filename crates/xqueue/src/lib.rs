@@ -60,6 +60,7 @@
 //! only ever produces into row `p` of the lattice).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod backoff;

@@ -6,12 +6,13 @@
 //! ([`TaskServer::register_submitter`]) — claim-free SPSC submission
 //! with a zone-local doorbell wake. Halfway through, every submitter
 //! switches from fine-grained jobs (hundreds of cycles) to coarse ones
-//! (about 10^5 cycles), and at that shift the operator (submitter 0)
-//! hot-swaps the DLB configuration to Table IV's pick for the coarse
-//! phase ([`TaskServer::swap_tuning`] with `recommend_dlb`), with each
-//! retune logged to stderr. At the end the example
-//! demonstrates the event-driven idle path: the drained server parks
-//! every worker (zero CPU) and one last doorbell ring wakes it.
+//! (about 10^5 cycles). A generation's team keeps one DLB configuration
+//! for its life, so the operator retunes at the next generation
+//! boundary: generation 2 opens under Table IV's pick for the coarse
+//! task size ([`TaskServer::resume_with`] with `recommend_dlb`), and the
+//! retune is logged to stderr. Before that the example demonstrates the
+//! event-driven idle path: the drained server parks every worker (zero
+//! CPU) and one last doorbell ring wakes it.
 //!
 //! ```text
 //! cargo run --release --example task_server
@@ -38,12 +39,8 @@ fn submit_and_verify(server: &TaskServer, t: u64, checksum: &AtomicU64) {
     let mut handles = Vec::with_capacity(JOBS_PER_SUBMITTER as usize);
     for i in 0..JOBS_PER_SUBMITTER {
         // First half: fine-grained jobs (a handful of arithmetic ops).
-        // Second half: coarse jobs spinning for ~10^5 cycles. At the
-        // shift the operator retunes DLB for the new task size.
+        // Second half: coarse jobs spinning for ~10^5 cycles.
         let coarse = i >= JOBS_PER_SUBMITTER / 2;
-        if t == 0 && i == JOBS_PER_SUBMITTER / 2 {
-            server.swap_tuning(recommend_dlb(COARSE_CYCLES));
-        }
         let h = sub
             .submit(move |_ctx| {
                 if coarse {
@@ -138,9 +135,9 @@ fn main() {
 
     // Multi-generation serving: pause the server (the whole team parks,
     // ingress lanes survive), queue a backlog at ~0 CPU, then resume
-    // under a *different* configuration — half the workers on one
-    // socket, RedirectPush tuning — and let generation 2 complete the
-    // queued-while-paused jobs plus fresh ones.
+    // under a *different* configuration — half the workers, and Table
+    // IV's DLB pick for the coarse jobs the submitters ended on — and let
+    // generation 2 complete the queued-while-paused jobs plus fresh ones.
     server.pause().expect("pause");
     assert_eq!(server.parked_workers(), n_workers, "paused team parked");
     let paused_jobs: Vec<_> = (0..256u64)
@@ -158,7 +155,7 @@ fn main() {
         .resume_with(
             RuntimeConfig::xgomptb(4)
                 .topology(MachineTopology::new(2, 2, 1))
-                .dlb(DlbConfig::new(DlbStrategy::RedirectPush)),
+                .dlb(recommend_dlb(COARSE_CYCLES)),
         )
         .expect("resume with new config");
     let backlog: u64 = paused_jobs
@@ -225,13 +222,13 @@ fn main() {
     assert_eq!(report.prior_regions.len(), 1);
     assert!(
         report.stats.retunes >= 1,
-        "the swap at the distribution shift must count a live retune (got {})",
+        "the Table IV pick at generation 2 must count a retune (got {})",
         report.stats.retunes,
     );
 
     eprintln!(
         "[task_server] OK: {total} jobs from {SUBMITTERS} submitters in {wall:.2?} \
-         ({:.0} jobs/s), {} live DLB retune(s), {} rejected submissions",
+         ({:.0} jobs/s), {} DLB retune(s), {} rejected submissions",
         total as f64 / wall.as_secs_f64(),
         report.stats.retunes,
         report.stats.rejected,

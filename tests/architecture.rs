@@ -474,64 +474,94 @@ fn one_per_worker_cell() {
     r.count(0, "no mutex-guarded lane or ring list", lists);
 }
 
-/// One DLB tuning source: after start, a server's tuning cell is written
-/// only when an operator asks — by `swap_tuning` and by a `resume_with`
-/// DLB seed (`apply_config`), both in `server/lifecycle.rs` — so
-/// `retunes` counts operator swaps and nothing else. The online Table-IV
-/// controller and the live task sampler it read (a clock pair around
-/// every served task) must not grow back.
+/// One DLB tuning source: a team's DLB configuration is fixed for its
+/// life, and a server changes it only at a generation boundary — in
+/// `apply_config` (`server/lifecycle.rs`), the one writer of the server's
+/// `active_dlb` and `retunes` besides the seed in `TaskServer::start` —
+/// so `retunes` counts `resume_with` swaps and nothing else. Neither the
+/// mid-run tuning cell and its operator swap nor the online Table-IV
+/// controller and the live task sampler it read may grow back.
 #[test]
 fn one_dlb_tuning_source() {
     let r = Rule("one_dlb_tuning_source");
-    // `path: fn` of every non-test `tuning.store(`, with a method chain
-    // split over lines (`shared\n.tuning\n.store(`) read as one line.
-    let mut stores = Vec::new();
-    for dir in ["crates", "src"] {
-        for file in files(&Path::new(ROOT).join(dir), "rs") {
-            let rel = file.strip_prefix(ROOT).unwrap().display().to_string();
-            if rel.ends_with("/tests.rs") {
-                continue;
+    // `path: fn` of every non-test line that names the server's
+    // `active_dlb` field (a call of the `active_dlb()` reader aside) or
+    // bumps `retunes`, with a method chain split over lines
+    // (`shared\n.active_dlb\n.lock()`) read as one line.
+    let touches = |l: &str| {
+        let field = l.match_indices("active_dlb").any(|(i, _)| {
+            let rest = &l[i + "active_dlb".len()..];
+            (l[..i].ends_with('.') && !rest.starts_with('(')) || rest.starts_with(": Mutex::new(")
+        });
+        field || l.contains("retunes.fetch_add(")
+    };
+    let mut writers = Vec::new();
+    for file in files(&Path::new(ROOT).join(SERVICE), "rs") {
+        let rel = file.strip_prefix(ROOT).unwrap().display().to_string();
+        if rel.ends_with("/tests.rs") {
+            continue;
+        }
+        let text = fs::read_to_string(&file).unwrap();
+        let (mut owner, mut logical) = (String::new(), String::new());
+        let non_test = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+        for line in non_test.chain([""]) {
+            let line = code(line).trim();
+            if !line.starts_with('.') {
+                if touches(&logical) {
+                    writers.push(format!("{rel}: {owner}"));
+                }
+                logical.clear();
             }
-            let text = fs::read_to_string(&file).unwrap();
-            let (mut owner, mut logical) = (String::new(), String::new());
-            let non_test = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
-            for line in non_test.chain([""]) {
-                let line = code(line).trim();
-                if !line.starts_with('.') {
-                    if logical.contains("tuning.store(") {
-                        stores.push(format!("{rel}: {owner}"));
-                    }
-                    logical.clear();
-                }
-                logical.push_str(line);
-                if let Some((_, rest)) = line.split_once("fn ") {
-                    owner = rest.split(['(', '<']).next().unwrap().to_string();
-                }
+            logical.push_str(line);
+            if let Some((_, rest)) = line.split_once("fn ") {
+                owner = rest.split(['(', '<']).next().unwrap().to_string();
             }
         }
     }
-    let lifecycle = format!("{SERVICE}/server/lifecycle.rs");
+    writers.sort();
+    writers.dedup();
     let expected = [
-        format!("{lifecycle}: swap_tuning"),
-        format!("{lifecycle}: apply_config"),
+        format!("{SERVICE}/server.rs: start"),
+        format!("{SERVICE}/server/lifecycle.rs: apply_config"),
+        format!("{SERVICE}/server/stats.rs: active_dlb"),
     ];
-    let what = "non-test `tuning.store(` only in `swap_tuning` and `apply_config`";
-    r.check(stores == expected, what, &stores);
+    let what = "the server's DLB is seeded in `start`, written only in `apply_config` \
+                and read through `active_dlb`";
+    r.check(writers == expected, what, &writers);
     let tables = grep(SERVICE, Part::NonTest, |l| {
         code(l).contains("recommend_dlb")
     });
     r.count(0, "the server applies no Table-IV pick of its own", tables);
-    let mut controllers = Vec::new();
+    let hooks = fs::read_to_string(Path::new(ROOT).join(CORE).join("team/mod.rs")).unwrap();
+    let hooks = hooks
+        .split("pub struct ServingHooks {")
+        .nth(1)
+        .expect("`ServingHooks` in team/mod.rs");
+    let hooks = hooks.split("\n}").next().unwrap();
+    let fields: Vec<String> = hooks
+        .lines()
+        .filter(|l| code(l).contains("tuning"))
+        .map(String::from)
+        .collect();
+    r.count(0, "no `tuning` field in `ServingHooks`", fields);
+    let mut gone = Vec::new();
     for dir in ["crates", "src", "tests", "examples"] {
-        controllers.extend(grep(dir, Part::All, |l| {
-            ["AdaptiveController", "LiveTaskSampler", "adapt_every"]
-                .iter()
-                .any(|w| l.contains(w))
+        gone.extend(grep(dir, Part::All, |l| {
+            [
+                "AdaptiveController",
+                "LiveTaskSampler",
+                "adapt_every",
+                "DlbTuning",
+                "swap_tuning",
+            ]
+            .iter()
+            .any(|w| l.contains(w))
         }));
     }
-    controllers.retain(|h| !h.starts_with("tests/architecture.rs:"));
-    let what = "no `AdaptiveController`, `LiveTaskSampler` or `adapt_every`";
-    r.count(0, what, controllers);
+    gone.retain(|h| !h.starts_with("tests/architecture.rs:"));
+    let what = "no `DlbTuning`, `swap_tuning`, `AdaptiveController`, `LiveTaskSampler` \
+                or `adapt_every`";
+    r.count(0, what, gone);
 }
 
 /// One measurement harness: a speed claim is a number in the battery's

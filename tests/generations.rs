@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xgomp::service::{Lifecycle, ServerConfig, TaskServer};
-use xgomp::{clock, DlbConfig, DlbStrategy, MachineTopology, RuntimeConfig};
+use xgomp::{clock, DlbConfig, DlbStrategy, EventKind, MachineTopology, RuntimeConfig, TraceLevel};
 
 /// A server whose parking behavior is pinned on regardless of the
 /// `XGOMP_WAIT_POLICY` CI leg — these tests assert on park counters.
@@ -193,7 +193,7 @@ fn pause_swap_resume_conserves_across_generations() {
     assert_eq!(
         server.active_dlb().strategy,
         DlbStrategy::RedirectPush,
-        "resume_with seeds the tuning cell"
+        "resume_with sets the next generation's DLB"
     );
     for (i, h) in queued.into_iter().enumerate() {
         assert_eq!(h.join().unwrap(), 1_000 + i as u64);
@@ -347,17 +347,67 @@ fn pause_resume_stress_conserves_jobs() {
     assert_eq!(tasks, total, "generations partition the executed jobs");
 }
 
-/// `swap_tuning` works mid-generation without a pause and survives into
-/// later generations.
+/// `resume_with` is the one place a server's DLB configuration changes:
+/// a generation's team keeps one for its life. A changed DLB counts one
+/// retune, survives a later plain `resume`, and is traced as exactly one
+/// `Retune` record (`b` = the cumulative count). An identical DLB, or
+/// none, counts nothing; the comparison is in normalised form, so an
+/// out-of-range struct literal given twice is one retune and
+/// `active_dlb()` reports it clamped.
 #[test]
-fn swap_tuning_applies_without_pause() {
-    let server = TaskServer::start(ServerConfig::new(2));
+fn resume_with_is_the_one_retune() {
+    let cfg = ServerConfig::new(2);
+    let rt = cfg.runtime.clone().trace(TraceLevel::Lifecycle);
+    let server = TaskServer::start(cfg.runtime(rt.clone()));
+    let retune_records = || -> Vec<u64> {
+        let snap = server.trace_snapshot();
+        let retunes = snap.events.iter().filter(|e| e.kind == EventKind::Retune);
+        retunes.map(|e| e.b).collect()
+    };
+    let reopen = |rt: Option<RuntimeConfig>| {
+        server.pause().unwrap();
+        match rt {
+            Some(rt) => server.resume_with(rt).unwrap(),
+            None => server.resume().unwrap(),
+        }
+        assert_eq!(server.submit(|_| 7).unwrap().join().unwrap(), 7);
+    };
+    assert_eq!(server.active_dlb(), DlbConfig::new(DlbStrategy::WorkSteal));
+
     let manual = DlbConfig::new(DlbStrategy::RedirectPush).n_steal(2);
-    server.swap_tuning(manual);
+    reopen(Some(rt.clone().dlb(manual)));
     assert_eq!(server.active_dlb(), manual);
-    server.submit(|_| ()).unwrap().join().unwrap();
-    server.pause().unwrap();
-    server.resume().unwrap();
-    assert_eq!(server.active_dlb(), manual, "swap survives a generation");
-    server.shutdown();
+    assert_eq!(server.retunes(), 1);
+    reopen(None);
+    assert_eq!(
+        server.active_dlb(),
+        manual,
+        "a plain resume keeps the config"
+    );
+    reopen(Some(rt.clone().dlb(manual)));
+    reopen(Some(rt.clone().slb()));
+    assert_eq!(server.active_dlb(), manual, "no DLB keeps the active one");
+    assert_eq!(
+        server.retunes(),
+        1,
+        "an identical or absent DLB is no retune"
+    );
+    assert_eq!(retune_records(), [1], "one Retune record per retune");
+
+    let raw = DlbConfig {
+        strategy: DlbStrategy::WorkSteal,
+        n_victim: 0,
+        n_steal: 0,
+        t_interval: 0,
+        p_local: 1.5,
+    };
+    reopen(Some(rt.clone().dlb(raw)));
+    reopen(Some(rt.clone().dlb(raw)));
+    assert_eq!(server.retunes(), 2, "the same literal twice is one retune");
+    assert_eq!(retune_records(), [2]);
+    let held = server.active_dlb();
+    assert_eq!((held.n_victim, held.n_steal, held.t_interval), (1, 1, 1));
+    assert_eq!(held.p_local, 1.0);
+    let report = server.shutdown();
+    assert_eq!((report.stats.retunes, report.stats.generations), (2, 7));
 }

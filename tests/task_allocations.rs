@@ -8,8 +8,10 @@
 //! A task is one record with its body inline: one allocation under the
 //! `Malloc` policy (GOMP's `malloc` per task), none under `MultiLevel`
 //! (recycled records). A capture larger than the inline storage is boxed
-//! and pays one more.
+//! and pays one more. A region that panics frees every record it
+//! allocated, its root task included.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xgomp::{Runtime, RuntimeConfig};
@@ -76,4 +78,30 @@ fn multilevel_policy_allocates_nothing_per_task() {
 fn an_oversized_capture_is_boxed() {
     assert_eq!(per_task(RuntimeConfig::xgomptb(1), true), 2);
     assert_eq!(per_task(RuntimeConfig::xlomp(1), true), 1);
+}
+
+/// A panicked region retires its root task like a clean one: 100 of them,
+/// half panicking in the region body and half in a task body the master
+/// runs, leave this thread's live allocations where warm-up left them
+/// (the warm-up covers the panic machinery's own first-use state).
+#[test]
+fn a_panicked_region_leaks_no_task_record() {
+    let rt = Runtime::new(RuntimeConfig::xgomptb(1));
+    let panicked_region = |i: u32| {
+        let region = catch_unwind(AssertUnwindSafe(|| {
+            rt.parallel(|ctx| {
+                if i.is_multiple_of(2) {
+                    panic!("region body panicked");
+                }
+                ctx.spawn(|_| panic!("task body panicked"));
+                ctx.taskwait();
+            })
+        }));
+        assert!(region.is_err(), "region {i} must re-raise its panic");
+    };
+    (0..10).for_each(panicked_region);
+    let baseline = support::live();
+    (0..100).for_each(panicked_region);
+    let left = support::live() - baseline;
+    assert_eq!(left, 0, "100 panicked regions left {left} allocations live");
 }
