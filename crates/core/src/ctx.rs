@@ -153,8 +153,10 @@ impl<'t> TaskCtx<'t> {
         self.run_pending(max)
     }
 
-    /// Whether the team has been poisoned by an un-isolated panic (the
-    /// region is ending abnormally; cooperative loops should bail out).
+    /// Whether the team has been poisoned by an un-isolated panic. The
+    /// region is ending abnormally: no task body starts from here on
+    /// (queued tasks are discarded), and it ends once the bodies already
+    /// running return, so cooperative loops should bail out.
     pub fn is_poisoned(&self) -> bool {
         self.team().poisoned.load(Ordering::Relaxed)
     }
@@ -269,11 +271,11 @@ impl<'t> TaskCtx<'t> {
     /// Executes up to `max` already-queued tasks on the calling worker,
     /// returning how many ran. Unlike [`taskwait`](Self::taskwait) this
     /// never blocks: it is the cooperative scheduling point a server's
-    /// master loop interleaves with ingress polling.
+    /// master loop interleaves with ingress polling. In a poisoned team
+    /// the tasks it takes are discarded, not run, and still count.
     pub fn run_pending(&self, max: usize) -> usize {
-        let worker = self.worker;
         let mut ran = 0;
-        while ran < max && !worker.team.poisoned.load(Ordering::Relaxed) && worker.run_next(|| {}) {
+        while ran < max && self.worker.run_next(|| {}) {
             ran += 1;
         }
         ran
@@ -282,6 +284,12 @@ impl<'t> TaskCtx<'t> {
     /// Structured spawning: tasks created through the [`Scope`] may
     /// borrow from the enclosing frame; the scope taskwaits on exit
     /// (normal or unwinding), so no borrow can outlive its referent.
+    ///
+    /// The implicit taskwait runs while the drop guard is still armed: a
+    /// sibling that the wait itself runs may panic through it, and the
+    /// guard then waits again. That second wait starts no body — the
+    /// panic poisoned the team, so it discards what it pops — and returns
+    /// only once the children still running elsewhere have finished.
     pub fn scope<'env, F, R>(&self, f: F) -> R
     where
         F: FnOnce(&Scope<'_, 'env>) -> R,
@@ -299,13 +307,16 @@ impl<'t> TaskCtx<'t> {
             _env: PhantomData,
         };
         let r = f(&scope);
-        drop(guard); // the implicit taskwait
+        self.taskwait(); // the implicit taskwait
+        std::mem::forget(guard);
         r
     }
 
     /// Blocks (helpfully — executing other tasks meanwhile, as GOMP's
     /// taskwait scheduling point does) until every direct child of the
-    /// current task has completed.
+    /// current task has completed. In a poisoned team it still waits:
+    /// queued children are discarded instead of run, and a child running
+    /// on another worker is waited for.
     pub fn taskwait(&self) {
         let worker = self.worker;
         let team = worker.team;
@@ -319,9 +330,6 @@ impl<'t> TaskCtx<'t> {
         let mut backoff = Backoff::new();
         let mut wait_t0: Option<u64> = None;
         while task.unfinished_children() != 0 {
-            if team.poisoned.load(Ordering::Relaxed) {
-                return; // a sibling task panicked; bail out
-            }
             let found = || {
                 if let Some(t0) = wait_t0.take() {
                     worker.log_span(EventKind::TaskWait, t0);

@@ -6,11 +6,16 @@
 //! `run_pending`; one *ingress transition* is
 //! [`Worker::poll_ingress`], shared by the worker loop and
 //! `help_pending`. Around them sit [`worker_loop`] (the idle protocol
-//! every worker runs inside the region-end barrier) and [`master_main`]
-//! (the implicit task, then the same loop). All of it runs on a
+//! every worker runs inside the region-end barrier), [`loop_to_release`]
+//! (which re-enters it after a task body unwound through it) and
+//! [`master_main`] (the implicit task, then the same loop). A region has
+//! one exit, the barrier release: a panic poisons the team, and from
+//! then on `execute` discards every task it is handed, so the team
+//! quiesces without starting another body. All of it runs on a
 //! [`Worker`]: which thread may touch which worker's state is settled
 //! where the worker is claimed, not here.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 
@@ -25,19 +30,10 @@ use crate::util::locked;
 /// Executes one task on `worker`: locality accounting, NUMA cost
 /// model, the body itself, then completion (dependency updates, barrier
 /// notification, record release) — which a drop guard performs even if
-/// the body unwinds.
+/// the body unwinds. In a poisoned team the task is discarded instead:
+/// the guard retires it with its body dropped, never run and not counted
+/// as executed.
 pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
-    let (team, w) = (worker.team, worker.id);
-    // SAFETY: we hold the task's handle reference; the record is alive.
-    let creator = unsafe { task.as_ref() }.creator();
-    let locality = team.placement.locality(creator, w);
-    worker.stats.record_execution(locality);
-    team.cost.apply(locality);
-
-    let tracing_tasks = team.trace_on(TraceLevel::Full);
-    let timed = team.profiling || tracing_tasks;
-    let t0 = if timed { clock::now() } else { 0 };
-
     struct CompletionGuard<'a, 't> {
         worker: &'a Worker<'t>,
         task: NonNull<Task>,
@@ -49,11 +45,25 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
             }
             // SAFETY: the handle reference `execute` holds is the one
             // released here.
-            unsafe { retire(self.worker, self.task, true) };
+            unsafe { retire(self.worker, self.task) };
         }
     }
 
+    let (team, w) = (worker.team, worker.id);
     let guard = CompletionGuard { worker, task };
+    if team.poisoned.load(Ordering::Relaxed) {
+        return; // discarded: the guard retires it unrun
+    }
+    // SAFETY: we hold the task's handle reference; the record is alive.
+    let creator = unsafe { task.as_ref() }.creator();
+    let locality = team.placement.locality(creator, w);
+    worker.stats.record_execution(locality);
+    team.cost.apply(locality);
+
+    let tracing_tasks = team.trace_on(TraceLevel::Full);
+    let timed = team.profiling || tracing_tasks;
+    let t0 = if timed { clock::now() } else { 0 };
+
     let ctx = TaskCtx { worker, task };
     // SAFETY: single-executor discipline — the handle reference we hold
     // is the only execution claim on this task.
@@ -77,34 +87,33 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
     }
 }
 
-/// Retires a task: completes its parent's dependency and drops the
-/// reference the child held on the parent, then drops the task's own
-/// handle reference, freeing whichever record died. `ran` reports the
-/// task to the barrier as finished *between* the two — parent → barrier →
-/// self, the order the execute path has always had; the region's
-/// implicit task was never counted as running.
+/// Retires a task: drops the task's own handle reference (freeing the
+/// record, and with it a body that never ran), then completes its
+/// parent's dependency by dropping the reference the child held on the
+/// parent, then reports the task to the barrier as finished. Self before
+/// parent, so a discarded body is dropped while the parent still waits
+/// for it: a scoped body may borrow the parent's frame until then.
 ///
 /// # Safety
 ///
 /// The caller holds `task`'s handle reference and gives it up here.
-pub(super) unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>, ran: bool) {
+pub(super) unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>) {
     // SAFETY: record alive until our release below.
     let t = unsafe { task.as_ref() };
-    if let Some(parent) = t.parent() {
-        // SAFETY: the child holds a reference to the parent, so the
-        // parent record is alive here.
+    let parent = t.parent();
+    if t.release_ref() {
+        // SAFETY: last reference gone; the record is dead.
+        unsafe { worker.alloc.free(task) };
+    }
+    if let Some(parent) = parent {
+        // SAFETY: the child held a reference to the parent until this
+        // release, so the parent record is alive here.
         if unsafe { parent.as_ref() }.release_ref() {
-            // SAFETY: last reference gone; the record is dead.
+            // SAFETY: as above.
             unsafe { worker.alloc.free(parent) };
         }
     }
-    if ran {
-        worker.team.barrier.task_finished(worker.id);
-    }
-    if t.release_ref() {
-        // SAFETY: as above.
-        unsafe { worker.alloc.free(task) };
-    }
+    worker.team.barrier.task_finished(worker.id);
 }
 
 /// Panic-isolating teams (the task server): a panicking body fails only
@@ -118,7 +127,7 @@ pub(super) unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>, ran: bool)
 /// rule, where every byte per frame counts.
 #[inline(never)]
 fn run_body_isolated(task: NonNull<Task>, run: impl FnOnce()) {
-    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
         // SAFETY: we hold a reference; the record is alive.
         if let Some(parent) = unsafe { task.as_ref() }.parent() {
             // SAFETY: the child retains its parent.
@@ -149,11 +158,15 @@ impl Worker<'_> {
     /// [`IngressSource`](super::IngressSource), if any, spawn externally
     /// submitted work from this worker. The injected tasks become
     /// children of the region's implicit task. Returns how many were
-    /// spawned.
+    /// spawned: none in a poisoned team, which would only discard them
+    /// (they stay in the source).
     pub(crate) fn poll_ingress(&self) -> usize {
         let Some(src) = &self.team.source else {
             return 0;
         };
+        if self.team.poisoned.load(Ordering::Relaxed) {
+            return 0;
+        }
         let Some(root) = NonNull::new(self.team.root.load(Ordering::Acquire)) else {
             return 0;
         };
@@ -182,14 +195,18 @@ impl Worker<'_> {
 ///   (`xgomp-service`);
 /// * tree-barrier gather progress wakes it from the hand-off, so the
 ///   quiescence protocol counts parked workers correctly;
-/// * region teardown and poison wake *everyone* — whichever worker
-///   observes release or poisons the team calls
+/// * region teardown wakes *everyone* — whichever worker observes the
+///   release calls
 ///   [`Parker::unpark_all`](xgomp_xqueue::Parker::unpark_all) before
 ///   leaving its loop.
 ///
 /// The announce → re-check → commit protocol (see `xgomp_xqueue::parker`)
 /// makes the sleep race-free: the re-check below covers exactly the
 /// conditions those wakers signal.
+///
+/// The barrier release is the loop's only exit, poisoned team or not: a
+/// poisoned team's workers keep popping (and [`execute`] discarding)
+/// until the barrier sees every task retired.
 pub(crate) fn worker_loop(worker: &Worker<'_>) {
     let (team, w) = (worker.team, worker.id);
     let mut gate = IdleGate::default();
@@ -209,10 +226,6 @@ pub(crate) fn worker_loop(worker: &Worker<'_>) {
     // scheduler/engine call graph.
     let mut steal_base: Option<(u64, u64)> = None;
     loop {
-        if team.poisoned.load(Ordering::Acquire) {
-            team.parker.unpark_all();
-            break;
-        }
         if team.trace_on(TraceLevel::Full) {
             let served = worker.stats.nreq_has_steal.load(Ordering::Relaxed);
             let stolen = worker.stats.ntasks_stolen.load(Ordering::Relaxed);
@@ -260,8 +273,7 @@ pub(crate) fn worker_loop(worker: &Worker<'_>) {
         // scanned the park set before our announcement.
         let mut released = false;
         let slept = gate.idle(&team.parker, w, team.park_idle, || {
-            let stay_awake = team.poisoned.load(Ordering::Acquire)
-                || worker.seat.has_work_hint()
+            let stay_awake = worker.seat.has_work_hint()
                 || team.source.as_ref().is_some_and(|s| s.has_pending());
             released = !stay_awake && team.barrier.try_release(w);
             if !(stay_awake || released) {
@@ -280,15 +292,27 @@ pub(crate) fn worker_loop(worker: &Worker<'_>) {
     }
 }
 
+/// Runs [`worker_loop`] until the barrier releases, re-entering it after
+/// a task body unwound through it: the unwind poisoned the team, the
+/// first payload is the region's, and the worker goes back to retiring
+/// (discarding) tasks, because only the release ends the region. Both
+/// loop sites use it — `parked_worker` and the master's second leg.
+pub(super) fn loop_to_release(worker: &Worker<'_>) {
+    while let Err(payload) = catch_unwind(AssertUnwindSafe(|| worker_loop(worker))) {
+        worker.team.poison();
+        locked(&worker.team.panic).get_or_insert(payload);
+    }
+}
+
 /// Master path: run the region closure as the implicit task, then join
-/// the barrier loop like any other worker. Returns `None` when the region
-/// panicked.
+/// the barrier loop like any other worker. Returns `None` when the
+/// closure panicked.
 ///
-/// A panic on either leg — the closure, or a task body the master runs —
-/// is caught: it poisons the team, and its payload replaces any worker's
-/// (the master's panic is the region's). The master still joins the
-/// loop, which the poison ends, so every path hands `finish_region` a
-/// team whose implicit task it can retire once the workers are gone.
+/// A panic of the closure is caught: it poisons the team, and its payload
+/// replaces any worker's (the master's panic is the region's). The master
+/// still joins the loop, which ends only at the barrier release, so every
+/// path hands `finish_region` a quiesced team whose implicit task it can
+/// retire once the workers are gone.
 pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> R) -> Option<R> {
     let worker = Worker::claim(team, 0);
     // The implicit (root) task anchoring the region's task tree,
@@ -299,22 +323,13 @@ pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> 
         worker: &worker,
         task: root,
     };
-    let result = master_leg(team, || f(&ctx));
+    let result = catch_unwind(AssertUnwindSafe(|| f(&ctx))).map_err(|payload| {
+        *locked(&team.panic) = Some(payload);
+        team.poison();
+    });
     team.barrier.arrive(0);
-    master_leg(team, || worker_loop(&worker));
-    result
-}
-
-/// One leg of the master path; a panic poisons the team with the
-/// master's payload.
-fn master_leg<T>(team: &TeamShared, leg: impl FnOnce() -> T) -> Option<T> {
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(leg));
-    caught
-        .map_err(|payload| {
-            *locked(&team.panic) = Some(payload);
-            team.poison();
-        })
-        .ok()
+    loop_to_release(&worker);
+    result.ok()
 }
 
 #[cfg(test)]

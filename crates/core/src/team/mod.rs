@@ -111,8 +111,9 @@ pub(crate) struct TeamShared {
     /// (each `Worker` hands its own back when it drops).
     pub logs: Mutex<Vec<PerfLog>>,
     pub profiling: bool,
-    /// Set when any task body panicked; workers drain out instead of
-    /// spinning on a barrier that can no longer release.
+    /// Set when a task body or the region closure panicked (un-isolated):
+    /// from then on `execute` discards every task instead of running it,
+    /// and the region still ends at the barrier release.
     pub poisoned: AtomicBool,
     /// Payload of the first task panic a non-master worker caught; the
     /// region re-raises it on the caller once the workers have retired.
@@ -191,37 +192,34 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
 /// exactly then) or collects the telemetry.
 fn finish_region<R>(mut team: TeamShared, result: Option<R>, wall: Duration) -> RegionOutput<R> {
     // With every worker gone nothing can parent a task to the root any
-    // more, so the master's handle reference is dropped here.
+    // more, so the master's handle reference — the last one, since every
+    // child has retired — is dropped here.
     let root = std::mem::replace(team.root.get_mut(), std::ptr::null_mut());
     let root = NonNull::new(root).expect("the master published the root");
     let seat = team.alloc.seat(0);
     // SAFETY: the handle reference `master_main` took is released once,
-    // here, and the record is freed only once that was the last one (a
-    // stranded child still holds its own).
+    // here, and the record is freed only once that was the last one.
     unsafe {
         if root.as_ref().release_ref() {
             seat.free(root);
         }
     }
     drop(seat);
-    // Teardown sanity: a correct barrier leaves nothing queued. A
-    // poisoned region may strand tasks, because its workers leave their
-    // loops at the poison. A stranded task stays unretired (its body may
-    // borrow from the frame the panic unwound), and it pins its
-    // ancestors' records, so the leak check only runs without one.
-    let poisoned = *team.poisoned.get_mut();
-    let mut stranded = 0usize;
-    team.sched.drain_all(&mut |_| stranded += 1);
+    // Teardown sanity: the barrier released, poisoned region or not, so
+    // every task was retired (run or discarded) and nothing is queued.
+    let mut retained = 0usize;
+    team.sched.drain_all(&mut |_| retained += 1);
     assert!(
-        poisoned || stranded == 0,
-        "scheduler `{}` retained {stranded} task(s) after `{}` released",
+        retained == 0,
+        "scheduler `{}` retained {retained} task(s) after `{}` released",
         team.sched.name(),
         team.barrier.name()
     );
     debug_assert!(
-        stranded > 0 || team.alloc.outstanding() == 0,
+        team.alloc.outstanding() == 0,
         "task records leaked by the region"
     );
+    let poisoned = *team.poisoned.get_mut();
     let Some(result) = result.filter(|_| !poisoned) else {
         match locked(&team.panic).take() {
             Some(payload) => std::panic::resume_unwind(payload),
@@ -240,8 +238,9 @@ fn finish_region<R>(mut team: TeamShared, result: Option<R>, wall: Duration) -> 
 }
 
 impl TeamShared {
-    /// Marks the team poisoned and wakes every parked worker so the
-    /// abort is observed — a sleeping worker cannot poll the flag.
+    /// Marks the team poisoned — from here on `execute` discards what it
+    /// is handed — and wakes every parked worker, so an idle loop that
+    /// re-checks the flag (the task server's serve loop) observes it.
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
         self.parker.unpark_all();

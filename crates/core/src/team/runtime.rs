@@ -4,16 +4,17 @@
 //! (libgomp's pooled threads); every region checks the set out, publishes
 //! freshly built team state through the gate, runs the master path on the
 //! caller, waits for the workers to retire and hands the quiesced team to
-//! `finish_region`, which fills the [`RegionOutput`]. Panic routing across
-//! threads (a worker's payload re-raised on the region caller, the hot
-//! thread kept parkable) lives here too.
+//! `finish_region`, which fills the [`RegionOutput`]. A panicked region
+//! leaves through the same barrier release (its payload is caught in the
+//! worker loop), so the hot threads stay parkable and the caller gets the
+//! payload re-raised.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use xgomp_profiling::{PerfLog, TeamStats};
 
-use super::exec::{master_main, worker_loop};
+use super::exec::{loop_to_release, master_main};
 use super::{build_team, finish_region, ServingHooks, TeamShared, Worker};
 use crate::config::RuntimeConfig;
 use crate::ctx::TaskCtx;
@@ -79,7 +80,10 @@ impl Runtime {
     /// # Panics
     ///
     /// Re-raises the panic of a task body that panicked inside the
-    /// region, with the task's own payload; the runtime stays usable.
+    /// region, with the task's own payload; the runtime stays usable. The
+    /// panic first poisons the team: tasks still queued are discarded,
+    /// never run, and the region returns once the bodies already running
+    /// have finished.
     pub fn parallel<R>(&self, f: impl FnOnce(&TaskCtx<'_>) -> R) -> RegionOutput<R> {
         self.region(ServingHooks::default(), false, f)
     }
@@ -193,20 +197,17 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
             last_gen = st.generation;
             Arc::clone(st.team.as_ref().expect("open generation has a team"))
         };
-        // A panicking task body must not kill the hot worker: the
-        // completion guard has already poisoned the team (ending the
-        // region for everyone); catching here keeps the thread parkable
-        // for the next generation and the payload for the region caller.
-        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        {
             // This generation's seat `w`, claimed on the thread the gate
             // just handed the team to; it retires (log, ledger, free
-            // list back to the team) when it drops, on either path.
+            // list back to the team) when it drops. A panicking task
+            // body must not kill the hot worker: the loop catches it,
+            // keeps the payload for the region caller and runs on until
+            // the barrier releases, which leaves the thread parkable for
+            // the next generation.
             let worker = Worker::claim(&team, w);
             team.barrier.arrive(w);
-            worker_loop(&worker);
-        })) {
-            team.poison();
-            locked(&team.panic).get_or_insert(payload);
+            loop_to_release(&worker);
         }
         drop(team);
         let mut st = gate.lock();

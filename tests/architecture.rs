@@ -453,6 +453,119 @@ fn one_join_wait() {
     r.check(gated() == Some(true), what, &registrations);
 }
 
+/// `(path: owner, line)` for every non-test line under `path` (out-of-line
+/// `tests.rs` modules skipped), the owner being the innermost `fn` whose
+/// body holds the line: braces are counted on code, so a `fn` nested in
+/// another (an `impl Drop` inside a function) owns only its own body.
+fn owned_lines(path: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for file in files(&Path::new(ROOT).join(path), "rs") {
+        let rel = file.strip_prefix(ROOT).unwrap().display().to_string();
+        if rel.ends_with("/tests.rs") {
+            continue;
+        }
+        let text = fs::read_to_string(&file).unwrap();
+        let (mut depth, mut pending, mut open) = (0usize, None::<String>, Vec::new());
+        for line in text.lines().take_while(|l| !l.contains("#[cfg(test)]")) {
+            let code = code(line);
+            let declared = code
+                .match_indices("fn ")
+                .find(|&(i, _)| i == 0 || code[..i].ends_with([' ', '(']));
+            if let Some((i, _)) = declared {
+                let name = code[i + 3..].split(['(', '<']).next().unwrap();
+                pending = Some(name.trim().to_string());
+            }
+            let owner = pending.as_ref().or(open.last().map(|(f, _)| f));
+            let owner = owner.cloned().unwrap_or_default();
+            out.push((format!("{rel}: {owner}"), line.trim().to_string()));
+            for c in code.chars() {
+                match c {
+                    '{' => {
+                        if let Some(f) = pending.take() {
+                            open.push((f, depth));
+                        }
+                        depth += 1;
+                    }
+                    '}' => {
+                        depth -= 1;
+                        if open.last().is_some_and(|&(_, d)| d == depth) {
+                            open.pop();
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            // A bodiless declaration (a trait method) owns nothing.
+            if code.trim_end().ends_with(';') {
+                pending = None;
+            }
+        }
+    }
+    out
+}
+
+/// One region exit: a region ends at the barrier release, poisoned or
+/// not. A poisoned team discards its queued tasks in `execute` (and pulls
+/// no ingress work to discard), so nothing else in the core reads the
+/// poison flag: an early return on poison — in `taskwait`, `run_pending`
+/// or the worker loop — is how a scope used to return while a child still
+/// borrowed its frame. `worker_loop` leaves only through a `break` in the
+/// block of a barrier release, and never `return`s.
+#[test]
+fn one_region_exit() {
+    let r = Rule("one_region_exit");
+    let lines = owned_lines(CORE);
+    let readers: Vec<String> = lines
+        .iter()
+        .filter(|(_, l)| code(l).contains("poisoned.load("))
+        .map(|(owner, _)| owner.clone())
+        .collect();
+    let expected = [
+        format!("{CORE}/ctx.rs: is_poisoned"),
+        format!("{CORE}/team/exec.rs: execute"),
+        format!("{CORE}/team/exec.rs: poll_ingress"),
+    ];
+    let what = "the poison flag is read only in `execute`, `poll_ingress` and `is_poisoned`";
+    r.check(readers == expected, what, &readers);
+    let callers: Vec<String> = lines
+        .iter()
+        .filter(|(_, l)| code(l).contains(".is_poisoned()"))
+        .map(|(owner, l)| format!("{owner}: {l}"))
+        .collect();
+    r.count(0, "no core code bails out on `is_poisoned()`", callers);
+
+    let exec = format!("{CORE}/team/exec.rs: worker_loop");
+    let body: Vec<&str> = lines
+        .iter()
+        .filter(|(owner, _)| *owner == exec)
+        .map(|(_, l)| code(l))
+        .collect();
+    r.check(!body.is_empty(), "`worker_loop` lives in team/exec.rs", &[]);
+    // The line that opened each enclosing block, innermost last.
+    let mut blocks: Vec<&str> = Vec::new();
+    let mut exits = Vec::new();
+    for line in body {
+        if has_word(line, "return") {
+            exits.push(format!("return: {line}"));
+        }
+        if has_word(line, "break") {
+            let opener = blocks.last().copied().unwrap_or_default();
+            if !(opener.contains("try_release(") || has_word(opener, "released")) {
+                exits.push(format!("break under `{}`", opener.trim()));
+            }
+        }
+        for c in line.chars() {
+            match c {
+                '{' => blocks.push(line),
+                '}' => drop(blocks.pop()),
+                _ => {}
+            }
+        }
+    }
+    let what = "`worker_loop` exits only through a `break` after a barrier release";
+    r.count(0, what, exits);
+}
+
 /// One per-worker cell primitive: every single-writer per-worker block
 /// (§V counters, trace rings, job outcomes) is a seat of
 /// `xgomp_xqueue::Cells`, padded by the workspace's one `CachePadded`. A

@@ -14,7 +14,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xgomp::{Runtime, RuntimeConfig};
+use xgomp::{Runtime, RuntimeConfig, TaskCtx};
 
 mod support;
 
@@ -80,28 +80,44 @@ fn an_oversized_capture_is_boxed() {
     assert_eq!(per_task(RuntimeConfig::xlomp(1), true), 1);
 }
 
-/// A panicked region retires its root task like a clean one: 100 of them,
-/// half panicking in the region body and half in a task body the master
-/// runs, leave this thread's live allocations where warm-up left them
-/// (the warm-up covers the panic machinery's own first-use state).
+/// A panicked region retires every task record like a clean one. Three
+/// shapes, 100 regions each: the region body panics; a task body the
+/// master runs panics; the region body spawns 10 tasks and then panics
+/// (the poisoned team discards them). Each leaves this thread's live
+/// allocations where its warm-up left them (the warm-up covers the panic
+/// machinery's own first-use state).
 #[test]
 fn a_panicked_region_leaks_no_task_record() {
     let rt = Runtime::new(RuntimeConfig::xgomptb(1));
-    let panicked_region = |i: u32| {
-        let region = catch_unwind(AssertUnwindSafe(|| {
-            rt.parallel(|ctx| {
-                if i.is_multiple_of(2) {
-                    panic!("region body panicked");
-                }
-                ctx.spawn(|_| panic!("task body panicked"));
-                ctx.taskwait();
-            })
-        }));
-        assert!(region.is_err(), "region {i} must re-raise its panic");
-    };
-    (0..10).for_each(panicked_region);
-    let baseline = support::live();
-    (0..100).for_each(panicked_region);
-    let left = support::live() - baseline;
-    assert_eq!(left, 0, "100 panicked regions left {left} allocations live");
+    type Body = fn(&TaskCtx<'_>);
+    let shapes: [(&str, Body); 3] = [
+        ("the region body panics", |_| panic!("region body panicked")),
+        ("a task body panics", |ctx| {
+            ctx.spawn(|_| panic!("task body panicked"));
+            ctx.taskwait();
+        }),
+        ("the region body spawns 10 tasks, then panics", |ctx| {
+            for _ in 0..10 {
+                ctx.spawn(|_| unreachable!("a poisoned team runs no queued task"));
+            }
+            panic!("region body panicked");
+        }),
+    ];
+    for (shape, body) in shapes {
+        let panicked_region = |i: u32| {
+            let region = catch_unwind(AssertUnwindSafe(|| rt.parallel(body)));
+            assert!(
+                region.is_err(),
+                "{shape}: region {i} must re-raise its panic"
+            );
+        };
+        (0..10).for_each(panicked_region);
+        let baseline = support::live();
+        (0..100).for_each(panicked_region);
+        let left = support::live() - baseline;
+        assert_eq!(
+            left, 0,
+            "{shape}: 100 panicked regions left {left} allocations live"
+        );
+    }
 }
