@@ -285,11 +285,12 @@ impl<'t> TaskCtx<'t> {
     /// borrow from the enclosing frame; the scope taskwaits on exit
     /// (normal or unwinding), so no borrow can outlive its referent.
     ///
-    /// The implicit taskwait runs while the drop guard is still armed: a
-    /// sibling that the wait itself runs may panic through it, and the
-    /// guard then waits again. That second wait starts no body — the
-    /// panic poisoned the team, so it discards what it pops — and returns
-    /// only once the children still running elsewhere have finished.
+    /// A child's panic never unwinds through the scope's wait: it stops
+    /// at the child's own task, and the implicit taskwait re-raises it
+    /// once every child is quiescent. The drop guard is for `f`'s own
+    /// panic: its wait runs (or, in a poisoned team, discards) the
+    /// children still queued and returns only once the ones running
+    /// elsewhere have finished.
     pub fn scope<'env, F, R>(&self, f: F) -> R
     where
         F: FnOnce(&Scope<'_, 'env>) -> R,
@@ -317,6 +318,13 @@ impl<'t> TaskCtx<'t> {
     /// current task has completed. In a poisoned team it still waits:
     /// queued children are discarded instead of run, and a child running
     /// on another worker is waited for.
+    ///
+    /// # Panics
+    ///
+    /// If a child panicked, once no child is left. In a task server's team
+    /// it re-raises the child's own payload. Any other team the panic
+    /// poisoned: this wait unwinds with an opaque marker, and the region
+    /// re-raises the child's payload on its caller.
     pub fn taskwait(&self) {
         let worker = self.worker;
         let team = worker.team;
@@ -355,12 +363,13 @@ impl<'t> TaskCtx<'t> {
         self.check_cancel();
     }
 
-    /// Panic-isolating teams: a child that panicked left its payload on
-    /// this task; quiescence reached, re-raise it here so the failure
-    /// surfaces at the job boundary instead of poisoning the team. Never
-    /// double-panics (scope's taskwait-on-drop runs during unwinds).
+    /// A child that panicked left what its `execute` handed the parent on
+    /// this task (its payload in a serving team, a poison marker in any
+    /// other); quiescence reached, re-raise it here, so a panic climbs the
+    /// task tree one taskwait at a time. Never double-panics (scope's
+    /// taskwait-on-drop runs during unwinds).
     fn reraise_child_panic(&self, task: &Task) {
-        if !self.team().isolate_panics || std::thread::panicking() {
+        if std::thread::panicking() {
             return;
         }
         if let Some(payload) = task.take_child_panic() {

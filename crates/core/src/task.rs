@@ -107,7 +107,8 @@ unsafe fn thunk<F: FnOnce(&TaskCtx<'_>)>(slot: *mut Slot, ctx: Option<&TaskCtx<'
 }
 
 /// A caught panic payload, carried from a panicking child to its
-/// parent's next `taskwait` (panic-isolating teams only).
+/// parent's next `taskwait` (the body's own in a serving team, a poison
+/// marker in any other).
 pub(crate) type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
 /// One schedulable task.
@@ -128,8 +129,8 @@ pub(crate) struct Task {
     priority: i32,
     /// Claim word for `child_panic` (first panicking child wins).
     child_panic_claimed: AtomicBool,
-    /// Payload of the first child that panicked (panic-isolating teams;
-    /// written under the claim, read by the executor after quiescence).
+    /// What the first child that panicked handed this task (written
+    /// under the claim, read by the executor after quiescence).
     child_panic: UnsafeCell<Option<PanicPayload>>,
     /// Cancellation token, inherited by spawned children. Written by
     /// the executing worker (job wrapper install) and read at spawn

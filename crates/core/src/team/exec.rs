@@ -1,19 +1,26 @@
 //! Execution: what a worker does inside a region. One task's life on a
 //! worker is [`execute`] (locality accounting, the body, then
-//! [`retire`]ment behind a drop guard); one *scheduling point* is
-//! [`Worker::run_next`] — the only place a task goes from a queue to
-//! a running body, shared by the worker loop, `taskwait` and
-//! `run_pending`; one *ingress transition* is
+//! [`retire`]ment); one *scheduling point* is [`Worker::run_next`] — the
+//! only place a task goes from a queue to a running body, shared by the
+//! worker loop, `taskwait` and `run_pending`; one *ingress transition* is
 //! [`Worker::poll_ingress`], shared by the worker loop and
 //! `help_pending`. Around them sit [`worker_loop`] (the idle protocol
-//! every worker runs inside the region-end barrier), [`loop_to_release`]
-//! (which re-enters it after a task body unwound through it) and
-//! [`master_main`] (the implicit task, then the same loop). A region has
-//! one exit, the barrier release: a panic poisons the team, and from
-//! then on `execute` discards every task it is handed, so the team
-//! quiesces without starting another body. All of it runs on a
-//! [`Worker`]: which thread may touch which worker's state is settled
-//! where the worker is claimed, not here.
+//! every worker runs inside the region-end barrier) and [`master_main`]
+//! (the implicit task, then the same loop).
+//!
+//! A task body's panic stops at its own `execute`, in every team, and
+//! reaches its parent only as the dependency `taskwait` resolves: the
+//! parent's next `taskwait` re-raises it once the parent's children are
+//! quiescent, so a panic climbs the task tree one taskwait at a time and
+//! never unwinds through the unrelated frames below it on the thread. A
+//! serving team hands the parent the payload itself (a failed job is
+//! that job's outcome); any other team is poisoned by it, keeps the
+//! first payload as the region's and hands the parent a [`Poisoned`]
+//! marker. A region has one exit, the barrier release: from the poison
+//! on, `execute` discards every task it is handed, so the team quiesces
+//! without starting another body. All of it runs on a [`Worker`]: which
+//! thread may touch which worker's state is settled where the worker is
+//! claimed, not here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
@@ -24,66 +31,87 @@ use xgomp_xqueue::IdleGate;
 
 use super::{TeamShared, Worker};
 use crate::ctx::TaskCtx;
-use crate::task::Task;
+use crate::task::{PanicPayload, Task};
 use crate::util::locked;
 
-/// Executes one task on `worker`: locality accounting, NUMA cost
-/// model, the body itself, then completion (dependency updates, barrier
-/// notification, record release) — which a drop guard performs even if
-/// the body unwinds. In a poisoned team the task is discarded instead:
-/// the guard retires it with its body dropped, never run and not counted
-/// as executed.
+/// What a task of a poisoned (non-serving) team hands its parent when its
+/// body panicked, or when a child's panic climbed through it: the team
+/// already holds the region's payload, so the parent's `taskwait` only
+/// needs to unwind. [`master_main`] tells it apart from a panic of the
+/// region closure's own.
+struct Poisoned;
+
+/// Executes one task on `worker`: locality accounting, NUMA cost model,
+/// the body itself, then completion (dependency updates, barrier
+/// notification, record release). The body runs under `catch_unwind`,
+/// the one place a task body's panic stops, so completion always runs on
+/// the normal path; a payload goes to [`body_panicked`]. In a poisoned
+/// team the task is discarded instead: it is retired with its body
+/// dropped, never run and not counted as executed.
 pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
-    struct CompletionGuard<'a, 't> {
-        worker: &'a Worker<'t>,
-        task: NonNull<Task>,
-    }
-    impl Drop for CompletionGuard<'_, '_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.worker.team.poison();
-            }
-            // SAFETY: the handle reference `execute` holds is the one
-            // released here.
-            unsafe { retire(self.worker, self.task) };
+    let team = worker.team;
+    let mut span = None;
+    if !team.poisoned.load(Ordering::Relaxed) {
+        account(worker, task);
+        let traced = team.trace_on(TraceLevel::Full);
+        span = (team.profiling || traced).then(|| (clock::now(), traced));
+        let ctx = TaskCtx { worker, task };
+        // SAFETY: single-executor discipline — the handle reference we
+        // hold is the only execution claim on this task.
+        let run = || unsafe { Task::run_body(task, &ctx) };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
+            body_panicked(team, task, payload);
         }
     }
-
-    let (team, w) = (worker.team, worker.id);
-    let guard = CompletionGuard { worker, task };
-    if team.poisoned.load(Ordering::Relaxed) {
-        return; // discarded: the guard retires it unrun
+    // SAFETY: the handle reference `execute` holds is the one released
+    // here.
+    unsafe { retire(worker, task) };
+    if let Some((t0, traced)) = span {
+        record_span(worker, t0, traced);
     }
-    // SAFETY: we hold the task's handle reference; the record is alive.
+}
+
+/// The locality accounting and NUMA cost model of a task about to run.
+fn account(worker: &Worker<'_>, task: NonNull<Task>) {
+    // SAFETY: the caller holds the task's handle reference.
     let creator = unsafe { task.as_ref() }.creator();
-    let locality = team.placement.locality(creator, w);
+    let locality = worker.team.placement.locality(creator, worker.id);
     worker.stats.record_execution(locality);
-    team.cost.apply(locality);
+    worker.team.cost.apply(locality);
+}
 
-    let tracing_tasks = team.trace_on(TraceLevel::Full);
-    let timed = team.profiling || tracing_tasks;
-    let t0 = if timed { clock::now() } else { 0 };
-
-    let ctx = TaskCtx { worker, task };
-    // SAFETY: single-executor discipline — the handle reference we hold
-    // is the only execution claim on this task.
-    let run = || unsafe { Task::run_body(task, &ctx) };
-    if team.isolate_panics {
-        run_body_isolated(task, run);
-    } else {
-        run();
+/// Records a task span that started at `t0`, in the profile and (when
+/// `traced`) in the flight recorder.
+fn record_span(worker: &Worker<'_>, t0: u64, traced: bool) {
+    let t1 = clock::now();
+    if worker.team.profiling {
+        worker.log.borrow_mut().push_span(EventKind::Task, t0, t1);
     }
-    drop(guard);
-    if timed {
-        let t1 = clock::now();
-        if team.profiling {
-            worker.log.borrow_mut().push_span(EventKind::Task, t0, t1);
-        }
-        if let Some(ring) = worker.ring.filter(|_| tracing_tasks) {
-            // Emit with the measured end stamp (payload `c` carries the
-            // start) so the trace span matches the profiled span.
-            ring.emit(t1, EventKind::Task as u8, 0, 0, t0);
-        }
+    if let Some(ring) = worker.ring.filter(|_| traced) {
+        // Emit with the measured end stamp (payload `c` carries the
+        // start) so the trace span matches the profiled span.
+        ring.emit(t1, EventKind::Task as u8, 0, 0, t0);
+    }
+}
+
+/// The one team-specific decision about a task body's panic, made where
+/// it stopped. A serving team hands the payload to the parent: the panic
+/// fails only its own job. Any other team is poisoned, keeps the first
+/// payload as the region's and hands the parent a [`Poisoned`] marker.
+/// Either way the parent's next `taskwait` re-raises what it was handed.
+#[cold]
+fn body_panicked(team: &TeamShared, task: NonNull<Task>, payload: PanicPayload) {
+    let payload = if team.isolate_panics {
+        payload
+    } else {
+        locked(&team.panic).get_or_insert(payload);
+        team.poison();
+        Box::new(Poisoned)
+    };
+    // SAFETY: we hold a reference; the record is alive.
+    if let Some(parent) = unsafe { task.as_ref() }.parent() {
+        // SAFETY: the child retains its parent until `retire`.
+        unsafe { parent.as_ref() }.record_child_panic(payload);
     }
 }
 
@@ -97,7 +125,7 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
 /// # Safety
 ///
 /// The caller holds `task`'s handle reference and gives it up here.
-pub(super) unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>) {
+unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>) {
     // SAFETY: record alive until our release below.
     let t = unsafe { task.as_ref() };
     let parent = t.parent();
@@ -114,26 +142,6 @@ pub(super) unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>) {
         }
     }
     worker.team.barrier.task_finished(worker.id);
-}
-
-/// Panic-isolating teams (the task server): a panicking body fails only
-/// its own job. The payload travels to the parent, whose next `taskwait`
-/// re-raises it; the completion guard then runs on the normal
-/// (non-unwinding) path, so the team is not poisoned.
-///
-/// Kept out of [`execute`] (`inline(never)`) so the `catch_unwind`
-/// landing-pad state doesn't enlarge the classic path's stack frame —
-/// `execute` frames nest deeply under the immediate-execution overflow
-/// rule, where every byte per frame counts.
-#[inline(never)]
-fn run_body_isolated(task: NonNull<Task>, run: impl FnOnce()) {
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
-        // SAFETY: we hold a reference; the record is alive.
-        if let Some(parent) = unsafe { task.as_ref() }.parent() {
-            // SAFETY: the child retains its parent.
-            unsafe { parent.as_ref() }.record_child_panic(payload);
-        }
-    }
 }
 
 impl Worker<'_> {
@@ -207,7 +215,7 @@ impl Worker<'_> {
 /// The barrier release is the loop's only exit, poisoned team or not: a
 /// poisoned team's workers keep popping (and [`execute`] discarding)
 /// until the barrier sees every task retired.
-pub(crate) fn worker_loop(worker: &Worker<'_>) {
+pub(super) fn worker_loop(worker: &Worker<'_>) {
     let (team, w) = (worker.team, worker.id);
     let mut gate = IdleGate::default();
     // One merged span per idle period: closed as STALL when work shows
@@ -292,27 +300,18 @@ pub(crate) fn worker_loop(worker: &Worker<'_>) {
     }
 }
 
-/// Runs [`worker_loop`] until the barrier releases, re-entering it after
-/// a task body unwound through it: the unwind poisoned the team, the
-/// first payload is the region's, and the worker goes back to retiring
-/// (discarding) tasks, because only the release ends the region. Both
-/// loop sites use it — `parked_worker` and the master's second leg.
-pub(super) fn loop_to_release(worker: &Worker<'_>) {
-    while let Err(payload) = catch_unwind(AssertUnwindSafe(|| worker_loop(worker))) {
-        worker.team.poison();
-        locked(&worker.team.panic).get_or_insert(payload);
-    }
-}
-
 /// Master path: run the region closure as the implicit task, then join
 /// the barrier loop like any other worker. Returns `None` when the
 /// closure panicked.
 ///
-/// A panic of the closure is caught: it poisons the team, and its payload
-/// replaces any worker's (the master's panic is the region's). The master
-/// still joins the loop, which ends only at the barrier release, so every
-/// path hands `finish_region` a quiesced team whose implicit task it can
-/// retire once the workers are gone.
+/// The closure is the one body no `execute` runs, so its panic is caught
+/// here: it poisons the team, and its payload replaces any task's (the
+/// master's panic is the region's). A [`Poisoned`] marker that a
+/// `taskwait` re-raised into the closure is not a panic of its own and
+/// leaves the team's payload in place. The master still joins the loop,
+/// which ends only at the barrier release, so every path hands
+/// `finish_region` a quiesced team whose implicit task it can retire once
+/// the workers are gone.
 pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> R) -> Option<R> {
     let worker = Worker::claim(team, 0);
     // The implicit (root) task anchoring the region's task tree,
@@ -324,11 +323,13 @@ pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> 
         task: root,
     };
     let result = catch_unwind(AssertUnwindSafe(|| f(&ctx))).map_err(|payload| {
-        *locked(&team.panic) = Some(payload);
+        if !payload.is::<Poisoned>() {
+            *locked(&team.panic) = Some(payload);
+        }
         team.poison();
     });
     team.barrier.arrive(0);
-    loop_to_release(&worker);
+    worker_loop(&worker);
     result.ok()
 }
 

@@ -115,7 +115,8 @@ pub(crate) struct TeamShared {
     /// from then on `execute` discards every task instead of running it,
     /// and the region still ends at the barrier release.
     pub poisoned: AtomicBool,
-    /// Payload of the first task panic a non-master worker caught; the
+    /// The region's payload: the first task body's panic (caught in its
+    /// `execute`), replaced by the closure's own if that panicked; the
     /// region re-raises it on the caller once the workers have retired.
     pub panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// External work feed polled by idle workers (persistent executor).
@@ -127,9 +128,9 @@ pub(crate) struct TeamShared {
     /// The region's implicit task, published by the master so idle
     /// workers can parent injected tasks to it; null outside a region.
     pub root: AtomicPtr<Task>,
-    /// Catch task-body panics instead of poisoning the team: the payload
-    /// is carried to the parent's next `taskwait`, which re-raises it
-    /// (per-job isolation in `xgomp-service`).
+    /// A task body's panic fails only its own task: `execute` hands the
+    /// payload to the parent, whose next `taskwait` re-raises it, instead
+    /// of poisoning the team (per-job isolation in `xgomp-service`).
     pub isolate_panics: bool,
     /// NUMA-aware idle parker (zone wake sets follow the placement).
     /// Always present; whether workers actually park is `park_idle`.
@@ -221,10 +222,8 @@ fn finish_region<R>(mut team: TeamShared, result: Option<R>, wall: Duration) -> 
     );
     let poisoned = *team.poisoned.get_mut();
     let Some(result) = result.filter(|_| !poisoned) else {
-        match locked(&team.panic).take() {
-            Some(payload) => std::panic::resume_unwind(payload),
-            None => panic!("a task body panicked inside the region"),
-        }
+        let payload = locked(&team.panic).take();
+        std::panic::resume_unwind(payload.expect("whatever poisoned the team left its payload"))
     };
 
     let mut logs = std::mem::take(&mut *locked(&team.logs));

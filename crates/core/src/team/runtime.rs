@@ -5,16 +5,16 @@
 //! freshly built team state through the gate, runs the master path on the
 //! caller, waits for the workers to retire and hands the quiesced team to
 //! `finish_region`, which fills the [`RegionOutput`]. A panicked region
-//! leaves through the same barrier release (its payload is caught in the
-//! worker loop), so the hot threads stay parkable and the caller gets the
-//! payload re-raised.
+//! leaves through the same barrier release (a task body's payload is
+//! caught in its own `execute`, the closure's in `master_main`), so the
+//! hot threads stay parkable and the caller gets the payload re-raised.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use xgomp_profiling::{PerfLog, TeamStats};
 
-use super::exec::{loop_to_release, master_main};
+use super::exec::{master_main, worker_loop};
 use super::{build_team, finish_region, ServingHooks, TeamShared, Worker};
 use crate::config::RuntimeConfig;
 use crate::ctx::TaskCtx;
@@ -80,19 +80,26 @@ impl Runtime {
     /// # Panics
     ///
     /// Re-raises the panic of a task body that panicked inside the
-    /// region, with the task's own payload; the runtime stays usable. The
-    /// panic first poisons the team: tasks still queued are discarded,
-    /// never run, and the region returns once the bodies already running
-    /// have finished.
+    /// region, with the task's own payload (the first one, if several
+    /// did; the closure's own, if it panicked); the runtime stays usable.
+    /// The panic stops at its task and poisons the team: tasks still
+    /// queued are discarded, never run, each parent's `taskwait`
+    /// re-raises once its children are quiescent, and the region returns
+    /// once the bodies already running have finished.
     pub fn parallel<R>(&self, f: impl FnOnce(&TaskCtx<'_>) -> R) -> RegionOutput<R> {
         self.region(ServingHooks::default(), false, f)
     }
 
     /// Opens a region with the persistent-executor [`ServingHooks`]: an
     /// ingress source polled by idle workers and optional telemetry /
-    /// tracer hooks. Task-body panics are isolated:
-    /// they re-raise at the parent's next `taskwait` instead of
-    /// poisoning the team.
+    /// tracer hooks.
+    ///
+    /// # Panics
+    ///
+    /// Task-body panics are isolated: a body's payload goes to its
+    /// parent, whose next `taskwait` re-raises it, and the team is not
+    /// poisoned. Only a panic of `f` itself ends the region and is
+    /// re-raised, as in [`parallel`](Self::parallel).
     pub fn serve<R>(
         &self,
         hooks: ServingHooks,
@@ -200,14 +207,13 @@ fn parked_worker(gate: Arc<StartGate>, w: usize) {
         {
             // This generation's seat `w`, claimed on the thread the gate
             // just handed the team to; it retires (log, ledger, free
-            // list back to the team) when it drops. A panicking task
-            // body must not kill the hot worker: the loop catches it,
-            // keeps the payload for the region caller and runs on until
-            // the barrier releases, which leaves the thread parkable for
-            // the next generation.
+            // list back to the team) when it drops. No task body unwinds
+            // into the loop — each stops at its own `execute` — so the
+            // loop returns at the barrier release, poisoned team or not,
+            // and leaves the thread parkable for the next generation.
             let worker = Worker::claim(&team, w);
             team.barrier.arrive(w);
-            loop_to_release(&worker);
+            worker_loop(&worker);
         }
         drop(team);
         let mut st = gate.lock();

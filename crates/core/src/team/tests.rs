@@ -338,6 +338,25 @@ fn off_master_task_panic_payload_reaches_the_caller() {
 }
 
 #[test]
+fn an_orphaned_task_panic_is_the_region_payload() {
+    // No taskwait: the panicking grandchild's parent may be gone before
+    // it runs, so no taskwait re-raises it. The team keeps the payload.
+    for cfg in [
+        RuntimeConfig::xgomptb(1),
+        RuntimeConfig::xgomptb(2),
+        RuntimeConfig::gomp(2),
+    ] {
+        let rt = Runtime::new(cfg);
+        let msg = panic_message(|| {
+            rt.parallel(|ctx| {
+                ctx.spawn(|c| c.spawn(|_| panic!("orphan x")));
+            });
+        });
+        assert_eq!(msg, "orphan x");
+    }
+}
+
+#[test]
 fn runtime_survives_a_panicked_region() {
     let rt = Runtime::new(RuntimeConfig::xgomptb(2));
     let msg = panic_message(|| {

@@ -566,6 +566,48 @@ fn one_region_exit() {
     r.count(0, what, exits);
 }
 
+/// One panic boundary: a task body's panic stops at its own `execute` in
+/// every team and reaches its parent only through the parent's
+/// `taskwait`, which re-raises it once the children are quiescent; the
+/// region closure's panic stops in `master_main`. A second route — a
+/// catch loop around `worker_loop`, an isolation-only catch beside the
+/// plain path, a completion that decides poisoning from the thread-wide
+/// `std::thread::panicking()` — must not grow back. Serving and plain
+/// teams differ in one place, the panic handler `body_panicked` (and in
+/// `check_cancel`, a no-op outside a serving team so a stray token cannot
+/// poison a plain region).
+#[test]
+fn one_panic_boundary() {
+    let r = Rule("one_panic_boundary");
+    let lines = owned_lines(CORE);
+    let owners = |pattern: &str| -> Vec<String> {
+        let hits = lines.iter().filter(|(_, l)| code(l).contains(pattern));
+        hits.map(|(owner, _)| owner.clone()).collect()
+    };
+    let catches = owners("catch_unwind(");
+    let expected = [
+        format!("{CORE}/team/exec.rs: execute"),
+        format!("{CORE}/team/exec.rs: master_main"),
+    ];
+    let what = "non-test `catch_unwind(` sits only in `execute` and `master_main`";
+    r.check(catches == expected, what, &catches);
+    let panicking = owners("panicking()");
+    let expected = [
+        format!("{CORE}/ctx.rs: check_cancel"),
+        format!("{CORE}/ctx.rs: reraise_child_panic"),
+    ];
+    let what =
+        "`std::thread::panicking()` is read only in `reraise_child_panic` and `check_cancel`";
+    r.check(panicking == expected, what, &panicking);
+    let isolating = owners(".isolate_panics");
+    let expected = [
+        format!("{CORE}/ctx.rs: check_cancel"),
+        format!("{CORE}/team/exec.rs: body_panicked"),
+    ];
+    let what = "`isolate_panics` is read only in `body_panicked` and `check_cancel`";
+    r.check(isolating == expected, what, &isolating);
+}
+
 /// One per-worker cell primitive: every single-writer per-worker block
 /// (§V counters, trace rings, job outcomes) is a seat of
 /// `xgomp_xqueue::Cells`, padded by the workspace's one `CachePadded`. A
@@ -708,9 +750,9 @@ fn one_measurement_harness() {
     r.check(!shim.exists(), "no `crates/shims/criterion` crate", &[]);
 }
 
-/// The reproducers CI repeats by name (the pause ledger's), and the
-/// help-first join reproducer the docs cite: a rename would leave a repeat
-/// loop running nothing.
+/// The reproducers CI repeats by name (the pause ledger's and the serving
+/// panic probes), and the help-first join reproducer the docs cite: a
+/// rename would leave a repeat loop running nothing.
 #[test]
 fn pinned_reproducers_exist() {
     let r = Rule("pinned_reproducers_exist");
@@ -721,6 +763,14 @@ fn pinned_reproducers_exist() {
             "bounded_join_never_nests_the_awaited_job",
         ),
         ("tests/generations.rs", "pause_resume_stress_conserves_jobs"),
+        (
+            "tests/service_semantics.rs",
+            "job_panic_inside_its_own_scope_keeps_one_worker_serving",
+        ),
+        (
+            "tests/service_semantics.rs",
+            "job_panic_inside_its_own_scope_keeps_two_workers_serving",
+        ),
         (server_tests, "paused_at_capacity_bounces_with_paused_error"),
         (
             server_tests,

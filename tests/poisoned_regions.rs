@@ -5,8 +5,12 @@
 //! [`TaskCtx::scope`], or the scope `parallel_for` drains through — is
 //! left only once the bodies still running on other workers returned.
 //!
-//! Each probe runs a borrowing child B on one worker while its sibling A
-//! panics on the other. B waits for the poison, then watches for up to
+//! The loop-payload probes check which panic the region re-raises when a
+//! loop body panics on one worker while the master's drain runs on: the
+//! body's, never a later panic of the loop's own bookkeeping.
+//!
+//! Each scope probe runs a borrowing child B on one worker while its
+//! sibling A panics on the other. B waits for the poison, then watches for up to
 //! [`WATCH`] whether the frame it borrows from has exited. A scope that
 //! stops waiting on poison lets that frame go at once, so the window only
 //! bounds how fast such a runtime is caught; a correct one keeps the
@@ -90,12 +94,7 @@ impl Probe {
     /// Checks what the region left behind: its panic re-raised, and B
     /// done before the frame went.
     fn verdict(&self, region: std::thread::Result<()>, label: &str) {
-        let payload = region.expect_err("the region must re-raise the panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("<non-string payload>");
+        let msg = reraised(region);
         assert_eq!(msg, "sibling A panicked", "{label}: the region's payload");
         assert!(self.frame_exited.load(Ordering::Acquire), "{label}");
         match self.b_saw.load(Ordering::Acquire) {
@@ -107,6 +106,15 @@ impl Probe {
             other => unreachable!("{label}: B's verdict {other}"),
         }
     }
+}
+
+/// The message of the panic a region re-raised.
+fn reraised(region: std::thread::Result<()>) -> String {
+    let payload = region.expect_err("the region must re-raise the panic");
+    let literal = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    literal
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string payload>".to_string())
 }
 
 /// A scope on a two-worker team: B placed on worker 1, A on worker 0.
@@ -179,4 +187,41 @@ fn parallel_for_outlives_its_running_drains() {
         });
     }));
     probe.verdict(region.map(drop), "parallel_for Dynamic(1)");
+}
+
+/// A `Dynamic(1)` loop on two workers whose first iteration on worker 1
+/// panics while worker 0's drain runs on: the region re-raises the body's
+/// payload. The master's drain comes up one iteration short, so a master
+/// that went on past its scope would replace the payload with a panic of
+/// the loop's own bookkeeping.
+fn parallel_for_reraises_the_body_panic(cfg: RuntimeConfig, label: &str) {
+    let rt = Runtime::new(cfg);
+    let region = catch_unwind(AssertUnwindSafe(|| {
+        rt.parallel(|ctx| {
+            ctx.parallel_for(0..64u64, LoopSchedule::Dynamic(1), |_, c| {
+                if c.worker_id() == 1 {
+                    panic!("iteration on worker 1 panicked");
+                }
+                wait_for("worker 1's panic", || c.is_poisoned());
+            });
+        });
+    }));
+    let msg = reraised(region.map(drop));
+    assert_eq!(msg, "iteration on worker 1 panicked", "{label}");
+    assert_eq!(rt.parallel(|_| 7).result, 7, "{label}: next region");
+}
+
+#[test]
+fn parallel_for_reraises_the_body_panic_under_xqueue_static() {
+    parallel_for_reraises_the_body_panic(RuntimeConfig::xgomptb(2), "xgomptb");
+}
+
+#[test]
+fn parallel_for_reraises_the_body_panic_under_gomp() {
+    parallel_for_reraises_the_body_panic(RuntimeConfig::gomp(2), "gomp");
+}
+
+#[test]
+fn parallel_for_reraises_the_body_panic_under_lomp() {
+    parallel_for_reraises_the_body_panic(RuntimeConfig::lomp(2), "lomp");
 }

@@ -226,6 +226,52 @@ fn subtask_panic_fails_only_its_job() {
     assert!(report.region.is_some(), "serve must end cleanly");
 }
 
+/// A job that panics inside its own scope while its sibling is still
+/// queued on the job's worker: the scope's unwinding wait runs the
+/// sibling there, and the sibling's normal return must not count as a
+/// panic of its own. The bomb resolves `Panicked`, the team keeps
+/// serving, and shutdown counts both jobs.
+fn job_panic_inside_its_own_scope(server: TaskServer) {
+    let bomb = server
+        .submit(|c| {
+            c.scope(|s| {
+                s.spawn_on(c.worker_id(), |_| {});
+                panic!("bomb inside its own scope");
+            });
+            0u32
+        })
+        .unwrap();
+    let err = bomb.join().unwrap_err();
+    let panic = err.panic().expect("panicked job yields JobError::Panicked");
+    assert!(
+        panic.message.contains("bomb inside its own scope"),
+        "payload lost: {}",
+        panic.message
+    );
+    // The bound only turns a dead serving team into a failure.
+    let later = server.submit(|_| 7u32).unwrap();
+    match later.join_timeout(Duration::from_secs(5)) {
+        Ok(result) => assert_eq!(result.unwrap(), 7),
+        Err(_) => panic!("a job submitted after the bomb never resolved"),
+    }
+    let report = server.shutdown();
+    assert_eq!(report.stats.completed, 2);
+    assert!(report.region.is_some(), "serve must end cleanly");
+}
+
+#[test]
+fn job_panic_inside_its_own_scope_keeps_one_worker_serving() {
+    job_panic_inside_its_own_scope(server(1));
+}
+
+#[test]
+fn job_panic_inside_its_own_scope_keeps_two_workers_serving() {
+    // Static balancing: no steal can move the sibling off the job's
+    // worker before the unwinding wait pops it.
+    let cfg = ServerConfig::new(2).runtime(RuntimeConfig::xgomptb(2));
+    job_panic_inside_its_own_scope(TaskServer::start(cfg));
+}
+
 #[test]
 fn second_subtask_panic_is_not_swallowed() {
     // A job that survives a first isolated subtask panic (catching it
