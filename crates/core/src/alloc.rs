@@ -117,7 +117,7 @@ impl AllocSeat<'_> {
         };
         match recycled {
             Some(TaskPtr(ptr)) => {
-                // SAFETY: records in pools are dead (refs == 0).
+                // SAFETY: records in pools are dead.
                 unsafe { Task::reinit(ptr, parent, self.worker, priority) };
                 ptr
             }
@@ -130,12 +130,14 @@ impl AllocSeat<'_> {
         }
     }
 
-    /// Returns a dead record (refcount already zero) to the pool.
+    /// Returns a dead record (no child outstanding, let go of by its last
+    /// party) to the pool.
     ///
     /// # Safety
     ///
     /// `ptr` must be a record from an [`alloc`](Self::alloc) of this
-    /// allocator whose last reference was released.
+    /// allocator that nothing references any more: retired by its owner
+    /// with no child outstanding, or freed by its last child.
     pub unsafe fn free(&self, ptr: NonNull<Task>) {
         self.freed.set(self.freed.get() + 1);
         match self.shared.kind {
@@ -147,10 +149,7 @@ impl AllocSeat<'_> {
                 // Clear the body eagerly so captured environments are
                 // released now, not when the record is recycled.
                 // SAFETY: dead record ⇒ exclusive access.
-                unsafe {
-                    Task::reinit(ptr, None, 0, 0);
-                    (*ptr.as_ptr()).release_ref();
-                }
+                unsafe { Task::reinit(ptr, None, 0, 0) };
                 let mut list = self.local.borrow_mut();
                 list.push(TaskPtr(ptr));
                 if list.len() > LOCAL_CACHE_MAX {
@@ -193,9 +192,11 @@ impl Drop for TaskAllocator {
 mod tests {
     use super::*;
 
+    /// Retires a childless record the way its owner does: with nothing
+    /// outstanding it is dead, and freed.
     fn release_and_free(seat: &AllocSeat<'_>, ptr: NonNull<Task>) {
         unsafe {
-            assert!(ptr.as_ref().release_ref());
+            assert_eq!(ptr.as_ref().unfinished_children(), 0);
             seat.free(ptr);
         }
     }

@@ -94,7 +94,7 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(f, 0, None);
+        self.spawn_impl(f, 0, None, false);
     }
 
     /// Spawns a child task with a GOMP-style priority (only the GOMP
@@ -105,7 +105,7 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(f, priority, None);
+        self.spawn_impl(f, priority, None, false);
     }
 
     /// Spawns a body into the *calling worker's own* queue, bypassing the
@@ -126,7 +126,7 @@ impl<'t> TaskCtx<'t> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'static,
     {
-        self.spawn_impl(f, 0, Some(self.worker.id));
+        self.spawn_impl(f, 0, Some(self.worker.id), false);
     }
 
     /// Like [`run_pending`](Self::run_pending), but when the scheduler
@@ -319,6 +319,13 @@ impl<'t> TaskCtx<'t> {
     /// queued children are discarded instead of run, and a child running
     /// on another worker is waited for.
     ///
+    /// The condition is the task's own child count, biased to the worker
+    /// that executes the task: a child that completed on this worker
+    /// counted itself off with a plain store, any other child with one
+    /// atomic RMW. A context whose worker does not own its task (a peer's
+    /// ingress poll, see [`IngressSource`](crate::IngressSource)) counted
+    /// none of its spawns there, so its taskwait returns at once.
+    ///
     /// # Panics
     ///
     /// If a child panicked, once no child is left. In a task server's team
@@ -328,8 +335,12 @@ impl<'t> TaskCtx<'t> {
     pub fn taskwait(&self) {
         let worker = self.worker;
         let team = worker.team;
-        // SAFETY: the record outlives execution (refcount held by us).
+        // SAFETY: the record outlives execution: we own it until `retire`
+        // (or it is the region's implicit task, alive until the region ends).
         let task = unsafe { self.task.as_ref() };
+        if !self.owns(task) {
+            return;
+        }
         if task.unfinished_children() == 0 {
             self.reraise_child_panic(task);
             self.check_cancel();
@@ -363,6 +374,48 @@ impl<'t> TaskCtx<'t> {
         self.check_cancel();
     }
 
+    /// Whether this context's worker owns `task` (this context's): it
+    /// does for every task it executes, and the master does for the
+    /// region's implicit task. The one exception is a peer's ingress
+    /// poll, which holds the implicit task without owning it.
+    #[inline]
+    fn owns(&self, task: &Task) -> bool {
+        !self.is_implicit(task) || task.creator() == self.worker.id
+    }
+
+    /// Whether `task` (this context's) is the region's implicit task.
+    /// Only a parentless task can be; among those (the implicit task,
+    /// and the jobs a peer's ingress poll spawned) it is told by identity.
+    #[inline]
+    fn is_implicit(&self, task: &Task) -> bool {
+        task.parent().is_none() && self.task.as_ptr() == self.team().root.load(Ordering::Relaxed)
+    }
+
+    /// The half of the spawn path no body type changes, kept out of each
+    /// body's monomorphized copy (so a `scope` that spawns stays small
+    /// enough to inline into its caller, keeping nested levels' frames
+    /// small): count the child for the barrier and, when this worker owns
+    /// the parent, on the parent; then allocate its record. Returns the
+    /// record and where it goes: `Some(nested)` to the scheduler, with
+    /// whether it is nested work (its parent is an explicit task), or
+    /// `None` to run at once — a `scoped` child the parent cannot count.
+    fn new_child(&self, priority: i32, scoped: bool) -> (NonNull<Task>, Option<bool>) {
+        let worker = self.worker;
+        worker.team.barrier.task_created(worker.id);
+        // SAFETY: parent record is alive (we are executing it, or it is
+        // the region's implicit task, alive until the region ends).
+        let parent = unsafe { self.task.as_ref() };
+        let nested = !self.is_implicit(parent);
+        // Only the owner writes a count's `local`: a child spawned from a
+        // task this worker does not own is parentless.
+        let counted = nested || parent.creator() == worker.id;
+        if counted {
+            parent.add_child();
+        }
+        let ptr = worker.alloc.alloc(counted.then_some(self.task), priority);
+        (ptr, (counted || !scoped).then_some(nested))
+    }
+
     /// A child that panicked left what its `execute` handed the parent on
     /// this task (its payload in a serving team, a poison marker in any
     /// other); quiescence reached, re-raise it here, so a panic climbs the
@@ -378,33 +431,30 @@ impl<'t> TaskCtx<'t> {
     }
 
     /// The spawn path (§III-A): count for the barrier *before*
-    /// publication, link the dependency atomically, allocate one record
-    /// and write the body into it, then publish — falling back to
-    /// immediate execution when the target queue is full. `hint = Some(t)`
-    /// asks the scheduler to hand the task to worker `t` (see
-    /// `Seat::spawn`).
+    /// publication, count the child on its parent (a plain store: the
+    /// spawning worker owns the parent), allocate one record and write
+    /// the body into it, then publish — falling back to immediate
+    /// execution when the target queue is full. `hint = Some(t)` asks the
+    /// scheduler to hand the task to worker `t` (see `Seat::spawn`).
+    ///
+    /// The one context whose worker does not own its task is a peer's
+    /// ingress poll, which holds the region's implicit task (the
+    /// master's): what it spawns is parentless. The barrier still counts
+    /// it, and only the owner ever writes a count's `local`. A `scoped`
+    /// child there runs at once, as the overflow rule does: its body may
+    /// borrow the scope's frame, and no taskwait could wait for it.
     ///
     /// `f` need not be `'static`: every caller guarantees that the child
     /// finishes before any borrow `f` holds ends — the `spawn*` methods
     /// take `'static` bodies, and a [`Scope`] taskwaits for its children
     /// even when it unwinds.
-    fn spawn_impl<F>(&self, f: F, priority: i32, hint: Option<usize>)
+    fn spawn_impl<F>(&self, f: F, priority: i32, hint: Option<usize>, scoped: bool)
     where
         F: FnOnce(&TaskCtx<'_>) + Send,
     {
-        let worker = self.worker;
-        let (team, w) = (worker.team, worker.id);
+        let (worker, team) = (self.worker, self.team());
         let t0 = if team.profiling { clock::now() } else { 0 };
-        team.barrier.task_created(w);
-        // SAFETY: parent record is alive (we are executing it).
-        let parent = unsafe { self.task.as_ref() };
-        // The child's reference on its parent, which is also the
-        // parent's count of live children.
-        parent.retain();
-        // Only the region's implicit task has no parent: the children of
-        // every other task are nested work.
-        let nested = parent.parent().is_some();
-        let ptr = worker.alloc.alloc(Some(self.task), priority);
+        let (ptr, queue) = self.new_child(priority, scoped);
         // Children inherit the parent's cancellation token, so a job's
         // whole task tree answers to one flag.
         // SAFETY: we execute the parent and the child is not yet
@@ -418,7 +468,10 @@ impl<'t> TaskCtx<'t> {
             }
         }
         bump(&worker.stats.tasks_created, 1);
-        let pushed = worker.seat.spawn(hint, nested, ptr);
+        let pushed = match queue {
+            Some(nested) => worker.seat.spawn(hint, nested, ptr),
+            None => Err(ptr),
+        };
         worker.log_span(EventKind::TaskCreate, t0);
         if let Err(p) = pushed {
             // Overflow rule: execute the task immediately (§II-B).
@@ -444,7 +497,7 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
-        self.ctx.spawn_impl(f, 0, None);
+        self.ctx.spawn_impl(f, 0, None, true);
     }
 
     /// Spawns a borrowing task with a *placement target*: worker
@@ -456,7 +509,7 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
     {
-        self.ctx.spawn_impl(f, 0, Some(target));
+        self.ctx.spawn_impl(f, 0, Some(target), true);
     }
 
     /// The underlying context (worker id, topology queries).

@@ -1,9 +1,9 @@
 //! Task representation and lifecycle.
 //!
 //! A [`Task`] is one heap-allocated record: its body lives inline, beside
-//! a pointer to its parent task and one intrusive reference count that
-//! both keeps the record alive while children may still touch it and *is*
-//! the `taskwait` condition (`refs − 1` live children for the executor).
+//! a pointer to its parent task and an owner-biased count of its
+//! outstanding children, which both keeps the record alive while children
+//! may still touch it and *is* the `taskwait` condition.
 //!
 //! ## The inline body
 //!
@@ -12,31 +12,52 @@
 //! drops it. A closure that fits the storage (size and alignment) is
 //! stored as is, so a spawn allocates nothing but the record — libgomp's
 //! one allocation per task; a larger or more aligned one is boxed and the
-//! box is stored inline. The body runs in place: the executor holds the
-//! handle reference, so the record outlives the call, and only the
-//! closure moves onto the thunk's frame.
+//! box is stored inline. The body runs in place: the executor owns the
+//! record until it retires it, so the record outlives the call, and only
+//! the closure moves onto the thunk's frame.
 //!
-//! ## Reference-counting protocol
+//! ## The owner-biased child count
 //!
-//! * A task is born with `refs = 1` (the *handle* reference owned by
-//!   whoever will eventually execute it: a queue slot, or the spawning
-//!   worker on the immediate-execution path).
-//! * Spawning a child *retains* the parent once; the child *releases*
-//!   that reference after it completes. A task's live children are
-//!   therefore `refs − 1` as seen by its executor (who holds the handle
-//!   reference) — the fact is stored once.
-//! * When `refs` reaches zero the record is returned to the allocator.
+//! A task's *owner* is its executor, the one worker that runs its body,
+//! spawns its children (so every child's [`creator`](Task::creator) is
+//! the parent's owner) and retires it. The count is split by who writes
+//! it (biased reference counting, Choi, Shull and Torrellas, PACT 2018).
+//! The region's implicit task is the master's; what a peer's ingress poll
+//! spawns from it is parentless, so no worker but the owner ever writes
+//! the owner's half.
 //!
-//! The dependency updates are atomic RMW operations — exactly as in the
-//! paper's XGOMP, which keeps "atomically update the parent task's
-//! dependency" while removing the global task lock (§III-A). The
-//! *lock-less* claims apply to the queues, the DLB messaging, and the
-//! barrier release path, not to dependency counting.
+//! * `local` is the owner's: children spawned minus children completed on
+//!   the owner's worker while the task is attached. The owner reads and
+//!   writes it with plain (relaxed) loads and stores, never an RMW.
+//! * `remote` counts every other completion — a child completing on
+//!   another worker, or after its parent retired — with one atomic RMW,
+//!   plus two flags in the low bits: `DETACHED` and the child-panic claim.
+//!   The count sits above the flags, so a wrap-around falls off the top
+//!   instead of carrying into a flag.
+//!
+//! The outstanding children are `local − remote` (both counts wrap in the
+//! same units). When the owner retires a task with none outstanding it
+//! frees the record with no RMW at all. Otherwise it *detaches*: one
+//! `fetch_add` moves `local` into the shared word and sets `DETACHED`, so
+//! the count reads minus the children outstanding, and from then on every
+//! completion is remote and adds one. Exactly one party frees the record:
+//! the owner, if the detach finds every child already counted, or else the
+//! completer whose increment brings the count to zero. Each party decides
+//! from its own RMW's result, so none reads a record another may already
+//! have freed.
+//!
+//! The paper's XGOMP keeps "atomically update the parent task's
+//! dependency" while removing the global task lock (§III-A). Here the
+//! dependency update is atomic only across workers: a child that
+//! completes on the worker that spawned it — almost every child of a
+//! fine-grained recursion — updates its parent with a plain store. The
+//! *lock-less* claims of the paper apply to the queues, the DLB messaging
+//! and the barrier release path.
 
 use std::cell::{Cell, UnsafeCell};
 use std::mem::{align_of, size_of, MaybeUninit};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::cancel::CancelToken;
 use crate::ctx::TaskCtx;
@@ -111,6 +132,18 @@ unsafe fn thunk<F: FnOnce(&TaskCtx<'_>)>(slot: *mut Slot, ctx: Option<&TaskCtx<'
 /// marker in any other).
 pub(crate) type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
+/// The `remote` word's flag: the owner retired the task with children
+/// outstanding and moved its count in, so the count runs up to zero.
+const DETACHED: u32 = 1;
+/// The `remote` word's flag: a child's panic payload sits in
+/// `child_panic` (the first panicking child wins).
+const PANIC_CLAIMED: u32 = 2;
+/// Both flags: the low bits of `remote`, below the count.
+const FLAGS: u32 = DETACHED | PANIC_CLAIMED;
+/// One child, in the units both counts use: above the flags, so a count
+/// that wraps falls off the top of the word.
+const ONE: u32 = FLAGS + 1;
+
 /// One schedulable task.
 ///
 /// Created by [`crate::ctx::TaskCtx::spawn`] and friends; users never see
@@ -118,19 +151,25 @@ pub(crate) type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 pub(crate) struct Task {
     /// The body; empty for implicit (root) tasks and after execution.
     body: Body,
-    /// Parent task; retained while this task is alive.
+    /// Parent task, which outlives its outstanding children.
     parent: Option<NonNull<Task>>,
-    /// Intrusive reference count: the handle reference plus one per live
-    /// child (see module docs) — also the taskwait condition.
-    refs: AtomicU32,
-    /// Worker that created this task (locality accounting).
+    /// The owner's half of the child count (see module docs), in units of
+    /// `ONE`: children spawned minus children completed on the owner's
+    /// worker. Written only by the owner, with plain stores; zero from
+    /// the detach on, which moves it into `remote`.
+    local: AtomicU32,
+    /// Every other completion, in units of `ONE`, above the `DETACHED`
+    /// and `PANIC_CLAIMED` flags; from the detach on, minus the children
+    /// still outstanding.
+    remote: AtomicU32,
+    /// Worker that created this task (locality accounting) — the worker
+    /// that spawned it, so the owner of its parent.
     creator: u32,
     /// GOMP-style priority (higher runs first in the GOMP scheduler).
     priority: i32,
-    /// Claim word for `child_panic` (first panicking child wins).
-    child_panic_claimed: AtomicBool,
     /// What the first child that panicked handed this task (written
-    /// under the claim, read by the executor after quiescence).
+    /// under the `PANIC_CLAIMED` claim, read by the owner after
+    /// quiescence).
     child_panic: UnsafeCell<Option<PanicPayload>>,
     /// Cancellation token, inherited by spawned children. Written by
     /// the executing worker (job wrapper install) and read at spawn
@@ -145,22 +184,23 @@ pub(crate) struct Task {
 // consumed exactly once, by the executing worker).
 unsafe impl Send for Task {}
 // SAFETY: through a shared reference a record changes only in atomics
-// (`refs`, the panic claim) and in cells each owned by one thread at a
-// time: `body` and `cancel` by the executing worker, `child_panic` by the
-// claim winner until the executor reads it after quiescence.
+// (the two counts and the panic claim) and in cells each owned by one
+// thread at a time: `body` and `cancel` by the executing worker,
+// `child_panic` by the claim winner until the owner reads it after
+// quiescence.
 unsafe impl Sync for Task {}
 
 impl Task {
-    /// Creates a task record. `parent`, when present, must already have
-    /// been retained on behalf of this child.
+    /// Creates a task record with no children. `parent`, when present,
+    /// must already count this child (see [`add_child`](Self::add_child)).
     pub(crate) fn new(parent: Option<NonNull<Task>>, creator: u32, priority: i32) -> Self {
         Task {
             body: Body::empty(),
             parent,
-            refs: AtomicU32::new(1),
+            local: AtomicU32::new(0),
+            remote: AtomicU32::new(0),
             creator,
             priority,
-            child_panic_claimed: AtomicBool::new(false),
             child_panic: UnsafeCell::new(None),
             cancel: UnsafeCell::new(None),
         }
@@ -168,12 +208,13 @@ impl Task {
 
     /// Re-initializes a recycled record in place (multi-level allocator
     /// fast path), dropping a body that never ran. The record must be dead
-    /// (`refs == 0`).
+    /// (no child outstanding).
     ///
     /// # Safety
     ///
-    /// `this` must point to a record previously released to the allocator
-    /// by [`release_ref`](Self::release_ref) returning `true`.
+    /// `this` must point to a record its last party let go of: the owner
+    /// that retired it with no child outstanding, or the completer that
+    /// [`child_done_elsewhere`](Self::child_done_elsewhere) told to free it.
     pub(crate) unsafe fn reinit(
         this: NonNull<Task>,
         parent: Option<NonNull<Task>>,
@@ -182,13 +223,13 @@ impl Task {
     ) {
         // SAFETY: caller guarantees exclusive access to a dead record.
         let t = unsafe { &mut *this.as_ptr() };
-        debug_assert_eq!(*t.refs.get_mut(), 0, "reinit of a live task");
+        debug_assert_eq!(t.unfinished_children(), 0, "reinit of a live task");
         t.body = Body::empty();
         t.parent = parent;
-        *t.refs.get_mut() = 1;
+        *t.local.get_mut() = 0;
+        *t.remote.get_mut() = 0;
         t.creator = creator;
         t.priority = priority;
-        *t.child_panic_claimed.get_mut() = false;
         *t.child_panic.get_mut() = None;
         *t.cancel.get_mut() = None;
     }
@@ -233,7 +274,9 @@ impl Task {
         unsafe { Self::cancel_ref(this) }.cloned()
     }
 
-    /// The worker that created this task.
+    /// The worker that created this task: the worker that spawned it, so
+    /// also its parent's owner. An implicit task's creator is the master,
+    /// which owns it.
     #[inline]
     pub(crate) fn creator(&self) -> usize {
         self.creator as usize
@@ -251,15 +294,76 @@ impl Task {
         self.parent
     }
 
-    /// Number of direct children that have not completed, as seen by
-    /// the task's executor — the one caller (`taskwait`), which holds the
-    /// handle reference, so every other reference is a live child's.
-    /// `Acquire` pairs with the children's `Release` in
-    /// [`release_ref`](Self::release_ref): a zero here has observed
-    /// everything the children did.
+    /// Number of direct children that have not completed — `local`
+    /// minus the remote count. Only the owner may ask while the task is
+    /// attached (`taskwait`, and `retire` before the detach). `Acquire`
+    /// pairs with the remote completions' `Release`: a zero here has
+    /// observed everything the children did.
     #[inline]
     pub(crate) fn unfinished_children(&self) -> u32 {
-        self.refs.load(Ordering::Acquire) - 1
+        let done = self.remote.load(Ordering::Acquire) & !FLAGS;
+        self.local.load(Ordering::Relaxed).wrapping_sub(done) / ONE
+    }
+
+    /// Counts a new child. The owner calls it, before the child is
+    /// visible: a plain store, as only the owner writes `local`.
+    #[inline]
+    pub(crate) fn add_child(&self) {
+        let local = self.local.load(Ordering::Relaxed);
+        self.local.store(local.wrapping_add(ONE), Ordering::Relaxed);
+    }
+
+    /// Whether the owner still holds the task (not yet retired). Only
+    /// the owner's worker may ask: it is the one that sets `DETACHED`.
+    #[inline]
+    pub(crate) fn attached(&self) -> bool {
+        self.remote.load(Ordering::Relaxed) & DETACHED == 0
+    }
+
+    /// Completes a child that ran on the owner's worker while the task is
+    /// attached: a plain store, as only the owner writes `local`.
+    #[inline]
+    pub(crate) fn child_done_here(&self) {
+        let local = self.local.load(Ordering::Relaxed);
+        self.local.store(local.wrapping_sub(ONE), Ordering::Relaxed);
+    }
+
+    /// Completes a child anywhere else: on another worker, or after the
+    /// owner detached. One RMW; `AcqRel` so the owner's `taskwait`
+    /// observes everything the child did, and so the party that frees the
+    /// record has observed every other party. Returns `true` when the
+    /// task is detached and this was its last child: the caller frees
+    /// the record. The answer comes from the RMW's own result alone — a
+    /// completer reads nothing else of a record another completer may
+    /// already have freed. Out of line: inlined, it grows `execute`'s
+    /// frame, which every nesting level pays.
+    #[inline(never)]
+    pub(crate) fn child_done_elsewhere(&self) -> bool {
+        let prev = self.remote.fetch_add(ONE, Ordering::AcqRel);
+        // Detached, the count runs from minus the children outstanding
+        // at the detach up to zero.
+        prev & DETACHED != 0 && (prev & !FLAGS).wrapping_add(ONE) == 0
+    }
+
+    /// The owner lets go of a task that still has children outstanding:
+    /// it moves its own count into the shared word and sets `DETACHED`
+    /// in the same RMW, so the count then reads minus the children
+    /// outstanding, and from here on every child completes through
+    /// [`child_done_elsewhere`](Self::child_done_elsewhere), the last one
+    /// bringing it to zero. Returns `true` when every child was already
+    /// counted — the last one completed between the caller's check and
+    /// the RMW — so the caller frees the record.
+    #[inline]
+    pub(crate) fn detach(&self) -> bool {
+        let target = self.local.load(Ordering::Relaxed);
+        // Emptied first, so the dead record reads zero outstanding: the
+        // RMW below publishes the store to whoever frees it.
+        self.local.store(0, Ordering::Relaxed);
+        // `target` is a whole number of `ONE`s, so subtracting it leaves
+        // the flag bits alone; `DETACHED` was clear, so adding it sets it.
+        let moved = DETACHED.wrapping_sub(target);
+        let prev = self.remote.fetch_add(moved, Ordering::AcqRel);
+        prev & !FLAGS == target
     }
 
     /// Writes the body of a fresh record: `f` inline when it
@@ -297,15 +401,15 @@ impl Task {
     ///
     /// # Safety
     ///
-    /// Only the executing worker may call this, which holds the handle
-    /// reference (single-executor discipline).
+    /// Only the executing worker may call this, which owns the record
+    /// until it retires it (single-executor discipline).
     #[inline]
     pub(crate) unsafe fn run_body(this: NonNull<Task>, ctx: &TaskCtx<'_>) {
         // SAFETY: single-executor discipline gives exclusive body access,
-        // and the handle reference keeps the record alive. The thunk is
-        // taken before it reads the slot, so the body is consumed once:
-        // if it panics, it has already moved onto the thunk's frame,
-        // whose unwinding drops it.
+        // and the owner keeps the record alive. The thunk is taken before
+        // it reads the slot, so the body is consumed once: if it panics,
+        // it has already moved onto the thunk's frame, whose unwinding
+        // drops it.
         unsafe {
             let body = &(*this.as_ptr()).body;
             if let Some(thunk) = body.thunk.take() {
@@ -316,62 +420,30 @@ impl Task {
 
     /// Deposits the panic payload of a failed child; the first child to
     /// panic wins, later payloads are dropped. Called by the child's
-    /// executor *before* it releases its reference on the parent, so the
-    /// parent's quiescence check (`unfinished_children == 0`, acquire)
-    /// also orders this write before any `take_child_panic`.
+    /// executor *before* it completes the child, so the parent's
+    /// quiescence check (`unfinished_children == 0`, acquire) also orders
+    /// this write before any `take_child_panic`.
     pub(crate) fn record_child_panic(&self, payload: PanicPayload) {
-        if self
-            .child_panic_claimed
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
+        if self.remote.fetch_or(PANIC_CLAIMED, Ordering::Acquire) & PANIC_CLAIMED == 0 {
             // SAFETY: the claim grants exclusive write access; no reader
             // runs until this child has also counted as completed.
             unsafe { *self.child_panic.get() = Some(payload) };
         }
     }
 
-    /// Takes the recorded child panic, if any, re-arming the slot so a
+    /// Takes the recorded child panic, if any, re-arming the claim so a
     /// later child panic (after the caller handled this one) is not
-    /// silently swallowed. Only the task's executor may call this, and
-    /// only while no child is in flight.
+    /// silently swallowed. Only the task's owner may call this, and only
+    /// while no child is in flight.
     pub(crate) fn take_child_panic(&self) -> Option<PanicPayload> {
-        if self.child_panic_claimed.load(Ordering::Acquire) {
-            // SAFETY: single-executor discipline + quiescence (no child
-            // can be writing concurrently).
-            let payload = unsafe { (*self.child_panic.get()).take() };
-            self.child_panic_claimed.store(false, Ordering::Release);
-            payload
-        } else {
-            None
+        if self.remote.load(Ordering::Acquire) & PANIC_CLAIMED == 0 {
+            return None;
         }
-    }
-
-    /// Increments the reference count: registers a new child (called by
-    /// the spawning worker, which *is* the executor of this task, before
-    /// making the child visible).
-    #[inline]
-    pub(crate) fn retain(&self) {
-        let prev = self.refs.fetch_add(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "retain of a dead task");
-    }
-
-    /// Decrements the reference count (a child completing, or the
-    /// executor giving up the handle); returns `true` when this was the
-    /// last reference and the record may be recycled. `Release` so the
-    /// parent's `taskwait` acquire-load observes everything the child did.
-    #[inline]
-    pub(crate) fn release_ref(&self) -> bool {
-        let prev = self.refs.fetch_sub(1, Ordering::Release);
-        debug_assert!(prev > 0, "release_ref underflow");
-        if prev == 1 {
-            // Synchronize with all prior releases before the record is
-            // reused (standard Arc-style protocol).
-            std::sync::atomic::fence(Ordering::Acquire);
-            true
-        } else {
-            false
-        }
+        // SAFETY: single-executor discipline + quiescence (no child
+        // can be writing concurrently).
+        let payload = unsafe { (*self.child_panic.get()).take() };
+        self.remote.fetch_and(!PANIC_CLAIMED, Ordering::Release);
+        payload
     }
 }
 
@@ -388,7 +460,8 @@ impl std::fmt::Debug for Task {
         f.debug_struct("Task")
             .field("creator", &self.creator)
             .field("priority", &self.priority)
-            .field("refs", &self.refs.load(Ordering::Relaxed))
+            .field("local", &self.local.load(Ordering::Relaxed))
+            .field("remote", &self.remote.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -503,42 +576,93 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::Relaxed), 1);
     }
 
+    /// Who frees the record: the owner when nothing is outstanding at
+    /// the detach, the completer that brings the remote count to the
+    /// target otherwise; an attached task is never freed by a completion.
     #[test]
     fn refcount_protocol() {
+        // Every child counted before the detach: the owner frees.
         let t = Task::new(None, 0, 0);
-        t.retain();
-        assert!(!t.release_ref());
-        assert!(t.release_ref());
+        t.add_child();
+        t.add_child();
+        t.child_done_here();
+        assert!(
+            !t.child_done_elsewhere(),
+            "attached: a completion never frees"
+        );
+        assert_eq!(t.unfinished_children(), 0);
+        assert!(t.detach());
+        // The last child completes after the detach, on the owner's
+        // worker or elsewhere alike: that completion frees.
+        let t = Task::new(None, 0, 0);
+        t.add_child();
+        t.add_child();
+        t.child_done_here();
+        assert!(!t.detach());
+        assert!(!t.attached());
+        assert!(t.child_done_elsewhere());
+        // A remote completion lands before the detach: the target counts
+        // it, and only the last completion after the detach frees.
+        let t = Task::new(None, 0, 0);
+        for _ in 0..3 {
+            t.add_child();
+        }
+        assert!(!t.child_done_elsewhere());
+        assert!(!t.detach());
+        assert!(!t.child_done_elsewhere());
+        assert!(t.child_done_elsewhere());
     }
 
     #[test]
     fn child_accounting() {
         let t = Task::new(None, 3, 0);
         assert_eq!(t.unfinished_children(), 0);
-        t.retain();
-        t.retain();
+        t.add_child();
+        t.add_child();
         assert_eq!(t.unfinished_children(), 2);
-        assert!(!t.release_ref());
+        t.child_done_here();
         assert_eq!(t.unfinished_children(), 1);
-        assert!(!t.release_ref());
+        // The panic claim is a flag beside the count, not a child.
+        t.record_child_panic(Box::new(7u8));
+        assert_eq!(t.unfinished_children(), 1);
+        assert!(!t.child_done_elsewhere());
         assert_eq!(t.unfinished_children(), 0);
+        assert!(t.take_child_panic().is_some());
+        assert!(t.take_child_panic().is_none(), "taken once, claim re-armed");
         assert_eq!(t.creator(), 3);
-        assert!(t.release_ref());
+        // Both counts wrap in the same units, and the remote count's
+        // carry falls off the top of the word instead of into a flag.
+        let top = 0u32.wrapping_sub(ONE);
+        t.local.store(top, Ordering::Relaxed);
+        t.remote.store(top | PANIC_CLAIMED, Ordering::Relaxed);
+        assert_eq!(t.unfinished_children(), 0);
+        t.add_child();
+        assert_eq!(t.unfinished_children(), 1);
+        assert!(!t.child_done_elsewhere());
+        assert_eq!(t.remote.load(Ordering::Relaxed), PANIC_CLAIMED);
+        assert_eq!(t.unfinished_children(), 0);
+        assert!(t.attached());
     }
 
     #[test]
     fn reinit_resets_everything() {
         let boxed = Box::new(Task::new(None, 1, 5));
         let ptr = NonNull::new(Box::into_raw(boxed)).unwrap();
-        // Kill it, then reinit as a different task.
+        // Kill it through a detach (flag, claim and target all set), then
+        // reinit it as a different task.
         unsafe {
-            assert!((*ptr.as_ptr()).release_ref());
+            let t = ptr.as_ref();
+            t.add_child();
+            t.record_child_panic(Box::new(()));
+            assert!(!t.detach());
+            assert!(t.child_done_elsewhere());
             Task::reinit(ptr, None, 7, -2);
             let t = ptr.as_ref();
             assert_eq!(t.creator(), 7);
             assert_eq!(t.priority(), -2);
             assert_eq!(t.unfinished_children(), 0);
-            assert!(t.release_ref());
+            assert!(t.attached());
+            assert!(t.take_child_panic().is_none());
             drop(Box::from_raw(ptr.as_ptr()));
         }
     }

@@ -56,15 +56,14 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
         let traced = team.trace_on(TraceLevel::Full);
         span = (team.profiling || traced).then(|| (clock::now(), traced));
         let ctx = TaskCtx { worker, task };
-        // SAFETY: single-executor discipline — the handle reference we
-        // hold is the only execution claim on this task.
+        // SAFETY: single-executor discipline — the queue handed this
+        // task to us alone, and we own it until `retire`.
         let run = || unsafe { Task::run_body(task, &ctx) };
         if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
             body_panicked(team, task, payload);
         }
     }
-    // SAFETY: the handle reference `execute` holds is the one released
-    // here.
+    // SAFETY: `execute` owns the task, and lets go of it here.
     unsafe { retire(worker, task) };
     if let Some((t0, traced)) = span {
         record_span(worker, t0, traced);
@@ -73,7 +72,7 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
 
 /// The locality accounting and NUMA cost model of a task about to run.
 fn account(worker: &Worker<'_>, task: NonNull<Task>) {
-    // SAFETY: the caller holds the task's handle reference.
+    // SAFETY: the caller owns the task.
     let creator = unsafe { task.as_ref() }.creator();
     let locality = worker.team.placement.locality(creator, worker.id);
     worker.stats.record_execution(locality);
@@ -108,36 +107,45 @@ fn body_panicked(team: &TeamShared, task: NonNull<Task>, payload: PanicPayload) 
         team.poison();
         Box::new(Poisoned)
     };
-    // SAFETY: we hold a reference; the record is alive.
+    // SAFETY: we own the task; the record is alive.
     if let Some(parent) = unsafe { task.as_ref() }.parent() {
-        // SAFETY: the child retains its parent until `retire`.
+        // SAFETY: a parent outlives its outstanding children, and this
+        // one completes only in `retire`.
         unsafe { parent.as_ref() }.record_child_panic(payload);
     }
 }
 
-/// Retires a task: drops the task's own handle reference (freeing the
-/// record, and with it a body that never ran), then completes its
-/// parent's dependency by dropping the reference the child held on the
-/// parent, then reports the task to the barrier as finished. Self before
+/// Retires a task: the owner lets go of it, then completes its parent's
+/// dependency, then reports it to the barrier as finished. Self before
 /// parent, so a discarded body is dropped while the parent still waits
 /// for it: a scoped body may borrow the parent's frame until then.
 ///
+/// Both halves follow the owner-biased count (see [`crate::task`]). A
+/// task with no child outstanding is freed here with no RMW — always so
+/// for a discarded one, which never ran to spawn any; otherwise it
+/// detaches, and its last child frees it. The parent's count is a plain
+/// store when the task completes on its creator's worker — the parent's
+/// owner — while the parent is attached, and one RMW anywhere else.
+///
 /// # Safety
 ///
-/// The caller holds `task`'s handle reference and gives it up here.
+/// The caller owns `task` and gives it up here.
 unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>) {
-    // SAFETY: record alive until our release below.
+    // SAFETY: the record is alive until we let go of it below.
     let t = unsafe { task.as_ref() };
-    let parent = t.parent();
-    if t.release_ref() {
-        // SAFETY: last reference gone; the record is dead.
+    let (parent, creator) = (t.parent(), t.creator());
+    if t.unfinished_children() == 0 || worker.dep_rmw(|| t.detach()) {
+        // SAFETY: no child counts on the record any more: it is dead.
         unsafe { worker.alloc.free(task) };
     }
     if let Some(parent) = parent {
-        // SAFETY: the child held a reference to the parent until this
-        // release, so the parent record is alive here.
-        if unsafe { parent.as_ref() }.release_ref() {
-            // SAFETY: as above.
+        // SAFETY: a parent outlives its outstanding children, and this
+        // one is outstanding until the completion below.
+        let p = unsafe { parent.as_ref() };
+        if creator == worker.id && p.attached() {
+            p.child_done_here();
+        } else if worker.dep_rmw(|| p.child_done_elsewhere()) {
+            // SAFETY: the parent is detached and this was its last child.
             unsafe { worker.alloc.free(parent) };
         }
     }
@@ -145,6 +153,16 @@ unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>) {
 }
 
 impl Worker<'_> {
+    /// Runs one atomic RMW on a task's child count (a detach, or a
+    /// completion off the owner's worker); debug builds tally it on the
+    /// team, so tests can pin how many a region pays.
+    #[inline]
+    fn dep_rmw<R>(&self, rmw: impl FnOnce() -> R) -> R {
+        #[cfg(debug_assertions)]
+        self.team.dep_rmws.fetch_add(1, Ordering::Relaxed);
+        rmw()
+    }
+
     /// The scheduling point: asks this worker's seat for its next task
     /// (which, under DLB, also serves one pending steal request — the
     /// victim hook lives inside `Seat::next_task`) and runs it.
@@ -164,8 +182,10 @@ impl Worker<'_> {
 
     /// The ingress transition (persistent executor): lets the team's
     /// [`IngressSource`](super::IngressSource), if any, spawn externally
-    /// submitted work from this worker. The injected tasks become
-    /// children of the region's implicit task. Returns how many were
+    /// submitted work from this worker, from the region's implicit task:
+    /// its children when the master polls, parentless when a peer does
+    /// (only a task's owner writes its count's `local`); the barrier
+    /// counts them either way. Returns how many were
     /// spawned: none in a poisoned team, which would only discard them
     /// (they stay in the source).
     pub(crate) fn poll_ingress(&self) -> usize {
@@ -186,8 +206,8 @@ impl Worker<'_> {
 }
 
 /// The scheduling loop every worker runs inside the region-end barrier:
-/// execute whatever the scheduler yields; when idle, fire the DLB thief
-/// hook and poll the barrier.
+/// execute whatever the scheduler yields; when idle, poll the ingress,
+/// then fire the DLB thief hook and poll the barrier.
 ///
 /// ## The event-driven idle arm
 ///
@@ -254,14 +274,17 @@ pub(super) fn worker_loop(worker: &Worker<'_>) {
             gate.reset();
             continue;
         }
-        worker.seat.on_idle();
-        // Before concluding the region might be over, pull externally
-        // submitted work into the scheduler.
+        // Pull externally submitted work into the scheduler before
+        // asking a peer for some: the ingress is the coarse level of the
+        // load balancing, so an idle serving worker sends no steal request
+        // while the ingress holds a job. Without a source this returns 0
+        // at once.
         if worker.poll_ingress() > 0 {
             close_idle(&mut idle_t0, EventKind::Stall);
             gate.reset();
             continue;
         }
+        worker.seat.on_idle();
         if team.profiling && idle_t0.is_none() {
             idle_t0 = Some(clock::now());
         }
@@ -315,7 +338,7 @@ pub(super) fn worker_loop(worker: &Worker<'_>) {
 pub(super) fn master_main<R>(team: &TeamShared, f: impl FnOnce(&TaskCtx<'_>) -> R) -> Option<R> {
     let worker = Worker::claim(team, 0);
     // The implicit (root) task anchoring the region's task tree,
-    // published so idle workers can parent injected tasks to it.
+    // published so idle workers' ingress polls can spawn from it.
     let root = worker.alloc.alloc(None, 0);
     team.root.store(root.as_ptr(), Ordering::Release);
     let ctx = TaskCtx {
@@ -384,6 +407,54 @@ mod tests {
     #[test]
     fn taskwait_serves_steal_requests() {
         worker1_gets_work_while_master(|ctx, _, _| ctx.taskwait());
+    }
+
+    /// The dependency counts' exact cost (debug builds tally it): a
+    /// child that completes on the worker that spawned it pays no atomic
+    /// RMW, so `fib(15)` on one worker pays none at all, and a two-worker
+    /// region with placed children pays exactly one per child that ran on
+    /// the other worker (a task's own retire pays none: every one here
+    /// waits for its children).
+    #[cfg(debug_assertions)]
+    #[test]
+    fn dependency_rmws_are_exactly_the_cross_worker_completions() {
+        fn fib(ctx: &TaskCtx<'_>, n: u64) -> u64 {
+            if n < 2 {
+                return n;
+            }
+            let (mut a, mut b) = (0, 0);
+            ctx.scope(|s| {
+                s.spawn(|c| a = fib(c, n - 1));
+                s.spawn(|c| b = fib(c, n - 2));
+            });
+            a + b
+        }
+        let rmws = |ctx: &TaskCtx<'_>| ctx.team().dep_rmws.load(Ordering::Relaxed);
+        let out = Runtime::new(RuntimeConfig::xgomptb(1)).parallel(|ctx| (fib(ctx, 15), rmws(ctx)));
+        assert_eq!(out.result, (610, 0), "fib(15) on one worker: no RMW");
+        assert_eq!(out.stats.total().tasks_executed, 1972);
+
+        let cross = AtomicUsize::new(0);
+        let out = Runtime::new(RuntimeConfig::xgomptb(2)).parallel(|ctx| {
+            ctx.scope(|s| {
+                for i in 0..64 {
+                    let cross = &cross;
+                    s.spawn_on(i % 2, move |c| {
+                        // A grandchild placed on its parent's own worker
+                        // completes there: a plain store.
+                        c.scope(|s| s.spawn_on(c.worker_id(), |_| {}));
+                        if c.worker_id() != 0 {
+                            cross.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            rmws(ctx)
+        });
+        let cross = cross.into_inner() as u64;
+        assert!(cross > 0, "worker 1 ran its placed children");
+        assert_eq!(out.result, cross, "one RMW per cross-worker completion");
+        assert_eq!(out.stats.total().tasks_executed, 128);
     }
 
     #[test]

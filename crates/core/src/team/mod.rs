@@ -52,11 +52,17 @@ use crate::util::locked;
 ///
 /// `poll` runs on an idle worker with a context rooted at the region's
 /// implicit task; it may spawn any number of tasks through `ctx` and
-/// returns how many it spawned. Implementations must stop yielding work
-/// once their shutdown drain has completed — after the region master has
-/// arrived at the barrier *and* the team has quiesced, nothing may be
-/// injected anymore (the runtime guarantees this is unreachable as long
-/// as every accepted job is spawned before it is counted as drained).
+/// returns how many it spawned. Only the master owns the implicit task,
+/// so what a peer spawns there is parentless: the barrier still counts
+/// it, but no `taskwait` waits for it — a peer's own `taskwait` returns
+/// at once, and a scope it opens runs each child at once (the overflow
+/// rule's immediate execution). The jobs themselves belong to whichever
+/// worker runs them, like any task, so their own children are counted.
+/// Implementations must stop yielding work once their shutdown drain has
+/// completed — after the region master has arrived at the barrier *and*
+/// the team has quiesced, nothing may be injected anymore (the runtime
+/// guarantees this is unreachable as long as every accepted job is
+/// spawned before it is counted as drained).
 pub trait IngressSource: Send + Sync {
     /// Polls for external work; returns the number of tasks spawned.
     fn poll(&self, ctx: &TaskCtx<'_>) -> usize;
@@ -126,7 +132,7 @@ pub(crate) struct TeamShared {
     /// `Schedule::Auto` selector (see [`ServingHooks::auto_select`]).
     pub auto_select: Option<Arc<AutoSelector>>,
     /// The region's implicit task, published by the master so idle
-    /// workers can parent injected tasks to it; null outside a region.
+    /// workers' ingress polls can spawn from it; null outside a region.
     pub root: AtomicPtr<Task>,
     /// A task body's panic fails only its own task: `execute` hands the
     /// payload to the parent, whose next `taskwait` re-raises it, instead
@@ -144,6 +150,10 @@ pub(crate) struct TeamShared {
     /// This generation's claim on the tracer's rings; each worker emits
     /// into its own (`Worker::ring`).
     pub rings: Option<Claim<EventRing>>,
+    /// Debug builds: atomic RMWs paid on task child counts (detaches and
+    /// completions off the owner's worker), so tests can pin them.
+    #[cfg(debug_assertions)]
+    pub dep_rmws: std::sync::atomic::AtomicU64,
 }
 
 /// Builds the shared state for one region of `cfg` with the given
@@ -184,6 +194,8 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
         park_idle: cfg.park_idle,
         rings: tracer.as_ref().map(|t| t.rings.claim(0..n)),
         tracer,
+        #[cfg(debug_assertions)]
+        dep_rmws: Default::default(),
     }
 }
 
@@ -192,18 +204,17 @@ fn build_team(cfg: &RuntimeConfig, hooks: ServingHooks, isolate_panics: bool) ->
 /// then re-raises the panic of a poisoned region (`result` is `None`
 /// exactly then) or collects the telemetry.
 fn finish_region<R>(mut team: TeamShared, result: Option<R>, wall: Duration) -> RegionOutput<R> {
-    // With every worker gone nothing can parent a task to the root any
-    // more, so the master's handle reference — the last one, since every
-    // child has retired — is dropped here.
+    // With every worker gone nothing can spawn from the root any more,
+    // and every child it counted has retired, so it is freed here with no
+    // RMW: the master's ownership ends with the region.
     let root = std::mem::replace(team.root.get_mut(), std::ptr::null_mut());
     let root = NonNull::new(root).expect("the master published the root");
     let seat = team.alloc.seat(0);
-    // SAFETY: the handle reference `master_main` took is released once,
-    // here, and the record is freed only once that was the last one.
+    // SAFETY: the record is the root `master_main` allocated, freed once,
+    // here; no child is outstanding (the barrier released).
     unsafe {
-        if root.as_ref().release_ref() {
-            seat.free(root);
-        }
+        debug_assert_eq!(root.as_ref().unfinished_children(), 0);
+        seat.free(root);
     }
     drop(seat);
     // Teardown sanity: the barrier released, poisoned region or not, so

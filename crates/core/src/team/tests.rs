@@ -435,6 +435,159 @@ fn idle_workers_drain_an_ingress_source() {
     out.stats.check_invariants().unwrap();
 }
 
+/// A source that yields jobs only to worker 1's polls: worker 1 drains
+/// each job (so the job is parentless), then stays inside its poll until
+/// the job has started, so the master runs it.
+struct PeerSource {
+    jobs: std::sync::atomic::AtomicUsize,
+    started: Arc<std::sync::atomic::AtomicUsize>,
+    job: fn(&TaskCtx<'_>),
+}
+
+impl IngressSource for PeerSource {
+    fn poll(&self, ctx: &TaskCtx<'_>) -> usize {
+        use std::time::{Duration, Instant};
+        let claimed = |r: usize| r.checked_sub(1);
+        if ctx.worker_id() != 1
+            || self
+                .jobs
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, claimed)
+                .is_err()
+        {
+            return 0;
+        }
+        let before = self.started.load(Ordering::Acquire);
+        let (started, job) = (self.started.clone(), self.job);
+        ctx.spawn_local(move |c| {
+            started.fetch_add(1, Ordering::Release);
+            job(c);
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.started.load(Ordering::Acquire) == before && Instant::now() < deadline {
+            std::hint::spin_loop();
+        }
+        1
+    }
+}
+
+/// Serves `jobs` runs of `job`, each drained by worker 1 and run by the
+/// master, on `gomp(2)` (one shared queue, so whoever is free pops it).
+fn serve_peer_drained(jobs: usize, job: fn(&TaskCtx<'_>)) -> usize {
+    let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let source = Arc::new(PeerSource {
+        jobs: jobs.into(),
+        started: started.clone(),
+        job,
+    });
+    let hooks = ServingHooks {
+        source: Some(source.clone()),
+        ..ServingHooks::default()
+    };
+    let out = Runtime::new(RuntimeConfig::gomp(2)).serve(hooks, |ctx| {
+        while source.jobs.load(Ordering::Relaxed) > 0 {
+            ctx.run_pending(1);
+            std::hint::spin_loop();
+        }
+    });
+    out.stats.check_invariants().unwrap();
+    started.load(Ordering::Relaxed)
+}
+
+/// A job a peer drained is parentless, yet it is the task of whichever
+/// worker runs it: here the master, not the worker that drained it. Its
+/// scope still waits for children that borrow its frame, and a child's
+/// panic still reaches its taskwait. Results go to statics, since a
+/// parentless job's own panic would reach no one.
+#[test]
+fn a_peer_drained_job_run_elsewhere_owns_its_children() {
+    use std::sync::atomic::AtomicUsize;
+    static ON_MASTER: AtomicUsize = AtomicUsize::new(0);
+    static WAITED: AtomicUsize = AtomicUsize::new(0);
+    static RERAISED: AtomicUsize = AtomicUsize::new(0);
+    fn job(c: &TaskCtx<'_>) {
+        if c.worker_id() == 0 {
+            ON_MASTER.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut slots = [0u64; 8];
+        c.scope(|s| {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                s.spawn(move |_| {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    *slot = i as u64 + 1;
+                });
+            }
+        });
+        if slots.iter().sum::<u64>() == 36 {
+            WAITED.fetch_add(1, Ordering::Relaxed);
+        }
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.scope(|s| s.spawn(|_| panic!("subtask failed")));
+        }));
+        if failed.is_err() {
+            RERAISED.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    assert_eq!(serve_peer_drained(20, job), 20);
+    assert_eq!(
+        ON_MASTER.load(Ordering::Relaxed),
+        20,
+        "worker 1 held its poll"
+    );
+    assert_eq!(
+        WAITED.load(Ordering::Relaxed),
+        20,
+        "scope waited for its children"
+    );
+    assert_eq!(
+        RERAISED.load(Ordering::Relaxed),
+        20,
+        "the subtask's panic reached the job"
+    );
+}
+
+/// The one context that does not own its task is a peer's poll: a scope
+/// opened there runs each child at once (nothing could wait for it), and
+/// its taskwait returns at once.
+#[test]
+fn a_scope_in_a_peer_poll_runs_its_children_at_once() {
+    use std::sync::atomic::AtomicUsize;
+    static RAN: AtomicUsize = AtomicUsize::new(0);
+    static DONE: AtomicUsize = AtomicUsize::new(0);
+    struct ScopedPoll;
+    impl IngressSource for ScopedPoll {
+        fn poll(&self, ctx: &TaskCtx<'_>) -> usize {
+            if ctx.worker_id() != 1 || DONE.load(Ordering::Relaxed) > 0 {
+                return 0;
+            }
+            let mut hits = [0u8; 4];
+            ctx.scope(|s| {
+                for hit in hits.iter_mut() {
+                    s.spawn(move |_| *hit = 1);
+                }
+            });
+            ctx.taskwait();
+            RAN.store(hits.iter().map(|&h| h as usize).sum(), Ordering::Relaxed);
+            DONE.store(1, Ordering::Release);
+            4
+        }
+    }
+    let hooks = ServingHooks {
+        source: Some(Arc::new(ScopedPoll)),
+        ..ServingHooks::default()
+    };
+    let out = Runtime::new(RuntimeConfig::xgomptb(2)).serve(hooks, |ctx| {
+        while DONE.load(Ordering::Acquire) == 0 {
+            ctx.run_pending(1);
+            std::hint::spin_loop();
+        }
+    });
+    assert_eq!(RAN.load(Ordering::Relaxed), 4);
+    let total = out.stats.total();
+    assert_eq!(total.ntasks_imm_exec, 4, "run at once, not queued");
+    assert_eq!(total.tasks_executed, 4);
+    out.stats.check_invariants().unwrap();
+}
+
 /// Every cell a `Worker` owns — cursor, NA-RP redirect, RNG, free list,
 /// log — driven from nested `execute` frames: capacity-2 queues turn
 /// most placed spawns into immediate execution, whose bodies spawn again

@@ -201,7 +201,9 @@ impl IngressSource for ServiceSource {
         // on a *running* job, never on a stalled queue. The poll sits
         // in the serve/idle loops, which re-poll immediately while
         // injections succeed, so throughput is a claim per job, not a
-        // drain cycle per job.
+        // drain cycle per job. Spawned from a peer of the master, the
+        // job's root task is parentless: completing it touches no count
+        // on the region's shared implicit task.
         if let Some(job) = shared.ingress.drain_one(hint) {
             ctx.spawn_local(move |ctx| job.run(ctx));
             n += 1;

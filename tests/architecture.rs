@@ -608,6 +608,75 @@ fn one_panic_boundary() {
     r.check(isolating == expected, what, &isolating);
 }
 
+/// One dependency count: a task's children are counted owner-biased
+/// (`crates/core/src/task.rs`). Its owner writes the `local` half with
+/// plain stores, never an RMW, and the `remote` word takes an atomic RMW
+/// on the count in exactly two places: a child completing off the owner's
+/// worker (`child_done_elsewhere`) and the owner's detach (`detach`). The
+/// child-panic claim shares the word and touches only its own flag. A
+/// completer decides from its own RMW's result alone: the owner moved its
+/// count into the word at the detach, so `child_done_elsewhere` never
+/// reads `local` of a record another completer may already have freed. A
+/// reference count paid on every spawn and retire (`retain` /
+/// `release_ref`) must not grow back, nor an RMW in the spawn path.
+#[test]
+fn one_dependency_count() {
+    let r = Rule("one_dependency_count");
+    let rmw = |l: &str, field: &str| {
+        ["fetch_", "compare_exchange", "swap("]
+            .iter()
+            .any(|op| code(l).contains(&format!("{field}.{op}")))
+    };
+    let lines = owned_lines(CORE);
+    let local: Vec<String> = lines
+        .iter()
+        .filter(|(_, l)| rmw(l, "local"))
+        .map(|(owner, l)| format!("{owner}: {l}"))
+        .collect();
+    r.count(0, "no atomic RMW on a task's `local` count", local);
+    let (claims, counts): (Vec<_>, Vec<_>) = lines
+        .iter()
+        .filter(|(_, l)| rmw(l, "remote"))
+        .partition(|(_, l)| code(l).contains("PANIC_CLAIMED"));
+    let counts: Vec<String> = counts.into_iter().map(|(o, _)| o.clone()).collect();
+    let expected = [
+        format!("{CORE}/task.rs: child_done_elsewhere"),
+        format!("{CORE}/task.rs: detach"),
+    ];
+    let what = "an RMW on the child count sits only in `child_done_elsewhere` and `detach`";
+    r.check(counts == expected, what, &counts);
+    let completer = format!("{CORE}/task.rs: child_done_elsewhere");
+    let reads: Vec<String> = lines
+        .iter()
+        .filter(|(owner, l)| *owner == completer && has_word(code(l), "local"))
+        .map(|(owner, l)| format!("{owner}: {l}"))
+        .collect();
+    let what = "a completer reads no `local` after its RMW";
+    r.count(0, what, reads);
+    let claims: Vec<String> = claims.into_iter().map(|(o, _)| o.clone()).collect();
+    let expected = [
+        format!("{CORE}/task.rs: record_child_panic"),
+        format!("{CORE}/task.rs: take_child_panic"),
+    ];
+    let what = "the panic claim's RMWs sit only in `record_child_panic` and `take_child_panic`";
+    r.check(claims == expected, what, &claims);
+    let refcount = grep(CORE, Part::All, |l| {
+        let l = code(l);
+        l.contains("fn retain(") || l.contains("release_ref(")
+    });
+    r.count(
+        0,
+        "no per-task reference count (`retain` / `release_ref`)",
+        refcount,
+    );
+    let spawn = grep("crates/core/src/ctx.rs", Part::NonTest, |l| {
+        ["fetch_", "compare_exchange"]
+            .iter()
+            .any(|op| code(l).contains(op))
+    });
+    r.count(0, "no atomic RMW in the spawn path (`ctx.rs`)", spawn);
+}
+
 /// One per-worker cell primitive: every single-writer per-worker block
 /// (§V counters, trace rings, job outcomes) is a seat of
 /// `xgomp_xqueue::Cells`, padded by the workspace's one `CachePadded`. A
@@ -750,9 +819,10 @@ fn one_measurement_harness() {
     r.check(!shim.exists(), "no `crates/shims/criterion` crate", &[]);
 }
 
-/// The reproducers CI repeats by name (the pause ledger's and the serving
-/// panic probes), and the help-first join reproducer the docs cite: a
-/// rename would leave a repeat loop running nothing.
+/// The reproducers CI repeats by name (the pause ledger's, the serving
+/// panic probes and the detach probes), and the help-first join
+/// reproducer the docs cite: a rename would leave a repeat loop running
+/// nothing.
 #[test]
 fn pinned_reproducers_exist() {
     let r = Rule("pinned_reproducers_exist");
@@ -775,6 +845,27 @@ fn pinned_reproducers_exist() {
         (
             server_tests,
             "pause_waits_for_an_admitted_job_still_being_placed",
+        ),
+        (
+            "tests/task_allocations.rs",
+            "detach_last_child_on_the_owner_worker",
+        ),
+        ("tests/task_allocations.rs", "detach_last_child_on_the_peer"),
+        (
+            "tests/task_allocations.rs",
+            "detach_after_a_remote_completion",
+        ),
+        (
+            "tests/task_allocations.rs",
+            "detach_with_children_finishing_on_both_workers",
+        ),
+        (
+            "crates/core/src/team/tests.rs",
+            "a_peer_drained_job_run_elsewhere_owns_its_children",
+        ),
+        (
+            "crates/core/src/team/tests.rs",
+            "a_scope_in_a_peer_poll_runs_its_children_at_once",
         ),
     ] {
         let defs = grep(file, Part::All, |l| l.contains(&format!("fn {name}(")));

@@ -10,9 +10,15 @@
 //! (recycled records). A capture larger than the inline storage is boxed
 //! and pays one more. A region that panics frees every record it
 //! allocated, its root task included.
+//!
+//! The `detach_*` tests pin the owner-biased child count's three detach
+//! paths on two workers, each reached by placement rather than by the
+//! schedule, and race a detach against completions on both workers at
+//! once: every task record is freed exactly once, whichever party — the
+//! retiring owner or a child on either worker — lets go of it last.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use xgomp::{Runtime, RuntimeConfig, TaskCtx};
 
@@ -120,4 +126,146 @@ fn a_panicked_region_leaks_no_task_record() {
             "{shape}: 100 panicked regions left {left} allocations live"
         );
     }
+}
+
+/// Runs `body` in 100 two-worker regions, after 10 warm-up ones, on
+/// `xgomptb(2)` and on the multi-level allocator (`xlomp(2)`). Each region
+/// must count `children` bodies into `ran`, and the 100 must leave the
+/// live allocations of tracked set `set` — this thread and worker 1's —
+/// where they found them: a record never freed stays live, and one freed
+/// twice takes a second block away (the multi-level pool frees it twice
+/// when the team drops).
+fn every_record_freed_once(set: usize, ran: &AtomicU64, children: u64, body: fn(&TaskCtx<'_>)) {
+    support::track_this_thread(set);
+    for cfg in [RuntimeConfig::xgomptb(2), RuntimeConfig::xlomp(2)] {
+        let rt = Runtime::new(cfg);
+        rt.parallel(|ctx| {
+            ctx.scope(|s| {
+                s.spawn_on(1, |c| {
+                    assert_eq!(c.worker_id(), 1);
+                    support::track_this_thread(set);
+                });
+            });
+        });
+        let region = |i: u32| {
+            ran.store(0, Ordering::Relaxed);
+            rt.parallel(body);
+            let n = ran.load(Ordering::Relaxed);
+            assert_eq!(n, children, "region {i} ran {n} of {children} children");
+        };
+        (0..10).for_each(region);
+        let baseline = support::tracked_live(set);
+        (0..100).for_each(region);
+        let left = support::tracked_live(set) - baseline;
+        assert_eq!(left, 0, "100 regions left {left} allocations live");
+    }
+}
+
+/// A parent on worker 1 puts its one child in worker 1's own queue and
+/// returns: it detaches with the child outstanding, and the child —
+/// completing on the owner's worker, after the detach — frees it.
+#[test]
+fn detach_last_child_on_the_owner_worker() {
+    static RAN: AtomicU64 = AtomicU64::new(0);
+    every_record_freed_once(0, &RAN, 1, |ctx| {
+        ctx.scope(|s| {
+            s.spawn_on(1, |p| {
+                assert_eq!(p.worker_id(), 1);
+                p.spawn_local(|c| {
+                    assert_eq!(c.worker_id(), 1);
+                    RAN.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+        });
+    });
+}
+
+/// A parent on worker 0 sends its one child to worker 1 and returns. The
+/// child waits for a grandchild placed on worker 0, which worker 0 runs
+/// only after the parent's `execute` — detach included — has returned,
+/// so the child completes on the peer after the detach and frees it.
+#[test]
+fn detach_last_child_on_the_peer() {
+    static RAN: AtomicU64 = AtomicU64::new(0);
+    every_record_freed_once(1, &RAN, 2, |ctx| {
+        // Worker 0's first round-robin spawn targets its own queue; this
+        // one moves its cursor on, so the parent's spawn targets worker 1.
+        ctx.spawn(|_| {
+            RAN.fetch_add(1, Ordering::Relaxed);
+        });
+        ctx.scope(|s| {
+            s.spawn_on(0, |p| {
+                assert_eq!(p.worker_id(), 0);
+                p.spawn(|c| {
+                    assert_eq!(c.worker_id(), 1, "the cursor's second target");
+                    c.scope(|s| s.spawn_on(0, |_| {}));
+                    RAN.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+        });
+    });
+}
+
+/// A parent on worker 1 waits for a child placed on worker 0 (a remote
+/// completion on an attached parent), then puts a second child in its own
+/// queue and returns. The detach finds one of two children counted, so it
+/// frees nothing; the second child, after the detach, frees the parent.
+#[test]
+fn detach_after_a_remote_completion() {
+    static RAN: AtomicU64 = AtomicU64::new(0);
+    every_record_freed_once(2, &RAN, 2, |ctx| {
+        ctx.scope(|s| {
+            s.spawn_on(1, |p| {
+                assert_eq!(p.worker_id(), 1);
+                p.scope(|s| {
+                    s.spawn_on(0, |c| {
+                        assert_eq!(c.worker_id(), 0);
+                        RAN.fetch_add(1, Ordering::Relaxed);
+                    });
+                });
+                p.spawn_local(|c| {
+                    assert_eq!(c.worker_id(), 1);
+                    RAN.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+        });
+    });
+}
+
+/// A parent spreads eight children over both workers and returns. The
+/// first child to run on the parent's own worker does so after the
+/// parent's `execute`, detach included, has returned; the children on the
+/// other worker wait for it (bounded), so completions land on both
+/// workers at once while the parent is detached. Only the completer whose
+/// increment brings the count to zero may free it, and no completer may
+/// read the record after its own increment.
+#[test]
+fn detach_with_children_finishing_on_both_workers() {
+    use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
+    static RAN: AtomicU64 = AtomicU64::new(0);
+    static OWNER: AtomicUsize = AtomicUsize::new(0);
+    static DETACHED: AtomicBool = AtomicBool::new(false);
+    fn child(c: &TaskCtx<'_>) {
+        if c.worker_id() == OWNER.load(Ordering::Relaxed) {
+            DETACHED.store(true, Ordering::Release);
+        } else {
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while !DETACHED.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::hint::spin_loop();
+            }
+        }
+        RAN.fetch_add(1, Ordering::Relaxed);
+    }
+    every_record_freed_once(3, &RAN, 8, |ctx| {
+        DETACHED.store(false, Ordering::Relaxed);
+        ctx.scope(|s| {
+            s.spawn_on(0, |p| {
+                OWNER.store(p.worker_id(), Ordering::Relaxed);
+                for _ in 0..8 {
+                    p.spawn(child);
+                }
+            });
+        });
+    });
 }
