@@ -15,7 +15,9 @@
 //! free lists are warm. The contrast between the two policies therefore
 //! isolates the record allocation, which is what Fig. 4's crossover is
 //! about. (A capture too large for the inline storage is boxed, one more
-//! allocation under either policy.)
+//! allocation under either policy.) Like libgomp's undeferred tasks, a
+//! task the overflow rule runs at once is no allocator's business: its
+//! record is a local of the spawn that runs it.
 
 use std::cell::{Cell, RefCell};
 use std::ptr::NonNull;

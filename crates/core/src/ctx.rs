@@ -19,11 +19,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use xgomp_profiling::{clock, EventKind};
-use xgomp_xqueue::{bump, Backoff};
+use xgomp_xqueue::bump;
 
 use crate::cancel::{raise_cancel, CancelReason, CancelToken};
 use crate::task::Task;
-use crate::team::{execute, TeamShared, Worker};
+use crate::team::{execute, TeamShared, Worker, ON_FRAME};
 
 /// A task's handle to the runtime: passed to every task body and to the
 /// parallel-region closure.
@@ -89,6 +89,11 @@ impl<'t> TaskCtx<'t> {
     /// Spawns a child task with default priority. The body must be
     /// `'static`; to borrow from the current frame use
     /// [`scope`](Self::scope).
+    ///
+    /// When the child's target queue is full, it runs *undeferred* (the
+    /// overflow rule, §II-B): on this worker, before this call returns,
+    /// which happens only once every task the child spawned has finished
+    /// too — those it left for a later `taskwait` included.
     #[inline]
     pub fn spawn<F>(&self, f: F)
     where
@@ -333,40 +338,13 @@ impl<'t> TaskCtx<'t> {
     /// poisoned: this wait unwinds with an opaque marker, and the region
     /// re-raises the child's payload on its caller.
     pub fn taskwait(&self) {
-        let worker = self.worker;
-        let team = worker.team;
         // SAFETY: the record outlives execution: we own it until `retire`
         // (or it is the region's implicit task, alive until the region ends).
         let task = unsafe { self.task.as_ref() };
         if !self.owns(task) {
             return;
         }
-        if task.unfinished_children() == 0 {
-            self.reraise_child_panic(task);
-            self.check_cancel();
-            return;
-        }
-        let mut backoff = Backoff::new();
-        let mut wait_t0: Option<u64> = None;
-        while task.unfinished_children() != 0 {
-            let found = || {
-                if let Some(t0) = wait_t0.take() {
-                    worker.log_span(EventKind::TaskWait, t0);
-                }
-            };
-            if worker.run_next(found) {
-                backoff.reset();
-                continue;
-            }
-            worker.seat.on_idle();
-            if team.profiling && wait_t0.is_none() {
-                wait_t0 = Some(clock::now());
-            }
-            backoff.snooze();
-        }
-        if let Some(t0) = wait_t0 {
-            worker.log_span(EventKind::TaskWait, t0);
-        }
+        self.worker.wait_children(task);
         self.reraise_child_panic(task);
         // Cancellation checkpoint at the taskwait boundary: children are
         // quiescent (none left to leak), so this is a safe place for the
@@ -395,11 +373,10 @@ impl<'t> TaskCtx<'t> {
     /// body's monomorphized copy (so a `scope` that spawns stays small
     /// enough to inline into its caller, keeping nested levels' frames
     /// small): count the child for the barrier and, when this worker owns
-    /// the parent, on the parent; then allocate its record. Returns the
-    /// record and where it goes: `Some(nested)` to the scheduler, with
-    /// whether it is nested work (its parent is an explicit task), or
-    /// `None` to run at once — a `scoped` child the parent cannot count.
-    fn new_child(&self, priority: i32, scoped: bool) -> (NonNull<Task>, Option<bool>) {
+    /// the parent, on the parent. Returns the parent the child counts on
+    /// (`None`: parentless) and whether it is nested work (its parent is
+    /// an explicit task).
+    fn new_child(&self) -> (Option<NonNull<Task>>, bool) {
         let worker = self.worker;
         worker.team.barrier.task_created(worker.id);
         // SAFETY: parent record is alive (we are executing it, or it is
@@ -412,8 +389,7 @@ impl<'t> TaskCtx<'t> {
         if counted {
             parent.add_child();
         }
-        let ptr = worker.alloc.alloc(counted.then_some(self.task), priority);
-        (ptr, (counted || !scoped).then_some(nested))
+        (counted.then_some(self.task), nested)
     }
 
     /// A child that panicked left what its `execute` handed the parent on
@@ -432,17 +408,21 @@ impl<'t> TaskCtx<'t> {
 
     /// The spawn path (§III-A): count for the barrier *before*
     /// publication, count the child on its parent (a plain store: the
-    /// spawning worker owns the parent), allocate one record and write
-    /// the body into it, then publish — falling back to immediate
-    /// execution when the target queue is full. `hint = Some(t)` asks the
-    /// scheduler to hand the task to worker `t` (see `Seat::spawn`).
+    /// spawning worker owns the parent), pick its place, then allocate one
+    /// record, write the body into it and publish it there. When the
+    /// target queue is full the child has no place and runs undeferred
+    /// instead ([`spawn_undeferred`](Self::spawn_undeferred)), on a record
+    /// in the spawn's own frame; that spawn returns only once the child's
+    /// own children, detached ones included, have finished.
+    /// `hint = Some(t)` asks the scheduler to hand the task to worker `t`
+    /// (see `Seat::place`).
     ///
     /// The one context whose worker does not own its task is a peer's
     /// ingress poll, which holds the region's implicit task (the
     /// master's): what it spawns is parentless. The barrier still counts
     /// it, and only the owner ever writes a count's `local`. A `scoped`
-    /// child there runs at once, as the overflow rule does: its body may
-    /// borrow the scope's frame, and no taskwait could wait for it.
+    /// child there runs undeferred, as the overflow rule does: its body
+    /// may borrow the scope's frame, and no taskwait could wait for it.
     ///
     /// `f` need not be `'static`: every caller guarantees that the child
     /// finishes before any borrow `f` holds ends — the `spawn*` methods
@@ -454,7 +434,19 @@ impl<'t> TaskCtx<'t> {
     {
         let (worker, team) = (self.worker, self.team());
         let t0 = if team.profiling { clock::now() } else { 0 };
-        let (ptr, queue) = self.new_child(priority, scoped);
+        let (parent, nested) = self.new_child();
+        // Where the child goes is decided once, before its record exists:
+        // nowhere, when the target is full or it is a `scoped` child no
+        // one counts — then it runs undeferred.
+        let place = match parent {
+            None if scoped => None,
+            _ => worker.seat.place(hint, nested),
+        };
+        let Some(place) = place else {
+            worker.log_span(EventKind::TaskCreate, t0);
+            return self.spawn_undeferred(f, parent, priority);
+        };
+        let ptr = worker.alloc.alloc(parent, priority);
         // Children inherit the parent's cancellation token, so a job's
         // whole task tree answers to one flag.
         // SAFETY: we execute the parent and the child is not yet
@@ -468,16 +460,37 @@ impl<'t> TaskCtx<'t> {
             }
         }
         bump(&worker.stats.tasks_created, 1);
-        let pushed = match queue {
-            Some(nested) => worker.seat.spawn(hint, nested, ptr),
-            None => Err(ptr),
-        };
+        worker.seat.push(place, ptr);
         worker.log_span(EventKind::TaskCreate, t0);
-        if let Err(p) = pushed {
-            // Overflow rule: execute the task immediately (§II-B).
-            bump(&worker.stats.ntasks_imm_exec, 1);
-            execute(worker, p);
+    }
+
+    /// The overflow rule (§II-B: the target queue is full, execute the
+    /// task immediately) at libgomp's cost for an undeferred task: the
+    /// record is a local of this frame — never published, never allocated
+    /// — and the one `execute` runs it here. Its retire waits for the
+    /// child's own children before completing `parent`, so the record
+    /// dies with the frame. Out of line, so the spawn path that inlines
+    /// into every caller keeps its frame small.
+    #[inline(never)]
+    fn spawn_undeferred<F>(&self, f: F, parent: Option<NonNull<Task>>, priority: i32)
+    where
+        F: FnOnce(&TaskCtx<'_>) + Send,
+    {
+        let worker = self.worker;
+        let record = Task::new(parent, worker.id as u32, priority);
+        let ptr = NonNull::from(&record);
+        // SAFETY: as in `spawn_impl`: the record is ours until `execute`,
+        // which returns before it dies, and `f` outlives the child. A
+        // shared borrow suffices: the body and the token sit in cells.
+        unsafe {
+            Task::set_body(ptr, f);
+            if let Some(token) = Task::cancel_token(self.task) {
+                Task::set_cancel(ptr, Some(token));
+            }
         }
+        bump(&worker.stats.tasks_created, 1);
+        bump(&worker.stats.ntasks_imm_exec, 1);
+        execute::<ON_FRAME>(worker, ptr);
     }
 }
 
@@ -492,7 +505,10 @@ pub struct Scope<'ctx, 'env> {
 // taskwait (`WaitGuard`, run even on unwind) ensures every child finishes
 // before any `'env` borrow ends.
 impl<'ctx, 'env> Scope<'ctx, 'env> {
-    /// Spawns a task that may borrow anything outliving the scope.
+    /// Spawns a task that may borrow anything outliving the scope. As
+    /// with [`TaskCtx::spawn`], a child whose target queue is full runs
+    /// undeferred: this call returns once it and every task it spawned
+    /// have finished.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce(&TaskCtx<'_>) + Send + 'env,
@@ -502,7 +518,7 @@ impl<'ctx, 'env> Scope<'ctx, 'env> {
 
     /// Spawns a borrowing task with a *placement target*: worker
     /// `target` gets the task in its own queue (best effort — a full
-    /// queue falls back to immediate execution, and dynamic load
+    /// queue runs it undeferred on the spawning worker, and dynamic load
     /// balancing may still migrate it). This is how `parallel_for`
     /// places its per-worker loop-drain tasks zone-affinely.
     pub fn spawn_on<F>(&self, target: usize, f: F)

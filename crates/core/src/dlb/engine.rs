@@ -236,10 +236,7 @@ impl DlbSeat<'_> {
                     break;
                 }
                 Some(task) => {
-                    // Fullness was checked and only the thief (consumer)
-                    // can change occupancy, monotonically downwards.
-                    row.push(thief, task)
-                        .expect("push after negative fullness hint cannot fail");
+                    row.push(thief, task);
                     moved += 1;
                 }
             }
@@ -370,7 +367,7 @@ mod tests {
         for _ in 0..5 {
             let t = mk_task(0);
             ptrs.push(t);
-            r0.push(0, t).unwrap();
+            r0.push(0, t);
         }
         // Thief 1 requests; victim handles at its next found-task point.
         assert!(eng.cell(0).try_send_request(1));
@@ -409,7 +406,7 @@ mod tests {
         // Victim 0's own stack holds a, b, c (c the newest).
         let (a, b, c) = (mk_task(0), mk_task(0), mk_task(0));
         for t in [a, b, c] {
-            r0.push_nested(t).unwrap();
+            r0.push_nested(t);
         }
         assert!(eng.cell(0).try_send_request(1));
         eng.seat(0, &st).on_found_task(&r0);
@@ -477,7 +474,7 @@ mod tests {
         while let Some(target) = s0.redirect_target(&r0) {
             let t = mk_task(0);
             pushed.push(t);
-            r0.push(target, t).unwrap();
+            r0.push(target, t);
         }
         // Queue capacity is 2: exactly 2 redirects then disarm.
         assert_eq!(pushed.len(), 2);

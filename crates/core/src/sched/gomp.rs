@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use xgomp_profiling::WorkerStats;
 use xgomp_xqueue::{bump, Parker};
 
-use super::{Claims, Scheduler, Seat};
+use super::{Claims, Place, Scheduler, Seat};
 use crate::task::{Task, TaskPtr};
 
 struct Entry {
@@ -102,12 +102,12 @@ impl Scheduler for GompScheduler {
 }
 
 impl Seat for GompSeat<'_> {
-    fn spawn(
-        &self,
-        _hint: Option<usize>,
-        _nested: bool,
-        task: NonNull<Task>,
-    ) -> Result<(), NonNull<Task>> {
+    fn place(&self, _hint: Option<usize>, _nested: bool) -> Option<Place> {
+        bump(&self.stats.ntasks_static_push, 1);
+        Some(Place::Queue(self.w as u32))
+    }
+
+    fn push(&self, _place: Place, task: NonNull<Task>) {
         let (s, w) = (self.sched, self.w);
         // SAFETY: the task record is live; reading its priority is benign.
         let priority = unsafe { task.as_ref() }.priority();
@@ -120,11 +120,9 @@ impl Seat for GompSeat<'_> {
             ptr: TaskPtr(task),
         });
         drop(q);
-        bump(&self.stats.ntasks_static_push, 1);
         // Any worker can pop the global queue: wake one parked worker,
         // zone-local to the spawner first.
         s.parker.notify_any(s.parker.zone_of(w));
-        Ok(())
     }
 
     fn next_task(&self) -> Option<NonNull<Task>> {
@@ -141,6 +139,7 @@ impl Seat for GompSeat<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::place_and_push;
 
     fn mk(priority: i32) -> NonNull<Task> {
         NonNull::new(Box::into_raw(Box::new(Task::new(None, 0, priority)))).unwrap()
@@ -162,9 +161,9 @@ mod tests {
         let a = mk(0);
         let b = mk(5);
         let c = mk(0);
-        s.spawn(None, false, a).unwrap();
-        s.spawn(None, false, b).unwrap();
-        s.spawn(None, false, c).unwrap();
+        assert!(place_and_push(&*s, None, false, a));
+        assert!(place_and_push(&*s, None, false, b));
+        assert!(place_and_push(&*s, None, false, c));
         // Highest priority first.
         assert_eq!(s.next_task(), Some(b));
         // FIFO within equal priority.
@@ -185,7 +184,7 @@ mod tests {
         let s = sched.seat(0, &stats);
         let ptrs: Vec<_> = (0..10).map(|_| mk(0)).collect();
         for &p in &ptrs {
-            s.spawn(None, false, p).unwrap();
+            assert!(place_and_push(&*s, None, false, p));
         }
         drop(s);
         let mut n = 0;
@@ -210,7 +209,7 @@ mod tests {
                 let seat = s.seat(w, &stats);
                 for _ in 0..5_000 {
                     let t = mk(0);
-                    seat.spawn(None, false, t).unwrap();
+                    assert!(place_and_push(&*seat, None, false, t));
                     if let Some(p) = seat.next_task() {
                         popped.fetch_add(1, Ordering::Relaxed);
                         unsafe { free(p) };

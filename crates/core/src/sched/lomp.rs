@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use xgomp_profiling::WorkerStats;
 use xgomp_xqueue::{bump, Parker};
 
-use super::{Scheduler, Seat};
+use super::{Place, Scheduler, Seat};
 use crate::task::{Task, TaskPtr};
 
 /// Per-worker lock-free deques with random stealing (the LOMP baseline).
@@ -85,19 +85,17 @@ impl Scheduler for LompScheduler {
 }
 
 impl Seat for LompSeat<'_> {
-    fn spawn(
-        &self,
-        _hint: Option<usize>,
-        _nested: bool,
-        task: NonNull<Task>,
-    ) -> Result<(), NonNull<Task>> {
+    fn place(&self, _hint: Option<usize>, _nested: bool) -> Option<Place> {
+        bump(&self.stats.ntasks_static_push, 1);
+        Some(Place::Queue(self.w as u32))
+    }
+
+    fn push(&self, _place: Place, task: NonNull<Task>) {
         let s = self.sched;
         self.deque.push(TaskPtr(task));
-        bump(&self.stats.ntasks_static_push, 1);
         // Stealing is pull-based: a parked thief would never come for
         // this task, so wake one (zone-local to the spawner first).
         s.parker.notify_any(s.parker.zone_of(self.w));
-        Ok(())
     }
 
     fn next_task(&self) -> Option<NonNull<Task>> {
@@ -135,6 +133,7 @@ impl Seat for LompSeat<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::place_and_push;
 
     fn mk() -> NonNull<Task> {
         NonNull::new(Box::into_raw(Box::new(Task::new(None, 0, 0)))).unwrap()
@@ -155,8 +154,8 @@ mod tests {
         let s = sched.seat(0, &stats);
         let a = mk();
         let b = mk();
-        s.spawn(None, false, a).unwrap();
-        s.spawn(None, false, b).unwrap();
+        assert!(place_and_push(&*s, None, false, a));
+        assert!(place_and_push(&*s, None, false, b));
         assert_eq!(s.next_task(), Some(b), "own pops are LIFO");
         assert_eq!(s.next_task(), Some(a));
         unsafe {
@@ -170,7 +169,7 @@ mod tests {
         let sched = LompScheduler::new(2, parker(2));
         let stats = [WorkerStats::default(), WorkerStats::default()];
         let a = mk();
-        sched.seat(0, &stats[0]).spawn(None, false, a).unwrap();
+        assert!(place_and_push(&*sched.seat(0, &stats[0]), None, false, a));
         let thief = sched.seat(1, &stats[1]);
         assert_eq!(thief.next_task(), Some(a), "worker 1 must steal");
         unsafe { free(a) };
@@ -183,7 +182,7 @@ mod tests {
         let s = sched.seat(0, &stats);
         assert_eq!(s.next_task(), None);
         let a = mk();
-        s.spawn(None, false, a).unwrap();
+        assert!(place_and_push(&*s, None, false, a));
         assert_eq!(s.next_task(), Some(a));
         unsafe { free(a) };
     }
@@ -202,7 +201,7 @@ mod tests {
                 let seat = s.seat(w, &stats);
                 for i in 0..5_000 {
                     let t = mk();
-                    seat.spawn(None, false, t).unwrap();
+                    assert!(place_and_push(&*seat, None, false, t));
                     if i % 2 == 0 {
                         if let Some(p) = seat.next_task() {
                             popped.fetch_add(1, Ordering::Relaxed);

@@ -103,30 +103,35 @@ pub(crate) trait Scheduler: Send + Sync {
 }
 
 /// One worker's handle on the scheduler — one publish
-/// ([`spawn`](Self::spawn)) and one fetch
+/// ([`place`](Self::place), then [`push`](Self::push)) and one fetch
 /// ([`next_task`](Self::next_task)), each called from exactly one place
 /// (`TaskCtx`'s spawn path and `Worker::run_next`). Owned by the worker's
 /// `Worker`, never shared: implementations hold their state in
 /// `Cell`/`RefCell`, which makes them `!Sync`, and no operation runs a
 /// task body, so nested `execute` frames cannot re-enter one.
 pub(crate) trait Seat {
-    /// Publishes a freshly spawned task. `hint` is an optional
-    /// *placement target*: the caller wants that worker to execute the
-    /// task — the zone-affine initial placement of `parallel_for`'s
-    /// per-worker loop-drain tasks, or a server job kept on the worker
-    /// that drained it. Schedulers without per-worker queues ignore it.
-    /// `nested` says the spawning task is an explicit task, not a
-    /// region's implicit one: XQueue keeps such a child, when unplaced and
-    /// round-robined to this worker, on the worker's private LIFO stack;
-    /// the others ignore it. `Err(task)` hands the task back for
-    /// immediate execution (the XQueue overflow rule, hinted or not);
-    /// unbounded schedulers never return `Err`.
-    fn spawn(
-        &self,
-        hint: Option<usize>,
-        nested: bool,
-        task: NonNull<Task>,
-    ) -> Result<(), NonNull<Task>>;
+    /// Decides, once and before the task's record exists, where the next
+    /// spawn goes. `hint` is an optional *placement target*: the caller
+    /// wants that worker to execute the task — the zone-affine initial
+    /// placement of `parallel_for`'s per-worker loop-drain tasks, or a
+    /// server job kept on the worker that drained it. Schedulers without
+    /// per-worker queues ignore it. `nested` says the spawning task is an
+    /// explicit task, not a region's implicit one: XQueue keeps such a
+    /// child, when unplaced and round-robined to this worker, on the
+    /// worker's private LIFO stack; the others ignore it.
+    ///
+    /// `None` means the chosen queue or stack is full (the XQueue overflow
+    /// rule, hinted or not): the caller runs the task undeferred. The seat
+    /// is the only producer of that queue and the only user of its stack,
+    /// so the answer is exact: a `Some` place has room until the
+    /// [`push`](Self::push) that must follow it. A `Some` books the spawn
+    /// (`ntasks_static_push`, or `ntasks_stolen` for an NA-RP redirect).
+    /// Unbounded schedulers always answer `Some`.
+    fn place(&self, hint: Option<usize>, nested: bool) -> Option<Place>;
+
+    /// Publishes a freshly spawned task where the preceding
+    /// [`place`](Self::place) put it. Infallible: the place had room.
+    fn push(&self, place: Place, task: NonNull<Task>);
 
     /// Fetches this worker's next task, if any. A scheduler with a DLB
     /// engine fires its *victim* hook here, after a successful fetch and
@@ -150,6 +155,19 @@ pub(crate) trait Seat {
     fn has_work_hint(&self) -> bool;
 }
 
+/// Where [`Seat::place`] sends a spawn, for the [`Seat::push`] that
+/// follows it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Place {
+    /// A queue other workers can reach: worker `t`'s (its lattice queue
+    /// fed by this worker, or its deque), or the one global queue, which
+    /// ignores `t`. A `u32`, like `Task::creator`, so that an
+    /// `Option<Place>` is one word.
+    Queue(u32),
+    /// The spawning worker's private stack of nested work (XQueue).
+    Stack,
+}
+
 /// One claim flag per worker: the "at most one seat per `w`" rule.
 pub(crate) struct Claims(Box<[AtomicBool]>);
 
@@ -168,6 +186,22 @@ impl Claims {
 
 #[cfg(test)]
 pub(crate) use xq::Rows;
+
+/// A whole spawn on `seat`: [`Seat::place`], then [`Seat::push`] when the
+/// place had room. Returns whether it had.
+#[cfg(test)]
+pub(crate) fn place_and_push(
+    seat: &dyn Seat,
+    hint: Option<usize>,
+    nested: bool,
+    task: NonNull<Task>,
+) -> bool {
+    let place = seat.place(hint, nested);
+    if let Some(place) = place {
+        seat.push(place, task);
+    }
+    place.is_some()
+}
 
 #[cfg(test)]
 mod tests {

@@ -12,8 +12,8 @@
 //! migrates from it on its own thread), so it is a plain `RefCell` with no
 //! atomics. Its order, written once in [`Row`]:
 //!
-//! * **push** — onto the top, up to `S_queue` tasks; a full stack hands
-//!   the task back for immediate execution, like a full queue;
+//! * **push** — onto the top, up to `S_queue` tasks; a full stack sends
+//!   the spawn undeferred, like a full queue;
 //! * **pop** — the stack top first, then the lattice row (master queue,
 //!   then auxiliaries in rotation), so a `taskwait` helps with its own
 //!   newest child before anything older and nesting depth follows
@@ -30,7 +30,7 @@ use xgomp_profiling::WorkerStats;
 use xgomp_topology::Placement;
 use xgomp_xqueue::{bump, Parker, PushCursor, XQueueLattice};
 
-use super::{Claims, Scheduler, Seat};
+use super::{Claims, Place, Scheduler, Seat};
 use crate::dlb::{DlbConfig, DlbEngine, DlbSeat};
 use crate::task::{Task, TaskPtr};
 
@@ -109,24 +109,31 @@ impl Rows {
 }
 
 impl Row<'_> {
-    /// Pushes into `target`'s queue; `Err` hands the task back (full).
+    /// Pushes into `target`'s queue, which the caller found not
+    /// [full](Self::is_full_hint): only this row produces into it and only
+    /// its consumer changes its occupancy, downwards, so it still has room.
     #[inline]
-    pub(crate) fn push(&self, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+    pub(crate) fn push(&self, target: usize, task: NonNull<Task>) {
         // SAFETY: this row was claimed once for `w` and cannot be shared
         // or duplicated, so producer role `w` has this one caller.
-        unsafe { self.rows.lattice.push(self.w, target, task) }
+        let pushed = unsafe { self.rows.lattice.push(self.w, target, task) };
+        assert!(pushed.is_ok(), "push after a negative fullness check");
     }
 
-    /// Pushes onto this worker's own stack; `Err` hands the task back
-    /// (full at `S_queue`, the overflow rule of a lattice queue).
+    /// Whether this worker's own stack holds `S_queue` tasks, the overflow
+    /// rule of a lattice queue. Exact: only this worker touches it.
     #[inline]
-    pub(crate) fn push_nested(&self, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
+    pub(crate) fn stack_is_full(&self) -> bool {
+        self.stack.borrow().len() == self.cap
+    }
+
+    /// Pushes onto this worker's own stack, which the caller found not
+    /// [full](Self::stack_is_full).
+    #[inline]
+    pub(crate) fn push_nested(&self, task: NonNull<Task>) {
         let mut stack = self.stack.borrow_mut();
-        if stack.len() == self.cap {
-            return Err(task);
-        }
+        debug_assert!(stack.len() < self.cap, "push onto a full stack");
         stack.push_back(task);
-        Ok(())
     }
 
     /// Pops this worker's next task: the stack top, then the row.
@@ -230,25 +237,8 @@ impl Scheduler for XQueueScheduler {
     }
 }
 
-impl XqSeat<'_> {
-    /// Push → wake: the one publication every spawn goes through.
-    /// `Err` hands the task back (target queue full).
-    fn publish(&self, target: usize, task: NonNull<Task>) -> Result<(), NonNull<Task>> {
-        self.row.push(target, task)?;
-        if target != self.row.w {
-            self.sched.parker.notify_push(target);
-        }
-        Ok(())
-    }
-}
-
 impl Seat for XqSeat<'_> {
-    fn spawn(
-        &self,
-        hint: Option<usize>,
-        nested: bool,
-        task: NonNull<Task>,
-    ) -> Result<(), NonNull<Task>> {
+    fn place(&self, hint: Option<usize>, nested: bool) -> Option<Place> {
         // The consumer is chosen once. An explicit placement (loop-drain
         // tasks, self-placed server jobs) bypasses both the NA-RP
         // redirect and the round-robin cursor — the caller chose.
@@ -257,31 +247,42 @@ impl Seat for XqSeat<'_> {
             None => {
                 // NA-RP override: while a redirect is armed, new tasks
                 // flow to the thief instead of the round-robin target
-                // (Alg. 3); the engine books them as stolen, not static.
+                // (Alg. 3); the engine books them as stolen, not static,
+                // and only returns a thief whose queue had room.
                 let dlb = self.dlb.as_ref();
                 if let Some(thief) = dlb.and_then(|d| d.redirect_target(&self.row)) {
-                    // `redirect_target` only returns a thief whose queue
-                    // had room (exact producer-side hint), and only this
-                    // worker produces into it.
-                    self.publish(thief, task)
-                        .expect("redirect push after negative fullness hint");
-                    return Ok(());
+                    return Some(Place::Queue(thief as u32));
                 }
                 // Static round-robin across consumers, master queue first.
                 self.cursor.borrow_mut().next()
             }
         };
-        // Full: hand back for immediate execution (§II-B). An unplaced
-        // child of an explicit task that stays here is this worker's own
-        // nested work: onto its stack, newest first, with no wake — the
-        // worker pushing it is awake.
-        if nested && hint.is_none() && target == self.row.w {
-            self.row.push_nested(task)?;
+        // An unplaced child of an explicit task that stays here is this
+        // worker's own nested work: onto its stack. Full, either way: the
+        // spawn runs undeferred (§II-B).
+        let place = if nested && hint.is_none() && target == self.row.w {
+            (!self.row.stack_is_full()).then_some(Place::Stack)
         } else {
-            self.publish(target, task)?;
+            (!self.row.is_full_hint(target)).then_some(Place::Queue(target as u32))
+        };
+        if place.is_some() {
+            bump(&self.stats.ntasks_static_push, 1);
         }
-        bump(&self.stats.ntasks_static_push, 1);
-        Ok(())
+        place
+    }
+
+    fn push(&self, place: Place, task: NonNull<Task>) {
+        match place {
+            // Newest first, with no wake: the worker pushing it is awake.
+            Place::Stack => self.row.push_nested(task),
+            Place::Queue(target) => {
+                let target = target as usize;
+                self.row.push(target, task);
+                if target != self.row.w {
+                    self.sched.parker.notify_push(target);
+                }
+            }
+        }
     }
 
     fn next_task(&self) -> Option<NonNull<Task>> {
@@ -309,6 +310,7 @@ impl Seat for XqSeat<'_> {
 mod tests {
     use super::*;
     use crate::dlb::DlbStrategy;
+    use crate::sched::place_and_push;
     use xgomp_topology::{Affinity, MachineTopology};
 
     fn mk(creator: u32) -> NonNull<Task> {
@@ -342,7 +344,7 @@ mod tests {
         let seats: Vec<_> = (0..3).map(|w| s.seat(w, &st[w])).collect();
         let ptrs: Vec<_> = (0..3).map(|_| mk(0)).collect();
         for &p in &ptrs {
-            seats[0].spawn(None, false, p).unwrap();
+            assert!(place_and_push(&*seats[0], None, false, p));
         }
         // First push went to worker 0's master queue; the other two to
         // workers 1 and 2.
@@ -359,15 +361,13 @@ mod tests {
         let mut s = build(1, 2, None);
         let st = stats(1);
         let s0 = s.seat(0, &st[0]);
-        let a = mk(0);
-        let b = mk(0);
-        let c = mk(0);
-        assert!(s0.spawn(None, false, a).is_ok());
-        assert!(s0.spawn(None, false, b).is_ok());
-        match s0.spawn(None, false, c) {
-            Err(p) => assert_eq!(p, c),
-            Ok(()) => panic!("capacity-2 queue accepted a third task"),
-        }
+        let (a, b) = (mk(0), mk(0));
+        assert!(place_and_push(&*s0, None, false, a));
+        assert!(place_and_push(&*s0, None, false, b));
+        // Full: the third spawn has no place and runs undeferred, before
+        // any record exists; nothing is booked for it.
+        assert_eq!(s0.place(None, false), None, "a capacity-2 queue is full");
+        assert_eq!(s0.place(Some(0), false), None, "placed there too");
         drop(s0);
         let snap = st[0].snapshot();
         assert_eq!(snap.ntasks_static_push, 2);
@@ -377,7 +377,6 @@ mod tests {
             unsafe { free(p) };
         });
         assert_eq!(n, 2);
-        unsafe { free(c) };
     }
 
     #[test]
@@ -385,12 +384,13 @@ mod tests {
         let mut s = build(1, 2, None);
         let st = stats(1);
         let s0 = s.seat(0, &st[0]);
-        let (a, b, c) = (mk(0), mk(0), mk(0));
+        let (a, b) = (mk(0), mk(0));
         // Nested self-spawns go on the stack, which holds `S_queue` tasks
-        // and hands the next one back, exactly like a full queue.
-        s0.spawn(None, true, a).unwrap();
-        s0.spawn(None, true, b).unwrap();
-        assert_eq!(s0.spawn(None, true, c), Err(c));
+        // and then has no place for the next one, exactly like a full
+        // queue.
+        assert!(place_and_push(&*s0, None, true, a));
+        assert!(place_and_push(&*s0, None, true, b));
+        assert_eq!(s0.place(None, true), None);
         assert!(s0.has_work_hint());
         // The seat retires with both still stacked: teardown sees them.
         drop(s0);
@@ -398,7 +398,7 @@ mod tests {
         let mut drained = Vec::new();
         s.drain_all(&mut |p| drained.push(p));
         assert_eq!(drained, [a, b]);
-        for p in [a, b, c] {
+        for p in [a, b] {
             unsafe { free(p) };
         }
     }
@@ -422,7 +422,7 @@ mod tests {
     fn arm_redirect(s: &XQueueScheduler, s0: &dyn Seat) {
         assert!(s.dlb.as_ref().unwrap().cell(0).try_send_request(1));
         let q = mk(0);
-        s0.spawn(Some(0), false, q).unwrap();
+        assert!(place_and_push(s0, Some(0), false, q));
         assert_eq!(s0.next_task(), Some(q));
         unsafe { free(q) };
     }
@@ -439,8 +439,8 @@ mod tests {
         // The next two spawns from 0 land in 1's queue.
         let a = mk(0);
         let b = mk(0);
-        s0.spawn(None, false, a).unwrap();
-        s0.spawn(None, false, b).unwrap();
+        assert!(place_and_push(&*s0, None, false, a));
+        assert!(place_and_push(&*s0, None, false, b));
         assert_eq!(s1.next_task(), Some(a));
         assert_eq!(s1.next_task(), Some(b));
         assert_eq!(st[0].snapshot().ntasks_stolen, 2);
@@ -461,7 +461,7 @@ mod tests {
         arm_redirect(&s, &*s0);
         // Placed: lands in worker 2's row, not the thief's.
         let placed = mk(0);
-        s0.spawn(Some(2), false, placed).unwrap();
+        assert!(place_and_push(&*s0, Some(2), false, placed));
         assert_eq!(s2.next_task(), Some(placed));
         assert_eq!(s1.next_task(), None);
         assert_eq!(st[0].snapshot().ntasks_stolen, 0);
@@ -469,7 +469,7 @@ mod tests {
         // the thief, and only those two are booked as stolen.
         let (a, b, c) = (mk(0), mk(0), mk(0));
         for p in [a, b, c] {
-            s0.spawn(None, false, p).unwrap();
+            assert!(place_and_push(&*s0, None, false, p));
         }
         assert_eq!(s1.next_task(), Some(a));
         assert_eq!(s1.next_task(), Some(b));

@@ -1,9 +1,13 @@
 //! Task representation and lifecycle.
 //!
-//! A [`Task`] is one heap-allocated record: its body lives inline, beside
-//! a pointer to its parent task and an owner-biased count of its
-//! outstanding children, which both keeps the record alive while children
-//! may still touch it and *is* the `taskwait` condition.
+//! A [`Task`] is one record: its body lives inline, beside a pointer to
+//! its parent task and an owner-biased count of its outstanding children,
+//! which both keeps the record alive while children may still touch it
+//! and *is* the `taskwait` condition. A queued task's record is on the
+//! heap, one allocation. An *undeferred* task's is a local of the spawn
+//! that runs it, libgomp's undeferred task: the overflow rule (§II-B) runs
+//! a child whose target queue is full at once, on the spawner's stack,
+//! never publishing it, so it needs no allocation.
 //!
 //! ## The inline body
 //!
@@ -45,6 +49,13 @@
 //! completer whose increment brings the count to zero. Each party decides
 //! from its own RMW's result, so none reads a record another may already
 //! have freed.
+//!
+//! A record on its spawner's frame never detaches, as it cannot outlive
+//! that frame: its owner waits, helping, until the count reads zero, and
+//! only then lets the frame go. From the owner's zero on, no completer
+//! touches the record again (each has made its last access, its RMW), so
+//! an undeferred spawn returns only once the child's own children have
+//! finished, detached ones included.
 //!
 //! The paper's XGOMP keeps "atomically update the parent task's
 //! dependency" while removing the global task lock (§III-A). Here the
@@ -146,8 +157,8 @@ const ONE: u32 = FLAGS + 1;
 
 /// One schedulable task.
 ///
-/// Created by [`crate::ctx::TaskCtx::spawn`] and friends; users never see
-/// this type.
+/// Created by [`crate::ctx::TaskCtx::spawn`] and friends, on the heap or,
+/// undeferred, in the spawning frame; users never see this type.
 pub(crate) struct Task {
     /// The body; empty for implicit (root) tasks and after execution.
     body: Body,
@@ -483,7 +494,8 @@ mod tests {
     const _: () = assert!(!Body::fits::<u128>());
 
     /// `Task` stays in glibc's 80-byte size class (the record is the one
-    /// allocation per task, so its size is the per-task footprint).
+    /// allocation per queued task, so its size is the per-task footprint;
+    /// an undeferred task's is that much of its spawner's frame).
     #[test]
     fn task_record_layout() {
         assert!(

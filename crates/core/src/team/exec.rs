@@ -27,7 +27,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 
 use xgomp_profiling::{clock, EventKind, TraceLevel};
-use xgomp_xqueue::IdleGate;
+use xgomp_xqueue::{Backoff, IdleGate};
 
 use super::{TeamShared, Worker};
 use crate::ctx::TaskCtx;
@@ -41,14 +41,27 @@ use crate::util::locked;
 /// region closure's own.
 struct Poisoned;
 
+/// [`execute`]'s record location for a task a queue handed out: its
+/// record is on the heap, made by an allocator seat.
+pub(crate) const ON_HEAP: bool = false;
+/// [`execute`]'s record location for an undeferred task: its record is a
+/// local of the spawn that runs it, never published, never freed.
+pub(crate) const ON_FRAME: bool = true;
+
 /// Executes one task on `worker`: locality accounting, NUMA cost model,
 /// the body itself, then completion (dependency updates, barrier
 /// notification, record release). The body runs under `catch_unwind`,
 /// the one place a task body's panic stops, so completion always runs on
 /// the normal path; a payload goes to [`body_panicked`]. In a poisoned
 /// team the task is discarded instead: it is retired with its body
-/// dropped, never run and not counted as executed.
-pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
+/// dropped, never run and not counted as executed (a record
+/// [`ON_FRAME`] drops its body with the frame).
+///
+/// `FRAME` says where the record lives ([`ON_HEAP`] or [`ON_FRAME`]),
+/// which decides how [`retire`] lets go of it. A const parameter rather
+/// than an argument, so nothing more stays live across the body: every
+/// nesting level pays this frame.
+pub(crate) fn execute<const FRAME: bool>(worker: &Worker<'_>, task: NonNull<Task>) {
     let team = worker.team;
     let mut span = None;
     if !team.poisoned.load(Ordering::Relaxed) {
@@ -56,15 +69,16 @@ pub(crate) fn execute(worker: &Worker<'_>, task: NonNull<Task>) {
         let traced = team.trace_on(TraceLevel::Full);
         span = (team.profiling || traced).then(|| (clock::now(), traced));
         let ctx = TaskCtx { worker, task };
-        // SAFETY: single-executor discipline — the queue handed this
-        // task to us alone, and we own it until `retire`.
+        // SAFETY: single-executor discipline — the queue (or the
+        // undeferred spawn) handed this task to us alone, and we own it
+        // until `retire`.
         let run = || unsafe { Task::run_body(task, &ctx) };
         if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
             body_panicked(team, task, payload);
         }
     }
     // SAFETY: `execute` owns the task, and lets go of it here.
-    unsafe { retire(worker, task) };
+    unsafe { retire::<FRAME>(worker, task) };
     if let Some((t0, traced)) = span {
         record_span(worker, t0, traced);
     }
@@ -118,23 +132,31 @@ fn body_panicked(team: &TeamShared, task: NonNull<Task>, payload: PanicPayload) 
 /// Retires a task: the owner lets go of it, then completes its parent's
 /// dependency, then reports it to the barrier as finished. Self before
 /// parent, so a discarded body is dropped while the parent still waits
-/// for it: a scoped body may borrow the parent's frame until then.
+/// for it: a scoped body may borrow the parent's frame until then (an
+/// undeferred task's parent is the task whose spawn holds that frame, so
+/// it cannot stop waiting before the frame ends).
 ///
 /// Both halves follow the owner-biased count (see [`crate::task`]). A
-/// task with no child outstanding is freed here with no RMW — always so
-/// for a discarded one, which never ran to spawn any; otherwise it
-/// detaches, and its last child frees it. The parent's count is a plain
-/// store when the task completes on its creator's worker — the parent's
-/// owner — while the parent is attached, and one RMW anywhere else.
+/// heap task with no child outstanding is freed here with no RMW — always
+/// so for a discarded one, which never ran to spawn any; otherwise it
+/// detaches, and its last child frees it. A record on its spawner's frame
+/// never detaches: its owner waits here, helping, until every child has
+/// counted itself off, and from then on no completer touches it, so it
+/// can die with the frame. The parent's count is a plain store when the
+/// task completes on its creator's worker — the parent's owner — while
+/// the parent is attached, and one RMW anywhere else.
 ///
 /// # Safety
 ///
-/// The caller owns `task` and gives it up here.
-unsafe fn retire(worker: &Worker<'_>, task: NonNull<Task>) {
+/// The caller owns `task`, whose record lives where `FRAME` says, and
+/// gives it up here.
+unsafe fn retire<const FRAME: bool>(worker: &Worker<'_>, task: NonNull<Task>) {
     // SAFETY: the record is alive until we let go of it below.
     let t = unsafe { task.as_ref() };
     let (parent, creator) = (t.parent(), t.creator());
-    if t.unfinished_children() == 0 || worker.dep_rmw(|| t.detach()) {
+    if FRAME {
+        worker.wait_children(t);
+    } else if t.unfinished_children() == 0 || worker.dep_rmw(|| t.detach()) {
         // SAFETY: no child counts on the record any more: it is dead.
         unsafe { worker.alloc.free(task) };
     }
@@ -176,8 +198,40 @@ impl Worker<'_> {
             return false;
         };
         found();
-        execute(self, task);
+        execute::<ON_HEAP>(self, task);
         true
+    }
+
+    /// Waits until every child of `task` — which this worker owns — has
+    /// completed, helping meanwhile as GOMP's taskwait scheduling point
+    /// does: it runs whatever [`run_next`](Self::run_next) yields (in a
+    /// poisoned team, discards it) and, finding nothing, fires the DLB
+    /// thief hook and backs off. A child running on another worker is
+    /// waited for. The wait of `taskwait`, and of a retiring undeferred
+    /// task.
+    #[inline]
+    pub(crate) fn wait_children(&self, task: &Task) {
+        let mut backoff = Backoff::new();
+        let mut wait_t0: Option<u64> = None;
+        while task.unfinished_children() != 0 {
+            let found = || {
+                if let Some(t0) = wait_t0.take() {
+                    self.log_span(EventKind::TaskWait, t0);
+                }
+            };
+            if self.run_next(found) {
+                backoff.reset();
+                continue;
+            }
+            self.seat.on_idle();
+            if self.team.profiling && wait_t0.is_none() {
+                wait_t0 = Some(clock::now());
+            }
+            backoff.snooze();
+        }
+        if let Some(t0) = wait_t0 {
+            self.log_span(EventKind::TaskWait, t0);
+        }
     }
 
     /// The ingress transition (persistent executor): lets the team's

@@ -24,7 +24,7 @@ mod exec;
 mod runtime;
 mod worker;
 
-pub(crate) use exec::execute;
+pub(crate) use exec::{execute, ON_FRAME};
 pub use runtime::{RegionOutput, Runtime};
 pub(crate) use worker::Worker;
 
@@ -55,8 +55,8 @@ use crate::util::locked;
 /// returns how many it spawned. Only the master owns the implicit task,
 /// so what a peer spawns there is parentless: the barrier still counts
 /// it, but no `taskwait` waits for it — a peer's own `taskwait` returns
-/// at once, and a scope it opens runs each child at once (the overflow
-/// rule's immediate execution). The jobs themselves belong to whichever
+/// at once, and a scope it opens runs each child undeferred (the overflow
+/// rule's path). The jobs themselves belong to whichever
 /// worker runs them, like any task, so their own children are counted.
 /// Implementations must stop yielding work once their shutdown drain has
 /// completed — after the region master has arrived at the barrier *and*

@@ -21,8 +21,9 @@ use crate::ctx::TaskCtx;
 use crate::util::locked;
 
 /// Stack size for worker threads. The scheduling loops *help*: an
-/// executing task that waits (taskwait, overflow → execute-immediately)
-/// picks up further tasks in a nested `execute` frame. Nested work is
+/// executing task that waits (taskwait, an undeferred task's retire) or
+/// overflows (an undeferred spawn) runs further tasks in a nested
+/// `execute` frame. Nested work is
 /// popped newest first from the worker's private stack, so for it that
 /// depth follows user recursion; work taken from the lattice (placed,
 /// cross-pushed or root-level tasks) can still nest with the backlog.

@@ -117,6 +117,47 @@ fn deep_recursion_via_immediate_execution() {
     assert!(out.stats.total().ntasks_imm_exec > 0);
 }
 
+/// An undeferred child's record lives on its spawner's frame, so the
+/// spawn returns only once the child's own children have finished — here
+/// a detached grandchild on worker 1, placed there by worker 0's
+/// round-robin cursor. Its completion on the peer is the region's one
+/// dependency-count RMW (debug builds tally it): every other task
+/// completes on the worker that spawned it.
+#[test]
+fn an_undeferred_child_outlives_its_detached_grandchild() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+    let cfg = RuntimeConfig::xgomptb(2).queue_capacity(2);
+    let done = Arc::new(AtomicBool::new(false));
+    let out = Runtime::new(cfg).parallel(|ctx| {
+        ctx.scope(|s| {
+            // Worker 0's own capacity-2 queue fills up; the unplaced spawn
+            // moves its cursor on, so its next unplaced target is worker 1.
+            s.spawn(|_| {});
+            s.spawn_on(0, |_| {});
+            s.spawn_on(0, |c| {
+                assert_eq!(c.worker_id(), 0);
+                let done = done.clone();
+                c.spawn(move |g| {
+                    assert_eq!(g.worker_id(), 1, "the cursor's second target");
+                    std::thread::sleep(Duration::from_millis(20));
+                    done.store(true, Ordering::Release);
+                });
+            });
+            assert!(
+                done.load(Ordering::Acquire),
+                "the undeferred spawn returned before its grandchild finished"
+            );
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(ctx.team().dep_rmws.load(Ordering::Relaxed), 1);
+    });
+    let total = out.stats.total();
+    assert_eq!(total.ntasks_imm_exec, 1);
+    assert_eq!(total.tasks_executed, 4);
+    out.stats.check_invariants().unwrap();
+}
+
 /// Four children of the scope's task, each logging its index when it
 /// runs; `placed` spawns them on worker 0 instead of round-robin.
 fn spawn_four<'env>(s: &Scope<'_, 'env>, ran: &'env Mutex<Vec<usize>>, placed: bool) {

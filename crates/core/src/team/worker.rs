@@ -77,11 +77,18 @@ impl<'t> Worker<'t> {
     }
 
     /// Records a profiling span ending now (no-op when profiling is off).
+    /// Only the test is inlined: the record is out of line, so the spawn
+    /// and wait paths it sits in keep their frames small.
     #[inline]
     pub(crate) fn log_span(&self, kind: EventKind, t0: u64) {
         if self.team.profiling {
-            self.log.borrow_mut().push_span(kind, t0, clock::now());
+            self.push_span(kind, t0);
         }
+    }
+
+    #[inline(never)]
+    fn push_span(&self, kind: EventKind, t0: u64) {
+        self.log.borrow_mut().push_span(kind, t0, clock::now());
     }
 
     /// Emits one flight-recorder record when the live level admits

@@ -225,3 +225,44 @@ fn parallel_for_reraises_the_body_panic_under_gomp() {
 fn parallel_for_reraises_the_body_panic_under_lomp() {
     parallel_for_reraises_the_body_panic(RuntimeConfig::lomp(2), "lomp");
 }
+
+/// Sets its flag when dropped.
+struct DropFlag<'a>(&'a AtomicBool);
+
+impl Drop for DropFlag<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// In a poisoned team an undeferred child is discarded like a queued one:
+/// never run, its body dropped before its spawn returns. Worker 1's child
+/// panics; once the poison shows, the master fills its own capacity-2
+/// queue and spawns a third child there, which finds it full.
+#[test]
+fn an_undeferred_child_is_discarded_in_a_poisoned_team() {
+    let rt = Runtime::new(RuntimeConfig::xgomptb(2).queue_capacity(2));
+    let (ran, dropped) = (AtomicBool::new(false), AtomicBool::new(false));
+    let region = catch_unwind(AssertUnwindSafe(|| {
+        rt.parallel(|ctx| {
+            ctx.scope(|s| {
+                s.spawn_on(1, |_| panic!("worker 1 panicked"));
+                wait_for("worker 1's panic", || ctx.is_poisoned());
+                s.spawn_on(0, |_| {});
+                s.spawn_on(0, |_| {});
+                let (ran, flag) = (&ran, DropFlag(&dropped));
+                s.spawn_on(0, move |_| {
+                    let _flag = flag;
+                    ran.store(true, Ordering::Relaxed);
+                });
+                assert!(
+                    dropped.load(Ordering::Acquire),
+                    "the discarded body outlived its spawn"
+                );
+            });
+        });
+    }));
+    assert_eq!(reraised(region.map(drop)), "worker 1 panicked");
+    assert!(!ran.load(Ordering::Relaxed), "a poisoned team ran a body");
+    assert_eq!(rt.parallel(|_| 7).result, 7, "next region");
+}

@@ -272,6 +272,47 @@ fn job_panic_inside_its_own_scope_keeps_two_workers_serving() {
     job_panic_inside_its_own_scope(TaskServer::start(cfg));
 }
 
+/// A job whose third scoped child finds the job worker's capacity-2 queue
+/// full runs that child undeferred, on a record in the spawning frame.
+/// Its panic stops at the child's own `execute` like any task's and
+/// reaches the job through the scope's wait: the job resolves `Panicked`
+/// with the child's payload, and the team keeps serving.
+#[test]
+fn job_panic_in_an_undeferred_child_resolves_panicked() {
+    let cfg = ServerConfig::new(1).runtime(RuntimeConfig::xgomptb(1).queue_capacity(2));
+    let server = TaskServer::start(cfg);
+    let bomb = server
+        .submit(|c| {
+            c.scope(|s| {
+                s.spawn_on(c.worker_id(), |_| {});
+                s.spawn_on(c.worker_id(), |_| {});
+                s.spawn_on(c.worker_id(), |_| panic!("undeferred child failed"));
+            });
+            0u32
+        })
+        .unwrap();
+    let err = bomb.join().unwrap_err();
+    let panic = err.panic().expect("panicked job yields JobError::Panicked");
+    assert!(
+        panic.message.contains("undeferred child failed"),
+        "payload lost: {}",
+        panic.message
+    );
+    let later = server.submit(|_| 7u32).unwrap();
+    match later.join_timeout(Duration::from_secs(5)) {
+        Ok(result) => assert_eq!(result.unwrap(), 7),
+        Err(_) => panic!("a job submitted after the bomb never resolved"),
+    }
+    let report = server.shutdown();
+    assert_eq!(report.stats.completed, 2);
+    let region = report.region.expect("serve must end cleanly");
+    assert_eq!(
+        region.stats.total().ntasks_imm_exec,
+        1,
+        "one undeferred child"
+    );
+}
+
 #[test]
 fn second_subtask_panic_is_not_swallowed() {
     // A job that survives a first isolated subtask panic (catching it

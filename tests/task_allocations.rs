@@ -1,26 +1,32 @@
 //! Heap allocations per spawned task, counted on the calling thread by
 //! the shared counting allocator (`support`). A one-worker runtime runs
 //! every task on the calling thread, so tests running in parallel cannot
-//! pollute the count. The per-task figure is a region spawning 2 000 tasks minus one
-//! spawning 1 000 (after a warm-up region), which cancels every per-region
-//! allocation.
+//! pollute the count. The per-task figure is a region spawning 2 000
+//! tasks minus one spawning 1 000 (after a warm-up region), which cancels
+//! every per-region allocation. Queued tasks are spawned in waves of 100,
+//! each waited for before the next, so every one fits the 256-slot queue.
 //!
-//! A task is one record with its body inline: one allocation under the
-//! `Malloc` policy (GOMP's `malloc` per task), none under `MultiLevel`
+//! A queued task is one record with its body inline: one allocation under
+//! the `Malloc` policy (GOMP's `malloc` per task), none under `MultiLevel`
 //! (recycled records). A capture larger than the inline storage is boxed
-//! and pays one more. A region that panics frees every record it
-//! allocated, its root task included.
+//! and pays one more. A task that finds its queue full runs undeferred on
+//! a record in its spawner's frame, libgomp's undeferred task: it
+//! allocates no record under either policy, and pays only an oversized
+//! capture's box. A region that panics frees every record it allocated,
+//! its root task included.
 //!
 //! The `detach_*` tests pin the owner-biased child count's three detach
 //! paths on two workers, each reached by placement rather than by the
 //! schedule, and race a detach against completions on both workers at
 //! once: every task record is freed exactly once, whichever party — the
-//! retiring owner or a child on either worker — lets go of it last.
+//! retiring owner or a child on either worker — lets go of it last. The
+//! `undeferred_*` test places an undeferred task's child on the other
+//! worker: the record on the spawner's frame outlives that child.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use xgomp::{Runtime, RuntimeConfig, TaskCtx};
+use xgomp::{Runtime, RuntimeConfig, Scope, TaskCtx};
 
 mod support;
 
@@ -32,39 +38,60 @@ fn allocs() -> u64 {
 /// A capture larger than the inline storage.
 const BIG: [u64; 4] = [1; 4];
 
+/// Tasks per wave: each wave fits the 256-slot queue.
+const WAVE: u64 = 100;
+
+/// Spawns one task that counts itself into `hits`, capturing [`BIG`] as
+/// well when `big`.
+fn spawn_one<'env>(s: &Scope<'_, 'env>, hits: &'env AtomicU64, big: bool) {
+    if big {
+        let pad = BIG;
+        s.spawn(move |_| {
+            hits.fetch_add(pad[0], Ordering::Relaxed);
+        });
+    } else {
+        s.spawn(move |_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+}
+
 /// This thread's allocations during one region that spawns `n` tasks,
-/// each capturing a reference (plus [`BIG`] when `big`).
-fn region_allocs(rt: &Runtime, n: u64, big: bool) -> u64 {
+/// each capturing a reference (plus [`BIG`] when `big`). `queued`: in
+/// waves of [`WAVE`], each waited for before the next, so every task is
+/// queued; otherwise two tasks fill the queue first (a capacity-2 queue
+/// on one worker), and all `n` find it full and run undeferred.
+fn region_allocs(rt: &Runtime, n: u64, big: bool, queued: bool) -> u64 {
     let hits = AtomicU64::new(0);
     let hits = &hits;
     let before = allocs();
-    rt.parallel(|ctx| {
-        ctx.scope(|s| {
-            for _ in 0..n {
-                if big {
-                    let pad = BIG;
-                    s.spawn(move |_| {
-                        hits.fetch_add(pad[0], Ordering::Relaxed);
-                    });
-                } else {
-                    s.spawn(move |_| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
+    let out = rt.parallel(|ctx| {
+        if queued {
+            for _ in 0..n / WAVE {
+                ctx.scope(|s| (0..WAVE).for_each(|_| spawn_one(s, hits, big)));
             }
-        });
+        } else {
+            ctx.scope(|s| {
+                s.spawn(|_| {});
+                s.spawn(|_| {});
+                (0..n).for_each(|_| spawn_one(s, hits, big));
+            });
+        }
     });
     let spent = allocs() - before;
     assert_eq!(hits.load(Ordering::Relaxed), n);
+    let undeferred = out.stats.total().ntasks_imm_exec;
+    assert_eq!(undeferred, if queued { 0 } else { n });
     spent
 }
 
-/// Allocations per task on a one-worker runtime built from `cfg`.
-fn per_task(cfg: RuntimeConfig, big: bool) -> u64 {
+/// Allocations per task on a one-worker runtime built from `cfg`: per
+/// queued task, or per undeferred one when not `queued`.
+fn per_task(cfg: RuntimeConfig, big: bool, queued: bool) -> u64 {
     let rt = Runtime::new(cfg);
-    region_allocs(&rt, 1_000, big);
-    let small = region_allocs(&rt, 1_000, big);
-    let large = region_allocs(&rt, 2_000, big);
+    region_allocs(&rt, 1_000, big, queued);
+    let small = region_allocs(&rt, 1_000, big, queued);
+    let large = region_allocs(&rt, 2_000, big, queued);
     let extra = large - small;
     assert_eq!(extra % 1_000, 0, "{extra} allocations for 1000 more tasks");
     extra / 1_000
@@ -72,18 +99,27 @@ fn per_task(cfg: RuntimeConfig, big: bool) -> u64 {
 
 #[test]
 fn malloc_policy_allocates_one_record_per_task() {
-    assert_eq!(per_task(RuntimeConfig::xgomptb(1), false), 1);
+    assert_eq!(per_task(RuntimeConfig::xgomptb(1), false, true), 1);
 }
 
 #[test]
 fn multilevel_policy_allocates_nothing_per_task() {
-    assert_eq!(per_task(RuntimeConfig::xlomp(1), false), 0);
+    assert_eq!(per_task(RuntimeConfig::xlomp(1), false, true), 0);
 }
 
 #[test]
 fn an_oversized_capture_is_boxed() {
-    assert_eq!(per_task(RuntimeConfig::xgomptb(1), true), 2);
-    assert_eq!(per_task(RuntimeConfig::xlomp(1), true), 1);
+    assert_eq!(per_task(RuntimeConfig::xgomptb(1), true, true), 2);
+    assert_eq!(per_task(RuntimeConfig::xlomp(1), true, true), 1);
+}
+
+/// Every task finds its capacity-2 queue full and runs undeferred, with
+/// no record allocated; an oversized capture still pays its box.
+#[test]
+fn an_undeferred_task_allocates_no_record() {
+    let cfg = || RuntimeConfig::xgomptb(1).queue_capacity(2);
+    assert_eq!(per_task(cfg(), false, false), 0);
+    assert_eq!(per_task(cfg(), true, false), 1);
 }
 
 /// A panicked region retires every task record like a clean one. Three
@@ -136,8 +172,20 @@ fn a_panicked_region_leaks_no_task_record() {
 /// twice takes a second block away (the multi-level pool frees it twice
 /// when the team drops).
 fn every_record_freed_once(set: usize, ran: &AtomicU64, children: u64, body: fn(&TaskCtx<'_>)) {
+    let cfgs = [RuntimeConfig::xgomptb(2), RuntimeConfig::xlomp(2)];
+    every_record_freed_once_on(cfgs, set, ran, children, body);
+}
+
+/// [`every_record_freed_once`] on the two configurations `cfgs`.
+fn every_record_freed_once_on(
+    cfgs: [RuntimeConfig; 2],
+    set: usize,
+    ran: &AtomicU64,
+    children: u64,
+    body: fn(&TaskCtx<'_>),
+) {
     support::track_this_thread(set);
-    for cfg in [RuntimeConfig::xgomptb(2), RuntimeConfig::xlomp(2)] {
+    for cfg in cfgs {
         let rt = Runtime::new(cfg);
         rt.parallel(|ctx| {
             ctx.scope(|s| {
@@ -266,6 +314,49 @@ fn detach_with_children_finishing_on_both_workers() {
                     p.spawn(child);
                 }
             });
+        });
+    });
+}
+
+/// An undeferred child on worker 0 sends a detached grandchild to worker 1
+/// and returns. The child's record lives on its spawner's frame, so the
+/// spawn returns only once the grandchild has completed on the peer (one
+/// RMW on that record), and the frame then lets the record go without a
+/// free: the balance holds on both allocators.
+#[test]
+fn undeferred_child_waits_for_its_grandchild_on_the_peer() {
+    use std::time::Duration;
+    static RAN: AtomicU64 = AtomicU64::new(0);
+    static DONE: AtomicBool = AtomicBool::new(false);
+    let cfgs = [
+        RuntimeConfig::xgomptb(2).queue_capacity(2),
+        RuntimeConfig::xlomp(2).queue_capacity(2),
+    ];
+    every_record_freed_once_on(cfgs, 4, &RAN, 4, |ctx| {
+        DONE.store(false, Ordering::Relaxed);
+        ctx.scope(|s| {
+            // Two tasks fill worker 0's own capacity-2 queue; the first,
+            // unplaced, moves its cursor on to worker 1.
+            s.spawn(|_| {
+                RAN.fetch_add(1, Ordering::Relaxed);
+            });
+            s.spawn_on(0, |_| {
+                RAN.fetch_add(1, Ordering::Relaxed);
+            });
+            s.spawn_on(0, |c| {
+                assert_eq!(c.worker_id(), 0);
+                c.spawn(|g| {
+                    assert_eq!(g.worker_id(), 1, "the cursor's second target");
+                    std::thread::sleep(Duration::from_millis(1));
+                    DONE.store(true, Ordering::Release);
+                    RAN.fetch_add(1, Ordering::Relaxed);
+                });
+                RAN.fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                DONE.load(Ordering::Acquire),
+                "the undeferred spawn returned before its grandchild finished"
+            );
         });
     });
 }
